@@ -8,8 +8,8 @@
 //! engine-invariant schedule the ledger replays, so all four engines
 //! snapshot at identical points in the lockstep schedule and a snapshot
 //! taken by one engine resumes under any other. [`resume_with`] rebuilds
-//! the complete engine state from a snapshot and re-enters the configured
-//! engine's loop; the resumed run finishes with an [`Outcome`]
+//! the complete engine state from a snapshot and hands it to the
+//! configured engine; the resumed run finishes with an [`Outcome`]
 //! bit-identical to the uninterrupted run (enforced by the kill→resume
 //! differential suite in `tests/checkpoint_resume.rs`).
 //!
@@ -26,10 +26,11 @@ use uts_ckpt::{
     CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, Fingerprint, MachineState,
     PreemptSignal, RecorderState, SnapshotView, StackSource,
 };
-use uts_machine::SimdMachine;
 use uts_tree::{CkptNode, SplitPolicy, TreeProblem};
 
-use crate::engine::{EngineConfig, EngineKind, LedgerRecorder, MacroStep, Outcome, ResumeState};
+use crate::engine::{
+    EngineConfig, EngineKind, EngineState, LedgerRecorder, MacroStep, Outcome, Resume,
+};
 use crate::matcher::MatchState;
 use crate::scheme::{Matching, TransferMode, Trigger};
 
@@ -194,88 +195,93 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     f.finish()
 }
 
-/// Encode a snapshot of the current macro-step boundary straight from the
-/// engine's live state (borrowed stacks — no clone; the one serialization
-/// pass is the entire per-snapshot cost). `step` and `fingerprint` come
-/// from the [`Hook`], which calls this lazily — only when the policy
-/// actually wants the boundary.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn capture<N: CkptNode>(
-    step: u64,
-    fingerprint: u64,
-    in_init: bool,
-    goals: u64,
-    donations: &[u32],
-    peak_stack_nodes: usize,
-    matcher: &MatchState,
-    machine: &SimdMachine,
-    recorder: Option<&LedgerRecorder>,
-    macro_steps: &[MacroStep],
-    stacks: StackSource<'_, N>,
-) -> Vec<u8> {
-    let machine = MachineState::capture(machine);
-    let recorder = recorder.map(|r| RecorderState {
-        receipts: r.receipts_so_far().to_vec(),
-        phases: r.phases_so_far().to_vec(),
-    });
-    let macro_steps: Vec<(u64, u64, u64)> =
-        macro_steps.iter().map(|m| (m.start_cycle, m.horizon, m.ran)).collect();
-    SnapshotView {
-        step,
-        in_init,
-        goals,
-        donations,
-        peak_stack_nodes,
-        global_pointer: matcher.global_pointer(),
-        machine: &machine,
-        recorder: recorder.as_ref(),
-        macro_steps: &macro_steps,
-        stacks,
-    }
-    .encode(fingerprint)
-}
-
-/// Per-run checkpoint driver the engine loops carry: counts macro-step
-/// boundaries, applies the policy, and injects the configured fault.
-/// `None` (no checkpoint config) costs the loops one branch per boundary.
-pub(crate) struct Hook {
-    cfg: CheckpointCfg,
-    fingerprint: u64,
-    step: u64,
-}
-
-impl Hook {
-    /// The run's hook, if checkpointing is configured. `start_step` is 0
-    /// for a fresh run and the snapshot's boundary count on resume, so
-    /// boundary numbering continues seamlessly.
-    pub(crate) fn new(cfg: &EngineConfig, start_step: u64) -> Option<Self> {
-        cfg.checkpoint.as_ref().map(|c| Self {
-            cfg: c.clone(),
-            fingerprint: config_fingerprint(cfg),
-            step: start_step,
-        })
-    }
-
-    /// Process one macro-step boundary: snapshot if the policy wants it
-    /// (encoding lazily — `encode` gets the boundary number and the config
-    /// fingerprint and returns the container bytes), then report whether
-    /// the run stops here. Two stop causes share the `true` return: the
-    /// injected fault (power-loss semantics — only policy snapshots
-    /// survive) and a raised [`PreemptSignal`] (park semantics — a
-    /// snapshot of *this* boundary is forced into the sink so the run can
-    /// always be resumed from exactly where it stopped). `fired` says the
-    /// step ended in a balancing phase.
-    pub(crate) fn boundary(
-        &mut self,
-        fired: bool,
-        encode: impl FnOnce(u64, u64) -> Vec<u8>,
-    ) -> bool {
-        self.step += 1;
-        let preempted = self.cfg.preempt.as_ref().is_some_and(PreemptSignal::is_raised);
-        if preempted || self.cfg.policy.wants(self.step, fired) {
-            self.cfg.sink.store(self.step, encode(self.step, self.fingerprint));
+impl EngineState {
+    /// Encode a snapshot of this boundary straight from the live state
+    /// (borrowed stacks — no clone; the one serialization pass is the
+    /// entire per-snapshot cost).
+    pub(crate) fn capture<N: CkptNode>(
+        &self,
+        fingerprint: u64,
+        stacks: StackSource<'_, N>,
+    ) -> Vec<u8> {
+        let machine = MachineState::capture(&self.machine);
+        let recorder = self.recorder.as_ref().map(|r| RecorderState {
+            receipts: r.receipts_so_far().to_vec(),
+            phases: r.phases_so_far().to_vec(),
+        });
+        let macro_steps: Vec<(u64, u64, u64)> =
+            self.macro_steps.iter().map(|m| (m.start_cycle, m.horizon, m.ran)).collect();
+        SnapshotView {
+            step: self.step,
+            in_init: self.in_init,
+            goals: self.goals,
+            donations: &self.donations,
+            peak_stack_nodes: self.peak_stack_nodes,
+            global_pointer: self.matcher.global_pointer(),
+            machine: &machine,
+            recorder: recorder.as_ref(),
+            macro_steps: &macro_steps,
+            stacks,
         }
-        preempted || self.cfg.fault.is_some_and(|f| f.kill_at_step == self.step)
+        .encode(fingerprint)
+    }
+
+    /// The inverse of [`EngineState::capture`]: the boundary state a
+    /// decoded snapshot holds, plus its stacks.
+    ///
+    /// # Panics
+    /// Panics if the snapshot's machine size or ledger presence
+    /// contradicts `cfg` (impossible for snapshots decoded against this
+    /// config's fingerprint, which [`resume_from_bytes`] enforces).
+    pub(crate) fn restore<N: CkptNode>(
+        cfg: &EngineConfig,
+        snapshot: EngineSnapshot<N>,
+    ) -> Resume<N> {
+        assert_eq!(snapshot.p(), cfg.p, "snapshot machine size differs from the resuming config");
+        assert_eq!(
+            snapshot.recorder.is_some(),
+            cfg.record_ledger,
+            "snapshot ledger presence differs from the resuming config"
+        );
+        let state = EngineState {
+            machine: snapshot.machine.restore(cfg.p, cfg.cost),
+            matcher: MatchState::restore(cfg.scheme.matching, snapshot.global_pointer),
+            recorder: snapshot.recorder.map(|r| LedgerRecorder::restore(r.receipts, r.phases)),
+            donations: snapshot.donations,
+            goals: snapshot.goals,
+            peak_stack_nodes: snapshot.peak_stack_nodes,
+            in_init: snapshot.in_init,
+            macro_steps: snapshot
+                .macro_steps
+                .iter()
+                .map(|&(start_cycle, horizon, ran)| MacroStep { start_cycle, horizon, ran })
+                .collect(),
+            step: snapshot.step,
+        };
+        (state, snapshot.stacks)
+    }
+}
+
+impl CheckpointCfg {
+    /// Process macro-step boundary `step` (1-based; `fired` says the step
+    /// ended in a balancing phase): snapshot if the policy wants it
+    /// (`encode` runs lazily, only then), and report whether the run stops
+    /// here. Two stop causes share the `true` return: the injected fault
+    /// (power-loss semantics — only policy snapshots survive) and a raised
+    /// [`PreemptSignal`] (park semantics — a snapshot of *this* boundary
+    /// is forced into the sink so the run can always be resumed from
+    /// exactly where it stopped).
+    pub(crate) fn boundary<E>(
+        &self,
+        step: u64,
+        fired: bool,
+        encode: impl FnOnce() -> Result<Vec<u8>, E>,
+    ) -> Result<bool, E> {
+        let preempted = self.preempt.as_ref().is_some_and(PreemptSignal::is_raised);
+        if preempted || self.policy.wants(step, fired) {
+            self.sink.store(step, encode()?);
+        }
+        Ok(preempted || self.fault.is_some_and(|f| f.kill_at_step == step))
     }
 }
 
@@ -295,33 +301,12 @@ pub fn resume_with<P: TreeProblem>(
     cfg: &EngineConfig,
     snapshot: EngineSnapshot<P::Node>,
 ) -> Outcome {
-    assert_eq!(snapshot.p(), cfg.p, "snapshot machine size differs from the resuming config");
-    assert_eq!(
-        snapshot.recorder.is_some(),
-        cfg.record_ledger,
-        "snapshot ledger presence differs from the resuming config"
-    );
-    let resume = ResumeState {
-        machine: snapshot.machine.restore(cfg.p, cfg.cost),
-        matcher: MatchState::restore(cfg.scheme.matching, snapshot.global_pointer),
-        pes: snapshot.stacks,
-        goals: snapshot.goals,
-        donations: snapshot.donations,
-        peak_stack_nodes: snapshot.peak_stack_nodes,
-        in_init: snapshot.in_init,
-        macro_steps: snapshot
-            .macro_steps
-            .iter()
-            .map(|&(start_cycle, horizon, ran)| MacroStep { start_cycle, horizon, ran })
-            .collect(),
-        recorder: snapshot.recorder.map(|r| LedgerRecorder::restore(r.receipts, r.phases)),
-        step: snapshot.step,
-    };
+    let resume = EngineState::restore(cfg, snapshot);
     match cfg.engine {
-        EngineKind::Reference => crate::reference::run_reference_from(problem, cfg, Some(resume)),
-        EngineKind::Fused => crate::engine::run_fused_from(problem, cfg, Some(resume)),
-        EngineKind::Macro => crate::macrostep::run_from(problem, cfg, Some(resume)),
-        EngineKind::Par => crate::parstep::run_par_from(problem, cfg, Some(resume)),
+        EngineKind::Reference => crate::reference::run_reference_from(problem, cfg, resume),
+        EngineKind::Fused => crate::engine::run_fused_from(problem, cfg, resume),
+        EngineKind::Macro => crate::macrostep::run_from(problem, cfg, resume),
+        EngineKind::Par => crate::parstep::run_par_from(problem, cfg, resume),
     }
 }
 

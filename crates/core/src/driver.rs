@@ -1,29 +1,38 @@
-//! The macro-step loop as a coordinator-side state machine.
+//! The macro-step loop — written once, for every executor.
 //!
-//! [`crate::macrostep::run`] owns everything: the stacks, the machine
-//! accounting, the trigger, the balancing phase. A *sharded* machine
-//! (`uts-shard`) splits that ownership — worker processes hold the stacks
-//! and run the search-phase bursts, while one coordinator owns the
-//! lockstep schedule: the horizon, the [`uts_machine::SimdMachine`]
-//! accounting, the trigger decision, the matcher, the ledger, and the
-//! balancing phase (driven through a [`StackStore`] whose splits happen
-//! remotely). [`LockstepDriver`] is that coordinator half, factored out of
-//! the macro engine so the two cannot drift: it calls the *same*
-//! `compute_horizon`, `checkpoint_trigger` and `balancing_phase` the
-//! in-process engines call, in the same order, on the same operands — the
-//! per-PE length census is the only input, and the census a worker reports
-//! after running [`crate::engine::expansion_burst`] over its slab is
-//! bit-identical to the one the macro engine would have computed in
-//! process. See DESIGN.md §13 for the full determinism argument.
+//! The paper's formulation is *one* lockstep loop: search phase, trigger,
+//! balancing phase. [`LockstepDriver`] owns everything of it except the
+//! stacks — the event horizon, the [`uts_machine::SimdMachine`]
+//! accounting, the trigger decision, the matcher, the ledger, the
+//! balancing phase and the macro-step boundary (checkpoint policy, fault,
+//! preempt) — and [`LockstepDriver::drive`] sequences them:
 //!
-//! # Protocol
+//! ```text
+//! horizon → backend.burst(h) → absorb → balance → boundary … → finish
+//! ```
 //!
-//! One macro step, driven by the caller (lens = the caller-maintained
-//! dense length mirror, updated from worker burst reports):
+//! The executors differ only in how the host runs the search phase, which
+//! is what a [`BurstBackend`] supplies: **inline**
+//! ([`crate::macrostep::InlineBackend`], one DFS burst per PE),
+//! **pooled** ([`crate::parstep::PooledBackend`], the same bursts on a
+//! worker pool), **cycle-major** ([`crate::engine::CycleMajorBackend`],
+//! one pass over all PEs per cycle) and **remote** (`uts-shard`: worker
+//! processes hold the stacks, bursts and splits travel as wire frames).
+//! Every backend hands the loop the same census for the same stacks, so
+//! every executor takes the same steps; DESIGN.md §6.1 gives the per
+//! backend argument. [`crate::reference`] is deliberately *not* built on
+//! this loop: it is the independent per-cycle oracle the suites compare
+//! against.
+//!
+//! # Stepping by hand
+//!
+//! A caller that needs to interleave its own work with the loop (the
+//! benchmark's span recorder) drives the same stages through the public
+//! step API, with `lens` the dense per-PE length array of its stacks:
 //!
 //! 1. [`LockstepDriver::horizon`] — compute the event horizon `h`.
-//! 2. Run the burst of `h` cycles on every active PE (remotely), merge the
-//!    per-worker census into a [`MergedBurst`].
+//! 2. Run the burst of `h` cycles on every active PE and describe it as a
+//!    [`MergedBurst`].
 //! 3. [`LockstepDriver::absorb_burst`] — machine accounting, stop checks
 //!    and trigger evaluation. On [`StepStatus::Continue`] with
 //!    `fired == true` the caller **must** call [`LockstepDriver::balance`]
@@ -35,30 +44,101 @@
 //! On [`StepStatus::Done`], call [`LockstepDriver::finish`] for the
 //! [`Outcome`].
 
-use uts_machine::SimdMachine;
-use uts_tree::CkptNode;
+use std::convert::Infallible;
 
-use crate::ckpt::{capture, config_fingerprint};
+use uts_ckpt::StackSource;
+use uts_tree::{CkptNode, SearchStack, StackArena};
+
+use crate::census::build_hist;
+use crate::ckpt::config_fingerprint;
 use crate::engine::{
-    balancing_phase, checkpoint_trigger, machine_report, EngineConfig, LbBuffers, LedgerRecorder,
-    MacroStep, Outcome,
+    balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, MacroStep, Outcome,
+    Resume,
 };
-use crate::matcher::MatchState;
+use crate::macrostep::compute_horizon;
 use crate::store::StackStore;
 
-/// The merged census of one search-phase burst across all workers.
-#[derive(Debug, Clone, Default)]
+/// The census of one search-phase burst over the whole active set (merged
+/// across workers or chunks where the backend has any).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MergedBurst {
-    /// PEs that entered the burst (sum of per-worker started counts; must
-    /// equal the driver's active count).
+    /// PEs that entered the burst (must equal the driver's active count).
     pub started: usize,
-    /// Goal nodes found during the burst (sum of per-worker deltas).
+    /// Goal nodes found during the burst.
     pub goals: u64,
-    /// Largest stack observed during the burst (max of per-worker peaks).
+    /// Largest stack observed during the burst.
     pub peak_stack_nodes: usize,
-    /// Burst lengths of PEs that drained mid-burst, concatenated across
-    /// workers in any order (the driver sorts). Empty when `h == 1`.
+    /// Burst lengths of PEs that drained mid-burst, in any order (the
+    /// driver sorts). Empty when `h == 1`.
     pub deaths: Vec<u64>,
+}
+
+impl MergedBurst {
+    /// Start describing a burst `started` PEs enter (keeps the death
+    /// buffer's allocation).
+    pub fn reset(&mut self, started: usize) {
+        self.started = started;
+        self.goals = 0;
+        self.peak_stack_nodes = 0;
+        self.deaths.clear();
+    }
+}
+
+/// How an executor runs the search phase, and where its stacks live — the
+/// only thing the executors differ in. The loop ([`LockstepDriver::drive`])
+/// is generic over this.
+pub trait BurstBackend {
+    /// Node type of the stacks (what a snapshot encodes).
+    type Node: CkptNode;
+    /// What running a stage can fail with: [`Infallible`] in process, a
+    /// lost worker for a remote backend.
+    type Error;
+    /// The stacks as the balancing phase splits through them.
+    type Store: StackStore;
+
+    /// Dense per-PE stack lengths (all `P` entries), current after every
+    /// burst and every split batch.
+    fn lens(&self) -> &[u32];
+
+    /// The store the balancing phase runs over.
+    fn store(&mut self) -> &mut Self::Store;
+
+    /// Run `h` lockstep cycles on every PE of `active` — the driver's
+    /// sorted list of PEs holding work — and compact the list in place to
+    /// the PEs still holding work. Describes the burst in `out`
+    /// ([`MergedBurst::reset`] first) and returns how many PEs are left
+    /// splittable (`len >= 2`).
+    fn burst(
+        &mut self,
+        h: u64,
+        active: &mut Vec<usize>,
+        out: &mut MergedBurst,
+    ) -> Result<usize, Self::Error>;
+
+    /// Stack-size histogram of the ensemble, for the horizon. The default
+    /// is one serial sweep of [`BurstBackend::lens`]; any override must
+    /// return the identical histogram.
+    fn size_hist(&mut self, hist: &mut Vec<u32>) {
+        build_hist(self.lens(), hist);
+    }
+
+    /// The stacks as a boundary snapshot encodes them.
+    fn stack_source(&mut self) -> Result<StackSource<'_, Self::Node>, Self::Error>;
+
+    /// Observe a completed macro step (after any balancing phase, boundary
+    /// counted): the place a backend settles what the infallible
+    /// [`StackStore`] calls could not report, and keeps its own records.
+    fn end_step(&mut self, _driver: &LockstepDriver, _fired: bool) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Compact the sorted `active` list to the PEs whose fresh length is
+/// non-zero and count the splittable ones — the post-burst census of a
+/// backend that learns lengths instead of compacting as it sweeps.
+pub fn recount_active(active: &mut Vec<usize>, lens: &[u32]) -> usize {
+    active.retain(|&i| lens[i] > 0);
+    active.iter().filter(|&&i| lens[i] >= 2).count()
 }
 
 /// What the driver decided at the end of [`LockstepDriver::absorb_burst`].
@@ -76,21 +156,14 @@ pub enum StepStatus {
     },
 }
 
-/// Coordinator half of the macro-step engine: everything except the
-/// stacks. See the module docs for the step protocol.
+/// The macro-step engine minus the stacks. See the module docs.
 pub struct LockstepDriver {
     cfg: EngineConfig,
-    fingerprint: u64,
-    machine: SimdMachine,
-    matcher: MatchState,
-    recorder: Option<LedgerRecorder>,
-    donations: Vec<u32>,
-    goals: u64,
-    peak_stack_nodes: usize,
-    in_init: bool,
-    macro_steps: Vec<MacroStep>,
-    /// Dense sorted list of PEs holding work (same invariants as the
-    /// in-process engines' list).
+    state: EngineState,
+    /// Dense sorted list of PEs holding work — the one such list of a
+    /// run: bursts compact it in place, balancing merges fed PEs in. Its
+    /// complement is the idle set, so no idle flags exist; busy
+    /// (= splittable) state is `lens[i] >= 2`, so no busy flags either.
     active: Vec<usize>,
     busy_count: usize,
     /// `P - active.len()` captured at the trigger checkpoint, consumed by
@@ -99,46 +172,33 @@ pub struct LockstepDriver {
     size_hist: Vec<u32>,
     count_ge: Vec<u32>,
     lb: LbBuffers,
-    /// Macro-step boundaries completed (1-based snapshot numbering, same
-    /// as the engines' checkpoint hook).
-    step: u64,
     truncated: bool,
 }
 
 impl LockstepDriver {
-    /// Driver for a fresh run: PE 0 holds the root (the caller seeds it in
-    /// whichever worker owns PE 0), everything else idle — exactly the
-    /// in-process engines' initial state.
-    pub fn fresh(cfg: &EngineConfig) -> Self {
-        assert!(cfg.p > 0, "need at least one processor");
-        let mut machine = SimdMachine::new(cfg.p, cfg.cost);
-        machine.record_active_trace(cfg.record_trace);
+    fn with_state(cfg: &EngineConfig, state: EngineState, active: Vec<usize>) -> Self {
         Self {
             cfg: cfg.clone(),
-            fingerprint: config_fingerprint(cfg),
-            machine,
-            matcher: MatchState::new(cfg.scheme.matching),
-            recorder: cfg.record_ledger.then(|| LedgerRecorder::new(cfg.p)),
-            donations: vec![0u32; cfg.p],
-            goals: 0,
-            peak_stack_nodes: 1,
-            in_init: cfg.init_fraction.is_some(),
-            macro_steps: Vec::new(),
-            active: vec![0],
+            state,
+            active,
             busy_count: 0,
             idle_at_checkpoint: 0,
             size_hist: Vec::new(),
             count_ge: Vec::new(),
             lb: LbBuffers::default(),
-            step: 0,
             truncated: false,
         }
     }
 
-    /// Driver restored from a decoded snapshot — the coordinator-side
-    /// mirror of [`crate::ckpt::resume_with`]'s state rebuild (the stacks
-    /// themselves go back to the workers; the active list is derived from
-    /// their lengths here, identically to the in-process resume).
+    /// Driver for a fresh run: PE 0 holds the root (the caller seeds it
+    /// wherever PE 0's stack lives), everything else idle.
+    pub fn fresh(cfg: &EngineConfig) -> Self {
+        Self::with_state(cfg, EngineState::fresh(cfg), vec![0])
+    }
+
+    /// Driver restored from a decoded snapshot, plus the snapshot's stacks
+    /// for the caller to place (in an arena, or with the workers that own
+    /// them).
     ///
     /// # Panics
     /// Panics if the snapshot's machine size or ledger presence
@@ -146,110 +206,141 @@ impl LockstepDriver {
     /// config's fingerprint).
     pub fn restore<N: CkptNode>(
         cfg: &EngineConfig,
-        snapshot: &uts_ckpt::EngineSnapshot<N>,
-    ) -> Self {
-        assert_eq!(snapshot.p(), cfg.p, "snapshot machine size differs from the resuming config");
-        assert_eq!(
-            snapshot.recorder.is_some(),
-            cfg.record_ledger,
-            "snapshot ledger presence differs from the resuming config"
-        );
-        let active: Vec<usize> = (0..cfg.p).filter(|&i| !snapshot.stacks[i].is_empty()).collect();
-        Self {
-            cfg: cfg.clone(),
-            fingerprint: config_fingerprint(cfg),
-            machine: snapshot.machine.clone().restore(cfg.p, cfg.cost),
-            matcher: MatchState::restore(cfg.scheme.matching, snapshot.global_pointer),
-            recorder: snapshot
-                .recorder
-                .as_ref()
-                .map(|r| LedgerRecorder::restore(r.receipts.clone(), r.phases.clone())),
-            donations: snapshot.donations.clone(),
-            goals: snapshot.goals,
-            peak_stack_nodes: snapshot.peak_stack_nodes,
-            in_init: snapshot.in_init,
-            macro_steps: snapshot
-                .macro_steps
-                .iter()
-                .map(|&(start_cycle, horizon, ran)| MacroStep { start_cycle, horizon, ran })
-                .collect(),
-            active,
-            busy_count: 0,
-            idle_at_checkpoint: 0,
-            size_hist: Vec::new(),
-            count_ge: Vec::new(),
-            lb: LbBuffers::default(),
-            step: snapshot.step,
-            truncated: false,
-        }
+        snapshot: uts_ckpt::EngineSnapshot<N>,
+    ) -> (Self, Vec<SearchStack<N>>) {
+        Self::over_stacks(cfg, EngineState::restore(cfg, snapshot))
+    }
+
+    /// The active list is derived from the stacks, identically for a fresh
+    /// root and a restored snapshot.
+    fn over_stacks<N>(cfg: &EngineConfig, (state, pes): Resume<N>) -> (Self, Vec<SearchStack<N>>) {
+        let active = (0..cfg.p).filter(|&i| !pes[i].is_empty()).collect();
+        (Self::with_state(cfg, state, active), pes)
+    }
+
+    /// Run an in-process executor from `resume` to the end; `backend`
+    /// wraps the arena the stacks are flattened into.
+    pub(crate) fn run_in_process<N, B: BurstBackend<Error = Infallible>>(
+        cfg: &EngineConfig,
+        resume: Resume<N>,
+        backend: impl FnOnce(StackArena<N>) -> B,
+    ) -> Outcome {
+        let (driver, pes) = Self::over_stacks(cfg, resume);
+        let Ok(outcome) = driver.drive(&mut backend(StackArena::from_stacks(pes)));
+        outcome
+    }
+
+    /// Run the macro-step loop to the end over `backend`.
+    ///
+    /// A run whose config carries a [`crate::ckpt::CheckpointCfg`]
+    /// evaluates it at every boundary: snapshots go to its sink, and an
+    /// injected fault or a raised preempt signal ends the loop with
+    /// [`Outcome::killed`] set.
+    pub fn drive<B: BurstBackend>(mut self, backend: &mut B) -> Result<Outcome, B::Error> {
+        let mut burst = MergedBurst::default();
+        let killed = loop {
+            let h = self.horizon_with(|hist| backend.size_hist(hist));
+            let busy = backend.burst(h, &mut self.active, &mut burst)?;
+            let StepStatus::Continue { fired } = self.absorb(h, busy, &mut burst) else {
+                break false;
+            };
+            if fired {
+                self.balance(backend.store());
+            }
+            let step = self.finish_boundary();
+            backend.end_step(&self, fired)?;
+            if let Some(ck) = &self.cfg.checkpoint {
+                let snapshot = || Ok(self.snapshot_of(backend.stack_source()?));
+                if ck.boundary(step, fired, snapshot)? {
+                    break true;
+                }
+            }
+        };
+        Ok(self.finish(killed))
     }
 
     /// The event horizon of the next macro step. `lens` is the dense
-    /// length mirror (all `P` entries).
+    /// length array (all `P` entries).
     pub fn horizon(&mut self, lens: &[u32]) -> u64 {
         debug_assert_eq!(lens.len(), self.cfg.p);
-        crate::macrostep::compute_horizon(
+        self.horizon_with(|hist| build_hist(lens, hist))
+    }
+
+    fn horizon_with(&mut self, fill_hist: impl FnOnce(&mut Vec<u32>)) -> u64 {
+        compute_horizon(
             &self.cfg,
-            &self.machine,
-            lens,
+            &self.state.machine,
             self.active.len(),
-            self.in_init,
+            self.state.in_init,
             &mut self.size_hist,
             &mut self.count_ge,
+            fill_hist,
         )
     }
 
     /// Account one completed burst of horizon `h` and evaluate the stop
     /// checks and the trigger — the checkpoint tail of the macro-step
-    /// loop. `lens` is the *post-burst* length mirror.
+    /// loop. `lens` is the *post-burst* length array; the driver's active
+    /// list is recounted from it.
     pub fn absorb_burst(&mut self, h: u64, lens: &[u32], mut burst: MergedBurst) -> StepStatus {
         debug_assert_eq!(lens.len(), self.cfg.p);
         debug_assert_eq!(burst.started, self.active.len(), "every active PE runs the burst");
-        let start_cycle = self.machine.metrics().n_expand;
-        self.goals += burst.goals;
-        self.peak_stack_nodes = self.peak_stack_nodes.max(burst.peak_stack_nodes);
-        // Post-burst census: filtering the sorted active list by the fresh
-        // lengths reproduces the in-process engines' in-place compaction.
-        self.active.retain(|&i| lens[i] > 0);
-        self.busy_count = self.active.iter().filter(|&&i| lens[i] >= 2).count();
+        let busy = recount_active(&mut self.active, lens);
+        self.absorb(h, busy, &mut burst)
+    }
+
+    /// [`LockstepDriver::absorb_burst`] once the active list is compacted
+    /// and `busy` of its PEs are known splittable.
+    fn absorb(&mut self, h: u64, busy: usize, burst: &mut MergedBurst) -> StepStatus {
+        let st = &mut self.state;
+        let start_cycle = st.machine.metrics().n_expand;
+        self.busy_count = busy;
+        st.goals += burst.goals;
+        st.peak_stack_nodes = st.peak_stack_nodes.max(burst.peak_stack_nodes);
         let ran;
         if h == 1 {
             debug_assert!(burst.deaths.is_empty(), "single cycles report no deaths");
-            self.machine.expansion_cycle(burst.started);
+            st.machine.expansion_cycle(burst.started);
             ran = 1;
         } else {
+            // Reconstruct the lockstep schedule from the deaths: a PE that
+            // drained after `e` expansions worked cycles `1..=e` of the
+            // batch; survivors worked all of them. So worked(j) is a step
+            // function dropping at each distinct death time, and the batch
+            // ends at `h` if anyone survived, else at the last death.
             burst.deaths.sort_unstable();
             ran = if self.active.is_empty() {
                 *burst.deaths.last().expect("had active PEs")
             } else {
                 h
             };
-            self.machine.expansion_cycles_with_deaths(burst.started, ran, &burst.deaths);
+            st.machine.expansion_cycles_with_deaths(burst.started, ran, &burst.deaths);
         }
         if self.cfg.record_horizons {
-            self.macro_steps.push(MacroStep { start_cycle, horizon: h, ran });
+            st.macro_steps.push(MacroStep { start_cycle, horizon: h, ran });
         }
 
-        if self.cfg.stop_on_goal && self.goals > 0 {
+        // Stop checks, in the reference loop's order.
+        if self.cfg.stop_on_goal && st.goals > 0 {
             return StepStatus::Done;
         }
-        if self.cfg.max_cycles.is_some_and(|m| self.machine.metrics().n_expand >= m) {
+        if self.cfg.max_cycles.is_some_and(|m| st.machine.metrics().n_expand >= m) {
             self.truncated = true;
             return StepStatus::Done;
         }
         if self.active.is_empty() {
-            return StepStatus::Done;
+            return StepStatus::Done; // space exhausted
         }
 
         self.idle_at_checkpoint = self.cfg.p - self.active.len();
         let fired = checkpoint_trigger(
             &self.cfg,
-            &self.machine,
-            &mut self.in_init,
-            self.busy_count,
+            &st.machine,
+            &mut st.in_init,
+            busy,
             self.idle_at_checkpoint,
             h,
-            &mut self.recorder,
+            &mut st.recorder,
         );
         StepStatus::Continue { fired }
     }
@@ -258,56 +349,48 @@ impl LockstepDriver {
     /// fired, over `store` (remote for a sharded machine). Must be called
     /// exactly when `absorb_burst` returned `fired == true`.
     pub fn balance<S: StackStore>(&mut self, store: &mut S) {
+        let st = &mut self.state;
         balancing_phase(
             &self.cfg,
-            &mut self.machine,
-            &mut self.matcher,
+            &mut st.machine,
+            &mut st.matcher,
             store,
             &mut self.active,
             &mut self.busy_count,
-            &mut self.donations,
+            &mut st.donations,
             &mut self.lb,
             self.idle_at_checkpoint,
-            &mut self.peak_stack_nodes,
-            &mut self.recorder,
+            &mut st.peak_stack_nodes,
+            &mut st.recorder,
         );
     }
 
     /// Count a completed macro-step boundary; returns its 1-based number
-    /// (the same numbering the engines' checkpoint hook uses for
-    /// `ckpt-{step:08}.bin` names).
+    /// (the `ckpt-{step:08}.bin` / `.park` numbering, continued across
+    /// resumes).
     pub fn finish_boundary(&mut self) -> u64 {
-        self.step += 1;
-        self.step
+        self.state.step += 1;
+        self.state.step
     }
 
     /// Macro-step boundaries completed so far.
     pub fn step(&self) -> u64 {
-        self.step
+        self.state.step
     }
 
-    /// Encode a full engine snapshot of the current boundary.
+    /// Encode a full engine snapshot of the current boundary over `stacks`.
+    pub fn snapshot_of<N: CkptNode>(&self, stacks: StackSource<'_, N>) -> Vec<u8> {
+        self.state.capture(config_fingerprint(&self.cfg), stacks)
+    }
+
+    /// [`LockstepDriver::snapshot_of`] over stacks already encoded:
     /// `stack_bytes` is the concatenation, in PE order, of every PE's
     /// stack encoding (the workers produce these with
     /// [`uts_tree::StackArena::encode_pe`]; byte-identical to the
     /// in-process [`uts_ckpt::StackSource::Arena`] capture, so sharded
     /// and single-process snapshots are interchangeable).
     pub fn snapshot(&self, stack_bytes: &[u8]) -> Vec<u8> {
-        let stacks: uts_ckpt::StackSource<'_, u64> =
-            uts_ckpt::StackSource::Encoded { p: self.cfg.p, bytes: stack_bytes };
-        capture(
-            self.step,
-            self.fingerprint,
-            self.in_init,
-            self.goals,
-            &self.donations,
-            self.peak_stack_nodes,
-            &self.matcher,
-            &self.machine,
-            self.recorder.as_ref(),
-            &self.macro_steps,
-            stacks,
-        )
+        self.snapshot_of::<u64>(StackSource::Encoded { p: self.cfg.p, bytes: stack_bytes })
     }
 
     /// Sorted list of PEs currently holding work.
@@ -315,90 +398,73 @@ impl LockstepDriver {
         &self.active
     }
 
-    /// Goal nodes found so far.
-    pub fn goals(&self) -> u64 {
-        self.goals
-    }
-
     /// Lockstep cycles executed so far (`N_expand`).
     pub fn cycles(&self) -> u64 {
-        self.machine.metrics().n_expand
+        self.state.machine.metrics().n_expand
     }
 
-    /// Close out the run. `killed` distinguishes a coordinator that parked
-    /// (worker loss with a recoverable spill) from a completed run, with
-    /// the same semantics as [`Outcome::killed`].
+    /// Close out the run. `killed` distinguishes a run that stopped at a
+    /// boundary to be resumed (fault, preempt) from a completed one, with
+    /// the semantics of [`Outcome::killed`].
     pub fn finish(self, killed: bool) -> Outcome {
-        let report = machine_report(self.machine);
-        let ledger = self.recorder.map(|r| r.finish(&self.donations));
-        Outcome {
-            report,
-            goals: self.goals,
-            truncated: self.truncated,
-            killed,
-            donations: self.donations,
-            peak_stack_nodes: self.peak_stack_nodes,
-            macro_steps: self.macro_steps,
-            ledger,
-        }
+        self.state.finish(self.truncated, killed)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! The driver *is* the macro engine minus the stacks: drive it with an
-    //! in-process [`StackArena`] + [`expansion_burst`] and the outcome
-    //! must be bit-identical to [`crate::macrostep::run`]. This is the
-    //! single-process version of the sharded differential suite.
+    //! The public step API, driven by hand with an in-process
+    //! [`StackArena`] + [`expansion_burst`] exactly as
+    //! `benchmark/src/trace.rs` does, must take the same steps as
+    //! [`LockstepDriver::drive`] over the inline backend (which is
+    //! [`crate::macrostep::run`]).
     use super::*;
-    use crate::engine::expansion_burst;
+    use crate::engine::{expansion_burst, fresh_run};
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;
-    use uts_tree::{SearchStack, StackArena, TreeProblem};
+    use uts_tree::TreeProblem;
 
-    fn drive<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-        let mut driver = LockstepDriver::fresh(cfg);
-        let mut stacks: Vec<SearchStack<P::Node>> =
-            (0..cfg.p).map(|_| SearchStack::new()).collect();
-        stacks[0] = SearchStack::from_root(problem.root());
-        let mut arena = StackArena::from_stacks(stacks);
-        let mut active: Vec<usize> = vec![0];
+    /// Hand-step `driver` over `arena` for at most `max_steps` boundaries;
+    /// true once the run is done.
+    fn step_by_hand<P: TreeProblem>(
+        problem: &P,
+        driver: &mut LockstepDriver,
+        arena: &mut StackArena<P::Node>,
+        max_steps: u64,
+    ) -> bool {
+        let mut active = driver.active().to_vec();
         let mut deaths = Vec::new();
-        loop {
+        for _ in 0..max_steps {
             let h = driver.horizon(arena.lens());
-            let mut goals = 0u64;
-            let mut peak = 0usize;
-            let stats = expansion_burst(
-                problem,
-                &mut arena,
-                &mut active,
-                h,
-                &mut goals,
-                &mut peak,
-                &mut deaths,
-            );
+            let (mut goals, mut peak) = (0u64, 0usize);
+            let stats =
+                expansion_burst(problem, arena, &mut active, h, &mut goals, &mut peak, &mut deaths);
             let burst = MergedBurst {
                 started: stats.started,
                 goals,
                 peak_stack_nodes: peak,
                 deaths: std::mem::take(&mut deaths),
             };
-            match driver.absorb_burst(h, arena.lens(), burst) {
-                StepStatus::Done => break,
-                StepStatus::Continue { fired } => {
-                    if fired {
-                        driver.balance(&mut arena);
-                        // Balancing feeds idle PEs: resync our local active
-                        // list from the census (the driver keeps its own).
-                        active.clear();
-                        active.extend((0..cfg.p).filter(|&i| arena.lens()[i] > 0));
-                    }
-                    driver.finish_boundary();
-                }
+            let StepStatus::Continue { fired } = driver.absorb_burst(h, arena.lens(), burst) else {
+                return true;
+            };
+            if fired {
+                driver.balance(arena);
+                active.clear();
+                active.extend_from_slice(driver.active());
             }
+            driver.finish_boundary();
         }
-        driver.finish(false)
+        false
+    }
+
+    fn by_hand<P: TreeProblem>(
+        problem: &P,
+        cfg: &EngineConfig,
+    ) -> (LockstepDriver, StackArena<P::Node>) {
+        let arena = StackArena::from_stacks(fresh_run(problem, cfg).1);
+        (LockstepDriver::fresh(cfg), arena)
     }
 
     #[test]
@@ -417,8 +483,9 @@ mod tests {
                 .with_horizon_log()
                 .with_trace();
             let want = crate::macrostep::run(&tree, &cfg);
-            let got = drive(&tree, &cfg);
-            assert_eq!(got, want, "{}", scheme.name());
+            let (mut driver, mut arena) = by_hand(&tree, &cfg);
+            assert!(step_by_hand(&tree, &mut driver, &mut arena, u64::MAX));
+            assert_eq!(driver.finish(false), want, "{}", scheme.name());
         }
     }
 
@@ -430,43 +497,8 @@ mod tests {
 
         // Drive three steps, snapshot, then hand the snapshot to the
         // ordinary in-process resume path.
-        let mut driver = LockstepDriver::fresh(&cfg);
-        let mut stacks: Vec<SearchStack<_>> = (0..cfg.p).map(|_| SearchStack::new()).collect();
-        stacks[0] = SearchStack::from_root(tree.root());
-        let mut arena = StackArena::from_stacks(stacks);
-        let mut active: Vec<usize> = vec![0];
-        let mut deaths = Vec::new();
-        for _ in 0..3 {
-            let h = driver.horizon(arena.lens());
-            let mut goals = 0u64;
-            let mut peak = 0usize;
-            let stats = expansion_burst(
-                &tree,
-                &mut arena,
-                &mut active,
-                h,
-                &mut goals,
-                &mut peak,
-                &mut deaths,
-            );
-            let burst = MergedBurst {
-                started: stats.started,
-                goals,
-                peak_stack_nodes: peak,
-                deaths: std::mem::take(&mut deaths),
-            };
-            match driver.absorb_burst(h, arena.lens(), burst) {
-                StepStatus::Done => panic!("run too short for the test"),
-                StepStatus::Continue { fired } => {
-                    if fired {
-                        driver.balance(&mut arena);
-                        active.clear();
-                        active.extend((0..cfg.p).filter(|&i| arena.lens()[i] > 0));
-                    }
-                    driver.finish_boundary();
-                }
-            }
-        }
+        let (mut driver, mut arena) = by_hand(&tree, &cfg);
+        assert!(!step_by_hand(&tree, &mut driver, &mut arena, 3), "run too short for the test");
         let mut stack_bytes = Vec::new();
         for i in 0..cfg.p {
             arena.encode_pe(i, &mut stack_bytes);

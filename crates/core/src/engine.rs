@@ -11,43 +11,50 @@
 //! The engine is cycle-quantized: one expansion cycle = every processor
 //! with a non-empty stack pops and expands exactly one node.
 //!
-//! **Hot path.** [`run_fused`] below is the allocation-steady-state *fused*
-//! pipeline: expansion and census run as one pass over a dense sorted list
-//! of active processor indices; idle PEs are never visited (the idle set is
-//! exactly the list's complement, and rendezvous matching only ever needs
-//! its first `min(A, I)` members); work transfers and frame pushes recycle
-//! pooled vectors instead of allocating. The default engine,
-//! [`crate::macrostep::run`], goes one step further and batches the search
-//! phase between trigger checkpoints. Both produce a lockstep schedule
+//! This module holds what every executor shares: the configuration, the
+//! [`Outcome`], the boundary state a snapshot captures ([`EngineState`]),
+//! the search-phase kernels ([`fused_expansion_cycle`],
+//! [`expansion_burst`]) and the trigger checkpoint and balancing phase.
+//! The macro-step loop that sequences them lives once, in
+//! [`crate::driver`]; [`run_fused`] below is that loop over the
+//! cycle-major backend. All executors produce a lockstep schedule
 //! bit-identical to the straightforward two-sweep loop kept in
 //! [`crate::reference`] (enforced by property tests). See DESIGN.md §6,
 //! "Engine hot path".
 
+use std::convert::Infallible;
+
+use uts_ckpt::StackSource;
 use uts_machine::{
     CostModel, LbPhaseRecord, Ledger, Report, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_scan::{MatchScratch, Pair};
-use uts_tree::{SearchStack, SplitPolicy, StackArena, TreeProblem};
+use uts_tree::{Burst, PeSlab, SearchStack, SplitPolicy, StackArena, TreeProblem};
 
+use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
 use crate::matcher::MatchState;
 use crate::scheme::{Scheme, TransferMode, Trigger};
 use crate::store::{CountedMove, StackStore};
 use crate::trigger::{should_balance, static_threshold, TriggerCtx};
 
-/// Which executor [`run_with`] dispatches to. All four produce
-/// bit-identical lockstep schedules (the contract enforced by
+/// Which executor [`run_with`] dispatches to: one independent oracle and
+/// three backends of the one macro-step loop ([`crate::driver`]). All four
+/// produce bit-identical lockstep schedules (the contract enforced by
 /// `tests/engine_equivalence.rs` and `tests/engine_differential.rs`); they
-/// differ only in host-side speed.
+/// differ only in how the host executes the search phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The two-sweep oracle loop ([`crate::reference::run_reference`]).
+    /// The per-cycle two-sweep oracle loop
+    /// ([`crate::reference::run_reference`]); not built on the driver.
     Reference,
-    /// The PR 1 fused single-cycle pipeline ([`run_fused`]).
+    /// The cycle-major backend ([`run_fused`]): one fused
+    /// expansion + census pass over the whole active list per cycle.
     Fused,
-    /// The event-horizon macro-step engine ([`crate::macrostep::run`]).
+    /// The inline backend ([`crate::macrostep::run`]): one cache-hot DFS
+    /// burst per PE per macro step.
     Macro,
-    /// The host-parallel macro-step engine
-    /// ([`crate::parstep::run_par`]).
+    /// The pooled backend ([`crate::parstep::run_par`]): the inline
+    /// bursts fanned out over a persistent host worker pool.
     Par,
 }
 
@@ -102,15 +109,16 @@ pub struct EngineConfig {
     pub stop_on_goal: bool,
     /// Safety valve for tests: abort after this many expansion cycles.
     pub max_cycles: Option<u64>,
-    /// Record every macro-step the macro engine takes
-    /// ([`Outcome::macro_steps`]); ignored by the fused and reference
-    /// engines. For horizon-soundness diagnostics and tests.
+    /// Record every macro step the loop takes ([`Outcome::macro_steps`]).
+    /// Every driver-backed executor (fused, macro, par, sharded) records
+    /// the identical log; the reference oracle steps cycle by cycle and
+    /// ignores the flag. For horizon-soundness diagnostics and tests.
     pub record_horizons: bool,
     /// Record the load-balance ledger ([`Outcome::ledger`]): per-PE
     /// donation/receipt counts and per-phase trigger provenance + cost
     /// attribution. Off by default — the engines skip all ledger work
-    /// (including the single-cycle engines' horizon replay) when unset, so
-    /// the hot path pays nothing. The ledger is part of the bit-identical
+    /// (including the oracle's horizon replay) when unset, so the hot
+    /// path pays nothing. The ledger is part of the bit-identical
     /// cross-engine contract: every engine and any thread count produces
     /// the same one.
     pub record_ledger: bool,
@@ -168,7 +176,7 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: record the macro engine's event-horizon steps.
+    /// Builder: record the loop's event-horizon steps.
     pub fn with_horizon_log(mut self) -> Self {
         self.record_horizons = true;
         self
@@ -277,19 +285,19 @@ pub struct Outcome {
     /// Frye–Myczkowski variant precisely because its memory requirements
     /// "become unbounded"; this makes the quantity observable.)
     pub peak_stack_nodes: usize,
-    /// The macro engine's event-horizon steps, recorded only when
-    /// [`EngineConfig::record_horizons`] is set (empty otherwise, and
-    /// always empty for the fused and reference engines).
+    /// The event-horizon steps the macro-step loop took, recorded only
+    /// when [`EngineConfig::record_horizons`] is set (empty otherwise, and
+    /// always empty for the reference oracle, which has no macro steps).
     pub macro_steps: Vec<MacroStep>,
     /// The load-balance ledger, recorded only when
     /// [`EngineConfig::record_ledger`] is set. Unlike `macro_steps` it is
     /// engine-invariant: all four engines produce the identical ledger
-    /// (the single-cycle engines replay the macro engine's horizon
-    /// schedule for the provenance records).
+    /// (the oracle replays the horizon schedule for the provenance
+    /// records).
     pub ledger: Option<Ledger>,
 }
 
-/// One event-horizon macro-step taken by [`crate::macrostep::run`]: at
+/// One event-horizon macro-step taken by the loop in [`crate::driver`]: at
 /// `start_cycle` the engine proved the trigger cannot (effectively) fire
 /// for `horizon` cycles and ran `ran` consecutive expansion cycles without
 /// a checkpoint (`ran < horizon` only when the whole ensemble drained).
@@ -312,222 +320,155 @@ impl Outcome {
     }
 }
 
-/// Initial (or restored) engine state shared by every executor: the
-/// direct state a snapshot captures. Derived structures — the dense
-/// active list, the splittable flags, the busy count — are pure functions
-/// of the stacks and are rebuilt by each loop, never restored.
-pub(crate) struct ResumeState<N> {
+/// The engine state of a macro-step boundary: what a snapshot captures,
+/// what a fresh run starts from and what the loop advances — everything
+/// except the stacks. Derived structures — the dense active list, the
+/// splittable flags, the busy count — are pure functions of the stacks and
+/// are rebuilt, never restored. The snapshot mapping (`restore`/`capture`)
+/// lives in [`crate::ckpt`].
+pub(crate) struct EngineState {
     pub machine: SimdMachine,
     pub matcher: MatchState,
-    pub pes: Vec<SearchStack<N>>,
-    pub goals: u64,
+    pub recorder: Option<LedgerRecorder>,
     pub donations: Vec<u32>,
+    pub goals: u64,
     pub peak_stack_nodes: usize,
     pub in_init: bool,
     pub macro_steps: Vec<MacroStep>,
-    pub recorder: Option<LedgerRecorder>,
-    /// Macro-step boundaries completed before the snapshot (the hook
-    /// continues boundary numbering from here).
+    /// Macro-step boundaries completed (1-based snapshot numbering, the
+    /// `ckpt-{step:08}.bin` names); a resumed run continues from here.
     pub step: u64,
 }
 
-impl<N> ResumeState<N> {
-    /// Fresh-run state: processor 0 holds the root, everything else zero.
-    pub(crate) fn fresh<P: TreeProblem<Node = N>>(problem: &P, cfg: &EngineConfig) -> Self {
+/// What an executor starts from: the boundary state plus every PE's stack.
+pub(crate) type Resume<N> = (EngineState, Vec<SearchStack<N>>);
+
+impl EngineState {
+    /// Fresh-run state: everything zero (PE 0 holds the root, see
+    /// [`fresh_run`]).
+    pub(crate) fn fresh(cfg: &EngineConfig) -> Self {
+        assert!(cfg.p > 0, "need at least one processor");
         let mut machine = SimdMachine::new(cfg.p, cfg.cost);
         machine.record_active_trace(cfg.record_trace);
-        let mut pes: Vec<SearchStack<N>> = (0..cfg.p).map(|_| SearchStack::new()).collect();
-        pes[0] = SearchStack::from_root(problem.root());
         Self {
             machine,
             matcher: MatchState::new(cfg.scheme.matching),
-            pes,
-            goals: 0,
+            recorder: cfg.record_ledger.then(|| LedgerRecorder::new(cfg.p)),
             donations: vec![0u32; cfg.p],
+            goals: 0,
             peak_stack_nodes: 1,
             // The init phase (dynamic triggers): alternate cycle / balance
             // until `init_fraction` of the PEs have work.
             in_init: cfg.init_fraction.is_some(),
             macro_steps: Vec::new(),
-            recorder: cfg.record_ledger.then(|| LedgerRecorder::new(cfg.p)),
             step: 0,
+        }
+    }
+
+    /// Close out the run.
+    pub(crate) fn finish(self, truncated: bool, killed: bool) -> Outcome {
+        let w = self.machine.metrics().nodes_expanded;
+        let report = self.machine.finish(w);
+        let ledger = self.recorder.map(|r| r.finish(&self.donations));
+        Outcome {
+            report,
+            goals: self.goals,
+            truncated,
+            killed,
+            donations: self.donations,
+            peak_stack_nodes: self.peak_stack_nodes,
+            macro_steps: self.macro_steps,
+            ledger,
         }
     }
 }
 
-/// Run `problem` to exhaustion (or first goal) under `cfg`, checking the
-/// trigger after every cycle (the PR 1 fused pipeline). Kept as the
-/// single-cycle baseline the macro engine is benchmarked against; new code
-/// should call [`crate::macrostep::run`].
+/// The start of a fresh run: zeroed state, processor 0 holding the root.
+pub(crate) fn fresh_run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Resume<P::Node> {
+    let state = EngineState::fresh(cfg);
+    let mut pes: Vec<SearchStack<P::Node>> = (0..cfg.p).map(|_| SearchStack::new()).collect();
+    pes[0] = SearchStack::from_root(problem.root());
+    (state, pes)
+}
+
+/// Run `problem` to exhaustion (or first goal) under `cfg`, sweeping the
+/// search phase **cycle-major**: the macro-step loop over
+/// [`CycleMajorBackend`]. Kept as the single-cycle baseline the inline
+/// backend is benchmarked against; new code should call
+/// [`crate::macrostep::run`].
 pub fn run_fused<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_fused_from(problem, cfg, None)
+    run_fused_from(problem, cfg, fresh_run(problem, cfg))
 }
 
 pub(crate) fn run_fused_from<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
-    resume: Option<ResumeState<P::Node>>,
+    resume: Resume<P::Node>,
 ) -> Outcome {
-    assert!(cfg.p > 0, "need at least one processor");
-    let state = resume.unwrap_or_else(|| ResumeState::fresh(problem, cfg));
-    let mut hook = crate::ckpt::Hook::new(cfg, state.step);
-    let mut machine = state.machine;
-    let mut matcher = state.matcher;
-    // Per-processor DFS stacks in structure-of-arrays form: one flat node
-    // slab per PE plus the dense `lens` mirror the census sweeps read. All
-    // per-cycle scratch (pair lists, packed enumerations) lives in
-    // long-lived buffers below, so a warmed-up cycle performs no allocator
-    // traffic.
-    let mut arena = StackArena::from_stacks(state.pes);
-    let mut goals = state.goals;
-    let mut donations = state.donations;
-    let mut peak_stack_nodes = state.peak_stack_nodes;
-    let mut in_init = state.in_init;
-    let mut recorder = state.recorder;
-    let mut truncated = false;
-    let mut killed = false;
+    LockstepDriver::run_in_process(cfg, resume, |arena| CycleMajorBackend::new(problem, arena))
+}
 
-    // Ledger recording and checkpointing both replay the macro engine's
-    // horizon schedule so per-phase provenance records and snapshot
-    // boundaries stay engine-invariant: a window of `window_h` cycles is
-    // certified at each macro-step boundary, and horizon soundness
-    // guarantees no effective fire before the window's final checkpoint —
-    // the fused loop's per-cycle trigger evaluation inside the window is
-    // provably inert. All of this is skipped when both are off.
-    let track = recorder.is_some() || hook.is_some();
-    let mut size_hist: Vec<u32> = Vec::new();
-    let mut count_ge: Vec<u32> = Vec::new();
-    let mut window_h = 0u64;
-    let mut h_remaining = 0u64;
+/// The cycle-major search phase: a burst of `h` cycles is `h` calls of
+/// [`fused_expansion_cycle`], each one pass over the whole (shrinking)
+/// active list, where the inline backend runs each PE's `h` cycles
+/// back to back. The stacks end in the same state either way (PEs never
+/// interact inside a search phase); a PE that leaves the list in cycle `c`
+/// is recorded as a death at `c`, which is exactly its burst length.
+pub struct CycleMajorBackend<'a, P: TreeProblem> {
+    problem: &'a P,
+    arena: StackArena<P::Node>,
+}
 
-    // Dense list of PEs holding work, kept sorted by index. Expansion and
-    // census iterate this list only; a PE leaves it when its stack empties
-    // (during the fused pass) and re-enters when a transfer feeds it. Its
-    // complement is exactly the idle set, so no idle flags exist at all:
-    // the matching derives the idle enumeration it needs (a `min(A, I)`
-    // prefix — surplus idle PEs are never matched) by walking the gaps in
-    // this list. Busy (= splittable) state needs no flag array either:
-    // `arena.lens()[i] >= 2` reads it straight off the dense census state.
-    let mut active: Vec<usize> = (0..cfg.p).filter(|&i| arena.len_of(i) > 0).collect();
-
-    // Long-lived balancing buffers, reused across every round of every
-    // balancing phase of the run.
-    let mut lb = LbBuffers::default();
-
-    loop {
-        if track {
-            if h_remaining == 0 {
-                window_h = crate::macrostep::compute_horizon(
-                    cfg,
-                    &machine,
-                    arena.lens(),
-                    active.len(),
-                    in_init,
-                    &mut size_hist,
-                    &mut count_ge,
-                );
-                h_remaining = window_h;
-            }
-            h_remaining -= 1;
-        }
-
-        // ---- fused expansion + census (one pass over the active list) ----
-        let stats = fused_expansion_cycle(
-            problem,
-            &mut arena,
-            &mut active,
-            &mut goals,
-            &mut peak_stack_nodes,
-        );
-        let mut busy_count = stats.busy;
-        machine.expansion_cycle(stats.started);
-
-        if cfg.stop_on_goal && goals > 0 {
-            break;
-        }
-        if cfg.max_cycles.is_some_and(|m| machine.metrics().n_expand >= m) {
-            truncated = true;
-            break;
-        }
-        if active.is_empty() {
-            break; // space exhausted
-        }
-
-        // ---- trigger + load-balancing phase (shared checkpoint tail) ----
-        let idle = cfg.p - active.len();
-        let fired = checkpoint_trigger(
-            cfg,
-            &machine,
-            &mut in_init,
-            busy_count,
-            idle,
-            window_h,
-            &mut recorder,
-        );
-        if fired {
-            debug_assert!(!track || h_remaining == 0, "effective fire inside a certified window");
-            h_remaining = 0;
-            balancing_phase(
-                cfg,
-                &mut machine,
-                &mut matcher,
-                &mut arena,
-                &mut active,
-                &mut busy_count,
-                &mut donations,
-                &mut lb,
-                idle,
-                &mut peak_stack_nodes,
-                &mut recorder,
-            );
-        }
-        // If no transfer was possible the trigger may keep firing, but the
-        // `busy == 0 || idle == 0` guard inside `trigger_fires` prevents
-        // livelock because a cycle always runs at the top of the loop.
-
-        // ---- macro-step boundary (checkpoint + fault injection) ----
-        if h_remaining == 0 {
-            if let Some(hk) = hook.as_mut() {
-                let dies = hk.boundary(fired, |step, fp| {
-                    crate::ckpt::capture(
-                        step,
-                        fp,
-                        in_init,
-                        goals,
-                        &donations,
-                        peak_stack_nodes,
-                        &matcher,
-                        &machine,
-                        recorder.as_ref(),
-                        &[],
-                        uts_ckpt::StackSource::Arena(&arena),
-                    )
-                });
-                if dies {
-                    killed = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    let report = machine_report(machine);
-    let ledger = recorder.map(|r| r.finish(&donations));
-    Outcome {
-        report,
-        goals,
-        truncated,
-        killed,
-        donations,
-        peak_stack_nodes,
-        macro_steps: Vec::new(),
-        ledger,
+impl<'a, P: TreeProblem> CycleMajorBackend<'a, P> {
+    /// A backend searching `problem` over `arena`.
+    pub fn new(problem: &'a P, arena: StackArena<P::Node>) -> Self {
+        Self { problem, arena }
     }
 }
 
-pub(crate) fn machine_report(machine: SimdMachine) -> Report {
-    let w = machine.metrics().nodes_expanded;
-    machine.finish(w)
+impl<P: TreeProblem> BurstBackend for CycleMajorBackend<'_, P> {
+    type Node = P::Node;
+    type Error = Infallible;
+    type Store = StackArena<P::Node>;
+
+    fn lens(&self) -> &[u32] {
+        self.arena.lens()
+    }
+
+    fn store(&mut self) -> &mut Self::Store {
+        &mut self.arena
+    }
+
+    fn burst(
+        &mut self,
+        h: u64,
+        active: &mut Vec<usize>,
+        out: &mut MergedBurst,
+    ) -> Result<usize, Infallible> {
+        out.reset(active.len());
+        let mut busy = 0;
+        for cycle in 1..=h {
+            let stats = fused_expansion_cycle(
+                self.problem,
+                &mut self.arena,
+                active,
+                &mut out.goals,
+                &mut out.peak_stack_nodes,
+            );
+            busy = stats.busy;
+            if h > 1 {
+                out.deaths.extend(std::iter::repeat_n(cycle, stats.started - active.len()));
+            }
+            if active.is_empty() {
+                break;
+            }
+        }
+        Ok(busy)
+    }
+
+    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
+        Ok(StackSource::Arena(&self.arena))
+    }
 }
 
 /// Census of one fused expansion cycle (or one macro-step burst): how many
@@ -586,9 +527,9 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
 /// consecutive lockstep cycles (or until a PE drains), exactly the search
 /// phase of [`crate::macrostep::run`] between two checkpoints. `h == 1`
 /// runs [`fused_expansion_cycle`]'s single-cycle pass; `h > 1` runs one
-/// tight cache-hot DFS burst per active PE and records each drained PE's
-/// burst length in `death_cycles` (cleared first, **unsorted**) so the
-/// caller can reconstruct the lockstep schedule via
+/// tight cache-hot DFS burst per active PE ([`burst_slice`]) and records
+/// each drained PE's burst length in `death_cycles` (cleared first,
+/// **unsorted**) so the caller can reconstruct the lockstep schedule via
 /// [`uts_machine::SimdMachine::expansion_cycles_with_deaths`]. Public
 /// because the sharded machine's workers (`uts-shard`) run the identical
 /// helper over their slab — the bit-identity of the sharded schedule
@@ -610,26 +551,58 @@ pub fn expansion_burst<P: TreeProblem>(
     }
     let started = active.len();
     let (slabs, lens) = arena.parts_mut();
-    let mut busy_count = 0usize;
-    let mut kept = 0usize;
-    for scan in 0..started {
-        let i = active[scan];
-        let slab = &mut slabs[i];
+    let cut = burst_slice(problem, h, active, 0, slabs, lens, death_cycles);
+    active.truncate(cut.kept);
+    *goals += cut.totals.goals;
+    *peak_stack_nodes = (*peak_stack_nodes).max(cut.totals.peak);
+    CycleStats { started, busy: cut.busy }
+}
+
+/// Census of [`burst_slice`] over one slice of the active list.
+#[derive(Default)]
+pub(crate) struct SliceBurst {
+    /// The slice's PEs still holding work were compacted to its first
+    /// `kept` entries (ascending PE order).
+    pub kept: usize,
+    /// How many of them are left splittable (`len >= 2`).
+    pub busy: usize,
+    /// Expansion/goal/peak totals over the slice's bursts.
+    pub totals: Burst,
+}
+
+/// The multi-cycle burst kernel: run the DFS of every PE listed in `pes`
+/// for up to `h` expansions on its cache-hot slab, push the burst length
+/// of each PE that drained onto `deaths`, and compact `pes` in place to
+/// the survivors. `slabs` and `lens` are the windows of the arena arrays
+/// covering (at least) the slice's PE index range, re-based at `base` (so
+/// global PE `i` lives at `slabs[i - base]`) — the whole arrays at base 0
+/// for the inline backend, one chunk's disjoint window for the pooled one.
+pub(crate) fn burst_slice<P: TreeProblem>(
+    problem: &P,
+    h: u64,
+    pes: &mut [usize],
+    base: usize,
+    slabs: &mut [PeSlab<P::Node>],
+    lens: &mut [u32],
+    deaths: &mut Vec<u64>,
+) -> SliceBurst {
+    let mut cut = SliceBurst::default();
+    for scan in 0..pes.len() {
+        let i = pes[scan];
+        let slab = &mut slabs[i - base];
         let burst = slab.expand_burst(problem, h);
-        *goals += burst.goals;
-        *peak_stack_nodes = (*peak_stack_nodes).max(burst.peak);
+        cut.totals.absorb(burst);
         let s1 = slab.len();
-        lens[i] = s1 as u32;
+        lens[i - base] = s1 as u32;
         if s1 == 0 {
-            death_cycles.push(burst.expanded);
+            deaths.push(burst.expanded);
         } else {
-            busy_count += (s1 >= 2) as usize;
-            active[kept] = i;
-            kept += 1;
+            cut.busy += (s1 >= 2) as usize;
+            pes[cut.kept] = i;
+            cut.kept += 1;
         }
     }
-    active.truncate(kept);
-    CycleStats { started, busy: busy_count }
+    cut
 }
 
 /// Long-lived balancing buffers, reused across every round of every
@@ -654,10 +627,10 @@ pub(crate) struct LbBuffers {
 /// transfer-by-transfer, phase records are armed at the firing checkpoint
 /// (capturing the trigger operands *before* balancing resets the phase
 /// counters) and settled after the balancing phase runs. All mutation
-/// happens in the engines' serial sections — the trigger checkpoint and
-/// the balancing phase run on the main thread in every engine — so no
-/// cross-thread merging exists to get wrong, which is the determinism
-/// argument (DESIGN.md §7).
+/// happens in serial sections — the trigger checkpoint and the balancing
+/// phase run on the loop's thread over every backend — so no cross-thread
+/// merging exists to get wrong, which is the determinism argument
+/// (DESIGN.md §7).
 pub(crate) struct LedgerRecorder {
     receipts: Vec<u32>,
     phases: Vec<LbPhaseRecord>,
@@ -730,10 +703,10 @@ impl LedgerRecorder {
 
 /// [`trigger_fires`] plus ledger provenance: on an effective fire, capture
 /// the trigger operands (which balancing is about to reset) and the event
-/// horizon of the step ending at this checkpoint. Every engine calls this
-/// at its checkpoint tail; `horizon` is the macro step's computed horizon
-/// (the single-cycle engines replay the same schedule when the ledger is
-/// on, and pass 0 when it is off — the value is never read then).
+/// horizon of the step ending at this checkpoint. Called from the loop's
+/// checkpoint tail and from the oracle's; `horizon` is the macro step's
+/// computed horizon (the oracle replays the same schedule when the ledger
+/// is on, and passes 0 when it is off — the value is never read then).
 pub(crate) fn checkpoint_trigger(
     cfg: &EngineConfig,
     machine: &SimdMachine,
@@ -819,12 +792,11 @@ pub(crate) fn trigger_fires(
 }
 
 /// One full load-balancing phase (all transfer modes), including the
-/// machine accounting. Shared verbatim by the fused, macro and parallel
-/// engines — and, via the [`StackStore`] abstraction, by the sharded
-/// multi-process machine, whose coordinator runs this exact function over
-/// a remote store so the balancing schedule cannot drift between the
-/// in-process and sharded executors. The caller has already decided the
-/// trigger fires effectively.
+/// machine accounting. The loop runs it over every backend's
+/// [`StackStore`] — the arena in process, a remote store for the sharded
+/// multi-process machine — so the balancing schedule cannot drift between
+/// executors. The caller has already decided the trigger fires
+/// effectively.
 ///
 /// `peak_stack_nodes` is observed at *transfer time*: every fed receiver's
 /// post-transfer length is folded in as the transfer lands, not at the
@@ -1132,9 +1104,9 @@ pub(crate) fn equalize<S: StackStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    // Behavioral tests drive the default (macro) engine; the fused loop is
-    // covered by the smoke test below and the cross-engine equivalence
-    // suite in `tests/engine_equivalence.rs`.
+    // Behavioral tests drive the default (macro) engine; the cycle-major
+    // backend is covered by the smoke test below and the cross-engine
+    // equivalence suite in `tests/engine_equivalence.rs`.
     use crate::macrostep::run;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
@@ -1351,7 +1323,7 @@ mod tests {
         let out = run_fused(&tree, &EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()));
         assert!(!out.truncated);
         assert_eq!(out.report.nodes_expanded, w);
-        assert!(out.macro_steps.is_empty(), "fused engine takes no macro-steps");
+        assert!(out.macro_steps.is_empty(), "no horizon log was asked for");
     }
 
     #[test]

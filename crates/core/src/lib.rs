@@ -22,9 +22,12 @@
 //! The executable model is a *cycle-quantized lockstep simulation*: every
 //! search-phase step, each processor with work expands exactly one node;
 //! virtual time advances by `U_calc` per cycle and by the cost model's
-//! `t_lb` per balancing phase (see `uts-machine`). Host-side rayon
-//! parallelism accelerates a cycle without changing its semantics, so runs
-//! are deterministic given `(problem, config)`.
+//! `t_lb` per balancing phase (see `uts-machine`). The macro-step loop is
+//! written once ([`driver`]); the engines are backends of it that differ
+//! only in how the host executes the search phase — inline, on a worker
+//! pool ([`pool`]), cycle-major, or in worker processes (`uts-shard`) —
+//! without changing its semantics, so runs are deterministic given
+//! `(problem, config)`.
 //!
 //! ```
 //! use uts_core::{EngineConfig, Scheme, run};
@@ -57,13 +60,14 @@ pub mod trigger;
 pub use ckpt::{
     config_fingerprint, resume_from_bytes, resume_with, CheckpointCfg, CheckpointSink, Snapshot,
 };
-pub use driver::{LockstepDriver, MergedBurst, StepStatus};
+pub use driver::{recount_active, BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, run_fused, run_with, CycleStats, EngineConfig, EngineKind, MacroStep, Outcome,
+    expansion_burst, run_fused, run_with, CycleMajorBackend, CycleStats, EngineConfig, EngineKind,
+    MacroStep, Outcome,
 };
-pub use macrostep::run;
+pub use macrostep::{run, InlineBackend};
 pub use matcher::MatchState;
-pub use parstep::run_par;
+pub use parstep::{run_par, PooledBackend};
 pub use pool::WorkerPool;
 pub use reference::run_reference;
 pub use report_json::run_report_json;

@@ -1,10 +1,10 @@
 //! Event-horizon macro-cycles: batch the search phase between trigger
 //! checkpoints.
 //!
-//! The fused engine ([`crate::engine::run_fused`]) still pays a full
-//! checkpoint — census, trigger evaluation, machine accounting — after
-//! *every* expansion cycle, even though for most cycles the trigger
-//! provably cannot fire. All three trigger families are pure functions of
+//! A per-cycle loop pays a full checkpoint — census, trigger evaluation,
+//! machine accounting — after *every* expansion cycle, even though for
+//! most cycles the trigger provably cannot fire. All three trigger
+//! families are pure functions of
 //! the active-count step trace `A(t)`, and `A(t)` can only fall between
 //! balancing phases (a PE whose stack holds `s` nodes cannot go idle for
 //! at least `s` cycles). [`crate::trigger::safe_horizon`] turns the stack
@@ -13,8 +13,9 @@
 //! with no splittable or no idle PE performs no work transfer and leaves
 //! no trace in the schedule, so it does not need a checkpoint either).
 //!
-//! The macro engine exploits this: before each batch it computes `H`, then
-//! runs every active PE's DFS in a tight per-PE inner loop
+//! The macro-step loop ([`crate::driver`]) exploits this: before each
+//! batch it computes `H` ([`compute_horizon`]), then the inline backend
+//! below runs every active PE's DFS in a tight per-PE inner loop
 //! ([`uts_tree::SearchStack::expand_burst`]) for `min(H, cycles-to-empty)`
 //! consecutive expansions. Each PE's whole burst runs on a cache-hot
 //! stack, and the lockstep census/accounting for the batch is
@@ -32,213 +33,108 @@
 //! phase, `stop_on_goal`) never looks at it, and any other checkpoint
 //! rebuilds it with one O(A) sweep whose cost is amortized by the cycles
 //! the resulting horizon buys. When the horizon degenerates to a single
-//! cycle, the step runs through a fast path identical to the fused
-//! engine's pass, so a run with no batching opportunity (e.g. a machine
-//! far larger than the tree, where the trigger fires after every cycle)
-//! costs the same as the fused engine.
+//! cycle, the step runs through the fused single-cycle pass
+//! ([`crate::engine::fused_expansion_cycle`]), so a run with no batching
+//! opportunity (e.g. a machine far larger than the tree, where the trigger
+//! fires after every cycle) costs the same as sweeping cycle by cycle.
 
+use std::convert::Infallible;
+
+use uts_ckpt::StackSource;
 use uts_machine::SimdMachine;
 use uts_tree::{StackArena, TreeProblem};
 
-use crate::census::{build_count_ge, build_hist};
-use crate::engine::{
-    balancing_phase, checkpoint_trigger, machine_report, EngineConfig, LbBuffers, MacroStep,
-    Outcome, ResumeState,
-};
+use crate::census::build_count_ge;
+use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
+use crate::engine::{expansion_burst, fresh_run, EngineConfig, Outcome, Resume};
 use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
 
 /// Run `problem` to exhaustion (or first goal) under `cfg` using
-/// event-horizon macro-steps. This is the default engine; its schedule is
-/// bit-identical to [`crate::reference::run_reference`].
+/// event-horizon macro-steps: the macro-step loop over [`InlineBackend`].
+/// This is the default engine; its schedule is bit-identical to
+/// [`crate::reference::run_reference`].
 pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_from(problem, cfg, None)
+    run_from(problem, cfg, fresh_run(problem, cfg))
 }
 
 pub(crate) fn run_from<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
-    resume: Option<ResumeState<P::Node>>,
+    resume: Resume<P::Node>,
 ) -> Outcome {
-    assert!(cfg.p > 0, "need at least one processor");
-    let state = resume.unwrap_or_else(|| ResumeState::fresh(problem, cfg));
-    let mut hook = crate::ckpt::Hook::new(cfg, state.step);
-    let mut machine = state.machine;
-    let mut matcher = state.matcher;
-    let mut arena = StackArena::from_stacks(state.pes);
-    let mut goals = state.goals;
-    let mut donations = state.donations;
-    let mut peak_stack_nodes = state.peak_stack_nodes;
-    let mut in_init = state.in_init;
-    let mut macro_steps = state.macro_steps;
-    let mut recorder = state.recorder;
-    let mut truncated = false;
-    let mut killed = false;
-
-    // Dense sorted active list, exactly as in the fused engine (see
-    // `engine.rs` for the invariants), derived from the stacks (identically
-    // for a fresh root and a restored snapshot). Busy state is read off the
-    // arena's dense lens mirror; no flag array exists.
-    let mut active: Vec<usize> = (0..cfg.p).filter(|&i| arena.len_of(i) > 0).collect();
-
-    // Stack-size histogram over the *active* PEs (`size_hist[s]` = number
-    // of active PEs whose stack holds `s` nodes), rebuilt on demand at
-    // each checkpoint that computes a horizon.
-    let mut size_hist: Vec<u32> = Vec::new();
-    let mut count_ge: Vec<u32> = Vec::new();
-
-    let mut lb = LbBuffers::default();
-    // Burst lengths of PEs that drained mid-batch (usually empty or tiny).
-    let mut death_cycles: Vec<u64> = Vec::new();
-
-    loop {
-        // ---- event horizon ----
-        let h = compute_horizon(
-            cfg,
-            &machine,
-            arena.lens(),
-            active.len(),
-            in_init,
-            &mut size_hist,
-            &mut count_ge,
-        );
-
-        let start_cycle = machine.metrics().n_expand;
-        // ---- search phase: the shared burst helper ----
-        // `h == 1` runs the fused engine's single-cycle pass; `h > 1` runs
-        // one tight cache-hot DFS burst per active PE straight over the
-        // slab/lens windows, recording each drained PE's burst length.
-        let stats = crate::engine::expansion_burst(
-            problem,
-            &mut arena,
-            &mut active,
-            h,
-            &mut goals,
-            &mut peak_stack_nodes,
-            &mut death_cycles,
-        );
-        let mut busy_count = stats.busy;
-        let ran;
-        if h == 1 {
-            machine.expansion_cycle(stats.started);
-            ran = 1;
-        } else {
-            // ---- reconstruct the lockstep schedule from the deaths ----
-            // A PE that drained after `e` expansions worked cycles `1..=e`
-            // of the batch; survivors worked all of them. So worked(j) is a
-            // step function dropping at each distinct death time, and the
-            // batch ends at `h` if anyone survived, else at the last death.
-            death_cycles.sort_unstable();
-            ran = if active.is_empty() { *death_cycles.last().expect("had active PEs") } else { h };
-            machine.expansion_cycles_with_deaths(stats.started, ran, &death_cycles);
-        }
-        if cfg.record_horizons {
-            macro_steps.push(MacroStep { start_cycle, horizon: h, ran });
-        }
-
-        // ---- checkpoint (identical order to the reference loop) ----
-        if cfg.stop_on_goal && goals > 0 {
-            break;
-        }
-        if cfg.max_cycles.is_some_and(|m| machine.metrics().n_expand >= m) {
-            truncated = true;
-            break;
-        }
-        if active.is_empty() {
-            break; // space exhausted
-        }
-
-        // ---- trigger + load-balancing phase (shared checkpoint tail) ----
-        let idle = cfg.p - active.len();
-        let fired =
-            checkpoint_trigger(cfg, &machine, &mut in_init, busy_count, idle, h, &mut recorder);
-        if fired {
-            balancing_phase(
-                cfg,
-                &mut machine,
-                &mut matcher,
-                &mut arena,
-                &mut active,
-                &mut busy_count,
-                &mut donations,
-                &mut lb,
-                idle,
-                &mut peak_stack_nodes,
-                &mut recorder,
-            );
-        }
-
-        // ---- macro-step boundary (checkpoint + fault injection) ----
-        if let Some(hk) = hook.as_mut() {
-            let dies = hk.boundary(fired, |step, fp| {
-                crate::ckpt::capture(
-                    step,
-                    fp,
-                    in_init,
-                    goals,
-                    &donations,
-                    peak_stack_nodes,
-                    &matcher,
-                    &machine,
-                    recorder.as_ref(),
-                    &macro_steps,
-                    uts_ckpt::StackSource::Arena(&arena),
-                )
-            });
-            if dies {
-                killed = true;
-                break;
-            }
-        }
-    }
-
-    let report = machine_report(machine);
-    let ledger = recorder.map(|r| r.finish(&donations));
-    Outcome { report, goals, truncated, killed, donations, peak_stack_nodes, macro_steps, ledger }
+    LockstepDriver::run_in_process(cfg, resume, |arena| InlineBackend::new(problem, arena))
 }
 
-/// Compute the next event horizon for a macro-step engine: a sound lower
-/// bound on the cycles before the trigger could fire effectively, clamped
-/// to the `max_cycles` budget. `stop_on_goal` must observe goals
-/// cycle-by-cycle, and the init phase balances after every cycle by
-/// construction; both degrade gracefully to single-cycle steps.
-/// `size_hist`/`count_ge` are caller-owned scratch, rebuilt only when a
-/// multi-cycle horizon is actually reachable. `lens` is the dense per-PE
-/// stack-length array (`lens[i]` = PE `i`'s stack size, 0 when idle), the
-/// structure-of-arrays mirror every engine maintains; the distribution is
-/// rebuilt from it with the chunked census sweeps (`crate::census`), which
-/// skip idle PEs and so agree exactly with the old active-list sweep.
+/// The inline search phase: [`expansion_burst`] over an in-process
+/// [`StackArena`], on the calling thread.
+pub struct InlineBackend<'a, P: TreeProblem> {
+    pub(crate) problem: &'a P,
+    pub(crate) arena: StackArena<P::Node>,
+}
+
+impl<'a, P: TreeProblem> InlineBackend<'a, P> {
+    /// A backend searching `problem` over `arena`.
+    pub fn new(problem: &'a P, arena: StackArena<P::Node>) -> Self {
+        Self { problem, arena }
+    }
+}
+
+impl<P: TreeProblem> BurstBackend for InlineBackend<'_, P> {
+    type Node = P::Node;
+    type Error = Infallible;
+    type Store = StackArena<P::Node>;
+
+    fn lens(&self) -> &[u32] {
+        self.arena.lens()
+    }
+
+    fn store(&mut self) -> &mut Self::Store {
+        &mut self.arena
+    }
+
+    fn burst(
+        &mut self,
+        h: u64,
+        active: &mut Vec<usize>,
+        out: &mut MergedBurst,
+    ) -> Result<usize, Infallible> {
+        out.reset(active.len());
+        let stats = expansion_burst(
+            self.problem,
+            &mut self.arena,
+            active,
+            h,
+            &mut out.goals,
+            &mut out.peak_stack_nodes,
+            &mut out.deaths,
+        );
+        Ok(stats.busy)
+    }
+
+    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
+        Ok(StackSource::Arena(&self.arena))
+    }
+}
+
+/// Compute the next event horizon: a sound lower bound on the cycles
+/// before the trigger could fire effectively, clamped to the `max_cycles`
+/// budget. `stop_on_goal` must observe goals cycle-by-cycle, and the init
+/// phase balances after every cycle by construction; both degrade
+/// gracefully to single-cycle steps. `size_hist`/`count_ge` are
+/// caller-owned scratch, rebuilt only when a multi-cycle horizon is
+/// actually reachable: `fill_hist` then builds the stack-size histogram
+/// over the PEs holding work (`hist[s]` = PEs whose stack holds `s`
+/// nodes) — a census sweep of the dense per-PE length array
+/// ([`crate::census::build_hist`]), or any reduction returning the same
+/// exact integers (the pooled backend's runs on its workers).
 pub(crate) fn compute_horizon(
     cfg: &EngineConfig,
     machine: &SimdMachine,
-    lens: &[u32],
     active_len: usize,
     in_init: bool,
     size_hist: &mut Vec<u32>,
     count_ge: &mut Vec<u32>,
-) -> u64 {
-    compute_horizon_pooled(cfg, machine, lens, active_len, in_init, size_hist, count_ge, None)
-}
-
-/// [`compute_horizon`] with an optional worker pool for the census: when a
-/// pool is offered and the ensemble is large enough to pay for a dispatch
-/// ([`crate::census::POOLED_CENSUS_MIN_LENS`]), the stack-size histogram
-/// is built by pool-parallel slice reductions combined in fixed slice
-/// order instead of one serial sweep — so the horizon computation stops
-/// being a serial tail between the parallel engine's bursts. The result is
-/// identical either way (exact integer reductions, fixed combine order;
-/// see `census::pooled_census`), so the schedule cannot observe the
-/// choice. `census_slices` is the pooled path's per-slice scratch,
-/// persistent across macro-steps.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_horizon_pooled(
-    cfg: &EngineConfig,
-    machine: &SimdMachine,
-    lens: &[u32],
-    active_len: usize,
-    in_init: bool,
-    size_hist: &mut Vec<u32>,
-    count_ge: &mut Vec<u32>,
-    census_pool: Option<(&crate::pool::WorkerPool, &mut Vec<crate::census::SliceCensus>)>,
+    fill_hist: impl FnOnce(&mut Vec<u32>),
 ) -> u64 {
     let mut h = if in_init
         || cfg.stop_on_goal
@@ -252,14 +148,7 @@ pub(crate) fn compute_horizon_pooled(
         ) {
         1
     } else {
-        match census_pool {
-            Some((pool, census_slices))
-                if lens.len() >= crate::census::POOLED_CENSUS_MIN_LENS && pool.workers() > 0 =>
-            {
-                crate::census::pooled_census(pool, lens, census_slices, size_hist);
-            }
-            _ => build_hist(lens, size_hist),
-        }
+        fill_hist(size_hist);
         build_count_ge(size_hist, count_ge);
         let hctx = HorizonCtx {
             p: cfg.p,

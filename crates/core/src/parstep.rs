@@ -1,19 +1,19 @@
-//! Host-parallel event-horizon macro-steps.
+//! The pooled backend: host-parallel event-horizon macro-steps.
 //!
-//! The macro engine ([`crate::macrostep::run`]) already batches the search
-//! phase into per-PE [`uts_tree::PeSlab::expand_burst`] loops between
-//! trigger checkpoints. Within one macro-step those bursts are independent
-//! by construction — each touches only its own PE's slab — which makes
-//! the batch embarrassingly parallel on the host. `run_par` exploits this:
+//! Within one macro-step the per-PE bursts of the inline backend
+//! ([`crate::macrostep::InlineBackend`]) are independent by construction —
+//! each touches only its own PE's slab — which makes the batch
+//! embarrassingly parallel on the host. [`PooledBackend`] exploits this:
 //! it cuts the dense sorted active-PE list into contiguous **work chunks**
 //! (about four per worker, so stragglers on skewed trees are absorbed by
 //! idle workers instead of stalling the join), publishes the chunk jobs in
 //! a fixed order, and lets worker threads claim them off an atomic cursor.
-//! Each chunk's bursts run into chunk-local scratch (kept-PE list, death
-//! cycles, goal/peak totals), and the main thread merges the chunks back
-//! **in chunk-index order** after the join.
+//! Each chunk's bursts compact the chunk's own slice of the list in place
+//! and run into chunk-local scratch (death cycles, goal/peak totals), and
+//! the calling thread merges the chunks back **in chunk-index order**
+//! after the join.
 //!
-//! **Determinism argument** (DESIGN.md §6.3). Only the *assignment* of
+//! **Determinism argument** (DESIGN.md §6.1). Only the *assignment* of
 //! chunks to threads is dynamic; everything that reaches engine state is
 //! fixed before any worker starts:
 //!
@@ -21,7 +21,8 @@
 //!   sorted active list, computed serially from `(started, workers)`;
 //!   which thread runs it cannot change what it does;
 //! * *kept active list* — chunks are contiguous slices of a sorted list,
-//!   so concatenating per-chunk kept lists in chunk order *is* PE order;
+//!   each compacted in place, so closing the gaps between them in chunk
+//!   order *is* PE order;
 //! * *death cycles* — sorted before the schedule reconstruction, so chunk
 //!   arrival order is irrelevant
 //!   ([`uts_machine::SimdMachine::expansion_cycles_with_deaths`] consumes
@@ -31,62 +32,56 @@
 //! * *busy counts* — exact sums.
 //!
 //! Everything sequenced — horizon computation, schedule reconstruction,
-//! the trigger checkpoint, and the whole balancing phase — runs on the
-//! main thread between batches, exactly as in the serial macro engine.
-//! The one atomic (the claim cursor) orders nothing but job pickup; no
-//! worker observes another worker's state, and no floating-point
-//! reassociation exists, so the schedule cannot depend on thread count or
-//! interleaving even in principle.
+//! the trigger checkpoint, and the whole balancing phase — is the loop's
+//! ([`crate::driver`]) and runs on the calling thread between bursts,
+//! exactly as over the inline backend. The one atomic (the claim cursor)
+//! orders nothing but job pickup; no worker observes another worker's
+//! state, and no floating-point reassociation exists, so the schedule
+//! cannot depend on thread count or interleaving even in principle.
 //!
 //! Workers come from a **persistent pool** ([`crate::pool::WorkerPool`]):
-//! `threads - 1` threads spawned once per run, parked on a condvar between
-//! bursts, and woken per macro-step through an epoch-stamped dispatch cell
-//! (the vendored `rayon` facade is a sequential shim, so the pool is the
-//! real parallelism primitive here). The pool replaced the old
-//! per-macro-step [`std::thread::scope`] fan-out, whose spawn/join cycle
-//! ate bursts worth only a couple hundred microseconds — see the
-//! `pool_dispatch` criterion group for the measured gap. Scratch buffers
-//! persist across steps so a warmed-up step allocates little; with
-//! dispatch cheap, the census feeding the next horizon runs on the pool
-//! too ([`crate::census::pooled_census`]); and small batches still skip
-//! the fan-out entirely — `run_par` at one worker is the macro engine plus
-//! a branch. The pool joins deterministically when the run returns, on
+//! `threads - 1` threads spawned once per backend, parked on a condvar
+//! between bursts, and woken per macro-step through an epoch-stamped
+//! dispatch cell — a wake costs microseconds where a spawn/join per step
+//! costs a burst's worth (the `pool_dispatch` criterion group measures the
+//! gap). Scratch buffers persist across steps so a warmed-up step
+//! allocates little; with dispatch cheap, the census feeding the next
+//! horizon runs on the pool too ([`crate::census::pooled_census`]); and
+//! small batches still skip the fan-out entirely. The pool joins
+//! deterministically when the backend drops — when the run returns, on
 //! goal-stop early exit, and on checkpoint-kill alike (its `Drop` parks
-//! then joins every worker; `tests/pool_lifecycle.rs` counts OS threads).
+//! then joins every worker; `tests/pool_lifecycle.rs` counts live pool
+//! workers).
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use uts_tree::{Burst, PeSlab, StackArena, TreeProblem};
+use uts_ckpt::StackSource;
+use uts_tree::{PeSlab, StackArena, TreeProblem};
 
-use crate::census::SliceCensus;
-use crate::engine::{
-    balancing_phase, checkpoint_trigger, machine_report, EngineConfig, LbBuffers, MacroStep,
-    Outcome, ResumeState,
-};
-use crate::macrostep::compute_horizon_pooled;
+use crate::census::{build_hist, pooled_census, SliceCensus, POOLED_CENSUS_MIN_LENS};
+use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
+use crate::engine::{burst_slice, fresh_run, EngineConfig, Outcome, Resume, SliceBurst};
+use crate::macrostep::InlineBackend;
 use crate::pool::WorkerPool;
 
 /// Default for [`EngineConfig::fan_out_min_work`]: the minimum
 /// `started_PEs × horizon` product worth waking the pool for when the
 /// worker count was auto-detected. Below this the batch runs inline on
-/// the main thread; the schedule is identical either way, so the
+/// the calling thread; the schedule is identical either way, so the
 /// threshold is purely a latency knob. [`EngineConfig::threads`] is
 /// likewise *only* a worker count: setting it does not force sharding.
 /// Suites that need the sharded path on trees far too small to cross
 /// this bar force it with [`EngineConfig::with_fan_out_min_work`]`(0)`.
 ///
-/// The constant is bench-derived for the *pooled* cost model: a pool
-/// dispatch (epoch bump + condvar wake + completion join) measures in the
-/// low single-digit microseconds on the `pool_dispatch` criterion group —
-/// versus tens to hundreds for the scoped spawn/join it replaced, which is
-/// why the old threshold sat at 4096. At ~15–60 ns per node expansion,
-/// 256 PE-cycles of burst work is the break-even neighbourhood; batches
-/// smaller than that are dominated by the wake even on a warm pool. The
-/// old 4096 bar silently serialized the small-but-frequent bursts of
-/// shallow trees (the d7 benchmark workloads fire the trigger every few
-/// cycles, so `started × H` rarely cleared it) — exactly the steps a
-/// persistent pool makes worth fanning out.
+/// The constant is bench-derived: a pool dispatch (epoch bump + condvar
+/// wake + completion join) measures in the low single-digit microseconds
+/// on the `pool_dispatch` criterion group. At ~15–60 ns per node
+/// expansion, 256 PE-cycles of burst work is the break-even neighbourhood;
+/// batches smaller than that are dominated by the wake even on a warm
+/// pool, while a higher bar would serialize the small-but-frequent bursts
+/// of shallow trees (whose trigger fires every few cycles).
 pub const DEFAULT_FAN_OUT_MIN_WORK: u64 = 256;
 
 /// Chunks published per worker. More than one chunk per worker lets the
@@ -106,338 +101,216 @@ pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
         .max(1)
 }
 
-/// Chunk-local results of one chunk's burst pass, merged on the main
-/// thread afterwards. Buffers persist across macro-steps (allocation
-/// steadiness, DESIGN.md §6.1) — `reset` only truncates.
+/// Chunk-local results of one chunk's burst pass, merged on the calling
+/// thread afterwards. The death buffer persists across macro-steps.
 #[derive(Default)]
 struct ShardScratch {
-    /// PEs of this chunk still holding work, in ascending PE order.
-    kept: Vec<usize>,
     /// Burst lengths of this chunk's PEs that drained mid-batch.
     deaths: Vec<u64>,
-    /// Chunk PEs left splittable (`len >= 2`).
-    busy: usize,
-    /// Expansion/goal/peak totals over the chunk's bursts.
-    totals: Burst,
+    cut: SliceBurst,
 }
 
-impl ShardScratch {
-    fn reset(&mut self) {
-        self.kept.clear();
-        self.deaths.clear();
-        self.busy = 0;
-        self.totals = Burst::default();
-    }
-}
-
-/// One published chunk job: the active-list slice, its PE-index re-base,
-/// and the disjoint slab/lens windows covering exactly that index range.
+/// One published chunk job: its slice of the active list (compacted in
+/// place by the burst), the slice's PE-index re-base, and the disjoint
+/// slab/lens windows covering exactly that index range.
 type ChunkJob<'a, N> =
-    (&'a [usize], usize, &'a mut [PeSlab<N>], &'a mut [u32], &'a mut ShardScratch);
-
-/// Run the bursts of one chunk of the active list. `slabs` and `lens` are
-/// the windows of the arena arrays covering exactly this chunk's PE index
-/// range, re-based at `base` (so global PE `i` lives at `slabs[i - base]`).
-fn run_chunk<P: TreeProblem>(
-    problem: &P,
-    budget: u64,
-    chunk: &[usize],
-    base: usize,
-    slabs: &mut [PeSlab<P::Node>],
-    lens: &mut [u32],
-    scr: &mut ShardScratch,
-) {
-    scr.reset();
-    for &i in chunk {
-        let slab = &mut slabs[i - base];
-        let burst = slab.expand_burst(problem, budget);
-        let s1 = slab.len();
-        lens[i - base] = s1 as u32;
-        if s1 == 0 {
-            scr.deaths.push(burst.expanded);
-        } else {
-            scr.busy += (s1 >= 2) as usize;
-            scr.kept.push(i);
-        }
-        scr.totals.absorb(burst);
-    }
-}
+    (&'a mut [usize], usize, &'a mut [PeSlab<N>], &'a mut [u32], &'a mut ShardScratch);
 
 /// Run `problem` to exhaustion (or first goal) under `cfg`, fanning each
 /// macro-step's bursts out across host worker threads via dynamically
-/// claimed work chunks. The schedule — every counter, trace, donation
-/// vector and goal count — is bit-identical to [`crate::macrostep::run`]
-/// at any thread count (see the module docs for the argument, and
-/// `tests/engine_differential.rs` for the enforcement).
+/// claimed work chunks: the macro-step loop over [`PooledBackend`]. The
+/// schedule — every counter, trace, donation vector and goal count — is
+/// bit-identical to [`crate::macrostep::run`] at any thread count (see the
+/// module docs for the argument, and `tests/engine_differential.rs` for
+/// the enforcement).
 pub fn run_par<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_par_from(problem, cfg, None)
+    run_par_from(problem, cfg, fresh_run(problem, cfg))
 }
 
 pub(crate) fn run_par_from<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
-    resume: Option<ResumeState<P::Node>>,
+    resume: Resume<P::Node>,
 ) -> Outcome {
-    assert!(cfg.p > 0, "need at least one processor");
-    let threads = resolve_threads(cfg);
-    // The persistent worker pool: spawned once here, woken per macro-step,
-    // parked in between, joined when this function returns — on normal
-    // exhaustion, goal-stop, truncation and checkpoint-kill alike (drop
-    // order runs the pool's join before the Outcome leaves). One worker
-    // needs no pool at all: every step runs inline.
-    let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
-    let state = resume.unwrap_or_else(|| ResumeState::fresh(problem, cfg));
-    let mut hook = crate::ckpt::Hook::new(cfg, state.step);
-    let mut machine = state.machine;
-    let mut matcher = state.matcher;
-    let mut arena = StackArena::from_stacks(state.pes);
-    let mut goals = state.goals;
-    let mut donations = state.donations;
-    let mut peak_stack_nodes = state.peak_stack_nodes;
-    let mut in_init = state.in_init;
-    let mut macro_steps = state.macro_steps;
-    // The ledger is recorded entirely on the main thread — the trigger
-    // checkpoint and the balancing phase are serial sections here exactly
-    // as in the macro engine — so no per-worker ledger state exists and no
-    // merge is needed (DESIGN.md §7). The same holds for snapshots: the
-    // boundary hook runs after the burst phase joined its workers.
-    let mut recorder = state.recorder;
-    let mut truncated = false;
-    let mut killed = false;
+    // The pool joins when the backend drops, before the `Outcome` leaves —
+    // on normal exhaustion, goal-stop, truncation and checkpoint-kill alike.
+    LockstepDriver::run_in_process(cfg, resume, |arena| {
+        PooledBackend::new(problem, arena, resolve_threads(cfg), cfg.fan_out_min_work)
+    })
+}
 
-    // Dense sorted active list, exactly as in the fused engine (see
-    // `engine.rs` for the invariants), derived from the stacks. Busy state
-    // is read off the arena's dense lens mirror; no flag array exists.
-    let mut active: Vec<usize> = (0..cfg.p).filter(|&i| arena.len_of(i) > 0).collect();
+/// The pooled search phase: the inline backend's bursts, cut into chunks
+/// of the active list and claimed by the workers of a persistent
+/// [`WorkerPool`] (spawned here once, woken per macro-step, parked in
+/// between, joined on drop). A burst below the fan-out bar — and every
+/// burst of a one-thread backend, which spawns no pool at all — runs
+/// through the wrapped [`InlineBackend`] verbatim, so a non-fanned-out
+/// `run_par` is the macro engine plus a branch. The census feeding the
+/// horizon runs on the pool too when the ensemble is large enough to pay
+/// for a dispatch.
+pub struct PooledBackend<'a, P: TreeProblem> {
+    inline: InlineBackend<'a, P>,
+    pool: Option<WorkerPool>,
+    fan_out_min_work: u64,
+    /// Per-chunk scratch and the pooled census's per-slice scratch, both
+    /// persistent across macro-steps.
+    shards: Vec<ShardScratch>,
+    census_slices: Vec<SliceCensus>,
+}
 
-    let mut size_hist: Vec<u32> = Vec::new();
-    let mut count_ge: Vec<u32> = Vec::new();
+impl<'a, P: TreeProblem> PooledBackend<'a, P> {
+    /// A backend searching `problem` over `arena` with `threads` host
+    /// threads (the caller's included), fanning out bursts of at least
+    /// `fan_out_min_work` PE-cycles
+    /// ([`EngineConfig::fan_out_min_work`]).
+    pub fn new(
+        problem: &'a P,
+        arena: StackArena<P::Node>,
+        threads: usize,
+        fan_out_min_work: u64,
+    ) -> Self {
+        Self {
+            inline: InlineBackend::new(problem, arena),
+            pool: (threads > 1).then(|| WorkerPool::new(threads - 1)),
+            fan_out_min_work,
+            shards: Vec::new(),
+            census_slices: Vec::new(),
+        }
+    }
+}
 
-    let mut lb = LbBuffers::default();
-    // Per-chunk scratch, the pooled census's per-slice scratch, and the
-    // rebuilt active list, all persistent.
-    let mut shards: Vec<ShardScratch> = Vec::new();
-    let mut census_slices: Vec<SliceCensus> = Vec::new();
-    let mut next_active: Vec<usize> = Vec::new();
-    let mut death_cycles: Vec<u64> = Vec::new();
+impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
+    type Node = P::Node;
+    type Error = Infallible;
+    type Store = StackArena<P::Node>;
 
-    loop {
-        // ---- event horizon (identical result to the macro engine; the
-        // ---- census histogram runs on the pool when the ensemble is
-        // ---- large enough to pay for a dispatch) ----
-        let h = compute_horizon_pooled(
-            cfg,
-            &machine,
-            arena.lens(),
-            active.len(),
-            in_init,
-            &mut size_hist,
-            &mut count_ge,
-            pool.as_ref().map(|p| (p, &mut census_slices)),
-        );
+    fn lens(&self) -> &[u32] {
+        self.inline.lens()
+    }
 
+    fn store(&mut self) -> &mut Self::Store {
+        self.inline.store()
+    }
+
+    fn burst(
+        &mut self,
+        h: u64,
+        active: &mut Vec<usize>,
+        out: &mut MergedBurst,
+    ) -> Result<usize, Infallible> {
         let started = active.len();
-        let start_cycle = machine.metrics().n_expand;
+        let pool = match &self.pool {
+            Some(pool) if started >= 2 && started as u64 * h >= self.fan_out_min_work => pool,
+            _ => return self.inline.burst(h, active, out),
+        };
+        out.reset(started);
+        let problem = self.inline.problem;
+        // At least two chunks always form here (`started >= 2`, and a pool
+        // means at least two threads).
+        let workers = (pool.workers() + 1).min(started);
+        let nc = (workers * CHUNKS_PER_WORKER).min(started);
+        if self.shards.len() < nc {
+            self.shards.resize_with(nc, ShardScratch::default);
+        }
+        // Chunk `c` takes a contiguous slice of the sorted active list;
+        // its PEs occupy the disjoint index range
+        // `chunk[0] ..= chunk[len - 1]`, so slicing the arena's slab/lens
+        // arrays at the next chunk's first PE hands every job a disjoint
+        // `&mut` window — the windows are disjoint no matter which worker
+        // claims which job.
+        let base_size = started / nc;
+        let extra = started % nc;
+        let chunk_len = |c: usize| base_size + usize::from(c < extra);
+        let (slabs_all, lens_all) = self.inline.arena.parts_mut();
+        let mut jobs: Vec<Mutex<Option<ChunkJob<'_, P::Node>>>> = Vec::with_capacity(nc);
+        let mut active_rest: &mut [usize] = active;
+        let mut slabs_rest: &mut [PeSlab<P::Node>] = slabs_all;
+        let mut lens_rest: &mut [u32] = lens_all;
+        let mut base = 0usize;
+        for (c, scr) in self.shards[..nc].iter_mut().enumerate() {
+            let (chunk, active_next) = std::mem::take(&mut active_rest).split_at_mut(chunk_len(c));
+            let cut = active_next.first().map_or(slabs_rest.len(), |&next| next - base);
+            let (slabs_here, slabs_next) = std::mem::take(&mut slabs_rest).split_at_mut(cut);
+            let (lens_here, lens_next) = std::mem::take(&mut lens_rest).split_at_mut(cut);
+            jobs.push(Mutex::new(Some((chunk, base, slabs_here, lens_here, scr))));
+            base += cut;
+            active_rest = active_next;
+            slabs_rest = slabs_next;
+            lens_rest = lens_next;
+        }
 
-        // ---- burst phase: wake the pool, or run inline when small ----
-        let fan_out = threads > 1 && started >= 2 && started as u64 * h >= cfg.fan_out_min_work;
-        let mut busy_count;
-        let ran;
-        if !fan_out && h == 1 {
-            // Single-cycle step on the main thread: take the fused fast
-            // path, exactly as the serial macro engine does, so one-worker
-            // runs cost the macro engine plus a branch.
-            let stats = crate::engine::fused_expansion_cycle(
-                problem,
-                &mut arena,
-                &mut active,
-                &mut goals,
-                &mut peak_stack_nodes,
-            );
-            busy_count = stats.busy;
-            machine.expansion_cycle(stats.started);
-            ran = 1;
-        } else if !fan_out {
-            // One-worker multi-cycle step: run the macro engine's burst arm
-            // verbatim (in-place compaction of `active`, no chunk scratch),
-            // so a non-fanned-out `run_par` is the macro engine plus a
-            // branch — parity, not parity-within-noise.
-            death_cycles.clear();
-            let mut kept = 0usize;
-            busy_count = 0;
-            let (slabs, lens) = arena.parts_mut();
-            for scan in 0..started {
-                let i = active[scan];
-                let slab = &mut slabs[i];
-                let burst = slab.expand_burst(problem, h);
-                goals += burst.goals;
-                peak_stack_nodes = peak_stack_nodes.max(burst.peak);
-                let s1 = slab.len();
-                lens[i] = s1 as u32;
-                if s1 == 0 {
-                    death_cycles.push(burst.expanded);
-                } else {
-                    busy_count += (s1 >= 2) as usize;
-                    active[kept] = i;
-                    kept += 1;
+        // ---- claim loop: participants pull chunk jobs off an atomic
+        // ---- cursor. One pool dispatch wakes the parked workers for
+        // ---- this epoch; the calling thread claims too instead of
+        // ---- idling, and the dispatch returns once every participant
+        // ---- ran out of jobs (so all borrows below are settled).
+        let cursor = AtomicUsize::new(0);
+        {
+            let jobs = &jobs;
+            let cursor = &cursor;
+            pool.dispatch(&move || loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                if k >= jobs.len() {
+                    break;
                 }
-            }
-            active.truncate(kept);
-            death_cycles.sort_unstable();
-            ran = if kept > 0 { h } else { *death_cycles.last().expect("had active PEs") };
-            machine.expansion_cycles_with_deaths(started, ran, &death_cycles);
-        } else {
-            // `fan_out` implies `threads > 1 && started >= 2`, so at least
-            // two chunks and two workers always form here.
-            let workers = threads.min(started);
-            let nc = (workers * CHUNKS_PER_WORKER).min(started);
-            if shards.len() < nc {
-                shards.resize_with(nc, ShardScratch::default);
-            }
-            // Chunk `c` takes a contiguous slice of the sorted active list;
-            // its PEs occupy the disjoint index range
-            // `active[chunk_start] ..= active[chunk_end - 1]`, so slicing
-            // the arena's slab/lens arrays at the next chunk's first PE
-            // hands every job a disjoint `&mut` window — the windows are
-            // disjoint no matter which worker claims which job.
-            let base_size = started / nc;
-            let extra = started % nc;
-            let (slabs_all, lens_all) = arena.parts_mut();
-            let mut jobs: Vec<Mutex<Option<ChunkJob<'_, P::Node>>>> = Vec::with_capacity(nc);
-            let mut slabs_rest: &mut [PeSlab<P::Node>] = slabs_all;
-            let mut lens_rest: &mut [u32] = lens_all;
-            let mut base = 0usize;
-            let mut chunk_start = 0usize;
-            let mut shard_iter = shards[..nc].iter_mut();
-            for c in 0..nc {
-                let len = base_size + usize::from(c < extra);
-                let chunk = &active[chunk_start..chunk_start + len];
-                chunk_start += len;
-                let cut = if chunk_start < started {
-                    active[chunk_start] - base
-                } else {
-                    slabs_rest.len()
-                };
-                let (slabs_here, slabs_next) = std::mem::take(&mut slabs_rest).split_at_mut(cut);
-                let (lens_here, lens_next) = std::mem::take(&mut lens_rest).split_at_mut(cut);
-                let scr = shard_iter.next().expect("chunk scratch");
-                jobs.push(Mutex::new(Some((chunk, base, slabs_here, lens_here, scr))));
-                base += cut;
-                slabs_rest = slabs_next;
-                lens_rest = lens_next;
-            }
-
-            // ---- claim loop: participants pull chunk jobs off an atomic
-            // ---- cursor. One pool dispatch wakes the parked workers for
-            // ---- this epoch; the main thread claims too instead of
-            // ---- idling, and the dispatch returns once every participant
-            // ---- ran out of jobs (so all borrows below are settled).
-            let cursor = AtomicUsize::new(0);
-            {
-                let jobs = &jobs;
-                let cursor = &cursor;
-                pool.as_ref().expect("fan_out implies threads > 1").dispatch(&move || loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= jobs.len() {
-                        break;
-                    }
-                    let (chunk, base, slabs_w, lens_w, scr) =
-                        jobs[k].lock().expect("job lock").take().expect("job claimed once");
-                    run_chunk(problem, h, chunk, base, slabs_w, lens_w, scr);
-                });
-            }
-
-            // ---- merge chunks in chunk order == PE order (main thread) ----
-            next_active.clear();
-            death_cycles.clear();
-            busy_count = 0;
-            for scr in &shards[..nc] {
-                next_active.extend_from_slice(&scr.kept);
-                death_cycles.extend_from_slice(&scr.deaths);
-                busy_count += scr.busy;
-                goals += scr.totals.goals;
-                peak_stack_nodes = peak_stack_nodes.max(scr.totals.peak);
-            }
-            std::mem::swap(&mut active, &mut next_active);
-
-            // ---- reconstruct the lockstep schedule from the deaths ----
-            death_cycles.sort_unstable();
-            ran =
-                if !active.is_empty() { h } else { *death_cycles.last().expect("had active PEs") };
-            machine.expansion_cycles_with_deaths(started, ran, &death_cycles);
-        }
-        if cfg.record_horizons {
-            macro_steps.push(MacroStep { start_cycle, horizon: h, ran });
-        }
-
-        // ---- checkpoint (identical order to the reference loop) ----
-        if cfg.stop_on_goal && goals > 0 {
-            break;
-        }
-        if cfg.max_cycles.is_some_and(|m| machine.metrics().n_expand >= m) {
-            truncated = true;
-            break;
-        }
-        if active.is_empty() {
-            break; // space exhausted
-        }
-
-        // ---- trigger + load-balancing phase (shared checkpoint tail) ----
-        let idle = cfg.p - active.len();
-        let fired =
-            checkpoint_trigger(cfg, &machine, &mut in_init, busy_count, idle, h, &mut recorder);
-        if fired {
-            balancing_phase(
-                cfg,
-                &mut machine,
-                &mut matcher,
-                &mut arena,
-                &mut active,
-                &mut busy_count,
-                &mut donations,
-                &mut lb,
-                idle,
-                &mut peak_stack_nodes,
-                &mut recorder,
-            );
-        }
-
-        // ---- macro-step boundary (checkpoint + fault injection) ----
-        // The pool is quiescent here by construction: every dispatch above
-        // joined before this point, so a snapshot — and an injected kill —
-        // always sees complete, settled state (no burst in flight, every
-        // worker parked). Asserted because the kill→resume differential
-        // depends on it.
-        debug_assert!(
-            pool.as_ref().is_none_or(WorkerPool::is_quiescent),
-            "macro-step boundary reached with the pool mid-dispatch"
-        );
-        if let Some(hk) = hook.as_mut() {
-            let dies = hk.boundary(fired, |step, fp| {
-                crate::ckpt::capture(
-                    step,
-                    fp,
-                    in_init,
-                    goals,
-                    &donations,
-                    peak_stack_nodes,
-                    &matcher,
-                    &machine,
-                    recorder.as_ref(),
-                    &macro_steps,
-                    uts_ckpt::StackSource::Arena(&arena),
-                )
+                let (chunk, base, slabs_w, lens_w, scr) =
+                    jobs[k].lock().expect("job lock").take().expect("job claimed once");
+                scr.deaths.clear();
+                scr.cut = burst_slice(problem, h, chunk, base, slabs_w, lens_w, &mut scr.deaths);
             });
-            if dies {
-                killed = true;
-                break;
+        }
+        drop(jobs);
+
+        // ---- merge chunks in chunk order == PE order (calling thread):
+        // ---- close the gaps the drained PEs left between the chunks'
+        // ---- compacted prefixes ----
+        let (mut kept, mut chunk_start, mut busy) = (0usize, 0usize, 0usize);
+        for (c, scr) in self.shards[..nc].iter().enumerate() {
+            active.copy_within(chunk_start..chunk_start + scr.cut.kept, kept);
+            kept += scr.cut.kept;
+            chunk_start += chunk_len(c);
+            if h > 1 {
+                out.deaths.extend_from_slice(&scr.deaths);
             }
+            busy += scr.cut.busy;
+            out.goals += scr.cut.totals.goals;
+            out.peak_stack_nodes = out.peak_stack_nodes.max(scr.cut.totals.peak);
+        }
+        active.truncate(kept);
+        Ok(busy)
+    }
+
+    fn size_hist(&mut self, hist: &mut Vec<u32>) {
+        // Pool-parallel slice reductions combined in fixed slice order
+        // instead of one serial sweep, so the horizon computation stops
+        // being a serial tail between bursts. Identical result either way
+        // (exact integer reductions, fixed combine order; see
+        // `census::pooled_census`), so the schedule cannot observe the
+        // choice.
+        let lens = self.inline.arena.lens();
+        match &self.pool {
+            Some(pool) if lens.len() >= POOLED_CENSUS_MIN_LENS => {
+                pooled_census(pool, lens, &mut self.census_slices, hist);
+            }
+            _ => build_hist(lens, hist),
         }
     }
 
-    let report = machine_report(machine);
-    let ledger = recorder.map(|r| r.finish(&donations));
-    Outcome { report, goals, truncated, killed, donations, peak_stack_nodes, macro_steps, ledger }
+    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
+        self.inline.stack_source()
+    }
+
+    fn end_step(&mut self, _: &LockstepDriver, _: bool) -> Result<(), Infallible> {
+        // Every dispatch joined before this point, so a snapshot — and an
+        // injected kill — always sees complete, settled state (no burst in
+        // flight, every worker parked). Asserted because the kill→resume
+        // differential depends on it.
+        debug_assert!(
+            self.pool.as_ref().is_none_or(WorkerPool::is_quiescent),
+            "macro-step boundary reached with the pool mid-dispatch"
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]

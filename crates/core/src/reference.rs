@@ -4,22 +4,27 @@
 //! cycle it sweeps **all** `P` processor slots (idle ones included),
 //! collects per-PE results into a fresh vector, then runs a second O(P)
 //! census sweep to count busy/idle processors and rebuild the matching
-//! flags. It is deliberately unoptimized — the fused engine in
-//! [`crate::engine`] must produce a **bit-identical schedule** (same
-//! `Report`, same donations, same traces) while doing strictly less work
-//! per cycle; the property tests in `tests/engine_equivalence.rs` and the
-//! `engine_cycle` benchmark hold it to that.
+//! flags. It is deliberately unoptimized, and deliberately *not* built on
+//! the macro-step loop of [`crate::driver`]: every executor of that loop
+//! must produce a **bit-identical schedule** (same `Report`, same
+//! donations, same traces) while doing strictly less work per cycle; the
+//! property tests in `tests/engine_equivalence.rs` and the `engine_cycle`
+//! benchmark hold them to that.
 //!
-//! The only deviation from the seed loop is shared with the fused engine:
+//! The only deviation from the seed loop is shared with the other engines:
 //! FEGS equalization merges donated chunks with
 //! [`uts_tree::SearchStack::merge_from`], preserving the donation's frame
 //! structure instead of flattening it into one frame (the old behaviour
 //! lost the level boundaries that split policies and `depth()` rely on).
 
-use rayon::prelude::*;
+use std::convert::Infallible;
+
+use uts_ckpt::StackSource;
 use uts_tree::{SearchStack, SplitPolicy, TreeProblem};
 
-use crate::engine::{checkpoint_trigger, EngineConfig, LedgerRecorder, Outcome, ResumeState};
+use crate::census::build_hist;
+use crate::ckpt::config_fingerprint;
+use crate::engine::{checkpoint_trigger, fresh_run, EngineConfig, LedgerRecorder, Outcome, Resume};
 use crate::macrostep::compute_horizon;
 use crate::scheme::TransferMode;
 
@@ -37,39 +42,34 @@ struct CycleResult {
 }
 
 /// Run `problem` under `cfg` with the reference (two-sweep, allocating)
-/// loop. Produces the same [`Outcome`] as [`crate::engine::run`].
+/// loop. Produces the same [`Outcome`] as [`crate::macrostep::run`].
 pub fn run_reference<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_reference_from(problem, cfg, None)
+    run_reference_from(problem, cfg, fresh_run(problem, cfg))
 }
 
 pub(crate) fn run_reference_from<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
-    resume: Option<ResumeState<P::Node>>,
+    (mut st, stacks): Resume<P::Node>,
 ) -> Outcome {
-    assert!(cfg.p > 0, "need at least one processor");
-    let state = resume.unwrap_or_else(|| ResumeState::fresh(problem, cfg));
-    let mut hook = crate::ckpt::Hook::new(cfg, state.step);
-    let mut machine = state.machine;
-    let mut matcher = state.matcher;
     let mut pes: Vec<Pe<P::Node>> =
-        state.pes.into_iter().map(|stack| Pe { stack, children: Vec::new() }).collect();
-    let mut goals = state.goals;
-    let mut donations = state.donations;
-    let mut peak_stack_nodes = state.peak_stack_nodes;
-    let mut in_init = state.in_init;
-    let mut recorder = state.recorder;
+        stacks.into_iter().map(|stack| Pe { stack, children: Vec::new() }).collect();
     let mut truncated = false;
     let mut killed = false;
 
     let mut busy_flags = vec![false; cfg.p];
     let mut idle_flags = vec![false; cfg.p];
 
-    // Ledger recording and checkpointing replay the macro engine's horizon
-    // schedule (see `run_fused` for the argument); the oracle keeps no
-    // active list, so it derives one at each macro-step boundary — O(P),
-    // irrelevant here.
-    let track = recorder.is_some() || hook.is_some();
+    // Ledger recording and checkpointing both replay the macro-step loop's
+    // horizon schedule so per-phase provenance records and snapshot
+    // boundaries stay engine-invariant: a window of `window_h` cycles is
+    // certified at each macro-step boundary, and horizon soundness
+    // guarantees no effective fire before the window's final checkpoint —
+    // this loop's per-cycle trigger evaluation inside the window is
+    // provably inert (and is what witnesses that soundness). All of this
+    // is skipped when both are off. The oracle keeps no active list, so it
+    // derives one at each macro-step boundary — O(P), irrelevant here.
+    let track = st.recorder.is_some() || cfg.checkpoint.is_some();
     let mut lens_scratch: Vec<u32> = vec![0; cfg.p];
     let mut size_hist: Vec<u32> = Vec::new();
     let mut count_ge: Vec<u32> = Vec::new();
@@ -89,12 +89,12 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
                 }
                 window_h = compute_horizon(
                     cfg,
-                    &machine,
-                    &lens_scratch,
+                    &st.machine,
                     active_len,
-                    in_init,
+                    st.in_init,
                     &mut size_hist,
                     &mut count_ge,
+                    |hist| build_hist(&lens_scratch, hist),
                 );
                 h_remaining = window_h;
             }
@@ -102,18 +102,14 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
         }
 
         // ---- one lockstep expansion cycle (all P slots, idle included) ----
-        let cycle: Vec<CycleResult> = if cfg.p >= 64 {
-            pes.par_iter_mut().map(|pe| step_pe(problem, pe)).collect()
-        } else {
-            pes.iter_mut().map(|pe| step_pe(problem, pe)).collect()
-        };
+        let cycle: Vec<CycleResult> = pes.iter_mut().map(|pe| step_pe(problem, pe)).collect();
         let worked = cycle.iter().filter(|c| c.worked).count();
-        goals += cycle.iter().map(|c| c.goals).sum::<u64>();
-        machine.expansion_cycle(worked);
+        st.goals += cycle.iter().map(|c| c.goals).sum::<u64>();
+        st.machine.expansion_cycle(worked);
 
         // ---- census (second full O(P) sweep) ----
         // Runs before the early-exit checks so `peak_stack_nodes` covers the
-        // final cycle too, matching the fused engine (which computes the
+        // final cycle too, matching the fused pass (which computes the
         // census inside the expansion pass). Census touches no machine
         // state, so the schedule is unaffected.
         let mut busy = 0usize;
@@ -127,13 +123,13 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
             busy += splittable as usize;
             idle += empty as usize;
             has_work += (!empty) as usize;
-            peak_stack_nodes = peak_stack_nodes.max(pe.stack.len());
+            st.peak_stack_nodes = st.peak_stack_nodes.max(pe.stack.len());
         }
 
-        if cfg.stop_on_goal && goals > 0 {
+        if cfg.stop_on_goal && st.goals > 0 {
             break;
         }
-        if cfg.max_cycles.is_some_and(|m| machine.metrics().n_expand >= m) {
+        if cfg.max_cycles.is_some_and(|m| st.machine.metrics().n_expand >= m) {
             truncated = true;
             break;
         }
@@ -142,8 +138,15 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
         }
 
         // ---- trigger (shared checkpoint logic) ----
-        let fired =
-            checkpoint_trigger(cfg, &machine, &mut in_init, busy, idle, window_h, &mut recorder);
+        let fired = checkpoint_trigger(
+            cfg,
+            &st.machine,
+            &mut st.in_init,
+            busy,
+            idle,
+            window_h,
+            &mut st.recorder,
+        );
         if fired {
             debug_assert!(!track || h_remaining == 0, "effective fire inside a certified window");
             h_remaining = 0;
@@ -151,16 +154,16 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
             // ---- load-balancing phase ----
             let mut rounds = 0u32;
             let mut transfers = 0u64;
-            let mut receipts = recorder.as_mut().map(LedgerRecorder::receipts_mut);
+            let mut receipts = st.recorder.as_mut().map(LedgerRecorder::receipts_mut);
             match cfg.scheme.transfers {
                 TransferMode::Single => {
-                    let pairs = matcher.match_round(&busy_flags, &idle_flags);
+                    let pairs = st.matcher.match_round(&busy_flags, &idle_flags);
                     transfers += apply_pairs(
                         &mut pes,
                         &pairs,
                         cfg.split,
-                        &mut donations,
-                        &mut peak_stack_nodes,
+                        &mut st.donations,
+                        &mut st.peak_stack_nodes,
                         receipts.as_deref_mut(),
                     );
                     rounds = 1;
@@ -170,7 +173,7 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
                     if !busy_flags.iter().any(|&b| b) || !idle_flags.iter().any(|&i| i) {
                         break;
                     }
-                    let pairs = matcher.match_round(&busy_flags, &idle_flags);
+                    let pairs = st.matcher.match_round(&busy_flags, &idle_flags);
                     if pairs.is_empty() {
                         break;
                     }
@@ -178,8 +181,8 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
                         &mut pes,
                         &pairs,
                         cfg.split,
-                        &mut donations,
-                        &mut peak_stack_nodes,
+                        &mut st.donations,
+                        &mut st.peak_stack_nodes,
                         receipts.as_deref_mut(),
                     );
                     rounds += 1;
@@ -188,17 +191,17 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
                     rounds = equalize(
                         &mut pes,
                         &mut transfers,
-                        &mut donations,
-                        &mut peak_stack_nodes,
+                        &mut st.donations,
+                        &mut st.peak_stack_nodes,
                         receipts,
                     );
                 }
             }
             if rounds > 0 {
-                machine.lb_phase(rounds, transfers);
+                st.machine.lb_phase(rounds, transfers);
             }
-            if let Some(rec) = recorder.as_mut() {
-                rec.settle(cfg, &machine, rounds, transfers);
+            if let Some(rec) = st.recorder.as_mut() {
+                rec.settle(cfg, &st.machine, rounds, transfers);
             }
             // Reconciliation recount (oracle only): after the phase settles,
             // no stack — donor or receiver, at any point during the phase —
@@ -209,55 +212,33 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
             #[cfg(debug_assertions)]
             for (i, pe) in pes.iter().enumerate() {
                 debug_assert!(
-                    pe.stack.len() <= peak_stack_nodes,
-                    "peak_stack_nodes undercounts PE {i}: {} > {peak_stack_nodes}",
+                    pe.stack.len() <= st.peak_stack_nodes,
+                    "peak_stack_nodes undercounts PE {i}: {} > {}",
                     pe.stack.len(),
+                    st.peak_stack_nodes,
                 );
             }
         }
 
         // ---- macro-step boundary (checkpoint + fault injection) ----
-        if h_remaining == 0 {
-            if let Some(hk) = hook.as_mut() {
-                let dies = hk.boundary(fired, |step, fp| {
-                    // The oracle keeps wrapped stacks, so it alone pays a
-                    // clone per snapshot — irrelevant off the hot path.
-                    let stacks: Vec<_> = pes.iter().map(|pe| pe.stack.clone()).collect();
-                    crate::ckpt::capture(
-                        step,
-                        fp,
-                        in_init,
-                        goals,
-                        &donations,
-                        peak_stack_nodes,
-                        &matcher,
-                        &machine,
-                        recorder.as_ref(),
-                        &[],
-                        uts_ckpt::StackSource::Frames(&stacks),
-                    )
-                });
-                if dies {
-                    killed = true;
-                    break;
-                }
+        if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| h_remaining == 0) {
+            st.step += 1;
+            let Ok(dies) = ck.boundary(st.step, fired, || {
+                // The oracle keeps wrapped stacks, so it alone pays a
+                // clone per snapshot — irrelevant off the hot path.
+                let stacks: Vec<_> = pes.iter().map(|pe| pe.stack.clone()).collect();
+                Ok::<_, Infallible>(
+                    st.capture(config_fingerprint(cfg), StackSource::Frames(&stacks)),
+                )
+            });
+            if dies {
+                killed = true;
+                break;
             }
         }
     }
 
-    let w = machine.metrics().nodes_expanded;
-    let report = machine.finish(w);
-    let ledger = recorder.map(|r| r.finish(&donations));
-    Outcome {
-        report,
-        goals,
-        truncated,
-        killed,
-        donations,
-        peak_stack_nodes,
-        macro_steps: Vec::new(),
-        ledger,
-    }
+    st.finish(truncated, killed)
 }
 
 fn step_pe<P: TreeProblem>(problem: &P, pe: &mut Pe<P::Node>) -> CycleResult {

@@ -2,15 +2,16 @@
 //!
 //! [`run_sharded`] splits the PE array into `shards` contiguous ranges,
 //! spawns one worker process per range (re-executing the current binary
-//! with [`crate::worker::WORKER_ENV`] set), and drives
-//! [`uts_core::LockstepDriver`] over them: the census a burst returns
-//! feeds `compute_horizon`, the trigger and matcher run coordinator-side,
-//! and the balancing phase's splits execute remotely through
-//! [`RemoteStore`] (an implementation of [`uts_core::StackStore`] over a
-//! dense length mirror plus wire messages). Because the driver *is* the
-//! macro engine minus the stacks, the sharded [`Outcome`] is bit-identical
-//! to [`uts_core::run`] at any shard count — the differential suite
-//! enforces this.
+//! with [`crate::worker::WORKER_ENV`] set), and runs the macro-step loop
+//! ([`uts_core::LockstepDriver::drive`]) over them through
+//! [`RemoteBackend`] — the remote [`uts_core::BurstBackend`]: a burst is a
+//! BURST broadcast whose merged census feeds the horizon, the trigger and
+//! matcher run coordinator-side, and the balancing phase's splits execute
+//! remotely (it is also the [`uts_core::StackStore`], over a dense length
+//! mirror plus wire messages). Because the loop is the very one the
+//! in-process engines run, the sharded [`Outcome`] is bit-identical to
+//! [`uts_core::run`] at any shard count — the differential suite enforces
+//! this.
 //!
 //! Every transferred pair is also routed as a [`uts_net::Message`] through
 //! the simulated interconnect (hypercube for CM-2/hypercube cost models —
@@ -24,12 +25,12 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_ckpt::{spill, CkptError, EngineSnapshot};
+use uts_ckpt::{spill, CkptError, EngineSnapshot, StackSource};
 use uts_core::{
-    config_fingerprint, CountedMove, EngineConfig, LockstepDriver, MergedBurst, Outcome,
-    StackStore, StepStatus,
+    config_fingerprint, recount_active, BurstBackend, CountedMove, EngineConfig, LockstepDriver,
+    MergedBurst, Outcome, StackStore,
 };
-use uts_machine::{LbCostBreakdown, Topology};
+use uts_machine::{CostModel, LbCostBreakdown, Topology};
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
 use uts_net::{route, Message, RouteStats};
@@ -337,18 +338,24 @@ impl RouterKind {
     }
 }
 
-/// [`StackStore`] over the worker fleet: a dense coordinator-side length
-/// mirror, updated from the authoritative lengths every reply carries,
-/// plus per-round message routing through the simulated interconnect.
+/// The remote [`BurstBackend`]: the stacks live in the worker fleet, the
+/// coordinator keeps a dense length mirror updated from the authoritative
+/// lengths every reply carries. As the [`StackStore`] it additionally
+/// routes every round's transfers through the simulated interconnect.
 ///
 /// `StackStore`'s methods cannot return errors, so the first transport
 /// failure is latched into `err` and every later batch is a no-op
 /// (reporting "nothing transferred", which the balancing phase handles
-/// gracefully); the coordinator checks the latch when the phase returns.
-struct RemoteStore<'a> {
-    lens: &'a mut [u32],
-    workers: &'a mut [Worker],
-    router: &'a RouterKind,
+/// gracefully); [`BurstBackend::end_step`] surfaces the latch when the
+/// phase returns.
+struct RemoteBackend<N> {
+    lens: Vec<u32>,
+    workers: Vec<Worker>,
+    router: RouterKind,
+    cost: CostModel,
+    park: Option<ParkPolicy>,
+    stats: ShardStats,
+    /// The current balancing phase's rounds, messages and routes.
     rounds: u32,
     messages: u64,
     route_stats: RouteStats,
@@ -356,24 +363,13 @@ struct RemoteStore<'a> {
     msgs: Vec<Message>,
     payload: Vec<u8>,
     buf: Vec<u8>,
+    /// Every PE's stack encoding in PE order, as of the last
+    /// [`BurstBackend::stack_source`].
+    stack_bytes: Vec<u8>,
+    node: std::marker::PhantomData<N>,
 }
 
-impl<'a> RemoteStore<'a> {
-    fn new(lens: &'a mut [u32], workers: &'a mut [Worker], router: &'a RouterKind) -> Self {
-        RemoteStore {
-            lens,
-            workers,
-            router,
-            rounds: 0,
-            messages: 0,
-            route_stats: RouteStats::default(),
-            err: None,
-            msgs: Vec::new(),
-            payload: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-
+impl<N> RemoteBackend<N> {
     /// Which shard owns global PE `pe`.
     fn shard_of(&self, pe: usize) -> usize {
         self.workers.partition_point(|w| w.hi <= pe)
@@ -401,17 +397,106 @@ impl<'a> RemoteStore<'a> {
     }
 }
 
+impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
+    type Node = N;
+    type Error = ShardError;
+    type Store = Self;
+
+    fn lens(&self) -> &[u32] {
+        &self.lens
+    }
+
+    fn store(&mut self) -> &mut Self {
+        self
+    }
+
+    /// Broadcast the burst, merge the per-worker census.
+    fn burst(
+        &mut self,
+        h: u64,
+        active: &mut Vec<usize>,
+        out: &mut MergedBurst,
+    ) -> Result<usize, ShardError> {
+        out.reset(0);
+        self.payload.clear();
+        encode_burst(&mut self.payload, h);
+        for w in &mut self.workers {
+            w.send(tag::BURST, &self.payload)?;
+        }
+        for w in &mut self.workers {
+            w.recv(tag::BURST, &mut self.buf)?;
+            let reply = BurstReply::decode(&self.buf).map_err(|e| w.reply_err(e))?;
+            out.started += reply.started as usize;
+            out.goals += reply.goals;
+            out.peak_stack_nodes = out.peak_stack_nodes.max(reply.peak as usize);
+            out.deaths.extend_from_slice(&reply.deaths);
+            for (pe, len) in reply.changed {
+                self.lens[w.lo + pe as usize] = len;
+            }
+        }
+        debug_assert_eq!(out.started, active.len(), "every active PE runs the burst");
+        Ok(recount_active(active, &self.lens))
+    }
+
+    /// Collect every shard's stack encodings (in PE order — byte-identical
+    /// to the in-process capture).
+    fn stack_source(&mut self) -> Result<StackSource<'_, N>, ShardError> {
+        for w in &mut self.workers {
+            w.send(tag::ENCODE, &[])?;
+        }
+        self.stack_bytes.clear();
+        for w in &mut self.workers {
+            w.recv(tag::ENCODE, &mut self.buf)?;
+            self.stack_bytes.extend_from_slice(&self.buf);
+        }
+        Ok(StackSource::Encoded { p: self.lens.len(), bytes: &self.stack_bytes })
+    }
+
+    /// Surface a transport failure the balancing phase latched, record the
+    /// phase's routing provenance, and park the whole machine into the
+    /// spill directory (under the boundary number as job id) when the
+    /// policy wants this boundary.
+    fn end_step(&mut self, driver: &LockstepDriver, fired: bool) -> Result<(), ShardError> {
+        if let Some(e) = self.err.take() {
+            return Err(e);
+        }
+        if fired && self.rounds > 0 {
+            let p = self.lens.len();
+            let (rounds, route) = (self.rounds, self.route_stats);
+            self.stats.route_total.absorb(route);
+            self.stats.phases.push(RoutedPhase {
+                at_cycle: driver.cycles(),
+                rounds,
+                messages: self.messages,
+                route,
+                closed_form: self.cost.lb_phase_cost_breakdown(p, rounds),
+                measured: self.cost.measured_lb_cost_breakdown(p, rounds, route.steps as u64),
+            });
+        }
+        (self.rounds, self.messages, self.route_stats) = (0, 0, RouteStats::default());
+        let step = driver.step();
+        if let Some(park) =
+            self.park.as_ref().filter(|p| p.every > 0 && step.is_multiple_of(p.every))
+        {
+            let dir = park.dir.clone();
+            let snapshot = driver.snapshot_of(self.stack_source()?);
+            spill::park(&dir, step, &snapshot).map_err(ShardError::Park)?;
+        }
+        Ok(())
+    }
+}
+
 /// Per-shard batches for one balancing round: `batch[s]` holds this
 /// round's (round index, request) entries owned by shard `s`.
 type Batched<T> = Vec<Vec<(usize, T)>>;
 
-impl StackStore for RemoteStore<'_> {
+impl<N> StackStore for RemoteBackend<N> {
     fn p(&self) -> usize {
         self.lens.len()
     }
 
     fn lens(&self) -> &[u32] {
-        self.lens
+        &self.lens
     }
 
     fn split_pairs(&mut self, pairs: &[Pair], policy: SplitPolicy, ok: &mut Vec<bool>) {
@@ -692,37 +777,31 @@ fn run_generic<N: CkptNode>(
             opts.shards, cfg.p
         )));
     }
-    let fingerprint = config_fingerprint(cfg);
-
     // Decode the snapshot (if resuming) before spawning anything.
-    let resume: Option<EngineSnapshot<N>> = match snapshot {
-        None => None,
-        Some(bytes) => {
-            Some(EngineSnapshot::<N>::decode(bytes, fingerprint).map_err(ShardError::Snapshot)?)
-        }
-    };
+    let resume = snapshot
+        .map(|bytes| EngineSnapshot::<N>::decode(bytes, config_fingerprint(cfg)))
+        .transpose()
+        .map_err(ShardError::Snapshot)?;
 
     let mut workers = spawn_workers(cfg, opts, workload, resume.is_none())?;
-    let router = RouterKind::for_cost(cfg.cost.topology, cfg.p);
-
-    let (mut driver, mut lens) = match &resume {
+    let (driver, lens) = match resume {
         None => {
             let mut lens = vec![0u32; cfg.p];
             lens[0] = 1; // the root
             (LockstepDriver::fresh(cfg), lens)
         }
         Some(snap) => {
-            let lens: Vec<u32> = snap.stacks.iter().map(|s| s.len() as u32).collect();
+            let (driver, stacks) = LockstepDriver::restore(cfg, snap);
             // Ship every non-empty stack to the worker that owns it.
             let mut stack_buf = Vec::new();
             let mut payload = Vec::new();
             for w in &mut workers {
                 let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
-                for pe in w.lo..w.hi {
-                    if !snap.stacks[pe].is_empty() {
+                for (local, stack) in stacks[w.lo..w.hi].iter().enumerate() {
+                    if !stack.is_empty() {
                         stack_buf.clear();
-                        snap.stacks[pe].encode_node(&mut stack_buf);
-                        entries.push(((pe - w.lo) as u32, stack_buf.clone()));
+                        stack.encode_node(&mut stack_buf);
+                        entries.push((local as u32, stack_buf.clone()));
                     }
                 }
                 let borrowed: Vec<(u32, &[u8])> =
@@ -736,75 +815,31 @@ fn run_generic<N: CkptNode>(
                 w.recv(tag::LOAD, &mut buf)?;
                 proto::decode_count_reply(&buf).map_err(|e| w.reply_err(e))?;
             }
-            (LockstepDriver::restore(cfg, snap), lens)
+            (driver, stacks.iter().map(|s| s.len() as u32).collect())
         }
     };
-    drop(resume);
 
-    let mut stats =
-        ShardStats { shards: opts.shards, phases: Vec::new(), route_total: RouteStats::default() };
-    let mut payload = Vec::new();
-    let mut buf = Vec::new();
-
-    loop {
-        // ---- search phase: broadcast the burst, merge the census ----
-        let h = driver.horizon(&lens);
-        payload.clear();
-        encode_burst(&mut payload, h);
-        for w in &mut workers {
-            w.send(tag::BURST, &payload)?;
-        }
-        let mut merged = MergedBurst::default();
-        for w in &mut workers {
-            w.recv(tag::BURST, &mut buf)?;
-            let reply = BurstReply::decode(&buf).map_err(|e| w.reply_err(e))?;
-            merged.started += reply.started as usize;
-            merged.goals += reply.goals;
-            merged.peak_stack_nodes = merged.peak_stack_nodes.max(reply.peak as usize);
-            merged.deaths.extend_from_slice(&reply.deaths);
-            for (pe, len) in reply.changed {
-                lens[w.lo + pe as usize] = len;
-            }
-        }
-
-        // ---- checkpoint tail + balancing (coordinator-side) ----
-        match driver.absorb_burst(h, &lens, merged) {
-            StepStatus::Done => break,
-            StepStatus::Continue { fired } => {
-                if fired {
-                    let mut store = RemoteStore::new(&mut lens, &mut workers, &router);
-                    driver.balance(&mut store);
-                    let RemoteStore { rounds, messages, route_stats, err, .. } = store;
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    if rounds > 0 {
-                        stats.route_total.absorb(route_stats);
-                        stats.phases.push(RoutedPhase {
-                            at_cycle: driver.cycles(),
-                            rounds,
-                            messages,
-                            route: route_stats,
-                            closed_form: cfg.cost.lb_phase_cost_breakdown(cfg.p, rounds),
-                            measured: cfg.cost.measured_lb_cost_breakdown(
-                                cfg.p,
-                                rounds,
-                                route_stats.steps as u64,
-                            ),
-                        });
-                    }
-                }
-                let step = driver.finish_boundary();
-                if let Some(park) = &opts.park {
-                    if park.every > 0 && step % park.every == 0 {
-                        park_run(&mut workers, &driver, &park.dir, step)?;
-                    }
-                }
-            }
-        }
-    }
+    let mut backend = RemoteBackend::<N> {
+        lens,
+        workers,
+        router: RouterKind::for_cost(cfg.cost.topology, cfg.p),
+        cost: cfg.cost,
+        park: opts.park.clone(),
+        stats: ShardStats { shards: opts.shards, ..ShardStats::default() },
+        rounds: 0,
+        messages: 0,
+        route_stats: RouteStats::default(),
+        err: None,
+        msgs: Vec::new(),
+        payload: Vec::new(),
+        buf: Vec::new(),
+        stack_bytes: Vec::new(),
+        node: std::marker::PhantomData,
+    };
+    let outcome = driver.drive(&mut backend)?;
 
     // ---- graceful shutdown ----
+    let RemoteBackend { mut workers, mut buf, stats, .. } = backend;
     for w in &mut workers {
         w.send(tag::SHUTDOWN, &[])?;
     }
@@ -812,32 +847,7 @@ fn run_generic<N: CkptNode>(
         w.recv(tag::SHUTDOWN, &mut buf)?;
         let _ = w.child.wait();
     }
-    drop(workers);
-    Ok(ShardRun { outcome: driver.finish(false), stats })
-}
-
-/// Snapshot the whole machine at a boundary: collect every shard's stack
-/// encodings (in PE order — byte-identical to the in-process capture) and
-/// park the driver's snapshot into the spill directory under the boundary
-/// number as job id.
-fn park_run(
-    workers: &mut [Worker],
-    driver: &LockstepDriver,
-    dir: &std::path::Path,
-    step: u64,
-) -> Result<(), ShardError> {
-    for w in workers.iter_mut() {
-        w.send(tag::ENCODE, &[])?;
-    }
-    let mut stack_bytes = Vec::new();
-    let mut buf = Vec::new();
-    for w in workers.iter_mut() {
-        w.recv(tag::ENCODE, &mut buf)?;
-        stack_bytes.extend_from_slice(&buf);
-    }
-    let snapshot = driver.snapshot(&stack_bytes);
-    spill::park(dir, step, &snapshot).map_err(ShardError::Park)?;
-    Ok(())
+    Ok(ShardRun { outcome, stats })
 }
 
 #[cfg(test)]

@@ -2,25 +2,48 @@
 //! once per run and must join it deterministically on *every* exit path —
 //! normal exhaustion, goal-stop early exit, `max_cycles` truncation, and
 //! checkpoint-kill fault injection. No leaked or wedged workers: these
-//! tests count the process's OS threads through `/proc/self/status`
-//! before and after runs (Linux-only observation; the suite is a no-op
-//! elsewhere), and CI runs them under `RAYON_NUM_THREADS ∈ {1, 4}` so
-//! both the no-pool and the pooled regime are exercised ambiently.
+//! tests count the process's live pool workers (threads named
+//! `uts-pool-*` under `/proc/self/task`) before and after runs
+//! (Linux-only observation; the suite is a no-op elsewhere), and CI runs
+//! them under `RAYON_NUM_THREADS ∈ {1, 4}` so both the no-pool and the
+//! pooled regime are exercised ambiently.
+//!
+//! The count is process-wide and the harness runs this file's tests on
+//! parallel threads, so every test holds [`serial`] for its whole body: a
+//! sibling's pool must never be alive between a test's two samples.
+//! Counting by name keeps the harness's own threads — it starts the next
+//! test's thread while this one still runs — out of the observation.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
 use uts_core::WorkerPool;
 
-/// Current OS thread count of this process, or `None` where unobservable.
-fn os_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
+/// The file-level lock every test takes first. A failed sibling poisons
+/// it; the `()` inside cannot be left invalid, so the guard is recovered.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Assert `f` leaves no threads behind. The baseline is sampled right
-/// before the closure; the test harness's own threads are steady in
-/// between, so any surplus afterwards is a leaked pool worker.
+/// Live pool worker threads of this process, or `None` where unobservable.
+fn os_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    // A task can exit between the listing and the read; it is not a
+    // pool worker any more then.
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("uts-pool-"))
+            .count(),
+    )
+}
+
+/// Assert `f` leaves no pool workers behind. The baseline is sampled
+/// right before the closure (zero, under [`serial`]), so any surplus
+/// afterwards is a leaked pool worker.
 fn assert_no_leaked_threads(label: &str, f: impl FnOnce()) {
     let Some(before) = os_threads() else {
         f();
@@ -50,6 +73,7 @@ fn forced(p: usize, scheme: Scheme) -> EngineConfig {
 
 #[test]
 fn pool_joins_on_normal_outcome_return() {
+    let _serial = serial();
     for threads in [1usize, 4] {
         assert_no_leaked_threads(&format!("normal exit, {threads} threads"), || {
             let cfg = forced(64, Scheme::gp_dk()).with_threads(threads);
@@ -61,6 +85,7 @@ fn pool_joins_on_normal_outcome_return() {
 
 #[test]
 fn pool_joins_on_goal_stop_early_exit() {
+    let _serial = serial();
     // A goal-bearing tree with stop_on_goal: the run breaks out of the
     // macro-step loop mid-search; the pool must still join.
     let tree = BinomialTree::with_q(9, 64, 4, 0.22);
@@ -76,6 +101,7 @@ fn pool_joins_on_goal_stop_early_exit() {
 
 #[test]
 fn pool_joins_on_checkpoint_kill() {
+    let _serial = serial();
     for threads in [1usize, 4] {
         assert_no_leaked_threads(&format!("checkpoint-kill, {threads} threads"), || {
             let cfg = forced(64, Scheme::gp_dk())
@@ -90,6 +116,7 @@ fn pool_joins_on_checkpoint_kill() {
 
 #[test]
 fn pool_joins_on_truncation() {
+    let _serial = serial();
     assert_no_leaked_threads("max_cycles truncation", || {
         let mut cfg = forced(64, Scheme::gp_dk()).with_threads(4);
         cfg.max_cycles = Some(5);
@@ -100,6 +127,7 @@ fn pool_joins_on_truncation() {
 
 #[test]
 fn repeated_runs_do_not_accumulate_threads() {
+    let _serial = serial();
     // One pool per run, joined per run: fifty back-to-back pooled runs
     // must end at the baseline thread count, not baseline + 50·workers.
     assert_no_leaked_threads("fifty pooled runs", || {
@@ -113,6 +141,7 @@ fn repeated_runs_do_not_accumulate_threads() {
 
 #[test]
 fn single_worker_runs_spawn_no_pool_at_all() {
+    let _serial = serial();
     let Some(before) = os_threads() else { return };
     let cfg = EngineConfig::new(64, Scheme::gp_dk(), CostModel::cm2()).with_threads(1);
     run_par(&geo(3), &cfg);
@@ -121,6 +150,7 @@ fn single_worker_runs_spawn_no_pool_at_all() {
 
 #[test]
 fn bare_pool_drop_is_deterministic_shutdown() {
+    let _serial = serial();
     assert_no_leaked_threads("bare pool create/drop", || {
         for _ in 0..10 {
             let pool = WorkerPool::new(4);
@@ -137,6 +167,7 @@ fn bare_pool_drop_is_deterministic_shutdown() {
 /// be bit-identical to the serial macro engine's uninterrupted run.
 #[test]
 fn kill_resume_under_the_pool_matches_serial_at_every_thread_count() {
+    let _serial = serial();
     let tree = geo(11);
     let base = forced(64, Scheme::gp_dk()).with_ledger();
     let straight = run(&tree, &base);
