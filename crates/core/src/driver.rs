@@ -47,7 +47,7 @@
 use std::convert::Infallible;
 
 use uts_ckpt::StackSource;
-use uts_tree::{CkptNode, SearchStack, StackArena};
+use uts_tree::{CkptNode, SearchStack, StackArena, TreeProblem};
 
 use crate::census::build_hist;
 use crate::ckpt::config_fingerprint;
@@ -156,6 +156,10 @@ pub enum StepStatus {
     },
 }
 
+/// What an in-process executor runs from: the driver at a boundary and the
+/// arena holding every PE's stack.
+pub(crate) type InProcess<N> = (LockstepDriver, StackArena<N>);
+
 /// The macro-step engine minus the stacks. See the module docs.
 pub struct LockstepDriver {
     cfg: EngineConfig,
@@ -211,22 +215,33 @@ impl LockstepDriver {
         Self::over_stacks(cfg, EngineState::restore(cfg, snapshot))
     }
 
-    /// The active list is derived from the stacks, identically for a fresh
-    /// root and a restored snapshot.
+    /// The active list of a run that starts from stacks is derived from
+    /// them (a fresh run's is just PE 0, see [`LockstepDriver::fresh`]).
     fn over_stacks<N>(cfg: &EngineConfig, (state, pes): Resume<N>) -> (Self, Vec<SearchStack<N>>) {
         let active = (0..cfg.p).filter(|&i| !pes[i].is_empty()).collect();
         (Self::with_state(cfg, state, active), pes)
     }
 
-    /// Run an in-process executor from `resume` to the end; `backend`
-    /// wraps the arena the stacks are flattened into.
-    pub(crate) fn run_in_process<N, B: BurstBackend<Error = Infallible>>(
-        cfg: &EngineConfig,
-        resume: Resume<N>,
-        backend: impl FnOnce(StackArena<N>) -> B,
-    ) -> Outcome {
+    /// The start of a fresh in-process run: PE 0 of an otherwise idle
+    /// arena holds the root. Nothing here is per-PE work beyond the arena's
+    /// own (empty) slab and length arrays.
+    pub(crate) fn at_root<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> InProcess<P::Node> {
+        let driver = Self::fresh(cfg);
+        let mut arena = StackArena::new(cfg.p);
+        arena.push_frame_with(0, |frame| frame.push(problem.root()));
+        (driver, arena)
+    }
+
+    /// The start of a resumed in-process run: the boundary state plus its
+    /// stacks flattened into an arena.
+    pub(crate) fn resumed<N>(cfg: &EngineConfig, resume: Resume<N>) -> InProcess<N> {
         let (driver, pes) = Self::over_stacks(cfg, resume);
-        let Ok(outcome) = driver.drive(&mut backend(StackArena::from_stacks(pes)));
+        (driver, StackArena::from_stacks(pes))
+    }
+
+    /// [`LockstepDriver::drive`] over a backend that cannot fail.
+    pub(crate) fn run_to_end<B: BurstBackend<Error = Infallible>>(self, mut backend: B) -> Outcome {
+        let Ok(outcome) = self.drive(&mut backend);
         outcome
     }
 
@@ -419,11 +434,10 @@ mod tests {
     //! [`LockstepDriver::drive`] over the inline backend (which is
     //! [`crate::macrostep::run`]).
     use super::*;
-    use crate::engine::{expansion_burst, fresh_run};
+    use crate::engine::expansion_burst;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;
-    use uts_tree::TreeProblem;
 
     /// Hand-step `driver` over `arena` for at most `max_steps` boundaries;
     /// true once the run is done.
@@ -459,14 +473,6 @@ mod tests {
         false
     }
 
-    fn by_hand<P: TreeProblem>(
-        problem: &P,
-        cfg: &EngineConfig,
-    ) -> (LockstepDriver, StackArena<P::Node>) {
-        let arena = StackArena::from_stacks(fresh_run(problem, cfg).1);
-        (LockstepDriver::fresh(cfg), arena)
-    }
-
     #[test]
     fn driver_reproduces_the_macro_engine_bit_for_bit() {
         let tree = GeometricTree { seed: 11, b_max: 8, depth_limit: 7 };
@@ -483,7 +489,7 @@ mod tests {
                 .with_horizon_log()
                 .with_trace();
             let want = crate::macrostep::run(&tree, &cfg);
-            let (mut driver, mut arena) = by_hand(&tree, &cfg);
+            let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
             assert!(step_by_hand(&tree, &mut driver, &mut arena, u64::MAX));
             assert_eq!(driver.finish(false), want, "{}", scheme.name());
         }
@@ -497,7 +503,7 @@ mod tests {
 
         // Drive three steps, snapshot, then hand the snapshot to the
         // ordinary in-process resume path.
-        let (mut driver, mut arena) = by_hand(&tree, &cfg);
+        let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
         assert!(!step_by_hand(&tree, &mut driver, &mut arena, 3), "run too short for the test");
         let mut stack_bytes = Vec::new();
         for i in 0..cfg.p {

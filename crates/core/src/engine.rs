@@ -31,7 +31,7 @@ use uts_machine::{
 use uts_scan::{MatchScratch, Pair};
 use uts_tree::{Burst, PeSlab, SearchStack, SplitPolicy, StackArena, TreeProblem};
 
-use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
+use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::matcher::MatchState;
 use crate::scheme::{Scheme, TransferMode, Trigger};
 use crate::store::{CountedMove, StackStore};
@@ -383,7 +383,9 @@ impl EngineState {
     }
 }
 
-/// The start of a fresh run: zeroed state, processor 0 holding the root.
+/// The start of a fresh run as wrapped stacks, the oracle's representation:
+/// zeroed state, processor 0 holding the root. The driver-backed executors
+/// start from [`LockstepDriver::at_root`] instead.
 pub(crate) fn fresh_run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Resume<P::Node> {
     let state = EngineState::fresh(cfg);
     let mut pes: Vec<SearchStack<P::Node>> = (0..cfg.p).map(|_| SearchStack::new()).collect();
@@ -397,7 +399,7 @@ pub(crate) fn fresh_run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Resu
 /// backend is benchmarked against; new code should call
 /// [`crate::macrostep::run`].
 pub fn run_fused<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_fused_from(problem, cfg, fresh_run(problem, cfg))
+    run_fused_over(problem, LockstepDriver::at_root(problem, cfg))
 }
 
 pub(crate) fn run_fused_from<P: TreeProblem>(
@@ -405,7 +407,11 @@ pub(crate) fn run_fused_from<P: TreeProblem>(
     cfg: &EngineConfig,
     resume: Resume<P::Node>,
 ) -> Outcome {
-    LockstepDriver::run_in_process(cfg, resume, |arena| CycleMajorBackend::new(problem, arena))
+    run_fused_over(problem, LockstepDriver::resumed(cfg, resume))
+}
+
+fn run_fused_over<P: TreeProblem>(problem: &P, (driver, arena): InProcess<P::Node>) -> Outcome {
+    driver.run_to_end(CycleMajorBackend::new(problem, arena))
 }
 
 /// The cycle-major search phase: a burst of `h` cycles is `h` calls of
@@ -612,7 +618,6 @@ pub(crate) struct LbBuffers {
     pub scratch: MatchScratch,
     pub pairs: Vec<Pair>,
     pub incoming: Vec<usize>,
-    pub merge_buf: Vec<usize>,
     /// Per-pair transfer verdicts of the last [`StackStore::split_pairs`]
     /// round.
     pub ok: Vec<bool>,
@@ -848,7 +853,7 @@ pub(crate) fn balancing_phase<S: StackStore>(
                 recorder.as_mut().map(LedgerRecorder::receipts_mut),
                 &mut lb.ok,
             );
-            merge_active(active, &mut lb.incoming, &mut lb.merge_buf);
+            merge_active(active, &mut lb.incoming);
             rounds = 1;
         }
         TransferMode::Multiple => {
@@ -885,7 +890,7 @@ pub(crate) fn balancing_phase<S: StackStore>(
                     recorder.as_mut().map(LedgerRecorder::receipts_mut),
                     &mut lb.ok,
                 );
-                merge_active(active, &mut lb.incoming, &mut lb.merge_buf);
+                merge_active(active, &mut lb.incoming);
                 idle_left -= done as usize;
                 transfers += done;
                 rounds += 1;
@@ -893,27 +898,25 @@ pub(crate) fn balancing_phase<S: StackStore>(
         }
         TransferMode::Equalize => {
             // FEGS: move counted chunks until node counts are near-uniform
-            // (donors above average feed the poorest). Equalization touches
-            // arbitrary PEs, so rebuild the active list and busy count
-            // wholesale afterwards (it is already O(P) per round; one extra
-            // sweep changes nothing asymptotic).
+            // (donors above average feed the poorest). Donors never drain
+            // and every fed receiver joins the active list as its round
+            // lands, so the list is current when the phase ends; the busy
+            // count is re-read over it.
             rounds = equalize(
                 store,
+                active,
+                lb,
                 &mut transfers,
                 donations,
                 peak_stack_nodes,
                 recorder.as_mut().map(LedgerRecorder::receipts_mut),
-                &mut lb.reqs,
-                &mut lb.moved,
             );
-            active.clear();
-            *busy_count = 0;
-            for (i, &len) in store.lens().iter().enumerate() {
-                *busy_count += (len >= 2) as usize;
-                if len > 0 {
-                    active.push(i);
-                }
-            }
+            let lens = store.lens();
+            *busy_count = active.iter().filter(|&&i| lens[i] >= 2).count();
+            debug_assert!(
+                census_matches(active, *busy_count, lens),
+                "FEGS left the active list or busy count out of step with the stacks"
+            );
         }
     }
     if rounds > 0 {
@@ -1006,34 +1009,25 @@ pub(crate) fn apply_pairs<S: StackStore>(
 }
 
 /// Merge `incoming` (PEs just fed by transfers; disjoint from `active`)
-/// into the sorted active list, reusing `buf` as the merge target.
-pub(crate) fn merge_active(
-    active: &mut Vec<usize>,
-    incoming: &mut Vec<usize>,
-    buf: &mut Vec<usize>,
-) {
-    if incoming.is_empty() {
-        return;
-    }
+/// into the sorted active list, in place and from the back: the list grows
+/// by the batch and only its entries above the smallest newcomer move.
+pub(crate) fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
     // Receivers of a single round arrive ascending, but a multi-round phase
     // can interleave rounds; sort the (small) batch before the linear merge.
     incoming.sort_unstable();
-    buf.clear();
-    buf.reserve(active.len() + incoming.len());
-    let (mut a, mut b) = (0, 0);
-    while a < active.len() && b < incoming.len() {
-        if active[a] < incoming[b] {
-            buf.push(active[a]);
-            a += 1;
+    let mut a = active.len();
+    let mut w = a + incoming.len();
+    active.resize(w, 0);
+    while let Some(&fed) = incoming.last() {
+        w -= 1;
+        if a > 0 && active[a - 1] > fed {
+            active[w] = active[a - 1];
+            a -= 1;
         } else {
-            buf.push(incoming[b]);
-            b += 1;
+            active[w] = fed;
+            incoming.pop();
         }
     }
-    buf.extend_from_slice(&active[a..]);
-    buf.extend_from_slice(&incoming[b..]);
-    std::mem::swap(active, buf);
-    incoming.clear();
 }
 
 /// FEGS equalization: repeatedly let every above-average PE ship its excess
@@ -1041,6 +1035,21 @@ pub(crate) fn merge_active(
 /// stops). Returns the number of transfer rounds. Donated chunks keep their
 /// frame structure ([`StackArena::split_count_into`] reproduces
 /// `split_count` + `merge_from` over the flat slabs); see DESIGN.md.
+///
+/// A round costs O(A + stacks moved) plus the census up to its last matched
+/// receiver, `A = active.len()`, where the oracle's form pays two filters
+/// over all `P` lengths. The target is at least 1 whenever anyone holds
+/// work, so a donor (`len > target`) holds at least two nodes — it is
+/// splittable and on the sorted `active` list, which is all the donor
+/// enumeration reads. Only the matched prefix of the receiver enumeration
+/// (`len < target`, ascending) is ever zipped, so one walk over the census
+/// stops at the `donors.len()`-th receiver (the [`pack_idle_prefix`] idea,
+/// over lengths because a receiver may hold work). A donor keeps at least
+/// `target` nodes and a receiver ends at most at `target`, so the list
+/// only grows: receivers that were empty and now hold work are merged in
+/// each round. A remote store that latched a transport error reports
+/// `moved = 0` whatever happened, hence the merge reads the post-batch
+/// census.
 ///
 /// Each round is applied as one [`StackStore::split_counts`] batch: a
 /// round's donors (`len > target`) and receivers (`len < target`) are
@@ -1050,15 +1059,16 @@ pub(crate) fn merge_active(
 /// same argument as [`apply_pairs`]).
 pub(crate) fn equalize<S: StackStore>(
     store: &mut S,
+    active: &mut Vec<usize>,
+    lb: &mut LbBuffers,
     transfers: &mut u64,
     donations: &mut [u32],
     peak: &mut usize,
     mut receipts: Option<&mut [u32]>,
-    reqs: &mut Vec<CountedMove>,
-    moved: &mut Vec<usize>,
 ) -> u32 {
     let p = store.p();
-    let total: usize = store.lens().iter().map(|&l| l as usize).sum();
+    let lens = store.lens();
+    let total: usize = active.iter().map(|&i| lens[i] as usize).sum();
     let target = total.div_ceil(p);
     let mut rounds = 0u32;
     // Bound the rounds: each round matches donors to receivers 1-1, so
@@ -1067,38 +1077,66 @@ pub(crate) fn equalize<S: StackStore>(
     while rounds < cap {
         // Donors hold > target; receivers hold < target (poorest first ==
         // index order is fine; rendezvous semantics).
-        let donors: Vec<usize> =
-            (0..p).filter(|&i| store.len_of(i) > target && store.can_split(i)).collect();
-        let receivers: Vec<usize> = (0..p).filter(|&i| store.len_of(i) < target).collect();
-        if donors.is_empty() || receivers.is_empty() {
+        let lens = store.lens();
+        let donors = &mut lb.scratch.packed_busy;
+        donors.clear();
+        donors.extend(active.iter().copied().filter(|&i| lens[i] as usize > target));
+        if donors.is_empty() {
             break;
         }
-        reqs.clear();
-        for (&d, &r) in donors.iter().zip(&receivers) {
-            let excess = store.len_of(d) - target;
-            let want = target - store.len_of(r);
-            reqs.push(CountedMove { donor: d, receiver: r, max_nodes: excess.min(want) });
+        let receivers = &mut lb.scratch.packed_idle;
+        receivers.clear();
+        for (i, &len) in lens.iter().enumerate() {
+            if (len as usize) < target {
+                receivers.push(i);
+                if receivers.len() == donors.len() {
+                    break;
+                }
+            }
         }
-        store.split_counts(reqs, moved);
-        debug_assert_eq!(moved.len(), reqs.len());
+        if receivers.is_empty() {
+            break;
+        }
+        lb.reqs.clear();
+        debug_assert!(lb.incoming.is_empty());
+        for (&d, &r) in donors.iter().zip(receivers.iter()) {
+            let excess = lens[d] as usize - target;
+            let want = target - lens[r] as usize;
+            lb.reqs.push(CountedMove { donor: d, receiver: r, max_nodes: excess.min(want) });
+            if lens[r] == 0 {
+                lb.incoming.push(r);
+            }
+        }
+        store.split_counts(&lb.reqs, &mut lb.moved);
+        debug_assert_eq!(lb.moved.len(), lb.reqs.len());
+        let lens = store.lens();
         let mut moved_any = false;
-        for (req, &n) in reqs.iter().zip(moved.iter()) {
+        for (req, &n) in lb.reqs.iter().zip(lb.moved.iter()) {
             if n > 0 {
                 donations[req.donor] += 1;
                 if let Some(rc) = receipts.as_deref_mut() {
                     rc[req.receiver] += 1;
                 }
                 *transfers += 1;
-                *peak = (*peak).max(store.len_of(req.receiver));
+                *peak = (*peak).max(lens[req.receiver] as usize);
                 moved_any = true;
             }
         }
+        lb.incoming.retain(|&r| lens[r] > 0);
+        merge_active(active, &mut lb.incoming);
         rounds += 1;
         if !moved_any {
             break;
         }
     }
     rounds
+}
+
+/// Whether `active` is exactly the PEs holding work (ascending) and `busy`
+/// of them are splittable — the census a balancing phase must leave.
+fn census_matches(active: &[usize], busy: usize, lens: &[u32]) -> bool {
+    active.iter().copied().eq((0..lens.len()).filter(|&i| lens[i] > 0))
+        && busy == lens.iter().filter(|&&l| l >= 2).count()
 }
 
 #[cfg(test)]

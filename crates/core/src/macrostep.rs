@@ -45,8 +45,8 @@ use uts_machine::SimdMachine;
 use uts_tree::{StackArena, TreeProblem};
 
 use crate::census::build_count_ge;
-use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
-use crate::engine::{expansion_burst, fresh_run, EngineConfig, Outcome, Resume};
+use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
+use crate::engine::{expansion_burst, EngineConfig, Outcome, Resume};
 use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
 
 /// Run `problem` to exhaustion (or first goal) under `cfg` using
@@ -54,7 +54,7 @@ use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
 /// This is the default engine; its schedule is bit-identical to
 /// [`crate::reference::run_reference`].
 pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_from(problem, cfg, fresh_run(problem, cfg))
+    run_over(problem, LockstepDriver::at_root(problem, cfg))
 }
 
 pub(crate) fn run_from<P: TreeProblem>(
@@ -62,7 +62,11 @@ pub(crate) fn run_from<P: TreeProblem>(
     cfg: &EngineConfig,
     resume: Resume<P::Node>,
 ) -> Outcome {
-    LockstepDriver::run_in_process(cfg, resume, |arena| InlineBackend::new(problem, arena))
+    run_over(problem, LockstepDriver::resumed(cfg, resume))
+}
+
+fn run_over<P: TreeProblem>(problem: &P, (driver, arena): InProcess<P::Node>) -> Outcome {
+    driver.run_to_end(InlineBackend::new(problem, arena))
 }
 
 /// The inline search phase: [`expansion_burst`] over an in-process

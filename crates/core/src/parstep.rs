@@ -61,8 +61,8 @@ use uts_ckpt::StackSource;
 use uts_tree::{PeSlab, StackArena, TreeProblem};
 
 use crate::census::{build_hist, pooled_census, SliceCensus, POOLED_CENSUS_MIN_LENS};
-use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
-use crate::engine::{burst_slice, fresh_run, EngineConfig, Outcome, Resume, SliceBurst};
+use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
+use crate::engine::{burst_slice, EngineConfig, Outcome, Resume, SliceBurst};
 use crate::macrostep::InlineBackend;
 use crate::pool::WorkerPool;
 
@@ -124,7 +124,7 @@ type ChunkJob<'a, N> =
 /// module docs for the argument, and `tests/engine_differential.rs` for
 /// the enforcement).
 pub fn run_par<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_par_from(problem, cfg, fresh_run(problem, cfg))
+    run_par_over(problem, cfg, LockstepDriver::at_root(problem, cfg))
 }
 
 pub(crate) fn run_par_from<P: TreeProblem>(
@@ -132,11 +132,22 @@ pub(crate) fn run_par_from<P: TreeProblem>(
     cfg: &EngineConfig,
     resume: Resume<P::Node>,
 ) -> Outcome {
+    run_par_over(problem, cfg, LockstepDriver::resumed(cfg, resume))
+}
+
+fn run_par_over<P: TreeProblem>(
+    problem: &P,
+    cfg: &EngineConfig,
+    (driver, arena): InProcess<P::Node>,
+) -> Outcome {
     // The pool joins when the backend drops, before the `Outcome` leaves —
     // on normal exhaustion, goal-stop, truncation and checkpoint-kill alike.
-    LockstepDriver::run_in_process(cfg, resume, |arena| {
-        PooledBackend::new(problem, arena, resolve_threads(cfg), cfg.fan_out_min_work)
-    })
+    driver.run_to_end(PooledBackend::new(
+        problem,
+        arena,
+        resolve_threads(cfg),
+        cfg.fan_out_min_work,
+    ))
 }
 
 /// The pooled search phase: the inline backend's bursts, cut into chunks

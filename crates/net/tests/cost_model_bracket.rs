@@ -3,7 +3,9 @@
 //! of a balancing round's transfer step, every donor sending one stack to
 //! its matched receiver — the closed-form per-round transfer charge must
 //! bracket the measured routing from above, and the no-contention lower
-//! bound (`max_hops`) from below, at P ∈ {64, 1024, 4096}.
+//! bound (`max_hops`) from below, at P ∈ {64, 1024, 4096, 65 536} — and at
+//! P = 1 048 576, the size the sharded machine runs, in the `#[ignore]`d
+//! release tier.
 //!
 //! The paper's Sec. 3.3 *asserts* transfer = `O(log^2 P)` (hypercube
 //! general permutation) and `O(sqrt P)` (mesh) and `uts-machine` charges
@@ -37,19 +39,23 @@ fn route_permutations<R: Router>(router: &R, p: usize, seeds: &[u64]) -> Vec<Rou
 }
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
-const SIZES: [usize; 3] = [64, 1024, 4096];
+const SIZES: [usize; 4] = [64, 1024, 4096, 65_536];
 
 #[test]
 fn hypercube_closed_form_brackets_measured_permutation_routing() {
+    hypercube_bracket(&SIZES, &SEEDS);
+}
+
+fn hypercube_bracket(sizes: &[usize], seeds: &[u64]) {
     let cost = CostModel::hypercube();
-    for p in SIZES {
-        let d = (p as f64).log2().ceil() as u32; // 6, 10, 12
+    for &p in sizes {
+        let d = (p as f64).log2().ceil() as u32; // 6, 10, 12, 16
         let cube = Hypercube::new(p);
         // Per-round closed-form transfer charge, in units of lb_transfer:
         // the d^2 general-permutation bound.
         let closed = cost.lb_phase_cost_breakdown(p, 1);
         assert_eq!(closed.transfer, cost.lb_transfer * (d as u64 * d as u64));
-        for (i, stats) in route_permutations(&cube, p, &SEEDS).iter().enumerate() {
+        for (i, stats) in route_permutations(&cube, p, seeds).iter().enumerate() {
             // Upper bracket: e-cube under contention delivers a random
             // permutation within the closed form's d^2 steps.
             assert!(
@@ -88,13 +94,17 @@ fn hypercube_closed_form_brackets_measured_permutation_routing() {
 
 #[test]
 fn mesh_closed_form_brackets_measured_permutation_routing() {
+    mesh_bracket(&SIZES, &SEEDS);
+}
+
+fn mesh_bracket(sizes: &[usize], seeds: &[u64]) {
     let cost = CostModel::mesh();
-    for p in SIZES {
-        let side = (p as f64).sqrt().ceil() as u32; // 8, 32, 64
+    for &p in sizes {
+        let side = (p as f64).sqrt().ceil() as u32; // 8, 32, 64, 256
         let mesh = Mesh::new(p);
         let closed = cost.lb_phase_cost_breakdown(p, 1);
         assert_eq!(closed.transfer, cost.lb_transfer * side as u64);
-        for (i, stats) in route_permutations(&mesh, p, &SEEDS).iter().enumerate() {
+        for (i, stats) in route_permutations(&mesh, p, seeds).iter().enumerate() {
             // The diameter is 2(side-1); XY paths never exceed it.
             assert!(stats.max_hops <= 2 * (side - 1), "P={p}: path exceeded the mesh diameter");
             assert!(stats.steps >= stats.max_hops, "P={p}: steps below the longest path");
@@ -118,14 +128,18 @@ fn mesh_closed_form_brackets_measured_permutation_routing() {
 
 #[test]
 fn measured_breakdown_of_permutation_traffic_stays_within_closed_form() {
+    measured_breakdown_bracket(&SIZES, &SEEDS);
+}
+
+fn measured_breakdown_bracket(sizes: &[usize], seeds: &[u64]) {
     // End-to-end: feed real measured route steps into
     // `measured_lb_cost_breakdown` and compare against the closed form the
     // ledger charges — on the hypercube the measured phase can never cost
     // more than the charged phase (same setup term, bracketed transfer).
     let cost = CostModel::hypercube();
-    for p in SIZES {
+    for &p in sizes {
         let cube = Hypercube::new(p);
-        for (i, stats) in route_permutations(&cube, p, &SEEDS).iter().enumerate() {
+        for (i, stats) in route_permutations(&cube, p, seeds).iter().enumerate() {
             let closed = cost.lb_phase_cost_breakdown(p, 1);
             let measured = cost.measured_lb_cost_breakdown(p, 1, stats.steps as u64);
             assert_eq!(measured.setup, closed.setup, "setup is traffic-independent");
@@ -137,6 +151,19 @@ fn measured_breakdown_of_permutation_traffic_stays_within_closed_form() {
             );
         }
     }
+}
+
+/// The same brackets at the machine size `sts shard` and the benchmark's
+/// wide workloads run (d = 20, side = 1024). One permutation per topology:
+/// a million messages over ~2,000 mesh steps is half a minute optimized
+/// and many minutes in a debug build, hence the release tier.
+#[test]
+#[ignore = "release tier: cargo test --release -p uts-net -- --ignored"]
+fn brackets_hold_at_a_million_processors() {
+    let p = 1 << 20;
+    hypercube_bracket(&[p], &SEEDS[..1]);
+    mesh_bracket(&[p], &SEEDS[..1]);
+    measured_breakdown_bracket(&[p], &SEEDS[..1]);
 }
 
 #[test]
