@@ -11,10 +11,8 @@
 //! bracketing samples — efficiency is monotone increasing in `W` at fixed
 //! `P` for these schemes, which the extraction checks.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Processors.
     pub p: usize,
@@ -25,7 +23,7 @@ pub struct Sample {
 }
 
 /// One point of an equal-efficiency contour.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContourPoint {
     /// Processors.
     pub p: usize,

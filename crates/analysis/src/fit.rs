@@ -9,10 +9,8 @@
 //! * [`fit_power_law`]: log-log regression `y = a·x^b` — the exponent `b`
 //!   against `x = P log2 P` exposes super-linear growth (nGP at high x).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a power-law fit `y = a · x^b`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerLawFit {
     /// Scale factor `a`.
     pub a: f64,

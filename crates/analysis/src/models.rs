@@ -10,8 +10,6 @@
 //!
 //! and eq. 15 (nGP-S^x) replaces `1/(1-x)` by the nGP `V(P)` bound.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bounds::{v_gp, v_ngp};
 
 /// Model efficiency for GP-S^x (eq. 12 with δ = 0).
@@ -29,7 +27,7 @@ pub fn ngp_efficiency(w: f64, p: f64, x: f64, lb_ratio: f64, log_alpha_w: f64) -
 
 /// One row of the paper's Table 6: the isoefficiency of a scheme on an
 /// architecture, as a human-readable formula and a numeric evaluator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IsoeffRow {
     /// Scheme name.
     pub scheme: &'static str,

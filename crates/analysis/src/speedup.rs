@@ -10,12 +10,10 @@
 //!   stays ~linear if the scaling matches the machine. [`scaled_speedups`]
 //!   evaluates how close a measured (P, W, E) sweep comes to that ideal.
 
-use serde::{Deserialize, Serialize};
-
 use crate::contour::Sample;
 
 /// One point of a fixed-size speedup curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpeedupPoint {
     /// Processors.
     pub p: usize,

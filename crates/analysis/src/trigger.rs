@@ -9,8 +9,6 @@
 //! obtained by minimizing `1/x + (P/((1-x)W)) · log W · t_lb/U_calc` over
 //! `x` (the δ = 0 efficiency of eq. 17).
 
-use serde::{Deserialize, Serialize};
-
 /// The α we use when reducing `log_{1/(1-α)} W` to a computable number:
 /// `1 - 1/e`, which makes the factor exactly `ln W`. Calibration against
 /// the paper's Table 2 `x_o` column shows this choice reproduces their
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_ALPHA: f64 = 1.0 - std::f64::consts::E.recip();
 
 /// Inputs to the optimal-trigger formula.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TriggerParams {
     /// Problem size `W` (serial node count).
     pub w: f64,

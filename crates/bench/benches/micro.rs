@@ -1,55 +1,30 @@
 //! Criterion micro-benchmarks of the substrate operations whose costs the
 //! paper's model abstracts into `U_calc` and `t_lb`: node expansion, stack
-//! splitting, scans, and rendezvous matching. These quantify the *host*
+//! splitting and rendezvous matching. These quantify the *host*
 //! cost of simulating one machine operation (the simulated costs are fixed
 //! by the cost model, not by these timings).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use uts_puzzle15::{korf_instances, Puzzle15, PuzzleState};
-use uts_scan::{
-    enumerate_marked, exclusive_sum, rendezvous_match_from, rendezvous_match_from_into,
-    MatchScratch,
-};
+use uts_scan::rendezvous_match_packed;
 use uts_synth::GeometricTree;
 use uts_tree::{serial_dfs, SearchStack, SplitPolicy, TreeProblem};
 
-fn bench_scans(c: &mut Criterion) {
-    let mut g = c.benchmark_group("scan");
-    for size in [1usize << 10, 1 << 13, 1 << 16] {
-        let xs: Vec<u64> = (0..size as u64).map(|i| i % 7).collect();
-        g.throughput(Throughput::Elements(size as u64));
-        g.bench_with_input(BenchmarkId::new("exclusive_sum", size), &xs, |b, xs| {
-            b.iter(|| exclusive_sum(black_box(xs)))
-        });
-        let flags: Vec<bool> = (0..size).map(|i| i % 3 == 0).collect();
-        g.bench_with_input(BenchmarkId::new("enumerate_marked", size), &flags, |b, f| {
-            b.iter(|| enumerate_marked(black_box(f)))
-        });
-    }
-    g.finish();
-}
-
 fn bench_matching(c: &mut Criterion) {
+    // What a balancing round calls: the packed matching over the busy list
+    // and the idle prefix, pair buffer reused across rounds.
     let mut g = c.benchmark_group("rendezvous");
     for p in [1024usize, 8192] {
-        let busy: Vec<bool> = (0..p).map(|i| i % 3 != 0).collect();
-        let idle: Vec<bool> = busy.iter().map(|&b| !b).collect();
+        let (packed_idle, packed_busy): (Vec<usize>, Vec<usize>) = (0..p).partition(|i| i % 3 == 0);
         g.throughput(Throughput::Elements(p as u64));
-        g.bench_with_input(BenchmarkId::new("match_from", p), &p, |b, _| {
-            b.iter(|| rendezvous_match_from(black_box(&busy), black_box(&idle), black_box(17)))
-        });
-        // The engine hot path: the same matching with the packed-index and
-        // pair buffers reused across rounds instead of reallocated.
-        g.bench_with_input(BenchmarkId::new("match_from_into", p), &p, |b, _| {
-            let mut scratch = MatchScratch::default();
+        g.bench_with_input(BenchmarkId::new("match_packed", p), &p, |b, _| {
             let mut pairs = Vec::new();
             b.iter(|| {
-                rendezvous_match_from_into(
-                    black_box(&busy),
-                    black_box(&idle),
+                rendezvous_match_packed(
+                    black_box(&packed_busy),
+                    black_box(&packed_idle),
                     black_box(17),
-                    &mut scratch,
                     &mut pairs,
                 );
                 black_box(pairs.len())
@@ -112,12 +87,5 @@ fn bench_split(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_scans,
-    bench_matching,
-    bench_puzzle_expansion,
-    bench_serial_dfs,
-    bench_split
-);
+criterion_group!(benches, bench_matching, bench_puzzle_expansion, bench_serial_dfs, bench_split);
 criterion_main!(benches);

@@ -1,17 +1,13 @@
 //! The matching step of a balancing phase: rendezvous allocation with or
 //! without the paper's global pointer (Sec. 2.2 and Fig. 2).
 
-use serde::{Deserialize, Serialize};
-use uts_scan::{
-    rendezvous_match, rendezvous_match_from, rendezvous_match_from_into, rendezvous_match_packed,
-    MatchScratch, Pair,
-};
+use uts_scan::{rendezvous_match, rendezvous_match_from, rendezvous_match_packed, Pair};
 
 use crate::scheme::Matching;
 
 /// Matching state carried across balancing phases. Only GP has state: the
 /// *global pointer* remembering the last donor of the previous phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatchState {
     matching: Matching,
     /// Index of the last processor that donated work, if any (GP only).
@@ -34,19 +30,14 @@ impl MatchState {
         Self { matching, global_pointer }
     }
 
-    /// The matching scheme.
-    pub fn matching(&self) -> Matching {
-        self.matching
-    }
-
     /// Current global pointer (None before the first GP donation).
     pub fn global_pointer(&self) -> Option<usize> {
         self.global_pointer
     }
 
     /// GP start index for the next round on a `p`-processor machine: one
-    /// past the last donor, wrapping at `p`. All three entry points wrap
-    /// with the machine size — the flag entry points used to wrap with
+    /// past the last donor, wrapping at `p`. Both entry points wrap with
+    /// the machine size — the flag entry point used to wrap with
     /// `busy.len()`, which silently diverged from the packed entry point
     /// whenever a caller passed a short flag slice.
     fn start_for(&self, p: usize) -> usize {
@@ -79,35 +70,13 @@ impl MatchState {
         pairs
     }
 
-    /// [`MatchState::match_round`] into caller-owned buffers: `pairs` is
-    /// cleared and refilled, `scratch` keeps the packed enumerations warm
-    /// between rounds. Pointer updates and output are identical to the
-    /// allocating entry point; the engine hot loop calls this one so a
-    /// whole run's balancing phases share one set of buffers.
-    pub fn match_round_into(
-        &mut self,
-        busy: &[bool],
-        idle: &[bool],
-        scratch: &mut MatchScratch,
-        pairs: &mut Vec<Pair>,
-    ) {
-        debug_assert_eq!(busy.len(), idle.len(), "flag slices must both have length P");
-        let start = self.start_for(busy.len());
-        rendezvous_match_from_into(busy, idle, start, scratch, pairs);
-        if self.matching == Matching::Gp {
-            if let Some(last) = pairs.last() {
-                self.global_pointer = Some(last.donor);
-            }
-        }
-    }
-
     /// [`MatchState::match_round`] over *already packed* busy/idle
     /// enumerations (ascending; `packed_idle` may be truncated to the first
     /// `min(A, I)` idle PEs). `p` is the machine size, needed to wrap the
     /// global pointer. The engine hot loop uses this entry point because it
     /// maintains the enumerations incrementally — deriving them from flag
     /// vectors every round would cost O(P) per round. Pointer updates and
-    /// output are identical to the flag-based entry points.
+    /// output are identical to the flag-based entry point.
     pub fn match_round_packed(
         &mut self,
         p: usize,
@@ -215,28 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn match_round_into_tracks_match_round_exactly() {
-        // Two independent GP states fed the same evolving busy patterns must
-        // produce identical pairs AND identical pointer trajectories whether
-        // they use the allocating or the buffered entry point.
-        let patterns: [&[bool]; 4] =
-            [&[B, B, B, I, I, B], &[I, B, B, B, I, I], &[B, I, B, I, B, I], &[B, B, I, I, I, B]];
-        for matching in [Matching::Gp, Matching::Ngp] {
-            let mut alloc = MatchState::new(matching);
-            let mut buffered = MatchState::new(matching);
-            let mut scratch = uts_scan::MatchScratch::default();
-            let mut pairs = Vec::new();
-            for busy in patterns {
-                let idle = idle_of(busy);
-                let expect = alloc.match_round(busy, &idle);
-                buffered.match_round_into(busy, &idle, &mut scratch, &mut pairs);
-                assert_eq!(pairs, expect, "{matching:?}");
-                assert_eq!(buffered.global_pointer(), alloc.global_pointer(), "{matching:?}");
-            }
-        }
-    }
-
-    #[test]
     fn match_round_packed_tracks_match_round_exactly() {
         let patterns: [&[bool]; 4] =
             [&[B, B, B, I, I, B], &[I, B, B, B, I, I], &[B, I, B, I, B, I], &[B, B, I, I, I, B]];
@@ -261,10 +208,10 @@ mod tests {
     #[test]
     fn all_entry_points_wrap_the_pointer_identically() {
         // A donor at the last PE forces the wrap: the start index must be
-        // (p-1 + 1) % p = 0 in every entry point. The flag entry points
+        // (p-1 + 1) % p = 0 in both entry points. The flag entry point
         // used to wrap with busy.len() — identical here, but the shared
         // start_for makes the agreement structural, and this test pins the
-        // rotated matching all three must produce after the wrap.
+        // rotated matching both must produce after the wrap.
         let busy = [B, B, I, I, B, B, I, B];
         let idle = idle_of(&busy);
         let p = busy.len();
@@ -278,16 +225,9 @@ mod tests {
         let expect = flag.match_round(&busy, &idle);
         assert_eq!(expect.first().map(|pr| pr.donor), Some(0), "wrapped to PE 0");
 
-        let mut buffered = MatchState::new(Matching::Gp);
-        buffered.global_pointer = Some(p - 1);
-        let mut scratch = uts_scan::MatchScratch::default();
-        let mut pairs = Vec::new();
-        buffered.match_round_into(&busy, &idle, &mut scratch, &mut pairs);
-        assert_eq!(pairs, expect);
-        assert_eq!(buffered.global_pointer(), flag.global_pointer());
-
         let mut packed = MatchState::new(Matching::Gp);
         packed.global_pointer = Some(p - 1);
+        let mut pairs = Vec::new();
         packed.match_round_packed(p, &packed_busy, &packed_idle, &mut pairs);
         assert_eq!(pairs, expect);
         assert_eq!(packed.global_pointer(), flag.global_pointer());

@@ -1,11 +1,9 @@
 //! The scheme taxonomy (Table 1 of the paper, extended with the Sec. 8
 //! related-work schemes).
 
-use serde::{Deserialize, Serialize};
-
 /// How idle processors are paired with busy donors during a balancing
 /// phase (Sec. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Matching {
     /// Plain rendezvous: k-th busy (from processor 0) feeds the k-th idle.
     /// The prior-work scheme of Powley et al. and Mahanti & Daniels.
@@ -18,7 +16,7 @@ pub enum Matching {
 
 /// When a balancing phase is triggered (checked after every expansion
 /// cycle; at least one cycle always runs between phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Trigger {
     /// `S^x`: balance as soon as the busy count `A <= x * P` (eq. 1).
     Static {
@@ -39,7 +37,7 @@ pub enum Trigger {
 }
 
 /// How many transfer rounds one balancing phase performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
     /// One rendezvous round: every matched busy processor splits once.
     Single,
@@ -52,7 +50,7 @@ pub enum TransferMode {
 }
 
 /// A complete load-balancing scheme: matching × trigger × transfer mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheme {
     /// The matching mechanism.
     pub matching: Matching,

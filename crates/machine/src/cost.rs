@@ -12,12 +12,10 @@
 //! cycle and `t_lb ≈ 13 ms` per balancing phase; Table 5 rescales `t_lb` by
 //! 12× and 16× — here the [`CostModel::lb_multiplier`] knob.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LbCostBreakdown, SimTime, MICROS_PER_SEC};
 
 /// Interconnect topology, which fixes the asymptotic shape of `t_lb(P)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// CM-2-like: hardware scans and router make the phase cost a constant.
     Cm2,
@@ -28,7 +26,7 @@ pub enum Topology {
 }
 
 /// Machine timing parameters. All times in virtual microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Interconnect topology.
     pub topology: Topology,

@@ -18,12 +18,10 @@
 //! schedule, so ledgers are bit-identical across all four engines and any
 //! host thread count — the cross-engine differential suite enforces it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimTime;
 
 /// Which trigger condition caused a balancing phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TriggerKind {
     /// The Sec. 7 init-phase protocol (distribute after every cycle until
     /// `init_fraction · P` processors hold work).
@@ -47,7 +45,7 @@ pub enum TriggerKind {
 /// comparison looked at, regardless of which condition fired. Times are
 /// in virtual microseconds (PE-time), matching the paper's eq. 2/4
 /// vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriggerFiring {
     /// Which condition fired.
     pub kind: TriggerKind,
@@ -70,7 +68,7 @@ pub struct TriggerFiring {
 /// multiplier. Invariant: `(setup + transfer) * multiplier == total`,
 /// where `total` is exactly what the machine charged
 /// ([`crate::CostModel::lb_phase_cost`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LbCostBreakdown {
     /// Setup cost over all rounds, before the multiplier.
     pub setup: SimTime,
@@ -85,7 +83,7 @@ pub struct LbCostBreakdown {
 /// One balancing phase, with full provenance: when it ran, why it fired,
 /// the horizon the macro engine had proved for the step ending at this
 /// checkpoint, what it moved and what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LbPhaseRecord {
     /// Expansion-cycle index (`N_expand`) after which the phase ran.
     pub at_cycle: u64,
@@ -111,7 +109,7 @@ pub struct LbPhaseRecord {
 /// `n` or `n+1` donations (`max_over_mean <= 2` whenever anyone donated
 /// twice), while nGP's fixed enumeration concentrates the burden on
 /// low-index PEs and sends the ratio far above that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DonationSpread {
     /// Total donations (= the run's work-transfer count).
     pub total: u64,
@@ -132,7 +130,7 @@ pub struct DonationSpread {
 /// counts plus one [`LbPhaseRecord`] per balancing phase. Derived
 /// `PartialEq` compares every field — the differential suites assert
 /// whole-ledger equality across engines and thread counts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     /// Donations made by each PE (indexed by PE; length `P`).
     pub donations: Vec<u32>,

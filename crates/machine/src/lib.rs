@@ -28,8 +28,6 @@ pub use ledger::{
 };
 pub use metrics::{ActiveTrace, Metrics, PhaseEvent, PhaseStats};
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual time, in integer microseconds (avoids float drift across millions
 /// of cycles). One paper second = 1_000_000 `SimTime` units.
 pub type SimTime = u64;
@@ -44,7 +42,7 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 /// [`SimdMachine::lb_phase`] once per load-balancing phase (reporting how
 /// many match/transfer rounds it contained and how many work transfers were
 /// made). The machine does all time accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimdMachine {
     /// Ensemble size `P`.
     p: usize,
@@ -285,7 +283,7 @@ impl SimdMachine {
 /// which is derived deterministically from integer counters, so
 /// bit-equality is the right notion): the cross-engine differential
 /// suites assert whole-report equality between engines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Number of processors.
     pub p: usize,

@@ -1,8 +1,6 @@
 //! Run-long and phase-local counters, plus the run-length-encoded
 //! active-processor trace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimTime;
 
 /// The Fig. 8 trace `A(t)`, run-length encoded as `(cycle, A)` breakpoints:
@@ -11,7 +9,7 @@ use crate::SimTime;
 /// with equal `A` never produce two breakpoints — so the derived
 /// `PartialEq` compares traces by value, and a full Fig. 4/7 sweep stores
 /// one breakpoint per balancing phase instead of one word per cycle.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActiveTrace {
     breaks: Vec<(u64, u32)>,
     len: u64,
@@ -122,7 +120,7 @@ impl FromIterator<u32> for ActiveTrace {
 
 /// One load-balancing phase, as recorded in the phase log (when tracing
 /// is enabled): when it happened, what it moved, what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseEvent {
     /// Expansion-cycle index after which the phase ran.
     pub at_cycle: u64,
@@ -135,7 +133,7 @@ pub struct PhaseEvent {
 }
 
 /// Counters accumulated over the whole run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Node-expansion cycles executed (`N_expand`).
     pub n_expand: u64,
@@ -166,7 +164,7 @@ pub struct Metrics {
 ///
 /// * DP (eq. 2): `w = busy_pe_cycles * U_calc`, `t = cycles * U_calc`;
 /// * DK (eq. 4): `w_idle = idle_pe_cycles * U_calc`.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseStats {
     /// Expansion cycles since the last balancing phase.
     pub cycles: u64,

@@ -23,12 +23,11 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use uts_machine::{CostModel, SimTime};
 use uts_tree::{SearchStack, SplitPolicy, TreeProblem};
 
 /// Whom an idle processor polls for work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealPolicy {
     /// Targets from one global counter (GRR).
     GlobalRoundRobin,
@@ -88,7 +87,7 @@ impl MimdConfig {
 }
 
 /// Outcome of a MIMD run, in the same vocabulary as the SIMD reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MimdReport {
     /// Processors.
     pub p: usize,

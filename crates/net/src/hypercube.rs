@@ -1,13 +1,11 @@
 //! Hypercube with dimension-ordered (e-cube) routing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Router;
 
 /// A `d`-dimensional hypercube of `2^d` nodes; node ids are bit strings,
 /// neighbors differ in exactly one bit. E-cube routing corrects differing
 /// bits from least to most significant, which is deadlock-free.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Hypercube {
     dims: u32,
 }

@@ -17,10 +17,8 @@
 pub mod hypercube;
 pub mod mesh;
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point message (one per rendezvous pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Source processor.
     pub src: usize,
@@ -29,7 +27,7 @@ pub struct Message {
 }
 
 /// Outcome of routing a message set to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouteStats {
     /// Synchronous steps until every message arrived.
     pub steps: u32,

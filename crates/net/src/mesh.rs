@@ -1,13 +1,11 @@
 //! 2-D mesh with XY (dimension-ordered) routing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Router;
 
 /// A `side × side` mesh; node `i` sits at row `i / side`, column
 /// `i % side`. XY routing corrects the column first, then the row —
 /// deadlock-free on a mesh.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Mesh {
     side: usize,
 }

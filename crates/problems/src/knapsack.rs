@@ -11,11 +11,10 @@
 //! strictly beats the incumbent; exhaustive search therefore enumerates
 //! every improvement on greedy, and the best of them is the optimum.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::TreeProblem;
 
 /// One item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Item {
     /// Weight (capacity units).
     pub weight: u32,
@@ -24,7 +23,7 @@ pub struct Item {
 }
 
 /// A search node: decisions made for items `0..next`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnapsackNode {
     /// Next item to decide.
     pub next: u16,
@@ -47,7 +46,7 @@ impl uts_tree::CkptNode for KnapsackNode {
 
 /// The 0/1 knapsack problem, with items sorted by value density and a
 /// greedy incumbent for bound pruning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Knapsack {
     items: Vec<Item>,
     capacity: u32,

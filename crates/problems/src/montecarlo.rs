@@ -17,7 +17,6 @@
 //! *sum over contributing leaves*, which every machine in this workspace
 //! computes identically (it is a goal-count-style reduction).
 
-use serde::{Deserialize, Serialize};
 use uts_tree::TreeProblem;
 
 /// Weight fixed-point scale (1.0 == `SCALE`).
@@ -25,7 +24,7 @@ pub const SCALE: u64 = 1_000_000;
 
 /// A partial path: depth, current walk position (lattice site), and the
 /// accumulated weight in micro-units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathNode {
     /// Steps taken.
     pub depth: u16,
@@ -47,7 +46,7 @@ impl uts_tree::CkptNode for PathNode {
 }
 
 /// The discretized path-integral tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PathIntegral {
     /// Time horizon (path length).
     pub horizon: u16,

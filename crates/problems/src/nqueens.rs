@@ -6,11 +6,10 @@
 //! per candidate. Goals are complete placements; the tree is searched
 //! exhaustively, so the goal count is the classical Q(n) sequence.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::TreeProblem;
 
 /// A partial placement: `row` queens placed, attack masks accumulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueensNode {
     /// Rows filled so far.
     pub row: u8,
@@ -35,7 +34,7 @@ impl uts_tree::CkptNode for QueensNode {
 }
 
 /// The N-queens problem for an `n × n` board, `n <= 31`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NQueens {
     n: u8,
 }

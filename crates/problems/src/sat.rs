@@ -11,12 +11,11 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use uts_tree::TreeProblem;
 
 /// A literal: variable index with sign (`+v` = true, `-v` = false),
 /// encoded as `2 * var + (negated as usize)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lit(pub u32);
 
 impl Lit {
@@ -37,7 +36,7 @@ impl Lit {
 }
 
 /// A CNF formula: clauses of literals over variables `0..num_vars`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cnf {
     /// Number of variables.
     pub num_vars: u32,
@@ -56,7 +55,7 @@ impl Cnf {
 }
 
 /// Truth value of a variable in a partial assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Val {
     Unset,
     True,
@@ -65,7 +64,7 @@ enum Val {
 
 /// A partial assignment (one per tree node; cloned on branching, which is
 /// exactly the self-contained-node requirement of the lockstep engine).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     vals: Vec<Val>,
     assigned: u32,

@@ -6,11 +6,10 @@
 //! `n = 4` the two produce *identical* search trees — a cross-validation
 //! test checks node-for-node agreement of whole IDA\* runs.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::HeuristicProblem;
 
 /// A board side length (2..=15; tiles must fit a u8 and h a u16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Side(u8);
 
 impl Side {
@@ -37,7 +36,7 @@ impl Side {
 /// A state: tile vector (`tiles[cell] = tile`, 0 = blank), cached blank
 /// position, cached Manhattan distance, and the last blank move (as the
 /// target-cell delta) for inverse pruning.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlidingState {
     /// Tiles in row-major order.
     pub tiles: Vec<u8>,
@@ -63,7 +62,7 @@ impl uts_tree::CkptNode for SlidingState {
 }
 
 /// The generalized sliding puzzle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sliding {
     side: Side,
     start: Vec<u8>,

@@ -1,9 +1,7 @@
 //! Packed 4×4 board representation and move mechanics.
 
-use serde::{Deserialize, Serialize};
-
 /// A sliding move, named for the direction the *blank* travels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Move {
     /// Blank moves up (the tile above slides down).
@@ -45,7 +43,7 @@ impl Move {
 
 /// A 4×4 board packed 4 bits per cell: nibble `i` holds the tile at cell
 /// `i` (row-major), 0 denoting the blank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Board(pub u64);
 
 /// The solved board: blank at cell 0, tiles 1..15 in order.

@@ -9,7 +9,6 @@
 //! closest size. All tables report the *measured* `W` of the calibrated
 //! workload next to the paper's.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::problem::{BoundedProblem, TreeProblem};
 use uts_tree::stack::SearchStack;
 use uts_tree::HeuristicProblem;
@@ -18,7 +17,7 @@ use crate::instances::{korf_instances, scrambled, Instance};
 use crate::state::Puzzle15;
 
 /// A calibrated workload: one exhaustive bounded-DFS iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// The instance searched.
     pub instance: Instance,

@@ -11,12 +11,11 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::board::{Board, Move};
 
 /// A named 15-puzzle instance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Instance {
     /// Identifier (Korf number, or a synthetic id for scrambles).
     pub id: u32,

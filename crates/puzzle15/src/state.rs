@@ -4,7 +4,6 @@
 //! keeps the search tree free of trivial 2-cycles, as in Korf 1985 and in
 //! the paper's parallel IDA\*).
 
-use serde::{Deserialize, Serialize};
 use uts_tree::HeuristicProblem;
 
 #[cfg(test)]
@@ -13,7 +12,7 @@ use crate::board::{manhattan_tile, Board, Move};
 
 /// A search state: board, cached blank cell, cached heuristic, and the move
 /// that produced it (for inverse pruning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PuzzleState {
     /// Current board.
     pub board: Board,
@@ -78,7 +77,7 @@ impl PuzzleState {
 }
 
 /// The 15-puzzle problem instance (a start board).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Puzzle15 {
     start: Board,
 }

@@ -1,138 +1,25 @@
-//! Scan (parallel-prefix) primitives in the style of Blelloch's
-//! *"Scans as Primitive Parallel Operations"* (IEEE ToC 1989), which the
-//! paper's load-balancing setup step relies on (Karypis & Kumar, Sec. 3.3).
+//! The matching primitives of a load-balancing phase (Karypis & Kumar,
+//! Sec. 2.2 and 3.3): enumerate the busy and the idle processors and pair
+//! the k-th busy with the k-th idle — Hillis's rendezvous allocation —
+//! optionally rotating the busy enumeration by the paper's global pointer.
 //!
-//! On the CM-2 these operations were provided by dedicated scan hardware; the
-//! simulator in `uts-machine` charges them according to a pluggable cost
+//! On the CM-2 the two enumerations are sum-scans done by dedicated
+//! hardware; the simulator in `uts-machine` charges them through its cost
 //! model (`O(1)` on the CM-2, `O(log P)` on a hypercube, `O(sqrt P)` on a
-//! mesh), while this crate provides the *functional* semantics used to
-//! compute processor enumerations and the rendezvous matching.
+//! mesh), and this crate computes what they compute. It holds two forms of
+//! the same matching:
 //!
-//! Two execution strategies are provided with identical results:
-//!
-//! * [`seq`] — straightforward sequential scans (the oracle);
-//! * [`par`] — rayon-based two-pass (up-sweep/down-sweep over chunks)
-//!   parallel scans for large inputs.
-//!
-//! The higher-level helpers ([`enumerate_marked`], [`pack_indices`],
-//! [`rendezvous_match`], [`rendezvous_match_from`]) implement exactly the
-//! processor-matching computations of the paper: enumerating busy and idle
-//! processors and pairing the k-th busy with the k-th idle, optionally
-//! rotated by a global pointer.
-
-pub mod op;
-pub mod par;
-pub mod permute;
-pub mod segmented;
-pub mod seq;
-
-pub use op::{MaxOp, MinOp, OrOp, ScanOp, SumOp};
-pub use permute::{gather, pack, scatter, unpack};
-
-/// Cutover length below which the parallel entry points fall back to the
-/// sequential implementation (parallel setup costs dominate under this size).
-pub const PAR_THRESHOLD: usize = 1 << 14;
-
-/// Exclusive sum-scan (`out[i] = sum of xs[..i]`, `out[0] = 0`), picking the
-/// sequential or parallel strategy by input length.
-///
-/// ```
-/// assert_eq!(uts_scan::exclusive_sum(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
-/// ```
-pub fn exclusive_sum(xs: &[u64]) -> Vec<u64> {
-    if xs.len() < PAR_THRESHOLD {
-        seq::exclusive_scan::<SumOp>(xs)
-    } else {
-        par::exclusive_scan::<SumOp>(xs)
-    }
-}
-
-/// Inclusive sum-scan (`out[i] = sum of xs[..=i]`).
-///
-/// ```
-/// assert_eq!(uts_scan::inclusive_sum(&[3, 1, 4, 1]), vec![3, 4, 8, 9]);
-/// ```
-pub fn inclusive_sum(xs: &[u64]) -> Vec<u64> {
-    if xs.len() < PAR_THRESHOLD {
-        seq::inclusive_scan::<SumOp>(xs)
-    } else {
-        par::inclusive_scan::<SumOp>(xs)
-    }
-}
-
-/// Total of a slice via the same reduction tree the scans use.
-pub fn reduce_sum(xs: &[u64]) -> u64 {
-    if xs.len() < PAR_THRESHOLD {
-        xs.iter().copied().sum()
-    } else {
-        use rayon::prelude::*;
-        xs.par_iter().copied().sum()
-    }
-}
-
-/// Count the `true` flags (the `A` and `I` of the paper: number of busy /
-/// idle processors), the reduction the machine performs before testing a
-/// trigger condition.
-pub fn count_marked(flags: &[bool]) -> usize {
-    if flags.len() < PAR_THRESHOLD {
-        flags.iter().filter(|&&b| b).count()
-    } else {
-        use rayon::prelude::*;
-        flags.par_iter().filter(|&&b| b).count()
-    }
-}
-
-/// Enumerate marked elements: `out[i] = number of marked elements strictly
-/// before i` (an exclusive +-scan of the 0/1 flag vector). Marked element
-/// `i` therefore receives its 0-based rank `out[i]` among marked elements.
-///
-/// This is the paper's "enumerating both the idle and the busy processors"
-/// (Sec. 2.1) used to set up the one-on-one matching.
-///
-/// ```
-/// let flags = [true, false, true, true, false];
-/// assert_eq!(uts_scan::enumerate_marked(&flags), vec![0, 1, 1, 2, 3]);
-/// ```
-pub fn enumerate_marked(flags: &[bool]) -> Vec<usize> {
-    let ones: Vec<u64> = flags.iter().map(|&b| b as u64).collect();
-    exclusive_sum(&ones).into_iter().map(|v| v as usize).collect()
-}
-
-/// Collect the indices of marked elements, in index order ("pack").
-///
-/// ```
-/// assert_eq!(uts_scan::pack_indices(&[false, true, true, false, true]), vec![1, 2, 4]);
-/// ```
-pub fn pack_indices(flags: &[bool]) -> Vec<usize> {
-    let mut out = Vec::new();
-    pack_indices_into(flags, &mut out);
-    out
-}
-
-/// [`pack_indices`] into a caller-owned buffer (cleared first), so repeated
-/// matching rounds reuse one allocation. Above [`PAR_THRESHOLD`] the packing
-/// runs as an enumerate-and-scatter over the rank scan — the machine's
-/// actual algorithm, executed on the host's parallel scan path; below it, a
-/// single sequential sweep (identical output).
-pub fn pack_indices_into(flags: &[bool], out: &mut Vec<usize>) {
-    out.clear();
-    if flags.len() < PAR_THRESHOLD {
-        for (i, &f) in flags.iter().enumerate() {
-            if f {
-                out.push(i);
-            }
-        }
-    } else {
-        let ranks = enumerate_marked(flags);
-        let total = ranks.last().map_or(0, |&r| r) + usize::from(*flags.last().unwrap_or(&false));
-        out.resize(total, 0);
-        for (i, &f) in flags.iter().enumerate() {
-            if f {
-                out[ranks[i]] = i;
-            }
-        }
-    }
-}
+//! * [`rendezvous_match_packed`] pairs two *already enumerated* index
+//!   lists. The engines call this one: the lockstep driver filters its
+//!   sorted list of active PEs for the busy ones and enumerates only as
+//!   many idle PEs as can be fed, so no pass over all `P` processors runs
+//!   per round.
+//! * [`rendezvous_match`] / [`rendezvous_match_from`] take the busy and
+//!   idle *flag vectors*, as the paper states the step, and enumerate each
+//!   with one sweep. They stay because they are the oracle: the reference
+//!   engine matches through them, the Fig. 2 tests below are written
+//!   against them, and the packed form is property-tested to agree with
+//!   them for every rotation.
 
 /// One busy→idle pairing produced by the rendezvous allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,45 +51,31 @@ pub fn rendezvous_match(busy: &[bool], idle: &[bool]) -> Vec<Pair> {
 /// Returns `min(A, I)` pairs; if `I > A` the surplus idle processors receive
 /// no work, exactly as in the paper.
 pub fn rendezvous_match_from(busy: &[bool], idle: &[bool], start: usize) -> Vec<Pair> {
-    let mut scratch = MatchScratch::default();
+    assert_eq!(busy.len(), idle.len(), "busy/idle flag vectors must cover the same PEs");
+    // Busy processors in circular order from `start`. On the machine this is
+    // two segmented enumerations (indices >= start, then indices < start)
+    // glued together; functionally it is a rotation of the packed index list.
+    let start = start % busy.len().max(1);
     let mut pairs = Vec::new();
-    rendezvous_match_from_into(busy, idle, start, &mut scratch, &mut pairs);
+    rendezvous_match_packed(&pack_indices(busy), &pack_indices(idle), start, &mut pairs);
     pairs
 }
 
-/// Reusable packed-index buffers for the rendezvous matching, so that a
-/// long run's many balancing rounds share one set of allocations.
+/// Indices of the marked elements, ascending: the enumeration a sum-scan
+/// of the flag vector gives each marked processor, as one sweep.
+fn pack_indices(flags: &[bool]) -> Vec<usize> {
+    flags.iter().enumerate().filter(|(_, &f)| f).map(|(i, _)| i).collect()
+}
+
+/// The packed busy and idle enumerations of one matching round, kept by
+/// the caller so that a long run's many balancing rounds share one set of
+/// allocations (the input of [`rendezvous_match_packed`]).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
     /// Packed indices of busy processors (ascending).
     pub packed_busy: Vec<usize>,
     /// Packed indices of idle processors (ascending).
     pub packed_idle: Vec<usize>,
-}
-
-/// [`rendezvous_match_from`] into caller-owned buffers: `pairs` is cleared
-/// and refilled; `scratch` holds the packed busy/idle enumerations between
-/// calls. Output is identical to the allocating entry point.
-pub fn rendezvous_match_from_into(
-    busy: &[bool],
-    idle: &[bool],
-    start: usize,
-    scratch: &mut MatchScratch,
-    pairs: &mut Vec<Pair>,
-) {
-    assert_eq!(busy.len(), idle.len(), "busy/idle flag vectors must cover the same PEs");
-    pairs.clear();
-    let p = busy.len();
-    if p == 0 {
-        return;
-    }
-    let start = start % p;
-    // Busy processors in circular order from `start`. On the machine this is
-    // two segmented enumerations (indices >= start, then indices < start)
-    // glued together; functionally it is a rotation of the packed index list.
-    pack_indices_into(busy, &mut scratch.packed_busy);
-    pack_indices_into(idle, &mut scratch.packed_idle);
-    rendezvous_match_packed(&scratch.packed_busy, &scratch.packed_idle, start, pairs);
 }
 
 /// [`rendezvous_match_from`] over *already packed* busy/idle enumerations
@@ -239,40 +112,7 @@ pub fn rendezvous_match_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exclusive_sum_empty_and_single() {
-        assert_eq!(exclusive_sum(&[]), Vec::<u64>::new());
-        assert_eq!(exclusive_sum(&[7]), vec![0]);
-    }
-
-    #[test]
-    fn inclusive_matches_exclusive_shifted() {
-        let xs = [5u64, 0, 2, 9, 1];
-        let ex = exclusive_sum(&xs);
-        let inc = inclusive_sum(&xs);
-        for i in 0..xs.len() {
-            assert_eq!(inc[i], ex[i] + xs[i]);
-        }
-    }
-
-    #[test]
-    fn enumerate_none_marked() {
-        assert_eq!(enumerate_marked(&[false, false]), vec![0, 0]);
-        assert_eq!(pack_indices(&[false, false]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn enumerate_all_marked() {
-        assert_eq!(enumerate_marked(&[true, true, true]), vec![0, 1, 2]);
-        assert_eq!(pack_indices(&[true, true, true]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn count_marked_counts() {
-        assert_eq!(count_marked(&[true, false, true]), 2);
-        assert_eq!(count_marked(&[]), 0);
-    }
+    use proptest::prelude::*;
 
     /// The worked example of the paper's Fig. 2 (8 PEs, PEs 6 and 7 idle,
     /// global pointer at PE 5 → matching starts at PE 6's successor among
@@ -347,41 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_indices_into_reuses_buffer_and_matches_allocating_path() {
-        let mut out = Vec::new();
-        let flags = [false, true, true, false, true];
-        pack_indices_into(&flags, &mut out);
-        assert_eq!(out, pack_indices(&flags));
-        // Refill with different contents: cleared, not appended.
-        pack_indices_into(&[true, false], &mut out);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn pack_indices_par_path_matches_seq_path() {
-        // Cross the PAR_THRESHOLD so the enumerate-and-scatter path runs.
-        let n = PAR_THRESHOLD + 37;
-        let flags: Vec<bool> = (0..n).map(|i| i % 3 == 1 || i % 7 == 0).collect();
-        let mut par_out = Vec::new();
-        pack_indices_into(&flags, &mut par_out);
-        let seq_out: Vec<usize> =
-            flags.iter().enumerate().filter(|(_, &f)| f).map(|(i, _)| i).collect();
-        assert_eq!(par_out, seq_out);
-    }
-
-    #[test]
-    fn match_into_agrees_with_allocating_match_across_rotations() {
-        let busy = [true, false, true, true, false, true, false, true];
-        let idle = busy.map(|b| !b);
-        let mut scratch = MatchScratch::default();
-        let mut pairs = Vec::new();
-        for start in 0..busy.len() {
-            rendezvous_match_from_into(&busy, &idle, start, &mut scratch, &mut pairs);
-            assert_eq!(pairs, rendezvous_match_from(&busy, &idle, start), "start={start}");
-        }
-    }
-
-    #[test]
     fn match_packed_agrees_with_flag_path_for_all_rotations() {
         let busy = [true, false, true, true, false, true, false, true];
         let idle = busy.map(|b| !b);
@@ -410,20 +215,38 @@ mod tests {
         assert_eq!(full.len(), 2);
     }
 
-    #[test]
-    fn match_into_large_machine_uses_scan_path() {
-        let p = PAR_THRESHOLD + 11;
-        let busy: Vec<bool> = (0..p).map(|i| i % 5 == 0).collect();
-        let idle: Vec<bool> = (0..p).map(|i| i % 5 == 2).collect();
-        let mut scratch = MatchScratch::default();
-        let mut pairs = Vec::new();
-        rendezvous_match_from_into(&busy, &idle, 123, &mut scratch, &mut pairs);
-        assert!(!pairs.is_empty());
-        for pair in &pairs {
-            assert!(busy[pair.donor]);
-            assert!(idle[pair.receiver]);
+    proptest! {
+        /// The packed form over independently built index lists equals the
+        /// flag-vector oracle at every rotation, and reads no more of
+        /// `packed_idle` than its first `min(A, I)` entries — the prefix
+        /// `uts-core`'s `pack_idle_prefix` hands it.
+        #[test]
+        fn packed_match_equals_the_flag_oracle_even_on_an_idle_prefix(
+            pes in proptest::collection::vec((0u32..100, any::<bool>()), 0..=300),
+            busy_pct in 0u32..=100,
+        ) {
+            // Disjoint by construction; a PE that is neither holds one node.
+            let busy: Vec<bool> = pes.iter().map(|&(x, _)| x < busy_pct).collect();
+            let idle: Vec<bool> = pes.iter().map(|&(x, empty)| x >= busy_pct && empty).collect();
+            let mut packed_busy = Vec::new();
+            let mut packed_idle = Vec::new();
+            for i in 0..pes.len() {
+                if busy[i] {
+                    packed_busy.push(i);
+                } else if idle[i] {
+                    packed_idle.push(i);
+                }
+            }
+            let fed = packed_busy.len().min(packed_idle.len());
+            let mut pairs = Vec::new();
+            for start in 0..=pes.len() {
+                let oracle = rendezvous_match_from(&busy, &idle, start);
+                prop_assert_eq!(oracle.len(), fed);
+                rendezvous_match_packed(&packed_busy, &packed_idle, start, &mut pairs);
+                prop_assert_eq!(&pairs, &oracle, "start={}", start);
+                rendezvous_match_packed(&packed_busy, &packed_idle[..fed], start, &mut pairs);
+                prop_assert_eq!(&pairs, &oracle, "idle prefix, start={}", start);
+            }
         }
-        // Receivers are fed in plain index order (paper Fig. 2 semantics).
-        assert!(pairs.windows(2).all(|w| w[0].receiver < w[1].receiver));
     }
 }

@@ -63,6 +63,17 @@ pub struct JobSpec {
     pub config: EngineConfig,
 }
 
+/// Largest `p` a spec may ask for: four times the largest machine any
+/// workload, test or bench in this repository runs. The run's first act is
+/// several `p`-sized allocations in a runner thread, and the `.spec` is
+/// durable before that, so an unbounded `p` fails the server again on
+/// every restart.
+const MAX_P: u64 = 1 << 22;
+
+/// Largest `threads` a spec may ask for; the pooled engine spawns that
+/// many OS threads.
+const MAX_THREADS: u64 = 256;
+
 fn field_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     match obj.get(key) {
         None => Ok(None),
@@ -131,10 +142,11 @@ impl JobSpec {
             root.get("workload").ok_or_else(|| ServeError::Proto("missing `workload`".into()))?,
         )?;
 
-        let p = field_u64(&root, "p")?.unwrap_or(1024) as usize;
-        if p == 0 {
-            return Err(ServeError::Proto("`p` must be positive".into()));
+        let p = field_u64(&root, "p")?.unwrap_or(1024);
+        if p == 0 || p > MAX_P {
+            return Err(ServeError::Proto(format!("`p` must be in 1..={MAX_P}, got {p}")));
         }
+        let p = p as usize;
         let scheme = match field_str(&root, "scheme")? {
             Some(s) => Scheme::parse(s).map_err(ServeError::Proto)?,
             None => Scheme::gp_dk(),
@@ -153,8 +165,10 @@ impl JobSpec {
             config.engine = EngineKind::parse(e).map_err(ServeError::Proto)?;
         }
         if let Some(t) = field_u64(&root, "threads")? {
-            if t == 0 {
-                return Err(ServeError::Proto("`threads` must be positive".into()));
+            if t == 0 || t > MAX_THREADS {
+                return Err(ServeError::Proto(format!(
+                    "`threads` must be in 1..={MAX_THREADS}, got {t}"
+                )));
             }
             config.threads = Some(t as usize);
         }
@@ -331,6 +345,8 @@ mod tests {
             r#"{"workload":{"kind":"weird"}}"#,
             r#"{"workload":{"kind":"synth"},"p":"ten"}"#,
             r#"{"workload":{"kind":"synth"},"p":0}"#,
+            r#"{"workload":{"kind":"synth"},"p":1099511627776}"#,
+            r#"{"workload":{"kind":"synth"},"engine":"par","threads":1000000}"#,
             r#"{"workload":{"kind":"synth"},"scheme":"nope"}"#,
             r#"{"workload":{"kind":"synth"},"engine":"quantum"}"#,
             r#"{"p":4}"#,

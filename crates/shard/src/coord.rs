@@ -137,7 +137,7 @@ impl std::error::Error for ShardError {}
 
 /// One balancing phase's measured routing provenance, recorded next to
 /// the closed-form cost the ledger charged.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoutedPhase {
     /// `N_expand` when the phase ran.
     pub at_cycle: u64,
@@ -155,7 +155,7 @@ pub struct RoutedPhase {
 }
 
 /// Aggregated provenance of a sharded run.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Worker process count.
     pub shards: usize,

@@ -125,11 +125,10 @@ where
     W: Write,
 {
     let local_p = (hello.hi - hello.lo) as usize;
-    let mut stacks: Vec<SearchStack<P::Node>> = (0..local_p).map(|_| SearchStack::new()).collect();
+    let mut arena = StackArena::new(local_p);
     if hello.seed_root && hello.lo == 0 && local_p > 0 {
-        stacks[0] = SearchStack::from_root(problem.root());
+        arena.push_frame_with(0, |frame| frame.push(problem.root()));
     }
-    let mut arena = StackArena::from_stacks(stacks);
 
     let mut buf = Vec::new();
     let mut payload = Vec::new();

@@ -22,7 +22,6 @@
 //! [`find_tree`] searches seeds for a tree whose measured `W` lands within
 //! a tolerance of a target.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::{serial_dfs, TreeProblem};
 
 /// SplitMix64 — the standard 64-bit finalizer used to derive child
@@ -58,7 +57,7 @@ pub fn legacy_child_id(parent: u64, c: u32, key: u64) -> u64 {
 }
 
 /// A node of a synthetic tree: its hash identity and depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthNode {
     /// Hash identity (determines this node's subtree).
     pub id: u64,
@@ -78,7 +77,7 @@ impl uts_tree::CkptNode for SynthNode {
 
 /// Binomial tree: root has exactly `root_children` children; every other
 /// node has `m` children with probability `q`, else it is a leaf.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BinomialTree {
     /// Tree seed; different seeds give independent trees.
     pub seed: u64,
@@ -140,7 +139,7 @@ impl TreeProblem for BinomialTree {
 
 /// Geometric tree: node at depth `d < depth_limit` has `hash % (b_max + 1)`
 /// children; deeper nodes are leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometricTree {
     /// Tree seed.
     pub seed: u64,
@@ -185,7 +184,7 @@ impl TreeProblem for GeometricTree {
 }
 
 /// A tree generator together with its measured size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizedTree {
     /// The generator (geometric family).
     pub tree: GeometricTree,

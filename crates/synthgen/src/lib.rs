@@ -40,7 +40,6 @@
 //! [`find_gen_tree`] picks the depth limit from the closed form, then
 //! scans seeds for a realized `W` within tolerance of a target.
 
-use serde::{Deserialize, Serialize};
 use uts_tree::{serial_dfs, TreeProblem};
 
 /// SplitMix64 — the standard 64-bit finalizer (a bijection on `u64`).
@@ -79,7 +78,7 @@ fn draw(state: u64) -> u64 {
 /// entire subtree below a node is a pure function of this 12-byte value —
 /// donating a node donates its whole subtree, and a receiver regenerates
 /// it without any communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenNode {
     /// Chained RNG state (determines the subtree).
     pub state: u64,
@@ -98,7 +97,7 @@ impl uts_tree::CkptNode for GenNode {
 }
 
 /// The branching law of a generated tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenFamily {
     /// Fan-out uniform on `0..=b_max`, hard depth limit. Sizes concentrate
     /// near the mean — the family for hitting a target `W`.
@@ -124,7 +123,7 @@ pub enum GenFamily {
 /// A generated tree: seed + family. `expand` is allocation-free (children
 /// are hashed straight into the caller's buffer) and node state is never
 /// stored anywhere but the live DFS stacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenTree {
     /// Tree seed; different seeds give independent trees.
     pub seed: u64,
@@ -236,7 +235,7 @@ impl TreeProblem for GenTree {
 }
 
 /// A generator together with its measured size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizedGenTree {
     /// The generator.
     pub tree: GenTree,

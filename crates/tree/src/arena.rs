@@ -58,11 +58,6 @@ impl<N> PeSlab<N> {
         self.nodes.is_empty()
     }
 
-    /// Number of (non-empty) frames.
-    pub fn depth(&self) -> usize {
-        self.bounds.len()
-    }
-
     /// The paper's *busy* predicate: splittable iff at least two nodes.
     pub fn can_split(&self) -> bool {
         self.nodes.len() >= 2
@@ -123,7 +118,7 @@ impl<N> PeSlab<N> {
     }
 
     /// Donate the single bottom-most alternative to `receiver` (the
-    /// [`SplitPolicy::Bottom`] arm of [`SearchStack::split_into`]): remove
+    /// [`SplitPolicy::Bottom`] arm of [`SearchStack::split`]): remove
     /// node 0, rebase the remaining offsets, drop frame 0's boundary if the
     /// removal emptied it, and land the node as a new single-node top frame
     /// on the receiver.
@@ -140,8 +135,9 @@ impl<N> PeSlab<N> {
     }
 
     /// Split off work for `receiver` according to `policy`, reproducing
-    /// [`SearchStack::split_into`] frame-for-frame. Returns `false` (both
-    /// slabs untouched) when `self` is not splittable.
+    /// [`SearchStack::split`] followed by [`SearchStack::merge_from`]
+    /// frame-for-frame. Returns `false` (both slabs untouched) when `self`
+    /// is not splittable.
     pub fn split_into(&mut self, policy: SplitPolicy, receiver: &mut PeSlab<N>) -> bool {
         if !self.can_split() {
             return false;
@@ -249,19 +245,6 @@ impl<N> PeSlab<N> {
         }
         SearchStack::from_frames(frames)
     }
-
-    /// The frame list as owned vectors (diagnostics / differential tests).
-    pub fn frames(&self) -> Vec<Vec<N>>
-    where
-        N: Clone,
-    {
-        (0..self.bounds.len()).map(|k| self.nodes[self.frame_range(k)].to_vec()).collect()
-    }
-
-    /// Iterate the alternatives bottom-to-top.
-    pub fn iter(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
-    }
 }
 
 impl<N: CkptNode> PeSlab<N> {
@@ -326,28 +309,6 @@ impl<N> StackArena<N> {
     /// Stack length of PE `i`.
     pub fn len_of(&self, i: usize) -> usize {
         self.lens[i] as usize
-    }
-
-    /// DFS depth spread of PE `i`.
-    pub fn depth_of(&self, i: usize) -> usize {
-        self.slabs[i].depth()
-    }
-
-    /// Whether PE `i` can donate (holds at least two nodes).
-    pub fn can_split(&self, i: usize) -> bool {
-        self.lens[i] >= 2
-    }
-
-    /// Borrow PE `i`'s slab.
-    pub fn slab(&self, i: usize) -> &PeSlab<N> {
-        &self.slabs[i]
-    }
-
-    /// Pop PE `i`'s next alternative in DFS order.
-    pub fn pop_next(&mut self, i: usize) -> Option<N> {
-        let node = self.slabs[i].pop_next()?;
-        self.lens[i] -= 1;
-        Some(node)
     }
 
     /// Build PE `i`'s new top frame in place on its slab tail (see
@@ -442,11 +403,20 @@ mod tests {
         SearchStack::from_frames(frames)
     }
 
+    /// The reference for [`PeSlab::split_into`]: split, then merge the
+    /// donation on top of the receiver.
+    fn split_then_merge(
+        donor: &mut SearchStack<u32>,
+        policy: SplitPolicy,
+        receiver: &mut SearchStack<u32>,
+    ) -> bool {
+        donor.split(policy).map(|donated| receiver.merge_from(donated)).is_some()
+    }
+
     fn assert_matches_stack(slab: &PeSlab<u32>, stack: &SearchStack<u32>) {
         assert_eq!(slab.len(), stack.len(), "lengths diverge");
-        assert_eq!(slab.depth(), stack.depth(), "depths diverge");
-        let stack_frames: Vec<Vec<u32>> = stack.frames().to_vec();
-        assert_eq!(slab.frames(), stack_frames, "frame structures diverge");
+        let slab_frames = slab.clone().into_stack().into_frames();
+        assert_eq!(slab_frames, stack.frames(), "frame structures diverge");
     }
 
     /// Tiny deterministic problem: node `n > 0` has two children `n - 1`;
@@ -532,7 +502,7 @@ mod tests {
                     } else {
                         stack_of(receiver_shape.clone())
                     });
-                    let ok_s = donor_s.split_into(policy, &mut recv_s);
+                    let ok_s = split_then_merge(&mut donor_s, policy, &mut recv_s);
                     let ok_a = donor_a.split_into(policy, &mut recv_a);
                     assert_eq!(ok_a, ok_s, "{policy:?}");
                     assert_matches_stack(&donor_a, &donor_s);
@@ -618,16 +588,12 @@ mod tests {
         assert_eq!(arena.lens(), &[1, 0, 3]);
         assert_eq!(arena.p(), 3);
         arena.expand_burst(0, &Halving, 2);
-        assert_eq!(arena.len_of(0), arena.slab(0).len());
+        assert_eq!(arena.len_of(0), arena.slabs[0].len());
         assert!(arena.split_into(2, 1, SplitPolicy::Bottom));
-        assert_eq!(arena.lens(), &[arena.slab(0).len() as u32, 1, 2]);
+        assert_eq!(arena.lens(), &[arena.slabs[0].len() as u32, 1, 2]);
         let moved = arena.split_count_into(2, 1, 1);
         assert_eq!(moved, 1);
         assert_eq!(arena.lens()[1], 2);
-        assert!(arena.can_split(1));
-        let node = arena.pop_next(1);
-        assert!(node.is_some());
-        assert_eq!(arena.lens()[1], 1);
         let stacks = arena.into_stacks();
         assert_eq!(stacks.len(), 3);
     }
@@ -661,7 +627,11 @@ mod tests {
             let j = (i + 1 + (rng >> 21) as usize % 2) % 3;
             match (rng >> 60) % 4 {
                 0 => {
-                    let a = arena.pop_next(i);
+                    // As the single-cycle engine path pops: through the
+                    // disjoint views, restoring the mirror itself.
+                    let (slabs, lens) = arena.parts_mut();
+                    let a = slabs[i].pop_next();
+                    lens[i] = slabs[i].len() as u32;
                     let b = stacks[i].pop_next();
                     assert_eq!(a, b, "step {step}");
                 }
@@ -676,7 +646,7 @@ mod tests {
                     let (di, ri) = (i, j);
                     let a = arena.split_into(di, ri, policy);
                     let (d, r) = pair_mut(&mut stacks, di, ri);
-                    let b = d.split_into(policy, r);
+                    let b = split_then_merge(d, policy, r);
                     assert_eq!(a, b, "step {step}");
                 }
                 _ => {
@@ -696,7 +666,7 @@ mod tests {
             }
             for (pe, stack) in stacks.iter().enumerate() {
                 assert_eq!(arena.len_of(pe), stack.len(), "step {step} pe {pe}");
-                assert_eq!(arena.slab(pe).frames(), stack.frames().to_vec(), "step {step} pe {pe}");
+                assert_matches_stack(&arena.slabs[pe], stack);
             }
             // If the whole ensemble drained, reseed it so later steps keep
             // exercising the mutating arms.

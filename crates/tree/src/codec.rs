@@ -365,7 +365,7 @@ mod tests {
         let back = SearchStack::<u32>::decode_node(&mut r).unwrap();
         assert!(r.is_done());
         assert_eq!(back.len(), s.len());
-        assert_eq!(back.depth(), s.depth());
+        assert_eq!(back.frames().len(), s.frames().len());
         assert_eq!(back.iter().collect::<Vec<_>>(), s.iter().collect::<Vec<_>>());
     }
 
@@ -376,7 +376,7 @@ mod tests {
         s.encode_node(&mut bytes);
         let back = SearchStack::<u64>::decode_node(&mut Reader::new(&bytes)).unwrap();
         assert!(back.is_empty());
-        assert_eq!(back.depth(), 0);
+        assert_eq!(back.frames().len(), 0);
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! [`SplitPolicy::Half`] and [`SplitPolicy::Top`] exist for the ablation
 //! benches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::problem::TreeProblem;
 
 /// What a bounded DFS burst ([`SearchStack::expand_burst`]) did: how many
@@ -56,7 +54,7 @@ impl Burst {
 
 /// How a donor partitions its untried alternatives (the alpha-splitting
 /// mechanism of Sec. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SplitPolicy {
     /// Donate the alternative nearest the stack bottom (paper default).
     #[default]
@@ -70,7 +68,7 @@ pub enum SplitPolicy {
 }
 
 /// A DFS stack of untried-alternative frames.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchStack<N> {
     /// `frames[k]` = untried alternatives at level `k`; never contains an
     /// empty frame except frame 0 transiently inside method bodies.
@@ -78,7 +76,7 @@ pub struct SearchStack<N> {
     /// Total alternatives across frames (the paper's "nodes on its stack").
     len: usize,
     /// Recycled frame vectors: emptied frames land here instead of being
-    /// freed, and [`SearchStack::push_frame_from`] reuses their capacity.
+    /// freed, and [`SearchStack::push_frame_with`] reuses their capacity.
     /// In steady state a DFS therefore pushes and pops frames without
     /// touching the allocator. Never observable through the public API.
     /// Capped at [`SPARE_POOL_CAP`]: callers that push owned frames (e.g.
@@ -120,11 +118,6 @@ impl<N> SearchStack<N> {
         self.len == 0
     }
 
-    /// Number of (non-empty) frames — the current DFS depth spread.
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The paper's *busy* predicate: the stack can be split into two
     /// non-empty parts iff it holds at least two nodes.
     pub fn can_split(&self) -> bool {
@@ -152,8 +145,9 @@ impl<N> SearchStack<N> {
             }
         };
         self.len -= 1;
-        // Recycle any frames emptied by this pop so depth() stays meaningful
-        // and their capacity feeds future `push_frame_from` calls.
+        // Recycle any frames emptied by this pop: the frame list never holds
+        // an empty frame, and their capacity feeds future `push_frame_with`
+        // calls.
         while self.frames.last().is_some_and(Vec::is_empty) {
             let empty = self.frames.pop().expect("just observed");
             self.recycle(empty);
@@ -170,29 +164,12 @@ impl<N> SearchStack<N> {
         }
     }
 
-    /// Like [`SearchStack::push_frame`], but *moves the contents out of*
-    /// `children`, leaving its capacity with the caller for the next
-    /// expansion, and backing the new frame with a recycled vector from
-    /// this stack's spare pool. The allocation-steady-state entry point for
-    /// the engine hot loop: once warm, neither side allocates.
-    pub fn push_frame_from(&mut self, children: &mut Vec<N>) {
-        if children.is_empty() {
-            return;
-        }
-        self.len += children.len();
-        let mut frame = self.spare.pop().unwrap_or_default();
-        debug_assert!(frame.is_empty(), "spare pool holds only emptied frames");
-        frame.append(children);
-        self.frames.push(frame);
-    }
-
     /// Build the new top frame *in place*: `fill` writes the children into
     /// a frame vector recycled from the spare pool (or a fresh one the
-    /// first time), which then becomes the top frame. Skips the bounce
-    /// through a caller-side child buffer that [`SearchStack::push_frame_from`]
-    /// requires, so the engine's expansion step writes each child exactly
-    /// once. Returns the number of children pushed; an empty fill leaves
-    /// the stack untouched (the frame returns to the pool).
+    /// first time), which then becomes the top frame, so an expansion step
+    /// writes each child exactly once and, once warm, does not allocate.
+    /// Returns the number of children pushed; an empty fill leaves the
+    /// stack untouched (the frame returns to the pool).
     pub fn push_frame_with(&mut self, fill: impl FnOnce(&mut Vec<N>)) -> usize {
         let mut frame = self.spare.pop().unwrap_or_default();
         debug_assert!(frame.is_empty(), "spare pool holds only emptied frames");
@@ -211,7 +188,7 @@ impl<N> SearchStack<N> {
     /// frame structure (its shallowest frame sits immediately above our
     /// current top). DFS will exhaust the merged work before resuming the
     /// work below it — the same place a flattened merge would put it, but
-    /// split policies and `depth()` keep seeing the true level boundaries.
+    /// split policies and `frames()` keep seeing the true level boundaries.
     pub fn merge_from(&mut self, donated: SearchStack<N>) {
         self.len += donated.len;
         for frame in donated.frames {
@@ -299,82 +276,6 @@ impl<N> SearchStack<N> {
         Some(donated)
     }
 
-    /// [`SearchStack::split`] directly into `receiver`: the donated frames
-    /// land on top of the receiver's stack (exactly where
-    /// [`SearchStack::merge_from`] would put them) but are backed by frame
-    /// vectors recycled from the *receiver's* spare pool, and frames the
-    /// donation empties return to the *donor's* pool. A warmed-up transfer
-    /// therefore touches the allocator not at all, where
-    /// `split` + `merge_from` pays two allocations per transfer. Returns
-    /// `false` (both stacks untouched) when `self` is not splittable.
-    pub fn split_into(&mut self, policy: SplitPolicy, receiver: &mut SearchStack<N>) -> bool {
-        if !self.can_split() {
-            return false;
-        }
-        match policy {
-            SplitPolicy::Bottom | SplitPolicy::Top => {
-                let idx = match policy {
-                    SplitPolicy::Bottom => self
-                        .frames
-                        .iter()
-                        .position(|f| !f.is_empty())
-                        .expect("len >= 2 implies a non-empty frame"),
-                    _ => self
-                        .frames
-                        .iter()
-                        .rposition(|f| !f.is_empty())
-                        .expect("len >= 2 implies a non-empty frame"),
-                };
-                let node = self.frames[idx].remove(0);
-                self.len -= 1;
-                if self.frames[idx].is_empty() {
-                    let empty = self.frames.remove(idx);
-                    self.recycle(empty);
-                }
-                let mut frame = receiver.spare.pop().unwrap_or_default();
-                frame.push(node);
-                receiver.frames.push(frame);
-                receiver.len += 1;
-            }
-            SplitPolicy::Half => {
-                let mut moved = 0usize;
-                for frame in &mut self.frames {
-                    let take = frame.len() / 2;
-                    if take == 0 {
-                        continue; // singleton (or empty) frame: nothing moves
-                    }
-                    let mut out = receiver.spare.pop().unwrap_or_default();
-                    out.extend(frame.drain(..take));
-                    moved += take;
-                    receiver.frames.push(out);
-                }
-                if moved == 0 {
-                    // Every frame held exactly one node; fall back to the
-                    // bottom alternative so the receiver gets something.
-                    let idx = self
-                        .frames
-                        .iter()
-                        .position(|f| !f.is_empty())
-                        .expect("len >= 2 implies a non-empty frame");
-                    let node = self.frames[idx].remove(0);
-                    if self.frames[idx].is_empty() {
-                        let empty = self.frames.remove(idx);
-                        self.recycle(empty);
-                    }
-                    let mut frame = receiver.spare.pop().unwrap_or_default();
-                    frame.push(node);
-                    receiver.frames.push(frame);
-                    moved = 1;
-                }
-                self.len -= moved;
-                receiver.len += moved;
-            }
-        }
-        debug_assert!(!self.is_empty(), "split must leave the donor non-empty");
-        debug_assert!(!receiver.is_empty(), "split must feed the receiver");
-        true
-    }
-
     /// Donate up to `k` alternatives from the bottom of the stack,
     /// preserving frame structure, always leaving the donor at least one
     /// node. Used by node-count-equalizing redistribution (the FEGS scheme
@@ -403,16 +304,6 @@ impl<N> SearchStack<N> {
         self.frames.retain(|f| !f.is_empty());
         debug_assert!(!self.is_empty());
         Some(SearchStack { frames: out_frames, len: moved, spare: Vec::new() })
-    }
-
-    /// A sound lower bound on the number of expansion cycles before this
-    /// processor can go idle: each cycle pops exactly one alternative and
-    /// pushes zero or more, so a stack holding `s` nodes survives at least
-    /// `s` cycles. This is the per-PE fact the engine's event-horizon
-    /// computation is built on (`A(t)` cannot drop below any threshold
-    /// sooner than the matching order statistic of stack sizes).
-    pub fn cycles_to_empty_lower_bound(&self) -> u64 {
-        self.len as u64
     }
 
     /// Run this processor's DFS for up to `budget` consecutive expansion
@@ -519,7 +410,7 @@ mod tests {
         let mut s = SearchStack::from_root(1);
         s.push_frame(vec![]);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.frames().len(), 1);
     }
 
     #[test]
@@ -536,7 +427,7 @@ mod tests {
         let mut s = stack_of(vec![vec![10], vec![20, 21]]);
         let d = s.split(SplitPolicy::Bottom).unwrap();
         assert_eq!(d.iter().copied().collect::<Vec<_>>(), vec![10]);
-        assert_eq!(s.depth(), 1, "emptied bottom frame is purged");
+        assert_eq!(s.frames().len(), 1, "emptied bottom frame is purged");
         let d2 = s.split(SplitPolicy::Bottom).unwrap();
         assert_eq!(d2.iter().copied().collect::<Vec<_>>(), vec![20]);
         assert!(!s.can_split());
@@ -606,51 +497,21 @@ mod tests {
     }
 
     #[test]
-    fn push_frame_from_matches_push_frame_semantics() {
-        let mut a = SearchStack::from_root(0);
-        let mut b = SearchStack::from_root(0);
-        a.pop_next();
-        b.pop_next();
-        let mut buf = vec![1, 2, 3];
-        a.push_frame_from(&mut buf);
-        b.push_frame(vec![1, 2, 3]);
-        assert!(buf.is_empty(), "contents moved out, capacity kept");
-        assert!(buf.capacity() >= 3, "caller keeps the buffer's capacity");
-        let (mut xa, mut xb) = (Vec::new(), Vec::new());
-        while let Some(n) = a.pop_next() {
-            xa.push(n);
-        }
-        while let Some(n) = b.pop_next() {
-            xb.push(n);
-        }
-        assert_eq!(xa, xb);
-    }
-
-    #[test]
-    fn push_frame_from_empty_is_noop() {
-        let mut s = SearchStack::from_root(1);
-        let mut buf: Vec<u32> = Vec::new();
-        s.push_frame_from(&mut buf);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.depth(), 1);
-    }
-
-    #[test]
     fn frame_pool_recycles_capacity() {
         let mut s = SearchStack::from_root(0);
         s.pop_next();
-        let mut buf = Vec::with_capacity(8);
-        buf.extend([1u32, 2, 3]);
-        s.push_frame_from(&mut buf);
-        // Drain the frame: its (capacity >= 3) vector moves to the pool.
+        s.push_frame_with(|f| {
+            f.reserve(8);
+            f.extend([1u32, 2, 3]);
+        });
+        // Drain the frame: its (capacity >= 8) vector moves to the pool.
         while s.pop_next().is_some() {}
         assert!(s.is_empty());
-        buf.extend([4, 5]);
-        s.push_frame_from(&mut buf);
+        s.push_frame_with(|f| f.extend([4, 5]));
         // The recycled frame already had room for 2 nodes, so the stack
         // performed no allocation; observable via its existing capacity.
         assert_eq!(s.len(), 2);
-        assert!(s.frames[0].capacity() >= 2);
+        assert!(s.frames[0].capacity() >= 8);
         assert_eq!(s.pop_next(), Some(5));
         assert_eq!(s.pop_next(), Some(4));
     }
@@ -661,7 +522,7 @@ mod tests {
         let donated = stack_of(vec![vec![10], vec![20, 21]]);
         receiver.merge_from(donated);
         assert_eq!(receiver.len(), 5);
-        assert_eq!(receiver.depth(), 3, "donated frames stay distinct");
+        assert_eq!(receiver.frames().len(), 3, "donated frames stay distinct");
         assert_eq!(receiver.iter().copied().collect::<Vec<_>>(), vec![1, 2, 10, 20, 21]);
         // DFS exhausts the merged work first, deepest donated frame first.
         assert_eq!(receiver.pop_next(), Some(21));
@@ -675,13 +536,13 @@ mod tests {
         let mut receiver: SearchStack<u32> = SearchStack::new();
         receiver.merge_from(stack_of(vec![vec![7, 8], vec![9]]));
         assert_eq!(receiver.len(), 3);
-        assert_eq!(receiver.depth(), 2);
+        assert_eq!(receiver.frames().len(), 2);
     }
 
     #[test]
     fn spare_pool_stays_capped_under_owned_frame_churn() {
         // A walker that pushes owned frames (`push_frame`, never the
-        // recycling `push_frame_from`) retires one vector per expansion;
+        // recycling `push_frame_with`) retires one vector per expansion;
         // the pool must cap out instead of growing O(walk length).
         let mut s: SearchStack<u32> = SearchStack::new();
         for round in 0..10 * SPARE_POOL_CAP as u32 {
@@ -701,7 +562,7 @@ mod tests {
         assert_eq!(n, 3);
         b.push_frame(vec![1, 2, 3]);
         assert_eq!(a.iter().copied().collect::<Vec<_>>(), b.iter().copied().collect::<Vec<_>>());
-        assert_eq!(a.depth(), b.depth());
+        assert_eq!(a.frames().len(), b.frames().len());
     }
 
     #[test]
@@ -710,62 +571,9 @@ mod tests {
         let n = s.push_frame_with(|_| {});
         assert_eq!(n, 0);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.frames().len(), 1);
         // The untouched frame went back to the pool, not to the allocator.
         assert_eq!(s.spare.len(), 1);
-    }
-
-    #[test]
-    fn split_into_matches_split_plus_merge_for_all_policies() {
-        // Same donor shape through both paths must leave identical donor and
-        // receiver contents (including frame boundaries), for receivers both
-        // empty and already holding work.
-        let shapes: [Vec<Vec<u32>>; 4] = [
-            vec![vec![10, 11], vec![20], vec![30, 31]],
-            vec![vec![1], vec![2], vec![3]],
-            vec![vec![1, 2, 3, 4], vec![5, 6, 7]],
-            vec![vec![10], vec![20, 21]],
-        ];
-        for policy in [SplitPolicy::Bottom, SplitPolicy::Half, SplitPolicy::Top] {
-            for shape in &shapes {
-                for receiver_shape in [vec![], vec![vec![90u32, 91]]] {
-                    let mut donor_a = stack_of(shape.clone());
-                    let mut recv_a = stack_of(receiver_shape.clone());
-                    let mut donor_b = stack_of(shape.clone());
-                    let mut recv_b = stack_of(receiver_shape.clone());
-
-                    let donated = donor_a.split(policy).unwrap();
-                    recv_a.merge_from(donated);
-                    assert!(donor_b.split_into(policy, &mut recv_b), "{policy:?}");
-
-                    let frames = |s: &SearchStack<u32>| s.frames.clone();
-                    assert_eq!(frames(&donor_a), frames(&donor_b), "{policy:?} donor");
-                    assert_eq!(frames(&recv_a), frames(&recv_b), "{policy:?} receiver");
-                    assert_eq!(donor_a.len(), donor_b.len());
-                    assert_eq!(recv_a.len(), recv_b.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_into_unsplittable_is_noop() {
-        let mut donor = SearchStack::from_root(5);
-        let mut recv: SearchStack<u32> = SearchStack::new();
-        assert!(!donor.split_into(SplitPolicy::Bottom, &mut recv));
-        assert_eq!(donor.len(), 1);
-        assert!(recv.is_empty());
-    }
-
-    #[test]
-    fn split_into_recycles_receiver_spare_frames() {
-        let mut donor = stack_of(vec![vec![1, 2, 3]]);
-        let mut recv = SearchStack::from_root(9);
-        recv.pop_next(); // root's frame lands in recv's spare pool
-        assert_eq!(recv.spare.len(), 1);
-        assert!(donor.split_into(SplitPolicy::Bottom, &mut recv));
-        assert_eq!(recv.spare.len(), 0, "the pooled frame backs the donation");
-        assert_eq!(recv.iter().copied().collect::<Vec<_>>(), vec![1]);
     }
 
     /// Tiny deterministic problem for burst tests: node `n > 0` has two
@@ -841,13 +649,6 @@ mod tests {
         }
         assert_eq!(fwd, rev);
         assert_eq!(fwd, Burst { expanded: 24, goals: 4, peak: 11 });
-    }
-
-    #[test]
-    fn cycles_to_empty_bound_is_the_node_count() {
-        let s = stack_of(vec![vec![1, 2], vec![3]]);
-        assert_eq!(s.cycles_to_empty_lower_bound(), 3);
-        assert_eq!(SearchStack::<u32>::new().cycles_to_empty_lower_bound(), 0);
     }
 
     #[test]

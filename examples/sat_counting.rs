@@ -1,14 +1,13 @@
 //! Model-count random 3-SAT formulas on every machine this workspace
-//! provides: serial DPLL, the simulated 1992 SIMD machine, the simulated
-//! MIMD work-stealer, and real host threads. All four must (and do) agree
-//! on every count — the anomaly-free property end to end.
+//! provides: serial DPLL, the simulated 1992 SIMD machine and the simulated
+//! MIMD work-stealer. All three must (and do) agree on every count — the
+//! anomaly-free property end to end.
 //!
 //! ```text
 //! cargo run --release --example sat_counting [vars] [clauses]
 //! ```
 
 use simd_tree_search::mimd::{run_mimd, MimdConfig, StealPolicy};
-use simd_tree_search::par::deque_dfs;
 use simd_tree_search::prelude::*;
 use simd_tree_search::problems::{random_3sat, Dpll};
 
@@ -28,21 +27,18 @@ fn main() {
         let simd = run(&dpll, &EngineConfig::new(256, Scheme::gp_dk(), CostModel::cm2()));
         let mimd =
             run_mimd(&dpll, &MimdConfig::new(256, StealPolicy::RandomPolling, CostModel::cm2()));
-        let host = deque_dfs(&dpll, 4);
 
         assert_eq!(simd.goals, serial.goals);
         assert_eq!(mimd.goals, serial.goals);
-        assert_eq!(host.goals, serial.goals);
         println!(
             "seed {seed}: {:7} models over {:8} DPLL nodes | SIMD E={:.2} ({} balances) | \
-             MIMD E={:.2} ({} steals) | host pool: {} steals",
+             MIMD E={:.2} ({} steals)",
             serial.goals,
             serial.expanded,
             simd.report.efficiency,
             simd.report.n_lb,
             mimd.efficiency,
             mimd.transfers,
-            host.steals,
         );
     }
     println!("\nall machines agree on every model count.");

@@ -50,11 +50,10 @@
 //! | [`puzzle15`] | the 15-puzzle domain and benchmark instances (`uts-puzzle15`) |
 //! | [`synth`] | seeded synthetic unstructured trees (`uts-synth`) |
 //! | [`synthgen`] | hash-chained on-the-fly UTS generator trees (`uts-synthgen`) |
-//! | [`scan`] | Blelloch scans and rendezvous matching (`uts-scan`) |
+//! | [`scan`] | rendezvous matching: the packed form the engines call and its flag-vector oracle (`uts-scan`) |
 //! | [`mimd`] | asynchronous work-stealing baseline (`uts-mimd`) |
 //! | [`analysis`] | isoefficiency analysis, eq. 18, contour fits (`uts-analysis`) |
 //! | [`problems`] | N-queens, DPLL SAT, knapsack DFBB domains (`uts-problems`) |
-//! | [`par`] | real multicore work-stealing DFS executor (`uts-par`) |
 //! | [`viz`] | dependency-free SVG chart rendering (`uts-viz`) |
 //! | [`net`] | hypercube/mesh routing simulation validating the t_lb models (`uts-net`) |
 //! | [`ckpt`] | versioned snapshot format, checkpoint policies, fault injection (`uts-ckpt`) |
@@ -66,7 +65,6 @@ pub use uts_core as core;
 pub use uts_machine as machine;
 pub use uts_mimd as mimd;
 pub use uts_net as net;
-pub use uts_par as par;
 pub use uts_problems as problems;
 pub use uts_puzzle15 as puzzle15;
 pub use uts_scan as scan;
@@ -97,8 +95,8 @@ pub mod prelude {
     pub use uts_synthgen::{find_gen_tree, GenFamily, GenNode, GenTree};
 
     pub use crate::{
-        analysis, ckpt, core, machine, mimd, net, par, problems, puzzle15, scan, serve, synth,
-        synthgen, tree,
+        analysis, ckpt, core, machine, mimd, net, problems, puzzle15, scan, serve, synth, synthgen,
+        tree,
     };
 }
 

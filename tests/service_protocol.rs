@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use simd_tree_search::ckpt::spill;
 use simd_tree_search::prelude::PreemptSignal;
-use simd_tree_search::serve::{client, JobServer, JobSpec, ServeConfig};
+use simd_tree_search::serve::{client, outcome_digest, JobServer, JobSpec, ServeConfig};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("uts-service-proto-{tag}-{}", std::process::id()));
@@ -69,6 +69,46 @@ fn malformed_json_and_bad_specs_are_proto_rejections() {
     assert_rejection(status, &body, 400, "proto");
     let (status, body) = client::raw(addr, "GET /jobs SPDY/9\r\n\r\n");
     assert_rejection(status, &body, 400, "proto");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_p_and_threads_are_refused_before_anything_is_durable() {
+    // A spec is made durable before it runs, and the run's first act is
+    // several p-sized allocations (resp. `threads` OS threads) in a runner
+    // thread: an absurd size must be refused at the door, or it takes the
+    // server down on this start and, via recovery, on every later one.
+    let (server, dir) = start("oversized-spec");
+    let addr = server.addr();
+    for bad in [
+        r#"{"workload":{"kind":"synth"},"p":1099511627776}"#,
+        r#"{"workload":{"kind":"synth"},"engine":"par","threads":1000000}"#,
+    ] {
+        let (status, body) = client::post(addr, "/submit", bad);
+        assert_rejection(status, &body, 400, "proto");
+    }
+    let spilled = std::fs::read_dir(&dir).expect("the server created its spill dir").count();
+    assert_eq!(spilled, 0, "a rejected spec leaves nothing to recover");
+    let (status, body) = client::get(addr, "/jobs");
+    assert_eq!(status, 200, "{body}");
+
+    // The server is unharmed: an ordinary job still runs to the oracle's result.
+    let ok = r#"{"workload":{"kind":"synth","seed":5,"b_max":8,"depth_limit":5},"p":64}"#;
+    let (status, body) = client::post(addr, "/submit", ok);
+    assert_eq!(status, 200, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let doc = loop {
+        let (status, doc) = client::get(addr, "/result/1");
+        if status == 200 {
+            break doc;
+        }
+        assert_eq!(status, 409, "unexpected: {doc}");
+        assert!(Instant::now() < deadline, "ordinary job never finished");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let want = outcome_digest(&JobSpec::parse(ok).unwrap().oracle());
+    assert!(doc.contains(&format!("{want:#018x}")), "oracle {want:#018x} not in: {doc}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
