@@ -37,11 +37,10 @@ use uts_net::{route, Message, RouteStats};
 use uts_puzzle15::PuzzleState;
 use uts_scan::Pair;
 use uts_synthgen::GenNode;
-use uts_tree::{CkptNode, CodecError, SplitPolicy};
+use uts_tree::{CkptNode, CodecError, SearchStack, SplitPolicy};
 
 use crate::proto::{
-    self, encode_burst, encode_count_extract, encode_count_local, encode_install,
-    encode_split_extract, encode_split_pairs, tag, BurstReply, Hello, ShardWorkload,
+    self, encode_burst, put_install, tag, BurstReply, Give, Hello, ShardWorkload, Transfer,
 };
 use crate::worker::WORKER_ENV;
 
@@ -222,8 +221,6 @@ pub fn shard_range(p: usize, shards: usize, s: usize) -> (usize, usize) {
 
 struct Worker {
     shard: usize,
-    lo: usize,
-    hi: usize,
     child: Child,
     writer: FrameWriter<BufWriter<ChildStdin>>,
     reader: FrameReader<BufReader<ChildStdout>>,
@@ -248,10 +245,6 @@ impl Worker {
         }
         Ok(())
     }
-
-    fn reply_err(&self, source: CodecError) -> ShardError {
-        ShardError::Reply { shard: self.shard, source }
-    }
 }
 
 impl Drop for Worker {
@@ -263,16 +256,57 @@ impl Drop for Worker {
     }
 }
 
+/// One sub-phase of the protocol across the fleet, and the only place a
+/// frame is sent or a reply read: send a `t` request to every worker
+/// `frame` has a payload for, *then* read each one's reply into `buf` and
+/// hand it to `on_reply` (whose decode failure is that shard's
+/// [`ShardError::Reply`]).
+///
+/// All sends before any read, and so at most one outstanding request per
+/// worker, is what makes the pipes deadlock-free at any frame size: a
+/// worker waiting in its request loop drains a frame as it arrives, so a
+/// send can never block on a worker that is itself blocked writing a
+/// reply. (Sending a second batch while the first reply was still unread
+/// froze the machine at P ~ 1M, where both outgrow the pipe buffer —
+/// DESIGN.md §13.)
+fn exchange<'a>(
+    workers: &mut [Worker],
+    t: u8,
+    frame: impl Fn(usize) -> Option<&'a [u8]>,
+    buf: &mut Vec<u8>,
+    mut on_reply: impl FnMut(usize, &[u8]) -> Result<(), CodecError>,
+) -> Result<(), ShardError> {
+    for w in workers.iter_mut() {
+        if let Some(payload) = frame(w.shard) {
+            w.send(t, payload)?;
+        }
+    }
+    for w in workers.iter_mut() {
+        if frame(w.shard).is_some() {
+            w.recv(t, buf)?;
+            on_reply(w.shard, buf)
+                .map_err(|source| ShardError::Reply { shard: w.shard, source })?;
+        }
+    }
+    Ok(())
+}
+
+/// A request with no payload (`ENCODE`, `SHUTDOWN`) for every worker.
+fn empty_frame<'a>(_shard: usize) -> Option<&'a [u8]> {
+    Some(&[])
+}
+
+/// Spawn one worker per range of `bounds` and greet it.
 fn spawn_workers(
-    cfg: &EngineConfig,
+    bounds: &[usize],
     opts: &ShardOpts,
     workload: &ShardWorkload,
     seed_root: bool,
 ) -> Result<Vec<Worker>, ShardError> {
     let exe = std::env::current_exe().map_err(ShardError::Spawn)?;
     let mut workers = Vec::with_capacity(opts.shards);
-    for s in 0..opts.shards {
-        let (lo, hi) = shard_range(cfg.p, opts.shards, s);
+    let mut hellos = Vec::with_capacity(opts.shards);
+    for shard in 0..opts.shards {
         let mut child = Command::new(&exe)
             .env(WORKER_ENV, "1")
             .stdin(Stdio::piped())
@@ -283,34 +317,23 @@ fn spawn_workers(
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
         workers.push(Worker {
-            shard: s,
-            lo,
-            hi,
+            shard,
             child,
             writer: FrameWriter::new(BufWriter::new(stdin)),
             reader: FrameReader::new(BufReader::new(stdout)),
         });
-    }
-    let mut payload = Vec::new();
-    for w in &mut workers {
         let hello = Hello {
-            shard: w.shard as u32,
-            shards: opts.shards as u32,
-            lo: w.lo as u64,
-            hi: w.hi as u64,
-            split: cfg.split,
+            lo: bounds[shard] as u64,
+            hi: bounds[shard + 1] as u64,
             seed_root,
-            kill_at_burst: opts.kill.filter(|k| k.shard == w.shard).map(|k| k.at_burst),
+            kill_at_burst: opts.kill.filter(|k| k.shard == shard).map(|k| k.at_burst),
             workload: *workload,
         };
-        payload.clear();
+        let mut payload = Vec::new();
         hello.encode(&mut payload);
-        w.send(tag::HELLO, &payload)?;
+        hellos.push(payload);
     }
-    let mut buf = Vec::new();
-    for w in &mut workers {
-        w.recv(tag::HELLO, &mut buf)?;
-    }
+    exchange(&mut workers, tag::HELLO, |s| Some(&hellos[s]), &mut Vec::new(), |_, _| Ok(()))?;
     Ok(workers)
 }
 
@@ -338,19 +361,70 @@ impl RouterKind {
     }
 }
 
+/// One worker's staged request for one sub-phase of a transfer round: the
+/// frame being assembled, and which of the round's requests each of its
+/// entries stands for (replies answer entries in order).
+#[derive(Clone, Default)]
+struct Lane {
+    slots: Vec<usize>,
+    payload: Vec<u8>,
+}
+
+impl Lane {
+    /// Start a new request with no entries (a header, if the request has
+    /// one, goes on `payload` next).
+    fn begin(&mut self) {
+        self.slots.clear();
+        proto::begin_request(&mut self.payload);
+    }
+
+    /// Claim the next entry for request `idx`; the caller appends its wire
+    /// form to the returned payload.
+    fn push(&mut self, idx: usize) -> &mut Vec<u8> {
+        self.slots.push(idx);
+        proto::set_count(&mut self.payload, self.slots.len());
+        &mut self.payload
+    }
+
+    /// The frame to send: none when no entry was staged.
+    fn frame(&self) -> Option<&[u8]> {
+        (!self.slots.is_empty()).then_some(&self.payload)
+    }
+
+    /// Pair a reply's entries with the requests they answer.
+    fn answered<'a, T: 'a>(
+        &'a self,
+        entries: Vec<T>,
+    ) -> Result<impl Iterator<Item = (usize, T)> + 'a, CodecError> {
+        if entries.len() != self.slots.len() {
+            return Err(CodecError::Malformed("reply does not answer every entry of its request"));
+        }
+        Ok(self.slots.iter().copied().zip(entries))
+    }
+}
+
+/// The shard owning global PE `pe` (`bounds[s]..bounds[s + 1]` is shard
+/// `s`'s range), and `pe`'s index within it.
+fn locate(bounds: &[usize], pe: usize) -> (usize, u32) {
+    let shard = bounds.partition_point(|&lo| lo <= pe) - 1;
+    (shard, (pe - bounds[shard]) as u32)
+}
+
 /// The remote [`BurstBackend`]: the stacks live in the worker fleet, the
 /// coordinator keeps a dense length mirror updated from the authoritative
 /// lengths every reply carries. As the [`StackStore`] it additionally
 /// routes every round's transfers through the simulated interconnect.
 ///
 /// `StackStore`'s methods cannot return errors, so the first transport
-/// failure is latched into `err` and every later batch is a no-op
+/// failure is latched into `err` and every later round is a no-op
 /// (reporting "nothing transferred", which the balancing phase handles
 /// gracefully); [`BurstBackend::end_step`] surfaces the latch when the
 /// phase returns.
 struct RemoteBackend<N> {
     lens: Vec<u32>,
     workers: Vec<Worker>,
+    /// Shard `s` owns global PEs `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<usize>,
     router: RouterKind,
     cost: CostModel,
     park: Option<ParkPolicy>,
@@ -360,6 +434,12 @@ struct RemoteBackend<N> {
     messages: u64,
     route_stats: RouteStats,
     err: Option<ShardError>,
+    /// The current round's staged `MOVE` / `EXTRACT` / `INSTALL` requests,
+    /// one lane per shard, and the nodes each of its requests moved.
+    moves: Vec<Lane>,
+    extracts: Vec<Lane>,
+    installs: Vec<Lane>,
+    moved: Vec<usize>,
     msgs: Vec<Message>,
     payload: Vec<u8>,
     buf: Vec<u8>,
@@ -369,12 +449,31 @@ struct RemoteBackend<N> {
     node: std::marker::PhantomData<N>,
 }
 
-impl<N> RemoteBackend<N> {
-    /// Which shard owns global PE `pe`.
-    fn shard_of(&self, pe: usize) -> usize {
-        self.workers.partition_point(|w| w.hi <= pe)
+impl<N: CkptNode> RemoteBackend<N> {
+    /// Ship a resumed ensemble to the fresh workers that own it: one
+    /// `INSTALL` of every non-empty stack, whose returned lengths must be
+    /// the snapshot's (already in the mirror).
+    fn load(&mut self, stacks: &[SearchStack<N>]) -> Result<(), ShardError> {
+        let Self { lens, workers, bounds, installs, buf, payload: encoded, .. } = self;
+        installs.iter_mut().for_each(Lane::begin);
+        for (pe, stack) in stacks.iter().enumerate().filter(|(_, stack)| !stack.is_empty()) {
+            let (shard, local) = locate(bounds, pe);
+            encoded.clear();
+            stack.encode_node(encoded);
+            put_install(installs[shard].push(pe), local, encoded);
+        }
+        let staged = |s: usize| installs[s].frame();
+        exchange(workers, tag::INSTALL, staged, buf, |s, reply| {
+            let mut loaded = installs[s].answered(proto::decode_install_reply(reply)?)?;
+            if loaded.any(|(pe, len)| len != lens[pe]) {
+                return Err(CodecError::Malformed("installed length differs from the snapshot's"));
+            }
+            Ok(())
+        })
     }
+}
 
+impl<N> RemoteBackend<N> {
     fn route_round(&mut self) {
         if self.msgs.is_empty() {
             return;
@@ -385,15 +484,79 @@ impl<N> RemoteBackend<N> {
         self.msgs.clear();
     }
 
-    /// Run one round's remote exchange; on failure latch the error.
-    fn try_round(&mut self, f: impl FnOnce(&mut Self) -> Result<(), ShardError>) {
-        if self.err.is_some() {
-            return;
+    /// One balancing round over the wire: every donor gives `give` to its
+    /// receiver, and `self.moved[k]` is left holding the nodes request `k`
+    /// moved. `req` reads a request of either [`StackStore`] batch shape.
+    /// The first failure is latched and turns later rounds into no-ops.
+    fn transfer_round<T>(&mut self, give: Give, reqs: &[T], req: impl Fn(&T) -> CountedMove) {
+        self.moved.clear();
+        self.moved.resize(reqs.len(), 0);
+        if self.err.is_none() {
+            self.rounds += 1;
+            self.err = self.try_transfer_round(give, reqs, req).err();
         }
-        self.rounds += 1;
-        if let Err(e) = f(self) {
-            self.err = Some(e);
+    }
+
+    /// Partition the round by donor shard, then three sub-phases, each one
+    /// [`exchange`]: `MOVE` applies same-shard transfers where they live;
+    /// `EXTRACT` takes the donation out of every donor whose receiver is
+    /// elsewhere; `INSTALL` lands those stacks — relayed as the bytes the
+    /// donor encoded — on their receivers. Then the round's successful
+    /// transfers are routed through the interconnect, in request order.
+    fn try_transfer_round<T>(
+        &mut self,
+        give: Give,
+        reqs: &[T],
+        req: impl Fn(&T) -> CountedMove,
+    ) -> Result<(), ShardError> {
+        let Self { lens, workers, bounds, moves, extracts, installs, moved, buf, .. } = self;
+        for lane in moves.iter_mut().chain(extracts.iter_mut()) {
+            lane.begin();
+            give.put(&mut lane.payload);
         }
+        installs.iter_mut().for_each(Lane::begin);
+        for (idx, r) in reqs.iter().map(&req).enumerate() {
+            let ((ds, donor), (rs, receiver)) =
+                (locate(bounds, r.donor), locate(bounds, r.receiver));
+            let (lane, receiver) =
+                if ds == rs { (&mut moves[ds], Some(receiver)) } else { (&mut extracts[ds], None) };
+            Transfer { donor, receiver, max_nodes: r.max_nodes }.put(give, lane.push(idx));
+        }
+        let staged = |s: usize| moves[s].frame();
+        exchange(workers, tag::MOVE, staged, buf, |s, reply| {
+            for (idx, e) in moves[s].answered(proto::decode_move_reply(reply)?)? {
+                let r = req(&reqs[idx]);
+                moved[idx] = e.moved as usize;
+                lens[r.donor] = e.donor_len;
+                lens[r.receiver] = e.receiver_len;
+            }
+            Ok(())
+        })?;
+        let staged = |s: usize| extracts[s].frame();
+        exchange(workers, tag::EXTRACT, staged, buf, |s, reply| {
+            for (idx, e) in extracts[s].answered(proto::decode_extract_reply(reply)?)? {
+                let r = req(&reqs[idx]);
+                moved[idx] = e.moved as usize;
+                lens[r.donor] = e.donor_len;
+                if e.moved > 0 {
+                    let (rs, receiver) = locate(bounds, r.receiver);
+                    put_install(installs[rs].push(idx), receiver, e.stack);
+                }
+            }
+            Ok(())
+        })?;
+        let staged = |s: usize| installs[s].frame();
+        exchange(workers, tag::INSTALL, staged, buf, |s, reply| {
+            for (idx, len) in installs[s].answered(proto::decode_install_reply(reply)?)? {
+                lens[req(&reqs[idx]).receiver] = len;
+            }
+            Ok(())
+        })?;
+        let sent = reqs.iter().zip(&self.moved).filter(|(_, &moved)| moved > 0);
+        self.msgs
+            .extend(sent.map(|(r, _)| req(r)).map(|r| Message { src: r.donor, dst: r.receiver }));
+        self.route_round();
+        Ok(())
     }
 }
 
@@ -418,22 +581,22 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
         out: &mut MergedBurst,
     ) -> Result<usize, ShardError> {
         out.reset(0);
-        self.payload.clear();
-        encode_burst(&mut self.payload, h);
-        for w in &mut self.workers {
-            w.send(tag::BURST, &self.payload)?;
-        }
-        for w in &mut self.workers {
-            w.recv(tag::BURST, &mut self.buf)?;
-            let reply = BurstReply::decode(&self.buf).map_err(|e| w.reply_err(e))?;
+        let Self { lens, workers, bounds, payload, buf, .. } = self;
+        payload.clear();
+        encode_burst(payload, h);
+        let broadcast = |_| Some(&payload[..]);
+        exchange(workers, tag::BURST, broadcast, buf, |s, reply| {
+            let (lo, hi) = (bounds[s], bounds[s + 1]);
+            let reply = BurstReply::decode(reply, hi - lo)?;
             out.started += reply.started as usize;
             out.goals += reply.goals;
             out.peak_stack_nodes = out.peak_stack_nodes.max(reply.peak as usize);
             out.deaths.extend_from_slice(&reply.deaths);
             for (pe, len) in reply.changed {
-                self.lens[w.lo + pe as usize] = len;
+                lens[lo + pe as usize] = len;
             }
-        }
+            Ok(())
+        })?;
         debug_assert_eq!(out.started, active.len(), "every active PE runs the burst");
         Ok(recount_active(active, &self.lens))
     }
@@ -441,14 +604,12 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
     /// Collect every shard's stack encodings (in PE order — byte-identical
     /// to the in-process capture).
     fn stack_source(&mut self) -> Result<StackSource<'_, N>, ShardError> {
-        for w in &mut self.workers {
-            w.send(tag::ENCODE, &[])?;
-        }
-        self.stack_bytes.clear();
-        for w in &mut self.workers {
-            w.recv(tag::ENCODE, &mut self.buf)?;
-            self.stack_bytes.extend_from_slice(&self.buf);
-        }
+        let Self { workers, buf, stack_bytes, .. } = self;
+        stack_bytes.clear();
+        exchange(workers, tag::ENCODE, empty_frame, buf, |_, reply| {
+            stack_bytes.extend_from_slice(reply);
+            Ok(())
+        })?;
         Ok(StackSource::Encoded { p: self.lens.len(), bytes: &self.stack_bytes })
     }
 
@@ -486,10 +647,6 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
     }
 }
 
-/// Per-shard batches for one balancing round: `batch[s]` holds this
-/// round's (round index, request) entries owned by shard `s`.
-type Batched<T> = Vec<Vec<(usize, T)>>;
-
 impl<N> StackStore for RemoteBackend<N> {
     fn p(&self) -> usize {
         self.lens.len()
@@ -500,265 +657,18 @@ impl<N> StackStore for RemoteBackend<N> {
     }
 
     fn split_pairs(&mut self, pairs: &[Pair], policy: SplitPolicy, ok: &mut Vec<bool>) {
-        ok.clear();
-        ok.resize(pairs.len(), false);
-        self.try_round(|store| {
-            let nshards = store.workers.len();
-            // Partition the round by donor shard: same-shard pairs apply
-            // locally, cross-shard donors extract and ship to the receiver.
-            let mut local: Batched<(u32, u32)> = vec![Vec::new(); nshards];
-            let mut extract: Batched<u32> = vec![Vec::new(); nshards];
-            for (idx, pair) in pairs.iter().enumerate() {
-                let ds = store.shard_of(pair.donor);
-                let rs = store.shard_of(pair.receiver);
-                let d_local = (pair.donor - store.workers[ds].lo) as u32;
-                if ds == rs {
-                    let r_local = (pair.receiver - store.workers[rs].lo) as u32;
-                    local[ds].push((idx, (d_local, r_local)));
-                } else {
-                    extract[ds].push((idx, d_local));
-                }
-            }
-            // Each sub-phase below keeps at most ONE outstanding request
-            // per worker: a worker waiting in its request loop drains the
-            // frame as it arrives, so the coordinator's sends can never
-            // block on a worker that is itself blocked writing a reply.
-            // (Sending the extract batch while the pairs reply was still
-            // unread deadlocked at P ~ 1M, where both sides of that
-            // exchange outgrow the pipe buffer.)
-            let mut scratch_pairs: Vec<(u32, u32)> = Vec::new();
-            let mut scratch_donors: Vec<u32> = Vec::new();
-            for (s, batch) in local.iter().enumerate() {
-                if !batch.is_empty() {
-                    scratch_pairs.clear();
-                    scratch_pairs.extend(batch.iter().map(|&(_, lp)| lp));
-                    store.payload.clear();
-                    encode_split_pairs(&mut store.payload, policy, &scratch_pairs);
-                    let payload = std::mem::take(&mut store.payload);
-                    store.workers[s].send(tag::SPLIT_PAIRS, &payload)?;
-                    store.payload = payload;
-                }
-            }
-            for (s, batch) in local.iter().enumerate() {
-                if !batch.is_empty() {
-                    let mut buf = std::mem::take(&mut store.buf);
-                    store.workers[s].recv(tag::SPLIT_PAIRS, &mut buf)?;
-                    let entries = proto::decode_local_split_reply(&buf)
-                        .map_err(|e| store.workers[s].reply_err(e))?;
-                    store.buf = buf;
-                    if entries.len() != batch.len() {
-                        return Err(store.workers[s]
-                            .reply_err(CodecError::Malformed("split reply count mismatch")));
-                    }
-                    for (&(idx, _), e) in batch.iter().zip(&entries) {
-                        ok[idx] = e.moved > 0;
-                        store.lens[pairs[idx].donor] = e.donor_len;
-                        store.lens[pairs[idx].receiver] = e.receiver_len;
-                    }
-                }
-            }
-            for (s, batch) in extract.iter().enumerate() {
-                if !batch.is_empty() {
-                    scratch_donors.clear();
-                    scratch_donors.extend(batch.iter().map(|&(_, d)| d));
-                    store.payload.clear();
-                    encode_split_extract(&mut store.payload, policy, &scratch_donors);
-                    let payload = std::mem::take(&mut store.payload);
-                    store.workers[s].send(tag::SPLIT_EXTRACT, &payload)?;
-                    store.payload = payload;
-                }
-            }
-            // (receiver shard) -> entries awaiting install, with the pair
-            // index so `ok` can be confirmed from the receiver's reply.
-            let mut installs: Vec<Vec<(usize, u32, Vec<u8>)>> = vec![Vec::new(); nshards];
-            for (s, batch) in extract.iter().enumerate() {
-                if !batch.is_empty() {
-                    let mut buf = std::mem::take(&mut store.buf);
-                    store.workers[s].recv(tag::SPLIT_EXTRACT, &mut buf)?;
-                    let entries = proto::decode_extract_reply(&buf)
-                        .map_err(|e| store.workers[s].reply_err(e))?;
-                    store.buf = buf;
-                    if entries.len() != batch.len() {
-                        return Err(store.workers[s]
-                            .reply_err(CodecError::Malformed("extract reply count mismatch")));
-                    }
-                    for (&(idx, _), e) in batch.iter().zip(entries) {
-                        store.lens[pairs[idx].donor] = e.donor_len;
-                        if e.moved > 0 {
-                            let receiver = pairs[idx].receiver;
-                            let rs = store.shard_of(receiver);
-                            let r_local = (receiver - store.workers[rs].lo) as u32;
-                            installs[rs].push((idx, r_local, e.stack));
-                        }
-                    }
-                }
-            }
-            // Ship donated stacks to their receiver shards.
-            for (s, batch) in installs.iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let entries: Vec<(u32, &[u8])> =
-                    batch.iter().map(|(_, r, st)| (*r, st.as_slice())).collect();
-                store.payload.clear();
-                encode_install(&mut store.payload, &entries);
-                let payload = std::mem::take(&mut store.payload);
-                store.workers[s].send(tag::INSTALL, &payload)?;
-                store.payload = payload;
-            }
-            for (s, batch) in installs.iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut buf = std::mem::take(&mut store.buf);
-                store.workers[s].recv(tag::INSTALL, &mut buf)?;
-                let lens_back =
-                    proto::decode_install_reply(&buf).map_err(|e| store.workers[s].reply_err(e))?;
-                store.buf = buf;
-                if lens_back.len() != batch.len() {
-                    return Err(store.workers[s]
-                        .reply_err(CodecError::Malformed("install reply count mismatch")));
-                }
-                for (&(idx, _, _), &len) in batch.iter().zip(&lens_back) {
-                    ok[idx] = true;
-                    store.lens[pairs[idx].receiver] = len;
-                }
-            }
-            // Route the round's transfers through the interconnect.
-            for (idx, pair) in pairs.iter().enumerate() {
-                if ok[idx] {
-                    store.msgs.push(Message { src: pair.donor, dst: pair.receiver });
-                }
-            }
-            store.route_round();
-            Ok(())
+        self.transfer_round(Give::Split(policy), pairs, |pair| CountedMove {
+            donor: pair.donor,
+            receiver: pair.receiver,
+            max_nodes: 0,
         });
+        ok.clear();
+        ok.extend(self.moved.iter().map(|&moved| moved > 0));
     }
 
     fn split_counts(&mut self, reqs: &[CountedMove], moved: &mut Vec<usize>) {
-        moved.clear();
-        moved.resize(reqs.len(), 0);
-        self.try_round(|store| {
-            let nshards = store.workers.len();
-            let mut local: Batched<(u32, u32, u64)> = vec![Vec::new(); nshards];
-            let mut extract: Batched<(u32, u64)> = vec![Vec::new(); nshards];
-            for (idx, req) in reqs.iter().enumerate() {
-                let ds = store.shard_of(req.donor);
-                let rs = store.shard_of(req.receiver);
-                let d_local = (req.donor - store.workers[ds].lo) as u32;
-                if ds == rs {
-                    let r_local = (req.receiver - store.workers[rs].lo) as u32;
-                    local[ds].push((idx, (d_local, r_local, req.max_nodes as u64)));
-                } else {
-                    extract[ds].push((idx, (d_local, req.max_nodes as u64)));
-                }
-            }
-            // One outstanding request per worker per sub-phase — see the
-            // deadlock note in `split_pairs`.
-            let mut scratch_local: Vec<(u32, u32, u64)> = Vec::new();
-            let mut scratch_extract: Vec<(u32, u64)> = Vec::new();
-            for (s, batch) in local.iter().enumerate() {
-                if !batch.is_empty() {
-                    scratch_local.clear();
-                    scratch_local.extend(batch.iter().map(|&(_, r)| r));
-                    store.payload.clear();
-                    encode_count_local(&mut store.payload, &scratch_local);
-                    let payload = std::mem::take(&mut store.payload);
-                    store.workers[s].send(tag::COUNT_LOCAL, &payload)?;
-                    store.payload = payload;
-                }
-            }
-            for (s, batch) in local.iter().enumerate() {
-                if !batch.is_empty() {
-                    let mut buf = std::mem::take(&mut store.buf);
-                    store.workers[s].recv(tag::COUNT_LOCAL, &mut buf)?;
-                    let entries = proto::decode_local_split_reply(&buf)
-                        .map_err(|e| store.workers[s].reply_err(e))?;
-                    store.buf = buf;
-                    if entries.len() != batch.len() {
-                        return Err(store.workers[s]
-                            .reply_err(CodecError::Malformed("count reply count mismatch")));
-                    }
-                    for (&(idx, _), e) in batch.iter().zip(&entries) {
-                        moved[idx] = e.moved as usize;
-                        store.lens[reqs[idx].donor] = e.donor_len;
-                        store.lens[reqs[idx].receiver] = e.receiver_len;
-                    }
-                }
-            }
-            for (s, batch) in extract.iter().enumerate() {
-                if !batch.is_empty() {
-                    scratch_extract.clear();
-                    scratch_extract.extend(batch.iter().map(|&(_, r)| r));
-                    store.payload.clear();
-                    encode_count_extract(&mut store.payload, &scratch_extract);
-                    let payload = std::mem::take(&mut store.payload);
-                    store.workers[s].send(tag::COUNT_EXTRACT, &payload)?;
-                    store.payload = payload;
-                }
-            }
-            let mut installs: Vec<Vec<(usize, u32, Vec<u8>)>> = vec![Vec::new(); nshards];
-            for (s, batch) in extract.iter().enumerate() {
-                if !batch.is_empty() {
-                    let mut buf = std::mem::take(&mut store.buf);
-                    store.workers[s].recv(tag::COUNT_EXTRACT, &mut buf)?;
-                    let entries = proto::decode_extract_reply(&buf)
-                        .map_err(|e| store.workers[s].reply_err(e))?;
-                    store.buf = buf;
-                    if entries.len() != batch.len() {
-                        return Err(store.workers[s].reply_err(CodecError::Malformed(
-                            "count extract reply count mismatch",
-                        )));
-                    }
-                    for (&(idx, _), e) in batch.iter().zip(entries) {
-                        moved[idx] = e.moved as usize;
-                        store.lens[reqs[idx].donor] = e.donor_len;
-                        if e.moved > 0 {
-                            let receiver = reqs[idx].receiver;
-                            let rs = store.shard_of(receiver);
-                            let r_local = (receiver - store.workers[rs].lo) as u32;
-                            installs[rs].push((idx, r_local, e.stack));
-                        }
-                    }
-                }
-            }
-            for (s, batch) in installs.iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let entries: Vec<(u32, &[u8])> =
-                    batch.iter().map(|(_, r, st)| (*r, st.as_slice())).collect();
-                store.payload.clear();
-                encode_install(&mut store.payload, &entries);
-                let payload = std::mem::take(&mut store.payload);
-                store.workers[s].send(tag::INSTALL, &payload)?;
-                store.payload = payload;
-            }
-            for (s, batch) in installs.iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut buf = std::mem::take(&mut store.buf);
-                store.workers[s].recv(tag::INSTALL, &mut buf)?;
-                let lens_back =
-                    proto::decode_install_reply(&buf).map_err(|e| store.workers[s].reply_err(e))?;
-                store.buf = buf;
-                if lens_back.len() != batch.len() {
-                    return Err(store.workers[s]
-                        .reply_err(CodecError::Malformed("install reply count mismatch")));
-                }
-                for (&(idx, _, _), &len) in batch.iter().zip(&lens_back) {
-                    store.lens[reqs[idx].receiver] = len;
-                }
-            }
-            for (idx, req) in reqs.iter().enumerate() {
-                if moved[idx] > 0 {
-                    store.msgs.push(Message { src: req.donor, dst: req.receiver });
-                }
-            }
-            store.route_round();
-            Ok(())
-        });
+        self.transfer_round(Give::Counted, reqs, |req| *req);
+        moved.clone_from(&self.moved);
     }
 }
 
@@ -781,47 +691,24 @@ fn run_generic<N: CkptNode>(
     let resume = snapshot
         .map(|bytes| EngineSnapshot::<N>::decode(bytes, config_fingerprint(cfg)))
         .transpose()
-        .map_err(ShardError::Snapshot)?;
+        .map_err(ShardError::Snapshot)?
+        .map(|snapshot| LockstepDriver::restore(cfg, snapshot));
 
-    let mut workers = spawn_workers(cfg, opts, workload, resume.is_none())?;
-    let (driver, lens) = match resume {
+    let lens = match &resume {
         None => {
             let mut lens = vec![0u32; cfg.p];
             lens[0] = 1; // the root
-            (LockstepDriver::fresh(cfg), lens)
+            lens
         }
-        Some(snap) => {
-            let (driver, stacks) = LockstepDriver::restore(cfg, snap);
-            // Ship every non-empty stack to the worker that owns it.
-            let mut stack_buf = Vec::new();
-            let mut payload = Vec::new();
-            for w in &mut workers {
-                let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
-                for (local, stack) in stacks[w.lo..w.hi].iter().enumerate() {
-                    if !stack.is_empty() {
-                        stack_buf.clear();
-                        stack.encode_node(&mut stack_buf);
-                        entries.push((local as u32, stack_buf.clone()));
-                    }
-                }
-                let borrowed: Vec<(u32, &[u8])> =
-                    entries.iter().map(|(pe, b)| (*pe, b.as_slice())).collect();
-                payload.clear();
-                proto::encode_load(&mut payload, &borrowed);
-                w.send(tag::LOAD, &payload)?;
-            }
-            let mut buf = Vec::new();
-            for w in &mut workers {
-                w.recv(tag::LOAD, &mut buf)?;
-                proto::decode_count_reply(&buf).map_err(|e| w.reply_err(e))?;
-            }
-            (driver, stacks.iter().map(|s| s.len() as u32).collect())
-        }
+        Some((_, stacks)) => stacks.iter().map(|stack| stack.len() as u32).collect(),
     };
-
+    let bounds: Vec<usize> =
+        (0..opts.shards).map(|s| shard_range(cfg.p, opts.shards, s).0).chain([cfg.p]).collect();
+    let lanes = vec![Lane::default(); opts.shards];
     let mut backend = RemoteBackend::<N> {
         lens,
-        workers,
+        workers: spawn_workers(&bounds, opts, workload, resume.is_none())?,
+        bounds,
         router: RouterKind::for_cost(cfg.cost.topology, cfg.p),
         cost: cfg.cost,
         park: opts.park.clone(),
@@ -830,21 +717,29 @@ fn run_generic<N: CkptNode>(
         messages: 0,
         route_stats: RouteStats::default(),
         err: None,
+        moves: lanes.clone(),
+        extracts: lanes.clone(),
+        installs: lanes,
+        moved: Vec::new(),
         msgs: Vec::new(),
         payload: Vec::new(),
         buf: Vec::new(),
         stack_bytes: Vec::new(),
         node: std::marker::PhantomData,
     };
+    let driver = match resume {
+        None => LockstepDriver::fresh(cfg),
+        Some((driver, stacks)) => {
+            backend.load(&stacks)?;
+            driver
+        }
+    };
     let outcome = driver.drive(&mut backend)?;
 
     // ---- graceful shutdown ----
     let RemoteBackend { mut workers, mut buf, stats, .. } = backend;
+    exchange(&mut workers, tag::SHUTDOWN, empty_frame, &mut buf, |_, _| Ok(()))?;
     for w in &mut workers {
-        w.send(tag::SHUTDOWN, &[])?;
-    }
-    for w in &mut workers {
-        w.recv(tag::SHUTDOWN, &mut buf)?;
         let _ = w.child.wait();
     }
     Ok(ShardRun { outcome, stats })

@@ -12,24 +12,27 @@
 //!
 //! # Grammar
 //!
-//! Ten request families, coordinator → worker; every request gets exactly
-//! one reply frame carrying the *same tag* (so a mismatched reply is a
-//! protocol error, not a mis-parse). All stack payloads are u32
-//! byte-length-prefixed so the coordinator can relay donated stacks
-//! between shards without decoding nodes.
+//! Seven tags, coordinator → worker; every request gets exactly one reply
+//! frame carrying the *same tag* (so a mismatched reply is a protocol
+//! error, not a mis-parse). PE indices are local to the addressed worker
+//! and range-checked where a request is decoded. Every list is prefixed by
+//! its `u64` count; a request's count is its first eight bytes
+//! ([`begin_request`]). Stacks are u32 byte-length-prefixed blobs, so the
+//! coordinator relays them between shards without decoding nodes.
 //!
-//! | tag | request                                    | reply |
-//! |-----|--------------------------------------------|-------|
-//! | [`tag::HELLO`]        | shard geometry + split policy + workload + kill knob | ack |
-//! | [`tag::LOAD`]         | non-empty stacks for the local range (resume)        | count loaded |
-//! | [`tag::BURST`]        | horizon `h`                                          | census delta: started/goals/peak/deaths + changed lens |
-//! | [`tag::SPLIT_PAIRS`]  | same-shard matched splits (policy + local pairs)     | per pair: ok + both new lens |
-//! | [`tag::SPLIT_EXTRACT`]| cross-shard matched splits, donor side               | per donor: ok + new len + donated stack |
-//! | [`tag::INSTALL`]      | donated stacks for local receivers                   | per receiver: new len |
-//! | [`tag::COUNT_LOCAL`]  | same-shard counted splits (equalization)             | per request: moved + both new lens |
-//! | [`tag::COUNT_EXTRACT`]| cross-shard counted splits, donor side               | per donor: moved + new len + donated stack |
-//! | [`tag::ENCODE`]       | (empty)                                              | concatenated per-PE stack encodings for the range |
-//! | [`tag::SHUTDOWN`]     | (empty)                                              | ack, then the worker exits |
+//! | tag | request | reply |
+//! |-----|---------|-------|
+//! | [`tag::HELLO`]    | local range + root seeding + fault knob + workload | ack |
+//! | [`tag::BURST`]    | horizon `h` | census delta: started/goals/peak/deaths + changed lens |
+//! | [`tag::MOVE`]     | [`Give`] + same-shard transfers `(donor, receiver[, max_nodes])` | per transfer: nodes moved + both new lens |
+//! | [`tag::EXTRACT`]  | [`Give`] + donors feeding another shard `(donor[, max_nodes])` | per donor: nodes moved + new len + donated stack |
+//! | [`tag::INSTALL`]  | `(receiver, stack)`: frames to append — a round's donations, or a resumed snapshot's stacks | per entry: new len |
+//! | [`tag::ENCODE`]   | (empty) | concatenated per-PE stack encodings for the range |
+//! | [`tag::SHUTDOWN`] | (empty) | ack, then the worker exits |
+//!
+//! A balancing round is homogeneous — every donor splits under the run's
+//! policy, or every donor gives a counted prefix — so what is given is the
+//! round's header ([`Give`]), and only counted entries carry a `max_nodes`.
 
 use uts_synthgen::{GenFamily, GenTree};
 use uts_tree::codec::{put_bool, put_u32, put_u64, put_usize};
@@ -37,26 +40,20 @@ use uts_tree::{CodecError, Reader, SplitPolicy};
 
 /// Frame tags. Replies reuse the request tag.
 pub mod tag {
-    /// Shard geometry, split policy, workload, fault knob.
+    /// Local range, root seeding, workload, fault knob.
     pub const HELLO: u8 = 1;
-    /// Install resumed stacks into the local range.
-    pub const LOAD: u8 = 2;
     /// Run one search-phase burst of `h` cycles.
-    pub const BURST: u8 = 3;
-    /// Matched splits where donor and receiver share the shard.
-    pub const SPLIT_PAIRS: u8 = 4;
-    /// Donor half of a cross-shard matched split.
-    pub const SPLIT_EXTRACT: u8 = 5;
-    /// Receiver half of a cross-shard transfer.
-    pub const INSTALL: u8 = 6;
-    /// Counted splits where donor and receiver share the shard.
-    pub const COUNT_LOCAL: u8 = 7;
-    /// Donor half of a cross-shard counted split.
-    pub const COUNT_EXTRACT: u8 = 8;
+    pub const BURST: u8 = 2;
+    /// Transfers whose donor and receiver share the shard.
+    pub const MOVE: u8 = 3;
+    /// Donor half of a cross-shard transfer.
+    pub const EXTRACT: u8 = 4;
+    /// Receiver half of a cross-shard transfer; also loads a resumed range.
+    pub const INSTALL: u8 = 5;
     /// Encode the local range's stacks for a coordinator snapshot.
-    pub const ENCODE: u8 = 9;
+    pub const ENCODE: u8 = 6;
     /// Clean worker exit.
-    pub const SHUTDOWN: u8 = 10;
+    pub const SHUTDOWN: u8 = 7;
 }
 
 /// The workload a worker monomorphizes its engine over — the wire-portable
@@ -129,39 +126,16 @@ impl From<GenTree> for ShardWorkload {
     }
 }
 
-fn put_policy(out: &mut Vec<u8>, policy: SplitPolicy) {
-    out.push(match policy {
-        SplitPolicy::Bottom => 0,
-        SplitPolicy::Half => 1,
-        SplitPolicy::Top => 2,
-    });
-}
-
-fn take_policy(r: &mut Reader<'_>) -> Result<SplitPolicy, CodecError> {
-    Ok(match r.u8()? {
-        0 => SplitPolicy::Bottom,
-        1 => SplitPolicy::Half,
-        2 => SplitPolicy::Top,
-        _ => return Err(CodecError::Malformed("unknown split policy")),
-    })
-}
-
 /// The coordinator's opening message: everything a worker needs to build
 /// its slab and monomorphize its engine loop.
 #[derive(Debug, Clone)]
 pub struct Hello {
-    /// This worker's shard index (0-based).
-    pub shard: u32,
-    /// Total number of shards.
-    pub shards: u32,
     /// First global PE of the local range.
     pub lo: u64,
     /// One past the last global PE of the local range.
     pub hi: u64,
-    /// Work-splitting policy of the run.
-    pub split: SplitPolicy,
     /// Seed PE `lo == 0` with the problem root (fresh run; a resumed run
-    /// ships its stacks via [`tag::LOAD`] instead).
+    /// ships its stacks via [`tag::INSTALL`] instead).
     pub seed_root: bool,
     /// Fault-injection knob: self-SIGKILL on receiving the k-th
     /// [`tag::BURST`] (1-based), for the kill→resume suites.
@@ -173,11 +147,8 @@ pub struct Hello {
 impl Hello {
     /// Encode into a frame payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard);
-        put_u32(out, self.shards);
         put_u64(out, self.lo);
         put_u64(out, self.hi);
-        put_policy(out, self.split);
         put_bool(out, self.seed_root);
         match self.kill_at_burst {
             None => put_bool(out, false),
@@ -189,20 +160,21 @@ impl Hello {
         self.workload.encode(out);
     }
 
-    /// Decode a frame payload.
+    /// Decode a frame payload. The range must hold a `u32`-indexable
+    /// number of PEs (local indices are `u32` on the wire).
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(bytes);
         let hello = Hello {
-            shard: r.u32()?,
-            shards: r.u32()?,
             lo: r.u64()?,
             hi: r.u64()?,
-            split: take_policy(&mut r)?,
             seed_root: r.bool()?,
             kill_at_burst: if r.bool()? { Some(r.u64()?) } else { None },
             workload: ShardWorkload::decode(&mut r)?,
         };
         expect_done(&r)?;
+        if hello.hi.checked_sub(hello.lo).is_none_or(|local_p| local_p > u64::from(u32::MAX)) {
+            return Err(CodecError::Malformed("shard range is not lo <= hi <= lo + u32::MAX"));
+        }
         Ok(hello)
     }
 }
@@ -215,28 +187,54 @@ fn expect_done(r: &Reader<'_>) -> Result<(), CodecError> {
     }
 }
 
+/// Take a count-prefixed list; an entry occupies at least `min_bytes` (the
+/// pre-allocation guard of [`Reader::len`]).
+fn take_list<'a, T>(
+    r: &mut Reader<'a>,
+    min_bytes: usize,
+    mut entry: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.len(min_bytes)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(entry(r)?);
+    }
+    Ok(out)
+}
+
+/// Decode a payload that is exactly one count-prefixed list.
+fn decode_list<'a, T>(
+    bytes: &'a [u8],
+    min_bytes: usize,
+    entry: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut r = Reader::new(bytes);
+    let out = take_list(&mut r, min_bytes, entry)?;
+    expect_done(&r)?;
+    Ok(out)
+}
+
+/// A local PE index, which must lie below the worker's `local_p`.
+fn take_pe(r: &mut Reader<'_>, local_p: usize) -> Result<u32, CodecError> {
+    let pe = r.u32()?;
+    if pe as usize >= local_p {
+        return Err(CodecError::Malformed("PE index outside the worker's range"));
+    }
+    Ok(pe)
+}
+
 /// A length-prefixed opaque stack blob (exact `SearchStack` codec bytes).
 /// The coordinator relays these between shards without decoding nodes.
-pub fn put_stack_bytes(out: &mut Vec<u8>, stack: &[u8]) {
+fn put_stack_bytes(out: &mut Vec<u8>, stack: &[u8]) {
     debug_assert!(stack.len() <= u32::MAX as usize, "stack blob too large for the wire");
     put_u32(out, stack.len() as u32);
     out.extend_from_slice(stack);
 }
 
 /// Take one length-prefixed stack blob.
-pub fn take_stack_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], CodecError> {
+fn take_stack_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], CodecError> {
     let n = r.u32()? as usize;
     r.bytes(n)
-}
-
-/// `LOAD` request: `(local_pe, stack)` entries for the non-empty PEs of a
-/// resumed range.
-pub fn encode_load(out: &mut Vec<u8>, entries: &[(u32, &[u8])]) {
-    put_usize(out, entries.len());
-    for &(pe, stack) in entries {
-        put_u32(out, pe);
-        put_stack_bytes(out, stack);
-    }
 }
 
 /// `BURST` request.
@@ -287,217 +285,197 @@ impl BurstReply {
         }
     }
 
-    /// Decode a frame payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+    /// Decode the reply of a worker that owns `local_p` PEs; a `changed`
+    /// entry naming any other PE is malformed (the coordinator indexes its
+    /// length mirror with it).
+    pub fn decode(bytes: &[u8], local_p: usize) -> Result<Self, CodecError> {
         let mut r = Reader::new(bytes);
         let started = r.u64()?;
         let goals = r.u64()?;
         let peak = r.u64()?;
-        let n = r.len(8)?;
-        let mut deaths = Vec::with_capacity(n);
-        for _ in 0..n {
-            deaths.push(r.u64()?);
-        }
-        let n = r.len(8)?;
-        let mut changed = Vec::with_capacity(n);
-        for _ in 0..n {
-            changed.push((r.u32()?, r.u32()?));
-        }
+        let deaths = take_list(&mut r, 8, |r| r.u64())?;
+        let changed = take_list(&mut r, 8, |r| Ok((take_pe(r, local_p)?, r.u32()?)))?;
         expect_done(&r)?;
         Ok(BurstReply { started, goals, peak, deaths, changed })
     }
 }
 
-/// `SPLIT_PAIRS` request: policy + local `(donor, receiver)` pairs.
-pub fn encode_split_pairs(out: &mut Vec<u8>, policy: SplitPolicy, pairs: &[(u32, u32)]) {
-    put_policy(out, policy);
-    put_usize(out, pairs.len());
-    for &(d, rcv) in pairs {
-        put_u32(out, d);
-        put_u32(out, rcv);
+/// Start a list-shaped request (`MOVE`, `EXTRACT`, `INSTALL`) in `out`:
+/// the count, zero until [`set_count`] says otherwise. The coordinator
+/// learns a sub-phase's entries one at a time — partitioning a round,
+/// reading `EXTRACT` replies — and appends each straight to the frame that
+/// will carry it, so the count is written after the entries.
+pub fn begin_request(out: &mut Vec<u8>) {
+    out.clear();
+    put_usize(out, 0);
+}
+
+/// Record that the request begun with [`begin_request`] holds `n` entries.
+pub fn set_count(request: &mut [u8], n: usize) {
+    request[..8].copy_from_slice(&(n as u64).to_le_bytes());
+}
+
+/// What every donor of one transfer round gives: the header, after the
+/// count, of the round's `MOVE` and `EXTRACT` requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Give {
+    /// A matched split under the run's policy.
+    Split(SplitPolicy),
+    /// Up to the entry's `max_nodes` bottom-of-stack nodes (equalization).
+    Counted,
+}
+
+impl Give {
+    /// Append the header byte.
+    pub fn put(self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Give::Split(SplitPolicy::Bottom) => 0,
+            Give::Split(SplitPolicy::Half) => 1,
+            Give::Split(SplitPolicy::Top) => 2,
+            Give::Counted => 3,
+        });
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => Give::Split(SplitPolicy::Bottom),
+            1 => Give::Split(SplitPolicy::Half),
+            2 => Give::Split(SplitPolicy::Top),
+            3 => Give::Counted,
+            _ => return Err(CodecError::Malformed("unknown transfer kind")),
+        })
     }
 }
 
-/// Decode a `SPLIT_PAIRS` request.
-pub fn decode_split_pairs(bytes: &[u8]) -> Result<(SplitPolicy, Vec<(u32, u32)>), CodecError> {
+/// One entry of a `MOVE` or `EXTRACT` request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    /// Local PE giving work.
+    pub donor: u32,
+    /// Local PE receiving it: `Some` in every `MOVE` entry, `None` in every
+    /// `EXTRACT` entry (the receiver lives on another shard, so the reply
+    /// carries the stack instead).
+    pub receiver: Option<u32>,
+    /// Upper bound on the nodes given; on the wire only under
+    /// [`Give::Counted`] (0 otherwise).
+    pub max_nodes: usize,
+}
+
+impl Transfer {
+    /// Append the wire form of an entry of a `give` round: 8 bytes for a
+    /// matched `MOVE`, 4 for a matched `EXTRACT`, 8 more when counted.
+    pub fn put(&self, give: Give, out: &mut Vec<u8>) {
+        put_u32(out, self.donor);
+        if let Some(receiver) = self.receiver {
+            put_u32(out, receiver);
+        }
+        if give == Give::Counted {
+            put_usize(out, self.max_nodes);
+        }
+    }
+}
+
+/// Decode the `MOVE` (`t == tag::MOVE`) or `EXTRACT` request of a worker
+/// that owns `local_p` PEs. This is where a transfer's indices are checked:
+/// a donor or receiver `>= local_p`, or a transfer onto its own donor, is
+/// malformed, so the worker's slab accesses cannot go out of bounds.
+pub fn decode_transfers(
+    t: u8,
+    bytes: &[u8],
+    local_p: usize,
+) -> Result<(Give, Vec<Transfer>), CodecError> {
     let mut r = Reader::new(bytes);
-    let policy = take_policy(&mut r)?;
-    let n = r.len(8)?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        pairs.push((r.u32()?, r.u32()?));
+    let n = r.usize()?;
+    let give = Give::take(&mut r)?;
+    let (local, counted) = (t == tag::MOVE, give == Give::Counted);
+    let entry_bytes = 4 + if local { 4 } else { 0 } + if counted { 8 } else { 0 };
+    if n.checked_mul(entry_bytes) != Some(r.remaining()) {
+        return Err(CodecError::Malformed("transfer count does not match the payload length"));
     }
-    expect_done(&r)?;
-    Ok((policy, pairs))
-}
-
-/// `SPLIT_EXTRACT` request: policy + local donors.
-pub fn encode_split_extract(out: &mut Vec<u8>, policy: SplitPolicy, donors: &[u32]) {
-    put_policy(out, policy);
-    put_usize(out, donors.len());
-    for &d in donors {
-        put_u32(out, d);
-    }
-}
-
-/// Decode a `SPLIT_EXTRACT` request.
-pub fn decode_split_extract(bytes: &[u8]) -> Result<(SplitPolicy, Vec<u32>), CodecError> {
-    let mut r = Reader::new(bytes);
-    let policy = take_policy(&mut r)?;
-    let n = r.len(4)?;
-    let mut donors = Vec::with_capacity(n);
-    for _ in 0..n {
-        donors.push(r.u32()?);
-    }
-    expect_done(&r)?;
-    Ok((policy, donors))
-}
-
-/// `COUNT_LOCAL` request: local `(donor, receiver, max_nodes)` requests.
-pub fn encode_count_local(out: &mut Vec<u8>, reqs: &[(u32, u32, u64)]) {
-    put_usize(out, reqs.len());
-    for &(d, rcv, k) in reqs {
-        put_u32(out, d);
-        put_u32(out, rcv);
-        put_u64(out, k);
-    }
-}
-
-/// Decode a `COUNT_LOCAL` request.
-pub fn decode_count_local(bytes: &[u8]) -> Result<Vec<(u32, u32, u64)>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(16)?;
-    let mut reqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        reqs.push((r.u32()?, r.u32()?, r.u64()?));
-    }
-    expect_done(&r)?;
-    Ok(reqs)
-}
-
-/// `COUNT_EXTRACT` request: local `(donor, max_nodes)` requests.
-pub fn encode_count_extract(out: &mut Vec<u8>, reqs: &[(u32, u64)]) {
-    put_usize(out, reqs.len());
-    for &(d, k) in reqs {
-        put_u32(out, d);
-        put_u64(out, k);
-    }
-}
-
-/// Decode a `COUNT_EXTRACT` request.
-pub fn decode_count_extract(bytes: &[u8]) -> Result<Vec<(u32, u64)>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(12)?;
-    let mut reqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        reqs.push((r.u32()?, r.u64()?));
-    }
-    expect_done(&r)?;
-    Ok(reqs)
-}
-
-/// `INSTALL` request: `(local_receiver, stack)` entries.
-pub fn encode_install(out: &mut Vec<u8>, entries: &[(u32, &[u8])]) {
-    put_usize(out, entries.len());
-    for &(pe, stack) in entries {
-        put_u32(out, pe);
-        put_stack_bytes(out, stack);
-    }
-}
-
-/// Decode a `LOAD` or `INSTALL` request into owned `(local_pe, stack
-/// bytes)` entries.
-pub fn decode_stack_entries(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(5)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let pe = r.u32()?;
-        let stack = take_stack_bytes(&mut r)?.to_vec();
-        entries.push((pe, stack));
+        let donor = take_pe(&mut r, local_p)?;
+        let receiver = if local { Some(take_pe(&mut r, local_p)?) } else { None };
+        if receiver == Some(donor) {
+            return Err(CodecError::Malformed("transfer from a PE to itself"));
+        }
+        let max_nodes = if counted { r.usize()? } else { 0 };
+        entries.push(Transfer { donor, receiver, max_nodes });
     }
-    expect_done(&r)?;
-    Ok(entries)
+    Ok((give, entries))
 }
 
-/// `SPLIT_PAIRS` / `COUNT_LOCAL` reply entry: how many nodes moved (0/1
-/// for matched splits) plus the authoritative post-split lengths of both
-/// endpoints.
+/// Append one `INSTALL` entry: the stack whose frames go on top of local
+/// PE `pe`.
+pub fn put_install(out: &mut Vec<u8>, pe: u32, stack: &[u8]) {
+    put_u32(out, pe);
+    put_stack_bytes(out, stack);
+}
+
+/// Decode the `INSTALL` request of a worker that owns `local_p` PEs into
+/// range-checked `(local_pe, stack bytes)` entries.
+pub fn decode_install(bytes: &[u8], local_p: usize) -> Result<Vec<(u32, &[u8])>, CodecError> {
+    decode_list(bytes, 8, |r| Ok((take_pe(r, local_p)?, take_stack_bytes(r)?)))
+}
+
+/// `MOVE` reply entry: how many nodes moved (0 = the donor could not give)
+/// plus the authoritative post-transfer lengths of both endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSplitReply {
-    /// Nodes moved (matched splits report 1 when the split happened).
+pub struct MoveReply {
+    /// Nodes moved from donor to receiver.
     pub moved: u64,
-    /// Donor's post-split stack length.
+    /// Donor's post-transfer stack length.
     pub donor_len: u32,
-    /// Receiver's post-split stack length.
+    /// Receiver's post-transfer stack length.
     pub receiver_len: u32,
 }
 
-/// Encode a same-shard split/count reply.
-pub fn encode_local_split_reply(out: &mut Vec<u8>, entries: &[LocalSplitReply]) {
-    put_usize(out, entries.len());
-    for e in entries {
-        put_u64(out, e.moved);
-        put_u32(out, e.donor_len);
-        put_u32(out, e.receiver_len);
+impl MoveReply {
+    /// Append the wire form (the reply is a count-prefixed list of these).
+    pub fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.moved);
+        put_u32(out, self.donor_len);
+        put_u32(out, self.receiver_len);
     }
 }
 
-/// Decode a same-shard split/count reply.
-pub fn decode_local_split_reply(bytes: &[u8]) -> Result<Vec<LocalSplitReply>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(16)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(LocalSplitReply {
-            moved: r.u64()?,
-            donor_len: r.u32()?,
-            receiver_len: r.u32()?,
-        });
-    }
-    expect_done(&r)?;
-    Ok(entries)
+/// Decode a `MOVE` reply.
+pub fn decode_move_reply(bytes: &[u8]) -> Result<Vec<MoveReply>, CodecError> {
+    decode_list(bytes, 16, |r| {
+        Ok(MoveReply { moved: r.u64()?, donor_len: r.u32()?, receiver_len: r.u32()? })
+    })
 }
 
-/// `SPLIT_EXTRACT` / `COUNT_EXTRACT` reply entry: nodes moved, the donor's
-/// post-split length, and the donated stack (empty iff nothing moved).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtractReply {
-    /// Nodes moved out of the donor (0 = the donor could not donate).
+/// `EXTRACT` reply entry: nodes moved, the donor's post-transfer length,
+/// and the donated stack (empty iff nothing moved).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtractReply<'a> {
+    /// Nodes moved out of the donor (0 = the donor could not give).
     pub moved: u64,
-    /// Donor's post-split stack length.
+    /// Donor's post-transfer stack length.
     pub donor_len: u32,
     /// The donated stack's `SearchStack` codec bytes (empty iff
     /// `moved == 0`).
-    pub stack: Vec<u8>,
+    pub stack: &'a [u8],
 }
 
-/// Encode a cross-shard extract reply.
-pub fn encode_extract_reply(out: &mut Vec<u8>, entries: &[ExtractReply]) {
-    put_usize(out, entries.len());
-    for e in entries {
-        put_u64(out, e.moved);
-        put_u32(out, e.donor_len);
-        put_stack_bytes(out, &e.stack);
+impl ExtractReply<'_> {
+    /// Append the wire form (the reply is a count-prefixed list of these).
+    pub fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.moved);
+        put_u32(out, self.donor_len);
+        put_stack_bytes(out, self.stack);
     }
 }
 
-/// Decode a cross-shard extract reply.
-pub fn decode_extract_reply(bytes: &[u8]) -> Result<Vec<ExtractReply>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(16)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let moved = r.u64()?;
-        let donor_len = r.u32()?;
-        let stack = take_stack_bytes(&mut r)?.to_vec();
-        entries.push(ExtractReply { moved, donor_len, stack });
-    }
-    expect_done(&r)?;
-    Ok(entries)
+/// Decode an `EXTRACT` reply; the stacks borrow from `bytes`.
+pub fn decode_extract_reply(bytes: &[u8]) -> Result<Vec<ExtractReply<'_>>, CodecError> {
+    decode_list(bytes, 16, |r| {
+        Ok(ExtractReply { moved: r.u64()?, donor_len: r.u32()?, stack: take_stack_bytes(r)? })
+    })
 }
 
-/// Encode an `INSTALL` reply: each receiver's post-install length.
+/// Encode an `INSTALL` reply: each entry's post-install length.
 pub fn encode_install_reply(out: &mut Vec<u8>, lens: &[u32]) {
     put_usize(out, lens.len());
     for &len in lens {
@@ -507,27 +485,7 @@ pub fn encode_install_reply(out: &mut Vec<u8>, lens: &[u32]) {
 
 /// Decode an `INSTALL` reply.
 pub fn decode_install_reply(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.len(4)?;
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        lens.push(r.u32()?);
-    }
-    expect_done(&r)?;
-    Ok(lens)
-}
-
-/// Encode a `LOAD` reply (stacks installed) or any counted ack.
-pub fn encode_count_reply(out: &mut Vec<u8>, n: u64) {
-    put_u64(out, n);
-}
-
-/// Decode a `LOAD` reply.
-pub fn decode_count_reply(bytes: &[u8]) -> Result<u64, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u64()?;
-    expect_done(&r)?;
-    Ok(n)
+    decode_list(bytes, 4, |r| r.u32())
 }
 
 #[cfg(test)]
@@ -554,11 +512,8 @@ mod tests {
     #[test]
     fn hello_round_trips() {
         let hello = Hello {
-            shard: 3,
-            shards: 8,
             lo: 96,
             hi: 128,
-            split: SplitPolicy::Half,
             seed_root: false,
             kill_at_burst: Some(17),
             workload: ShardWorkload::UtsGen(GenTree::geometric(1, 8, 6)),
@@ -566,13 +521,14 @@ mod tests {
         let mut bytes = Vec::new();
         hello.encode(&mut bytes);
         let back = Hello::decode(&bytes).expect("round trip");
-        assert_eq!(back.shard, 3);
-        assert_eq!(back.shards, 8);
         assert_eq!(back.lo, 96);
         assert_eq!(back.hi, 128);
-        assert_eq!(back.split, SplitPolicy::Half);
         assert!(!back.seed_root);
         assert_eq!(back.kill_at_burst, Some(17));
+
+        let mut bytes = Vec::new();
+        Hello { lo: 128, hi: 96, ..hello }.encode(&mut bytes);
+        assert!(Hello::decode(&bytes).is_err(), "an inverted range is rejected");
     }
 
     #[test]
@@ -586,7 +542,12 @@ mod tests {
         };
         let mut bytes = Vec::new();
         reply.encode(&mut bytes);
-        assert_eq!(BurstReply::decode(&bytes).expect("round trip"), reply);
+        assert_eq!(BurstReply::decode(&bytes, 10).expect("round trip"), reply);
+        assert_eq!(
+            BurstReply::decode(&bytes, 9),
+            Err(CodecError::Malformed("PE index outside the worker's range")),
+            "PE 9 is not one of a 9-PE worker's"
+        );
     }
 
     #[test]
@@ -598,47 +559,27 @@ mod tests {
     }
 
     #[test]
-    fn split_requests_round_trip() {
-        let mut bytes = Vec::new();
-        encode_split_pairs(&mut bytes, SplitPolicy::Bottom, &[(1, 2), (5, 0)]);
-        let (policy, pairs) = decode_split_pairs(&bytes).expect("round trip");
-        assert_eq!(policy, SplitPolicy::Bottom);
-        assert_eq!(pairs, vec![(1, 2), (5, 0)]);
-
-        let mut bytes = Vec::new();
-        encode_count_local(&mut bytes, &[(1, 2, 40), (3, 4, 9)]);
-        assert_eq!(decode_count_local(&bytes).expect("round trip"), vec![(1, 2, 40), (3, 4, 9)]);
-
-        let mut bytes = Vec::new();
-        encode_count_extract(&mut bytes, &[(7, 11)]);
-        assert_eq!(decode_count_extract(&bytes).expect("round trip"), vec![(7, 11)]);
-    }
-
-    #[test]
     fn replies_round_trip() {
         let entries = [
-            LocalSplitReply { moved: 1, donor_len: 4, receiver_len: 1 },
-            LocalSplitReply { moved: 0, donor_len: 1, receiver_len: 0 },
+            MoveReply { moved: 1, donor_len: 4, receiver_len: 1 },
+            MoveReply { moved: 0, donor_len: 1, receiver_len: 0 },
         ];
         let mut bytes = Vec::new();
-        encode_local_split_reply(&mut bytes, &entries);
-        assert_eq!(decode_local_split_reply(&bytes).expect("round trip"), entries.to_vec());
+        put_usize(&mut bytes, entries.len());
+        entries.iter().for_each(|e| e.put(&mut bytes));
+        assert_eq!(decode_move_reply(&bytes).expect("round trip"), entries.to_vec());
 
         let extracts = [
-            ExtractReply { moved: 3, donor_len: 5, stack: vec![1, 2, 3] },
-            ExtractReply { moved: 0, donor_len: 1, stack: Vec::new() },
+            ExtractReply { moved: 3, donor_len: 5, stack: &[1, 2, 3] },
+            ExtractReply { moved: 0, donor_len: 1, stack: &[] },
         ];
         let mut bytes = Vec::new();
-        encode_extract_reply(&mut bytes, &extracts);
+        put_usize(&mut bytes, extracts.len());
+        extracts.iter().for_each(|e| e.put(&mut bytes));
         assert_eq!(decode_extract_reply(&bytes).expect("round trip"), extracts.to_vec());
 
         let mut bytes = Vec::new();
         encode_install_reply(&mut bytes, &[7, 0, 2]);
         assert_eq!(decode_install_reply(&bytes).expect("round trip"), vec![7, 0, 2]);
-
-        let mut bytes = Vec::new();
-        encode_install(&mut bytes, &[(4, &[9, 9][..])]);
-        let back = decode_stack_entries(&bytes).expect("round trip");
-        assert_eq!(back, vec![(4, vec![9, 9])]);
     }
 }

@@ -20,14 +20,13 @@ use std::io::{Read, Write};
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
 use uts_core::expansion_burst;
 use uts_puzzle15::{Board, Puzzle15};
+use uts_tree::codec::put_usize;
 use uts_tree::problem::BoundedProblem;
 use uts_tree::{CkptNode, CodecError, PeSlab, Reader, SearchStack, StackArena, TreeProblem};
 
 use crate::proto::{
-    decode_burst, decode_count_extract, decode_count_local, decode_split_extract,
-    decode_split_pairs, decode_stack_entries, encode_count_reply, encode_extract_reply,
-    encode_install_reply, encode_local_split_reply, tag, BurstReply, ExtractReply, Hello,
-    LocalSplitReply, ShardWorkload,
+    decode_burst, decode_install, decode_transfers, encode_install_reply, tag, BurstReply,
+    ExtractReply, Give, Hello, MoveReply, ShardWorkload,
 };
 
 /// Mode-switch environment variable: when set, the process is a shard
@@ -89,8 +88,14 @@ impl From<CodecError> for WorkerError {
     }
 }
 
-/// Serve the shard protocol over an arbitrary transport (tests drive this
-/// in-process over pipes; [`maybe_run_worker`] binds it to stdin/stdout).
+/// Serve the shard protocol over an arbitrary transport until `SHUTDOWN`:
+/// one `HELLO`, then any sequence of the other six requests, each answered
+/// by one frame of the same tag. [`maybe_run_worker`] binds it to
+/// stdin/stdout; `tests/worker_protocol.rs` drives it over in-memory
+/// buffers. A frame that is intact but not a well-formed request for this
+/// worker — a PE index outside `[0, hi - lo)`, a transfer onto its own
+/// donor, trailing bytes, an unknown tag or a second `HELLO` — ends the
+/// session with a typed error; no payload can make it index out of bounds.
 pub fn serve<R: Read, W: Write>(reader: R, writer: W) -> Result<(), WorkerError> {
     let mut reader = FrameReader::new(reader);
     let mut writer = FrameWriter::new(writer);
@@ -135,6 +140,7 @@ where
     let mut active: Vec<usize> = Vec::new();
     let mut started: Vec<usize> = Vec::new();
     let mut deaths: Vec<u64> = Vec::new();
+    let mut stack: Vec<u8> = Vec::new();
     let mut bursts_seen = 0u64;
 
     loop {
@@ -173,103 +179,57 @@ where
                 deaths = reply.deaths;
                 writer.send(tag::BURST, &payload)?;
             }
-            tag::SPLIT_PAIRS => {
-                let (policy, pairs) = decode_split_pairs(&buf)?;
-                let mut entries = Vec::with_capacity(pairs.len());
-                for &(d, rcv) in &pairs {
-                    let ok = arena.split_into(d as usize, rcv as usize, policy);
-                    entries.push(LocalSplitReply {
-                        moved: ok as u64,
-                        donor_len: arena.lens()[d as usize],
-                        receiver_len: arena.lens()[rcv as usize],
-                    });
-                }
-                encode_local_split_reply(&mut payload, &entries);
-                writer.send(tag::SPLIT_PAIRS, &payload)?;
-            }
-            tag::COUNT_LOCAL => {
-                let reqs = decode_count_local(&buf)?;
-                let mut entries = Vec::with_capacity(reqs.len());
-                for &(d, rcv, k) in &reqs {
-                    let moved = arena.split_count_into(d as usize, rcv as usize, k as usize);
-                    entries.push(LocalSplitReply {
-                        moved: moved as u64,
-                        donor_len: arena.lens()[d as usize],
-                        receiver_len: arena.lens()[rcv as usize],
-                    });
-                }
-                encode_local_split_reply(&mut payload, &entries);
-                writer.send(tag::COUNT_LOCAL, &payload)?;
-            }
-            tag::SPLIT_EXTRACT => {
-                let (policy, donors) = decode_split_extract(&buf)?;
-                let mut entries = Vec::with_capacity(donors.len());
-                for &d in &donors {
-                    let mut scratch = PeSlab::new();
+            tag::MOVE | tag::EXTRACT => {
+                let (what, transfers) = decode_transfers(t, &buf, local_p)?;
+                put_usize(&mut payload, transfers.len());
+                for tr in &transfers {
+                    let d = tr.donor as usize;
                     let (slabs, lens) = arena.parts_mut();
-                    let ok = slabs[d as usize].split_into(policy, &mut scratch);
-                    lens[d as usize] = slabs[d as usize].len() as u32;
-                    let donor_len = lens[d as usize];
-                    let mut stack = Vec::new();
-                    if ok {
-                        scratch.encode_stack(&mut stack);
+                    match tr.receiver {
+                        // MOVE: give straight into the receiver's slab.
+                        Some(r) => {
+                            let r = r as usize;
+                            let [donor, receiver] = slabs
+                                .get_disjoint_mut([d, r])
+                                .expect("decode_transfers checked range and distinctness");
+                            let moved = give(donor, what, tr.max_nodes, receiver) as u64;
+                            (lens[d], lens[r]) = (donor.len() as u32, receiver.len() as u32);
+                            MoveReply { moved, donor_len: lens[d], receiver_len: lens[r] }
+                                .put(&mut payload);
+                        }
+                        // EXTRACT: give into a scratch slab and ship its encoding.
+                        None => {
+                            let mut scratch = PeSlab::new();
+                            let moved =
+                                give(&mut slabs[d], what, tr.max_nodes, &mut scratch) as u64;
+                            lens[d] = slabs[d].len() as u32;
+                            stack.clear();
+                            if moved > 0 {
+                                scratch.encode_stack(&mut stack);
+                            }
+                            ExtractReply { moved, donor_len: lens[d], stack: &stack }
+                                .put(&mut payload);
+                        }
                     }
-                    entries.push(ExtractReply {
-                        moved: if ok { scratch.len() as u64 } else { 0 },
-                        donor_len,
-                        stack,
-                    });
                 }
-                encode_extract_reply(&mut payload, &entries);
-                writer.send(tag::SPLIT_EXTRACT, &payload)?;
-            }
-            tag::COUNT_EXTRACT => {
-                let reqs = decode_count_extract(&buf)?;
-                let mut entries = Vec::with_capacity(reqs.len());
-                for &(d, k) in &reqs {
-                    let mut scratch = PeSlab::new();
-                    let (slabs, lens) = arena.parts_mut();
-                    let moved = slabs[d as usize].split_count_into(k as usize, &mut scratch);
-                    lens[d as usize] = slabs[d as usize].len() as u32;
-                    let donor_len = lens[d as usize];
-                    let mut stack = Vec::new();
-                    if moved > 0 {
-                        scratch.encode_stack(&mut stack);
-                    }
-                    entries.push(ExtractReply { moved: moved as u64, donor_len, stack });
-                }
-                encode_extract_reply(&mut payload, &entries);
-                writer.send(tag::COUNT_EXTRACT, &payload)?;
+                writer.send(t, &payload)?;
             }
             tag::INSTALL => {
-                let entries = decode_stack_entries(&buf)?;
+                let entries = decode_install(&buf, local_p)?;
                 let mut lens_out = Vec::with_capacity(entries.len());
-                for (pe, stack_bytes) in &entries {
-                    let pe = *pe as usize;
-                    let stack = decode_one_stack::<P::Node>(stack_bytes)?;
-                    // Appending the donated frames in encoded (bottom-first)
-                    // order on top of the receiver reproduces the in-process
-                    // split_into / split_count_into receiver layout exactly.
-                    for frame in stack.into_frames() {
+                for &(pe, stack_bytes) in &entries {
+                    let pe = pe as usize;
+                    // Appending the frames in encoded (bottom-first) order on
+                    // top of the PE reproduces the in-process receiver layout
+                    // of a transfer exactly; onto the empty slab of a resumed
+                    // worker it reproduces the snapshot's stack.
+                    for frame in decode_one_stack::<P::Node>(stack_bytes)?.into_frames() {
                         arena.push_frame_with(pe, |out| out.extend(frame));
                     }
                     lens_out.push(arena.lens()[pe]);
                 }
                 encode_install_reply(&mut payload, &lens_out);
                 writer.send(tag::INSTALL, &payload)?;
-            }
-            tag::LOAD => {
-                let entries = decode_stack_entries(&buf)?;
-                let n = entries.len() as u64;
-                for (pe, stack_bytes) in &entries {
-                    let pe = *pe as usize;
-                    let stack = decode_one_stack::<P::Node>(stack_bytes)?;
-                    let (slabs, lens) = arena.parts_mut();
-                    slabs[pe] = PeSlab::from_stack(stack);
-                    lens[pe] = slabs[pe].len() as u32;
-                }
-                encode_count_reply(&mut payload, n);
-                writer.send(tag::LOAD, &payload)?;
             }
             tag::ENCODE => {
                 for i in 0..local_p {
@@ -283,6 +243,21 @@ where
             }
             other => return Err(WorkerError::UnexpectedTag(other)),
         }
+    }
+}
+
+/// The transfer primitive every balancing round comes down to: `donor`
+/// gives what the round's header says — a split under its policy, or up to
+/// `max_nodes` bottom nodes — onto the top of `dest`. Returns the nodes
+/// moved; 0 (both slabs untouched) when the donor cannot give.
+fn give<N>(donor: &mut PeSlab<N>, what: Give, max_nodes: usize, dest: &mut PeSlab<N>) -> usize {
+    match what {
+        Give::Split(policy) => {
+            let before = donor.len();
+            donor.split_into(policy, dest);
+            before - donor.len()
+        }
+        Give::Counted => donor.split_count_into(max_nodes, dest),
     }
 }
 

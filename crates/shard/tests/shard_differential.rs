@@ -33,6 +33,7 @@ fn main() {
     puzzle_matches_macro_engine();
     parked_snapshots_are_interchangeable();
     killed_worker_resumes_from_spill();
+    counted_rounds_park_and_resume_across_shards();
     println!("shard_differential: all ok");
 }
 
@@ -177,4 +178,37 @@ fn killed_worker_resumes_from_spill() {
     let recovered = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("recovery resume");
     assert_eq!(recovered.outcome, want, "recovery from the spill diverged");
     println!("SIGKILL at burst 4, recovered from boundary {last}: bit-identical");
+}
+
+/// FEGS equalizes by counted transfers, many of them across a shard cut
+/// once the work has spread: the one leg where counted `EXTRACT` /
+/// `INSTALL`, and the `INSTALL` that loads a resumed range, meet stacks
+/// that are non-empty and multi-frame. 48 PEs cut 16/16/16 over three
+/// shards, 50 cut 17/17/16.
+fn counted_rounds_park_and_resume_across_shards() {
+    let tree = GenTree::geometric(13, 8, 7);
+    let workload = ShardWorkload::from(tree);
+    for p in [48usize, 50] {
+        let tmp = TempDir::new(&format!("fegs{p}"));
+        let cfg = instrumented(p, Scheme::fegs(), CostModel::cm2());
+        let want = run(&tree, &cfg);
+
+        let mut parking = opts(3);
+        parking.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 1 });
+        let got = run_sharded(&workload, &cfg, &parking).expect("parking run");
+        assert_eq!(got.outcome, want, "FEGS at P={p} on 3 parking shards diverged");
+        assert!(got.stats.route_total.steps > 0, "equalization moved work between PEs");
+
+        let jobs = spill::parked_jobs(&tmp.0).expect("list spill dir");
+        let mid = jobs[jobs.len() / 2];
+        let bytes = spill::unpark(&tmp.0, mid).expect("read parked snapshot");
+        let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("in-process resume");
+        assert_eq!(resumed, want, "in-process resume of a FEGS park at P={p} diverged");
+        let resharded = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("sharded resume");
+        assert_eq!(resharded.outcome, want, "2-shard resume of a FEGS park at P={p} diverged");
+        println!(
+            "FEGS P={p} x 3 shards, parked at all {} boundaries, boundary {mid} resumed in process and on 2 shards: bit-identical",
+            jobs.len()
+        );
+    }
 }

@@ -2,9 +2,10 @@
 //! sources do not use, and `vendor/` holds nothing the workspace does not
 //! depend on.
 //!
-//! * Every name under a `[dependencies]` table of the root package and of
-//!   each `crates/*/Cargo.toml` occurs as an identifier (`-` → `_`) in that
-//!   package's `src/`, `tests/`, `benches/` or `examples/`.
+//! * Every name under a `[dependencies]` or `[dev-dependencies]` table of
+//!   the root package and of each `crates/*/Cargo.toml` occurs as an
+//!   identifier (`-` → `_`) in that package's `src/`, `tests/`, `benches/`
+//!   or `examples/`.
 //! * Every directory under `vendor/` is a `[workspace.dependencies]` entry
 //!   and is depended on (normal or dev) by at least one workspace member.
 //!
@@ -92,9 +93,12 @@ fn every_declared_dependency_is_imported() {
         for dir in ["src", "tests", "benches", "examples"] {
             rust_sources(&package.join(dir), &mut sources);
         }
-        for line in table(&manifest, "dependencies") {
-            if !mentions(&sources, &key(line).replace('-', "_")) {
-                unused.push(format!("{}: `{}`", package.join("Cargo.toml").display(), key(line)));
+        for kind in ["dependencies", "dev-dependencies"] {
+            for line in table(&manifest, kind) {
+                if !mentions(&sources, &key(line).replace('-', "_")) {
+                    let path = package.join("Cargo.toml");
+                    unused.push(format!("{} [{kind}]: `{}`", path.display(), key(line)));
+                }
             }
         }
     }
