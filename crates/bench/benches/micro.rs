@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use uts_ckpt::wire::{decode_frame, encode_frame};
 use uts_puzzle15::{korf_instances, Puzzle15, PuzzleState};
 use uts_scan::rendezvous_match_packed;
 use uts_synth::GeometricTree;
@@ -87,5 +88,38 @@ fn bench_split(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_matching, bench_puzzle_expansion, bench_serial_dfs, bench_split);
+fn bench_wire_frame(c: &mut Criterion) {
+    // What a shard message costs at each end of the pipe, the pipe apart:
+    // the sender copies the payload into a frame and sums it, the receiver
+    // sums it again. Sizes: a small request, a P = 8192 burst reply, a
+    // P = 2^20 transfer batch.
+    let mut g = c.benchmark_group("wire_frame");
+    for len in [256usize, 32 << 10, 4 << 20] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, 2, 9, &payload);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_with_input(BenchmarkId::new("encode", len), &len, |b, _| {
+            let mut out = Vec::with_capacity(frame.len());
+            b.iter(|| {
+                out.clear();
+                encode_frame(&mut out, 2, 9, black_box(&payload));
+                black_box(out.len())
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("decode", len), &len, |b, _| {
+            b.iter(|| decode_frame(black_box(&frame)).expect("intact frame").1)
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matching,
+    bench_puzzle_expansion,
+    bench_serial_dfs,
+    bench_split,
+    bench_wire_frame
+);
 criterion_main!(benches);

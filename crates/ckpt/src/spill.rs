@@ -33,8 +33,10 @@ pub fn park_path(dir: &Path, job: u64) -> PathBuf {
     dir.join(format!("job-{job:08}.park"))
 }
 
-/// Write `bytes` to `path` atomically: a `.tmp` sibling is written and
-/// synced, then renamed over `path`. Readers never observe a torn file.
+/// Write `bytes` to `path` atomically: a `.tmp` sibling is written, then
+/// renamed over `path`, so readers and a restarted process never observe a
+/// torn file. Nothing is `fsync`ed: the guarantee is atomic visibility of
+/// complete contents, not that the newest write outlives a power failure.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes)?;

@@ -8,28 +8,63 @@
 //! that is *self-validating* the same way the snapshot container is:
 //!
 //! ```text
-//! frame := tag:u8 | seq:u64 | len:u32 | payload[len] | fnv1a64(header‖payload):u64
+//! frame := tag:u8 | seq:u64 | len:u32 | payload[len] | sum(header, payload):u64
 //! ```
 //!
-//! all little-endian, `seq` counting frames per direction from 0. The
-//! checksum covers tag, sequence number and length as well as the
-//! payload, so a bit flip anywhere in the frame is a
-//! [`WireError::ChecksumMismatch`]; a frame that arrives intact but out
-//! of order (a reordering bug, or replay of a stale stream) fails with
-//! [`WireError::OutOfOrder`] *after* integrity is established, mirroring
-//! the snapshot container's validation order (structure → checksum →
-//! semantics). Every corruption mode maps to a typed [`WireError`]
-//! variant — never a panic, and never an unbounded read: the length
-//! field is capped at [`MAX_PAYLOAD`] before any allocation happens, so
-//! a corrupt length cannot ask the receiver for gigabytes.
+//! all little-endian, `seq` counting frames per direction from 0, `header`
+//! the 13 bytes before the payload. The checksum covers tag, sequence
+//! number and length as well as the payload, so a bit flip anywhere in the
+//! frame is a [`WireError::ChecksumMismatch`]; a frame that arrives intact
+//! but out of order (a reordering bug, or replay of a stale stream) fails
+//! with [`WireError::OutOfOrder`] *after* integrity is established,
+//! mirroring the snapshot container's validation order (structure →
+//! checksum → semantics). Every corruption mode maps to a typed
+//! [`WireError`] variant — never a panic, and never an unbounded read: the
+//! length field is capped at [`MAX_PAYLOAD`], and a stream reader's buffer
+//! grows with the payload bytes that actually arrive, so a corrupt length
+//! cannot ask the receiver for gigabytes.
+//!
+//! # The sum
+//!
+//! Every byte on the pipe is summed twice (sender, receiver) and a burst
+//! reply at P = 2²⁰ is megabytes, so the sum reads the frame a word at a
+//! time on four independent lanes instead of a byte at a time on one. One
+//! step absorbs a little-endian `u64` word `w` into a 64-bit state `s`:
+//!
+//! ```text
+//! absorb(s, w) = x ^ (x >> 29)   where x = (s ^ w) · 0x9E3779B97F4A7C15  (mod 2⁶⁴)
+//! ```
+//!
+//! The lanes start at four distinct constants. Lane 0 absorbs header bytes
+//! 0–7, lane 1 header bytes 8–12 (zero-padded), lane 2 the payload length;
+//! then word `k` of each whole 32-byte block of the payload goes to lane
+//! `k`. The lanes fold into one state as `l0 ^ rotl(l1, 17) ^ rotl(l2, 31)
+//! ^ rotl(l3, 47)`, which absorbs the remaining ≤ 31 bytes word by word,
+//! the last word zero-padded. The result depends on nothing but the bytes:
+//! no pointer width, no byte order of the host.
+//!
+//! **What it guarantees.** XOR with a constant, multiplication by an odd
+//! constant and `x ^ (x >> 29)` are bijections of `u64`, so `absorb` is a
+//! bijection of `s` for a fixed `w` and of `w` for a fixed `s`. Two frames
+//! of one length that differ inside a single word (header word, lane word
+//! or tail word — so in any single bit or byte) therefore leave that
+//! word's lane, or the tail state, different; every later step is a
+//! bijection of it, the fold XORs in the same three other lanes, and the
+//! sums differ — always, not with probability 1 − 2⁻⁶⁴. Damage wider than
+//! a word is caught the ordinary way, by a 64-bit sum. Each lane is
+//! sequential in its own words and the lanes differ in start value and
+//! fold rotation, so transposed words change the sum as well: lanes
+//! started alike and folded by plain XOR would let two words of one block
+//! trade places unseen (`tests/wire_robustness.rs` pins it). The shift is
+//! not 32 because a flipped top bit passes the multiply alone and leaves
+//! its lane differing in bits 63 and 63 − shift: at 32, two such flips on
+//! lanes folded 32 bits apart would cancel.
 //!
 //! The payload itself is opaque to this layer; `uts-shard` encodes its
 //! messages with the same `uts-tree` codec primitives the snapshot
 //! payload uses.
 
 use std::io::{Read, Write};
-
-use crate::fnv1a_64;
 
 /// Bytes of frame overhead around a payload: tag (1) + seq (8) +
 /// length (4) + checksum (8).
@@ -105,6 +140,51 @@ pub struct Frame<'a> {
     pub payload: &'a [u8],
 }
 
+/// Bytes before the payload: tag (1) + seq (8) + length (4).
+const HEADER_LEN: usize = 13;
+
+/// Multiplier of [`absorb`]: odd, so multiplying by it permutes `u64`.
+const ABSORB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Start values of the four lanes, pairwise distinct.
+const LANE_SEED: [u64; 4] =
+    [0xC2B2_AE3D_27D4_EB4F, 0x1656_67B1_9E37_79F9, 0x85EB_CA77_C2B2_AE63, 0x27D4_EB2F_1656_67C5];
+
+/// One step of the frame sum (module doc): a bijection of `state` for a
+/// fixed `word` and of `word` for a fixed `state`.
+#[inline(always)]
+fn absorb(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(ABSORB_MUL);
+    x ^ (x >> 29)
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded at the top.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The frame sum (module doc, "The sum"): four word-parallel lanes over the
+/// payload's 32-byte blocks, started from the header and the payload
+/// length, folded, then the tail.
+fn frame_checksum(header: &[u8; HEADER_LEN], payload: &[u8]) -> u64 {
+    let mut lanes = LANE_SEED;
+    lanes[0] = absorb(lanes[0], le_word(&header[..8]));
+    lanes[1] = absorb(lanes[1], le_word(&header[8..]));
+    lanes[2] = absorb(lanes[2], payload.len() as u64);
+    let (blocks, tail) = payload.as_chunks::<32>();
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = absorb(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let fold =
+        lanes[0] ^ lanes[1].rotate_left(17) ^ lanes[2].rotate_left(31) ^ lanes[3].rotate_left(47);
+    tail.chunks(8).fold(fold, |sum, word| absorb(sum, le_word(word)))
+}
+
 /// Append one encoded frame to `out`.
 ///
 /// # Panics
@@ -112,13 +192,13 @@ pub struct Frame<'a> {
 /// the same process; an oversized message is a bug, not a wire fault.
 pub fn encode_frame(out: &mut Vec<u8>, tag: u8, seq: u64, payload: &[u8]) {
     assert!(payload.len() <= MAX_PAYLOAD as usize, "frame payload over MAX_PAYLOAD");
-    let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut header = [0u8; HEADER_LEN];
+    header[0] = tag;
+    header[1..9].copy_from_slice(&seq.to_le_bytes());
+    header[9..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&header);
     out.extend_from_slice(payload);
-    let checksum = fnv1a_64(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(&frame_checksum(&header, payload).to_le_bytes());
 }
 
 /// Decode one frame from the front of `bytes`. On success returns the
@@ -128,25 +208,25 @@ pub fn encode_frame(out: &mut Vec<u8>, tag: u8, seq: u64, payload: &[u8]) {
 /// is the stream reader's concern ([`FrameReader`]), not the byte
 /// decoder's.
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
-    if bytes.len() < 13 {
+    let Some((header, rest)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(WireError::Truncated);
-    }
-    let tag = bytes[0];
-    let seq = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes"));
+    };
+    let tag = header[0];
+    let seq = u64::from_le_bytes(header[1..9].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(header[9..].try_into().expect("4 bytes"));
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge(len));
     }
-    let total = 13 + len as usize + 8;
-    if bytes.len() < total {
+    let Some((payload, rest)) = rest.split_at_checked(len as usize) else {
         return Err(WireError::Truncated);
-    }
-    let body_end = total - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..total].try_into().expect("8 bytes"));
-    if fnv1a_64(&bytes[..body_end]) != stored {
+    };
+    let Some((stored, _)) = rest.split_first_chunk::<8>() else {
+        return Err(WireError::Truncated);
+    };
+    if frame_checksum(header, payload) != u64::from_le_bytes(*stored) {
         return Err(WireError::ChecksumMismatch);
     }
-    Ok((Frame { tag, seq, payload: &bytes[13..body_end] }, total))
+    Ok((Frame { tag, seq, payload }, FRAME_OVERHEAD + payload.len()))
 }
 
 /// Frame sender over a byte sink. Stamps consecutive sequence numbers
@@ -183,35 +263,35 @@ impl<W: Write> FrameWriter<W> {
 pub struct FrameReader<R: Read> {
     inner: R,
     seq: u64,
-    scratch: [u8; 13],
+    scratch: [u8; HEADER_LEN],
 }
 
 impl<R: Read> FrameReader<R> {
     /// A reader expecting sequence number 0 first.
     pub fn new(inner: R) -> Self {
-        Self { inner, seq: 0, scratch: [0; 13] }
+        Self { inner, seq: 0, scratch: [0; HEADER_LEN] }
     }
 
     /// Receive one frame: the payload lands in `buf` (cleared first) and
     /// the tag is returned. Reads are bounded by the declared length,
-    /// itself capped at [`MAX_PAYLOAD`] — a corrupt stream cannot make
-    /// this loop or allocate without bound.
+    /// itself capped at [`MAX_PAYLOAD`], and `buf` grows with the bytes
+    /// received, never ahead of them — a corrupt stream cannot make this
+    /// loop or allocate beyond what it delivers.
     pub fn recv(&mut self, buf: &mut Vec<u8>) -> Result<u8, WireError> {
         self.inner.read_exact(&mut self.scratch)?;
         let tag = self.scratch[0];
         let seq = u64::from_le_bytes(self.scratch[1..9].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(self.scratch[9..13].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes(self.scratch[9..].try_into().expect("4 bytes"));
         if len > MAX_PAYLOAD {
             return Err(WireError::TooLarge(len));
         }
         buf.clear();
-        buf.resize(len as usize, 0);
-        self.inner.read_exact(buf)?;
+        if self.inner.by_ref().take(u64::from(len)).read_to_end(buf)? < len as usize {
+            return Err(WireError::Truncated);
+        }
         let mut tail = [0u8; 8];
         self.inner.read_exact(&mut tail)?;
-        let mut check = crate::Fingerprint::new();
-        check.bytes(&self.scratch).bytes(buf);
-        if check.finish() != u64::from_le_bytes(tail) {
+        if frame_checksum(&self.scratch, buf) != u64::from_le_bytes(tail) {
             return Err(WireError::ChecksumMismatch);
         }
         if seq != self.seq {

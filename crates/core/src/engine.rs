@@ -1011,7 +1011,9 @@ pub(crate) fn apply_pairs<S: StackStore>(
 /// Merge `incoming` (PEs just fed by transfers; disjoint from `active`)
 /// into the sorted active list, in place and from the back: the list grows
 /// by the batch and only its entries above the smallest newcomer move.
-pub(crate) fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
+/// Leaves `incoming` empty. Public for the same reason as
+/// [`expansion_burst`]: a shard worker keeps its list the way the engines do.
+pub fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
     // Receivers of a single round arrive ascending, but a multi-round phase
     // can interleave rounds; sort the (small) batch before the linear merge.
     incoming.sort_unstable();

@@ -62,8 +62,8 @@ pub use ckpt::{
 };
 pub use driver::{recount_active, BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, run_fused, run_with, CycleMajorBackend, CycleStats, EngineConfig, EngineKind,
-    MacroStep, Outcome,
+    expansion_burst, merge_active, run_fused, run_with, CycleMajorBackend, CycleStats,
+    EngineConfig, EngineKind, MacroStep, Outcome,
 };
 pub use macrostep::{run, InlineBackend};
 pub use matcher::MatchState;

@@ -2,7 +2,7 @@
 //! codec.
 //!
 //! Every message travels as one [`uts_ckpt::wire`] frame (length-prefixed,
-//! FNV-1a-checksummed, sequence-numbered), so the transport inherits the
+//! summed a word at a time, sequence-numbered), so the transport inherits the
 //! checkpoint codec's rejection-mode discipline: truncation, bit flips and
 //! reordering all surface as typed [`uts_ckpt::wire::WireError`]s, never as
 //! garbage state. Payloads use the `uts-tree` checkpoint codec primitives,

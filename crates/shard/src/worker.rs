@@ -18,7 +18,7 @@
 use std::io::{Read, Write};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_core::expansion_burst;
+use uts_core::{expansion_burst, merge_active};
 use uts_puzzle15::{Board, Puzzle15};
 use uts_tree::codec::put_usize;
 use uts_tree::problem::BoundedProblem;
@@ -131,13 +131,19 @@ where
 {
     let local_p = (hello.hi - hello.lo) as usize;
     let mut arena = StackArena::new(local_p);
+    // The local PEs holding work, ascending, are `active` merged with `fed`:
+    // a burst compacts `active` to its survivors, a donor never gives its
+    // last node, so between bursts the set only gains the PEs a `MOVE` or an
+    // `INSTALL` feeds while they are empty. No request sweeps all `local_p`.
+    let mut active: Vec<usize> = Vec::new();
+    let mut fed: Vec<usize> = Vec::new();
     if hello.seed_root && hello.lo == 0 && local_p > 0 {
         arena.push_frame_with(0, |frame| frame.push(problem.root()));
+        active.push(0);
     }
 
     let mut buf = Vec::new();
     let mut payload = Vec::new();
-    let mut active: Vec<usize> = Vec::new();
     let mut started: Vec<usize> = Vec::new();
     let mut deaths: Vec<u64> = Vec::new();
     let mut stack: Vec<u8> = Vec::new();
@@ -153,8 +159,11 @@ where
                     die_hard();
                 }
                 let h = decode_burst(&buf)?;
-                active.clear();
-                active.extend((0..local_p).filter(|&i| arena.len_of(i) > 0));
+                merge_active(&mut active, &mut fed);
+                debug_assert!(
+                    active.iter().copied().eq((0..local_p).filter(|&i| arena.len_of(i) > 0)),
+                    "the kept active list is the PEs holding work"
+                );
                 started.clear();
                 started.extend_from_slice(&active);
                 let mut goals = 0u64;
@@ -193,6 +202,9 @@ where
                                 .get_disjoint_mut([d, r])
                                 .expect("decode_transfers checked range and distinctness");
                             let moved = give(donor, what, tr.max_nodes, receiver) as u64;
+                            if lens[r] == 0 && moved > 0 {
+                                fed.push(r);
+                            }
                             (lens[d], lens[r]) = (donor.len() as u32, receiver.len() as u32);
                             MoveReply { moved, donor_len: lens[d], receiver_len: lens[r] }
                                 .put(&mut payload);
@@ -223,8 +235,12 @@ where
                     // top of the PE reproduces the in-process receiver layout
                     // of a transfer exactly; onto the empty slab of a resumed
                     // worker it reproduces the snapshot's stack.
+                    let was_idle = arena.len_of(pe) == 0;
                     for frame in decode_one_stack::<P::Node>(stack_bytes)?.into_frames() {
                         arena.push_frame_with(pe, |out| out.extend(frame));
+                    }
+                    if was_idle && arena.len_of(pe) > 0 {
+                        fed.push(pe);
                     }
                     lens_out.push(arena.lens()[pe]);
                 }

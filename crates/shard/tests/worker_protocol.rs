@@ -9,13 +9,16 @@
 //! however wrong its contents, makes the loop index out of bounds.
 
 use proptest::prelude::*;
-use uts_ckpt::wire::{FrameReader, FrameWriter};
+use uts_ckpt::fnv1a_64;
+use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
 use uts_shard::proto::{
     begin_request, decode_extract_reply, decode_install, decode_install_reply, decode_move_reply,
-    decode_transfers, put_install, set_count, tag, Give, Hello, Transfer,
+    decode_transfers, encode_install_reply, put_install, set_count, tag, BurstReply, ExtractReply,
+    Give, Hello, MoveReply, ShardWorkload, Transfer,
 };
 use uts_shard::{serve, WorkerError};
-use uts_synthgen::{GenNode, GenTree};
+use uts_synthgen::{GenFamily, GenNode, GenTree};
+use uts_tree::codec::put_usize;
 use uts_tree::{CkptNode, CodecError, SearchStack, SplitPolicy, StackArena};
 
 /// PEs of the worker under test.
@@ -23,10 +26,8 @@ const LOCAL_P: u32 = 4;
 
 type Stack = SearchStack<GenNode>;
 
-/// Serve `requests` to a fresh, unseeded worker of [`LOCAL_P`] PEs.
-/// Returns the reply payloads (the `HELLO` ack excluded) and how the
-/// session ended.
-fn session(requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>) {
+/// The `HELLO` of a fresh, unseeded worker of [`LOCAL_P`] PEs.
+fn hello_payload() -> Vec<u8> {
     let hello = Hello {
         lo: 0,
         hi: u64::from(LOCAL_P),
@@ -34,11 +35,18 @@ fn session(requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>
         kill_at_burst: None,
         workload: GenTree::geometric(1, 4, 4).into(),
     };
-    let mut input = Vec::new();
-    let mut writer = FrameWriter::new(&mut input);
     let mut payload = Vec::new();
     hello.encode(&mut payload);
-    writer.send(tag::HELLO, &payload).expect("write to a Vec");
+    payload
+}
+
+/// Serve `requests` to a fresh, unseeded worker of [`LOCAL_P`] PEs.
+/// Returns the reply payloads (the `HELLO` ack excluded) and how the
+/// session ended.
+fn session(requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>) {
+    let mut input = Vec::new();
+    let mut writer = FrameWriter::new(&mut input);
+    writer.send(tag::HELLO, &hello_payload()).expect("write to a Vec");
     for (t, payload) in requests {
         writer.send(*t, payload).expect("write to a Vec");
     }
@@ -105,6 +113,38 @@ fn arb_give() -> impl Strategy<Value = Give> {
         Just(Give::Split(SplitPolicy::Top)),
         Just(Give::Counted),
     ]
+}
+
+fn arb_hello() -> impl Strategy<Value = Hello> {
+    let workload = prop_oneof![
+        (any::<u64>(), any::<u32>())
+            .prop_map(|(board, bound)| ShardWorkload::Puzzle { board, bound }),
+        (any::<u64>(), any::<u32>(), any::<u32>()).prop_map(|(seed, b_max, depth_limit)| {
+            GenTree { seed, family: GenFamily::Geometric { b_max, depth_limit } }.into()
+        }),
+        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>()).prop_map(
+            |(seed, b0, m, q_threshold)| {
+                GenTree { seed, family: GenFamily::Binomial { b0, m, q_threshold } }.into()
+            }
+        ),
+    ];
+    (any::<u32>(), any::<u32>(), any::<bool>(), (any::<bool>(), any::<u64>()), workload).prop_map(
+        |(lo, local_p, seed_root, (kill, at), workload)| Hello {
+            lo: u64::from(lo),
+            hi: u64::from(lo) + u64::from(local_p),
+            seed_root,
+            kill_at_burst: kill.then_some(at),
+            workload,
+        },
+    )
+}
+
+/// Assert that a decoder takes `bytes` and nothing near it: no strict prefix,
+/// and not `bytes` with one more byte.
+fn assert_only_whole(bytes: &[u8], accepts: impl Fn(&[u8]) -> bool) {
+    let longer = [bytes, &[0]].concat();
+    let accepted: Vec<usize> = (0..=longer.len()).filter(|&n| accepts(&longer[..n])).collect();
+    assert_eq!(accepted, [bytes.len()], "lengths at which the message, cut or padded, decodes");
 }
 
 proptest! {
@@ -188,7 +228,7 @@ proptest! {
     }
 
     /// `MOVE` / `EXTRACT` / `INSTALL` requests round-trip, and no strict
-    /// prefix of one decodes.
+    /// prefix of one decodes, nor one with a byte appended.
     #[test]
     fn request_codec_round_trips_and_rejects_every_prefix(
         give in arb_give(),
@@ -208,16 +248,76 @@ proptest! {
         let bytes = transfer_request(give, &entries);
         let local_p = LOCAL_P as usize;
         prop_assert_eq!(decode_transfers(t, &bytes, local_p), Ok((give, entries)));
-        for cut in 0..bytes.len() {
-            prop_assert!(decode_transfers(t, &bytes[..cut], local_p).is_err(), "prefix {cut}");
-        }
+        assert_only_whole(&bytes, |b| decode_transfers(t, b, local_p).is_ok());
 
         let entries: Vec<(u32, &[u8])> = blobs.iter().map(|(pe, blob)| (*pe, &blob[..])).collect();
         let bytes = install_request(&entries);
         prop_assert_eq!(decode_install(&bytes, local_p), Ok(entries));
-        for cut in 0..bytes.len() {
-            prop_assert!(decode_install(&bytes[..cut], local_p).is_err(), "prefix {cut}");
-        }
+        assert_only_whole(&bytes, |b| decode_install(b, local_p).is_ok());
+    }
+
+    /// The same for what the coordinator decodes — the four reply codecs —
+    /// and for `HELLO`, the one request the property above leaves out.
+    #[test]
+    fn reply_codecs_and_hello_round_trip_and_reject_every_prefix(
+        burst in (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            collection::vec(any::<u64>(), 0..6),
+            collection::vec((0..LOCAL_P, any::<u32>()), 0..6),
+        ),
+        moves in collection::vec((any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
+        extracts in collection::vec(
+            (any::<u64>(), any::<u32>(), collection::vec(any::<u8>(), 0..9)),
+            0..6,
+        ),
+        installs in collection::vec(any::<u32>(), 0..6),
+        hello in arb_hello(),
+    ) {
+        let local_p = LOCAL_P as usize;
+        let ((started, goals, peak), deaths, changed) = burst;
+        let reply = BurstReply { started, goals, peak, deaths, changed };
+        let mut bytes = Vec::new();
+        reply.encode(&mut bytes);
+        prop_assert_eq!(BurstReply::decode(&bytes, local_p), Ok(reply));
+        assert_only_whole(&bytes, |b| BurstReply::decode(b, local_p).is_ok());
+
+        let moves: Vec<MoveReply> = moves
+            .iter()
+            .map(|&(moved, donor_len, receiver_len)| MoveReply { moved, donor_len, receiver_len })
+            .collect();
+        let mut bytes = Vec::new();
+        put_usize(&mut bytes, moves.len());
+        moves.iter().for_each(|entry| entry.put(&mut bytes));
+        prop_assert_eq!(decode_move_reply(&bytes), Ok(moves));
+        assert_only_whole(&bytes, |b| decode_move_reply(b).is_ok());
+
+        let extracts: Vec<ExtractReply<'_>> = extracts
+            .iter()
+            .map(|(moved, donor_len, stack)| ExtractReply {
+                moved: *moved,
+                donor_len: *donor_len,
+                stack,
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        put_usize(&mut bytes, extracts.len());
+        extracts.iter().for_each(|entry| entry.put(&mut bytes));
+        prop_assert_eq!(decode_extract_reply(&bytes), Ok(extracts));
+        assert_only_whole(&bytes, |b| decode_extract_reply(b).is_ok());
+
+        let mut bytes = Vec::new();
+        encode_install_reply(&mut bytes, &installs);
+        prop_assert_eq!(decode_install_reply(&bytes), Ok(installs));
+        assert_only_whole(&bytes, |b| decode_install_reply(b).is_ok());
+
+        // `Hello` has no `PartialEq`; its encoding is canonical, so a
+        // round trip is the bytes coming back.
+        let mut bytes = Vec::new();
+        hello.encode(&mut bytes);
+        let mut again = Vec::new();
+        Hello::decode(&bytes).expect("HELLO round trip").encode(&mut again);
+        prop_assert_eq!(&again, &bytes);
+        assert_only_whole(&bytes, |b| Hello::decode(b).is_ok());
     }
 }
 
@@ -284,4 +384,22 @@ fn malformed_requests_are_typed_errors() {
         matches!(result, Err(WorkerError::Wire(_))),
         "input ending without SHUTDOWN: {result:?}"
     );
+
+    // A peer built before the frame sum changed: a well-formed `HELLO` in
+    // the same frame layout, summed with byte-serial FNV-1a. The worker and
+    // its coordinator are one executable, so there is no version to
+    // negotiate — the first frame fails its checksum and nothing is served.
+    let payload = hello_payload();
+    let mut frame = vec![tag::HELLO];
+    frame.extend_from_slice(&0u64.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&fnv1a_64(&frame).to_le_bytes());
+    let mut output = Vec::new();
+    let result = serve(&frame[..], &mut output);
+    assert!(
+        matches!(result, Err(WorkerError::Wire(WireError::ChecksumMismatch))),
+        "HELLO under the old frame sum: {result:?}"
+    );
+    assert!(output.is_empty(), "nothing is acknowledged");
 }

@@ -103,6 +103,12 @@ impl<N> PeSlab<N> {
     /// Run this PE's DFS for up to `budget` expansion cycles (or until the
     /// slab empties): pop, goal-test, expand onto the slab tail. Burst
     /// accounting is identical to [`SearchStack::expand_burst`].
+    ///
+    /// `#[inline]` so that every codegen unit calling it holds its own copy:
+    /// the one hot call site (`uts_core`'s burst kernel) then inlines it
+    /// wherever the two instantiations land, instead of only when the
+    /// partitioner happens to put them in one unit (a tenth of `burst-deep`).
+    #[inline]
     pub fn expand_burst<P: TreeProblem<Node = N>>(&mut self, problem: &P, budget: u64) -> Burst {
         let mut burst = Burst::default();
         while burst.expanded < budget {
