@@ -16,15 +16,15 @@
 //! horizons let macro-stepping actually pay.
 //!
 //! The par engine is measured twice per workload: `par1` pins one worker
-//! (`with_threads(1)`, the inline parity leg) and `par` pins the
-//! auto-detected count (`RAYON_NUM_THREADS` respected) into the config,
-//! so the worker count each leg records is by construction the one it ran
-//! with. The numbers mean different things on different hosts: on a
-//! single-core machine `par` takes the inline path and can only show
-//! parity with the macro engine, while on a multicore host the pooled
-//! burst phase should beat it outright. `host_threads` — top-level for
-//! the machine, and per result row for the worker count that leg actually
-//! used — records which regime was measured.
+//! (`with_threads(1)`, the inline parity leg) and `par` pins the host's
+//! available parallelism into the config, so the worker count each leg
+//! records is by construction the one it ran with. The numbers mean
+//! different things on different hosts: on a single-core machine `par`
+//! takes the inline path and can only show parity with the macro engine,
+//! while on a multicore host the fanned-out burst phase should beat it
+//! outright. `host_threads` — top-level for the machine, and per result
+//! row for the worker count that leg actually used — records which regime
+//! was measured.
 //!
 //! `--quick` shrinks the tree and machine sizes for CI smoke runs.
 //! `--report PATH` additionally writes a ledger-enabled run-report
@@ -35,8 +35,8 @@
 //! fused >= 0.9x reference, macro >= 0.9x fused, and parallelism-aware
 //! par floors: par and par1 >= 0.85x macro always (parity within noise,
 //! any host), plus par >= 2.0x macro on the deep d10 tree when the host
-//! has >= 4 cores *and* the par leg ran with >= 4 workers (the scaling
-//! target the persistent worker pool buys; never asserted on hosts that
+//! has >= 4 cores, which the par leg then runs with (the scaling
+//! target the fanned-out burst phase buys; never asserted on hosts that
 //! cannot physically reach it). The CI guard against a hot-path refactor
 //! quietly giving the speedups back. So the multicore CI leg can enforce
 //! the scaling floor cheaply, `--quick` keeps the d10 workload on a
@@ -98,18 +98,6 @@ struct Measurement {
     nodes_per_sec: f64,
     n_expand: u64,
     t_par_us: u64,
-}
-
-/// The worker count `run_par` resolves when the config leaves `threads`
-/// unset (mirrors `uts_core::parstep::resolve_threads`, which is crate-
-/// private): `RAYON_NUM_THREADS`, else one worker per available core.
-fn auto_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
 }
 
 /// Run `f` repeatedly until ~`budget_s` seconds elapse, returning the
@@ -196,6 +184,9 @@ fn main() {
         ]
     };
 
+    // The worker count `run_par` resolves when the config leaves `threads`
+    // unset: one per available core.
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut results: Vec<Measurement> = Vec::new();
     let mut tree_sizes: Vec<(&'static str, u32, u64)> = Vec::new();
     for case in cases {
@@ -213,14 +204,11 @@ fn main() {
         );
         for &p in case.ps {
             let cfg = EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2());
-            // Pin the auto-detected count into the config so the worker
-            // count the leg *records* is by construction the one it *ran*
-            // with — the JSON row is the measurement's provenance, not a
-            // parallel guess at what `run_par` resolved internally.
-            let auto = auto_threads();
+            // Pin the host's count into the config so the worker count the
+            // leg *records* is by construction the one it *ran* with.
             type Runner = fn(&GeometricTree, &EngineConfig) -> Outcome;
             let legs: [(&'static str, EngineConfig, usize, Runner); 5] = [
-                ("par", cfg.clone().with_threads(auto), auto, run_par),
+                ("par", cfg.clone().with_threads(host_threads), host_threads, run_par),
                 ("par1", cfg.clone().with_threads(1), 1, run_par),
                 ("macro", cfg.clone(), 1, run),
                 ("fused", cfg.clone(), 1, run_fused),
@@ -320,7 +308,6 @@ fn main() {
         s
     };
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"engine_cycle\",\n");
     let _ = writeln!(json, "  \"host_threads\": {host_threads},");
@@ -419,18 +406,12 @@ fn main() {
                 eprintln!("CHECK FAIL {tree} P={p}: par {pa:.0} < 0.85x macro {ma:.0}");
                 ok = false;
             }
-            // The scaling floor gates on the threads the par leg actually
-            // ran with (its recorded row), not just the machine's core
-            // count: an operator pinning RAYON_NUM_THREADS=1 on a big box
-            // is measuring parity, not scaling.
-            let par_threads = results
-                .iter()
-                .find(|m| m.tree == tree && m.p == p && m.engine == "par")
-                .map_or(1, |m| m.host_threads);
-            if host_threads >= 4 && par_threads >= 4 && tree == "d10" && pa < 2.0 * ma {
+            // The par leg ran with `host_threads` workers (a `taskset` or
+            // cgroup quota narrows both alike).
+            if host_threads >= 4 && tree == "d10" && pa < 2.0 * ma {
                 eprintln!(
                     "CHECK FAIL {tree} P={p}: par {pa:.0} < 2.0x macro {ma:.0} \
-                     with {par_threads} workers on {host_threads} host threads"
+                     with {host_threads} workers"
                 );
                 ok = false;
             }

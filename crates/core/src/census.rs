@@ -23,136 +23,13 @@
 //!   (idle PEs contribute `lens[i] == 0` and are skipped, exactly as the
 //!   old active-list sweep never visited them; `hist[0] == 0` either way).
 //!
-//! On big ensembles the parallel engine runs the whole census on its
-//! persistent worker pool instead: [`pooled_census`] cuts `lens` into
-//! [`CHUNK`]-aligned slices (boundaries a pure function of the length and
-//! participant count), reduces each slice with [`slice_census`] — the
-//! same chunked kernels — and combines the per-slice partials **in slice
-//! order** on the dispatching thread. All exact integer reductions, so
-//! the combined result is bit-identical to the serial sweep at any worker
-//! count (property-tested below across worker counts and awkward sizes);
-//! below [`POOLED_CENSUS_MIN_LENS`] the serial sweep is already cheaper
-//! than one dispatch and is used unconditionally.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::pool::WorkerPool;
+//! Every backend, the pooled one included, runs the census serially on
+//! the loop's thread: one sweep of a `P`-entry array is cheap next to a
+//! thread spawn (DESIGN.md §6.4).
 
 /// Width of the reduction blocks. 64 `u32`s = one or two cache lines per
 /// accumulator block, wide enough for any SIMD unit the compiler targets.
 const CHUNK: usize = 64;
-
-/// Ensembles below this many PEs run the census serially even when a pool
-/// is offered: a full serial sweep of 8K `u32`s costs a couple of
-/// microseconds — about one pool dispatch — so fanning it out only starts
-/// paying above that (bench-derived on the `pool_dispatch` criterion
-/// group, which prices a dispatch against the scoped-spawn baseline).
-pub const POOLED_CENSUS_MIN_LENS: usize = 8192;
-
-/// One slice's partial census: every reduction the engines read off the
-/// dense length array, accumulated over a contiguous `lens` slice.
-/// The `hist` buffer persists across macro-steps (allocation steadiness).
-#[derive(Default, Debug)]
-pub struct SliceCensus {
-    /// `#{i in slice : lens[i] > 0}`.
-    pub active: usize,
-    /// `#{i in slice : lens[i] >= 2}`.
-    pub busy: usize,
-    /// Largest stack length in the slice.
-    pub max: u32,
-    /// `hist[s]` = slice PEs holding exactly `s > 0` nodes.
-    pub hist: Vec<u32>,
-}
-
-/// Accumulate one contiguous slice's census into `out` (reusing its
-/// histogram buffer). The per-slice work is the same chunked, branch-free
-/// shape as the whole-array reductions above.
-pub fn slice_census(lens: &[u32], out: &mut SliceCensus) {
-    out.active = active_count(lens);
-    out.busy = busy_count(lens);
-    out.max = max_len(lens);
-    out.hist.clear();
-    out.hist.resize(out.max as usize + 1, 0);
-    for &l in lens {
-        if l > 0 {
-            out.hist[l as usize] += 1;
-        }
-    }
-}
-
-/// Whole-ensemble census totals, assembled from slice partials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CensusTotals {
-    /// The paper's `A`: PEs holding work.
-    pub active: usize,
-    /// PEs that can donate (`lens[i] >= 2`).
-    pub busy: usize,
-    /// Largest stack length in the ensemble.
-    pub max: u32,
-}
-
-/// Pool-parallel census: cut `lens` into fixed contiguous slices (one per
-/// pool participant, CHUNK-aligned so no reduction block straddles a
-/// seam), let participants claim slices off an atomic cursor, and combine
-/// the partials **in slice order** on the calling thread. Slice contents
-/// and the combine order are fixed before any worker starts, and every
-/// reduction is an exact integer sum or max, so the result is identical
-/// to the serial sweep no matter which thread computes which slice —
-/// the same determinism shape as the burst-phase chunk claiming
-/// (DESIGN.md §6.4). `partials` is caller-owned scratch reused across
-/// calls; `hist` receives the merged histogram exactly as
-/// [`build_hist`] would produce it.
-pub fn pooled_census(
-    pool: &WorkerPool,
-    lens: &[u32],
-    partials: &mut Vec<SliceCensus>,
-    hist: &mut Vec<u32>,
-) -> CensusTotals {
-    let participants = pool.workers() + 1;
-    // CHUNK-aligned even split; the last slice takes the remainder.
-    let slice_len = lens.len().div_ceil(participants).next_multiple_of(CHUNK);
-    let n_slices = lens.len().div_ceil(slice_len.max(1)).max(1);
-    if partials.len() < n_slices {
-        partials.resize_with(n_slices, SliceCensus::default);
-    }
-    // One claimable census job: a lens slice and the partial it fills.
-    type CensusJob<'a> = Mutex<Option<(&'a [u32], &'a mut SliceCensus)>>;
-    {
-        let jobs: Vec<CensusJob> = lens
-            .chunks(slice_len.max(1))
-            .zip(partials.iter_mut())
-            .map(|(slice, out)| Mutex::new(Some((slice, out))))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let jobs = &jobs;
-        let cursor = &cursor;
-        pool.dispatch(&move || loop {
-            let k = cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= jobs.len() {
-                break;
-            }
-            let (slice, out) =
-                jobs[k].lock().expect("census job lock").take().expect("census job claimed once");
-            slice_census(slice, out);
-        });
-    }
-    // Combine in slice order (fixed; and exact integer ops besides).
-    let mut totals = CensusTotals { active: 0, busy: 0, max: 0 };
-    for p in &partials[..n_slices] {
-        totals.active += p.active;
-        totals.busy += p.busy;
-        totals.max = totals.max.max(p.max);
-    }
-    hist.clear();
-    hist.resize(totals.max as usize + 1, 0);
-    for p in &partials[..n_slices] {
-        for (s, &c) in p.hist.iter().enumerate() {
-            hist[s] += c;
-        }
-    }
-    totals
-}
 
 /// Number of PEs holding work: `#{i : lens[i] > 0}`.
 pub fn active_count(lens: &[u32]) -> usize {
@@ -263,44 +140,6 @@ mod tests {
         assert_eq!(out, vec![3, 3, 1, 1, 0]);
         build_count_ge(&[], &mut out);
         assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn pooled_census_matches_the_serial_sweeps_at_any_worker_count() {
-        // Lengths around slice seams and CHUNK boundaries; worker counts
-        // around the slice count so some participants claim nothing.
-        for n in [1usize, 63, 64, 65, 1000, 8192, 8193, 20000] {
-            let lens: Vec<u32> = (0..n).map(|i| ((i * 31 + 7) % 9) as u32).collect();
-            let mut serial_hist = Vec::new();
-            build_hist(&lens, &mut serial_hist);
-            for workers in [0usize, 1, 3, 7] {
-                let pool = WorkerPool::new(workers);
-                let mut partials = Vec::new();
-                let mut hist = Vec::new();
-                let totals = pooled_census(&pool, &lens, &mut partials, &mut hist);
-                assert_eq!(totals.active, active_count(&lens), "n={n} w={workers}");
-                assert_eq!(totals.busy, busy_count(&lens), "n={n} w={workers}");
-                assert_eq!(totals.max, max_len(&lens), "n={n} w={workers}");
-                assert_eq!(hist, serial_hist, "n={n} w={workers}");
-                // Scratch reuse must not perturb a second pass.
-                let again = pooled_census(&pool, &lens, &mut partials, &mut hist);
-                assert_eq!(again, totals, "n={n} w={workers} (reused scratch)");
-                assert_eq!(hist, serial_hist, "n={n} w={workers} (reused scratch)");
-            }
-        }
-    }
-
-    #[test]
-    fn slice_census_agrees_with_the_whole_array_reductions() {
-        let lens: Vec<u32> = (0..130).map(|i| ((i * 13 + 5) % 6) as u32).collect();
-        let mut part = SliceCensus::default();
-        slice_census(&lens, &mut part);
-        assert_eq!(part.active, active_count(&lens));
-        assert_eq!(part.busy, busy_count(&lens));
-        assert_eq!(part.max, max_len(&lens));
-        let mut hist = Vec::new();
-        build_hist(&lens, &mut hist);
-        assert_eq!(part.hist, hist);
     }
 
     #[test]

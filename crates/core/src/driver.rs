@@ -14,8 +14,8 @@
 //! The executors differ only in how the host runs the search phase, which
 //! is what a [`BurstBackend`] supplies: **inline**
 //! ([`crate::macrostep::InlineBackend`], one DFS burst per PE),
-//! **pooled** ([`crate::parstep::PooledBackend`], the same bursts on a
-//! worker pool), **cycle-major** ([`crate::engine::CycleMajorBackend`],
+//! **pooled** ([`crate::parstep::PooledBackend`], the same bursts fanned
+//! out over scoped threads), **cycle-major** ([`crate::engine::CycleMajorBackend`],
 //! one pass over all PEs per cycle) and **remote** (`uts-shard`: worker
 //! processes hold the stacks, bursts and splits travel as wire frames).
 //! Every backend hands the loop the same census for the same stacks, so
@@ -49,7 +49,6 @@ use std::convert::Infallible;
 use uts_ckpt::StackSource;
 use uts_tree::{CkptNode, SearchStack, StackArena, TreeProblem};
 
-use crate::census::build_hist;
 use crate::ckpt::config_fingerprint;
 use crate::engine::{
     balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, MacroStep, Outcome,
@@ -114,13 +113,6 @@ pub trait BurstBackend {
         active: &mut Vec<usize>,
         out: &mut MergedBurst,
     ) -> Result<usize, Self::Error>;
-
-    /// Stack-size histogram of the ensemble, for the horizon. The default
-    /// is one serial sweep of [`BurstBackend::lens`]; any override must
-    /// return the identical histogram.
-    fn size_hist(&mut self, hist: &mut Vec<u32>) {
-        build_hist(self.lens(), hist);
-    }
 
     /// The stacks as a boundary snapshot encodes them.
     fn stack_source(&mut self) -> Result<StackSource<'_, Self::Node>, Self::Error>;
@@ -254,7 +246,7 @@ impl LockstepDriver {
     pub fn drive<B: BurstBackend>(mut self, backend: &mut B) -> Result<Outcome, B::Error> {
         let mut burst = MergedBurst::default();
         let killed = loop {
-            let h = self.horizon_with(|hist| backend.size_hist(hist));
+            let h = self.horizon(backend.lens());
             let busy = backend.burst(h, &mut self.active, &mut burst)?;
             let StepStatus::Continue { fired } = self.absorb(h, busy, &mut burst) else {
                 break false;
@@ -278,18 +270,14 @@ impl LockstepDriver {
     /// length array (all `P` entries).
     pub fn horizon(&mut self, lens: &[u32]) -> u64 {
         debug_assert_eq!(lens.len(), self.cfg.p);
-        self.horizon_with(|hist| build_hist(lens, hist))
-    }
-
-    fn horizon_with(&mut self, fill_hist: impl FnOnce(&mut Vec<u32>)) -> u64 {
         compute_horizon(
             &self.cfg,
             &self.state.machine,
             self.active.len(),
             self.state.in_init,
+            lens,
             &mut self.size_hist,
             &mut self.count_ge,
-            fill_hist,
         )
     }
 

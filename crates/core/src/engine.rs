@@ -54,7 +54,7 @@ pub enum EngineKind {
     /// burst per PE per macro step.
     Macro,
     /// The pooled backend ([`crate::parstep::run_par`]): the inline
-    /// bursts fanned out over a persistent host worker pool.
+    /// bursts fanned out over scoped host threads.
     Par,
 }
 
@@ -125,20 +125,13 @@ pub struct EngineConfig {
     /// Which executor [`run_with`] dispatches to (the direct entry points
     /// `run`, `run_fused`, `run_reference`, `run_par` ignore it).
     pub engine: EngineKind,
-    /// Host worker threads for [`crate::parstep::run_par`]: `None` means
-    /// "respect `RAYON_NUM_THREADS` if set, else one worker per available
-    /// core". Ignored by the other engines, and **never** part of the
-    /// schedule: any value yields the identical `Outcome`.
+    /// Host threads for [`crate::parstep::run_par`], the caller's included:
+    /// each burst that fans out spawns `threads - 1` scoped threads and
+    /// joins them before it returns. `None` means one per available core
+    /// (`std::thread::available_parallelism`). Ignored by the other
+    /// engines, and **never** part of the schedule: any value yields the
+    /// identical `Outcome`.
     pub threads: Option<usize>,
-    /// Minimum `started_PEs × horizon` product worth waking the worker
-    /// pool for; `0` fans every batch out, `u64::MAX` keeps every batch
-    /// inline (see [`crate::parstep`]). Purely a host-side latency knob, never part of
-    /// the schedule (and therefore excluded from the checkpoint
-    /// fingerprint): the batch runs inline below the bar and produces the
-    /// identical `Outcome` either way. The default,
-    /// [`crate::parstep::DEFAULT_FAN_OUT_MIN_WORK`], is tuned for the
-    /// pooled dispatch cost; see its docs for the derivation.
-    pub fan_out_min_work: u64,
     /// Checkpoint/resume configuration ([`crate::ckpt`]): when armed, the
     /// run snapshots its complete state at macro-step boundaries (the same
     /// engine-invariant schedule the ledger replays) and honours any
@@ -165,7 +158,6 @@ impl EngineConfig {
             record_ledger: false,
             engine: EngineKind::Macro,
             threads: None,
-            fan_out_min_work: crate::parstep::DEFAULT_FAN_OUT_MIN_WORK,
             checkpoint: None,
         }
     }
@@ -203,14 +195,6 @@ impl EngineConfig {
     /// Builder: pin the host worker count of the parallel engine.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Builder: override the parallel engine's fan-out threshold (the
-    /// minimum `started_PEs × horizon` product worth waking the pool
-    /// for). `0` fans every batch out; `u64::MAX` never does.
-    pub fn with_fan_out_min_work(mut self, min_work: u64) -> Self {
-        self.fan_out_min_work = min_work;
         self
     }
 

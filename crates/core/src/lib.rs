@@ -24,10 +24,10 @@
 //! virtual time advances by `U_calc` per cycle and by the cost model's
 //! `t_lb` per balancing phase (see `uts-machine`). The macro-step loop is
 //! written once ([`driver`]); the engines are backends of it that differ
-//! only in how the host executes the search phase — inline, on a worker
-//! pool ([`pool`]), cycle-major, or in worker processes (`uts-shard`) —
-//! without changing its semantics, so runs are deterministic given
-//! `(problem, config)`.
+//! only in how the host executes the search phase — inline, fanned out
+//! over scoped threads per burst ([`parstep`]), cycle-major, or in worker
+//! processes (`uts-shard`) — without changing its semantics, so runs are
+//! deterministic given `(problem, config)`.
 //!
 //! ```
 //! use uts_core::{EngineConfig, Scheme, run};
@@ -50,7 +50,6 @@ pub mod macrostep;
 pub mod matcher;
 pub mod nn;
 pub mod parstep;
-pub mod pool;
 pub mod reference;
 pub mod report_json;
 pub mod scheme;
@@ -68,7 +67,6 @@ pub use engine::{
 pub use macrostep::{run, InlineBackend};
 pub use matcher::MatchState;
 pub use parstep::{run_par, PooledBackend};
-pub use pool::WorkerPool;
 pub use reference::run_reference;
 pub use report_json::run_report_json;
 pub use scheme::{Matching, Scheme, TransferMode, Trigger};

@@ -44,7 +44,7 @@ use uts_ckpt::StackSource;
 use uts_machine::SimdMachine;
 use uts_tree::{StackArena, TreeProblem};
 
-use crate::census::build_count_ge;
+use crate::census::{build_count_ge, build_hist};
 use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::engine::{expansion_burst, EngineConfig, Outcome, Resume};
 use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
@@ -126,19 +126,17 @@ impl<P: TreeProblem> BurstBackend for InlineBackend<'_, P> {
 /// phase balances after every cycle by construction; both degrade
 /// gracefully to single-cycle steps. `size_hist`/`count_ge` are
 /// caller-owned scratch, rebuilt only when a multi-cycle horizon is
-/// actually reachable: `fill_hist` then builds the stack-size histogram
-/// over the PEs holding work (`hist[s]` = PEs whose stack holds `s`
-/// nodes) — a census sweep of the dense per-PE length array
-/// ([`crate::census::build_hist`]), or any reduction returning the same
-/// exact integers (the pooled backend's runs on its workers).
+/// actually reachable: the stack-size histogram over the PEs holding work
+/// (`hist[s]` = PEs whose stack holds `s` nodes) is then one census sweep
+/// of `lens`, the dense per-PE length array ([`build_hist`]).
 pub(crate) fn compute_horizon(
     cfg: &EngineConfig,
     machine: &SimdMachine,
     active_len: usize,
     in_init: bool,
+    lens: &[u32],
     size_hist: &mut Vec<u32>,
     count_ge: &mut Vec<u32>,
-    fill_hist: impl FnOnce(&mut Vec<u32>),
 ) -> u64 {
     let mut h = if in_init
         || cfg.stop_on_goal
@@ -152,7 +150,7 @@ pub(crate) fn compute_horizon(
         ) {
         1
     } else {
-        fill_hist(size_hist);
+        build_hist(lens, size_hist);
         build_count_ge(size_hist, count_ge);
         let hctx = HorizonCtx {
             p: cfg.p,

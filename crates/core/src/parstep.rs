@@ -39,19 +39,16 @@
 //! state, and no floating-point reassociation exists, so the schedule
 //! cannot depend on thread count or interleaving even in principle.
 //!
-//! Workers come from a **persistent pool** ([`crate::pool::WorkerPool`]):
-//! `threads - 1` threads spawned once per backend, parked on a condvar
-//! between bursts, and woken per macro-step through an epoch-stamped
-//! dispatch cell — a wake costs microseconds where a spawn/join per step
-//! costs a burst's worth (the `pool_dispatch` criterion group measures the
-//! gap). Scratch buffers persist across steps so a warmed-up step
-//! allocates little; with dispatch cheap, the census feeding the next
-//! horizon runs on the pool too ([`crate::census::pooled_census`]); and
-//! small batches still skip the fan-out entirely. The pool joins
-//! deterministically when the backend drops — when the run returns, on
-//! goal-stop early exit, and on checkpoint-kill alike (its `Drop` parks
-//! then joins every worker; `tests/pool_lifecycle.rs` counts live pool
-//! workers).
+//! A burst that fans out opens one [`std::thread::scope`]: `workers - 1`
+//! scoped threads (named `uts-fan-{i}`) and the calling thread run the same
+//! claim loop, and the scope joins them all before the burst returns. So no
+//! thread outlives a burst — a macro-step boundary (trigger checkpoint,
+//! balancing phase, snapshot, injected kill) always sees settled state,
+//! and a participant's panic re-raises on the calling thread — by
+//! construction, with no lifetime erasure and no shutdown protocol. Scratch
+//! buffers persist across steps so a warmed-up step allocates little, and
+//! bursts below [`FAN_OUT_MIN_WORK`] skip the fan-out entirely
+//! (DESIGN.md §6.4 gives the bar's derivation).
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,29 +57,28 @@ use std::sync::Mutex;
 use uts_ckpt::StackSource;
 use uts_tree::{PeSlab, StackArena, TreeProblem};
 
-use crate::census::{build_hist, pooled_census, SliceCensus, POOLED_CENSUS_MIN_LENS};
 use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::engine::{burst_slice, EngineConfig, Outcome, Resume, SliceBurst};
 use crate::macrostep::InlineBackend;
-use crate::pool::WorkerPool;
 
-/// Default for [`EngineConfig::fan_out_min_work`]: the minimum
-/// `started_PEs × horizon` product worth waking the pool for when the
-/// worker count was auto-detected. Below this the batch runs inline on
-/// the calling thread; the schedule is identical either way, so the
-/// threshold is purely a latency knob. [`EngineConfig::threads`] is
-/// likewise *only* a worker count: setting it does not force sharding.
-/// Suites that need the sharded path on trees far too small to cross
-/// this bar force it with [`EngineConfig::with_fan_out_min_work`]`(0)`.
+/// The smallest `started_PEs × horizon` product [`run_par`] fans a burst
+/// out for. Below it the burst runs inline on the calling thread; the
+/// schedule is identical either way, so the bar is purely a latency
+/// choice. [`EngineConfig::threads`] is likewise *only* a worker count:
+/// setting it does not force fan-out. Suites that need the fanned-out
+/// path on small trees build a [`PooledBackend`] with a bar of `0`.
 ///
-/// The constant is bench-derived: a pool dispatch (epoch bump + condvar
-/// wake + completion join) measures in the low single-digit microseconds
-/// on the `pool_dispatch` criterion group. At ~15–60 ns per node
-/// expansion, 256 PE-cycles of burst work is the break-even neighbourhood;
-/// batches smaller than that are dominated by the wake even on a warm
-/// pool, while a higher bar would serialize the small-but-frequent bursts
-/// of shallow trees (whose trigger fires every few cycles).
-pub const DEFAULT_FAN_OUT_MIN_WORK: u64 = 256;
+/// Measured, not modelled. A scoped spawn costs 16–51 µs per thread on
+/// the 2-vCPU reference host (a persistent pool's condvar wake cost
+/// 5–8 µs); at ~15–60 ns per node expansion, 4096 PE-cycles is 60–250 µs
+/// of burst work, enough to amortise one spawn. On the `serve-churn`
+/// benchmark (9 of its 27 jobs run `par` at 2 threads, P = 32–256)
+/// scoped threads at the pool's old bar of 256 read +20 % `wall_s`
+/// against the pool; at 4096 they read −15 % (0.783 → 0.664 s median,
+/// lower in 10 of 10 pairs). `burst-deep`-shaped runs (P = 8192, long
+/// horizons) clear either bar on nearly every step: par2 there read
+/// 551 ms with the pool and 556 ms with this bar (10 pairs).
+pub const FAN_OUT_MIN_WORK: u64 = 4096;
 
 /// Chunks published per worker. More than one chunk per worker lets the
 /// claim cursor rebalance skew (one PE's burst can dwarf another's on an
@@ -90,13 +86,10 @@ pub const DEFAULT_FAN_OUT_MIN_WORK: u64 = 256;
 /// bounding any worker's idle tail at roughly a quarter of a chunk.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Resolve the worker count: explicit config knob, else the conventional
-/// `RAYON_NUM_THREADS` override, else one worker per available core.
+/// Resolve the worker count: explicit config knob, else one worker per
+/// available core (which `taskset` and cgroup quotas narrow).
 pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
     cfg.threads
-        .or_else(|| {
-            std::env::var("RAYON_NUM_THREADS").ok().and_then(|s| s.parse().ok()).filter(|&n| n > 0)
-        })
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .max(1)
 }
@@ -117,7 +110,7 @@ type ChunkJob<'a, N> =
     (&'a mut [usize], usize, &'a mut [PeSlab<N>], &'a mut [u32], &'a mut ShardScratch);
 
 /// Run `problem` to exhaustion (or first goal) under `cfg`, fanning each
-/// macro-step's bursts out across host worker threads via dynamically
+/// macro-step's bursts out across scoped host threads via dynamically
 /// claimed work chunks: the macro-step loop over [`PooledBackend`]. The
 /// schedule — every counter, trace, donation vector and goal count — is
 /// bit-identical to [`crate::macrostep::run`] at any thread count (see the
@@ -140,53 +133,29 @@ fn run_par_over<P: TreeProblem>(
     cfg: &EngineConfig,
     (driver, arena): InProcess<P::Node>,
 ) -> Outcome {
-    // The pool joins when the backend drops, before the `Outcome` leaves —
-    // on normal exhaustion, goal-stop, truncation and checkpoint-kill alike.
-    driver.run_to_end(PooledBackend::new(
-        problem,
-        arena,
-        resolve_threads(cfg),
-        cfg.fan_out_min_work,
-    ))
+    driver.run_to_end(PooledBackend::new(problem, arena, resolve_threads(cfg), FAN_OUT_MIN_WORK))
 }
 
 /// The pooled search phase: the inline backend's bursts, cut into chunks
-/// of the active list and claimed by the workers of a persistent
-/// [`WorkerPool`] (spawned here once, woken per macro-step, parked in
-/// between, joined on drop). A burst below the fan-out bar — and every
-/// burst of a one-thread backend, which spawns no pool at all — runs
-/// through the wrapped [`InlineBackend`] verbatim, so a non-fanned-out
-/// `run_par` is the macro engine plus a branch. The census feeding the
-/// horizon runs on the pool too when the ensemble is large enough to pay
-/// for a dispatch.
+/// of the active list and claimed by `threads` participants of one
+/// [`std::thread::scope`] per burst. A burst below the fan-out bar — and
+/// every burst of a one-thread backend — runs through the wrapped
+/// [`InlineBackend`] verbatim, so a non-fanned-out `run_par` is the macro
+/// engine plus a branch.
 pub struct PooledBackend<'a, P: TreeProblem> {
     inline: InlineBackend<'a, P>,
-    pool: Option<WorkerPool>,
-    fan_out_min_work: u64,
-    /// Per-chunk scratch and the pooled census's per-slice scratch, both
-    /// persistent across macro-steps.
+    threads: usize,
+    min_work: u64,
+    /// Per-chunk scratch, persistent across macro-steps.
     shards: Vec<ShardScratch>,
-    census_slices: Vec<SliceCensus>,
 }
 
 impl<'a, P: TreeProblem> PooledBackend<'a, P> {
     /// A backend searching `problem` over `arena` with `threads` host
     /// threads (the caller's included), fanning out bursts of at least
-    /// `fan_out_min_work` PE-cycles
-    /// ([`EngineConfig::fan_out_min_work`]).
-    pub fn new(
-        problem: &'a P,
-        arena: StackArena<P::Node>,
-        threads: usize,
-        fan_out_min_work: u64,
-    ) -> Self {
-        Self {
-            inline: InlineBackend::new(problem, arena),
-            pool: (threads > 1).then(|| WorkerPool::new(threads - 1)),
-            fan_out_min_work,
-            shards: Vec::new(),
-            census_slices: Vec::new(),
-        }
+    /// `min_work` PE-cycles ([`run_par`] passes [`FAN_OUT_MIN_WORK`]).
+    pub fn new(problem: &'a P, arena: StackArena<P::Node>, threads: usize, min_work: u64) -> Self {
+        Self { inline: InlineBackend::new(problem, arena), threads, min_work, shards: Vec::new() }
     }
 }
 
@@ -210,15 +179,13 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
         out: &mut MergedBurst,
     ) -> Result<usize, Infallible> {
         let started = active.len();
-        let pool = match &self.pool {
-            Some(pool) if started >= 2 && started as u64 * h >= self.fan_out_min_work => pool,
-            _ => return self.inline.burst(h, active, out),
-        };
+        if self.threads < 2 || started < 2 || (started as u64) * h < self.min_work {
+            return self.inline.burst(h, active, out);
+        }
         out.reset(started);
         let problem = self.inline.problem;
-        // At least two chunks always form here (`started >= 2`, and a pool
-        // means at least two threads).
-        let workers = (pool.workers() + 1).min(started);
+        // At least two workers, and so two chunks, always form here.
+        let workers = self.threads.min(started);
         let nc = (workers * CHUNKS_PER_WORKER).min(started);
         if self.shards.len() < nc {
             self.shards.resize_with(nc, ShardScratch::default);
@@ -251,25 +218,29 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
         }
 
         // ---- claim loop: participants pull chunk jobs off an atomic
-        // ---- cursor. One pool dispatch wakes the parked workers for
-        // ---- this epoch; the calling thread claims too instead of
-        // ---- idling, and the dispatch returns once every participant
-        // ---- ran out of jobs (so all borrows below are settled).
+        // ---- cursor. The calling thread claims too instead of idling,
+        // ---- and the scope joins every spawned participant before it
+        // ---- returns (so all borrows below are settled).
         let cursor = AtomicUsize::new(0);
-        {
-            let jobs = &jobs;
-            let cursor = &cursor;
-            pool.dispatch(&move || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= jobs.len() {
-                    break;
-                }
-                let (chunk, base, slabs_w, lens_w, scr) =
-                    jobs[k].lock().expect("job lock").take().expect("job claimed once");
-                scr.deaths.clear();
-                scr.cut = burst_slice(problem, h, chunk, base, slabs_w, lens_w, &mut scr.deaths);
-            });
-        }
+        let claim = || loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= jobs.len() {
+                break;
+            }
+            let (chunk, base, slabs_w, lens_w, scr) =
+                jobs[k].lock().expect("job lock").take().expect("job claimed once");
+            scr.deaths.clear();
+            scr.cut = burst_slice(problem, h, chunk, base, slabs_w, lens_w, &mut scr.deaths);
+        };
+        std::thread::scope(|s| {
+            for i in 1..workers {
+                std::thread::Builder::new()
+                    .name(format!("uts-fan-{i}"))
+                    .spawn_scoped(s, claim)
+                    .expect("spawn fan-out thread");
+            }
+            claim();
+        });
         drop(jobs);
 
         // ---- merge chunks in chunk order == PE order (calling thread):
@@ -291,36 +262,8 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
         Ok(busy)
     }
 
-    fn size_hist(&mut self, hist: &mut Vec<u32>) {
-        // Pool-parallel slice reductions combined in fixed slice order
-        // instead of one serial sweep, so the horizon computation stops
-        // being a serial tail between bursts. Identical result either way
-        // (exact integer reductions, fixed combine order; see
-        // `census::pooled_census`), so the schedule cannot observe the
-        // choice.
-        let lens = self.inline.arena.lens();
-        match &self.pool {
-            Some(pool) if lens.len() >= POOLED_CENSUS_MIN_LENS => {
-                pooled_census(pool, lens, &mut self.census_slices, hist);
-            }
-            _ => build_hist(lens, hist),
-        }
-    }
-
     fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
         self.inline.stack_source()
-    }
-
-    fn end_step(&mut self, _: &LockstepDriver, _: bool) -> Result<(), Infallible> {
-        // Every dispatch joined before this point, so a snapshot — and an
-        // injected kill — always sees complete, settled state (no burst in
-        // flight, every worker parked). Asserted because the kill→resume
-        // differential depends on it.
-        debug_assert!(
-            self.pool.as_ref().is_none_or(WorkerPool::is_quiescent),
-            "macro-step boundary reached with the pool mid-dispatch"
-        );
-        Ok(())
     }
 }
 
@@ -332,6 +275,13 @@ mod tests {
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;
 
+    /// `run_par` at `threads` with the fan-out bar at `min_work` (`0`
+    /// forces the fanned-out path on trees too small to cross the bar).
+    fn par_at(tree: &GeometricTree, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
+        let (driver, arena) = LockstepDriver::at_root(tree, cfg);
+        driver.run_to_end(PooledBackend::new(tree, arena, threads, min_work))
+    }
+
     #[test]
     fn resolve_threads_prefers_the_config_knob() {
         let cfg = EngineConfig::new(4, Scheme::gp_dk(), CostModel::cm2()).with_threads(3);
@@ -340,15 +290,11 @@ mod tests {
 
     #[test]
     fn par_matches_macro_at_several_thread_counts() {
-        // min_work 0 forces the sharded path even on this small tree.
         let tree = GeometricTree { seed: 21, b_max: 8, depth_limit: 6 };
-        let base = EngineConfig::new(64, Scheme::gp_dk(), CostModel::cm2())
-            .with_trace()
-            .with_fan_out_min_work(0);
+        let base = EngineConfig::new(64, Scheme::gp_dk(), CostModel::cm2()).with_trace();
         let serial = run(&tree, &base);
         for threads in [1usize, 2, 8] {
-            let par = run_par(&tree, &base.clone().with_threads(threads));
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(par_at(&tree, &base, threads, 0), serial, "threads={threads}");
         }
     }
 
@@ -360,9 +306,9 @@ mod tests {
         let tree = GeometricTree { seed: 33, b_max: 8, depth_limit: 6 };
         let base = EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2()).with_trace();
         let serial = run(&tree, &base);
-        for min_work in [0u64, DEFAULT_FAN_OUT_MIN_WORK, u64::MAX] {
-            let par = run_par(&tree, &base.clone().with_fan_out_min_work(min_work));
-            assert_eq!(par, serial, "fan_out_min_work={min_work}");
+        let threads = resolve_threads(&base);
+        for min_work in [0u64, FAN_OUT_MIN_WORK, u64::MAX] {
+            assert_eq!(par_at(&tree, &base, threads, min_work), serial, "min_work={min_work}");
         }
     }
 

@@ -22,7 +22,6 @@ use std::convert::Infallible;
 use uts_ckpt::StackSource;
 use uts_tree::{SearchStack, SplitPolicy, TreeProblem};
 
-use crate::census::build_hist;
 use crate::ckpt::config_fingerprint;
 use crate::engine::{checkpoint_trigger, fresh_run, EngineConfig, LedgerRecorder, Outcome, Resume};
 use crate::macrostep::compute_horizon;
@@ -92,9 +91,9 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
                     &st.machine,
                     active_len,
                     st.in_init,
+                    &lens_scratch,
                     &mut size_hist,
                     &mut count_ge,
-                    |hist| build_hist(&lens_scratch, hist),
                 );
                 h_remaining = window_h;
             }

@@ -71,7 +71,7 @@ pub struct JobSpec {
 const MAX_P: u64 = 1 << 22;
 
 /// Largest `threads` a spec may ask for; the pooled engine spawns that
-/// many OS threads.
+/// many OS threads (less its own) for every burst it fans out.
 const MAX_THREADS: u64 = 256;
 
 fn field_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServeError> {

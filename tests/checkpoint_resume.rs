@@ -25,9 +25,11 @@
 //! replay before the random cases.
 
 use proptest::prelude::*;
+use simd_tree_search::core::{LockstepDriver, PooledBackend};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::GeometricTree;
 use simd_tree_search::synthgen::GenTree;
+use simd_tree_search::tree::StackArena;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -200,6 +202,19 @@ fn snapshots_are_engine_invariant_across_all_pairs() {
     }
 }
 
+/// The loop from `driver` over `arena` on a [`PooledBackend`] of
+/// `threads` that fans every burst out (a bar of `0`; `run_par`'s own bar
+/// would keep this small tree's bursts inline).
+fn forced_par<P: TreeProblem>(
+    tree: &P,
+    driver: LockstepDriver,
+    arena: StackArena<P::Node>,
+    threads: usize,
+) -> Outcome {
+    let Ok(out) = driver.drive(&mut PooledBackend::new(tree, arena, threads, 0));
+    out
+}
+
 /// Resuming the par engine is worker-count invariant: threads are a host
 /// latency knob, never a schedule input — dying on an 8-thread host and
 /// resuming on a single-threaded one changes nothing.
@@ -208,14 +223,21 @@ fn par_resume_is_thread_count_invariant() {
     let tree = GeometricTree { seed: 23, b_max: 8, depth_limit: 6 };
     let base = EngineConfig::new(64, Scheme::fegs(), CostModel::cm2())
         .with_ledger()
-        .with_engine(EngineKind::Par)
-        .with_fan_out_min_work(0); // force sharding on this small tree
+        .with_engine(EngineKind::Par);
     let straight = run_with(&tree, &base);
-    let (_, bytes) = kill_run(&tree, &base.clone().with_threads(8), 3);
-    let bytes = bytes.expect("deep enough run to reach boundary 3");
+    let armed =
+        base.clone().with_checkpoint(CheckpointPolicy::every(1)).with_fault(FaultPlan::kill_at(3));
+    let mut arena = StackArena::new(armed.p);
+    arena.push_frame_with(0, |frame| frame.push(tree.root()));
+    let dead = forced_par(&tree, LockstepDriver::fresh(&armed), arena, 8);
+    assert!(dead.killed, "deep enough run to reach boundary 3");
+    let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    let bytes = &snaps.last().expect("every-boundary policy snapshots each step").bytes;
     for threads in [1usize, 2, 8] {
-        let resumed = resume_from_bytes(&tree, &base.clone().with_threads(threads), &bytes)
-            .expect("valid snapshot");
+        let snapshot =
+            EngineSnapshot::decode(bytes, config_fingerprint(&base)).expect("valid snapshot");
+        let (driver, stacks) = LockstepDriver::restore(&base, snapshot);
+        let resumed = forced_par(&tree, driver, StackArena::from_stacks(stacks), threads);
         assert_eq!(resumed, straight, "par resume with {threads} threads diverged");
     }
 }
@@ -257,7 +279,6 @@ fn chain_of_kills_composes_to_the_straight_run() {
 /// every boundary of a real run.
 #[test]
 fn soa_frames_soa_encode_is_bit_exact_through_the_codec() {
-    use simd_tree_search::tree::StackArena;
     type Node = <GeometricTree as TreeProblem>::Node;
     let tree = GeometricTree { seed: 17, b_max: 8, depth_limit: 6 };
     let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger();

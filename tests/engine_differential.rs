@@ -15,9 +15,12 @@
 //! cases, so a failure found once anywhere keeps guarding forever.
 
 use proptest::prelude::*;
+use simd_tree_search::core::parstep::FAN_OUT_MIN_WORK;
+use simd_tree_search::core::{LockstepDriver, PooledBackend};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
 use simd_tree_search::synthgen::GenTree;
+use simd_tree_search::tree::StackArena;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -45,6 +48,17 @@ fn arb_gen_tree() -> impl Strategy<Value = GenTree> {
     ]
 }
 
+/// `run_par` at `threads` with the fan-out bar at `min_work` (`run_par`
+/// itself always uses `FAN_OUT_MIN_WORK`; `0` forces the fanned-out path
+/// on trees too small to cross it).
+fn par_at<P: TreeProblem>(tree: &P, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
+    let mut arena = StackArena::new(cfg.p);
+    arena.push_frame_with(0, |frame| frame.push(tree.root()));
+    let Ok(out) =
+        LockstepDriver::fresh(cfg).drive(&mut PooledBackend::new(tree, arena, threads, min_work));
+    out
+}
+
 /// Run every non-reference engine through the [`run_with`] dispatcher and
 /// require whole-`Outcome` equality against the reference oracle. The par
 /// engine runs twice at awkward worker counts (3 does not divide most
@@ -60,9 +74,7 @@ fn assert_all_engines_identical<P: simd_tree_search::tree::TreeProblem>(
         assert_eq!(got, reference, "{} diverged from reference", kind.name());
     }
     for threads in [3usize, 8] {
-        // min_work 0 forces the sharded path on trees too small to cross
-        // the fan-out bar naturally.
-        let got = run_par(tree, &cfg.clone().with_threads(threads).with_fan_out_min_work(0));
+        let got = par_at(tree, cfg, threads, 0);
         assert_eq!(got, reference, "par({threads} threads) diverged from reference");
     }
 }
@@ -110,9 +122,9 @@ proptest! {
     /// Thread-count determinism: the par engine's `Outcome` (metrics
     /// included) is identical under 1, 2 and 8 workers — and identical to
     /// the serial macro engine, macro-step log included. The fan-out
-    /// threshold is fuzzed alongside the worker count: forced sharding
-    /// (0), the tuned default, and never-shard (`u64::MAX`, pool idles)
-    /// are all latency knobs, never schedule inputs.
+    /// threshold is fuzzed alongside the worker count: forced fan-out
+    /// (0), `run_par`'s bar, and never (`u64::MAX`, every burst inline)
+    /// are all latency choices, never schedule inputs.
     #[test]
     fn par_outcome_is_thread_count_invariant(
         seed in 0u64..3000,
@@ -121,7 +133,7 @@ proptest! {
         p_log in 0u32..10,
         min_work in prop_oneof![
             Just(0u64),
-            Just(simd_tree_search::core::parstep::DEFAULT_FAN_OUT_MIN_WORK),
+            Just(FAN_OUT_MIN_WORK),
             Just(u64::MAX),
         ],
     ) {
@@ -133,10 +145,7 @@ proptest! {
             .with_ledger();
         let serial = run(&tree, &base);
         for threads in [1usize, 2, 8] {
-            let par = run_par(
-                &tree,
-                &base.clone().with_threads(threads).with_fan_out_min_work(min_work),
-            );
+            let par = par_at(&tree, &base, threads, min_work);
             assert_eq!(par, serial, "{} threads={threads} min_work={min_work}", scheme.name());
         }
     }
@@ -160,7 +169,7 @@ proptest! {
         assert_all_engines_identical(&tree, &cfg);
         let serial = run(&tree, &cfg);
         for threads in [1usize, 2, 8] {
-            let par = run_par(&tree, &cfg.clone().with_threads(threads).with_fan_out_min_work(0));
+            let par = par_at(&tree, &cfg, threads, 0);
             assert_eq!(par, serial, "generated tree, threads={threads}");
         }
     }
@@ -190,8 +199,7 @@ fn par_handles_the_init_phase_at_large_p() {
     let cfg = EngineConfig::new(1024, Scheme::gp_dk(), CostModel::cm2()).with_trace().with_ledger();
     let reference = run_reference(&tree, &cfg);
     for threads in [1usize, 2, 8] {
-        let forced = cfg.clone().with_threads(threads).with_fan_out_min_work(0);
-        assert_eq!(run_par(&tree, &forced), reference);
+        assert_eq!(par_at(&tree, &cfg, threads, 0), reference);
     }
 }
 

@@ -7,8 +7,10 @@
 //! every table and figure regenerator sits on top of it.
 
 use proptest::prelude::*;
+use simd_tree_search::core::{LockstepDriver, PooledBackend};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
+use simd_tree_search::tree::StackArena;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -49,17 +51,24 @@ fn assert_equivalent(label: &str, got: &Outcome, reference: &Outcome) {
     assert_eq!(got.peak_stack_nodes, reference.peak_stack_nodes, "{label}: peak_stack_nodes");
 }
 
+/// `run_par` with two threads and every burst fanned out: the loop over a
+/// [`PooledBackend`] with a fan-out bar of `0`, so the chunked burst path
+/// is exercised even on trees far too small to cross `run_par`'s bar.
+fn forced_par<P: TreeProblem>(tree: &P, cfg: &EngineConfig) -> Outcome {
+    let mut arena = StackArena::new(cfg.p);
+    arena.push_frame_with(0, |frame| frame.push(tree.root()));
+    let Ok(out) = LockstepDriver::fresh(cfg).drive(&mut PooledBackend::new(tree, arena, 2, 0));
+    out
+}
+
 /// Run all four engines on the same configuration and require bitwise
-/// agreement of macro, fused and par against the reference oracle. The
-/// par engine runs with two workers and a zeroed fan-out threshold so the
-/// sharded burst path is exercised even on trees far too small for the
-/// fan-out heuristic.
-fn assert_all_engines_agree<P: simd_tree_search::tree::TreeProblem>(tree: &P, cfg: &EngineConfig) {
+/// agreement of macro, fused and par against the reference oracle (par
+/// with its fan-out forced, [`forced_par`]).
+fn assert_all_engines_agree<P: TreeProblem>(tree: &P, cfg: &EngineConfig) {
     let reference = run_reference(tree, cfg);
     assert_equivalent("macro", &run(tree, cfg), &reference);
     assert_equivalent("fused", &run_fused(tree, cfg), &reference);
-    let forced = cfg.clone().with_threads(2).with_fan_out_min_work(0);
-    assert_equivalent("par", &run_par(tree, &forced), &reference);
+    assert_equivalent("par", &forced_par(tree, cfg), &reference);
 }
 
 proptest! {
@@ -125,7 +134,7 @@ fn table1_schemes_schedule_identically_at_p256() {
         for (engine, out) in [
             ("macro", run(&tree, &cfg)),
             ("fused", run_fused(&tree, &cfg)),
-            ("par", run_par(&tree, &cfg.clone().with_threads(2).with_fan_out_min_work(0))),
+            ("par", forced_par(&tree, &cfg)),
         ] {
             assert_eq!(out.report.n_expand, reference.report.n_expand, "{name}/{engine}");
             assert_eq!(out.report.n_lb, reference.report.n_lb, "{name}/{engine}");

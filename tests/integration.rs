@@ -271,9 +271,9 @@ fn gp_spreads_the_donation_burden_at_paper_like_scale() {
     assert!(sg.gini < sn.gini, "GP gini {:.3} vs nGP gini {:.3}", sg.gini, sn.gini);
 }
 
-/// The exhaustive CI tier runs this under `RAYON_NUM_THREADS=1` and `=4`:
-/// the par engine resolves its worker count from that variable when no
-/// explicit thread count is pinned, and the ledger (like the whole
+/// No thread count is pinned here, so the par engine runs with one thread
+/// per core the host makes available (`available_parallelism`, which
+/// `taskset` and cgroup quotas narrow), and the ledger (like the whole
 /// `Outcome`) must not depend on it.
 #[test]
 #[ignore = "heavy 15-puzzle workload; run with --ignored (CI does)"]

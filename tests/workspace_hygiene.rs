@@ -1,6 +1,6 @@
 //! Manifest hygiene (quick tier, std only): the manifests name nothing the
-//! sources do not use, and `vendor/` holds nothing the workspace does not
-//! depend on.
+//! sources do not use, `vendor/` holds nothing the workspace does not
+//! depend on, and no member may compile `unsafe_code`.
 //!
 //! * Every name under a `[dependencies]` or `[dev-dependencies]` table of
 //!   the root package and of each `crates/*/Cargo.toml` occurs as an
@@ -8,6 +8,11 @@
 //!   or `examples/`.
 //! * Every directory under `vendor/` is a `[workspace.dependencies]` entry
 //!   and is depended on (normal or dev) by at least one workspace member.
+//! * The root manifest sets `[workspace.lints.rust] unsafe_code = "forbid"`
+//!   and every member inherits it with `[lints] workspace = true`. The
+//!   allow-list of files that may hold such code is empty, and `forbid`
+//!   leaves no way to grant one locally. (`benchmark/` is a workspace of
+//!   its own and is not covered.)
 //!
 //! A dependency nothing imports still costs a build step, a lock-file
 //! entry and a reader's attention; this test is what notices it.
@@ -39,6 +44,13 @@ fn subdirs(dir: &Path) -> Vec<PathBuf> {
 fn packages() -> Vec<PathBuf> {
     let mut out = vec![repo()];
     out.extend(subdirs(&repo().join("crates")));
+    out
+}
+
+/// Every workspace member: the root package, `crates/*` and `vendor/*`.
+fn members() -> Vec<PathBuf> {
+    let mut out = packages();
+    out.extend(subdirs(&repo().join("vendor")));
     out
 }
 
@@ -109,10 +121,8 @@ fn every_declared_dependency_is_imported() {
 fn every_vendored_crate_is_a_workspace_dependency_in_use() {
     let root_manifest = read(&repo().join("Cargo.toml"));
     let workspace_deps = table(&root_manifest, "workspace.dependencies");
-    let mut members = packages();
-    members.extend(subdirs(&repo().join("vendor")));
     let mut depended_on = Vec::new();
-    for member in members {
+    for member in members() {
         let manifest = read(&member.join("Cargo.toml"));
         for kind in ["dependencies", "dev-dependencies"] {
             depended_on.extend(table(&manifest, kind).into_iter().map(|l| key(l).to_string()));
@@ -132,4 +142,25 @@ fn every_vendored_crate_is_a_workspace_dependency_in_use() {
         }
     }
     assert!(stale.is_empty(), "vendored crates the workspace does not need:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn every_member_forbids_unsafe_code() {
+    let root_manifest = read(&repo().join("Cargo.toml"));
+    assert_eq!(
+        table(&root_manifest, "workspace.lints.rust"),
+        ["unsafe_code = \"forbid\""],
+        "the workspace lint table must forbid unsafe_code and nothing else"
+    );
+    let opted_out: Vec<String> = members()
+        .into_iter()
+        .map(|member| member.join("Cargo.toml"))
+        .filter(|manifest| table(&read(manifest), "lints") != ["workspace = true"])
+        .map(|manifest| manifest.display().to_string())
+        .collect();
+    assert!(
+        opted_out.is_empty(),
+        "members that do not inherit [workspace.lints] (add `[lints] workspace = true`):\n{}",
+        opted_out.join("\n")
+    );
 }
