@@ -145,10 +145,9 @@ impl CheckpointCfg {
 /// therefore the meaning of a snapshot): machine size, scheme, cost model,
 /// split policy, init fraction, stop/budget knobs, and the recording
 /// flags (they change what a snapshot must contain). Deliberately
-/// **excluded**: the engine kind, the host thread count, the parallel
-/// engine's fan-out threshold, and the checkpoint configuration itself —
-/// snapshots are engine- and host-invariant, and where they are written
-/// does not change what they mean.
+/// **excluded**: the engine kind, the host thread count and the checkpoint
+/// configuration itself — snapshots are engine- and host-invariant, and
+/// where they are written does not change what they mean.
 pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let mut f = Fingerprint::new();
     f.u64(cfg.p as u64);

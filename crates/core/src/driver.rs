@@ -216,7 +216,7 @@ impl LockstepDriver {
 
     /// The start of a fresh in-process run: PE 0 of an otherwise idle
     /// arena holds the root. Nothing here is per-PE work beyond the arena's
-    /// own (empty) slab and length arrays.
+    /// length array and (empty) chain heads.
     pub(crate) fn at_root<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> InProcess<P::Node> {
         let driver = Self::fresh(cfg);
         let mut arena = StackArena::new(cfg.p);
@@ -226,7 +226,7 @@ impl LockstepDriver {
 
     /// The start of a resumed in-process run: the boundary state plus its
     /// stacks flattened into an arena.
-    pub(crate) fn resumed<N>(cfg: &EngineConfig, resume: Resume<N>) -> InProcess<N> {
+    pub(crate) fn resumed<N: Clone>(cfg: &EngineConfig, resume: Resume<N>) -> InProcess<N> {
         let (driver, pes) = Self::over_stacks(cfg, resume);
         (driver, StackArena::from_stacks(pes))
     }

@@ -29,7 +29,7 @@ use uts_machine::{
     CostModel, LbPhaseRecord, Ledger, Report, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_scan::{MatchScratch, Pair};
-use uts_tree::{Burst, PeSlab, SearchStack, SplitPolicy, StackArena, TreeProblem};
+use uts_tree::{BlockRun, Burst, SearchStack, SplitPolicy, StackArena, TreeProblem};
 
 use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::matcher::MatchState;
@@ -472,11 +472,11 @@ pub struct CycleStats {
 
 /// One fused expansion + census cycle: a single branch-light pass over the
 /// dense active list. Every listed PE holds work, so each pops exactly one
-/// node; children are generated straight onto the PE's flat node slab (no
-/// bounce through a per-PE child buffer, no frame vector at all), and the
-/// post-push length lands in the dense `lens` mirror, which doubles as
-/// this cycle's census entry — busy state is `lens[i] >= 2`, no flag array
-/// to maintain. This is the single-cycle hot path shared by the fused
+/// node; children are generated straight into their slots on the PE's
+/// chain (no bounce through a per-PE child buffer, no frame vector at all),
+/// and the post-push length lands in the dense `lens` census, which doubles
+/// as this cycle's census entry — busy state is `lens[i] >= 2`, no flag
+/// array to maintain. This is the single-cycle hot path shared by the fused
 /// engine and the macro/par engines' one-cycle steps.
 #[inline]
 pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
@@ -486,20 +486,14 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
     goals: &mut u64,
     peak_stack_nodes: &mut usize,
 ) -> CycleStats {
-    let (slabs, lens) = arena.parts_mut();
+    let mut run = arena.blocks_mut();
     let started = active.len();
     let mut busy_count = 0usize;
     let mut kept = 0usize;
     for scan in 0..started {
         let i = active[scan];
-        let slab = &mut slabs[i];
-        let node = slab.pop_next().expect("active PEs hold work");
-        if problem.is_goal(&node) {
-            *goals += 1;
-        }
-        slab.push_frame_with(|out| problem.expand(&node, out));
-        let len = slab.len();
-        lens[i] = len as u32;
+        *goals += run.expand_burst(i, problem, 1).goals;
+        let len = run.len_of(i);
         // A PE that empties leaves the active list (rejoining the idle set
         // implicitly); otherwise its fresh length is this cycle's census.
         if len > 0 {
@@ -522,7 +516,7 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
 /// **unsorted**) so the caller can reconstruct the lockstep schedule via
 /// [`uts_machine::SimdMachine::expansion_cycles_with_deaths`]. Public
 /// because the sharded machine's workers (`uts-shard`) run the identical
-/// helper over their slab — the bit-identity of the sharded schedule
+/// helper over their arena — the bit-identity of the sharded schedule
 /// reduces to this function being the single implementation of the search
 /// phase. Machine accounting is the caller's job: it needs the *merged*
 /// death list when the active list spans several workers.
@@ -540,8 +534,7 @@ pub fn expansion_burst<P: TreeProblem>(
         return fused_expansion_cycle(problem, arena, active, goals, peak_stack_nodes);
     }
     let started = active.len();
-    let (slabs, lens) = arena.parts_mut();
-    let cut = burst_slice(problem, h, active, 0, slabs, lens, death_cycles);
+    let cut = burst_slice(problem, h, active, &mut arena.blocks_mut(), death_cycles);
     active.truncate(cut.kept);
     *goals += cut.totals.goals;
     *peak_stack_nodes = (*peak_stack_nodes).max(cut.totals.peak);
@@ -561,29 +554,24 @@ pub(crate) struct SliceBurst {
 }
 
 /// The multi-cycle burst kernel: run the DFS of every PE listed in `pes`
-/// for up to `h` expansions on its cache-hot slab, push the burst length
+/// for up to `h` expansions on its cache-hot chain, push the burst length
 /// of each PE that drained onto `deaths`, and compact `pes` in place to
-/// the survivors. `slabs` and `lens` are the windows of the arena arrays
-/// covering (at least) the slice's PE index range, re-based at `base` (so
-/// global PE `i` lives at `slabs[i - base]`) — the whole arrays at base 0
-/// for the inline backend, one chunk's disjoint window for the pooled one.
+/// the survivors. `run` holds (at least) the blocks of the slice's PEs —
+/// the whole arena for the inline backend, one job's disjoint run of
+/// blocks for the pooled one.
 pub(crate) fn burst_slice<P: TreeProblem>(
     problem: &P,
     h: u64,
     pes: &mut [usize],
-    base: usize,
-    slabs: &mut [PeSlab<P::Node>],
-    lens: &mut [u32],
+    run: &mut BlockRun<'_, P::Node>,
     deaths: &mut Vec<u64>,
 ) -> SliceBurst {
     let mut cut = SliceBurst::default();
     for scan in 0..pes.len() {
         let i = pes[scan];
-        let slab = &mut slabs[i - base];
-        let burst = slab.expand_burst(problem, h);
+        let burst = run.expand_burst(i, problem, h);
         cut.totals.absorb(burst);
-        let s1 = slab.len();
-        lens[i - base] = s1 as u32;
+        let s1 = run.len_of(i);
         if s1 == 0 {
             deaths.push(burst.expanded);
         } else {
@@ -1020,7 +1008,7 @@ pub fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
 /// to the poorest PEs until counts are within 1 of uniform (or progress
 /// stops). Returns the number of transfer rounds. Donated chunks keep their
 /// frame structure ([`StackArena::split_count_into`] reproduces
-/// `split_count` + `merge_from` over the flat slabs); see DESIGN.md.
+/// `split_count` + `merge_from` over the chunk chains); see DESIGN.md.
 ///
 /// A round costs O(A + stacks moved) plus the census up to its last matched
 /// receiver, `A = active.len()`, where the oracle's form pays two filters

@@ -2,28 +2,30 @@
 //!
 //! Within one macro-step the per-PE bursts of the inline backend
 //! ([`crate::macrostep::InlineBackend`]) are independent by construction —
-//! each touches only its own PE's slab — which makes the batch
+//! each touches only its own PE's chain — which makes the batch
 //! embarrassingly parallel on the host. [`PooledBackend`] exploits this:
-//! it cuts the dense sorted active-PE list into contiguous **work chunks**
-//! (about four per worker, so stragglers on skewed trees are absorbed by
-//! idle workers instead of stalling the join), publishes the chunk jobs in
-//! a fixed order, and lets worker threads claim them off an atomic cursor.
-//! Each chunk's bursts compact the chunk's own slice of the list in place
-//! and run into chunk-local scratch (death cycles, goal/peak totals), and
-//! the calling thread merges the chunks back **in chunk-index order**
-//! after the join.
+//! it cuts the dense sorted active-PE list into contiguous **jobs** (about
+//! four per worker, so stragglers on skewed trees are absorbed by idle
+//! workers instead of stalling the join), publishes them in a fixed order,
+//! and lets worker threads claim them off an atomic cursor. Every cut falls
+//! on a block boundary of the arena, so each job owns a run of whole blocks
+//! ([`uts_tree::BlockRun`]): its PEs' node pools and its stretch of the
+//! length census, through plain disjoint `&mut` borrows. Each job's bursts
+//! compact the job's own slice of the list in place and run into job-local
+//! scratch (death cycles, goal/peak totals), and the calling thread merges
+//! the jobs back **in job order** after the join.
 //!
 //! **Determinism argument** (DESIGN.md §6.1). Only the *assignment* of
-//! chunks to threads is dynamic; everything that reaches engine state is
+//! jobs to threads is dynamic; everything that reaches engine state is
 //! fixed before any worker starts:
 //!
-//! * *chunk contents* — chunk `c` is a fixed contiguous slice of the
-//!   sorted active list, computed serially from `(started, workers)`;
-//!   which thread runs it cannot change what it does;
-//! * *kept active list* — chunks are contiguous slices of a sorted list,
-//!   each compacted in place, so closing the gaps between them in chunk
+//! * *job contents* — job `k` is a fixed contiguous slice of the sorted
+//!   active list, computed serially from `(active, workers)` and the
+//!   arena's block size; which thread runs it cannot change what it does;
+//! * *kept active list* — jobs are contiguous slices of a sorted list,
+//!   each compacted in place, so closing the gaps between them in job
 //!   order *is* PE order;
-//! * *death cycles* — sorted before the schedule reconstruction, so chunk
+//! * *death cycles* — sorted before the schedule reconstruction, so job
 //!   arrival order is irrelevant
 //!   ([`uts_machine::SimdMachine::expansion_cycles_with_deaths`] consumes
 //!   the sorted multiset);
@@ -47,15 +49,16 @@
 //! and a participant's panic re-raises on the calling thread — by
 //! construction, with no lifetime erasure and no shutdown protocol. Scratch
 //! buffers persist across steps so a warmed-up step allocates little, and
-//! bursts below [`FAN_OUT_MIN_WORK`] skip the fan-out entirely
-//! (DESIGN.md §6.4 gives the bar's derivation).
+//! bursts below [`FAN_OUT_MIN_WORK`] — or whose active PEs all sit in one
+//! block — skip the fan-out entirely (DESIGN.md §6.4 gives the bar's
+//! derivation).
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use uts_ckpt::StackSource;
-use uts_tree::{PeSlab, StackArena, TreeProblem};
+use uts_tree::{BlockRun, StackArena, TreeProblem};
 
 use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::engine::{burst_slice, EngineConfig, Outcome, Resume, SliceBurst};
@@ -80,11 +83,11 @@ use crate::macrostep::InlineBackend;
 /// 551 ms with the pool and 556 ms with this bar (10 pairs).
 pub const FAN_OUT_MIN_WORK: u64 = 4096;
 
-/// Chunks published per worker. More than one chunk per worker lets the
-/// claim cursor rebalance skew (one PE's burst can dwarf another's on an
-/// irregular tree); four keeps the per-chunk overhead negligible while
-/// bounding any worker's idle tail at roughly a quarter of a chunk.
-const CHUNKS_PER_WORKER: usize = 4;
+/// Jobs published per worker. More than one job per worker lets the claim
+/// cursor rebalance skew (one PE's burst can dwarf another's on an
+/// irregular tree); four keeps the per-job overhead negligible while
+/// bounding any worker's idle tail at roughly a quarter of a job.
+const JOBS_PER_WORKER: usize = 4;
 
 /// Resolve the worker count: explicit config knob, else one worker per
 /// available core (which `taskset` and cgroup quotas narrow).
@@ -94,24 +97,41 @@ pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
         .max(1)
 }
 
-/// Chunk-local results of one chunk's burst pass, merged on the calling
-/// thread afterwards. The death buffer persists across macro-steps.
+/// Job-local results of one job's burst pass, merged on the calling thread
+/// afterwards. The death buffer persists across macro-steps.
 #[derive(Default)]
 struct ShardScratch {
-    /// Burst lengths of this chunk's PEs that drained mid-batch.
+    /// Active PEs the job ran.
+    started: usize,
+    /// Burst lengths of this job's PEs that drained mid-batch.
     deaths: Vec<u64>,
     cut: SliceBurst,
 }
 
-/// One published chunk job: its slice of the active list (compacted in
-/// place by the burst), the slice's PE-index re-base, and the disjoint
-/// slab/lens windows covering exactly that index range.
-type ChunkJob<'a, N> =
-    (&'a mut [usize], usize, &'a mut [PeSlab<N>], &'a mut [u32], &'a mut ShardScratch);
+/// One published job: its slice of the active list (compacted in place by
+/// the burst) and the run of whole blocks holding exactly those PEs.
+type Job<'a, N> = (&'a mut [usize], BlockRun<'a, N>, &'a mut ShardScratch);
+
+/// Where a fan-out over the sorted, non-empty `active` list cuts the
+/// arena into (up to) `jobs` jobs: at the start of the block of every
+/// `(active.len() / jobs)`-th active PE, then at `P`. Cuts are strictly
+/// increasing, so every job owns a run of whole blocks holding at least one
+/// active PE; PEs that share a block share a job.
+fn job_cuts<N>(arena: &StackArena<N>, active: &[usize], jobs: usize, cuts: &mut Vec<usize>) {
+    let first = arena.block_start(active[0]);
+    cuts.clear();
+    cuts.extend(
+        (1..jobs)
+            .map(|k| arena.block_start(active[k * active.len() / jobs]))
+            .filter(|&cut| cut > first),
+    );
+    cuts.dedup();
+    cuts.push(arena.p());
+}
 
 /// Run `problem` to exhaustion (or first goal) under `cfg`, fanning each
 /// macro-step's bursts out across scoped host threads via dynamically
-/// claimed work chunks: the macro-step loop over [`PooledBackend`]. The
+/// claimed jobs: the macro-step loop over [`PooledBackend`]. The
 /// schedule — every counter, trace, donation vector and goal count — is
 /// bit-identical to [`crate::macrostep::run`] at any thread count (see the
 /// module docs for the argument, and `tests/engine_differential.rs` for
@@ -136,18 +156,20 @@ fn run_par_over<P: TreeProblem>(
     driver.run_to_end(PooledBackend::new(problem, arena, resolve_threads(cfg), FAN_OUT_MIN_WORK))
 }
 
-/// The pooled search phase: the inline backend's bursts, cut into chunks
-/// of the active list and claimed by `threads` participants of one
-/// [`std::thread::scope`] per burst. A burst below the fan-out bar — and
-/// every burst of a one-thread backend — runs through the wrapped
-/// [`InlineBackend`] verbatim, so a non-fanned-out `run_par` is the macro
-/// engine plus a branch.
+/// The pooled search phase: the inline backend's bursts, cut into jobs of
+/// whole arena blocks and claimed by `threads` participants of one
+/// [`std::thread::scope`] per burst. A burst below the fan-out bar, one
+/// whose active PEs all sit in one block, and every burst of a one-thread
+/// backend run through the wrapped [`InlineBackend`] verbatim, so a
+/// non-fanned-out `run_par` is the macro engine plus a branch.
 pub struct PooledBackend<'a, P: TreeProblem> {
     inline: InlineBackend<'a, P>,
     threads: usize,
     min_work: u64,
-    /// Per-chunk scratch, persistent across macro-steps.
+    /// Per-job scratch, persistent across macro-steps.
     shards: Vec<ShardScratch>,
+    /// The last burst's job boundaries ([`job_cuts`]).
+    cuts: Vec<usize>,
 }
 
 impl<'a, P: TreeProblem> PooledBackend<'a, P> {
@@ -155,7 +177,13 @@ impl<'a, P: TreeProblem> PooledBackend<'a, P> {
     /// threads (the caller's included), fanning out bursts of at least
     /// `min_work` PE-cycles ([`run_par`] passes [`FAN_OUT_MIN_WORK`]).
     pub fn new(problem: &'a P, arena: StackArena<P::Node>, threads: usize, min_work: u64) -> Self {
-        Self { inline: InlineBackend::new(problem, arena), threads, min_work, shards: Vec::new() }
+        Self {
+            inline: InlineBackend::new(problem, arena),
+            threads,
+            min_work,
+            shards: Vec::new(),
+            cuts: Vec::new(),
+        }
     }
 }
 
@@ -182,55 +210,49 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
         if self.threads < 2 || started < 2 || (started as u64) * h < self.min_work {
             return self.inline.burst(h, active, out);
         }
+        let jobs = (self.threads.min(started) * JOBS_PER_WORKER).min(started);
+        job_cuts(&self.inline.arena, active, jobs, &mut self.cuts);
+        let jobs = self.cuts.len();
+        if jobs < 2 {
+            return self.inline.burst(h, active, out);
+        }
         out.reset(started);
         let problem = self.inline.problem;
-        // At least two workers, and so two chunks, always form here.
-        let workers = self.threads.min(started);
-        let nc = (workers * CHUNKS_PER_WORKER).min(started);
-        if self.shards.len() < nc {
-            self.shards.resize_with(nc, ShardScratch::default);
+        let workers = self.threads.min(jobs);
+        if self.shards.len() < jobs {
+            self.shards.resize_with(jobs, ShardScratch::default);
         }
-        // Chunk `c` takes a contiguous slice of the sorted active list;
-        // its PEs occupy the disjoint index range
-        // `chunk[0] ..= chunk[len - 1]`, so slicing the arena's slab/lens
-        // arrays at the next chunk's first PE hands every job a disjoint
-        // `&mut` window — the windows are disjoint no matter which worker
-        // claims which job.
-        let base_size = started / nc;
-        let extra = started % nc;
-        let chunk_len = |c: usize| base_size + usize::from(c < extra);
-        let (slabs_all, lens_all) = self.inline.arena.parts_mut();
-        let mut jobs: Vec<Mutex<Option<ChunkJob<'_, P::Node>>>> = Vec::with_capacity(nc);
-        let mut active_rest: &mut [usize] = active;
-        let mut slabs_rest: &mut [PeSlab<P::Node>] = slabs_all;
-        let mut lens_rest: &mut [u32] = lens_all;
-        let mut base = 0usize;
-        for (c, scr) in self.shards[..nc].iter_mut().enumerate() {
-            let (chunk, active_next) = std::mem::take(&mut active_rest).split_at_mut(chunk_len(c));
-            let cut = active_next.first().map_or(slabs_rest.len(), |&next| next - base);
-            let (slabs_here, slabs_next) = std::mem::take(&mut slabs_rest).split_at_mut(cut);
-            let (lens_here, lens_next) = std::mem::take(&mut lens_rest).split_at_mut(cut);
-            jobs.push(Mutex::new(Some((chunk, base, slabs_here, lens_here, scr))));
-            base += cut;
-            active_rest = active_next;
-            slabs_rest = slabs_next;
-            lens_rest = lens_next;
+        // Job `k` takes the blocks below cut `k` that the jobs before it
+        // left, and the active PEs in them: a contiguous slice of the
+        // sorted list. The runs are disjoint `&mut` borrows of the arena,
+        // whichever worker claims which job.
+        let mut queue: Vec<Mutex<Option<Job<'_, P::Node>>>> = Vec::with_capacity(jobs);
+        let mut run = self.inline.arena.blocks_mut();
+        let mut rest: &mut [usize] = active;
+        for (&cut, scr) in self.cuts.iter().zip(&mut self.shards) {
+            let at = rest.partition_point(|&pe| pe < cut);
+            let (slice, rest_next) = std::mem::take(&mut rest).split_at_mut(at);
+            let (blocks, run_next) = run.split_at(cut);
+            scr.started = slice.len();
+            queue.push(Mutex::new(Some((slice, blocks, scr))));
+            rest = rest_next;
+            run = run_next;
         }
 
-        // ---- claim loop: participants pull chunk jobs off an atomic
-        // ---- cursor. The calling thread claims too instead of idling,
-        // ---- and the scope joins every spawned participant before it
-        // ---- returns (so all borrows below are settled).
+        // ---- claim loop: participants pull jobs off an atomic cursor.
+        // ---- The calling thread claims too instead of idling, and the
+        // ---- scope joins every spawned participant before it returns (so
+        // ---- all borrows below are settled).
         let cursor = AtomicUsize::new(0);
         let claim = || loop {
             let k = cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= jobs.len() {
+            if k >= queue.len() {
                 break;
             }
-            let (chunk, base, slabs_w, lens_w, scr) =
-                jobs[k].lock().expect("job lock").take().expect("job claimed once");
+            let (slice, mut blocks, scr) =
+                queue[k].lock().expect("job lock").take().expect("job claimed once");
             scr.deaths.clear();
-            scr.cut = burst_slice(problem, h, chunk, base, slabs_w, lens_w, &mut scr.deaths);
+            scr.cut = burst_slice(problem, h, slice, &mut blocks, &mut scr.deaths);
         };
         std::thread::scope(|s| {
             for i in 1..workers {
@@ -241,16 +263,16 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
             }
             claim();
         });
-        drop(jobs);
+        drop(queue);
 
-        // ---- merge chunks in chunk order == PE order (calling thread):
-        // ---- close the gaps the drained PEs left between the chunks'
-        // ---- compacted prefixes ----
-        let (mut kept, mut chunk_start, mut busy) = (0usize, 0usize, 0usize);
-        for (c, scr) in self.shards[..nc].iter().enumerate() {
-            active.copy_within(chunk_start..chunk_start + scr.cut.kept, kept);
+        // ---- merge jobs in job order == PE order (calling thread): close
+        // ---- the gaps the drained PEs left between the jobs' compacted
+        // ---- prefixes ----
+        let (mut kept, mut job_start, mut busy) = (0usize, 0usize, 0usize);
+        for scr in &self.shards[..jobs] {
+            active.copy_within(job_start..job_start + scr.cut.kept, kept);
             kept += scr.cut.kept;
-            chunk_start += chunk_len(c);
+            job_start += scr.started;
             if h > 1 {
                 out.deaths.extend_from_slice(&scr.deaths);
             }
@@ -280,6 +302,35 @@ mod tests {
     fn par_at(tree: &GeometricTree, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
         let (driver, arena) = LockstepDriver::at_root(tree, cfg);
         driver.run_to_end(PooledBackend::new(tree, arena, threads, min_work))
+    }
+
+    #[test]
+    fn every_fanned_out_machine_cuts_into_two_or_more_jobs() {
+        // The suites force fan-out at P = 2 .. 2^9 and the benchmark runs up
+        // to P = 2^20. At every such P, a burst whose active PEs span the
+        // machine must cut into at least two jobs of whole blocks, each
+        // holding active PEs, at any thread count.
+        for p_log in 1..=20 {
+            let p = 1usize << p_log;
+            let arena: StackArena<u64> = StackArena::new(p);
+            let active: Vec<usize> = (0..p).step_by((p / 64).max(1)).collect();
+            for threads in [2usize, 8] {
+                let jobs = (threads.min(active.len()) * JOBS_PER_WORKER).min(active.len());
+                let mut cuts = Vec::new();
+                job_cuts(&arena, &active, jobs, &mut cuts);
+                assert!(cuts.len() >= 2, "P={p} threads={threads}: {cuts:?}");
+                assert_eq!(cuts.last(), Some(&p));
+                let mut from = 0;
+                for &cut in &cuts {
+                    assert!(
+                        cut == p || arena.block_start(cut) == cut,
+                        "P={p}: {cut} splits a block"
+                    );
+                    assert!(active.iter().any(|&pe| (from..cut).contains(&pe)), "P={p}: empty job");
+                    from = cut;
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the in-process engines that view is [`uts_tree::StackArena`] itself;
 //! the sharded multi-process machine (`uts-shard`) implements the same
 //! trait over a coordinator-side length mirror plus wire messages to the
-//! worker processes that own the slabs. Because the trait's primitives
+//! worker processes that own the stacks. Because the trait's primitives
 //! are whole *rounds* — and within one rendezvous or equalization round
 //! every donor and every receiver is a distinct PE touched exactly once —
 //! batching the splits and reading the census afterwards is observationally
@@ -73,7 +73,7 @@ pub trait StackStore {
     fn split_counts(&mut self, reqs: &[CountedMove], moved: &mut Vec<usize>);
 }
 
-impl<N> StackStore for StackArena<N> {
+impl<N: Clone> StackStore for StackArena<N> {
     fn p(&self) -> usize {
         StackArena::p(self)
     }

@@ -11,7 +11,7 @@
 //! strictly beats the incumbent; exhaustive search therefore enumerates
 //! every improvement on greedy, and the best of them is the optimum.
 
-use uts_tree::TreeProblem;
+use uts_tree::{Children, TreeProblem};
 
 /// One item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl TreeProblem for Knapsack {
         KnapsackNode { next: 0, weight: 0, value: 0 }
     }
 
-    fn expand(&self, node: &KnapsackNode, out: &mut Vec<KnapsackNode>) {
+    fn expand(&self, node: &KnapsackNode, out: &mut impl Children<KnapsackNode>) {
         let idx = node.next as usize;
         if idx >= self.items.len() {
             return;

@@ -17,7 +17,7 @@
 //! *sum over contributing leaves*, which every machine in this workspace
 //! computes identically (it is a goal-count-style reduction).
 
-use uts_tree::TreeProblem;
+use uts_tree::{Children, TreeProblem};
 
 /// Weight fixed-point scale (1.0 == `SCALE`).
 pub const SCALE: u64 = 1_000_000;
@@ -115,7 +115,7 @@ impl TreeProblem for PathIntegral {
         PathNode { depth: 0, site: 0, weight: SCALE }
     }
 
-    fn expand(&self, node: &PathNode, out: &mut Vec<PathNode>) {
+    fn expand(&self, node: &PathNode, out: &mut impl Children<PathNode>) {
         if node.depth == self.horizon {
             return;
         }

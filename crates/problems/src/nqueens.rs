@@ -6,7 +6,7 @@
 //! per candidate. Goals are complete placements; the tree is searched
 //! exhaustively, so the goal count is the classical Q(n) sequence.
 
-use uts_tree::TreeProblem;
+use uts_tree::{Children, TreeProblem};
 
 /// A partial placement: `row` queens placed, attack masks accumulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl TreeProblem for NQueens {
         QueensNode { row: 0, cols: 0, diag1: 0, diag2: 0 }
     }
 
-    fn expand(&self, node: &QueensNode, out: &mut Vec<QueensNode>) {
+    fn expand(&self, node: &QueensNode, out: &mut impl Children<QueensNode>) {
         if node.row == self.n {
             return;
         }

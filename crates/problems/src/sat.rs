@@ -11,7 +11,7 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use uts_tree::TreeProblem;
+use uts_tree::{Children, TreeProblem};
 
 /// A literal: variable index with sign (`+v` = true, `-v` = false),
 /// encoded as `2 * var + (negated as usize)`.
@@ -208,7 +208,7 @@ impl TreeProblem for Dpll {
         Assignment::empty(self.cnf.num_vars)
     }
 
-    fn expand(&self, node: &Assignment, out: &mut Vec<Assignment>) {
+    fn expand(&self, node: &Assignment, out: &mut impl Children<Assignment>) {
         if node.is_complete() {
             return;
         }

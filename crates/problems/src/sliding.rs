@@ -6,7 +6,7 @@
 //! `n = 4` the two produce *identical* search trees — a cross-validation
 //! test checks node-for-node agreement of whole IDA\* runs.
 
-use uts_tree::HeuristicProblem;
+use uts_tree::{Children, HeuristicProblem};
 
 /// A board side length (2..=15; tiles must fit a u8 and h a u16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +147,7 @@ impl HeuristicProblem for Sliding {
         s.h as u32
     }
 
-    fn successors(&self, s: &SlidingState, out: &mut Vec<(SlidingState, u32)>) {
+    fn successors(&self, s: &SlidingState, out: &mut impl Children<(SlidingState, u32)>) {
         let mut targets = Vec::with_capacity(4);
         self.neighbors(s.blank, &mut targets);
         for target in targets {

@@ -45,14 +45,13 @@ pub fn bounded_count_capped(puzzle: &Puzzle15, bound: u32, cap: u64) -> Option<(
     let mut expanded = 0u64;
     let mut next_bound: Option<u32> = None;
     let mut children = Vec::new();
-    let mut scratch = Vec::new();
     while let Some(node) = stack.pop_next() {
         expanded += 1;
         if expanded > cap {
             return None;
         }
         children.clear();
-        if let Some(pruned) = bp.expand_tracking_pruned(&node, &mut children, &mut scratch) {
+        if let Some(pruned) = bp.expand_tracking_pruned(&node, &mut children) {
             next_bound = Some(next_bound.map_or(pruned, |b| b.min(pruned)));
         }
         stack.push_frame(std::mem::take(&mut children));

@@ -4,7 +4,7 @@
 //! keeps the search tree free of trivial 2-cycles, as in Korf 1985 and in
 //! the paper's parallel IDA\*).
 
-use uts_tree::HeuristicProblem;
+use uts_tree::{Children, HeuristicProblem};
 
 #[cfg(test)]
 use crate::board::GOAL;
@@ -110,7 +110,7 @@ impl HeuristicProblem for Puzzle15 {
         s.h as u32
     }
 
-    fn successors(&self, s: &PuzzleState, out: &mut Vec<(PuzzleState, u32)>) {
+    fn successors(&self, s: &PuzzleState, out: &mut impl Children<(PuzzleState, u32)>) {
         for m in Move::ALL {
             if let Some(next) = s.step(m) {
                 out.push((next, 1));

@@ -7,8 +7,8 @@
 //! reordering all surface as typed [`uts_ckpt::wire::WireError`]s, never as
 //! garbage state. Payloads use the `uts-tree` checkpoint codec primitives,
 //! and donated stacks travel in the *exact* [`uts_tree::SearchStack`]
-//! encoding (`PeSlab::encode_stack` bytes), which is what makes sharded
-//! snapshots interchangeable with single-process ones.
+//! encoding (what `StackArena::encode_pe` and `donate_encoded` write), which
+//! is what makes sharded snapshots interchangeable with single-process ones.
 //!
 //! # Grammar
 //!

@@ -22,7 +22,7 @@ use uts_core::{expansion_burst, merge_active};
 use uts_puzzle15::{Board, Puzzle15};
 use uts_tree::codec::put_usize;
 use uts_tree::problem::BoundedProblem;
-use uts_tree::{CkptNode, CodecError, PeSlab, Reader, SearchStack, StackArena, TreeProblem};
+use uts_tree::{CkptNode, CodecError, Donation, StackArena, TreeProblem};
 
 use crate::proto::{
     decode_burst, decode_install, decode_transfers, encode_install_reply, tag, BurstReply,
@@ -177,12 +177,13 @@ where
                     &mut peak,
                     &mut deaths,
                 );
+                let lens = arena.lens();
                 let reply = BurstReply {
                     started: started.len() as u64,
                     goals,
                     peak: peak as u64,
                     deaths: std::mem::take(&mut deaths),
-                    changed: started.iter().map(|&i| (i as u32, arena.lens()[i])).collect(),
+                    changed: started.iter().map(|&i| (i as u32, lens[i])).collect(),
                 };
                 reply.encode(&mut payload);
                 deaths = reply.deaths;
@@ -193,34 +194,26 @@ where
                 put_usize(&mut payload, transfers.len());
                 for tr in &transfers {
                     let d = tr.donor as usize;
-                    let (slabs, lens) = arena.parts_mut();
+                    let what = donation(what, tr.max_nodes);
                     match tr.receiver {
-                        // MOVE: give straight into the receiver's slab.
+                        // MOVE: give straight onto the receiver's stack.
                         Some(r) => {
                             let r = r as usize;
-                            let [donor, receiver] = slabs
-                                .get_disjoint_mut([d, r])
-                                .expect("decode_transfers checked range and distinctness");
-                            let moved = give(donor, what, tr.max_nodes, receiver) as u64;
-                            if lens[r] == 0 && moved > 0 {
+                            let was_idle = arena.len_of(r) == 0;
+                            let moved = arena.donate(d, r, what) as u64;
+                            if was_idle && moved > 0 {
                                 fed.push(r);
                             }
-                            (lens[d], lens[r]) = (donor.len() as u32, receiver.len() as u32);
-                            MoveReply { moved, donor_len: lens[d], receiver_len: lens[r] }
-                                .put(&mut payload);
+                            let (donor_len, receiver_len) =
+                                (arena.len_of(d) as u32, arena.len_of(r) as u32);
+                            MoveReply { moved, donor_len, receiver_len }.put(&mut payload);
                         }
-                        // EXTRACT: give into a scratch slab and ship its encoding.
+                        // EXTRACT: ship the donation's encoding.
                         None => {
-                            let mut scratch = PeSlab::new();
-                            let moved =
-                                give(&mut slabs[d], what, tr.max_nodes, &mut scratch) as u64;
-                            lens[d] = slabs[d].len() as u32;
                             stack.clear();
-                            if moved > 0 {
-                                scratch.encode_stack(&mut stack);
-                            }
-                            ExtractReply { moved, donor_len: lens[d], stack: &stack }
-                                .put(&mut payload);
+                            let moved = arena.donate_encoded(d, what, &mut stack) as u64;
+                            let donor_len = arena.len_of(d) as u32;
+                            ExtractReply { moved, donor_len, stack: &stack }.put(&mut payload);
                         }
                     }
                 }
@@ -231,18 +224,16 @@ where
                 let mut lens_out = Vec::with_capacity(entries.len());
                 for &(pe, stack_bytes) in &entries {
                     let pe = pe as usize;
-                    // Appending the frames in encoded (bottom-first) order on
-                    // top of the PE reproduces the in-process receiver layout
-                    // of a transfer exactly; onto the empty slab of a resumed
-                    // worker it reproduces the snapshot's stack.
+                    // The frames land on top of the PE in encoded
+                    // (bottom-first) order, which reproduces the in-process
+                    // receiver layout of a transfer exactly; onto the empty
+                    // stack of a resumed worker it reproduces the snapshot's
+                    // stack.
                     let was_idle = arena.len_of(pe) == 0;
-                    for frame in decode_one_stack::<P::Node>(stack_bytes)?.into_frames() {
-                        arena.push_frame_with(pe, |out| out.extend(frame));
-                    }
-                    if was_idle && arena.len_of(pe) > 0 {
+                    if arena.push_encoded(pe, stack_bytes)? > 0 && was_idle {
                         fed.push(pe);
                     }
-                    lens_out.push(arena.lens()[pe]);
+                    lens_out.push(arena.len_of(pe) as u32);
                 }
                 encode_install_reply(&mut payload, &lens_out);
                 writer.send(tag::INSTALL, &payload)?;
@@ -262,30 +253,13 @@ where
     }
 }
 
-/// The transfer primitive every balancing round comes down to: `donor`
-/// gives what the round's header says — a split under its policy, or up to
-/// `max_nodes` bottom nodes — onto the top of `dest`. Returns the nodes
-/// moved; 0 (both slabs untouched) when the donor cannot give.
-fn give<N>(donor: &mut PeSlab<N>, what: Give, max_nodes: usize, dest: &mut PeSlab<N>) -> usize {
+/// What every donor of a round gives, in the arena's terms: a split under
+/// the round's policy, or up to the entry's `max_nodes` bottom nodes.
+fn donation(what: Give, max_nodes: usize) -> Donation {
     match what {
-        Give::Split(policy) => {
-            let before = donor.len();
-            donor.split_into(policy, dest);
-            before - donor.len()
-        }
-        Give::Counted => donor.split_count_into(max_nodes, dest),
+        Give::Split(policy) => Donation::Split(policy),
+        Give::Counted => Donation::Bottom(max_nodes),
     }
-}
-
-fn decode_one_stack<N: CkptNode>(bytes: &[u8]) -> Result<SearchStack<N>, WorkerError> {
-    let mut r = Reader::new(bytes);
-    let stack = SearchStack::<N>::decode_node(&mut r)?;
-    if !r.is_done() {
-        return Err(WorkerError::Codec(CodecError::Malformed(
-            "trailing bytes after a donated stack",
-        )));
-    }
-    Ok(stack)
 }
 
 /// Die without unwinding or flushing, as a real machine fault would:

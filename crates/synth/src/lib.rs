@@ -22,7 +22,7 @@
 //! [`find_tree`] searches seeds for a tree whose measured `W` lands within
 //! a tolerance of a target.
 
-use uts_tree::{serial_dfs, TreeProblem};
+use uts_tree::{serial_dfs, Children, TreeProblem};
 
 /// SplitMix64 — the standard 64-bit finalizer used to derive child
 /// identities; statistically strong and trivially reproducible.
@@ -117,7 +117,7 @@ impl TreeProblem for BinomialTree {
         SynthNode { id: splitmix64(self.seed), depth: 0 }
     }
 
-    fn expand(&self, node: &SynthNode, out: &mut Vec<SynthNode>) {
+    fn expand(&self, node: &SynthNode, out: &mut impl Children<SynthNode>) {
         let fanout = if node.depth == 0 {
             self.root_children
         } else if splitmix64(node.id) <= self.q_threshold {
@@ -167,7 +167,7 @@ impl TreeProblem for GeometricTree {
         SynthNode { id: splitmix64(self.seed), depth: 0 }
     }
 
-    fn expand(&self, node: &SynthNode, out: &mut Vec<SynthNode>) {
+    fn expand(&self, node: &SynthNode, out: &mut impl Children<SynthNode>) {
         if node.depth >= self.depth_limit {
             return;
         }
@@ -258,7 +258,7 @@ mod tests {
             fn root(&self) -> SynthNode {
                 self.0.root()
             }
-            fn expand(&self, n: &SynthNode, out: &mut Vec<SynthNode>) {
+            fn expand(&self, n: &SynthNode, out: &mut impl Children<SynthNode>) {
                 assert!(n.depth <= self.0.depth_limit);
                 self.0.expand(n, out);
             }

@@ -52,6 +52,7 @@ pub fn dfbb<H: HeuristicProblem>(problem: &H, initial_bound: u32) -> DfbbResult 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Children;
 
     /// A two-route graph: a short route of cost 5 and a decoy of cost 9.
     struct TwoRoutes;
@@ -64,7 +65,11 @@ mod tests {
         fn h(&self, _: &Self::State) -> u32 {
             0 // uninformed: pure branch-and-bound
         }
-        fn successors(&self, &(route, step): &Self::State, out: &mut Vec<(Self::State, u32)>) {
+        fn successors(
+            &self,
+            &(route, step): &Self::State,
+            out: &mut impl Children<(Self::State, u32)>,
+        ) {
             match route {
                 0 => {
                     // Long route generated first so DFS explores the short

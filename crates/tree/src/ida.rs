@@ -57,7 +57,6 @@ pub fn bounded_dfs<H: HeuristicProblem>(
     let mut goals = 0u64;
     let mut next_bound: Option<u32> = None;
     let mut children = Vec::new();
-    let mut scratch = Vec::new();
     while let Some(node) = stack.pop_next() {
         expanded += 1;
         if problem.is_goal(&node) {
@@ -65,7 +64,7 @@ pub fn bounded_dfs<H: HeuristicProblem>(
             on_goal(&node);
         }
         children.clear();
-        if let Some(pruned) = problem.expand_tracking_pruned(&node, &mut children, &mut scratch) {
+        if let Some(pruned) = problem.expand_tracking_pruned(&node, &mut children) {
             next_bound = Some(next_bound.map_or(pruned, |b| b.min(pruned)));
         }
         stack.push_frame(std::mem::take(&mut children));
@@ -98,6 +97,7 @@ pub fn ida_star<H: HeuristicProblem>(problem: &H, max_bound: u32) -> IdaResult {
 mod tests {
     use super::*;
     use crate::problem::testutil::LineProblem;
+    use crate::problem::Children;
 
     #[test]
     fn line_problem_solves_in_one_iteration() {
@@ -126,7 +126,7 @@ mod tests {
             // Half-strength heuristic.
             (self.n - s) / 2
         }
-        fn successors(&self, &s: &u32, out: &mut Vec<(u32, u32)>) {
+        fn successors(&self, &s: &u32, out: &mut impl Children<(u32, u32)>) {
             if s < self.n {
                 out.push((s + 1, 1));
             }
@@ -162,7 +162,7 @@ mod tests {
             fn h(&self, _: &u32) -> u32 {
                 0
             }
-            fn successors(&self, &s: &u32, out: &mut Vec<(u32, u32)>) {
+            fn successors(&self, &s: &u32, out: &mut impl Children<(u32, u32)>) {
                 // Infinite chain, never a goal.
                 out.push((s + 1, 1));
             }

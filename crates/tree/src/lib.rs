@@ -26,8 +26,8 @@ pub mod problem;
 pub mod serial;
 pub mod stack;
 
-pub use arena::{PeSlab, StackArena};
+pub use arena::{BlockRun, Donation, FrameWriter, StackArena};
 pub use codec::{CkptNode, CodecError, Reader};
-pub use problem::{BoundedNode, BoundedProblem, HeuristicProblem, TreeProblem};
+pub use problem::{BoundedNode, BoundedProblem, Children, HeuristicProblem, TreeProblem};
 pub use serial::{serial_dfs, serial_dfs_collect, serial_dfs_first_goal, SerialStats};
 pub use stack::{Burst, SearchStack, SplitPolicy};

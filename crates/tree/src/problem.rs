@@ -8,6 +8,20 @@
 //! ("the number of nodes expanded by the serial and the parallel search is
 //! the same", Sec. 5).
 
+/// Where [`TreeProblem::expand`] and [`HeuristicProblem::successors`] put
+/// what they generate: the new top frame, one `push` per child.
+pub trait Children<T> {
+    /// Append `child` to the frame being built.
+    fn push(&mut self, child: T);
+}
+
+impl<T> Children<T> for Vec<T> {
+    #[inline]
+    fn push(&mut self, child: T) {
+        Vec::push(self, child);
+    }
+}
+
 /// A dynamically generated search tree.
 ///
 /// `Node` values must be self-contained (carry their own depth / path cost),
@@ -22,11 +36,13 @@ pub trait TreeProblem: Sync {
     /// The root node.
     fn root(&self) -> Self::Node;
 
-    /// Append the children of `node` to `out` in the order a DFS should
+    /// Push the children of `node` onto `out` in the order a DFS should
     /// *generate* them. (`SearchStack` pops from the back, so the child
     /// pushed last is explored first.) Prune here: a child that should not
-    /// be searched is simply not emitted.
-    fn expand(&self, node: &Self::Node, out: &mut Vec<Self::Node>);
+    /// be searched is simply not emitted. `out` is a `Vec` for the serial
+    /// searches and the arena's frame writer for the engines, which lands
+    /// each child straight in its final slot.
+    fn expand(&self, node: &Self::Node, out: &mut impl Children<Self::Node>);
 
     /// Whether `node` is a goal. Checked when the node is *expanded*.
     fn is_goal(&self, node: &Self::Node) -> bool {
@@ -50,7 +66,7 @@ pub trait HeuristicProblem: Sync {
     fn h(&self, s: &Self::State) -> u32;
 
     /// Emit `(successor, edge_cost)` pairs.
-    fn successors(&self, s: &Self::State, out: &mut Vec<(Self::State, u32)>);
+    fn successors(&self, s: &Self::State, out: &mut impl Children<(Self::State, u32)>);
 
     /// Goal test.
     fn is_goal(&self, s: &Self::State) -> bool;
@@ -102,22 +118,36 @@ impl<'a, H: HeuristicProblem> BoundedProblem<'a, H> {
     pub fn expand_tracking_pruned(
         &self,
         node: &BoundedNode<H::State>,
-        out: &mut Vec<BoundedNode<H::State>>,
-        scratch: &mut Vec<(H::State, u32)>,
+        out: &mut impl Children<BoundedNode<H::State>>,
     ) -> Option<u32> {
-        scratch.clear();
-        self.heuristic.successors(&node.state, scratch);
-        let mut min_pruned: Option<u32> = None;
-        for (child, cost) in scratch.drain(..) {
-            let g = node.g + cost;
-            let f = g + self.heuristic.h(&child);
-            if f <= self.bound {
-                out.push(BoundedNode { state: child, g });
-            } else {
-                min_pruned = Some(min_pruned.map_or(f, |m| m.min(f)));
-            }
+        let mut within = WithinBound { problem: self, g: node.g, out, min_pruned: None };
+        self.heuristic.successors(&node.state, &mut within);
+        within.min_pruned
+    }
+}
+
+/// The successor sink of one bounded expansion: passes each in-bound child
+/// on to `out` as it is generated and keeps the smallest pruned `f`.
+struct WithinBound<'a, 'h, H, C> {
+    problem: &'a BoundedProblem<'h, H>,
+    /// Path cost of the node being expanded.
+    g: u32,
+    out: &'a mut C,
+    min_pruned: Option<u32>,
+}
+
+impl<H: HeuristicProblem, C: Children<BoundedNode<H::State>>> Children<(H::State, u32)>
+    for WithinBound<'_, '_, H, C>
+{
+    #[inline]
+    fn push(&mut self, (state, cost): (H::State, u32)) {
+        let g = self.g + cost;
+        let f = g + self.problem.heuristic.h(&state);
+        if f <= self.problem.bound {
+            self.out.push(BoundedNode { state, g });
+        } else {
+            self.min_pruned = Some(self.min_pruned.map_or(f, |m| m.min(f)));
         }
-        min_pruned
     }
 }
 
@@ -128,9 +158,8 @@ impl<H: HeuristicProblem> TreeProblem for BoundedProblem<'_, H> {
         BoundedNode { state: self.heuristic.initial(), g: 0 }
     }
 
-    fn expand(&self, node: &Self::Node, out: &mut Vec<Self::Node>) {
-        let mut scratch = Vec::new();
-        self.expand_tracking_pruned(node, out, &mut scratch);
+    fn expand(&self, node: &Self::Node, out: &mut impl Children<Self::Node>) {
+        self.expand_tracking_pruned(node, out);
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
@@ -156,7 +185,7 @@ pub(crate) mod testutil {
             (0, 0)
         }
 
-        fn expand(&self, &(d, i): &Self::Node, out: &mut Vec<Self::Node>) {
+        fn expand(&self, &(d, i): &Self::Node, out: &mut impl Children<Self::Node>) {
             if d < self.depth {
                 for c in 0..self.branching {
                     out.push((d + 1, i * self.branching as u64 + c as u64));
@@ -198,7 +227,7 @@ pub(crate) mod testutil {
             self.n - s
         }
 
-        fn successors(&self, &s: &u32, out: &mut Vec<(u32, u32)>) {
+        fn successors(&self, &s: &u32, out: &mut impl Children<(u32, u32)>) {
             if s < self.n {
                 out.push((s + 1, 1));
             }
@@ -238,8 +267,7 @@ mod tests {
         let root = bp.root();
         assert_eq!(root.g, 0);
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let pruned = bp.expand_tracking_pruned(&root, &mut out, &mut scratch);
+        let pruned = bp.expand_tracking_pruned(&root, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].state, 1);
         assert_eq!(out[0].g, 1);
@@ -248,7 +276,7 @@ mod tests {
         // From state 1 (g=1), the backward child 0 has f = 2 + 4 = 6 > 4.
         let n1 = BoundedNode { state: 1, g: 1 };
         out.clear();
-        let pruned = bp.expand_tracking_pruned(&n1, &mut out, &mut scratch);
+        let pruned = bp.expand_tracking_pruned(&n1, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(pruned, Some(6));
     }

@@ -76,7 +76,7 @@ pub fn serial_dfs_first_goal<P: TreeProblem>(problem: &P) -> SerialStats {
 mod tests {
     use super::*;
     use crate::problem::testutil::UniformTree;
-    use crate::problem::{BoundedProblem, HeuristicProblem};
+    use crate::problem::{BoundedProblem, Children, HeuristicProblem};
 
     #[test]
     fn counts_every_node_of_a_uniform_tree() {
@@ -129,7 +129,7 @@ mod tests {
             fn root(&self) -> Self::Node {
                 self.0.root()
             }
-            fn expand(&self, n: &Self::Node, out: &mut Vec<Self::Node>) {
+            fn expand(&self, n: &Self::Node, out: &mut impl Children<Self::Node>) {
                 self.0.expand(n, out)
             }
             fn is_goal(&self, &(d, i): &Self::Node) -> bool {
@@ -154,7 +154,7 @@ mod tests {
             fn root(&self) -> Self::Node {
                 self.0.root()
             }
-            fn expand(&self, n: &Self::Node, out: &mut Vec<Self::Node>) {
+            fn expand(&self, n: &Self::Node, out: &mut impl Children<Self::Node>) {
                 self.0.expand(n, out)
             }
         }
@@ -176,7 +176,7 @@ mod tests {
             fn h(&self, &s: &u32) -> u32 {
                 5 - s
             }
-            fn successors(&self, &s: &u32, out: &mut Vec<(u32, u32)>) {
+            fn successors(&self, &s: &u32, out: &mut impl Children<(u32, u32)>) {
                 if s < 5 {
                     out.push((s + 1, 1));
                 }

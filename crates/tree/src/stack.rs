@@ -366,6 +366,7 @@ impl<N> SearchStack<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Children;
 
     fn stack_of(frames: Vec<Vec<u32>>) -> SearchStack<u32> {
         let len = frames.iter().map(Vec::len).sum();
@@ -584,7 +585,7 @@ mod tests {
         fn root(&self) -> u32 {
             3
         }
-        fn expand(&self, n: &u32, out: &mut Vec<u32>) {
+        fn expand(&self, n: &u32, out: &mut impl Children<u32>) {
             if *n > 0 {
                 out.push(n - 1);
                 out.push(n - 1);

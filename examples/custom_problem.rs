@@ -48,7 +48,7 @@ impl TreeProblem for NQueens {
         Placement { cols: Vec::new() }
     }
 
-    fn expand(&self, node: &Placement, out: &mut Vec<Placement>) {
+    fn expand(&self, node: &Placement, out: &mut impl Children<Placement>) {
         if node.cols.len() == self.n as usize {
             return;
         }

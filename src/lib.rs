@@ -87,7 +87,7 @@ pub mod prelude {
         Topology, TriggerFiring, TriggerKind,
     };
     pub use uts_tree::{
-        serial_dfs, CkptNode, HeuristicProblem, SearchStack, SplitPolicy, TreeProblem,
+        serial_dfs, Children, CkptNode, HeuristicProblem, SearchStack, SplitPolicy, TreeProblem,
     };
 
     pub use uts_serve::{outcome_digest, JobServer, JobSpec, JobState, ServeConfig, ServeError};

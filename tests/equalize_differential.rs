@@ -40,7 +40,7 @@ impl TreeProblem for Leaves {
         0
     }
 
-    fn expand(&self, _: &u64, _: &mut Vec<u64>) {}
+    fn expand(&self, _: &u64, _: &mut impl Children<u64>) {}
 }
 
 const SIZES: [usize; 6] = [1, 2, 3, 64, 1000, 4096];
