@@ -7,9 +7,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use uts_ckpt::wire::{decode_frame, encode_frame};
+use uts_net::hypercube::Hypercube;
+use uts_net::{route, route_with, Links, Message};
 use uts_puzzle15::{korf_instances, Puzzle15, PuzzleState};
-use uts_scan::rendezvous_match_packed;
-use uts_synth::GeometricTree;
+use uts_scan::{rendezvous_match_from, rendezvous_match_packed};
+use uts_synth::{splitmix64, GeometricTree};
 use uts_tree::{serial_dfs, SearchStack, SplitPolicy, TreeProblem};
 
 fn bench_matching(c: &mut Criterion) {
@@ -114,12 +116,37 @@ fn bench_wire_frame(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_route(c: &mut Criterion) {
+    // One `shard-wide` transfer round: P = 2^20, the work in the first 2^17
+    // PEs with a fifth of them busy, GP rendezvous pairs (~26k messages,
+    // all inside the prefix) routed on the hypercube. `fresh` builds a link
+    // table per call, `reused` keeps one as the sharded coordinator does.
+    let (p, prefix) = (1usize << 20, 1usize << 17);
+    let busy: Vec<bool> =
+        (0..p).map(|i| i < prefix && splitmix64(i as u64).is_multiple_of(5)).collect();
+    let idle: Vec<bool> = busy.iter().map(|&b| !b).collect();
+    let messages: Vec<Message> = rendezvous_match_from(&busy, &idle, 0)
+        .iter()
+        .map(|pr| Message { src: pr.donor, dst: pr.receiver })
+        .collect();
+    let cube = Hypercube::new(p);
+    let mut g = c.benchmark_group("route");
+    g.throughput(Throughput::Elements(messages.len() as u64));
+    g.bench_function("fresh", |b| b.iter(|| route(&cube, black_box(&messages)).steps));
+    g.bench_function("reused", |b| {
+        let mut links = Links::default();
+        b.iter(|| route_with(&mut links, &cube, black_box(&messages)).steps)
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_matching,
     bench_puzzle_expansion,
     bench_serial_dfs,
     bench_split,
-    bench_wire_frame
+    bench_wire_frame,
+    bench_route
 );
 criterion_main!(benches);

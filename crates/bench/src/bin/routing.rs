@@ -15,7 +15,7 @@ use uts_analysis::table::TextTable;
 use uts_bench::parse_quick;
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
-use uts_net::{route, scan_depth, Message, Router};
+use uts_net::{route_with, scan_depth, Links, Message, Router};
 use uts_scan::rendezvous_match_from;
 use uts_synth::splitmix64;
 
@@ -40,6 +40,8 @@ fn main() {
         let p = 1usize << d;
         let mut hyper_total = 0u32;
         let mut mesh_total = 0u32;
+        let (cube, mesh) = (Hypercube::new(p), Mesh::new(p));
+        let (mut cube_links, mut mesh_links) = (Links::default(), Links::default());
         let rounds = 8u64;
         for r in 0..rounds {
             let busy: Vec<bool> =
@@ -49,14 +51,13 @@ fn main() {
             let pairs = rendezvous_match_from(&busy, &idle, start);
             let messages: Vec<Message> =
                 pairs.iter().map(|pr| Message { src: pr.donor, dst: pr.receiver }).collect();
-            hyper_total += route(&Hypercube::new(p), &messages).steps;
-            let mesh = Mesh::new(p);
+            hyper_total += route_with(&mut cube_links, &cube, &messages).steps;
             // Re-range endpoints into the (possibly larger) square mesh.
             let mesh_messages: Vec<Message> = messages
                 .iter()
                 .map(|m| Message { src: m.src % mesh.size(), dst: m.dst % mesh.size() })
                 .collect();
-            mesh_total += route(&mesh, &mesh_messages).steps;
+            mesh_total += route_with(&mut mesh_links, &mesh, &mesh_messages).steps;
         }
         t.row(vec![
             p.to_string(),

@@ -45,6 +45,16 @@ impl Router for Hypercube {
     fn hops(&self, src: usize, dst: usize) -> u32 {
         (src ^ dst).count_ones()
     }
+
+    /// One port per dimension.
+    fn ports(&self) -> u32 {
+        self.dims
+    }
+
+    /// The dimension the hop corrects.
+    fn port(&self, pos: usize, next: usize) -> u32 {
+        (pos ^ next).trailing_zeros()
+    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,23 @@ impl Router for Mesh {
         let (dr, dc) = self.coords(dst);
         (r.abs_diff(dr) + c.abs_diff(dc)) as u32
     }
+
+    /// East, west, south, north.
+    fn ports(&self) -> u32 {
+        4
+    }
+
+    fn port(&self, pos: usize, next: usize) -> u32 {
+        if next == pos + 1 {
+            0
+        } else if next + 1 == pos {
+            1
+        } else if next > pos {
+            2
+        } else {
+            3
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 use uts_machine::CostModel;
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
-use uts_net::{route, Message, RouteStats, Router};
+use uts_net::{route_with, Links, Message, RouteStats, Router};
 
 /// A seeded random permutation of `0..p` as one message per source
 /// (fixed points allowed — a PE that keeps its work sends nothing).
@@ -34,8 +34,10 @@ fn permutation_traffic(seed: u64, p: usize) -> Vec<Message> {
     (0..p).map(|src| Message { src, dst: dst[src] }).collect()
 }
 
+/// Route one permutation per seed through one link table.
 fn route_permutations<R: Router>(router: &R, p: usize, seeds: &[u64]) -> Vec<RouteStats> {
-    seeds.iter().map(|&s| route(router, &permutation_traffic(s, p))).collect()
+    let mut links = Links::default();
+    seeds.iter().map(|&s| route_with(&mut links, router, &permutation_traffic(s, p))).collect()
 }
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];

@@ -33,7 +33,7 @@ use uts_core::{
 use uts_machine::{CostModel, LbCostBreakdown, Topology};
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
-use uts_net::{route, Message, RouteStats};
+use uts_net::{route_with, Links, Message, RouteStats};
 use uts_puzzle15::PuzzleState;
 use uts_scan::Pair;
 use uts_synthgen::GenNode;
@@ -353,10 +353,10 @@ impl RouterKind {
         }
     }
 
-    fn route(&self, messages: &[Message]) -> RouteStats {
+    fn route(&self, links: &mut Links, messages: &[Message]) -> RouteStats {
         match self {
-            RouterKind::Hypercube(h) => route(h, messages),
-            RouterKind::Mesh(m) => route(m, messages),
+            RouterKind::Hypercube(h) => route_with(links, h, messages),
+            RouterKind::Mesh(m) => route_with(links, m, messages),
         }
     }
 }
@@ -426,6 +426,8 @@ struct RemoteBackend<N> {
     /// Shard `s` owns global PEs `bounds[s]..bounds[s + 1]`.
     bounds: Vec<usize>,
     router: RouterKind,
+    /// The interconnect's link table, kept for the run.
+    links: Links,
     cost: CostModel,
     park: Option<ParkPolicy>,
     stats: ShardStats,
@@ -479,7 +481,7 @@ impl<N> RemoteBackend<N> {
             return;
         }
         self.messages += self.msgs.len() as u64;
-        let stats = self.router.route(&self.msgs);
+        let stats = self.router.route(&mut self.links, &self.msgs);
         self.route_stats.absorb(stats);
         self.msgs.clear();
     }
@@ -710,6 +712,7 @@ fn run_generic<N: CkptNode>(
         workers: spawn_workers(&bounds, opts, workload, resume.is_none())?,
         bounds,
         router: RouterKind::for_cost(cfg.cost.topology, cfg.p),
+        links: Links::default(),
         cost: cfg.cost,
         park: opts.park.clone(),
         stats: ShardStats { shards: opts.shards, ..ShardStats::default() },
