@@ -33,6 +33,17 @@ impl Flags {
         Ok(Flags { values })
     }
 
+    /// Fail with an error naming the first flag that is in none of the
+    /// `accepted` sets. Commands call this before doing any work, so a
+    /// misspelt flag is never silently replaced by its default.
+    pub fn reject_unknown(&self, accepted: &[&[&str]]) -> Result<(), String> {
+        match self.values.keys().find(|key| !accepted.iter().any(|set| set.contains(&key.as_str())))
+        {
+            Some(key) => Err(format!("unknown flag --{key}")),
+            None => Ok(()),
+        }
+    }
+
     /// Raw value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
@@ -100,6 +111,10 @@ pub enum SimdWorkloadSpec {
     UtsGen(GenTree),
 }
 
+/// The flags [`parse_simd_workload`] reads besides [`WORKLOAD_FLAGS`].
+pub(crate) const SIMD_WORKLOAD_FLAGS: &[&str] =
+    &["workload", "family", "b-max", "depth", "b0", "m", "q"];
+
 /// Parse the SIMD workload. `--workload utsgen` selects the generated
 /// family (`--family geometric|binomial` plus `--seed`, and `--b-max
 /// --depth` or `--b0 --m --q`); anything else falls through to the
@@ -135,6 +150,9 @@ pub fn parse_simd_workload(flags: &Flags) -> Result<SimdWorkloadSpec, String> {
         Some(other) => Err(format!("--workload: unknown `{other}` (puzzle15|utsgen)")),
     }
 }
+
+/// The flags [`parse_workload`] reads.
+pub(crate) const WORKLOAD_FLAGS: &[&str] = &["korf", "seed", "walk"];
 
 /// Extract a workload from `--korf K` or `--seed S --walk N` flags
 /// (defaults: scramble seed 42, walk 40).

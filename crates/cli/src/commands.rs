@@ -3,25 +3,24 @@
 
 use uts_analysis::{optimal_static_trigger, TriggerParams};
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
-use uts_core::{resume_from_bytes, run, run_with, CheckpointCfg, EngineConfig, Outcome, Scheme};
+use uts_core::{resume_from_bytes, run_with, CheckpointCfg, EngineConfig, Outcome, Scheme};
 use uts_machine::CostModel;
 use uts_mimd::{run_mimd, MimdConfig, StealPolicy};
-use uts_problems::{random_3sat, Dpll, NQueens};
 use uts_puzzle15::Puzzle15;
 use uts_shard::{resume_sharded, run_sharded, ParkPolicy, ShardOpts, ShardWorkload, WorkerKill};
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
-use uts_tree::serial_dfs;
 
 use uts_synthgen::{GenFamily, GenTree};
 
 use crate::args::{
     parse_cost, parse_engine, parse_scheme, parse_simd_workload, parse_workload, Flags,
-    SimdWorkloadSpec,
+    SimdWorkloadSpec, SIMD_WORKLOAD_FLAGS, WORKLOAD_FLAGS,
 };
 
 /// `sts solve`: serial IDA\* on a 15-puzzle.
 pub fn solve(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(&[WORKLOAD_FLAGS, &["max-bound"]])?;
     let spec = parse_workload(flags)?;
     let inst = spec.instance();
     let puzzle = Puzzle15::new(inst.board());
@@ -69,6 +68,26 @@ impl SimdWorkload {
 struct SimdSetup {
     workload: SimdWorkload,
     cfg: EngineConfig,
+}
+
+/// The flags [`simd_setup`] reads besides the workload's.
+const SIMD_FLAGS: &[&str] = &[
+    "p",
+    "scheme",
+    "cost",
+    "lb-mult",
+    "bound",
+    "ledger",
+    "engine",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "kill-at",
+];
+
+/// Reject any flag outside what [`simd_setup`] reads and the command's
+/// `own`: the one accepted set of `run`, `resume` and `shard`.
+fn reject_non_simd_flags(flags: &Flags, own: &[&str]) -> Result<(), String> {
+    flags.reject_unknown(&[WORKLOAD_FLAGS, SIMD_WORKLOAD_FLAGS, SIMD_FLAGS, own])
 }
 
 fn simd_setup(flags: &Flags) -> Result<SimdSetup, String> {
@@ -161,6 +180,7 @@ fn print_outcome(cfg: &EngineConfig, workload: &str, out: &Outcome) {
 /// `sts run`: parallel SIMD search of one bounded iteration or one
 /// generated tree.
 pub fn run_simd(flags: &Flags) -> Result<(), String> {
+    reject_non_simd_flags(flags, &[])?;
     let setup = simd_setup(flags)?;
     let out = match &setup.workload {
         SimdWorkload::Puzzle { puzzle, bound } => {
@@ -179,6 +199,7 @@ pub fn run_simd(flags: &Flags) -> Result<(), String> {
 /// different `--p`/`--scheme`/`--cost` flags is rejected rather than
 /// silently diverging.
 pub fn resume(flags: &Flags) -> Result<(), String> {
+    reject_non_simd_flags(flags, &["snapshot"])?;
     let path = flags.get("snapshot").ok_or("--snapshot PATH is required")?;
     let bytes = std::fs::read(path).map_err(|e| format!("--snapshot {path}: {e}"))?;
     let setup = simd_setup(flags)?;
@@ -201,6 +222,10 @@ pub fn resume(flags: &Flags) -> Result<(), String> {
 /// snapshots at boundaries (the recovery path after a worker dies);
 /// `--snapshot PATH` resumes one, at any shard count.
 pub fn shard(flags: &Flags) -> Result<(), String> {
+    reject_non_simd_flags(
+        flags,
+        &["shards", "spill-dir", "park-every", "worker-kill-at", "worker-kill-shard", "snapshot"],
+    )?;
     let setup = simd_setup(flags)?;
     if setup.cfg.checkpoint.is_some() {
         return Err("sts shard parks at the coordinator: use --spill-dir DIR --park-every N \
@@ -265,6 +290,7 @@ fn print_shard_stats(stats: &uts_shard::ShardStats) {
 
 /// `sts mimd`: asynchronous work stealing on the same workload.
 pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(&[WORKLOAD_FLAGS, &["p", "policy"]])?;
     let spec = parse_workload(flags)?;
     let p = flags.get_parsed("p", 1024usize)?;
     let policy = match flags.get("policy").unwrap_or("rp") {
@@ -287,44 +313,11 @@ pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `sts queens`: N-queens on serial / SIMD / host-parallel engines.
-pub fn queens(flags: &Flags) -> Result<(), String> {
-    let n = flags.get_parsed("n", 10u8)?;
-    let p = flags.get_parsed("p", 256usize)?;
-    let q = NQueens::new(n);
-    let serial = serial_dfs(&q);
-    println!("{n}-queens: W = {}, solutions = {}", serial.expanded, serial.goals);
-    let out = run(&q, &EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2()));
-    println!(
-        "SIMD GP-D^K (P={p}): E = {:.3}, speedup {:.1}",
-        out.report.efficiency,
-        out.report.speedup()
-    );
-    assert_eq!(out.goals, serial.goals);
-    Ok(())
-}
-
-/// `sts sat`: DPLL model counting.
-pub fn sat(flags: &Flags) -> Result<(), String> {
-    let vars = flags.get_parsed("vars", 24u32)?;
-    let clauses = flags.get_parsed("clauses", vars * 3)?;
-    let seed = flags.get_parsed("seed", 0u64)?;
-    let dpll = Dpll::new(random_3sat(seed, vars, clauses));
-    let serial = serial_dfs(&dpll);
-    println!(
-        "3-SAT {vars}x{clauses} (seed {seed}): {} models over {} DPLL nodes",
-        serial.goals, serial.expanded
-    );
-    let out = run(&dpll, &EngineConfig::new(256, Scheme::gp_dk(), CostModel::cm2()));
-    assert_eq!(out.goals, serial.goals);
-    println!("SIMD GP-D^K (P=256): E = {:.3}", out.report.efficiency);
-    Ok(())
-}
-
 /// `sts serve`: the long-running job server. Blocks until killed; jobs
 /// and results are durable in `--spill-dir`, so a restarted server picks
 /// up where the last one stopped.
 pub fn serve(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(&[&["addr", "slots", "spill-dir", "quantum-ms", "poll-ms"]])?;
     let cfg = uts_serve::ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7117").to_string(),
         slots: flags.get_parsed("slots", 2usize)?.max(1),
@@ -346,6 +339,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
 
 /// `sts xo`: the optimal static trigger of eq. 18.
 pub fn xo(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(&[&["w", "p", "ratio"]])?;
     let w: u64 = flags
         .get("w")
         .ok_or("--w <problem size> is required")?

@@ -16,7 +16,8 @@ pub const USAGE: &str = "\
 sts — unstructured tree search on (simulated) SIMD parallel computers
 
 USAGE:
-  sts solve   [--seed S] [--walk N | --korf K]          serial IDA* on a 15-puzzle
+  sts solve   [--seed S] [--walk N | --korf K] [--max-bound B]
+                                                         serial IDA* on a 15-puzzle
   sts run     [--p P] [--scheme SCHEME] [--cost MODEL] [--lb-mult M]
               [--seed S] [--walk N | --korf K] [--bound B] [--ledger true]
               [--engine E] [--checkpoint-dir DIR] [--checkpoint-every N]
@@ -26,13 +27,13 @@ USAGE:
               [--worker-kill-at K [--worker-kill-shard S]]
               [--snapshot PATH] [workload/config flags as run]
                                                          multi-process sharded machine
-  sts mimd    [--p P] [--policy grr|arr|rp|nn] [--seed S] [--walk N]
+  sts mimd    [--p P] [--policy grr|arr|rp|nn] [--seed S] [--walk N | --korf K]
                                                          MIMD work stealing
-  sts queens  [--n N] [--p P]                            N-queens on all engines
-  sts sat     [--vars V] [--clauses C] [--seed S]        DPLL model counting
   sts xo      --w W [--p P] [--ratio R]                  optimal static trigger
   sts serve   [--addr A] [--slots N] [--spill-dir DIR] [--quantum-ms Q]
-                                                         HTTP/JSON job server
+              [--poll-ms MS]                             HTTP/JSON job server
+
+A command rejects any flag it does not list here.
 
 SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs
 COSTS:   cm2  hypercube  mesh
@@ -121,6 +122,10 @@ mod tests {
         assert_eq!(f.get_parsed::<usize>("absent", 7).unwrap(), 7);
         assert!(Flags::parse(&["--p"]).is_err(), "dangling flag");
         assert!(Flags::parse(&["p", "512"]).is_err(), "positional junk");
+
+        assert!(f.reject_unknown(&[&["p"], &["scheme", "seed"]]).is_ok());
+        assert_eq!(f.reject_unknown(&[&["p", "seed"]]).unwrap_err(), "unknown flag --scheme");
+        assert!(Flags::default().reject_unknown(&[]).is_ok(), "no flags, nothing to reject");
     }
 
     #[test]

@@ -18,8 +18,6 @@ fn main() {
         "resume" => commands::resume(&flags),
         "shard" => commands::shard(&flags),
         "mimd" => commands::run_mimd_cmd(&flags),
-        "queens" => commands::queens(&flags),
-        "sat" => commands::sat(&flags),
         "xo" => commands::xo(&flags),
         "serve" => commands::serve(&flags),
         "help" | "--help" | "-h" => {

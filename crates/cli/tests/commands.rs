@@ -97,17 +97,28 @@ fn mimd_rejects_bad_policy() {
 }
 
 #[test]
-fn queens_small() {
-    commands::queens(&flags(&["--n", "6", "--p", "8"])).expect("queens");
-}
-
-#[test]
-fn sat_small() {
-    commands::sat(&flags(&["--vars", "10", "--clauses", "30"])).expect("sat");
-}
-
-#[test]
 fn xo_requires_w() {
     assert!(commands::xo(&flags(&[])).is_err());
     commands::xo(&flags(&["--w", "941852", "--p", "8192"])).expect("xo");
+}
+
+/// A misspelt flag is an error naming it, returned before the command
+/// searches, spawns a shard fleet or binds a server: without the check,
+/// `serve` would never return and `shard` would start worker processes.
+#[test]
+fn every_command_rejects_a_misspelt_flag() {
+    type Command = fn(&Flags) -> Result<(), String>;
+    let cases: [(Command, &[&str], &str); 7] = [
+        (commands::solve, &["--seed", "7", "--wlak", "14"], "--wlak"),
+        (commands::run_simd, &["--sheme", "fegs", "--threads", "2", "--p", "64"], "--sheme"),
+        (commands::resume, &["--snapshto", "ckpt.bin"], "--snapshto"),
+        (commands::shard, &["--p", "32", "--shard", "2"], "--shard"),
+        (commands::run_mimd_cmd, &["--p", "16", "--polcy", "rp"], "--polcy"),
+        (commands::xo, &["--w", "941852", "--rato", "0.5"], "--rato"),
+        (commands::serve, &["--addr", "127.0.0.1:0", "--slot", "1"], "--slot"),
+    ];
+    for (command, args, misspelt) in cases {
+        let err = command(&flags(args)).expect_err(misspelt);
+        assert_eq!(err, format!("unknown flag {misspelt}"), "{args:?}");
+    }
 }

@@ -1,5 +1,5 @@
 //! Tree-search substrate: the problem abstraction, the splittable DFS stack,
-//! and the serial algorithms (DFS, IDA\*, depth-first branch-and-bound).
+//! and the serial algorithms (DFS, IDA\*).
 //!
 //! The paper's setting (Sec. 2): a tree-search problem is "a description of
 //! the root node of the tree and a successor-generator-function"; each
@@ -15,12 +15,10 @@
 //!   the choice the paper uses for the 15-puzzle);
 //! * [`serial`] — the serial baselines that define the problem size `W`
 //!   and against which parallel node counts are checked;
-//! * [`ida`] — iterative-deepening A\* built from bounded DFS iterations;
-//! * [`dfbb`] — depth-first branch-and-bound over costed problems.
+//! * [`ida`] — iterative-deepening A\* built from bounded DFS iterations.
 
 pub mod arena;
 pub mod codec;
-pub mod dfbb;
 pub mod ida;
 pub mod problem;
 pub mod serial;

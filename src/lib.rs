@@ -46,14 +46,13 @@
 //! |---|---|
 //! | [`core`] | schemes, triggers, matchers, the SIMD engine (`uts-core`) |
 //! | [`machine`] | cost models, virtual clock, efficiency accounting (`uts-machine`) |
-//! | [`tree`] | problem traits, splittable stacks, DFS/IDA\*/DFBB (`uts-tree`) |
+//! | [`tree`] | problem traits, splittable stacks, DFS/IDA\* (`uts-tree`) |
 //! | [`puzzle15`] | the 15-puzzle domain and benchmark instances (`uts-puzzle15`) |
 //! | [`synth`] | seeded synthetic unstructured trees (`uts-synth`) |
 //! | [`synthgen`] | hash-chained on-the-fly UTS generator trees (`uts-synthgen`) |
 //! | [`scan`] | rendezvous matching: the packed form the engines call and its flag-vector oracle (`uts-scan`) |
 //! | [`mimd`] | asynchronous work-stealing baseline (`uts-mimd`) |
 //! | [`analysis`] | isoefficiency analysis, eq. 18, contour fits (`uts-analysis`) |
-//! | [`problems`] | N-queens, DPLL SAT, knapsack DFBB domains (`uts-problems`) |
 //! | [`viz`] | dependency-free SVG chart rendering (`uts-viz`) |
 //! | [`net`] | hypercube/mesh routing simulation validating the t_lb models (`uts-net`) |
 //! | [`ckpt`] | versioned snapshot format, checkpoint policies, fault injection (`uts-ckpt`) |
@@ -65,7 +64,6 @@ pub use uts_core as core;
 pub use uts_machine as machine;
 pub use uts_mimd as mimd;
 pub use uts_net as net;
-pub use uts_problems as problems;
 pub use uts_puzzle15 as puzzle15;
 pub use uts_scan as scan;
 pub use uts_serve as serve;
@@ -95,8 +93,7 @@ pub mod prelude {
     pub use uts_synthgen::{find_gen_tree, GenFamily, GenNode, GenTree};
 
     pub use crate::{
-        analysis, ckpt, core, machine, mimd, net, problems, puzzle15, scan, serve, synth, synthgen,
-        tree,
+        analysis, ckpt, core, machine, mimd, net, puzzle15, scan, serve, synth, synthgen, tree,
     };
 }
 

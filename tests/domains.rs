@@ -1,14 +1,15 @@
-//! Facade-level domain tests: every bundled problem domain agrees across
-//! every machine (serial, lockstep SIMD, asynchronous MIMD), and the
-//! domain-specific invariants hold end to end.
+//! Facade-level domain tests: the 15-puzzle and the four test domains of
+//! `support/` agree across every machine (serial, lockstep SIMD,
+//! asynchronous MIMD), and the domain-specific invariants hold end to end.
+
+mod support;
 
 use simd_tree_search::mimd::{run_mimd, MimdConfig, StealPolicy};
 use simd_tree_search::prelude::*;
-use simd_tree_search::problems::knapsack::random_instance;
-use simd_tree_search::problems::{random_3sat, Dpll, Knapsack, NQueens, Side, Sliding};
 use simd_tree_search::puzzle15::{scrambled, Puzzle15};
 use simd_tree_search::tree::ida::ida_star;
 use simd_tree_search::tree::problem::BoundedProblem;
+use support::{knapsack::random_instance, nqueens::NQueens, sat::random_3sat, sliding::Sliding};
 
 /// Run a problem on all three machines and demand identical node and goal
 /// counts.
@@ -31,7 +32,7 @@ fn nqueens_agrees_everywhere() {
 
 #[test]
 fn sat_agrees_everywhere() {
-    agree_everywhere(&Dpll::new(random_3sat(2, 14, 50)), "3-SAT 14x50");
+    agree_everywhere(&random_3sat(2, 14, 50), "3-SAT 14x50");
 }
 
 #[test]
@@ -63,7 +64,7 @@ fn deep_puzzle_iteration_agrees_everywhere() {
 #[test]
 fn generalized_sliding_agrees_everywhere() {
     // An 8-puzzle four moves from goal: a small complete IDA* iteration.
-    let p = Sliding::new(Side::new(3), vec![3, 4, 1, 6, 0, 2, 7, 8, 5]);
+    let p = Sliding::new(3, vec![3, 4, 1, 6, 0, 2, 7, 8, 5]);
     let bound = ida_star(&p, 40).solution_cost.expect("solvable");
     let bp = BoundedProblem::new(&p, bound);
     agree_everywhere(&bp, "8-puzzle iteration");
@@ -81,7 +82,7 @@ fn knapsack_search_equals_dp_through_the_facade() {
 fn fegs_needs_no_more_memory_than_fess() {
     // FEGS equalizes node counts, so its peak per-PE stack should not
     // exceed FESS's lopsided peaks (Sec. 8's memory discussion).
-    let k: Knapsack = random_instance(6, 20, 30);
+    let k = random_instance(6, 20, 30);
     let fess = run(&k, &EngineConfig::new(64, Scheme::fess(), CostModel::cm2()));
     let fegs = run(&k, &EngineConfig::new(64, Scheme::fegs(), CostModel::cm2()));
     assert!(

@@ -8,6 +8,9 @@
 //!   or `examples/`.
 //! * Every directory under `vendor/` is a `[workspace.dependencies]` entry
 //!   and is depended on (normal or dev) by at least one workspace member.
+//! * Every `[workspace.dependencies]` entry with a path under `crates/`
+//!   names an existing directory that the root package or some `crates/*`
+//!   package depends on, so deleting a crate means deleting its entry.
 //! * The root manifest sets `[workspace.lints.rust] unsafe_code = "forbid"`
 //!   and every member inherits it with `[lints] workspace = true`. The
 //!   allow-list of files that may hold such code is empty, and `forbid`
@@ -73,6 +76,18 @@ fn key(line: &str) -> &str {
     line.split(['.', ' ', '=']).next().expect("split yields at least one piece")
 }
 
+/// The names every package in `packages` depends on, normal or dev.
+fn dependency_names(packages: Vec<PathBuf>) -> Vec<String> {
+    let mut out = Vec::new();
+    for package in packages {
+        let manifest = read(&package.join("Cargo.toml"));
+        for kind in ["dependencies", "dev-dependencies"] {
+            out.extend(table(&manifest, kind).into_iter().map(|l| key(l).to_string()));
+        }
+    }
+    out
+}
+
 /// Append every `.rs` file under `dir` (if it exists) to `out`.
 fn rust_sources(dir: &Path, out: &mut String) {
     let Ok(entries) = fs::read_dir(dir) else { return };
@@ -121,13 +136,7 @@ fn every_declared_dependency_is_imported() {
 fn every_vendored_crate_is_a_workspace_dependency_in_use() {
     let root_manifest = read(&repo().join("Cargo.toml"));
     let workspace_deps = table(&root_manifest, "workspace.dependencies");
-    let mut depended_on = Vec::new();
-    for member in members() {
-        let manifest = read(&member.join("Cargo.toml"));
-        for kind in ["dependencies", "dev-dependencies"] {
-            depended_on.extend(table(&manifest, kind).into_iter().map(|l| key(l).to_string()));
-        }
-    }
+    let depended_on = dependency_names(members());
 
     let mut stale = Vec::new();
     for dir in subdirs(&repo().join("vendor")) {
@@ -142,6 +151,28 @@ fn every_vendored_crate_is_a_workspace_dependency_in_use() {
         }
     }
     assert!(stale.is_empty(), "vendored crates the workspace does not need:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn every_workspace_crate_entry_is_a_package_in_use() {
+    let root_manifest = read(&repo().join("Cargo.toml"));
+    let depended_on = dependency_names(packages());
+    let mut stale = Vec::new();
+    for line in table(&root_manifest, "workspace.dependencies") {
+        let Some((_, rest)) = line.split_once("path = \"crates/") else { continue };
+        let dir = rest.split('"').next().expect("split yields at least one piece");
+        let name = key(line);
+        if !repo().join("crates").join(dir).is_dir() {
+            stale.push(format!("{name}: crates/{dir} does not exist"));
+        } else if !depended_on.iter().any(|dep| dep == name) {
+            stale.push(format!("{name}: no package depends on it"));
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "[workspace.dependencies] entries for crates nothing uses:\n{}",
+        stale.join("\n")
+    );
 }
 
 #[test]
