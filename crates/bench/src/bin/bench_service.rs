@@ -109,7 +109,8 @@ fn serve_leg(cfg: ServeConfig, jobs: usize, quick: bool) -> (f64, Vec<String>, u
             let (status, body) = client::get(addr, &format!("/result/{id}"));
             match status {
                 200 => break body,
-                409 => std::thread::sleep(std::time::Duration::from_micros(200)),
+                // The server has already waited for the job; ask again.
+                409 => {}
                 other => panic!("job {id}: status {other}: {body}"),
             }
         };

@@ -7,10 +7,13 @@
 //! out, `Connection: close` always. Oversize declarations are rejected
 //! from the header alone ([`ServeError::BodyTooLarge`]) before any body
 //! byte is read, so a hostile client cannot make the server buffer an
-//! arbitrarily large spec.
+//! arbitrarily large spec, and every accepted connection reads and
+//! writes under [`IO_TIMEOUT`], so a client that connects and then goes
+//! silent gets a 400 `proto` instead of pinning its handler thread.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use crate::error::ServeError;
 
@@ -19,6 +22,10 @@ use crate::error::ServeError;
 pub const MAX_BODY: usize = 64 * 1024;
 /// Largest accepted header block.
 const MAX_HEAD: usize = 8 * 1024;
+/// Read and write deadline of each socket operation on an accepted
+/// connection. A request frame is a few hundred bytes sent at once, so a
+/// client silent this long is not going to send one.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One parsed request.
 #[derive(Debug)]

@@ -17,15 +17,18 @@
 //! |---|---|---|---|
 //! | `/submit` | POST | job spec JSON | `{"job":id}` |
 //! | `/status/{id}` | GET | — | state, preemptions, config fingerprint |
-//! | `/result/{id}` | GET | — | result document with `outcome_fnv` |
+//! | `/result/{id}` | GET | — | result document with `outcome_fnv`; waits up to [`RESULT_WAIT`] for the job, then 409 if it is still running |
 //! | `/cancel/{id}` | POST | — | resulting state |
 //! | `/jobs` | GET | — | every job's id + state |
+//!
+//! `/status` and `/jobs` answer at once; they are the endpoints to probe
+//! with. `/result` of a cancelled job answers 409 `cancelled` at once.
 //!
 //! Module map: [`json`] (minimal JSON reader), [`spec`] (job spec +
 //! slice runner), [`jobs`] (pure lifecycle state machine), [`http`]
 //! (frame reader/writer + blocking test client), [`server`] (scheduler,
-//! recovery, routing), [`error`] (the five-way typed rejection
-//! taxonomy).
+//! recovery, routing, the result wait), [`error`] (the six-way typed
+//! rejection taxonomy).
 
 pub mod error;
 pub mod http;
@@ -37,5 +40,5 @@ pub mod spec;
 pub use error::ServeError;
 pub use http::client;
 pub use jobs::{JobRecord, JobState, JobTable};
-pub use server::{JobServer, ServeConfig};
+pub use server::{JobServer, ServeConfig, RESULT_WAIT};
 pub use spec::{outcome_digest, JobSpec, Workload};

@@ -35,6 +35,20 @@
 //! restart from scratch. [`JobServer::kill`] simulates a crash (threads
 //! abandon without writing); [`JobServer::shutdown`] parks everything
 //! gracefully first.
+//!
+//! ## Waiting for a result
+//!
+//! `GET /result/{id}` waits for its job. A job that is not terminal yet
+//! holds the request on the `settled` condvar, with the state lock
+//! released, until the job is done, failed or cancelled, the server
+//! halts, or [`RESULT_WAIT`] passes; the request then answers exactly as
+//! an immediate one would — the document, the job's error, `cancelled`,
+//! or 409 `not_ready` if it is still unfinished. A client therefore needs
+//! about two requests per job (submit, result) instead of polling, and
+//! the CPU its polls took goes to the runners. Every terminal transition
+//! (a runner finishing, failing or cancelling a job at a boundary;
+//! `/cancel` of a queued or parked job) and every halt notifies
+//! `settled`. `/status` and `/jobs` never wait: they are the probes.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,9 +61,15 @@ use std::time::{Duration, Instant};
 use uts_ckpt::{spill, PreemptSignal};
 
 use crate::error::ServeError;
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, write_response, Request, IO_TIMEOUT};
 use crate::jobs::{JobState, JobTable};
 use crate::spec::{outcome_digest, JobSpec};
+
+/// How long `GET /result/{id}` waits for an unfinished job before it
+/// answers 409 `not_ready`. Long enough that most jobs finish inside one
+/// request, short enough that a request never outlives a client's
+/// patience or holds a connection thread for long.
+pub const RESULT_WAIT: Duration = Duration::from_millis(250);
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -101,7 +121,10 @@ struct ServerState {
 struct Shared {
     cfg: ServeConfig,
     state: Mutex<ServerState>,
+    /// Runners wait here for claimable work.
     work: Condvar,
+    /// `/result` requests wait here for their job to become terminal.
+    settled: Condvar,
     stop: AtomicBool,
     crash: AtomicBool,
 }
@@ -151,6 +174,7 @@ impl JobServer {
             cfg,
             state: Mutex::new(state),
             work: Condvar::new(),
+            settled: Condvar::new(),
             stop: AtomicBool::new(false),
             crash: AtomicBool::new(false),
         });
@@ -200,6 +224,7 @@ impl JobServer {
             }
         }
         self.shared.work.notify_all();
+        self.shared.settled.notify_all();
         // Unblock the acceptor's blocking `accept`.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
@@ -311,7 +336,9 @@ fn runner_loop(shared: &Shared) {
                     st.table.fail(id);
                     st.errors.insert(id, ServeError::Spill(format!("unpark: {e}")));
                     st.running.remove(&id);
+                    drop(st);
                     shared.work.notify_all();
+                    shared.settled.notify_all();
                     continue;
                 }
             }
@@ -365,8 +392,12 @@ fn runner_loop(shared: &Shared) {
             }
         }
         st.running.remove(&id);
+        let settled = st.table.get(id).expect("running").state.is_terminal();
         drop(st);
         shared.work.notify_all();
+        if settled {
+            shared.settled.notify_all();
+        }
     }
 }
 
@@ -398,6 +429,8 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let sh = Arc::clone(shared);
         std::thread::spawn(move || {
             let mut stream = stream;
+            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
             let (status, body) = match read_request(&mut stream) {
                 Err(e) => (e.status(), e.body()),
                 Ok(req) => match route(&sh, &req) {
@@ -455,15 +488,30 @@ fn status(shared: &Shared, id: u64) -> Result<String, ServeError> {
     ))
 }
 
+/// Answer once the job is terminal, the server halts, or [`RESULT_WAIT`]
+/// passes — whichever comes first.
 fn result(shared: &Shared, id: u64) -> Result<String, ServeError> {
-    let st = shared.lock();
-    let job = st.table.get(id).ok_or(ServeError::UnknownJob(id))?;
-    match job.state {
-        JobState::Done => Ok(st.results.get(&id).expect("done jobs have results").to_string()),
-        JobState::Failed => Err(st.errors.get(&id).cloned().unwrap_or_else(|| {
-            ServeError::Spill(format!("job {id} failed without a recorded error"))
-        })),
-        _ => Err(ServeError::NotReady(id)),
+    let deadline = Instant::now() + RESULT_WAIT;
+    let mut st = shared.lock();
+    loop {
+        let job = st.table.get(id).ok_or(ServeError::UnknownJob(id))?;
+        match job.state {
+            JobState::Done => {
+                return Ok(st.results.get(&id).expect("done jobs have results").to_string());
+            }
+            JobState::Failed => {
+                return Err(st.errors.get(&id).cloned().unwrap_or_else(|| {
+                    ServeError::Spill(format!("job {id} failed without a recorded error"))
+                }));
+            }
+            JobState::Cancelled => return Err(ServeError::Cancelled(id)),
+            JobState::Queued | JobState::Running | JobState::Parked => {}
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || shared.halted() {
+            return Err(ServeError::NotReady(id));
+        }
+        st = shared.settled.wait_timeout(st, left).expect("server state poisoned").0;
     }
 }
 
@@ -477,6 +525,7 @@ fn cancel(shared: &Shared, id: u64) -> Result<String, ServeError> {
             let dir = &shared.cfg.spill_dir;
             let _ = spill::write_atomic(&cancelled_path(dir, id), b"cancelled\n");
             let _ = spill::clear(dir, id);
+            shared.settled.notify_all();
         }
         JobState::Running => {
             if let Some(rj) = st.running.get(&id) {

@@ -65,10 +65,13 @@ fn slot_starvation_forces_preemption_and_results_stay_oracle_identical() {
     let server = JobServer::start(cfg).unwrap();
     let addr = server.addr();
 
+    // Each job is thousands of macro-step boundaries and a quarter of a
+    // second unoptimised, so the next submit always lands while the one
+    // before it still runs and the governor has someone to park.
     let specs: Vec<String> = (0..3)
         .map(|i| {
             format!(
-                r#"{{"workload":{{"kind":"synth","seed":{},"b_max":8,"depth_limit":7}},"p":64}}"#,
+                r#"{{"workload":{{"kind":"synth","seed":{},"b_max":8,"depth_limit":9}},"p":64}}"#,
                 20 + i
             )
         })

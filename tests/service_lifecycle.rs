@@ -187,8 +187,9 @@ fn cancel_is_honored_at_the_next_macro_step_boundary() {
     let server = JobServer::start(cfg).unwrap();
     let addr = server.addr();
 
-    // A deep tree: many macro-step boundaries ahead when the cancel lands.
-    let spec = r#"{"workload":{"kind":"synth","seed":4242,"b_max":8,"depth_limit":9},"p":16}"#;
+    // A deep tree: seconds of work in any build, so the cancel always lands
+    // with many macro-step boundaries still ahead.
+    let spec = r#"{"workload":{"kind":"synth","seed":4242,"b_max":8,"depth_limit":12},"p":16}"#;
     let (status, _) = client::post(addr, "/submit", spec);
     assert_eq!(status, 200);
 
@@ -218,6 +219,7 @@ fn cancel_is_honored_at_the_next_macro_step_boundary() {
     }
     let (status, body) = client::get(addr, "/result/1");
     assert_eq!(status, 409, "a cancelled job has no result: {body}");
+    assert!(body.contains(r#""kind":"cancelled""#), "a cancelled job says so: {body}");
     assert!(!dir.join("job-00000001.park").exists(), "cancel left a parked snapshot behind");
     assert!(!dir.join("job-00000001.done").exists(), "cancel left a result behind");
 

@@ -75,14 +75,20 @@ fn kill_mid_churn_then_restart_recovers_every_job_oracle_identical() {
     let mut first_life_docs: Vec<(u64, String)> = Vec::new();
     loop {
         let (_, body) = client::get(addr, "/jobs");
-        let done = body.matches("\"state\":\"done\"").count();
-        if done >= 2 {
-            // Capture what the first life already answered, then die.
-            for id in 1..=JOBS as u64 {
+        // `{"jobs":[{"job":1,"state":"done"},…]}`: the ids of done jobs.
+        let done: Vec<u64> = body
+            .split(r#"{"job":"#)
+            .filter(|item| item.contains(r#""state":"done""#))
+            .filter_map(|item| item.split(',').next()?.parse().ok())
+            .collect();
+        if done.len() >= 2 {
+            // Capture what the first life already answered, then die. Only
+            // done jobs are asked: `/result` of an unfinished one would
+            // wait for it, and let the churn drain before the kill.
+            for id in done {
                 let (status, doc) = client::get(addr, &format!("/result/{id}"));
-                if status == 200 {
-                    first_life_docs.push((id, doc));
-                }
+                assert_eq!(status, 200, "done job {id} has no result: {doc}");
+                first_life_docs.push((id, doc));
             }
             break;
         }
