@@ -1,7 +1,7 @@
 //! Engine-throughput harness: measures simulated nodes expanded per host
 //! second for the host-parallel macro engine, the event-horizon macro
-//! engine, the fused hot loop, and the reference two-sweep executor, and
-//! writes the results to `BENCH_engine.json` (current directory).
+//! engine and the reference two-sweep executor, and writes the results to
+//! `BENCH_engine.json` (current directory).
 //!
 //! ```text
 //! cargo run --release -p uts-bench --bin bench_engine -- [--quick] [--check] [--out PATH]
@@ -11,9 +11,9 @@
 //! geometric tree at the paper's machine sizes, and a 2.2M-node deep tree
 //! at P = 8192. The small tree undersubscribes an 8K machine so badly
 //! that the trigger fires after nearly every cycle — there the macro
-//! engine can only show parity with the fused loop (its single-cycle fast
-//! path) — while the deep tree reaches a steady state whose multi-cycle
-//! horizons let macro-stepping actually pay.
+//! engine runs its single-cycle fused pass almost every step — while the
+//! deep tree reaches a steady state whose multi-cycle horizons let
+//! macro-stepping actually pay.
 //!
 //! The par engine is measured twice per workload: `par1` pins one worker
 //! (`with_threads(1)`, the inline parity leg) and `par` pins the host's
@@ -32,7 +32,7 @@
 //! plus per-phase trigger provenance. The timed floor runs always keep the
 //! ledger off, so `--report` never perturbs the regression gate.
 //! `--check` exits non-zero if an engine regresses past its floor —
-//! fused >= 0.9x reference, macro >= 0.9x fused, and parallelism-aware
+//! macro >= 0.9x reference, and parallelism-aware
 //! par floors: par and par1 >= 0.85x macro always (parity within noise,
 //! any host), plus par >= 2.0x macro on the deep d10 tree when the host
 //! has >= 4 cores, which the par leg then runs with (the scaling
@@ -61,9 +61,9 @@
 //!     ...
 //!   ],
 //!   "speedups": {
-//!     "fused_vs_reference": {"d7/8192": 2.7, ...},
-//!     "macro_vs_fused": {"d7/8192": 1.0, "d10/8192": 1.3, ...},
-//!     "macro_vs_reference": {"d7/8192": 2.8, ...}
+//!     "macro_vs_reference": {"d7/8192": 2.8, ...},
+//!     "par_vs_macro": {"d7/8192": 1.0, ...},
+//!     ...
 //!   }
 //! }
 //! ```
@@ -73,8 +73,7 @@ use std::time::Instant;
 
 use uts_ckpt::CheckpointPolicy;
 use uts_core::{
-    run, run_fused, run_par, run_reference, run_report_json, CheckpointCfg, EngineConfig, Outcome,
-    Scheme,
+    run, run_report_json, run_with, CheckpointCfg, EngineConfig, EngineKind, Outcome, Scheme,
 };
 use uts_machine::CostModel;
 use uts_synth::GeometricTree;
@@ -184,8 +183,8 @@ fn main() {
         ]
     };
 
-    // The worker count `run_par` resolves when the config leaves `threads`
-    // unset: one per available core.
+    // The worker count the par engine resolves when the config leaves
+    // `threads` unset: one per available core.
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut results: Vec<Measurement> = Vec::new();
     let mut tree_sizes: Vec<(&'static str, u32, u64)> = Vec::new();
@@ -206,16 +205,15 @@ fn main() {
             let cfg = EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2());
             // Pin the host's count into the config so the worker count the
             // leg *records* is by construction the one it *ran* with.
-            type Runner = fn(&GeometricTree, &EngineConfig) -> Outcome;
-            let legs: [(&'static str, EngineConfig, usize, Runner); 5] = [
-                ("par", cfg.clone().with_threads(host_threads), host_threads, run_par),
-                ("par1", cfg.clone().with_threads(1), 1, run_par),
-                ("macro", cfg.clone(), 1, run),
-                ("fused", cfg.clone(), 1, run_fused),
-                ("reference", cfg.clone(), 1, run_reference),
+            let par = |threads| cfg.clone().with_engine(EngineKind::Par).with_threads(threads);
+            let legs: [(&'static str, EngineConfig, usize); 4] = [
+                ("par", par(host_threads), host_threads),
+                ("par1", par(1), 1),
+                ("macro", cfg.clone(), 1),
+                ("reference", cfg.clone().with_engine(EngineKind::Reference), 1),
             ];
-            for (engine, leg_cfg, leg_threads, runner) in legs {
-                let (seconds, out) = measure(|| runner(&tree, &leg_cfg), case.budget_s);
+            for (engine, leg_cfg, leg_threads) in legs {
+                let (seconds, out) = measure(|| run_with(&tree, &leg_cfg), case.budget_s);
                 assert_eq!(out.report.nodes_expanded, w, "anomaly-free contract");
                 let nodes_per_sec = w as f64 / seconds;
                 eprintln!(
@@ -329,8 +327,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n  \"speedups\": {\n");
-    let _ = writeln!(json, "    \"fused_vs_reference\": {{{}}},", ratio_map("fused", "reference"));
-    let _ = writeln!(json, "    \"macro_vs_fused\": {{{}}},", ratio_map("macro", "fused"));
     let _ = writeln!(json, "    \"macro_vs_reference\": {{{}}},", ratio_map("macro", "reference"));
     let _ = writeln!(json, "    \"par_vs_macro\": {{{}}},", ratio_map("par", "macro"));
     let _ = writeln!(json, "    \"par1_vs_macro\": {{{}}},", ratio_map("par1", "macro"));
@@ -371,33 +367,27 @@ fn main() {
         // Regression floors, deliberately loose (0.9x) so machine noise
         // doesn't flake CI while a real hot-path regression still trips.
         // The par floors are parallelism-aware: parity-within-noise holds
-        // on any host (one worker = the macro engine plus a branch), while
+        // on any host (one worker = the macro engine), while
         // the 1.5x scaling floor only applies where the hardware can
         // physically deliver it (>= 4 cores, and only on the deep tree
         // whose horizons are long enough to amortize the fan-out).
         let mut ok = true;
         for &(tree, p) in &configs {
-            let (pa, pa1, ma, fu, re) = (
+            let (pa, pa1, ma, re) = (
                 rate(tree, p, "par").unwrap(),
                 rate(tree, p, "par1").unwrap(),
                 rate(tree, p, "macro").unwrap(),
-                rate(tree, p, "fused").unwrap(),
                 rate(tree, p, "reference").unwrap(),
             );
-            if fu < 0.9 * re {
-                eprintln!("CHECK FAIL {tree} P={p}: fused {fu:.0} < 0.9x reference {re:.0}");
-                ok = false;
-            }
-            if ma < 0.9 * fu {
-                eprintln!("CHECK FAIL {tree} P={p}: macro {ma:.0} < 0.9x fused {fu:.0}");
+            if ma < 0.9 * re {
+                eprintln!("CHECK FAIL {tree} P={p}: macro {ma:.0} < 0.9x reference {re:.0}");
                 ok = false;
             }
             // 0.85, not 0.9: these are parity checks, not scaling checks,
-            // and a single-worker `run_par` that runs the macro engine's
-            // exact step code still measures a few percent slower from
-            // codegen/layout differences alone. `par1` pins one worker, so
-            // the floor holds on any host; `par` only equals it where the
-            // auto-detected count is 1.
+            // taken back to back on a shared host. `par1` pins one worker
+            // (the macro engine's exact code), so the floor holds on any
+            // host; `par` only equals it where the auto-detected count is
+            // 1.
             if pa1 < 0.85 * ma {
                 eprintln!("CHECK FAIL {tree} P={p}: par1 {pa1:.0} < 0.85x macro {ma:.0}");
                 ok = false;
@@ -431,7 +421,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "check passed: fused >= 0.9x reference, macro >= 0.9x fused, par/par1 >= 0.85x macro, \
+            "check passed: macro >= 0.9x reference, par/par1 >= 0.85x macro, \
              ckpt-on >= 0.8x ckpt-off{} ({host_threads} host threads)",
             if host_threads >= 4 { ", par >= 2.0x macro on d10" } else { "" }
         );

@@ -56,7 +56,7 @@ use uts_serve::{client, outcome_digest, JobServer, JobSpec, ServeConfig};
 /// service stress suite: a geometric tree can die out before its first
 /// macro-step boundary, which would make the churn leg vacuous).
 fn spec_text(i: usize, quick: bool) -> String {
-    let engine = ["macro", "fused", "par"][i % 3];
+    let engine = if i % 3 == 2 { "par" } else { "macro" };
     let p = [32, 64][i % 2];
     // Deep enough that a job costs milliseconds, not microseconds: the
     // serve/direct ratio bounds fixed per-job overhead only if the jobs

@@ -10,7 +10,7 @@
 //! Two workloads run per mode: a geometric tree sized by closed-form
 //! target search (`find_gen_tree`) — in full mode at least 10^8 nodes —
 //! and a subcritical binomial tree. Each workload runs once per leg:
-//! reference, fused, macro, and the par engine pinned to 1, 2 and 8
+//! reference, macro, and the par engine pinned to 1, 2 and 8
 //! workers, plus one kill→resume cycle on the macro engine. Every row
 //! records wall seconds, the measured `peak_stack_nodes`, the resident
 //! bytes per PE that peak implies (`peak * size_of::<GenNode>()`), and
@@ -44,7 +44,7 @@
 //!     ...
 //!   ],
 //!   "results": [
-//!     {"workload": "geo", "engine": "fused", "p": 1024, "host_threads": 1,
+//!     {"workload": "geo", "engine": "macro", "p": 1024, "host_threads": 1,
 //!      "seconds": 71.2, "nodes_per_sec": 1.4e6, "n_expand": 120000,
 //!      "peak_stack_nodes": 131, "resident_bytes_per_pe": 2096,
 //!      "outcome_fnv": "0x..."},
@@ -61,7 +61,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
-use uts_core::{run, run_fused, run_par, run_reference, EngineConfig, Outcome, Scheme};
+use uts_core::{run, run_with, EngineConfig, EngineKind, Scheme};
 use uts_machine::CostModel;
 use uts_serve::outcome_digest;
 use uts_synthgen::{find_gen_tree, GenNode, GenTree};
@@ -214,19 +214,18 @@ fn main() {
     for case in &cases {
         eprintln!("workload {}: {} nodes, P={}", case.label, case.w, case.p);
         let cfg = EngineConfig::new(case.p, Scheme::gp_dk(), CostModel::cm2());
-        type Runner = fn(&GenTree, &EngineConfig) -> Outcome;
-        let legs: [(&'static str, EngineConfig, usize, Runner); 6] = [
-            ("reference", cfg.clone(), 1, run_reference),
-            ("fused", cfg.clone(), 1, run_fused),
-            ("macro", cfg.clone(), 1, run),
-            ("par1", cfg.clone().with_threads(1), 1, run_par),
-            ("par2", cfg.clone().with_threads(2), 2, run_par),
-            ("par8", cfg.clone().with_threads(8), 8, run_par),
+        let par = |threads| cfg.clone().with_engine(EngineKind::Par).with_threads(threads);
+        let legs: [(&'static str, EngineConfig, usize); 5] = [
+            ("reference", cfg.clone().with_engine(EngineKind::Reference), 1),
+            ("macro", cfg.clone(), 1),
+            ("par1", par(1), 1),
+            ("par2", par(2), 2),
+            ("par8", par(8), 8),
         ];
         let mut digests: Vec<u64> = Vec::new();
-        for (engine, leg_cfg, leg_threads, runner) in legs {
+        for (engine, leg_cfg, leg_threads) in legs {
             let t0 = Instant::now();
-            let out = runner(&case.tree, &leg_cfg);
+            let out = run_with(&case.tree, &leg_cfg);
             let seconds = t0.elapsed().as_secs_f64();
             assert_eq!(out.report.nodes_expanded, case.w, "anomaly-free contract");
             let digest = outcome_digest(&out);

@@ -13,10 +13,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use uts_core::{run, run_par, EngineConfig, Outcome, Scheme};
+use uts_core::{run_with, EngineConfig, EngineKind, Scheme};
 use uts_machine::CostModel;
 use uts_serve::outcome_digest;
-use uts_synthgen::{find_gen_tree, GenFamily, GenNode, GenTree};
+use uts_synthgen::{find_gen_tree, GenFamily, GenNode};
 
 /// Same per-PE resident ceiling `bench_workloads --check` enforces.
 const MEM_CEILING_BYTES_PER_PE: usize = 64 * 1024;
@@ -40,15 +40,16 @@ fn billion_node_sweep_stays_in_stack_memory() {
     let p = 4096;
     let node_bytes = std::mem::size_of::<GenNode>();
     let cfg = EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2());
-    type Runner = fn(&GenTree, &EngineConfig) -> Outcome;
-    let legs: [(&str, EngineConfig, usize, Runner); 2] =
-        [("macro", cfg.clone(), 1, run), ("par4", cfg.clone().with_threads(4), 4, run_par)];
+    let legs: [(&str, EngineConfig, usize); 2] = [
+        ("macro", cfg.clone(), 1),
+        ("par4", cfg.clone().with_engine(EngineKind::Par).with_threads(4), 4),
+    ];
 
     let mut rows = String::new();
     let mut digests = Vec::new();
-    for (i, (engine, leg_cfg, threads, runner)) in legs.into_iter().enumerate() {
+    for (i, (engine, leg_cfg, threads)) in legs.into_iter().enumerate() {
         let t0 = Instant::now();
-        let out = runner(&sized.tree, &leg_cfg);
+        let out = run_with(&sized.tree, &leg_cfg);
         let seconds = t0.elapsed().as_secs_f64();
         assert!(!out.truncated, "{engine}: sweep must run to completion");
         assert_eq!(out.report.nodes_expanded, sized.w, "{engine}: anomaly-free contract");

@@ -6,7 +6,7 @@
 //! resume. The contract is exact: a run resumed from a snapshot produces
 //! an `Outcome` **bit-identical** to the uninterrupted run — every
 //! counter, trace, donation vector and ledger phase — which the
-//! kill→resume differential suite enforces across all four engines.
+//! kill→resume differential suite enforces across every engine.
 //!
 //! Three layers live here, none of which depend on the engine:
 //!
@@ -22,10 +22,10 @@
 //! * the **harness** types ([`CheckpointPolicy`], [`FaultPlan`]): when to
 //!   snapshot, and — for tests — when to kill.
 //!
-//! Snapshots are **engine-invariant**: all four engines checkpoint at the
-//! same macro-step boundaries (the single-cycle engines replay the macro
-//! engine's `compute_horizon` schedule, exactly as they do for the
-//! ledger), and everything captured is a pure function of the lockstep
+//! Snapshots are **engine-invariant**: every engine checkpoints at the
+//! same macro-step boundaries (the per-cycle reference oracle replays the
+//! loop's `compute_horizon` schedule, exactly as it does for the ledger),
+//! and everything captured is a pure function of the lockstep
 //! schedule. A snapshot taken by one engine resumes under any other.
 
 use std::sync::atomic::{AtomicBool, Ordering};

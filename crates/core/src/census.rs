@@ -23,7 +23,7 @@
 //!   (idle PEs contribute `lens[i] == 0` and are skipped, exactly as the
 //!   old active-list sweep never visited them; `hist[0] == 0` either way).
 //!
-//! Every backend, the pooled one included, runs the census serially on
+//! Every backend, a fanned-out one included, runs the census serially on
 //! the loop's thread: one sweep of a `P`-entry array is cheap next to a
 //! thread spawn (DESIGN.md §6.4).
 

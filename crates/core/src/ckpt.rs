@@ -5,7 +5,7 @@
 //! [`CheckpointPolicy`], [`FaultPlan`]); this module binds it to the
 //! engines. A run configured with [`crate::EngineConfig::with_checkpoint`]
 //! evaluates its policy at every **macro-step boundary** — the same
-//! engine-invariant schedule the ledger replays, so all four engines
+//! engine-invariant schedule the ledger replays, so every engine
 //! snapshot at identical points in the lockstep schedule and a snapshot
 //! taken by one engine resumes under any other. [`resume_with`] rebuilds
 //! the complete engine state from a snapshot and hands it to the
@@ -303,9 +303,10 @@ pub fn resume_with<P: TreeProblem>(
     let resume = EngineState::restore(cfg, snapshot);
     match cfg.engine {
         EngineKind::Reference => crate::reference::run_reference_from(problem, cfg, resume),
-        EngineKind::Fused => crate::engine::run_fused_from(problem, cfg, resume),
-        EngineKind::Macro => crate::macrostep::run_from(problem, cfg, resume),
-        EngineKind::Par => crate::parstep::run_par_from(problem, cfg, resume),
+        EngineKind::Macro | EngineKind::Par => {
+            let threads = crate::local::resolve_threads(cfg);
+            crate::local::run_local(problem, cfg, threads, Some(resume))
+        }
     }
 }
 

@@ -12,17 +12,15 @@
 //! ```
 //!
 //! The executors differ only in how the host runs the search phase, which
-//! is what a [`BurstBackend`] supplies: **inline**
-//! ([`crate::macrostep::InlineBackend`], one DFS burst per PE),
-//! **pooled** ([`crate::parstep::PooledBackend`], the same bursts fanned
-//! out over scoped threads), **cycle-major** ([`crate::engine::CycleMajorBackend`],
-//! one pass over all PEs per cycle) and **remote** (`uts-shard`: worker
-//! processes hold the stacks, bursts and splits travel as wire frames).
-//! Every backend hands the loop the same census for the same stacks, so
-//! every executor takes the same steps; DESIGN.md §6.1 gives the per
-//! backend argument. [`crate::reference`] is deliberately *not* built on
-//! this loop: it is the independent per-cycle oracle the suites compare
-//! against.
+//! is what a [`BurstBackend`] supplies: **in-process**
+//! ([`crate::local::LocalBackend`]: one cache-hot DFS burst per PE, on the
+//! calling thread or fanned out over scoped threads) and **remote**
+//! (`uts-shard`: worker processes hold the stacks, bursts and splits
+//! travel as wire frames). Both hand the loop the same census for the same
+//! stacks, so every executor takes the same steps; DESIGN.md §6.1 gives
+//! the per backend argument. [`crate::reference`] is deliberately *not*
+//! built on this loop: it is the independent per-cycle oracle the suites
+//! compare against.
 //!
 //! # Stepping by hand
 //!
@@ -47,15 +45,17 @@
 use std::convert::Infallible;
 
 use uts_ckpt::StackSource;
+use uts_machine::SimdMachine;
 use uts_tree::{CkptNode, SearchStack, StackArena, TreeProblem};
 
+use crate::census::{build_count_ge, build_hist};
 use crate::ckpt::config_fingerprint;
 use crate::engine::{
     balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, MacroStep, Outcome,
     Resume,
 };
-use crate::macrostep::compute_horizon;
 use crate::store::StackStore;
+use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
 
 /// The census of one search-phase burst over the whole active set (merged
 /// across workers or chunks where the backend has any).
@@ -123,6 +123,60 @@ pub trait BurstBackend {
     fn end_step(&mut self, _driver: &LockstepDriver, _fired: bool) -> Result<(), Self::Error> {
         Ok(())
     }
+}
+
+/// Compute the next event horizon: a sound lower bound on the cycles
+/// before the trigger could fire effectively
+/// ([`crate::trigger::safe_horizon`]; a fire with no splittable or no idle
+/// PE transfers no work and leaves no trace in the schedule), clamped to
+/// the `max_cycles` budget. `stop_on_goal` must observe goals
+/// cycle-by-cycle, and the init phase balances after every cycle by
+/// construction; both degrade gracefully to single-cycle steps.
+/// `size_hist`/`count_ge` are caller-owned scratch, rebuilt only when a
+/// multi-cycle horizon is actually reachable: the stack-size histogram
+/// over the PEs holding work (`hist[s]` = PEs whose stack holds `s` nodes)
+/// is then one O(P) census sweep of `lens`, the dense per-PE length array
+/// ([`build_hist`]), whose cost the cycles the horizon buys amortise.
+pub(crate) fn compute_horizon(
+    cfg: &EngineConfig,
+    machine: &SimdMachine,
+    active_len: usize,
+    in_init: bool,
+    lens: &[u32],
+    size_hist: &mut Vec<u32>,
+    count_ge: &mut Vec<u32>,
+) -> u64 {
+    let mut h = if in_init
+        || cfg.stop_on_goal
+        || !horizon_exceeds_one(
+            cfg.scheme.trigger,
+            cfg.p,
+            active_len,
+            machine.phase(),
+            cfg.cost.u_calc,
+            machine.estimated_lb_cost(),
+        ) {
+        1
+    } else {
+        build_hist(lens, size_hist);
+        build_count_ge(size_hist, count_ge);
+        let hctx = HorizonCtx {
+            p: cfg.p,
+            active: active_len,
+            count_ge,
+            phase: *machine.phase(),
+            u_calc: cfg.cost.u_calc,
+            l_estimate: machine.estimated_lb_cost(),
+        };
+        safe_horizon(cfg.scheme.trigger, &hctx)
+    };
+    if let Some(m) = cfg.max_cycles {
+        // Stop exactly at the budget (the reference overshoots a
+        // zero/exceeded budget by the one cycle it always runs; so do we,
+        // via the `.max(1)`).
+        h = h.min(m.saturating_sub(machine.metrics().n_expand)).max(1);
+    }
+    h
 }
 
 /// Compact the sorted `active` list to the PEs whose fresh length is
@@ -419,8 +473,8 @@ mod tests {
     //! The public step API, driven by hand with an in-process
     //! [`StackArena`] + [`expansion_burst`] exactly as
     //! `benchmark/src/trace.rs` does, must take the same steps as
-    //! [`LockstepDriver::drive`] over the inline backend (which is
-    //! [`crate::macrostep::run`]).
+    //! [`LockstepDriver::drive`] over the in-process backend at one thread
+    //! (which is [`crate::local::run`]).
     use super::*;
     use crate::engine::expansion_burst;
     use crate::scheme::Scheme;
@@ -476,7 +530,7 @@ mod tests {
                 .with_ledger()
                 .with_horizon_log()
                 .with_trace();
-            let want = crate::macrostep::run(&tree, &cfg);
+            let want = crate::local::run(&tree, &cfg);
             let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
             assert!(step_by_hand(&tree, &mut driver, &mut arena, u64::MAX));
             assert_eq!(driver.finish(false), want, "{}", scheme.name());
@@ -487,7 +541,7 @@ mod tests {
     fn driver_snapshot_resumes_under_the_macro_engine() {
         let tree = GeometricTree { seed: 5, b_max: 8, depth_limit: 6 };
         let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger();
-        let want = crate::macrostep::run(&tree, &cfg);
+        let want = crate::local::run(&tree, &cfg);
 
         // Drive three steps, snapshot, then hand the snapshot to the
         // ordinary in-process resume path.

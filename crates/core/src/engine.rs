@@ -16,72 +16,65 @@
 //! the search-phase kernels ([`fused_expansion_cycle`],
 //! [`expansion_burst`]) and the trigger checkpoint and balancing phase.
 //! The macro-step loop that sequences them lives once, in
-//! [`crate::driver`]; [`run_fused`] below is that loop over the
-//! cycle-major backend. All executors produce a lockstep schedule
-//! bit-identical to the straightforward two-sweep loop kept in
+//! [`crate::driver`], and runs over the in-process backend
+//! ([`crate::local`]) or a remote one. Every executor produces a lockstep
+//! schedule bit-identical to the straightforward two-sweep loop kept in
 //! [`crate::reference`] (enforced by property tests). See DESIGN.md §6,
 //! "Engine hot path".
 
-use std::convert::Infallible;
-
-use uts_ckpt::StackSource;
 use uts_machine::{
     CostModel, LbPhaseRecord, Ledger, Report, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_scan::{MatchScratch, Pair};
 use uts_tree::{BlockRun, Burst, SearchStack, SplitPolicy, StackArena, TreeProblem};
 
-use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
 use crate::matcher::MatchState;
 use crate::scheme::{Scheme, TransferMode, Trigger};
 use crate::store::{CountedMove, StackStore};
 use crate::trigger::{should_balance, static_threshold, TriggerCtx};
 
-/// Which executor [`run_with`] dispatches to: one independent oracle and
-/// three backends of the one macro-step loop ([`crate::driver`]). All four
-/// produce bit-identical lockstep schedules (the contract enforced by
-/// `tests/engine_equivalence.rs` and `tests/engine_differential.rs`); they
-/// differ only in how the host executes the search phase.
+/// Which executor [`run_with`] dispatches to: the independent oracle, or
+/// the one macro-step loop ([`crate::driver`]) over the in-process backend
+/// ([`crate::local::LocalBackend`]) at one thread or several. All produce
+/// bit-identical lockstep schedules (the contract enforced by
+/// `tests/engine_equivalence.rs` and `tests/engine_differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The per-cycle two-sweep oracle loop
     /// ([`crate::reference::run_reference`]); not built on the driver.
     Reference,
-    /// The cycle-major backend ([`run_fused`]): one fused
-    /// expansion + census pass over the whole active list per cycle.
-    Fused,
-    /// The inline backend ([`crate::macrostep::run`]): one cache-hot DFS
-    /// burst per PE per macro step.
+    /// The loop at one host thread ([`crate::local::run`]): one cache-hot
+    /// DFS burst per PE per macro step.
     Macro,
-    /// The pooled backend ([`crate::parstep::run_par`]): the inline
-    /// bursts fanned out over scoped host threads.
+    /// The same loop with its bursts fanned out over
+    /// [`EngineConfig::threads`] host threads.
     Par,
 }
 
 impl EngineKind {
     /// All engines, oracle first — handy for differential tests.
-    pub const ALL: [EngineKind; 4] =
-        [EngineKind::Reference, EngineKind::Fused, EngineKind::Macro, EngineKind::Par];
+    pub const ALL: [EngineKind; 3] = [EngineKind::Reference, EngineKind::Macro, EngineKind::Par];
 
     /// Short stable name for labels and JSON keys.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Fused => "fused",
             EngineKind::Macro => "macro",
             EngineKind::Par => "par",
         }
     }
 
     /// Parse an engine name — the inverse of [`EngineKind::name`], plus the
-    /// `ref` shorthand. Shared by the CLI and the job-server spec decoder.
+    /// `ref` shorthand and `fused`, the name of a retired cycle-major
+    /// engine that older job specs still carry, as a spelling of
+    /// [`EngineKind::Macro`]. Shared by the CLI and the job-server spec
+    /// decoder.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "reference" | "ref" => Ok(EngineKind::Reference),
-            "fused" => Ok(EngineKind::Fused),
-            "macro" => Ok(EngineKind::Macro),
+            "macro" | "fused" => Ok(EngineKind::Macro),
             "par" => Ok(EngineKind::Par),
-            other => Err(format!("unknown engine `{other}` (reference|fused|macro|par)")),
+            other => Err(format!("unknown engine `{other}` (reference|macro|par)")),
         }
     }
 }
@@ -110,7 +103,7 @@ pub struct EngineConfig {
     /// Safety valve for tests: abort after this many expansion cycles.
     pub max_cycles: Option<u64>,
     /// Record every macro step the loop takes ([`Outcome::macro_steps`]).
-    /// Every driver-backed executor (fused, macro, par, sharded) records
+    /// Every driver-backed executor (macro, par, sharded) records
     /// the identical log; the reference oracle steps cycle by cycle and
     /// ignores the flag. For horizon-soundness diagnostics and tests.
     pub record_horizons: bool,
@@ -123,14 +116,15 @@ pub struct EngineConfig {
     /// the same one.
     pub record_ledger: bool,
     /// Which executor [`run_with`] dispatches to (the direct entry points
-    /// `run`, `run_fused`, `run_reference`, `run_par` ignore it).
+    /// `run` and `run_reference` ignore it).
     pub engine: EngineKind,
-    /// Host threads for [`crate::parstep::run_par`], the caller's included:
-    /// each burst that fans out spawns `threads - 1` scoped threads and
-    /// joins them before it returns. `None` means one per available core
-    /// (`std::thread::available_parallelism`). Ignored by the other
-    /// engines, and **never** part of the schedule: any value yields the
-    /// identical `Outcome`.
+    /// Host threads [`EngineKind::Par`] bursts on, the caller's included:
+    /// each burst that fans out (see [`crate::local::FAN_OUT_MIN_WORK`])
+    /// spawns `threads - 1` scoped threads and joins them before it
+    /// returns. `None` means one per available core
+    /// (`std::thread::available_parallelism`). The other engines run on
+    /// one thread and ignore it; it is **never** part of the schedule: any
+    /// value yields the identical `Outcome`.
     pub threads: Option<usize>,
     /// Checkpoint/resume configuration ([`crate::ckpt`]): when armed, the
     /// run snapshots its complete state at macro-step boundaries (the same
@@ -192,7 +186,7 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: pin the host worker count of the parallel engine.
+    /// Builder: pin the host worker count of [`EngineKind::Par`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -227,13 +221,13 @@ impl EngineConfig {
 }
 
 /// Run `problem` under the executor named by [`EngineConfig::engine`].
-/// Every arm produces the same `Outcome` bit-for-bit.
+/// Both arms produce the same `Outcome` bit-for-bit.
 pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     match cfg.engine {
         EngineKind::Reference => crate::reference::run_reference(problem, cfg),
-        EngineKind::Fused => run_fused(problem, cfg),
-        EngineKind::Macro => crate::macrostep::run(problem, cfg),
-        EngineKind::Par => crate::parstep::run_par(problem, cfg),
+        EngineKind::Macro | EngineKind::Par => {
+            crate::local::run_local(problem, cfg, crate::local::resolve_threads(cfg), None)
+        }
     }
 }
 
@@ -275,7 +269,7 @@ pub struct Outcome {
     pub macro_steps: Vec<MacroStep>,
     /// The load-balance ledger, recorded only when
     /// [`EngineConfig::record_ledger`] is set. Unlike `macro_steps` it is
-    /// engine-invariant: all four engines produce the identical ledger
+    /// engine-invariant: every engine produces the identical ledger
     /// (the oracle replays the horizon schedule for the provenance
     /// records).
     pub ledger: Option<Ledger>,
@@ -377,90 +371,6 @@ pub(crate) fn fresh_run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Resu
     (state, pes)
 }
 
-/// Run `problem` to exhaustion (or first goal) under `cfg`, sweeping the
-/// search phase **cycle-major**: the macro-step loop over
-/// [`CycleMajorBackend`]. Kept as the single-cycle baseline the inline
-/// backend is benchmarked against; new code should call
-/// [`crate::macrostep::run`].
-pub fn run_fused<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_fused_over(problem, LockstepDriver::at_root(problem, cfg))
-}
-
-pub(crate) fn run_fused_from<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    resume: Resume<P::Node>,
-) -> Outcome {
-    run_fused_over(problem, LockstepDriver::resumed(cfg, resume))
-}
-
-fn run_fused_over<P: TreeProblem>(problem: &P, (driver, arena): InProcess<P::Node>) -> Outcome {
-    driver.run_to_end(CycleMajorBackend::new(problem, arena))
-}
-
-/// The cycle-major search phase: a burst of `h` cycles is `h` calls of
-/// [`fused_expansion_cycle`], each one pass over the whole (shrinking)
-/// active list, where the inline backend runs each PE's `h` cycles
-/// back to back. The stacks end in the same state either way (PEs never
-/// interact inside a search phase); a PE that leaves the list in cycle `c`
-/// is recorded as a death at `c`, which is exactly its burst length.
-pub struct CycleMajorBackend<'a, P: TreeProblem> {
-    problem: &'a P,
-    arena: StackArena<P::Node>,
-}
-
-impl<'a, P: TreeProblem> CycleMajorBackend<'a, P> {
-    /// A backend searching `problem` over `arena`.
-    pub fn new(problem: &'a P, arena: StackArena<P::Node>) -> Self {
-        Self { problem, arena }
-    }
-}
-
-impl<P: TreeProblem> BurstBackend for CycleMajorBackend<'_, P> {
-    type Node = P::Node;
-    type Error = Infallible;
-    type Store = StackArena<P::Node>;
-
-    fn lens(&self) -> &[u32] {
-        self.arena.lens()
-    }
-
-    fn store(&mut self) -> &mut Self::Store {
-        &mut self.arena
-    }
-
-    fn burst(
-        &mut self,
-        h: u64,
-        active: &mut Vec<usize>,
-        out: &mut MergedBurst,
-    ) -> Result<usize, Infallible> {
-        out.reset(active.len());
-        let mut busy = 0;
-        for cycle in 1..=h {
-            let stats = fused_expansion_cycle(
-                self.problem,
-                &mut self.arena,
-                active,
-                &mut out.goals,
-                &mut out.peak_stack_nodes,
-            );
-            busy = stats.busy;
-            if h > 1 {
-                out.deaths.extend(std::iter::repeat_n(cycle, stats.started - active.len()));
-            }
-            if active.is_empty() {
-                break;
-            }
-        }
-        Ok(busy)
-    }
-
-    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
-        Ok(StackSource::Arena(&self.arena))
-    }
-}
-
 /// Census of one fused expansion cycle (or one macro-step burst): how many
 /// PEs ran it and how many finished it splittable.
 pub struct CycleStats {
@@ -476,8 +386,8 @@ pub struct CycleStats {
 /// chain (no bounce through a per-PE child buffer, no frame vector at all),
 /// and the post-push length lands in the dense `lens` census, which doubles
 /// as this cycle's census entry — busy state is `lens[i] >= 2`, no flag
-/// array to maintain. This is the single-cycle hot path shared by the fused
-/// engine and the macro/par engines' one-cycle steps.
+/// array to maintain. This is the single-cycle hot path of every
+/// one-cycle macro step.
 #[inline]
 pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
     problem: &P,
@@ -509,7 +419,7 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
 
 /// One macro-step's worth of expansion over the dense active list: `h`
 /// consecutive lockstep cycles (or until a PE drains), exactly the search
-/// phase of [`crate::macrostep::run`] between two checkpoints. `h == 1`
+/// phase of [`crate::local::run`] between two checkpoints. `h == 1`
 /// runs [`fused_expansion_cycle`]'s single-cycle pass; `h > 1` runs one
 /// tight cache-hot DFS burst per active PE ([`burst_slice`]) and records
 /// each drained PE's burst length in `death_cycles` (cleared first,
@@ -557,8 +467,8 @@ pub(crate) struct SliceBurst {
 /// for up to `h` expansions on its cache-hot chain, push the burst length
 /// of each PE that drained onto `deaths`, and compact `pes` in place to
 /// the survivors. `run` holds (at least) the blocks of the slice's PEs —
-/// the whole arena for the inline backend, one job's disjoint run of
-/// blocks for the pooled one.
+/// the whole arena for a burst on the calling thread, one job's disjoint
+/// run of blocks for a fanned-out one.
 pub(crate) fn burst_slice<P: TreeProblem>(
     problem: &P,
     h: u64,
@@ -1116,10 +1026,9 @@ fn census_matches(active: &[usize], busy: usize, lens: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    // Behavioral tests drive the default (macro) engine; the cycle-major
-    // backend is covered by the smoke test below and the cross-engine
-    // equivalence suite in `tests/engine_equivalence.rs`.
-    use crate::macrostep::run;
+    // Behavioral tests drive the default (macro) engine; the cross-engine
+    // suites under `tests/` cover the others.
+    use crate::local::run;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::{BinomialTree, GeometricTree};
@@ -1305,7 +1214,7 @@ mod tests {
         for scheme in [Scheme::gp_static(0.8), Scheme::gp_dp(), Scheme::fegs()] {
             let cfg = EngineConfig::new(64, scheme, CostModel::cm2());
             let oracle = crate::reference::run_reference(&tree, &cfg);
-            for engine in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+            for engine in [EngineKind::Macro, EngineKind::Par] {
                 let out = run_with(&tree, &cfg.clone().with_engine(engine));
                 assert_eq!(
                     out.peak_stack_nodes,
@@ -1326,16 +1235,6 @@ mod tests {
             let total: u64 = out.donations.iter().map(|&d| d as u64).sum();
             assert_eq!(total, out.report.n_transfers, "{}", scheme.name());
         }
-    }
-
-    #[test]
-    fn fused_engine_still_runs_the_full_space() {
-        let tree = geo(2);
-        let w = serial_dfs(&tree).expanded;
-        let out = run_fused(&tree, &EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()));
-        assert!(!out.truncated);
-        assert_eq!(out.report.nodes_expanded, w);
-        assert!(out.macro_steps.is_empty(), "no horizon log was asked for");
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! virtual time advances by `U_calc` per cycle and by the cost model's
 //! `t_lb` per balancing phase (see `uts-machine`). The macro-step loop is
 //! written once ([`driver`]); the engines are backends of it that differ
-//! only in how the host executes the search phase — inline, fanned out
-//! over scoped threads per burst ([`parstep`]), cycle-major, or in worker
-//! processes (`uts-shard`) — without changing its semantics, so runs are
-//! deterministic given `(problem, config)`.
+//! only in how the host executes the search phase — in process, on one
+//! thread or fanned out over scoped threads per burst ([`local`]), or in
+//! worker processes (`uts-shard`) — without changing its semantics, so
+//! runs are deterministic given `(problem, config)`. The per-cycle oracle
+//! ([`mod@reference`]) is the one loop written independently of it.
 //!
 //! ```
 //! use uts_core::{EngineConfig, Scheme, run};
@@ -46,10 +47,9 @@ pub mod census;
 pub mod ckpt;
 pub mod driver;
 pub mod engine;
-pub mod macrostep;
+pub mod local;
 pub mod matcher;
 pub mod nn;
-pub mod parstep;
 pub mod reference;
 pub mod report_json;
 pub mod scheme;
@@ -61,12 +61,11 @@ pub use ckpt::{
 };
 pub use driver::{recount_active, BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, merge_active, run_fused, run_with, CycleMajorBackend, CycleStats,
-    EngineConfig, EngineKind, MacroStep, Outcome,
+    expansion_burst, merge_active, run_with, CycleStats, EngineConfig, EngineKind, MacroStep,
+    Outcome,
 };
-pub use macrostep::{run, InlineBackend};
+pub use local::{run, LocalBackend};
 pub use matcher::MatchState;
-pub use parstep::{run_par, PooledBackend};
 pub use reference::run_reference;
 pub use report_json::run_report_json;
 pub use scheme::{Matching, Scheme, TransferMode, Trigger};

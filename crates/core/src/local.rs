@@ -1,14 +1,45 @@
-//! The pooled backend: host-parallel event-horizon macro-steps.
+//! The in-process search phase: [`LocalBackend`] runs the bursts of the
+//! macro-step loop ([`crate::driver`]) over an in-process [`StackArena`],
+//! on the calling thread or fanned out over scoped host threads. Its only
+//! knob is that thread count; [`run`] is the loop over it at one thread.
 //!
-//! Within one macro-step the per-PE bursts of the inline backend
-//! ([`crate::macrostep::InlineBackend`]) are independent by construction —
-//! each touches only its own PE's chain — which makes the batch
-//! embarrassingly parallel on the host. [`PooledBackend`] exploits this:
-//! it cuts the dense sorted active-PE list into contiguous **jobs** (about
-//! four per worker, so stragglers on skewed trees are absorbed by idle
-//! workers instead of stalling the join), publishes them in a fixed order,
-//! and lets worker threads claim them off an atomic cursor. Every cut falls
-//! on a block boundary of the arena, so each job owns a run of whole blocks
+//! # Event-horizon bursts
+//!
+//! A per-cycle loop pays a full checkpoint — census, trigger evaluation,
+//! machine accounting — after *every* expansion cycle, even though for
+//! most cycles the trigger provably cannot fire. All three trigger
+//! families are pure functions of the active-count step trace `A(t)`, and
+//! `A(t)` can only fall between balancing phases (a PE whose stack holds
+//! `s` nodes cannot go idle for at least `s` cycles). The loop turns the
+//! stack-size distribution into a sound lower bound `H >= 1` on the
+//! cycles before the trigger could fire *effectively*
+//! (`driver::compute_horizon`), and the backend runs every
+//! active PE's DFS in a tight per-PE inner loop
+//! ([`uts_tree::SearchStack::expand_burst`]) for `min(H, cycles-to-empty)`
+//! consecutive expansions. Each PE's whole burst runs on a cache-hot
+//! stack, and the lockstep census/accounting for the batch is
+//! reconstructed *exactly* from the per-PE empty-times: a PE that drained
+//! after `e` cycles worked cycles `1..=e` of the batch, so sorting the
+//! (few) death events yields the per-cycle worked counts as a handful of
+//! constant runs. `N_expand`, `N_lb`, `T_idle`, the active trace, goal
+//! counts, donation counts and the phase log all stay bit-identical to
+//! [`crate::reference::run_reference`] (enforced by the equivalence and
+//! horizon-soundness suites under `tests/`). A one-cycle horizon runs the
+//! fused single-cycle pass (`engine::fused_expansion_cycle`), so
+//! a run with no batching opportunity costs the same as sweeping cycle by
+//! cycle.
+//!
+//! # Fan-out
+//!
+//! Within one macro step the per-PE bursts are independent by
+//! construction — each touches only its own PE's chain — which makes the
+//! batch embarrassingly parallel on the host. With two or more threads, a
+//! burst of at least [`FAN_OUT_MIN_WORK`] PE-cycles cuts the dense sorted
+//! active-PE list into contiguous **jobs** (about four per worker, so
+//! stragglers on skewed trees are absorbed by idle workers instead of
+//! stalling the join), publishes them in a fixed order, and lets the
+//! threads claim them off an atomic cursor. Every cut falls on a block
+//! boundary of the arena, so each job owns a run of whole blocks
 //! ([`uts_tree::BlockRun`]): its PEs' node pools and its stretch of the
 //! length census, through plain disjoint `&mut` borrows. Each job's bursts
 //! compact the job's own slice of the list in place and run into job-local
@@ -35,11 +66,11 @@
 //!
 //! Everything sequenced — horizon computation, schedule reconstruction,
 //! the trigger checkpoint, and the whole balancing phase — is the loop's
-//! ([`crate::driver`]) and runs on the calling thread between bursts,
-//! exactly as over the inline backend. The one atomic (the claim cursor)
-//! orders nothing but job pickup; no worker observes another worker's
-//! state, and no floating-point reassociation exists, so the schedule
-//! cannot depend on thread count or interleaving even in principle.
+//! and runs on the calling thread between bursts, at any thread count.
+//! The one atomic (the claim cursor) orders nothing but job pickup; no
+//! worker observes another worker's state, and no floating-point
+//! reassociation exists, so the schedule cannot depend on thread count or
+//! interleaving even in principle.
 //!
 //! A burst that fans out opens one [`std::thread::scope`]: `workers - 1`
 //! scoped threads (named `uts-fan-{i}`) and the calling thread run the same
@@ -50,8 +81,7 @@
 //! construction, with no lifetime erasure and no shutdown protocol. Scratch
 //! buffers persist across steps so a warmed-up step allocates little, and
 //! bursts below [`FAN_OUT_MIN_WORK`] — or whose active PEs all sit in one
-//! block — skip the fan-out entirely (DESIGN.md §6.4 gives the bar's
-//! derivation).
+//! block — run inline (DESIGN.md §6.4 gives the bar's derivation).
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,16 +90,18 @@ use std::sync::Mutex;
 use uts_ckpt::StackSource;
 use uts_tree::{BlockRun, StackArena, TreeProblem};
 
-use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
-use crate::engine::{burst_slice, EngineConfig, Outcome, Resume, SliceBurst};
-use crate::macrostep::InlineBackend;
+use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
+use crate::engine::{
+    burst_slice, expansion_burst, EngineConfig, EngineKind, Outcome, Resume, SliceBurst,
+};
 
-/// The smallest `started_PEs × horizon` product [`run_par`] fans a burst
-/// out for. Below it the burst runs inline on the calling thread; the
-/// schedule is identical either way, so the bar is purely a latency
-/// choice. [`EngineConfig::threads`] is likewise *only* a worker count:
-/// setting it does not force fan-out. Suites that need the fanned-out
-/// path on small trees build a [`PooledBackend`] with a bar of `0`.
+/// The smallest `started_PEs × horizon` product a [`LocalBackend`] of two
+/// or more threads fans a burst out for. Below it the burst runs inline on
+/// the calling thread; the schedule is identical either way, so the bar is
+/// purely a latency choice. [`EngineConfig::threads`] is likewise *only* a
+/// worker count: setting it does not force fan-out. Suites that need the
+/// fanned-out path on small trees build a [`LocalBackend`] with a bar of
+/// `0`.
 ///
 /// Measured, not modelled. A scoped spawn costs 16–51 µs per thread on
 /// the 2-vCPU reference host (a persistent pool's condvar wake cost
@@ -89,12 +121,40 @@ pub const FAN_OUT_MIN_WORK: u64 = 4096;
 /// bounding any worker's idle tail at roughly a quarter of a job.
 const JOBS_PER_WORKER: usize = 4;
 
-/// Resolve the worker count: explicit config knob, else one worker per
-/// available core (which `taskset` and cgroup quotas narrow).
+/// The host threads `cfg`'s lockstep engine bursts on: one for
+/// [`EngineKind::Macro`]; for [`EngineKind::Par`] the config knob, else one
+/// per available core (which `taskset` and cgroup quotas narrow).
 pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
-    cfg.threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
+    match cfg.engine {
+        EngineKind::Par => cfg
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .max(1),
+        _ => 1,
+    }
+}
+
+/// Run `problem` to exhaustion (or first goal) under `cfg` with the
+/// macro-step loop over a one-thread [`LocalBackend`] — the default
+/// engine ([`EngineKind::Macro`]), whatever `cfg.engine` says. Its
+/// schedule is bit-identical to [`crate::reference::run_reference`].
+pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
+    run_local(problem, cfg, 1, None)
+}
+
+/// The macro-step loop over a [`LocalBackend`] of `threads`, from the root
+/// or from a restored boundary.
+pub(crate) fn run_local<P: TreeProblem>(
+    problem: &P,
+    cfg: &EngineConfig,
+    threads: usize,
+    resume: Option<Resume<P::Node>>,
+) -> Outcome {
+    let (driver, arena) = match resume {
+        None => LockstepDriver::at_root(problem, cfg),
+        Some(resume) => LockstepDriver::resumed(cfg, resume),
+    };
+    driver.run_to_end(LocalBackend::new(problem, arena, threads, FAN_OUT_MIN_WORK))
 }
 
 /// Job-local results of one job's burst pass, merged on the calling thread
@@ -129,41 +189,14 @@ fn job_cuts<N>(arena: &StackArena<N>, active: &[usize], jobs: usize, cuts: &mut 
     cuts.push(arena.p());
 }
 
-/// Run `problem` to exhaustion (or first goal) under `cfg`, fanning each
-/// macro-step's bursts out across scoped host threads via dynamically
-/// claimed jobs: the macro-step loop over [`PooledBackend`]. The
-/// schedule — every counter, trace, donation vector and goal count — is
-/// bit-identical to [`crate::macrostep::run`] at any thread count (see the
-/// module docs for the argument, and `tests/engine_differential.rs` for
-/// the enforcement).
-pub fn run_par<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_par_over(problem, cfg, LockstepDriver::at_root(problem, cfg))
-}
-
-pub(crate) fn run_par_from<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    resume: Resume<P::Node>,
-) -> Outcome {
-    run_par_over(problem, cfg, LockstepDriver::resumed(cfg, resume))
-}
-
-fn run_par_over<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    (driver, arena): InProcess<P::Node>,
-) -> Outcome {
-    driver.run_to_end(PooledBackend::new(problem, arena, resolve_threads(cfg), FAN_OUT_MIN_WORK))
-}
-
-/// The pooled search phase: the inline backend's bursts, cut into jobs of
-/// whole arena blocks and claimed by `threads` participants of one
-/// [`std::thread::scope`] per burst. A burst below the fan-out bar, one
-/// whose active PEs all sit in one block, and every burst of a one-thread
-/// backend run through the wrapped [`InlineBackend`] verbatim, so a
-/// non-fanned-out `run_par` is the macro engine plus a branch.
-pub struct PooledBackend<'a, P: TreeProblem> {
-    inline: InlineBackend<'a, P>,
+/// The in-process search phase: [`expansion_burst`] over a [`StackArena`]
+/// on the calling thread, or — with two or more threads, for a burst of at
+/// least the bar's PE-cycles spanning two or more blocks — cut into jobs of
+/// whole arena blocks claimed by `threads` participants of one
+/// [`std::thread::scope`].
+pub struct LocalBackend<'a, P: TreeProblem> {
+    problem: &'a P,
+    arena: StackArena<P::Node>,
     threads: usize,
     min_work: u64,
     /// Per-job scratch, persistent across macro-steps.
@@ -172,32 +205,41 @@ pub struct PooledBackend<'a, P: TreeProblem> {
     cuts: Vec<usize>,
 }
 
-impl<'a, P: TreeProblem> PooledBackend<'a, P> {
+impl<'a, P: TreeProblem> LocalBackend<'a, P> {
     /// A backend searching `problem` over `arena` with `threads` host
     /// threads (the caller's included), fanning out bursts of at least
-    /// `min_work` PE-cycles ([`run_par`] passes [`FAN_OUT_MIN_WORK`]).
+    /// `min_work` PE-cycles (the engines pass [`FAN_OUT_MIN_WORK`]).
     pub fn new(problem: &'a P, arena: StackArena<P::Node>, threads: usize, min_work: u64) -> Self {
-        Self {
-            inline: InlineBackend::new(problem, arena),
-            threads,
-            min_work,
-            shards: Vec::new(),
-            cuts: Vec::new(),
-        }
+        Self { problem, arena, threads, min_work, shards: Vec::new(), cuts: Vec::new() }
+    }
+
+    /// The burst on the calling thread.
+    fn burst_inline(&mut self, h: u64, active: &mut Vec<usize>, out: &mut MergedBurst) -> usize {
+        out.reset(active.len());
+        let stats = expansion_burst(
+            self.problem,
+            &mut self.arena,
+            active,
+            h,
+            &mut out.goals,
+            &mut out.peak_stack_nodes,
+            &mut out.deaths,
+        );
+        stats.busy
     }
 }
 
-impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
+impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
     type Node = P::Node;
     type Error = Infallible;
     type Store = StackArena<P::Node>;
 
     fn lens(&self) -> &[u32] {
-        self.inline.lens()
+        self.arena.lens()
     }
 
     fn store(&mut self) -> &mut Self::Store {
-        self.inline.store()
+        &mut self.arena
     }
 
     fn burst(
@@ -208,16 +250,16 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
     ) -> Result<usize, Infallible> {
         let started = active.len();
         if self.threads < 2 || started < 2 || (started as u64) * h < self.min_work {
-            return self.inline.burst(h, active, out);
+            return Ok(self.burst_inline(h, active, out));
         }
         let jobs = (self.threads.min(started) * JOBS_PER_WORKER).min(started);
-        job_cuts(&self.inline.arena, active, jobs, &mut self.cuts);
+        job_cuts(&self.arena, active, jobs, &mut self.cuts);
         let jobs = self.cuts.len();
         if jobs < 2 {
-            return self.inline.burst(h, active, out);
+            return Ok(self.burst_inline(h, active, out));
         }
         out.reset(started);
-        let problem = self.inline.problem;
+        let problem = self.problem;
         let workers = self.threads.min(jobs);
         if self.shards.len() < jobs {
             self.shards.resize_with(jobs, ShardScratch::default);
@@ -227,7 +269,7 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
         // sorted list. The runs are disjoint `&mut` borrows of the arena,
         // whichever worker claims which job.
         let mut queue: Vec<Mutex<Option<Job<'_, P::Node>>>> = Vec::with_capacity(jobs);
-        let mut run = self.inline.arena.blocks_mut();
+        let mut run = self.arena.blocks_mut();
         let mut rest: &mut [usize] = active;
         for (&cut, scr) in self.cuts.iter().zip(&mut self.shards) {
             let at = rest.partition_point(|&pe| pe < cut);
@@ -285,23 +327,64 @@ impl<P: TreeProblem> BurstBackend for PooledBackend<'_, P> {
     }
 
     fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
-        self.inline.stack_source()
+        Ok(StackSource::Arena(&self.arena))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::macrostep::run;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;
+    use uts_tree::serial_dfs;
 
-    /// `run_par` at `threads` with the fan-out bar at `min_work` (`0`
-    /// forces the fanned-out path on trees too small to cross the bar).
-    fn par_at(tree: &GeometricTree, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
+    /// The loop over a [`LocalBackend`] at `threads` with the fan-out bar
+    /// at `min_work` (`0` forces the fanned-out path on trees too small to
+    /// cross the bar).
+    fn local_at(
+        tree: &GeometricTree,
+        cfg: &EngineConfig,
+        threads: usize,
+        min_work: u64,
+    ) -> Outcome {
         let (driver, arena) = LockstepDriver::at_root(tree, cfg);
-        driver.run_to_end(PooledBackend::new(tree, arena, threads, min_work))
+        driver.run_to_end(LocalBackend::new(tree, arena, threads, min_work))
+    }
+
+    #[test]
+    fn macro_steps_partition_the_run() {
+        let tree = GeometricTree { seed: 9, b_max: 8, depth_limit: 6 };
+        for scheme in [Scheme::gp_dk(), Scheme::gp_static(0.75), Scheme::fegs()] {
+            let cfg = EngineConfig::new(64, scheme, CostModel::cm2()).with_horizon_log();
+            let out = run(&tree, &cfg);
+            assert!(!out.macro_steps.is_empty());
+            let mut cursor = 0u64;
+            for step in &out.macro_steps {
+                assert_eq!(step.start_cycle, cursor, "{}", scheme.name());
+                assert!(step.ran >= 1 && step.ran <= step.horizon);
+                cursor += step.ran;
+            }
+            assert_eq!(cursor, out.report.n_expand, "{}", scheme.name());
+        }
+    }
+
+    #[test]
+    fn horizon_batching_actually_batches() {
+        // Sanity that the horizon does something: on a serial run (P=1)
+        // the horizon is the stack size, so macro-steps must be far fewer
+        // than cycles.
+        let tree = GeometricTree { seed: 2, b_max: 8, depth_limit: 6 };
+        let w = serial_dfs(&tree).expanded;
+        let cfg = EngineConfig::new(1, Scheme::gp_dk(), CostModel::cm2()).with_horizon_log();
+        let out = run(&tree, &cfg);
+        assert_eq!(out.report.n_expand, w);
+        assert!(
+            (out.macro_steps.len() as u64) * 2 < w,
+            "{} steps for {} cycles",
+            out.macro_steps.len(),
+            w
+        );
     }
 
     #[test]
@@ -334,18 +417,19 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_prefers_the_config_knob() {
+    fn resolve_threads_reads_the_knob_only_for_par() {
         let cfg = EngineConfig::new(4, Scheme::gp_dk(), CostModel::cm2()).with_threads(3);
-        assert_eq!(resolve_threads(&cfg), 3);
+        assert_eq!(resolve_threads(&cfg), 1, "macro runs on one thread");
+        assert_eq!(resolve_threads(&cfg.with_engine(EngineKind::Par)), 3);
     }
 
     #[test]
-    fn par_matches_macro_at_several_thread_counts() {
+    fn fanned_out_bursts_match_one_thread_at_several_thread_counts() {
         let tree = GeometricTree { seed: 21, b_max: 8, depth_limit: 6 };
         let base = EngineConfig::new(64, Scheme::gp_dk(), CostModel::cm2()).with_trace();
         let serial = run(&tree, &base);
         for threads in [1usize, 2, 8] {
-            assert_eq!(par_at(&tree, &base, threads, 0), serial, "threads={threads}");
+            assert_eq!(local_at(&tree, &base, threads, 0), serial, "threads={threads}");
         }
     }
 
@@ -357,21 +441,9 @@ mod tests {
         let tree = GeometricTree { seed: 33, b_max: 8, depth_limit: 6 };
         let base = EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2()).with_trace();
         let serial = run(&tree, &base);
-        let threads = resolve_threads(&base);
+        let threads = resolve_threads(&base.clone().with_engine(EngineKind::Par));
         for min_work in [0u64, FAN_OUT_MIN_WORK, u64::MAX] {
-            assert_eq!(par_at(&tree, &base, threads, min_work), serial, "min_work={min_work}");
+            assert_eq!(local_at(&tree, &base, threads, min_work), serial, "min_work={min_work}");
         }
-    }
-
-    #[test]
-    fn par_single_worker_takes_the_inline_path_with_identical_steps() {
-        let tree = GeometricTree { seed: 5, b_max: 8, depth_limit: 6 };
-        let cfg = EngineConfig::new(32, Scheme::gp_static(0.75), CostModel::cm2())
-            .with_horizon_log()
-            .with_threads(1);
-        let par = run_par(&tree, &cfg);
-        let serial = run(&tree, &cfg);
-        assert_eq!(par.macro_steps, serial.macro_steps);
-        assert_eq!(par, serial);
     }
 }

@@ -161,7 +161,7 @@ mod tests {
         // a wide machine should be at least that of a global scheme.
         let tree = GeometricTree { seed: 6, b_max: 8, depth_limit: 7 };
         let nn = run_nearest_neighbor(&tree, &NnConfig::new(128, CostModel::cm2()));
-        let global = crate::macrostep::run(
+        let global = crate::local::run(
             &tree,
             &crate::engine::EngineConfig::new(
                 128,

@@ -23,8 +23,8 @@ use uts_ckpt::StackSource;
 use uts_tree::{SearchStack, SplitPolicy, TreeProblem};
 
 use crate::ckpt::config_fingerprint;
+use crate::driver::compute_horizon;
 use crate::engine::{checkpoint_trigger, fresh_run, EngineConfig, LedgerRecorder, Outcome, Resume};
-use crate::macrostep::compute_horizon;
 use crate::scheme::TransferMode;
 
 /// Per-processor state: the DFS stack plus a per-cycle child buffer.
@@ -41,7 +41,7 @@ struct CycleResult {
 }
 
 /// Run `problem` under `cfg` with the reference (two-sweep, allocating)
-/// loop. Produces the same [`Outcome`] as [`crate::macrostep::run`].
+/// loop. Produces the same [`Outcome`] as [`crate::local::run`].
 pub fn run_reference<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     run_reference_from(problem, cfg, fresh_run(problem, cfg))
 }

@@ -103,7 +103,7 @@ fn trigger_label(kind: TriggerKind) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::macrostep::run;
+    use crate::local::run;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;

@@ -15,7 +15,7 @@
 //! The data types live here (not in `uts-core`) so analysis and export
 //! code can consume a ledger without depending on the engine; `uts-core`
 //! owns the recording. Every field is a pure function of the lockstep
-//! schedule, so ledgers are bit-identical across all four engines and any
+//! schedule, so ledgers are bit-identical across every engine and any
 //! host thread count — the cross-engine differential suite enforces it.
 
 use crate::SimTime;

@@ -70,7 +70,7 @@ pub struct JobSpec {
 /// every restart.
 const MAX_P: u64 = 1 << 22;
 
-/// Largest `threads` a spec may ask for; the pooled engine spawns that
+/// Largest `threads` a spec may ask for; the par engine spawns that
 /// many OS threads (less its own) for every burst it fans out.
 const MAX_THREADS: u64 = 256;
 
@@ -334,6 +334,15 @@ mod tests {
         );
         assert_eq!(spec.config.p, 1024);
         assert_eq!(spec.config.scheme, Scheme::gp_dk());
+        assert_eq!(spec.config.engine, EngineKind::Macro);
+    }
+
+    #[test]
+    fn the_retired_fused_engine_name_parses_as_macro() {
+        // Specs an older server accepted (and spilled) may still name the
+        // cycle-major engine; they run on the macro engine, which has the
+        // same schedule.
+        let spec = JobSpec::parse(r#"{"workload":{"kind":"synth"},"engine":"fused"}"#).unwrap();
         assert_eq!(spec.config.engine, EngineKind::Macro);
     }
 

@@ -36,7 +36,7 @@
 //! PEs grow at wildly different rates within one macro step. Chunks give
 //! each PE room to grow without moving anyone else's nodes.
 //!
-//! The blocks exist for the pooled engine: its fan-out hands each job a
+//! The blocks exist for the fanned-out burst: it hands each job a
 //! run of whole blocks ([`BlockRun`]), so concurrent bursts own disjoint
 //! pools and disjoint stretches of `lens` through plain `&mut` borrows —
 //! no lock and no `unsafe`. The block size follows from P (P / 16 PEs,

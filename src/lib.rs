@@ -76,9 +76,9 @@ pub use uts_viz as viz;
 pub mod prelude {
     pub use uts_ckpt::{CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, PreemptSignal};
     pub use uts_core::{
-        config_fingerprint, resume_from_bytes, resume_with, run, run_fused, run_par, run_reference,
-        run_report_json, run_with, CheckpointCfg, CheckpointSink, EngineConfig, EngineKind,
-        Matching, Outcome, Scheme, TransferMode, Trigger,
+        config_fingerprint, resume_from_bytes, resume_with, run, run_reference, run_report_json,
+        run_with, CheckpointCfg, CheckpointSink, EngineConfig, EngineKind, Matching, Outcome,
+        Scheme, TransferMode, Trigger,
     };
     pub use uts_machine::{
         CostModel, DonationSpread, LbCostBreakdown, LbPhaseRecord, Ledger, Report, SimdMachine,

@@ -1,21 +1,19 @@
-//! Backend contract: the in-process [`BurstBackend`]s are three ways of
-//! running the *same* search phase. From any boundary state of a real run
-//! and for any horizon `h`, the inline backend, the pooled backend (at 1,
-//! 2 and 8 threads, fan-out forced) and the cycle-major backend must
-//! describe the burst with the same [`MergedBurst`] (deaths as a multiset
-//! — the driver sorts them), report the same splittable count, and leave
-//! the same stack lengths and the same compacted active list. That is the
-//! whole premise of running one macro-step loop over all of them; the
-//! whole-run suites (`engine_differential`, `engine_equivalence`) only see
-//! the horizons a run happens to take.
+//! Backend contract: a burst of `h` cycles is `h` lockstep cycles. From
+//! any boundary state of a real run and for any horizon `h`, the
+//! in-process [`LocalBackend`] (at 1, 2 and 8 threads, fan-out forced)
+//! must describe the burst exactly as `h` single cycles run one after the
+//! other ([`cycle_by_cycle`]): the same [`MergedBurst`] (deaths as a
+//! multiset — the driver sorts them), the same splittable count, the same
+//! stack lengths and the same compacted active list. That is the whole
+//! premise of the macro-step loop; the whole-run suites
+//! (`engine_differential`, `engine_equivalence`) only see the horizons a
+//! run happens to take.
 //!
 //! The boundary states are taken from macro-engine runs through their
 //! checkpoints, so they include post-balancing stack shapes.
 
 use proptest::prelude::*;
-use simd_tree_search::core::{
-    BurstBackend, CycleMajorBackend, InlineBackend, MergedBurst, PooledBackend,
-};
+use simd_tree_search::core::{expansion_burst, BurstBackend, LocalBackend, MergedBurst};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::GeometricTree;
 use simd_tree_search::tree::StackArena;
@@ -57,6 +55,29 @@ struct Observed {
     active: Vec<usize>,
 }
 
+/// The burst as `h` calls of one lockstep cycle, each a pass over the
+/// shrinking active list: the per-cycle side no backend shares. A PE that
+/// drains in cycle `c` is recorded as a death at `c`, which is exactly its
+/// burst length; a one-cycle burst records none.
+fn cycle_by_cycle<P: TreeProblem>(tree: &P, mut arena: StackArena<P::Node>, h: u64) -> Observed {
+    let mut active: Vec<usize> = (0..arena.p()).filter(|&i| arena.lens()[i] > 0).collect();
+    let mut burst = MergedBurst::default();
+    burst.reset(active.len());
+    let (mut busy, mut no_deaths) = (0, Vec::new());
+    for cycle in 1..=h {
+        let before = active.len();
+        let (goals, peak) = (&mut burst.goals, &mut burst.peak_stack_nodes);
+        busy = expansion_burst(tree, &mut arena, &mut active, 1, goals, peak, &mut no_deaths).busy;
+        if h > 1 {
+            burst.deaths.extend(std::iter::repeat_n(cycle, before - active.len()));
+        }
+        if active.is_empty() {
+            break;
+        }
+    }
+    Observed { burst, busy, lens: arena.lens().to_vec(), active }
+}
+
 fn observe<B: BurstBackend>(mut backend: B, h: u64) -> Observed
 where
     B::Error: std::fmt::Debug,
@@ -84,13 +105,12 @@ proptest! {
         let Some(arena) = arena_after(&tree, 1usize << p_log, scheme, k) else {
             return; // nothing to burst over
         };
-        let want = observe(InlineBackend::new(&tree, arena.clone()), h);
+        let want = cycle_by_cycle(&tree, arena.clone(), h);
         let drained = want.burst.started - want.active.len();
         prop_assert_eq!(want.burst.deaths.len(), if h == 1 { 0 } else { drained });
-        prop_assert_eq!(&observe(CycleMajorBackend::new(&tree, arena.clone()), h), &want);
         for threads in [1usize, 2, 8] {
-            let pooled = PooledBackend::new(&tree, arena.clone(), threads, 0);
-            prop_assert_eq!(&observe(pooled, h), &want, "threads={}", threads);
+            let local = LocalBackend::new(&tree, arena.clone(), threads, 0);
+            prop_assert_eq!(&observe(local, h), &want, "threads={}", threads);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! snapshot must finish with the **full [`Outcome`]** (every counter,
 //! donation vector, ledger record and goal count, compared with `==`) of
 //! the run that was never interrupted. The property is held across random
-//! scheme × machine-size × tree-shape configurations on all four engines,
+//! scheme × machine-size × tree-shape configurations on every engine,
 //! across engine *boundaries* (a snapshot taken by one engine resumed
 //! under another), across host worker counts, and through a chain of
 //! repeated kills.
@@ -14,8 +14,8 @@
 //! storage corruption, truncation, wrong run configuration) must be
 //! rejected with its own distinct [`CkptError`].
 //!
-//! Since the structure-of-arrays rework (DESIGN.md §6.3) the fused, macro
-//! and par engines snapshot straight off the [`StackArena`]
+//! Since the structure-of-arrays rework (DESIGN.md §6.3) the macro and
+//! par engines snapshot straight off the [`StackArena`]
 //! (`StackSource::Arena`) while decode always yields frame-vector stacks,
 //! so the whole suite doubles as a SoA↔frames differential; the dedicated
 //! `soa_frames_soa_encode_is_bit_exact_through_the_codec` test pins the
@@ -25,7 +25,7 @@
 //! replay before the random cases.
 
 use proptest::prelude::*;
-use simd_tree_search::core::{LockstepDriver, PooledBackend};
+use simd_tree_search::core::{LocalBackend, LockstepDriver};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::GeometricTree;
 use simd_tree_search::synthgen::GenTree;
@@ -92,7 +92,7 @@ proptest! {
         p_log in 0u32..8,
         b_max in 2u32..8,
         depth_limit in 3u32..6,
-        engine_idx in 0usize..4,
+        engine_idx in 0..EngineKind::ALL.len(),
         kill_seed in 0u64..1000,
     ) {
         let tree = GeometricTree { seed, b_max, depth_limit };
@@ -114,7 +114,7 @@ proptest! {
         geometric in any::<bool>(),
         scheme in arb_scheme(),
         p_log in 0u32..7,
-        engine_idx in 0usize..4,
+        engine_idx in 0..EngineKind::ALL.len(),
         kill_seed in 0u64..1000,
     ) {
         let tree = if geometric {
@@ -202,16 +202,16 @@ fn snapshots_are_engine_invariant_across_all_pairs() {
     }
 }
 
-/// The loop from `driver` over `arena` on a [`PooledBackend`] of
-/// `threads` that fans every burst out (a bar of `0`; `run_par`'s own bar
-/// would keep this small tree's bursts inline).
+/// The loop from `driver` over `arena` on a [`LocalBackend`] of
+/// `threads` that fans every burst out (a bar of `0`; the par engine's own
+/// bar would keep this small tree's bursts inline).
 fn forced_par<P: TreeProblem>(
     tree: &P,
     driver: LockstepDriver,
     arena: StackArena<P::Node>,
     threads: usize,
 ) -> Outcome {
-    let Ok(out) = driver.drive(&mut PooledBackend::new(tree, arena, threads, 0));
+    let Ok(out) = driver.drive(&mut LocalBackend::new(tree, arena, threads, 0));
     out
 }
 

@@ -1,13 +1,13 @@
-//! Cross-engine differential fuzz: the four executors — the two-sweep
-//! reference oracle, the fused single-cycle pipeline, the event-horizon
-//! macro engine, and the host-parallel macro engine — must produce the
+//! Cross-engine differential fuzz: the three executors — the two-sweep
+//! reference oracle, the event-horizon macro engine, and the same engine
+//! with its bursts fanned out over host threads — must produce the
 //! same **full [`Outcome`]** (every counter, trace, donation vector, goal
 //! count and peak, compared with `==`, not just the headline numbers) on
 //! random scheme × trigger × split-policy × tree-shape configurations.
 //! Every config records the load-balance ledger, so the `==` also asserts
 //! bit-identical per-PE donation/receipt counts and per-phase trigger
 //! provenance (operands, horizon, cost attribution) across engines.
-//! `run_par` must additionally be invariant in the worker count: threads
+//! The par engine must additionally be invariant in the worker count: threads
 //! are a host-side latency knob, never a schedule input.
 //!
 //! Seeded counterexamples persist under `proptest-regressions/` (see the
@@ -15,8 +15,8 @@
 //! cases, so a failure found once anywhere keeps guarding forever.
 
 use proptest::prelude::*;
-use simd_tree_search::core::parstep::FAN_OUT_MIN_WORK;
-use simd_tree_search::core::{LockstepDriver, PooledBackend};
+use simd_tree_search::core::local::FAN_OUT_MIN_WORK;
+use simd_tree_search::core::{LocalBackend, LockstepDriver};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
 use simd_tree_search::synthgen::GenTree;
@@ -48,14 +48,14 @@ fn arb_gen_tree() -> impl Strategy<Value = GenTree> {
     ]
 }
 
-/// `run_par` at `threads` with the fan-out bar at `min_work` (`run_par`
-/// itself always uses `FAN_OUT_MIN_WORK`; `0` forces the fanned-out path
-/// on trees too small to cross it).
+/// The par engine at `threads` with the fan-out bar at `min_work` (the
+/// engine itself always uses `FAN_OUT_MIN_WORK`; `0` forces the fanned-out
+/// path on trees too small to cross it).
 fn par_at<P: TreeProblem>(tree: &P, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
     let mut arena = StackArena::new(cfg.p);
     arena.push_frame_with(0, |frame| frame.push(tree.root()));
     let Ok(out) =
-        LockstepDriver::fresh(cfg).drive(&mut PooledBackend::new(tree, arena, threads, min_work));
+        LockstepDriver::fresh(cfg).drive(&mut LocalBackend::new(tree, arena, threads, min_work));
     out
 }
 
@@ -69,7 +69,7 @@ fn assert_all_engines_identical<P: simd_tree_search::tree::TreeProblem>(
     cfg: &EngineConfig,
 ) {
     let reference = run_reference(tree, cfg);
-    for kind in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+    for kind in [EngineKind::Macro, EngineKind::Par] {
         let got = run_with(tree, &cfg.clone().with_engine(kind));
         assert_eq!(got, reference, "{} diverged from reference", kind.name());
     }
@@ -83,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random geometric trees (shape varied too) × schemes × splits ×
-    /// machine sizes: all four engines agree outcome-for-outcome.
+    /// machine sizes: every engine agrees outcome-for-outcome.
     #[test]
     fn engines_identical_on_random_geometric_trees(
         seed in 0u64..5000,
@@ -123,7 +123,7 @@ proptest! {
     /// included) is identical under 1, 2 and 8 workers — and identical to
     /// the serial macro engine, macro-step log included. The fan-out
     /// threshold is fuzzed alongside the worker count: forced fan-out
-    /// (0), `run_par`'s bar, and never (`u64::MAX`, every burst inline)
+    /// (0), the engine's bar, and never (`u64::MAX`, every burst inline)
     /// are all latency choices, never schedule inputs.
     #[test]
     fn par_outcome_is_thread_count_invariant(
@@ -183,7 +183,7 @@ fn table1_schemes_identical_across_engines_at_p256() {
     for (name, scheme) in Scheme::table1(0.75) {
         let cfg = EngineConfig::new(256, scheme, CostModel::cm2()).with_trace().with_ledger();
         let reference = run_reference(&tree, &cfg);
-        for kind in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+        for kind in [EngineKind::Macro, EngineKind::Par] {
             let got = run_with(&tree, &cfg.clone().with_engine(kind));
             assert_eq!(got, reference, "{name}/{}", kind.name());
         }
@@ -204,8 +204,8 @@ fn par_handles_the_init_phase_at_large_p() {
 }
 
 /// Large-W sweep (run with `--ignored`; roughly a minute of work): a
-/// target-sized multi-million-node generated tree through all four
-/// engines and worker counts {1, 2, 8}. The quick-tier fuzz above caps
+/// target-sized multi-million-node generated tree through every engine
+/// and worker counts {1, 2, 8}. The quick-tier fuzz above caps
 /// trees at a few thousand nodes, so this is the only in-repo proof that
 /// the hash-chain generation stays bit-identical deep into the steady
 /// state where balancing horizons span many cycles. (The committed
@@ -218,12 +218,12 @@ fn engines_identical_on_a_multimillion_node_generated_tree() {
     let cfg = EngineConfig::new(1024, Scheme::gp_dk(), CostModel::cm2()).with_ledger();
     let reference = run_reference(&tree, &cfg);
     assert_eq!(reference.report.nodes_expanded, sized.w, "anomaly-free contract");
-    for kind in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+    for kind in [EngineKind::Macro, EngineKind::Par] {
         let got = run_with(&tree, &cfg.clone().with_engine(kind));
         assert_eq!(got, reference, "{} diverged at W={}", kind.name(), sized.w);
     }
     for threads in [1usize, 2, 8] {
-        let got = run_par(&tree, &cfg.clone().with_threads(threads));
+        let got = run_with(&tree, &cfg.clone().with_engine(EngineKind::Par).with_threads(threads));
         assert_eq!(got, reference, "par threads={threads} diverged at W={}", sized.w);
     }
 }

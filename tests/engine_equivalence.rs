@@ -1,13 +1,13 @@
 //! Schedule equivalence: the event-horizon macro engine (`uts_core::run`,
-//! the default) and the fused single-cycle engine (`uts_core::run_fused`)
-//! must both produce a **bit-identical** lockstep schedule to the
+//! the default), on one thread and with its bursts fanned out over two,
+//! must produce a **bit-identical** lockstep schedule to the
 //! reference two-sweep executor (`uts_core::run_reference`) — same
 //! counters, same virtual times, same traces, same per-PE donation counts.
 //! The lockstep schedule is the correctness contract of the whole repo:
 //! every table and figure regenerator sits on top of it.
 
 use proptest::prelude::*;
-use simd_tree_search::core::{LockstepDriver, PooledBackend};
+use simd_tree_search::core::{LocalBackend, LockstepDriver};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
 use simd_tree_search::tree::StackArena;
@@ -51,23 +51,22 @@ fn assert_equivalent(label: &str, got: &Outcome, reference: &Outcome) {
     assert_eq!(got.peak_stack_nodes, reference.peak_stack_nodes, "{label}: peak_stack_nodes");
 }
 
-/// `run_par` with two threads and every burst fanned out: the loop over a
-/// [`PooledBackend`] with a fan-out bar of `0`, so the chunked burst path
-/// is exercised even on trees far too small to cross `run_par`'s bar.
+/// The par engine with two threads and every burst fanned out: the loop
+/// over a [`LocalBackend`] with a fan-out bar of `0`, so the chunked burst
+/// path is exercised even on trees far too small to cross the engines' bar.
 fn forced_par<P: TreeProblem>(tree: &P, cfg: &EngineConfig) -> Outcome {
     let mut arena = StackArena::new(cfg.p);
     arena.push_frame_with(0, |frame| frame.push(tree.root()));
-    let Ok(out) = LockstepDriver::fresh(cfg).drive(&mut PooledBackend::new(tree, arena, 2, 0));
+    let Ok(out) = LockstepDriver::fresh(cfg).drive(&mut LocalBackend::new(tree, arena, 2, 0));
     out
 }
 
-/// Run all four engines on the same configuration and require bitwise
-/// agreement of macro, fused and par against the reference oracle (par
-/// with its fan-out forced, [`forced_par`]).
+/// Run every engine on the same configuration and require bitwise
+/// agreement of macro and par against the reference oracle (par with its
+/// fan-out forced, [`forced_par`]).
 fn assert_all_engines_agree<P: TreeProblem>(tree: &P, cfg: &EngineConfig) {
     let reference = run_reference(tree, cfg);
     assert_equivalent("macro", &run(tree, cfg), &reference);
-    assert_equivalent("fused", &run_fused(tree, cfg), &reference);
     assert_equivalent("par", &forced_par(tree, cfg), &reference);
 }
 
@@ -75,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Schemes × machine sizes × seeds: exhaustive runs schedule
-    /// identically under the macro, fused and reference engines, down to
+    /// identically under the macro, par and reference engines, down to
     /// the Fig. 8 active trace and every per-PE donation counter.
     #[test]
     fn engines_match_reference_schedule(
@@ -107,7 +106,7 @@ proptest! {
         assert_all_engines_agree(&tree, &cfg);
     }
 
-    /// The `max_cycles` safety valve truncates all three engines at the
+    /// The `max_cycles` safety valve truncates every engine at the
     /// same cycle (the macro engine must clamp its horizon to the budget).
     #[test]
     fn engines_match_reference_when_truncated(
@@ -131,11 +130,7 @@ fn table1_schemes_schedule_identically_at_p256() {
     for (name, scheme) in Scheme::table1(0.75) {
         let cfg = EngineConfig::new(256, scheme, CostModel::cm2()).with_trace();
         let reference = run_reference(&tree, &cfg);
-        for (engine, out) in [
-            ("macro", run(&tree, &cfg)),
-            ("fused", run_fused(&tree, &cfg)),
-            ("par", forced_par(&tree, &cfg)),
-        ] {
+        for (engine, out) in [("macro", run(&tree, &cfg)), ("par", forced_par(&tree, &cfg))] {
             assert_eq!(out.report.n_expand, reference.report.n_expand, "{name}/{engine}");
             assert_eq!(out.report.n_lb, reference.report.n_lb, "{name}/{engine}");
             assert_eq!(out.report.t_idle, reference.report.t_idle, "{name}/{engine}");
@@ -148,7 +143,7 @@ fn table1_schemes_schedule_identically_at_p256() {
 
 /// Exhaustive tier: a dense deterministic cross-product — every Table 1
 /// scheme plus the static extremes, every split policy, a spread of seeds
-/// and machine sizes, all four engines bit-identical. Far too slow for the
+/// and machine sizes, every engine bit-identical. Far too slow for the
 /// default `cargo test` (debug) run, so it hides behind `#[ignore]`; CI
 /// runs it in a dedicated `--ignored` job, and locally:
 ///

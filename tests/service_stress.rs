@@ -2,7 +2,8 @@
 //!
 //! A slot-starved server (32 jobs, 2 slots, zero quantum) is hammered by
 //! 4 client threads submitting a seeded mix of short and long jobs
-//! across all four engines and host-thread counts 1/2/8. The zero
+//! across every engine name (`fused` included, the retired engine's name
+//! that now reads as macro) and host-thread counts 1/2/8. The zero
 //! quantum makes the governor preempt every running job whenever anyone
 //! waits, so jobs are parked and resumed over and over — and every
 //! completed result must still be **bit-identical** to a direct
