@@ -16,7 +16,8 @@
 //!   like `report_json.rs`, no serialization dependency, every multi-byte
 //!   value little-endian;
 //! * the **payload** ([`EngineSnapshot`]): complete engine state at a
-//!   macro-step boundary — every PE's [`SearchStack`], the trigger/init
+//!   macro-step boundary — every PE's DFS stack, decoded straight into a
+//!   [`StackArena`] (the machine's one stack form), the trigger/init
 //!   accumulators, the GP pointer, the machine clock and [`Metrics`]
 //!   (active trace included), the in-progress ledger, and the horizon log;
 //! * the **harness** types ([`CheckpointPolicy`], [`FaultPlan`]): when to
@@ -36,7 +37,7 @@ use uts_machine::{
     SimTime, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_tree::codec::{put_bool, put_u32, put_u64, put_usize};
-use uts_tree::{CkptNode, CodecError, Reader, SearchStack, StackArena};
+use uts_tree::{CkptNode, CodecError, Reader, StackArena};
 
 pub mod spill;
 pub mod wire;
@@ -329,7 +330,7 @@ pub struct EngineSnapshot<N> {
     /// (only non-empty when the run records horizons).
     pub macro_steps: Vec<(u64, u64, u64)>,
     /// Every PE's DFS stack, index = PE id.
-    pub stacks: Vec<SearchStack<N>>,
+    pub stacks: StackArena<N>,
 }
 
 fn encode_trigger_kind(out: &mut Vec<u8>, k: TriggerKind) {
@@ -463,24 +464,20 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<Metrics, CodecError> {
     })
 }
 
-/// Where a snapshot's PE stacks are read from at encode time. The frame
-/// view (`Vec<Vec<N>>` [`SearchStack`]s) is the canonical representation;
-/// the structure-of-arrays [`StackArena`] the hot engines run on encodes
-/// byte-identically (`StackArena::encode_pe` is specified against the
-/// `SearchStack` codec), so either source yields the same snapshot bytes
-/// and both decode into the same `Vec<SearchStack<N>>`.
+/// Where a snapshot's PE stacks are read from at encode time. Both sources
+/// yield the same bytes: each PE's stack in the frame-list encoding that
+/// `StackArena::encode_pe` emits, and that decode reads straight back into
+/// a [`StackArena`].
 pub enum StackSource<'a, N> {
-    /// The canonical frame representation (oracle engine, owned snapshots).
-    Frames(&'a [SearchStack<N>]),
-    /// The dense arena the burst kernels run on, serialized in place.
+    /// The arena the machine runs on, serialized in place.
     Arena(&'a StackArena<N>),
     /// Stacks already in their encoded form: `bytes` is the concatenation
     /// of the `p` per-PE encodings, each byte-identical to what
-    /// [`SearchStack`]'s codec (equivalently `StackArena::encode_pe`)
-    /// emits. This is how the sharded machine checkpoints — each worker
-    /// serializes its own PE range and the coordinator splices the
-    /// sections without ever decoding a node, so a shard snapshot is
-    /// indistinguishable from a single-process one.
+    /// `StackArena::encode_pe` emits. This is how the sharded machine and
+    /// the per-cycle oracle checkpoint — each shard worker serializes its
+    /// own PE range and the coordinator splices the sections without ever
+    /// decoding a node, so a shard snapshot is indistinguishable from a
+    /// single-process one.
     Encoded {
         /// Ensemble size `P` across all contributing shards.
         p: usize,
@@ -493,7 +490,6 @@ impl<N> StackSource<'_, N> {
     /// Ensemble size `P`.
     pub fn p(&self) -> usize {
         match self {
-            StackSource::Frames(stacks) => stacks.len(),
             StackSource::Arena(arena) => arena.p(),
             StackSource::Encoded { p, .. } => *p,
         }
@@ -561,23 +557,10 @@ impl<N: CkptNode> SnapshotView<'_, N> {
         for ms in self.macro_steps {
             ms.encode_node(out);
         }
+        put_usize(out, self.stacks.p());
         match &self.stacks {
-            StackSource::Frames(stacks) => {
-                put_usize(out, stacks.len());
-                for s in *stacks {
-                    s.encode_node(out);
-                }
-            }
-            StackSource::Arena(arena) => {
-                put_usize(out, arena.p());
-                for i in 0..arena.p() {
-                    arena.encode_pe(i, out);
-                }
-            }
-            StackSource::Encoded { p, bytes } => {
-                put_usize(out, *p);
-                out.extend_from_slice(bytes);
-            }
+            StackSource::Arena(arena) => (0..arena.p()).for_each(|i| arena.encode_pe(i, out)),
+            StackSource::Encoded { bytes, .. } => out.extend_from_slice(bytes),
         }
     }
 
@@ -600,6 +583,28 @@ impl<N: CkptNode> SnapshotView<'_, N> {
 }
 
 impl<N: CkptNode> EngineSnapshot<N> {
+    /// Serialize into the container format under the given config
+    /// fingerprint (via a borrowed [`SnapshotView`] over this snapshot).
+    /// Deterministic: the same snapshot state and fingerprint always
+    /// produce the same bytes.
+    pub fn encode(&self, config_fingerprint: u64) -> Vec<u8> {
+        SnapshotView {
+            step: self.step,
+            in_init: self.in_init,
+            goals: self.goals,
+            donations: &self.donations,
+            peak_stack_nodes: self.peak_stack_nodes,
+            global_pointer: self.global_pointer,
+            machine: &self.machine,
+            recorder: self.recorder.as_ref(),
+            macro_steps: &self.macro_steps,
+            stacks: StackSource::Arena(&self.stacks),
+        }
+        .encode(config_fingerprint)
+    }
+}
+
+impl<N: Clone + CkptNode> EngineSnapshot<N> {
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let step = r.u64()?;
         let in_init = r.bool()?;
@@ -624,12 +629,18 @@ impl<N: CkptNode> EngineSnapshot<N> {
             None
         };
         let macro_steps: Vec<(u64, u64, u64)> = Vec::decode_node(r)?;
-        let stacks: Vec<SearchStack<N>> = Vec::decode_node(r)?;
-        if stacks.is_empty() {
+        // Every stack encoding is at least its 8-byte frame count, so `P` is
+        // bounded by the bytes left before the arena is sized by it.
+        let p = r.len(8)?;
+        if p == 0 {
             return Err(CodecError::Malformed("snapshot has no PE stacks"));
         }
-        if donations.len() != stacks.len() {
+        if donations.len() != p {
             return Err(CodecError::Malformed("donation vector length differs from P"));
+        }
+        let mut stacks = StackArena::new(p);
+        for i in 0..p {
+            stacks.push_decoded(i, r)?;
         }
         Ok(Self {
             step,
@@ -643,26 +654,6 @@ impl<N: CkptNode> EngineSnapshot<N> {
             macro_steps,
             stacks,
         })
-    }
-
-    /// Serialize into the container format under the given config
-    /// fingerprint (via a borrowed [`SnapshotView`] over this snapshot).
-    /// Deterministic: the same snapshot state and fingerprint always
-    /// produce the same bytes.
-    pub fn encode(&self, config_fingerprint: u64) -> Vec<u8> {
-        SnapshotView {
-            step: self.step,
-            in_init: self.in_init,
-            goals: self.goals,
-            donations: &self.donations,
-            peak_stack_nodes: self.peak_stack_nodes,
-            global_pointer: self.global_pointer,
-            machine: &self.machine,
-            recorder: self.recorder.as_ref(),
-            macro_steps: &self.macro_steps,
-            stacks: StackSource::Frames(&self.stacks),
-        }
-        .encode(config_fingerprint)
     }
 
     /// Parse and validate a snapshot. `expected_fingerprint` is the
@@ -700,11 +691,6 @@ impl<N: CkptNode> EngineSnapshot<N> {
         }
         Ok(snapshot)
     }
-
-    /// Ensemble size `P` recorded in the snapshot.
-    pub fn p(&self) -> usize {
-        self.stacks.len()
-    }
 }
 
 #[cfg(test)]
@@ -736,9 +722,9 @@ mod tests {
             w_idle: 60_000,
             l_estimate: 13_000,
         };
-        let mut stack = SearchStack::from_root((0usize, 0u64));
-        stack.pop_next();
-        stack.push_frame(vec![(1, 0), (1, 1)]);
+        let mut stacks = StackArena::new(4);
+        stacks.push_frame_with(0, |frame| [(1, 0), (1, 1)].into_iter().for_each(|n| frame.push(n)));
+        stacks.push_frame_with(2, |frame| frame.push((2, 7)));
         EngineSnapshot {
             step: 4,
             in_init: false,
@@ -769,17 +755,12 @@ mod tests {
                 }],
             }),
             macro_steps: vec![(0, 3, 3), (3, 4, 2)],
-            stacks: vec![
-                stack,
-                SearchStack::new(),
-                SearchStack::from_root((2, 7)),
-                SearchStack::new(),
-            ],
+            stacks,
         }
     }
 
     fn assert_snapshots_equal(a: &EngineSnapshot<(usize, u64)>, b: &EngineSnapshot<(usize, u64)>) {
-        // Field-by-field: SearchStack and Metrics do not implement Eq, so
+        // Field-by-field: StackArena and Metrics do not implement Eq, so
         // equality is checked through re-encoding (canonical) plus spot
         // fields for a readable failure.
         assert_eq!(a.step, b.step);
@@ -795,16 +776,16 @@ mod tests {
         let back = EngineSnapshot::<(usize, u64)>::decode(&bytes, 0xFEED).expect("decodes");
         assert_snapshots_equal(&snap, &back);
         assert_eq!(back.encode(0xFEED), bytes, "encode∘decode is the identity on bytes");
-        assert_eq!(back.p(), 4);
+        assert_eq!(back.stacks.lens(), &[2, 0, 1, 0]);
         assert_eq!(back.machine.metrics.active_trace.to_vec(), vec![3, 3, 3, 3, 3, 1, 1]);
     }
 
     #[test]
-    fn arena_stack_source_encodes_byte_identically() {
+    fn encoded_stack_source_encodes_byte_identically() {
         let snap = sample_snapshot();
-        let via_frames = snap.encode(0xFEED);
-        let arena = StackArena::from_stacks(snap.stacks.clone());
-        let via_arena = SnapshotView {
+        let mut bytes = Vec::new();
+        (0..snap.stacks.p()).for_each(|i| snap.stacks.encode_pe(i, &mut bytes));
+        let via_encoded = SnapshotView::<(usize, u64)> {
             step: snap.step,
             in_init: snap.in_init,
             goals: snap.goals,
@@ -814,19 +795,10 @@ mod tests {
             machine: &snap.machine,
             recorder: snap.recorder.as_ref(),
             macro_steps: &snap.macro_steps,
-            stacks: StackSource::Arena(&arena),
+            stacks: StackSource::Encoded { p: snap.stacks.p(), bytes: &bytes },
         }
         .encode(0xFEED);
-        assert_eq!(via_arena, via_frames, "SoA and frame sources must be indistinguishable");
-        let back = EngineSnapshot::<(usize, u64)>::decode(&via_arena, 0xFEED).expect("decodes");
-        let again = StackArena::from_stacks(back.stacks.clone());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for i in 0..again.p() {
-            again.encode_pe(i, &mut a);
-            back.stacks[i].encode_node(&mut b);
-        }
-        assert_eq!(a, b, "SoA→frames→SoA re-encode is bit-exact");
+        assert_eq!(via_encoded, snap.encode(0xFEED), "arena and encoded sources must agree");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use uts_ckpt::{
 };
 use uts_tree::{CkptNode, SplitPolicy, TreeProblem};
 
+use crate::driver::LockstepDriver;
 use crate::engine::{
     EngineConfig, EngineKind, EngineState, LedgerRecorder, MacroStep, Outcome, Resume,
 };
@@ -226,7 +227,7 @@ impl EngineState {
     }
 
     /// The inverse of [`EngineState::capture`]: the boundary state a
-    /// decoded snapshot holds, plus its stacks.
+    /// decoded snapshot holds, plus its arena.
     ///
     /// # Panics
     /// Panics if the snapshot's machine size or ledger presence
@@ -236,7 +237,11 @@ impl EngineState {
         cfg: &EngineConfig,
         snapshot: EngineSnapshot<N>,
     ) -> Resume<N> {
-        assert_eq!(snapshot.p(), cfg.p, "snapshot machine size differs from the resuming config");
+        assert_eq!(
+            snapshot.stacks.p(),
+            cfg.p,
+            "snapshot machine size differs from the resuming config"
+        );
         assert_eq!(
             snapshot.recorder.is_some(),
             cfg.record_ledger,
@@ -300,12 +305,13 @@ pub fn resume_with<P: TreeProblem>(
     cfg: &EngineConfig,
     snapshot: EngineSnapshot<P::Node>,
 ) -> Outcome {
-    let resume = EngineState::restore(cfg, snapshot);
     match cfg.engine {
-        EngineKind::Reference => crate::reference::run_reference_from(problem, cfg, resume),
+        EngineKind::Reference => {
+            crate::reference::run_reference_from(problem, cfg, EngineState::restore(cfg, snapshot))
+        }
         EngineKind::Macro | EngineKind::Par => {
             let threads = crate::local::resolve_threads(cfg);
-            crate::local::run_local(problem, cfg, threads, Some(resume))
+            crate::local::run_local(problem, threads, LockstepDriver::restore(cfg, snapshot))
         }
     }
 }

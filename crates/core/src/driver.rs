@@ -46,13 +46,12 @@ use std::convert::Infallible;
 
 use uts_ckpt::StackSource;
 use uts_machine::SimdMachine;
-use uts_tree::{CkptNode, SearchStack, StackArena, TreeProblem};
+use uts_tree::{CkptNode, StackArena, TreeProblem};
 
 use crate::census::{build_count_ge, build_hist};
 use crate::ckpt::config_fingerprint;
 use crate::engine::{
     balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, MacroStep, Outcome,
-    Resume,
 };
 use crate::store::StackStore;
 use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
@@ -246,9 +245,8 @@ impl LockstepDriver {
         Self::with_state(cfg, EngineState::fresh(cfg), vec![0])
     }
 
-    /// Driver restored from a decoded snapshot, plus the snapshot's stacks
-    /// for the caller to place (in an arena, or with the workers that own
-    /// them).
+    /// Driver restored from a decoded snapshot, its active list derived
+    /// from the lengths of the snapshot's arena, plus that arena.
     ///
     /// # Panics
     /// Panics if the snapshot's machine size or ledger presence
@@ -257,15 +255,10 @@ impl LockstepDriver {
     pub fn restore<N: CkptNode>(
         cfg: &EngineConfig,
         snapshot: uts_ckpt::EngineSnapshot<N>,
-    ) -> (Self, Vec<SearchStack<N>>) {
-        Self::over_stacks(cfg, EngineState::restore(cfg, snapshot))
-    }
-
-    /// The active list of a run that starts from stacks is derived from
-    /// them (a fresh run's is just PE 0, see [`LockstepDriver::fresh`]).
-    fn over_stacks<N>(cfg: &EngineConfig, (state, pes): Resume<N>) -> (Self, Vec<SearchStack<N>>) {
-        let active = (0..cfg.p).filter(|&i| !pes[i].is_empty()).collect();
-        (Self::with_state(cfg, state, active), pes)
+    ) -> (Self, StackArena<N>) {
+        let (state, arena) = EngineState::restore(cfg, snapshot);
+        let active = (0..cfg.p).filter(|&i| arena.len_of(i) > 0).collect();
+        (Self::with_state(cfg, state, active), arena)
     }
 
     /// The start of a fresh in-process run: PE 0 of an otherwise idle
@@ -276,13 +269,6 @@ impl LockstepDriver {
         let mut arena = StackArena::new(cfg.p);
         arena.push_frame_with(0, |frame| frame.push(problem.root()));
         (driver, arena)
-    }
-
-    /// The start of a resumed in-process run: the boundary state plus its
-    /// stacks flattened into an arena.
-    pub(crate) fn resumed<N: Clone>(cfg: &EngineConfig, resume: Resume<N>) -> InProcess<N> {
-        let (driver, pes) = Self::over_stacks(cfg, resume);
-        (driver, StackArena::from_stacks(pes))
     }
 
     /// [`LockstepDriver::drive`] over a backend that cannot fail.

@@ -26,8 +26,9 @@ use uts_machine::{
     CostModel, LbPhaseRecord, Ledger, Report, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_scan::{MatchScratch, Pair};
-use uts_tree::{BlockRun, Burst, SearchStack, SplitPolicy, StackArena, TreeProblem};
+use uts_tree::{BlockRun, Burst, SplitPolicy, StackArena, TreeProblem};
 
+use crate::driver::LockstepDriver;
 use crate::matcher::MatchState;
 use crate::scheme::{Scheme, TransferMode, Trigger};
 use crate::store::{CountedMove, StackStore};
@@ -226,7 +227,8 @@ pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     match cfg.engine {
         EngineKind::Reference => crate::reference::run_reference(problem, cfg),
         EngineKind::Macro | EngineKind::Par => {
-            crate::local::run_local(problem, cfg, crate::local::resolve_threads(cfg), None)
+            let start = LockstepDriver::at_root(problem, cfg);
+            crate::local::run_local(problem, crate::local::resolve_threads(cfg), start)
         }
     }
 }
@@ -318,12 +320,11 @@ pub(crate) struct EngineState {
     pub step: u64,
 }
 
-/// What an executor starts from: the boundary state plus every PE's stack.
-pub(crate) type Resume<N> = (EngineState, Vec<SearchStack<N>>);
+/// What a resumed executor starts from: the boundary state and its arena.
+pub(crate) type Resume<N> = (EngineState, StackArena<N>);
 
 impl EngineState {
-    /// Fresh-run state: everything zero (PE 0 holds the root, see
-    /// [`fresh_run`]).
+    /// Fresh-run state: everything zero (PE 0 holds the root).
     pub(crate) fn fresh(cfg: &EngineConfig) -> Self {
         assert!(cfg.p > 0, "need at least one processor");
         let mut machine = SimdMachine::new(cfg.p, cfg.cost);
@@ -359,16 +360,6 @@ impl EngineState {
             ledger,
         }
     }
-}
-
-/// The start of a fresh run as wrapped stacks, the oracle's representation:
-/// zeroed state, processor 0 holding the root. The driver-backed executors
-/// start from [`LockstepDriver::at_root`] instead.
-pub(crate) fn fresh_run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Resume<P::Node> {
-    let state = EngineState::fresh(cfg);
-    let mut pes: Vec<SearchStack<P::Node>> = (0..cfg.p).map(|_| SearchStack::new()).collect();
-    pes[0] = SearchStack::from_root(problem.root());
-    (state, pes)
 }
 
 /// Census of one fused expansion cycle (or one macro-step burst): how many

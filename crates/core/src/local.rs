@@ -90,10 +90,8 @@ use std::sync::Mutex;
 use uts_ckpt::StackSource;
 use uts_tree::{BlockRun, StackArena, TreeProblem};
 
-use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
-use crate::engine::{
-    burst_slice, expansion_burst, EngineConfig, EngineKind, Outcome, Resume, SliceBurst,
-};
+use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
+use crate::engine::{burst_slice, expansion_burst, EngineConfig, EngineKind, Outcome, SliceBurst};
 
 /// The smallest `started_PEs × horizon` product a [`LocalBackend`] of two
 /// or more threads fans a burst out for. Below it the burst runs inline on
@@ -139,21 +137,16 @@ pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
 /// engine ([`EngineKind::Macro`]), whatever `cfg.engine` says. Its
 /// schedule is bit-identical to [`crate::reference::run_reference`].
 pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_local(problem, cfg, 1, None)
+    run_local(problem, 1, LockstepDriver::at_root(problem, cfg))
 }
 
 /// The macro-step loop over a [`LocalBackend`] of `threads`, from the root
 /// or from a restored boundary.
 pub(crate) fn run_local<P: TreeProblem>(
     problem: &P,
-    cfg: &EngineConfig,
     threads: usize,
-    resume: Option<Resume<P::Node>>,
+    (driver, arena): InProcess<P::Node>,
 ) -> Outcome {
-    let (driver, arena) = match resume {
-        None => LockstepDriver::at_root(problem, cfg),
-        Some(resume) => LockstepDriver::resumed(cfg, resume),
-    };
     driver.run_to_end(LocalBackend::new(problem, arena, threads, FAN_OUT_MIN_WORK))
 }
 

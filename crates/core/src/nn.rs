@@ -15,7 +15,7 @@
 //! its own [`NnConfig`]/[`NnOutcome`] types — it balances after *every*
 //! expansion cycle, so it has no macro-step boundaries for a
 //! [`uts_ckpt::CheckpointPolicy`] to select, and it sits outside the
-//! four-engine bit-identical contract that makes snapshots
+//! engines' bit-identical contract that makes snapshots
 //! engine-invariant. A run here is also short and cheap to redo; fault
 //! tolerance buys nothing. Its runs are fully deterministic (see the
 //! repeatability test below), so re-running *is* resuming.

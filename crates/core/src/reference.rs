@@ -20,11 +20,13 @@
 use std::convert::Infallible;
 
 use uts_ckpt::StackSource;
-use uts_tree::{SearchStack, SplitPolicy, TreeProblem};
+use uts_tree::{CkptNode, SearchStack, SplitPolicy, TreeProblem};
 
 use crate::ckpt::config_fingerprint;
 use crate::driver::compute_horizon;
-use crate::engine::{checkpoint_trigger, fresh_run, EngineConfig, LedgerRecorder, Outcome, Resume};
+use crate::engine::{
+    checkpoint_trigger, EngineConfig, EngineState, LedgerRecorder, Outcome, Resume,
+};
 use crate::scheme::TransferMode;
 
 /// Per-processor state: the DFS stack plus a per-cycle child buffer.
@@ -43,13 +45,27 @@ struct CycleResult {
 /// Run `problem` under `cfg` with the reference (two-sweep, allocating)
 /// loop. Produces the same [`Outcome`] as [`crate::local::run`].
 pub fn run_reference<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_reference_from(problem, cfg, fresh_run(problem, cfg))
+    let st = EngineState::fresh(cfg);
+    let mut stacks: Vec<_> = (0..cfg.p).map(|_| SearchStack::new()).collect();
+    stacks[0] = SearchStack::from_root(problem.root());
+    run_stacks(problem, cfg, st, stacks)
 }
 
+/// [`run_reference`] from a restored boundary: the one place the oracle
+/// converts the machine's arena into its own frame-list stacks.
 pub(crate) fn run_reference_from<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
-    (mut st, stacks): Resume<P::Node>,
+    (st, arena): Resume<P::Node>,
+) -> Outcome {
+    run_stacks(problem, cfg, st, arena.into_stacks())
+}
+
+fn run_stacks<P: TreeProblem>(
+    problem: &P,
+    cfg: &EngineConfig,
+    mut st: EngineState,
+    stacks: Vec<SearchStack<P::Node>>,
 ) -> Outcome {
     let mut pes: Vec<Pe<P::Node>> =
         stacks.into_iter().map(|stack| Pe { stack, children: Vec::new() }).collect();
@@ -223,12 +239,10 @@ pub(crate) fn run_reference_from<P: TreeProblem>(
         if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| h_remaining == 0) {
             st.step += 1;
             let Ok(dies) = ck.boundary(st.step, fired, || {
-                // The oracle keeps wrapped stacks, so it alone pays a
-                // clone per snapshot — irrelevant off the hot path.
-                let stacks: Vec<_> = pes.iter().map(|pe| pe.stack.clone()).collect();
-                Ok::<_, Infallible>(
-                    st.capture(config_fingerprint(cfg), StackSource::Frames(&stacks)),
-                )
+                let mut bytes = Vec::new();
+                pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
+                let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };
+                Ok::<_, Infallible>(st.capture::<P::Node>(config_fingerprint(cfg), stacks))
             });
             if dies {
                 killed = true;

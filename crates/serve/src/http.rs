@@ -7,13 +7,14 @@
 //! out, `Connection: close` always. Oversize declarations are rejected
 //! from the header alone ([`ServeError::BodyTooLarge`]) before any body
 //! byte is read, so a hostile client cannot make the server buffer an
-//! arbitrarily large spec, and every accepted connection reads and
-//! writes under [`IO_TIMEOUT`], so a client that connects and then goes
-//! silent gets a 400 `proto` instead of pinning its handler thread.
+//! arbitrarily large spec, and every accepted connection reads its whole
+//! request frame and writes under [`IO_TIMEOUT`], so a client that
+//! connects and then goes silent — or sends its frame a byte at a time —
+//! gets a 400 `proto` instead of pinning its handler thread.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 
@@ -22,10 +23,29 @@ use crate::error::ServeError;
 pub const MAX_BODY: usize = 64 * 1024;
 /// Largest accepted header block.
 const MAX_HEAD: usize = 8 * 1024;
-/// Read and write deadline of each socket operation on an accepted
-/// connection. A request frame is a few hundred bytes sent at once, so a
-/// client silent this long is not going to send one.
+/// Deadline of reading one whole request frame on an accepted connection,
+/// and of each write. A request frame is a few hundred bytes sent at once,
+/// so a client that has not sent one in this long is not going to.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Reads off a stream until a fixed instant: each read waits only for
+/// what is left of the deadline, so the deadline bounds the whole frame
+/// however the client spaces its bytes.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
 
 /// One parsed request.
 #[derive(Debug)]
@@ -38,9 +58,9 @@ pub struct Request {
     pub body: String,
 }
 
-/// Read one request frame off `stream`.
+/// Read one request frame off `stream`, all of it within [`IO_TIMEOUT`].
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline { stream, until: Instant::now() + IO_TIMEOUT });
     let mut line = String::new();
     reader
         .by_ref()

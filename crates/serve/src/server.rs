@@ -429,7 +429,6 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let sh = Arc::clone(shared);
         std::thread::spawn(move || {
             let mut stream = stream;
-            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
             let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
             let (status, body) = match read_request(&mut stream) {
                 Err(e) => (e.status(), e.body()),

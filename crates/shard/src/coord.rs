@@ -37,7 +37,7 @@ use uts_net::{route_with, Links, Message, RouteStats};
 use uts_puzzle15::PuzzleState;
 use uts_scan::Pair;
 use uts_synthgen::GenNode;
-use uts_tree::{CkptNode, CodecError, SearchStack, SplitPolicy};
+use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena};
 
 use crate::proto::{
     self, encode_burst, put_install, tag, BurstReply, Give, Hello, ShardWorkload, Transfer,
@@ -455,13 +455,13 @@ impl<N: CkptNode> RemoteBackend<N> {
     /// Ship a resumed ensemble to the fresh workers that own it: one
     /// `INSTALL` of every non-empty stack, whose returned lengths must be
     /// the snapshot's (already in the mirror).
-    fn load(&mut self, stacks: &[SearchStack<N>]) -> Result<(), ShardError> {
+    fn load(&mut self, arena: &StackArena<N>) -> Result<(), ShardError> {
         let Self { lens, workers, bounds, installs, buf, payload: encoded, .. } = self;
         installs.iter_mut().for_each(Lane::begin);
-        for (pe, stack) in stacks.iter().enumerate().filter(|(_, stack)| !stack.is_empty()) {
+        for pe in (0..arena.p()).filter(|&pe| arena.len_of(pe) > 0) {
             let (shard, local) = locate(bounds, pe);
             encoded.clear();
-            stack.encode_node(encoded);
+            arena.encode_pe(pe, encoded);
             put_install(installs[shard].push(pe), local, encoded);
         }
         let staged = |s: usize| installs[s].frame();
@@ -674,7 +674,7 @@ impl<N> StackStore for RemoteBackend<N> {
     }
 }
 
-fn run_generic<N: CkptNode>(
+fn run_generic<N: Clone + CkptNode>(
     workload: &ShardWorkload,
     cfg: &EngineConfig,
     opts: &ShardOpts,
@@ -702,7 +702,7 @@ fn run_generic<N: CkptNode>(
             lens[0] = 1; // the root
             lens
         }
-        Some((_, stacks)) => stacks.iter().map(|stack| stack.len() as u32).collect(),
+        Some((_, arena)) => arena.lens().to_vec(),
     };
     let bounds: Vec<usize> =
         (0..opts.shards).map(|s| shard_range(cfg.p, opts.shards, s).0).chain([cfg.p]).collect();
@@ -732,8 +732,8 @@ fn run_generic<N: CkptNode>(
     };
     let driver = match resume {
         None => LockstepDriver::fresh(cfg),
-        Some((driver, stacks)) => {
-            backend.load(&stacks)?;
+        Some((driver, arena)) => {
+            backend.load(&arena)?;
             driver
         }
     };

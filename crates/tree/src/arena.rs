@@ -697,15 +697,13 @@ impl<N: Clone + CkptNode> StackArena<N> {
         moved
     }
 
-    /// Decode one [`SearchStack`] encoding — all of `bytes` — straight onto
-    /// the top of PE `i`'s chain, its frames kept apart from the PE's: onto
-    /// an idle PE this loads the stack, onto a busy one it lands a
-    /// transfer. Returns the nodes pushed. Total over its input: bytes that
-    /// are not exactly one well-formed stack give an error and leave the PE
-    /// as it was.
-    pub fn push_encoded(&mut self, i: usize, bytes: &[u8]) -> Result<usize, CodecError> {
+    /// Decode one [`SearchStack`] encoding off the front of `r` straight
+    /// onto the top of PE `i`'s chain, its frames kept apart from the PE's:
+    /// onto an idle PE this loads the stack, onto a busy one it lands a
+    /// transfer. Returns the nodes pushed. Bytes that do not start with a
+    /// well-formed stack give an error and leave the PE as it was.
+    pub fn push_decoded(&mut self, i: usize, r: &mut Reader<'_>) -> Result<usize, CodecError> {
         let before = self.len_of(i);
-        let mut r = Reader::new(bytes);
         let mut decode = || {
             for _ in 0..r.len(8)? {
                 let nodes = r.len(1)?;
@@ -714,7 +712,7 @@ impl<N: Clone + CkptNode> StackArena<N> {
                 }
                 self.write(i, |out| {
                     for k in 0..nodes {
-                        out.push(N::decode_node(&mut r)?);
+                        out.push(N::decode_node(r)?);
                         if k == 0 {
                             out.start_frame_at_top();
                         }
@@ -722,11 +720,7 @@ impl<N: Clone + CkptNode> StackArena<N> {
                     Ok(())
                 })?;
             }
-            if r.is_done() {
-                Ok(())
-            } else {
-                Err(CodecError::Malformed("trailing bytes after a stack encoding"))
-            }
+            Ok(())
         };
         match decode() {
             Ok(()) => Ok(self.len_of(i) - before),
@@ -735,6 +729,18 @@ impl<N: Clone + CkptNode> StackArena<N> {
                 Err(e)
             }
         }
+    }
+
+    /// [`StackArena::push_decoded`] over exactly one stack encoding: bytes
+    /// left after it are an error too, and leave the PE as it was.
+    pub fn push_encoded(&mut self, i: usize, bytes: &[u8]) -> Result<usize, CodecError> {
+        let mut r = Reader::new(bytes);
+        let pushed = self.push_decoded(i, &mut r)?;
+        if !r.is_done() {
+            self.truncate(i, self.len_of(i) - pushed);
+            return Err(CodecError::Malformed("trailing bytes after a stack encoding"));
+        }
+        Ok(pushed)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic byte-level codec for checkpointable search state.
 //!
-//! The checkpoint subsystem (`uts-ckpt`) snapshots every PE's
-//! [`SearchStack`] into a hand-rolled binary format, which requires each
+//! The checkpoint subsystem (`uts-ckpt`) snapshots every PE's stack in
+//! [`SearchStack`]'s frame-list encoding, which requires each
 //! problem's node type to round-trip through bytes *exactly* — a resumed
 //! run must continue from bit-identical stacks. [`CkptNode`] is that
 //! contract: `decode_node(encode_node(n)) == n`, with a canonical (unique)

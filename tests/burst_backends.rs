@@ -43,7 +43,7 @@ fn arena_after<P: TreeProblem>(
     let last = cfg.checkpoint.as_ref().expect("armed above").sink.taken().pop()?;
     let snapshot = EngineSnapshot::<P::Node>::decode(&last.bytes, config_fingerprint(&cfg))
         .expect("a fresh snapshot decodes");
-    Some(StackArena::from_stacks(snapshot.stacks))
+    Some(snapshot.stacks)
 }
 
 /// Everything the loop observes of one burst.

@@ -9,22 +9,26 @@
 //! repeated kills.
 //!
 //! The container format itself is exercised from the outside: every
-//! snapshot a run produces must decode→re-encode bit-exactly, and each
-//! way a snapshot can be unusable (foreign file, future format version,
-//! storage corruption, truncation, wrong run configuration) must be
-//! rejected with its own distinct [`CkptError`].
+//! snapshot a run produces must decode→re-encode bit-exactly, one committed
+//! snapshot (`tests/fixtures/snapshot_utsgen_p16_step3.bin`) pins the
+//! format byte for byte, and each way a snapshot can be unusable (foreign
+//! file, future format version, storage corruption, truncation, wrong run
+//! configuration) must be rejected with its own distinct [`CkptError`].
 //!
-//! Since the structure-of-arrays rework (DESIGN.md §6.3) the macro and
-//! par engines snapshot straight off the [`StackArena`]
-//! (`StackSource::Arena`) while decode always yields frame-vector stacks,
-//! so the whole suite doubles as a SoA↔frames differential; the dedicated
-//! `soa_frames_soa_encode_is_bit_exact_through_the_codec` test pins the
-//! conversion round trip against the codec explicitly.
+//! A snapshot has one decoded form: its stacks decode straight into the
+//! [`StackArena`] the macro and par engines run on, and those engines
+//! snapshot straight off it (`StackSource::Arena`). The reference oracle
+//! keeps frame-vector stacks: it encodes them itself when it snapshots and
+//! converts the arena once when it resumes, so every cross-engine resume
+//! here doubles as a SoA↔frames differential; the dedicated
+//! `soa_frames_soa_encode_is_bit_exact_through_the_codec` test pins that
+//! conversion against the codec explicitly.
 //!
 //! Seeded counterexamples persist under `proptest-regressions/` and
 //! replay before the random cases.
 
 use proptest::prelude::*;
+use simd_tree_search::ckpt::fnv1a_64;
 use simd_tree_search::core::{LocalBackend, LockstepDriver};
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::GeometricTree;
@@ -236,8 +240,8 @@ fn par_resume_is_thread_count_invariant() {
     for threads in [1usize, 2, 8] {
         let snapshot =
             EngineSnapshot::decode(bytes, config_fingerprint(&base)).expect("valid snapshot");
-        let (driver, stacks) = LockstepDriver::restore(&base, snapshot);
-        let resumed = forced_par(&tree, driver, StackArena::from_stacks(stacks), threads);
+        let (driver, arena) = LockstepDriver::restore(&base, snapshot);
+        let resumed = forced_par(&tree, driver, arena, threads);
         assert_eq!(resumed, straight, "par resume with {threads} threads diverged");
     }
 }
@@ -271,12 +275,11 @@ fn chain_of_kills_composes_to_the_straight_run() {
     assert_eq!(final_out, straight, "three kills and three resumes must change nothing");
 }
 
-/// The SoA engines serialize a snapshot straight off the arena; a decoded
-/// snapshot holds frame-vector stacks. Routing the decoded stacks through
-/// a [`StackArena`] (frames → SoA → frames) and re-encoding must
-/// reproduce the original container bit-exactly — the arena conversion is
-/// lossless through the `SnapshotView` codec, in both directions, at
-/// every boundary of a real run.
+/// The SoA engines serialize a snapshot straight off the arena, and a
+/// decoded snapshot holds an arena again. Routing the decoded arena through
+/// the oracle's frame-vector stacks (SoA → frames → SoA, the conversion the
+/// reference engine makes when it resumes) and re-encoding must reproduce
+/// the original container bit-exactly, at every boundary of a real run.
 #[test]
 fn soa_frames_soa_encode_is_bit_exact_through_the_codec() {
     type Node = <GeometricTree as TreeProblem>::Node;
@@ -291,13 +294,98 @@ fn soa_frames_soa_encode_is_bit_exact_through_the_codec() {
     for snap in &snaps {
         let mut via_arena = EngineSnapshot::<Node>::decode(&snap.bytes, fp)
             .expect("arena-sourced snapshot decodes");
-        via_arena.stacks = StackArena::from_stacks(via_arena.stacks).into_stacks();
+        via_arena.stacks = StackArena::from_stacks(via_arena.stacks.into_stacks());
         assert_eq!(
             via_arena.encode(fp),
             snap.bytes,
             "step {}: SoA→frames→SoA re-encode must be bit-equal",
             snap.step
         );
+    }
+}
+
+/// The snapshot format, pinned: boundary 3 of a small generated-tree run
+/// (P = 16, GP-D^K, ledger and active trace on) as committed bytes.
+/// Every engine must write exactly these bytes, decode→encode must
+/// reproduce them, and resuming them under every engine must finish with
+/// the uninterrupted outcome. The fixture changes only together with a
+/// `FORMAT_VERSION` bump.
+#[test]
+fn snapshot_bytes_match_the_golden_fixture() {
+    let golden = &include_bytes!("fixtures/snapshot_utsgen_p16_step3.bin")[..];
+    let tree = GenTree::geometric(3, 6, 6);
+    let cfg = EngineConfig::new(16, Scheme::gp_dk(), CostModel::cm2()).with_ledger().with_trace();
+    let fp = config_fingerprint(&cfg);
+    let decoded = EngineSnapshot::<<GenTree as TreeProblem>::Node>::decode(golden, fp)
+        .expect("the fixture decodes under its config");
+    assert_eq!(decoded.step, 3);
+    assert!(decoded.stacks.lens().iter().filter(|&&len| len > 0).count() >= 2);
+    assert_eq!(decoded.encode(fp), golden, "decode → encode must reproduce the fixture");
+    for engine in EngineKind::ALL {
+        let cfg = cfg.clone().with_engine(engine);
+        let armed = cfg
+            .clone()
+            .with_checkpoint(CheckpointPolicy::every(3))
+            .with_fault(FaultPlan::kill_at(3));
+        assert!(run_with(&tree, &armed).killed, "{engine:?}");
+        let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
+        assert_eq!(snaps.len(), 1, "{engine:?}");
+        assert_eq!(snaps[0].bytes, golden, "{engine:?} must write the fixture's bytes");
+        let resumed = resume_from_bytes(&tree, &cfg, golden).expect("the fixture resumes");
+        assert_eq!(resumed, run_with(&tree, &cfg), "{engine:?} resume of the fixture diverged");
+    }
+}
+
+/// `bytes` with its payload swapped for `payload`, under a fresh header
+/// and checksum: a well-sealed container around an edited payload, so the
+/// payload decoder and not the checksum is what meets the edit.
+fn reseal(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..20].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let checksum = fnv1a_64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// A well-sealed snapshot whose stack section lies — about `P`, about the
+/// donation vector, inside a stack, or after the last one — is refused
+/// with a typed error by the decoder that fills the arena, never a panic.
+#[test]
+fn sealed_hostile_stack_sections_are_typed_errors() {
+    type Node = <GenTree as TreeProblem>::Node;
+    let golden = &include_bytes!("fixtures/snapshot_utsgen_p16_step3.bin")[..];
+    let fp = config_fingerprint(
+        &EngineConfig::new(16, Scheme::gp_dk(), CostModel::cm2()).with_ledger().with_trace(),
+    );
+    let decode = |payload: &[u8]| EngineSnapshot::<Node>::decode(&reseal(golden, payload), fp);
+    let payload = &golden[28..golden.len() - 8];
+    let stacks = decode(payload).expect("resealing the unedited payload").stacks;
+    let mut encoded: Vec<Vec<u8>> = vec![Vec::new(); stacks.p()];
+    (0..stacks.p()).for_each(|i| stacks.encode_pe(i, &mut encoded[i]));
+    // The stack section, `P` and then the per-PE encodings, ends the payload.
+    let head = &payload[..payload.len() - 8 - encoded.concat().len()];
+    let section = |p: u64, pes: &[Vec<u8>], tail: &[u8]| {
+        [head, &p.to_le_bytes(), &pes.concat(), tail].concat()
+    };
+    let empty_frame = [1u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+    let cases = [
+        // A `P` the remaining bytes cannot hold is refused before an arena
+        // of that size exists (one would not fit in memory).
+        (section(1 << 40, &encoded[..1], &[]), CkptError::Truncated),
+        (section(0, &[], &[]), CkptError::Malformed("snapshot has no PE stacks")),
+        (
+            section(15, &encoded[..15], &[]),
+            CkptError::Malformed("donation vector length differs from P"),
+        ),
+        (
+            section(16, &encoded[..15], &empty_frame),
+            CkptError::Malformed("search stack stores an empty frame"),
+        ),
+        (section(16, &encoded, &[0]), CkptError::Malformed("trailing payload bytes")),
+    ];
+    for (edited, want) in cases {
+        assert_eq!(decode(&edited).map(|s| s.step).unwrap_err(), want);
     }
 }
 

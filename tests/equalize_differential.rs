@@ -155,7 +155,7 @@ fn snapshot_over(cfg: &EngineConfig, stacks: Vec<SearchStack<u64>>) -> EngineSna
             .record_ledger
             .then(|| RecorderState { receipts: vec![0; cfg.p], phases: Vec::new() }),
         macro_steps: Vec::new(),
-        stacks,
+        stacks: StackArena::from_stacks(stacks),
     }
 }
 
@@ -168,8 +168,7 @@ fn frames_of(stacks: &[SearchStack<u64>]) -> Vec<Vec<Vec<u64>>> {
 /// One macro step — cycle, trigger, phase — through the driver's public
 /// stage API over an arena.
 fn step_by_driver(cfg: &EngineConfig, snapshot: EngineSnapshot<u64>) -> AfterPhase {
-    let (mut driver, stacks) = LockstepDriver::restore(cfg, snapshot);
-    let mut arena = StackArena::from_stacks(stacks);
+    let (mut driver, mut arena) = LockstepDriver::restore(cfg, snapshot);
     let mut active = driver.active().to_vec();
     let h = driver.horizon(arena.lens());
     let (mut goals, mut peak, mut deaths) = (0u64, 0usize, Vec::new());
@@ -206,7 +205,7 @@ fn step_by_reference(cfg: &EngineConfig, snapshot: EngineSnapshot<u64>) -> After
     let last = taken.last().expect("every-boundary policy snapshots the boundary it dies at");
     let after = EngineSnapshot::<u64>::decode(&last.bytes, config_fingerprint(cfg))
         .expect("the oracle's snapshot decodes under its config");
-    (outcome, frames_of(&after.stacks))
+    (outcome, frames_of(&after.stacks.into_stacks()))
 }
 
 /// Build the ensemble for `(seed, p, shape)`, run the step both ways and

@@ -87,8 +87,7 @@ fn forced_par<P: TreeProblem>(
         }
         Some(bytes) => {
             let decoded = EngineSnapshot::decode(bytes, config_fingerprint(cfg)).expect("decodes");
-            let (driver, stacks) = LockstepDriver::restore(cfg, decoded);
-            (driver, StackArena::from_stacks(stacks))
+            LockstepDriver::restore(cfg, decoded)
         }
     };
     let Ok(out) = driver.drive(&mut LocalBackend::new(tree, arena, threads, 0));

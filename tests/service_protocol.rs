@@ -343,6 +343,46 @@ fn a_silent_connection_is_refused_after_the_io_timeout_and_holds_nothing_up() {
 }
 
 #[test]
+fn a_slow_drip_client_is_refused_at_the_frame_deadline_and_holds_nothing_up() {
+    // A client that sends its request head one byte every 500 ms never
+    // lets a single read wait out the timeout; the deadline bounds the
+    // whole frame instead, so it is refused once IO_TIMEOUT has passed
+    // since it connected, while a second connection is answered as usual.
+    let (server, dir) = start("drip");
+    let addr = server.addr();
+    let connected = Instant::now();
+    let mut drip = TcpStream::connect(addr).expect("connect to job server");
+    let mut sender = drip.try_clone().expect("clone the drip stream");
+    let dripper = std::thread::spawn(move || {
+        let frame = b"GET /jobs HTTP/1.1\r\nx-drip: aaaaaaaaaaaaaaaaaaaa";
+        for &byte in frame.iter().take(12) {
+            if sender.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(700));
+    let asked = Instant::now();
+    let (status, body) = client::get(addr, "/jobs");
+    assert_eq!(status, 200, "{body}");
+    assert!(asked.elapsed() < IO_TIMEOUT, "a second connection waited on the dripping one");
+
+    drip.set_read_timeout(Some(Duration::from_secs(6))).expect("set a read timeout");
+    let mut response = String::new();
+    let _ = drip.read_to_string(&mut response);
+    let refused = connected.elapsed();
+    let status = response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    assert_rejection(status, body, 400, "proto");
+    assert!(refused >= IO_TIMEOUT, "refused before the deadline ({refused:?})");
+    assert!(refused < Duration::from_secs(3), "refused {refused:?} after connecting");
+    dripper.join().expect("dripper thread");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_post_without_content_length_is_rejected_up_front() {
     // A POST body without a `Content-Length` header is unreadable framing:
     // the server used to default the length to 0, silently read an empty
