@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use uts_core::nn::{run_nearest_neighbor, NnConfig};
 use uts_core::{run, EngineConfig, Scheme};
 use uts_machine::CostModel;
 use uts_mimd::{run_mimd, MimdConfig, StealPolicy};
@@ -27,24 +26,13 @@ fn bench_simd_schemes(c: &mut Criterion) {
         ("GP-DP", Scheme::gp_dp()),
         ("FESS", Scheme::fess()),
         ("FEGS", Scheme::fegs()),
+        ("ring-NN", Scheme::ring_nn()),
     ] {
         g.bench_with_input(BenchmarkId::new(name, 256), &st, |b, st| {
             let cfg = EngineConfig::new(256, scheme, CostModel::cm2());
             b.iter(|| run(black_box(&st.tree), &cfg).report.nodes_expanded)
         });
     }
-    g.finish();
-}
-
-fn bench_nn(c: &mut Criterion) {
-    let st = tree();
-    let mut g = c.benchmark_group("nn_engine");
-    g.throughput(Throughput::Elements(st.w));
-    g.sample_size(10);
-    g.bench_function("ring-NN/256", |b| {
-        let cfg = NnConfig::new(256, CostModel::cm2());
-        b.iter(|| run_nearest_neighbor(black_box(&st.tree), &cfg).report.nodes_expanded)
-    });
     g.finish();
 }
 
@@ -62,5 +50,5 @@ fn bench_mimd(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_simd_schemes, bench_nn, bench_mimd);
+criterion_group!(benches, bench_simd_schemes, bench_mimd);
 criterion_main!(benches);

@@ -14,7 +14,9 @@
 //!   triggers.
 //! * `transfers` — single vs multiple transfer rounds for each trigger
 //!   (why D^P needs multiple, Sec. 2.3/6.1).
-//! * `related` — FESS / FEGS / ring nearest-neighbor vs GP-D^K (Sec. 8).
+//! * `related` — the Sec. 8 schemes FESS, FEGS and ring nearest-neighbour
+//!   (`Scheme::ring_nn`, the ring matching under the any-idle trigger)
+//!   vs GP-D^K, all on the one engine.
 //! * `fairness` — Gini coefficient of per-PE donation counts: the global
 //!   pointer's design goal, quantified.
 
@@ -23,7 +25,6 @@ use uts_analysis::table::{fmt_e, TextTable};
 use uts_bench::parse_quick;
 use uts_bench::runner::{PAPER_P, QUICK_P};
 use uts_bench::workloads::{run_workload, table_workloads, PaperWorkload};
-use uts_core::nn::{run_nearest_neighbor, NnConfig};
 use uts_core::{run, EngineConfig, Scheme, TransferMode};
 use uts_machine::CostModel;
 use uts_tree::problem::BoundedProblem;
@@ -179,28 +180,17 @@ fn related(quick: bool) {
     let puzzle = wl.puzzle();
     let bp = BoundedProblem::new(&puzzle, wl.bound);
     let mut t = TextTable::new(vec!["scheme", "Nexpand", "Nlb", "*Nlb", "E"]);
-    for (name, scheme) in
-        [("FESS", Scheme::fess()), ("FEGS", Scheme::fegs()), ("GP-D^K", Scheme::gp_dk())]
-    {
+    for scheme in [Scheme::fess(), Scheme::fegs(), Scheme::gp_dk(), Scheme::ring_nn()] {
         let cfg = EngineConfig::new(p, scheme, CostModel::cm2());
         let out = run(&bp, &cfg);
         t.row(vec![
-            name.to_string(),
+            scheme.name(),
             out.report.n_expand.to_string(),
             out.report.n_lb.to_string(),
             out.report.n_transfers.to_string(),
             fmt_e(out.report.efficiency),
         ]);
     }
-    // Ring nearest-neighbor (Frye & Myczkowski).
-    let out = run_nearest_neighbor(&bp, &NnConfig::new(p, CostModel::cm2()));
-    t.row(vec![
-        "ring-NN".to_string(),
-        out.report.n_expand.to_string(),
-        out.report.n_lb.to_string(),
-        out.report.n_transfers.to_string(),
-        fmt_e(out.report.efficiency),
-    ]);
     println!("{t}");
     println!("(FESS balances every cycle once any PE idles; ring NN diffuses slowly.)\n");
 }

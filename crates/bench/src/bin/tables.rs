@@ -75,6 +75,7 @@ fn table1() {
         let m = match s.matching {
             uts_core::Matching::Ngp => "nGP",
             uts_core::Matching::Gp => "GP",
+            uts_core::Matching::Ring => "ring",
         };
         t.row(vec![name, m, trig, tr]);
     }

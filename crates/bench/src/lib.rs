@@ -1,12 +1,27 @@
-//! Benchmark harness shared by the table/figure regenerator binaries.
+//! Benchmark harness shared by the regenerator and benchmark binaries.
 //!
-//! One binary regenerates each table, one each figure:
+//! The paper's tables and figures, and the studies around them:
 //!
 //! ```text
-//! cargo run --release -p uts-bench --bin tables  -- [table1..table6|all] [--quick]
-//! cargo run --release -p uts-bench --bin figures -- [fig3|fig4|fig7|fig8|all] [--quick]
-//! cargo run --release -p uts-bench --bin repro   -- [--quick]
+//! cargo run --release -p uts-bench --bin tables      -- [table1..table6|all] [--quick]
+//! cargo run --release -p uts-bench --bin figures     -- [fig3|fig4|fig7|fig8|all] [--quick]
+//! cargo run --release -p uts-bench --bin repro       -- [--quick]
 //! cargo run --release -p uts-bench --bin recalibrate
+//! cargo run --release -p uts-bench --bin ablation    -- [split|topology|init|transfers|related|fairness|all] [--quick]
+//! cargo run --release -p uts-bench --bin bounds      -- [--quick]
+//! cargo run --release -p uts-bench --bin anomalies   -- [--quick]
+//! cargo run --release -p uts-bench --bin mimd        -- [compare|iso] [--quick]
+//! cargo run --release -p uts-bench --bin routing     -- [--quick]
+//! ```
+//!
+//! Host-throughput harnesses, each writing a `BENCH_*.json` report and
+//! gating its floors under `--check`:
+//!
+//! ```text
+//! cargo run --release -p uts-bench --bin bench_engine    -- [--quick] [--check] [--out PATH]
+//! cargo run --release -p uts-bench --bin bench_service   -- [--quick] [--check] [--out PATH]
+//! cargo run --release -p uts-bench --bin bench_workloads -- [--quick] [--check] [--out PATH]
+//! cargo run --release -p uts-bench --bin bench_shard     -- [--quick] [--check] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks problem sizes and processor counts by ~8× for smoke

@@ -35,7 +35,7 @@ USAGE:
 
 A command rejects any flag it does not list here.
 
-SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs
+SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs  ring-nn
 COSTS:   cm2  hypercube  mesh
 ENGINES: macro (default)  par  reference   (`fused` is read as macro)
 
@@ -89,6 +89,7 @@ mod tests {
         assert!(parse_scheme("ngp-dk").unwrap().is_dynamic());
         assert_eq!(parse_scheme("fess").unwrap(), uts_core::Scheme::fess());
         assert_eq!(parse_scheme("fegs").unwrap(), uts_core::Scheme::fegs());
+        assert_eq!(parse_scheme("ring-nn").unwrap(), uts_core::Scheme::ring_nn());
         assert!(parse_scheme("bogus").is_err());
         assert!(parse_scheme("gp-s:1.5").is_err(), "threshold must be a probability");
         assert!(parse_scheme("gp-s:").is_err());

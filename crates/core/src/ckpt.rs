@@ -155,6 +155,7 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     f.u64(match cfg.scheme.matching {
         Matching::Ngp => 0,
         Matching::Gp => 1,
+        Matching::Ring => 2,
     });
     match cfg.scheme.trigger {
         Trigger::Static { x } => {
@@ -248,7 +249,7 @@ impl EngineState {
             "snapshot ledger presence differs from the resuming config"
         );
         let state = EngineState {
-            machine: snapshot.machine.restore(cfg.p, cfg.cost),
+            machine: snapshot.machine.restore(cfg.p, cfg.scheme.phase_cost_model(cfg.cost)),
             matcher: MatchState::restore(cfg.scheme.matching, snapshot.global_pointer),
             recorder: snapshot.recorder.map(|r| LedgerRecorder::restore(r.receipts, r.phases)),
             donations: snapshot.donations,
@@ -353,6 +354,7 @@ mod tests {
             EngineConfig::new(16, Scheme::ngp_dk(), CostModel::cm2()),
             EngineConfig::new(16, Scheme::gp_dp(), CostModel::cm2()),
             EngineConfig::new(16, Scheme::gp_static(0.8), CostModel::cm2()),
+            EngineConfig::new(16, Scheme::ring_nn(), CostModel::cm2()),
             EngineConfig::new(16, Scheme::gp_dk(), CostModel::hypercube()),
             base().with_split(SplitPolicy::Half),
             base().with_trace(),
@@ -371,6 +373,10 @@ mod tests {
         for v in &variants {
             assert_ne!(config_fingerprint(v), f, "{v:?}");
         }
+        // Ring-NN differs from FESS in its matching alone.
+        let ring = EngineConfig::new(16, Scheme::ring_nn(), CostModel::cm2());
+        let fess = EngineConfig::new(16, Scheme::fess(), CostModel::cm2());
+        assert_ne!(config_fingerprint(&ring), config_fingerprint(&fess));
     }
 
     #[test]

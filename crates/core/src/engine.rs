@@ -327,7 +327,7 @@ impl EngineState {
     /// Fresh-run state: everything zero (PE 0 holds the root).
     pub(crate) fn fresh(cfg: &EngineConfig) -> Self {
         assert!(cfg.p > 0, "need at least one processor");
-        let mut machine = SimdMachine::new(cfg.p, cfg.cost);
+        let mut machine = SimdMachine::new(cfg.p, cfg.scheme.phase_cost_model(cfg.cost));
         machine.record_active_trace(cfg.record_trace);
         Self {
             machine,
@@ -568,7 +568,7 @@ impl LedgerRecorder {
                 horizon,
                 rounds,
                 transfers,
-                cost: cfg.cost.lb_phase_cost_breakdown(cfg.p, rounds),
+                cost: cfg.scheme.phase_cost_model(cfg.cost).lb_phase_cost_breakdown(cfg.p, rounds),
             });
         }
     }
@@ -706,15 +706,8 @@ pub(crate) fn balancing_phase<S: StackStore>(
     let mut transfers = 0u64;
     match cfg.scheme.transfers {
         TransferMode::Single => {
-            pack_busy(active, store.lens(), &mut lb.scratch.packed_busy);
-            let need = lb.scratch.packed_busy.len().min(cfg.p - active.len());
-            pack_idle_prefix(active, cfg.p, need, &mut lb.scratch.packed_idle);
-            matcher.match_round_packed(
-                cfg.p,
-                &lb.scratch.packed_busy,
-                &lb.scratch.packed_idle,
-                &mut lb.pairs,
-            );
+            let idle = cfg.p - active.len();
+            matcher.match_census(active, store.lens(), idle, &mut lb.scratch, &mut lb.pairs);
             transfers += apply_pairs(
                 store,
                 &lb.pairs,
@@ -727,7 +720,10 @@ pub(crate) fn balancing_phase<S: StackStore>(
                 &mut lb.ok,
             );
             merge_active(active, &mut lb.incoming);
-            rounds = 1;
+            // Rendezvous always pairs someone once the trigger fired; a
+            // ring round may find no idle right neighbour and is then no
+            // round at all.
+            rounds = u32::from(transfers > 0);
         }
         TransferMode::Multiple => {
             // Repeat rendezvous rounds until no idle PE can be fed
@@ -740,15 +736,8 @@ pub(crate) fn balancing_phase<S: StackStore>(
                 if *busy_count == 0 || idle_left == 0 {
                     break;
                 }
-                pack_busy(active, store.lens(), &mut lb.scratch.packed_busy);
-                let need = lb.scratch.packed_busy.len().min(idle_left);
-                pack_idle_prefix(active, cfg.p, need, &mut lb.scratch.packed_idle);
-                matcher.match_round_packed(
-                    cfg.p,
-                    &lb.scratch.packed_busy,
-                    &lb.scratch.packed_idle,
-                    &mut lb.pairs,
-                );
+                let lens = store.lens();
+                matcher.match_census(active, lens, idle_left, &mut lb.scratch, &mut lb.pairs);
                 if lb.pairs.is_empty() {
                     break;
                 }
@@ -800,32 +789,6 @@ pub(crate) fn balancing_phase<S: StackStore>(
     }
 }
 
-/// Pack the busy enumeration (ascending) from the dense active list: busy
-/// implies active, so this is O(A) where a full lens sweep would be O(P).
-/// Busy state is read straight off the dense census array (`lens[i] >= 2`).
-pub(crate) fn pack_busy(active: &[usize], lens: &[u32], out: &mut Vec<usize>) {
-    out.clear();
-    out.extend(active.iter().copied().filter(|&i| lens[i] >= 2));
-}
-
-/// The first `need` idle PEs in ascending order — the gaps in the sorted
-/// active list. Only the matched prefix is ever materialized (idle PEs are
-/// fed in plain index order, Fig. 2), so the walk stops as soon as `need`
-/// gaps are found, typically long before index P.
-pub(crate) fn pack_idle_prefix(active: &[usize], p: usize, need: usize, out: &mut Vec<usize>) {
-    out.clear();
-    let mut next_active = 0usize;
-    let mut i = 0usize;
-    while out.len() < need && i < p {
-        if next_active < active.len() && active[next_active] == i {
-            next_active += 1;
-        } else {
-            out.push(i);
-        }
-        i += 1;
-    }
-}
-
 /// Apply one round of matched transfers, maintaining the incremental
 /// census: the busy count and the list of PEs that must (re)join the
 /// active list (busy state itself lives in the store's lens mirror, which
@@ -836,9 +799,9 @@ pub(crate) fn pack_idle_prefix(active: &[usize], p: usize, need: usize, out: &mu
 ///
 /// The round is applied as one [`StackStore::split_pairs`] batch and the
 /// census accounting replayed afterwards in pair order. Within a
-/// rendezvous round every donor and every receiver is a distinct PE (the
-/// k-th busy feeds the k-th idle) and the sets are disjoint (receivers are
-/// empty, donors splittable), so each PE's length is touched by exactly
+/// rendezvous or ring round every donor and every receiver is a distinct
+/// PE (the k-th busy feeds the k-th idle; PE i feeds PE i + 1) and the
+/// sets are disjoint (receivers are empty, donors splittable), so each PE's length is touched by exactly
 /// one split and the post-batch reads equal the split-by-split
 /// interleaving's — the batched form is bit-identical to the original
 /// sequential one, while letting a sharded store ship the whole round in
@@ -918,13 +881,13 @@ pub fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
 /// splittable and on the sorted `active` list, which is all the donor
 /// enumeration reads. Only the matched prefix of the receiver enumeration
 /// (`len < target`, ascending) is ever zipped, so one walk over the census
-/// stops at the `donors.len()`-th receiver (the [`pack_idle_prefix`] idea,
-/// over lengths because a receiver may hold work). A donor keeps at least
-/// `target` nodes and a receiver ends at most at `target`, so the list
-/// only grows: receivers that were empty and now hold work are merged in
-/// each round. A remote store that latched a transport error reports
-/// `moved = 0` whatever happened, hence the merge reads the post-batch
-/// census.
+/// stops at the `donors.len()`-th receiver (the idle-prefix walk of
+/// [`MatchState::match_census`], over lengths because a receiver may hold
+/// work). A donor keeps at least `target` nodes and a receiver ends at
+/// most at `target`, so the list only grows: receivers that were empty
+/// and now hold work are merged in each round. A remote store that
+/// latched a transport error reports `moved = 0` whatever happened, hence
+/// the merge reads the post-batch census.
 ///
 /// Each round is applied as one [`StackStore::split_counts`] batch: a
 /// round's donors (`len > target`) and receivers (`len < target`) are

@@ -14,10 +14,11 @@
 //!    donation burden is spread round-robin).
 //!
 //! Any combination can run ([`Scheme`]); the paper's Table 1 lists the six
-//! it studies. The related-work schemes of Sec. 8 are expressible too:
-//! FESS/FEGS via [`Trigger::AnyIdle`] with [`TransferMode::Single`] /
-//! [`TransferMode::Equalize`], and the Frye–Myczkowski nearest-neighbor
-//! scheme via [`nn::run_nearest_neighbor`].
+//! it studies. The related-work schemes of Sec. 8 are combinations too:
+//! FESS/FEGS are [`Trigger::AnyIdle`] with [`TransferMode::Single`] /
+//! [`TransferMode::Equalize`], and the Frye–Myczkowski nearest-neighbour
+//! scheme ([`Scheme::ring_nn`]) is [`Matching::Ring`] under the same
+//! trigger, charged `U_comm` per step ([`Scheme::phase_cost_model`]).
 //!
 //! The executable model is a *cycle-quantized lockstep simulation*: every
 //! search-phase step, each processor with work expands exactly one node;
@@ -49,7 +50,6 @@ pub mod driver;
 pub mod engine;
 pub mod local;
 pub mod matcher;
-pub mod nn;
 pub mod reference;
 pub mod report_json;
 pub mod scheme;

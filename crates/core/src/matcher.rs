@@ -1,7 +1,10 @@
 //! The matching step of a balancing phase: rendezvous allocation with or
-//! without the paper's global pointer (Sec. 2.2 and Fig. 2).
+//! without the paper's global pointer (Sec. 2.2 and Fig. 2), or the ring
+//! nearest-neighbour pairing of Sec. 8.
 
-use uts_scan::{rendezvous_match, rendezvous_match_from, rendezvous_match_packed, Pair};
+use uts_scan::{
+    rendezvous_match, rendezvous_match_from, rendezvous_match_packed, MatchScratch, Pair,
+};
 
 use crate::scheme::Matching;
 
@@ -21,11 +24,12 @@ impl MatchState {
     }
 
     /// Rebuild matching state from a checkpoint: the scheme plus the saved
-    /// global pointer (always `None` for NGP, which carries no state).
+    /// global pointer (always `None` for nGP and ring, which carry no
+    /// state).
     pub fn restore(matching: Matching, global_pointer: Option<usize>) -> Self {
         debug_assert!(
             matching == Matching::Gp || global_pointer.is_none(),
-            "NGP matching has no pointer to restore"
+            "only GP matching has a pointer to restore"
         );
         Self { matching, global_pointer }
     }
@@ -42,7 +46,7 @@ impl MatchState {
     /// whenever a caller passed a short flag slice.
     fn start_for(&self, p: usize) -> usize {
         match self.matching {
-            Matching::Ngp => 0,
+            Matching::Ngp | Matching::Ring => 0,
             Matching::Gp => self.global_pointer.map_or(0, |gp| {
                 debug_assert!(gp < p, "global pointer {gp} outside machine of size {p}");
                 (gp + 1) % p.max(1)
@@ -55,12 +59,16 @@ impl MatchState {
     ///
     /// `busy[i]` must mean "processor i can split its work" and `idle[i]`
     /// "processor i has none"; a processor holding a single node is
-    /// neither. Returns `min(A, I)` pairs.
+    /// neither. Rendezvous returns `min(A, I)` pairs; ring returns one per
+    /// busy PE whose right neighbour is idle.
     pub fn match_round(&mut self, busy: &[bool], idle: &[bool]) -> Vec<Pair> {
         debug_assert_eq!(busy.len(), idle.len(), "flag slices must both have length P");
         let pairs = match self.matching {
             Matching::Ngp => rendezvous_match(busy, idle),
             Matching::Gp => rendezvous_match_from(busy, idle, self.start_for(busy.len())),
+            Matching::Ring => {
+                ring_pairs((0..busy.len()).filter(|&i| busy[i]), busy.len(), |r| idle[r]).collect()
+            }
         };
         if self.matching == Matching::Gp {
             if let Some(last) = pairs.last() {
@@ -70,20 +78,19 @@ impl MatchState {
         pairs
     }
 
-    /// [`MatchState::match_round`] over *already packed* busy/idle
-    /// enumerations (ascending; `packed_idle` may be truncated to the first
-    /// `min(A, I)` idle PEs). `p` is the machine size, needed to wrap the
-    /// global pointer. The engine hot loop uses this entry point because it
-    /// maintains the enumerations incrementally — deriving them from flag
-    /// vectors every round would cost O(P) per round. Pointer updates and
-    /// output are identical to the flag-based entry point.
-    pub fn match_round_packed(
+    /// The rendezvous of [`MatchState::match_round`] over *already packed*
+    /// busy/idle enumerations (ascending; `packed_idle` may be truncated to
+    /// the first `min(A, I)` idle PEs). `p` is the machine size, needed to
+    /// wrap the global pointer. Pointer updates and output are identical to
+    /// the flag-based entry point.
+    fn match_round_packed(
         &mut self,
         p: usize,
         packed_busy: &[usize],
         packed_idle: &[usize],
         pairs: &mut Vec<Pair>,
     ) {
+        debug_assert_ne!(self.matching, Matching::Ring, "ring pairs are not a rendezvous");
         debug_assert!(packed_busy.iter().all(|&i| i < p), "packed busy index outside machine");
         debug_assert!(packed_idle.iter().all(|&i| i < p), "packed idle index outside machine");
         let start = self.start_for(p);
@@ -93,6 +100,68 @@ impl MatchState {
                 self.global_pointer = Some(last.donor);
             }
         }
+    }
+
+    /// One round over the driver's census: `active` is the sorted list of
+    /// PEs holding work, `lens` the dense per-PE lengths and `idle` how many
+    /// idle PEs may still be fed. Costs O(A), never O(P): busy PEs are
+    /// filtered from `active`; rendezvous walks only the matched prefix of
+    /// the idle set, and ring reads one neighbour length per busy PE.
+    /// Output and pointer updates equal [`MatchState::match_round`] over
+    /// the same state's flags.
+    pub fn match_census(
+        &mut self,
+        active: &[usize],
+        lens: &[u32],
+        idle: usize,
+        scratch: &mut MatchScratch,
+        pairs: &mut Vec<Pair>,
+    ) {
+        let p = lens.len();
+        let busy = &mut scratch.packed_busy;
+        busy.clear();
+        busy.extend(active.iter().copied().filter(|&i| lens[i] >= 2));
+        if self.matching == Matching::Ring {
+            pairs.clear();
+            pairs.extend(ring_pairs(busy.iter().copied(), p, |r| lens[r] == 0));
+            return;
+        }
+        let need = busy.len().min(idle);
+        pack_idle_prefix(active, p, need, &mut scratch.packed_idle);
+        self.match_round_packed(p, &scratch.packed_busy, &scratch.packed_idle, pairs);
+    }
+}
+
+/// Ring pairs, ascending by donor: each donor `i` feeds `(i + 1) mod p`
+/// when `idle` says that PE is empty (never itself, the `p == 1` case).
+/// Donors are busy and receivers empty, so no PE appears twice — the
+/// [`crate::StackStore::split_pairs`] batch contract.
+fn ring_pairs(
+    donors: impl Iterator<Item = usize>,
+    p: usize,
+    idle: impl Fn(usize) -> bool,
+) -> impl Iterator<Item = Pair> {
+    donors.filter_map(move |donor| {
+        let receiver = if donor + 1 == p { 0 } else { donor + 1 };
+        (receiver != donor && idle(receiver)).then_some(Pair { donor, receiver })
+    })
+}
+
+/// The first `need` idle PEs in ascending order — the gaps in the sorted
+/// active list. Only the matched prefix is ever materialized (idle PEs are
+/// fed in plain index order, Fig. 2), so the walk stops as soon as `need`
+/// gaps are found, typically long before index P.
+fn pack_idle_prefix(active: &[usize], p: usize, need: usize, out: &mut Vec<usize>) {
+    out.clear();
+    let mut next_active = 0usize;
+    let mut i = 0usize;
+    while out.len() < need && i < p {
+        if next_active < active.len() && active[next_active] == i {
+            next_active += 1;
+        } else {
+            out.push(i);
+        }
+        i += 1;
     }
 }
 
@@ -184,25 +253,45 @@ mod tests {
     }
 
     #[test]
-    fn match_round_packed_tracks_match_round_exactly() {
-        let patterns: [&[bool]; 4] =
-            [&[B, B, B, I, I, B], &[I, B, B, B, I, I], &[B, I, B, I, B, I], &[B, B, I, I, I, B]];
-        for matching in [Matching::Gp, Matching::Ngp] {
-            let mut alloc = MatchState::new(matching);
-            let mut packed = MatchState::new(matching);
-            let mut pairs = Vec::new();
-            for busy in patterns {
-                let idle = idle_of(busy);
-                let packed_busy: Vec<usize> =
-                    busy.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
-                let packed_idle: Vec<usize> =
-                    idle.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
-                let expect = alloc.match_round(busy, &idle);
-                packed.match_round_packed(busy.len(), &packed_busy, &packed_idle, &mut pairs);
+    fn match_census_tracks_match_round_exactly() {
+        // Per-PE lengths: 0 = idle, 1 = neither, >= 2 = busy.
+        let patterns: [&[u32]; 5] = [
+            &[2, 3, 2, 0, 0, 4],
+            &[0, 2, 5, 2, 0, 0],
+            &[3, 0, 2, 1, 2, 0],
+            &[2, 2, 0, 0, 0, 3],
+            &[1, 0, 2, 2, 1, 0],
+        ];
+        for matching in [Matching::Gp, Matching::Ngp, Matching::Ring] {
+            let mut flags = MatchState::new(matching);
+            let mut census = MatchState::new(matching);
+            let (mut scratch, mut pairs) = (MatchScratch::default(), Vec::new());
+            for lens in patterns {
+                let busy: Vec<bool> = lens.iter().map(|&l| l >= 2).collect();
+                let idle: Vec<bool> = lens.iter().map(|&l| l == 0).collect();
+                let active: Vec<usize> = (0..lens.len()).filter(|&i| lens[i] > 0).collect();
+                let expect = flags.match_round(&busy, &idle);
+                let free = lens.len() - active.len();
+                census.match_census(&active, lens, free, &mut scratch, &mut pairs);
                 assert_eq!(pairs, expect, "{matching:?}");
-                assert_eq!(packed.global_pointer(), alloc.global_pointer(), "{matching:?}");
+                assert_eq!(census.global_pointer(), flags.global_pointer(), "{matching:?}");
             }
         }
+    }
+
+    #[test]
+    fn ring_feeds_only_idle_right_neighbours_and_wraps() {
+        // Busy PEs 1 and 3; only PE 0 is idle. PE 1's right neighbour holds
+        // a node, so the one pair is the wrap 3 -> 0, where rendezvous
+        // would have paired 1 -> 0.
+        let busy = [I, B, I, B];
+        let idle = [B, I, I, I];
+        let pairs = MatchState::new(Matching::Ring).match_round(&busy, &idle);
+        assert_eq!(pairs, vec![Pair { donor: 3, receiver: 0 }]);
+        let pairs = MatchState::new(Matching::Ngp).match_round(&busy, &idle);
+        assert_eq!(pairs, vec![Pair { donor: 1, receiver: 0 }]);
+        // A one-PE ring has no neighbour to feed.
+        assert!(MatchState::new(Matching::Ring).match_round(&[B], &[B]).is_empty());
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn run_stacks<P: TreeProblem>(
                         &mut st.peak_stack_nodes,
                         receipts.as_deref_mut(),
                     );
-                    rounds = 1;
+                    rounds = u32::from(transfers > 0);
                 }
                 TransferMode::Multiple => loop {
                     refresh_flags(&pes, &mut busy_flags, &mut idle_flags);

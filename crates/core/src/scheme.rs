@@ -1,6 +1,8 @@
 //! The scheme taxonomy (Table 1 of the paper, extended with the Sec. 8
 //! related-work schemes).
 
+use uts_machine::{CostModel, Topology};
+
 /// How idle processors are paired with busy donors during a balancing
 /// phase (Sec. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,6 +14,10 @@ pub enum Matching {
     /// last donor of the previous phase, rotating the donation burden.
     /// **New in the paper.**
     Gp,
+    /// Ring nearest-neighbour (Frye & Myczkowski, Sec. 8): busy PE `i`
+    /// feeds PE `(i + 1) mod P` when that PE is idle. Every decision reads
+    /// the pre-round state, so a PE fed this round cannot donate in it.
+    Ring,
 }
 
 /// When a balancing phase is triggered (checked after every expansion
@@ -85,6 +91,7 @@ impl Scheme {
             "ngp-dp" => Ok(Scheme::ngp_dp()),
             "fess" => Ok(Scheme::fess()),
             "fegs" => Ok(Scheme::fegs()),
+            "ring-nn" => Ok(Scheme::ring_nn()),
             other => Err(format!("unknown scheme `{other}`")),
         }
     }
@@ -143,6 +150,32 @@ impl Scheme {
         }
     }
 
+    /// Ring nearest-neighbour (Frye & Myczkowski, Sec. 8): after every
+    /// cycle with an idle PE, each busy PE whose right ring neighbour is
+    /// idle donates one split, charged as a neighbour step
+    /// ([`Scheme::phase_cost_model`]).
+    pub fn ring_nn() -> Self {
+        Self {
+            matching: Matching::Ring,
+            trigger: Trigger::AnyIdle,
+            transfers: TransferMode::Single,
+        }
+    }
+
+    /// The cost model this scheme's balancing phases are charged under —
+    /// the one place a scheme changes the phase cost. Scan-based matching
+    /// pays the configured `t_lb`; a ring step only moves work to a
+    /// neighbour, so it costs `U_comm` with no setup scan, constant in `P`.
+    /// Expansion cycles and the interconnect a router models are unchanged.
+    pub fn phase_cost_model(&self, cost: CostModel) -> CostModel {
+        match self.matching {
+            Matching::Ngp | Matching::Gp => cost,
+            Matching::Ring => {
+                CostModel { topology: Topology::Cm2, lb_setup: 0, lb_transfer: cost.u_comm, ..cost }
+            }
+        }
+    }
+
     /// The six schemes of the paper's Table 1, with a generic static
     /// threshold `x`.
     pub fn table1(x: f64) -> [(&'static str, Scheme); 6] {
@@ -161,13 +194,15 @@ impl Scheme {
         let m = match self.matching {
             Matching::Ngp => "nGP",
             Matching::Gp => "GP",
+            Matching::Ring => "ring",
         };
         let t = match self.trigger {
             Trigger::Static { x } => format!("S^{x:.2}"),
             Trigger::Dp => "D^P".to_string(),
             Trigger::Dk => "D^K".to_string(),
-            Trigger::AnyIdle => match self.transfers {
-                TransferMode::Equalize => return "FEGS".to_string(),
+            Trigger::AnyIdle => match (self.matching, self.transfers) {
+                (_, TransferMode::Equalize) => return "FEGS".to_string(),
+                (Matching::Ring, _) => "NN".to_string(),
                 _ => return "FESS".to_string(),
             },
         };
@@ -204,6 +239,17 @@ mod tests {
         assert_eq!(Scheme::gp_dk().name(), "GP-D^K");
         assert_eq!(Scheme::fess().name(), "FESS");
         assert_eq!(Scheme::fegs().name(), "FEGS");
+        assert_eq!(Scheme::ring_nn().name(), "ring-NN");
+    }
+
+    #[test]
+    fn only_ring_matching_changes_the_phase_cost() {
+        let cost = CostModel::hypercube();
+        assert_eq!(Scheme::gp_dk().phase_cost_model(cost), cost);
+        assert_eq!(Scheme::fegs().phase_cost_model(cost), cost);
+        let ring = Scheme::ring_nn().phase_cost_model(cost);
+        assert_eq!(ring.lb_phase_cost(4096, 1), cost.u_comm);
+        assert_eq!((ring.u_calc, ring.u_comm), (cost.u_calc, cost.u_comm));
     }
 
     #[test]

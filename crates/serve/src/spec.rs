@@ -441,6 +441,29 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_nn_job_serves_the_direct_run_digest() {
+        let spec = JobSpec::parse(
+            r#"{"workload":{"kind":"synth","seed":4,"b_max":8,"depth_limit":6},"p":64,"scheme":"ring-nn"}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.config.scheme, Scheme::ring_nn());
+        let tree = GeometricTree { seed: 4, b_max: 8, depth_limit: 6 };
+        let direct = run_with(&tree, &EngineConfig::new(64, Scheme::ring_nn(), CostModel::cm2()));
+        assert!(direct.report.n_lb > 0, "the job must balance to exercise the ring");
+
+        // Served the way a slot runs it: parked at its first boundary,
+        // then resumed from the parked bytes.
+        let signal = PreemptSignal::new();
+        signal.raise();
+        let (out, park) = spec.run_slice(None, &signal).unwrap();
+        assert!(out.killed);
+        signal.clear();
+        let (served, _) = spec.run_slice(park.as_deref(), &signal).unwrap();
+        assert_eq!(outcome_digest(&served), outcome_digest(&direct));
+        assert_eq!(outcome_digest(&spec.oracle()), outcome_digest(&direct));
+    }
+
+    #[test]
     fn scramble_bound_resolution_is_deterministic() {
         let a = JobSpec::parse(r#"{"workload":{"kind":"scramble","seed":7,"walk":14},"p":32}"#)
             .unwrap();

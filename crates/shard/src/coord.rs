@@ -428,7 +428,11 @@ struct RemoteBackend<N> {
     router: RouterKind,
     /// The interconnect's link table, kept for the run.
     links: Links,
+    /// The configured cost model, which re-costs the measured route steps.
     cost: CostModel,
+    /// What the machine charged each phase
+    /// ([`uts_core::Scheme::phase_cost_model`]).
+    charged: CostModel,
     park: Option<ParkPolicy>,
     stats: ShardStats,
     /// The current balancing phase's rounds, messages and routes.
@@ -493,7 +497,9 @@ impl<N> RemoteBackend<N> {
     fn transfer_round<T>(&mut self, give: Give, reqs: &[T], req: impl Fn(&T) -> CountedMove) {
         self.moved.clear();
         self.moved.resize(reqs.len(), 0);
-        if self.err.is_none() {
+        // A ring round can find no pair; it is no round, on the wire or in
+        // the phase's provenance.
+        if self.err.is_none() && !reqs.is_empty() {
             self.rounds += 1;
             self.err = self.try_transfer_round(give, reqs, req).err();
         }
@@ -632,7 +638,7 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
                 rounds,
                 messages: self.messages,
                 route,
-                closed_form: self.cost.lb_phase_cost_breakdown(p, rounds),
+                closed_form: self.charged.lb_phase_cost_breakdown(p, rounds),
                 measured: self.cost.measured_lb_cost_breakdown(p, rounds, route.steps as u64),
             });
         }
@@ -714,6 +720,7 @@ fn run_generic<N: Clone + CkptNode>(
         router: RouterKind::for_cost(cfg.cost.topology, cfg.p),
         links: Links::default(),
         cost: cfg.cost,
+        charged: cfg.scheme.phase_cost_model(cfg.cost),
         park: opts.park.clone(),
         stats: ShardStats { shards: opts.shards, ..ShardStats::default() },
         rounds: 0,

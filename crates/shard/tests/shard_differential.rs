@@ -68,9 +68,13 @@ fn instrumented(p: usize, scheme: Scheme, cost: CostModel) -> EngineConfig {
 fn utsgen_matches_macro_engine() {
     let tree = GenTree::geometric(11, 8, 7);
     let workload = ShardWorkload::from(tree);
-    for scheme in [Scheme::gp_dk(), Scheme::ngp_dk(), Scheme::gp_dp(), Scheme::fegs()] {
+    // Ring-NN's wrap pair (PE 63 -> PE 0) crosses shards from 2 up.
+    for scheme in
+        [Scheme::gp_dk(), Scheme::ngp_dk(), Scheme::gp_dp(), Scheme::fegs(), Scheme::ring_nn()]
+    {
         let cfg = instrumented(64, scheme, CostModel::cm2());
         let want = run(&tree, &cfg);
+        let charged = &want.ledger.as_ref().expect("instrumented").phases;
         for shards in [1usize, 2, 4] {
             let got = run_sharded(&workload, &cfg, &opts(shards)).expect("sharded run");
             assert_eq!(
@@ -80,6 +84,12 @@ fn utsgen_matches_macro_engine() {
                 cfg.scheme.name()
             );
             assert_eq!(got.stats.shards, shards);
+            // One routed record per charged phase, its closed form the
+            // cost the ledger charged.
+            assert_eq!(got.stats.phases.len(), charged.len(), "{}", cfg.scheme.name());
+            for (routed, ph) in got.stats.phases.iter().zip(charged) {
+                assert_eq!(routed.closed_form, ph.cost, "{}", cfg.scheme.name());
+            }
         }
         println!("utsgen {} x shards {{1,2,4}}: bit-identical", cfg.scheme.name());
     }

@@ -6,7 +6,6 @@
 //! cargo run --release --example plot_speedup
 //! ```
 
-use simd_tree_search::core::nn::{run_nearest_neighbor, NnConfig};
 use simd_tree_search::prelude::*;
 use simd_tree_search::viz::{Chart, Scale, Series};
 
@@ -27,7 +26,11 @@ fn main() {
     chart.x_scale(Scale::Log2).y_scale(Scale::Log2);
 
     let bounded = tree::problem::BoundedProblem::new(&puzzle, bound);
-    for (name, scheme) in [("GP-D^K", Scheme::gp_dk()), ("nGP-S^0.90", Scheme::ngp_static(0.9))] {
+    for (name, scheme) in [
+        ("GP-D^K", Scheme::gp_dk()),
+        ("nGP-S^0.90", Scheme::ngp_static(0.9)),
+        ("ring-NN", Scheme::ring_nn()),
+    ] {
         let pts: Vec<(f64, f64)> = ps
             .iter()
             .map(|&p| {
@@ -38,15 +41,6 @@ fn main() {
             .collect();
         chart.add(Series::line(name, pts));
     }
-    let pts: Vec<(f64, f64)> = ps
-        .iter()
-        .map(|&p| {
-            let out = run_nearest_neighbor(&bounded, &NnConfig::new(p, CostModel::cm2()));
-            println!("{:>11} P={p:5}: speedup {:.1}", "ring-NN", out.report.speedup());
-            (p as f64, out.report.speedup())
-        })
-        .collect();
-    chart.add(Series::line("ring-NN", pts));
     // The ideal line for reference.
     chart.add(Series::line("ideal", ps.iter().map(|&p| (p as f64, p as f64)).collect()));
 

@@ -6,7 +6,6 @@
 //! ```
 
 use simd_tree_search::analysis::table::{fmt_e, TextTable};
-use simd_tree_search::core::nn::{run_nearest_neighbor, NnConfig};
 use simd_tree_search::prelude::*;
 
 fn main() {
@@ -40,6 +39,7 @@ fn main() {
         ("nGP-D^P".into(), Scheme::ngp_dp()),
         ("FESS".into(), Scheme::fess()),
         ("FEGS".into(), Scheme::fegs()),
+        ("ring-NN".into(), Scheme::ring_nn()),
     ];
     for (name, scheme) in schemes {
         let out = run(&bounded, &EngineConfig::new(p, scheme, CostModel::cm2()));
@@ -53,14 +53,5 @@ fn main() {
             format!("{:.1}", out.report.speedup()),
         ]);
     }
-    let nn = run_nearest_neighbor(&bounded, &NnConfig::new(p, CostModel::cm2()));
-    t.row(vec![
-        "ring-NN".into(),
-        nn.report.n_expand.to_string(),
-        nn.report.n_lb.to_string(),
-        nn.report.n_transfers.to_string(),
-        fmt_e(nn.report.efficiency),
-        format!("{:.1}", nn.report.speedup()),
-    ]);
     println!("{t}");
 }

@@ -133,6 +133,41 @@ proptest! {
         assert_kill_resume_identical(&tree, &cfg, kill.kill_at_step);
     }
 
+    /// Ring nearest-neighbour through kill→resume: killed at a random
+    /// boundary under one engine and resumed under another, it finishes
+    /// with the uninterrupted run's outcome and outcome digest.
+    #[test]
+    fn ring_nn_kill_resume_is_bit_identical_across_engines(
+        seed in 0u64..5000,
+        split in prop_oneof![
+            Just(SplitPolicy::Bottom),
+            Just(SplitPolicy::Half),
+            Just(SplitPolicy::Top),
+        ],
+        p_log in 0u32..8,
+        kill_engine in 0..EngineKind::ALL.len(),
+        resume_engine in 0..EngineKind::ALL.len(),
+        kill_seed in 0u64..1000,
+    ) {
+        let tree = GeometricTree { seed, b_max: 8, depth_limit: 5 };
+        let cfg = EngineConfig::new(1usize << p_log, Scheme::ring_nn(), CostModel::cm2())
+            .with_split(split)
+            .with_ledger();
+        let straight = run_with(&tree, &cfg);
+        let kill_cfg = cfg.clone().with_engine(EngineKind::ALL[kill_engine]);
+        let kill = FaultPlan::seeded(kill_seed, 40);
+        let (dead, snapshot) = kill_run(&tree, &kill_cfg, kill.kill_at_step);
+        let finished = match snapshot {
+            None => dead,
+            Some(bytes) => {
+                let resume_cfg = cfg.clone().with_engine(EngineKind::ALL[resume_engine]);
+                resume_from_bytes(&tree, &resume_cfg, &bytes).expect("snapshot decodes")
+            }
+        };
+        prop_assert_eq!(outcome_digest(&finished), outcome_digest(&straight));
+        prop_assert_eq!(finished, straight);
+    }
+
     /// Every snapshot a run produces decodes and re-encodes bit-exactly.
     #[test]
     fn snapshots_round_trip_bit_exactly(

@@ -79,8 +79,67 @@ fn assert_all_engines_identical<P: simd_tree_search::tree::TreeProblem>(
     }
 }
 
+/// The ledger is internally consistent with the schedule it annotates:
+/// its donation vector is the outcome's, receipts balance donations, the
+/// phase log's transfer totals match the machine's counter, every phase's
+/// cost attribution reassembles exactly, the phase costs times `P` sum to
+/// `T_lb`, and the phase count equals `N_lb`.
+fn assert_ledger_reconciles(name: &str, cfg: &EngineConfig, out: &Outcome) {
+    let ledger = out.ledger.as_ref().expect("ledger was requested");
+    assert_eq!(ledger.donations, out.donations, "{name}");
+    let received: u64 = ledger.receipts.iter().map(|&r| r as u64).sum();
+    assert_eq!(ledger.total_transfers(), received, "{name}: every transfer has a receiver");
+    assert_eq!(ledger.total_transfers(), out.report.n_transfers, "{name}");
+    assert_eq!(ledger.phases.len() as u64, out.report.n_lb, "{name}");
+    let phase_transfers: u64 = ledger.phases.iter().map(|ph| ph.transfers).sum();
+    assert_eq!(phase_transfers, out.report.n_transfers, "{name}");
+    let phase_cost_p: u64 = ledger.phases.iter().map(|ph| ph.cost.total * cfg.p as u64).sum();
+    assert_eq!(phase_cost_p, out.report.t_lb, "{name}: phase costs sum to T_lb");
+    for ph in &ledger.phases {
+        assert_eq!(
+            (ph.cost.setup + ph.cost.transfer) * ph.cost.multiplier as u64,
+            ph.cost.total,
+            "{name}: exact cost attribution"
+        );
+        assert!(ph.rounds > 0, "{name}: abandoned fires leave no record");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Ring nearest-neighbour on every engine and under every cost model:
+    /// the outcome is engine-invariant, each recorded phase is one
+    /// neighbour step of `U_comm` (times the Table 5 multiplier) whatever
+    /// the topology, a ring round that pairs nobody leaves no record, and
+    /// the ledger reassembles `T_lb`.
+    #[test]
+    fn ring_nn_identical_across_engines_with_a_reconciled_ledger(
+        seed in 0u64..5000,
+        split in arb_split(),
+        p_log in 0u32..9,
+        cost in prop_oneof![
+            Just(CostModel::cm2()),
+            Just(CostModel::hypercube()),
+            Just(CostModel::mesh().with_lb_multiplier(12)),
+        ],
+        max_cycles in prop_oneof![Just(None), (1u64..80).prop_map(Some)],
+    ) {
+        let tree = GeometricTree { seed, b_max: 8, depth_limit: 5 };
+        let mut cfg = EngineConfig::new(1usize << p_log, Scheme::ring_nn(), cost)
+            .with_split(split)
+            .with_trace()
+            .with_ledger();
+        cfg.max_cycles = max_cycles;
+        assert_all_engines_identical(&tree, &cfg);
+        let out = run(&tree, &cfg);
+        assert_ledger_reconciles("ring-NN", &cfg, &out);
+        let step = cost.u_comm * cost.lb_multiplier as u64;
+        for ph in &out.ledger.as_ref().expect("recorded").phases {
+            assert_eq!((ph.rounds, ph.cost.setup, ph.cost.total), (1, 0, step));
+            assert!(ph.transfers > 0);
+        }
+    }
 
     /// Random geometric trees (shape varied too) × schemes × splits ×
     /// machine sizes: every engine agrees outcome-for-outcome.
@@ -228,34 +287,12 @@ fn engines_identical_on_a_multimillion_node_generated_tree() {
     }
 }
 
-/// The ledger is internally consistent with the schedule it annotates:
-/// its donation vector is the outcome's, receipts balance donations, the
-/// phase log's transfer totals match the machine's counter, every phase's
-/// cost attribution reassembles exactly, and the phase count equals
-/// `N_lb`.
+/// [`assert_ledger_reconciles`] over every Table 1 scheme.
 #[test]
 fn ledger_reconciles_with_the_machine_accounting() {
     let tree = GeometricTree { seed: 17, b_max: 8, depth_limit: 6 };
     for (name, scheme) in Scheme::table1(0.8) {
         let cfg = EngineConfig::new(128, scheme, CostModel::cm2()).with_ledger();
-        let out = run(&tree, &cfg);
-        let ledger = out.ledger.as_ref().expect("ledger was requested");
-        assert_eq!(ledger.donations, out.donations, "{name}");
-        let received: u64 = ledger.receipts.iter().map(|&r| r as u64).sum();
-        assert_eq!(ledger.total_transfers(), received, "{name}: every transfer has a receiver");
-        assert_eq!(ledger.total_transfers(), out.report.n_transfers, "{name}");
-        assert_eq!(ledger.phases.len() as u64, out.report.n_lb, "{name}");
-        let phase_transfers: u64 = ledger.phases.iter().map(|ph| ph.transfers).sum();
-        assert_eq!(phase_transfers, out.report.n_transfers, "{name}");
-        let phase_cost_p: u64 = ledger.phases.iter().map(|ph| ph.cost.total * cfg.p as u64).sum();
-        assert_eq!(phase_cost_p, out.report.t_lb, "{name}: phase costs sum to T_lb");
-        for ph in &ledger.phases {
-            assert_eq!(
-                (ph.cost.setup + ph.cost.transfer) * ph.cost.multiplier as u64,
-                ph.cost.total,
-                "{name}: exact cost attribution"
-            );
-            assert!(ph.rounds > 0, "{name}: abandoned fires leave no record");
-        }
+        assert_ledger_reconciles(name, &cfg, &run(&tree, &cfg));
     }
 }

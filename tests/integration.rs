@@ -2,7 +2,6 @@
 //! end-to-end through the public facade API.
 
 use simd_tree_search::analysis;
-use simd_tree_search::core::nn::{run_nearest_neighbor, NnConfig};
 use simd_tree_search::mimd::{run_mimd, MimdConfig, StealPolicy};
 use simd_tree_search::prelude::*;
 use simd_tree_search::puzzle15::{scrambled, Puzzle15};
@@ -200,7 +199,7 @@ fn mimd_and_simd_search_the_same_space() {
     let simd = run(&tree, &EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2()));
     let mimd =
         run_mimd(&tree, &MimdConfig::new(128, StealPolicy::GlobalRoundRobin, CostModel::cm2()));
-    let nn = run_nearest_neighbor(&tree, &NnConfig::new(128, CostModel::cm2()));
+    let nn = run_with(&tree, &EngineConfig::new(128, Scheme::ring_nn(), CostModel::cm2()));
     assert_eq!(simd.report.nodes_expanded, w);
     assert_eq!(mimd.nodes_expanded, w);
     assert_eq!(nn.report.nodes_expanded, w);
