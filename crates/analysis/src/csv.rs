@@ -1,12 +1,10 @@
-//! Minimal CSV serialization for the harness outputs (samples, contours,
+//! Minimal CSV serialization for the harness outputs (samples and
 //! traces), so results can be re-plotted outside Rust. Hand-rolled — the
 //! data is numeric and the only quoting concern is commas in labels.
 
 use std::fmt::Write as _;
 
-use uts_machine::{Ledger, TriggerKind};
-
-use crate::contour::{ContourPoint, Sample};
+use crate::contour::Sample;
 
 /// Quote a field if it contains a comma, quote, or newline.
 pub fn escape_field(field: &str) -> String {
@@ -42,22 +40,6 @@ pub fn samples_csv(samples: &[Sample]) -> String {
     to_csv(&["p", "w", "efficiency"], &rows)
 }
 
-/// CSV for an equal-efficiency contour.
-pub fn contour_csv(e: f64, points: &[ContourPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{e:.2}"),
-                c.p.to_string(),
-                format!("{:.1}", c.p as f64 * (c.p as f64).log2()),
-                format!("{:.0}", c.w),
-            ]
-        })
-        .collect();
-    to_csv(&["efficiency", "p", "p_log2_p", "w"], &rows)
-}
-
 /// CSV for an active-processor trace (`A(t)` per cycle). Takes any
 /// per-cycle iterator so both plain slices and the machine's run-length
 /// encoded trace (via its `iter()`) can be rendered without materializing
@@ -66,79 +48,6 @@ pub fn trace_csv<I: IntoIterator<Item = u32>>(trace: I) -> String {
     let rows: Vec<Vec<String>> =
         trace.into_iter().enumerate().map(|(i, a)| vec![i.to_string(), a.to_string()]).collect();
     to_csv(&["cycle", "active"], &rows)
-}
-
-/// CSV of a ledger's per-PE donation and receipt counts — the raw data
-/// behind the donor histograms (GP's "spread the burden" claim, Sec. 2.2).
-pub fn ledger_pes_csv(ledger: &Ledger) -> String {
-    let rows: Vec<Vec<String>> = ledger
-        .donations
-        .iter()
-        .zip(&ledger.receipts)
-        .enumerate()
-        .map(|(pe, (&d, &r))| vec![pe.to_string(), d.to_string(), r.to_string()])
-        .collect();
-    to_csv(&["pe", "donations", "receipts"], &rows)
-}
-
-/// Stable text label for a trigger kind in CSV cells.
-fn trigger_field(kind: TriggerKind) -> String {
-    match kind {
-        TriggerKind::Init => "init".to_string(),
-        TriggerKind::Static { threshold } => format!("static<={threshold}"),
-        TriggerKind::Dp => "dp".to_string(),
-        TriggerKind::Dk => "dk".to_string(),
-        TriggerKind::AnyIdle => "any_idle".to_string(),
-    }
-}
-
-/// CSV of a ledger's per-phase provenance records: one row per balancing
-/// phase with the trigger operands at the firing cycle, the proved event
-/// horizon, and the exact setup/transfer/multiplier cost attribution.
-pub fn ledger_phases_csv(ledger: &Ledger) -> String {
-    let rows: Vec<Vec<String>> = ledger
-        .phases
-        .iter()
-        .map(|ph| {
-            vec![
-                ph.at_cycle.to_string(),
-                trigger_field(ph.firing.kind),
-                ph.firing.busy.to_string(),
-                ph.firing.idle.to_string(),
-                ph.firing.w.to_string(),
-                ph.firing.t.to_string(),
-                ph.firing.w_idle.to_string(),
-                ph.firing.l_estimate.to_string(),
-                ph.horizon.to_string(),
-                ph.rounds.to_string(),
-                ph.transfers.to_string(),
-                ph.cost.setup.to_string(),
-                ph.cost.transfer.to_string(),
-                ph.cost.multiplier.to_string(),
-                ph.cost.total.to_string(),
-            ]
-        })
-        .collect();
-    to_csv(
-        &[
-            "at_cycle",
-            "trigger",
-            "busy",
-            "idle",
-            "w_us",
-            "t_us",
-            "w_idle_us",
-            "l_estimate_us",
-            "horizon",
-            "rounds",
-            "transfers",
-            "cost_setup_us",
-            "cost_transfer_us",
-            "cost_multiplier",
-            "cost_total_us",
-        ],
-        &rows,
-    )
 }
 
 #[cfg(test)]
@@ -181,46 +90,5 @@ mod tests {
         let csv = trace_csv([8, 6, 3]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines, vec!["cycle,active", "0,8", "1,6", "2,3"]);
-    }
-
-    #[test]
-    fn contour_csv_has_plogp_column() {
-        let csv = contour_csv(0.65, &[ContourPoint { p: 1024, w: 72964.0 }]);
-        assert!(csv.contains("0.65,1024,10240.0,72964"));
-    }
-
-    #[test]
-    fn ledger_pes_csv_pairs_donations_with_receipts() {
-        let mut ledger = Ledger::new(3);
-        ledger.donations = vec![2, 0, 1];
-        ledger.receipts = vec![0, 3, 0];
-        let csv = ledger_pes_csv(&ledger);
-        let lines: Vec<&str> = csv.lines().map(str::trim_end).collect();
-        assert_eq!(lines, vec!["pe,donations,receipts", "0,2,0", "1,0,3", "2,1,0"]);
-    }
-
-    #[test]
-    fn ledger_phases_csv_renders_provenance() {
-        use uts_machine::{LbCostBreakdown, LbPhaseRecord, TriggerFiring};
-        let mut ledger = Ledger::new(2);
-        ledger.phases.push(LbPhaseRecord {
-            at_cycle: 7,
-            firing: TriggerFiring {
-                kind: TriggerKind::Static { threshold: 48 },
-                busy: 40,
-                idle: 20,
-                w: 100,
-                t: 140,
-                w_idle: 40,
-                l_estimate: 2000,
-            },
-            horizon: 3,
-            rounds: 1,
-            transfers: 20,
-            cost: LbCostBreakdown { setup: 500, transfer: 1500, multiplier: 1, total: 2000 },
-        });
-        let csv = ledger_phases_csv(&ledger);
-        assert!(csv.starts_with("at_cycle,trigger,busy,idle,"));
-        assert!(csv.contains("7,static<=48,40,20,100,140,40,2000,3,1,20,500,1500,1,2000"));
     }
 }

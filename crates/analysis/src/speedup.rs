@@ -67,17 +67,6 @@ pub fn scaled_speedups(samples: &[Sample]) -> Vec<(usize, f64)> {
     best.into_iter().collect()
 }
 
-/// Serial fraction implied by a measured speedup at `P` (Amdahl inversion:
-/// `f = (P/S - 1) / (P - 1)`). A diagnostic, not a model fit.
-///
-/// # Panics
-/// Panics if `p < 2` or `s <= 0`.
-pub fn implied_serial_fraction(p: usize, s: f64) -> f64 {
-    assert!(p >= 2, "Amdahl inversion needs P >= 2");
-    assert!(s > 0.0, "speedup must be positive");
-    (p as f64 / s - 1.0) / (p as f64 - 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,20 +115,5 @@ mod tests {
         ];
         let env = scaled_speedups(&samples);
         assert_eq!(env, vec![(64, 0.9), (128, 0.85)]);
-    }
-
-    #[test]
-    fn amdahl_inversion_sane() {
-        // Ideal speedup implies zero serial fraction.
-        assert!((implied_serial_fraction(128, 128.0)).abs() < 1e-12);
-        // S = P/2 at large P implies f ≈ 1/(P-1) · (P/S - 1) = 1/(P-1).
-        let f = implied_serial_fraction(1024, 512.0);
-        assert!(f > 0.0 && f < 0.01, "f = {f}");
-    }
-
-    #[test]
-    #[should_panic(expected = "P >= 2")]
-    fn amdahl_needs_parallel_machine() {
-        let _ = implied_serial_fraction(1, 1.0);
     }
 }

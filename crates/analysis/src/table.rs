@@ -70,19 +70,6 @@ pub fn fmt_e(e: f64) -> String {
     format!("{e:.2}")
 }
 
-/// Format a large count with thousands separators for readability.
-pub fn fmt_count(n: u64) -> String {
-    let s = n.to_string();
-    let mut out = String::with_capacity(s.len() + s.len() / 3);
-    for (i, ch) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
-            out.push(',');
-        }
-        out.push(ch);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +93,6 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn count_formatting() {
-        assert_eq!(fmt_count(0), "0");
-        assert_eq!(fmt_count(999), "999");
-        assert_eq!(fmt_count(1000), "1,000");
-        assert_eq!(fmt_count(16110463), "16,110,463");
     }
 
     #[test]

@@ -1,18 +1,22 @@
-//! Render a speedup chart with the built-in SVG plotting crate: GP-D^K vs
+//! Render a speedup chart with the harness's SVG module: GP-D^K vs
 //! nGP-S^0.9 vs ring nearest-neighbor across machine sizes, on one
 //! 15-puzzle workload. Writes `results/speedup.svg`.
 //!
 //! ```text
-//! cargo run --release --example plot_speedup
+//! cargo run --release -p uts-bench --example plot_speedup
 //! ```
 
-use simd_tree_search::prelude::*;
-use simd_tree_search::viz::{Chart, Scale, Series};
+use uts_bench::svg::{Chart, Scale, Series};
+use uts_core::{run, EngineConfig, Scheme};
+use uts_machine::CostModel;
+use uts_puzzle15::{scrambled, Puzzle15};
+use uts_tree::ida::ida_star;
+use uts_tree::problem::BoundedProblem;
 
 fn main() {
-    let instance = puzzle15::scrambled(23, 70);
-    let puzzle = puzzle15::Puzzle15::new(instance.board());
-    let ida = tree::ida::ida_star(&puzzle, 80);
+    let instance = scrambled(23, 70);
+    let puzzle = Puzzle15::new(instance.board());
+    let ida = ida_star(&puzzle, 80);
     let bound = ida.solution_cost.expect("solvable");
     let w = ida.final_iteration().expanded;
     println!("workload W = {w} (bound {bound})");
@@ -25,7 +29,7 @@ fn main() {
     );
     chart.x_scale(Scale::Log2).y_scale(Scale::Log2);
 
-    let bounded = tree::problem::BoundedProblem::new(&puzzle, bound);
+    let bounded = BoundedProblem::new(&puzzle, bound);
     for (name, scheme) in [
         ("GP-D^K", Scheme::gp_dk()),
         ("nGP-S^0.90", Scheme::ngp_static(0.9)),

@@ -1,8 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin ablation -- [split|topology|init|transfers|related|all] [--quick]
-//! ```
+//! Ablations of the design choices DESIGN.md calls out:
+//! `repro ablation [split|topology|init|transfers|related|fairness|all]`.
 //!
 //! * `split` — split-policy quality (bottom vs half vs top): the paper's
 //!   alpha-splitting assumption in practice (Sec. 3 and Sec. 8's remark
@@ -22,55 +19,26 @@
 
 use uts_analysis::counter_stats;
 use uts_analysis::table::{fmt_e, TextTable};
-use uts_bench::parse_quick;
-use uts_bench::runner::{PAPER_P, QUICK_P};
+use uts_bench::runner::machine_p;
 use uts_bench::workloads::{run_workload, table_workloads, PaperWorkload};
 use uts_core::{run, EngineConfig, Scheme, TransferMode};
 use uts_machine::CostModel;
 use uts_tree::problem::BoundedProblem;
 use uts_tree::SplitPolicy;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, quick) = parse_quick(&args);
-    let which = rest.first().map(String::as_str).unwrap_or("all");
-    match which {
-        "split" => split(quick),
-        "topology" => topology(quick),
-        "init" => init(quick),
-        "transfers" => transfers(quick),
-        "related" => related(quick),
-        "fairness" => fairness(quick),
-        "all" => {
-            split(quick);
-            topology(quick);
-            init(quick);
-            transfers(quick);
-            related(quick);
-            fairness(quick);
-        }
-        other => {
-            eprintln!("unknown ablation `{other}`");
-            std::process::exit(2);
-        }
-    }
-}
+use crate::Part;
+
+pub const PARTS: &[Part] = &[
+    ("split", split),
+    ("topology", topology),
+    ("init", init),
+    ("transfers", transfers),
+    ("related", related),
+    ("fairness", fairness),
+];
 
 fn workload(quick: bool) -> PaperWorkload {
-    let mut wl = table_workloads()[1]; // W ≈ 3.04M
-    if quick {
-        wl.bound -= 4;
-        wl.w = 0;
-    }
-    wl
-}
-
-fn machine_p(quick: bool) -> usize {
-    if quick {
-        QUICK_P
-    } else {
-        PAPER_P
-    }
+    table_workloads()[1].scaled(quick) // W ≈ 3.04M
 }
 
 fn split(quick: bool) {

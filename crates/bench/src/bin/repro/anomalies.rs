@@ -4,30 +4,22 @@
 //! ("the number of nodes expanded by the serial and the parallel search is
 //! the same", Sec. 5), citing Rao & Kumar (ref. 33) for the first-solution
 //! regime where parallel DFS can expand *fewer* nodes than serial DFS
-//! (superlinear speedup) or *more* (deceleration). This binary measures
-//! that regime on the same engine by flipping `stop_on_goal`:
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin anomalies -- [--quick]
-//! ```
-//!
-//! For each instance it reports the anomaly ratio
+//! (superlinear speedup) or *more* (deceleration). This section measures
+//! that regime on the same engine by flipping `stop_on_goal`
+//! (`repro anomalies`). For each instance it reports the anomaly ratio
 //! `η = W_par(first solution) / W_serial(first solution)`; η < 1 is an
 //! acceleration anomaly, η > 1 a deceleration anomaly. Exhaustive search
 //! (the paper's setting) always has η = 1 — verified in the last column.
 
 use uts_analysis::table::TextTable;
-use uts_bench::parse_quick;
-use uts_core::{run, EngineConfig, Scheme};
+use uts_core::{EngineConfig, Scheme};
 use uts_machine::CostModel;
 use uts_puzzle15::{scrambled, Puzzle15};
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
 use uts_tree::{serial_dfs, serial_dfs_first_goal};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, quick) = parse_quick(&args);
+pub fn run(quick: bool) {
     let p = if quick { 64 } else { 1024 };
     let seeds: &[u64] = if quick { &[23, 31] } else { &[23, 31, 37, 41, 47, 53] };
     println!(
@@ -49,11 +41,11 @@ fn main() {
         let serial_first = serial_dfs_first_goal(&bp);
         let mut cfg = EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2());
         cfg.stop_on_goal = true;
-        let par_first = run(&bp, &cfg);
+        let par_first = uts_core::run(&bp, &cfg);
 
         // Exhaustive control: both sides expand all of W.
         let serial_full = serial_dfs(&bp);
-        let par_full = run(&bp, &EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2()));
+        let par_full = uts_core::run(&bp, &EngineConfig::new(p, Scheme::gp_dk(), CostModel::cm2()));
 
         let eta = par_first.report.nodes_expanded as f64 / serial_first.expanded as f64;
         let eta_full = par_full.report.nodes_expanded as f64 / serial_full.expanded as f64;

@@ -1,9 +1,5 @@
 //! Empirical study of the Appendix A/B transfer bounds and the
-//! alpha-splitting model.
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin bounds -- [--quick]
-//! ```
+//! alpha-splitting model: `repro bounds`.
 //!
 //! Appendix A bounds the number of balancing phases by
 //! `V(P) · log_{1/(1-α)} W`, where α is the splitting quality: every split
@@ -18,36 +14,27 @@
 //!
 //! The alpha-splitting model predicts this implied α is a property of the
 //! *splitter* (bottom-of-stack donation on this workload), roughly
-//! constant across W and x. This binary measures it, then re-checks the
+//! constant across W and x. This section measures it, then re-checks the
 //! Appendix A bound for every run at the most conservative implied α.
 
 use uts_analysis::table::TextTable;
 use uts_analysis::{total_transfer_bound, v_gp, v_ngp};
-use uts_bench::parse_quick;
-use uts_bench::runner::{PAPER_P, QUICK_P};
+use uts_bench::runner::machine_p;
 use uts_bench::workloads::{run_workload, table_workloads};
 use uts_core::Scheme;
 use uts_machine::CostModel;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, quick) = parse_quick(&args);
-    let p = if quick { QUICK_P } else { PAPER_P };
-    let mut workloads = table_workloads().to_vec();
-    if quick {
-        for wl in &mut workloads {
-            wl.bound -= 4;
-            wl.w = 0;
-        }
-        workloads.truncate(2);
-    }
+pub fn run(quick: bool) {
+    let p = machine_p(quick);
+    let workloads = table_workloads().map(|wl| wl.scaled(quick));
+    let workloads = if quick { &workloads[..2] } else { &workloads[..] };
 
     // Pass 1: infer alpha from the GP runs (V(P) is exact for GP).
     println!("== Appendix A/B: the alpha-splitting model, measured ==\n");
     println!("-- implied splitting quality alpha (GP-S^x runs; V(P) = ceil(1/(1-x))) --");
     let mut t = TextTable::new(vec!["W", "x", "Nlb", "implied alpha"]);
     let mut alphas = Vec::new();
-    for wl in &workloads {
+    for wl in workloads {
         for &x in &[0.6, 0.8, 0.9] {
             let out = run_workload(wl, Scheme::gp_static(x), p, CostModel::cm2(), false);
             let w = out.report.nodes_expanded as f64;
@@ -81,7 +68,7 @@ fn main() {
     println!("\n-- Appendix A bound check at alpha = {alpha:.3} (most conservative) --");
     let mut t = TextTable::new(vec!["W", "scheme", "x", "Nlb", "bound", "ratio"]);
     let mut worst: f64 = 0.0;
-    for wl in &workloads {
+    for wl in workloads {
         for &x in &[0.6, 0.8, 0.9] {
             for (name, scheme, is_gp) in
                 [("GP", Scheme::gp_static(x), true), ("nGP", Scheme::ngp_static(x), false)]

@@ -1,66 +1,28 @@
-//! Regenerate the paper's data figures.
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin figures -- [fig3|fig4|fig7|fig8|all] [--quick]
-//! ```
+//! The paper's data figures: `repro figures [fig3|fig4|fig7|fig8|all]`.
 //!
 //! Output is CSV-ish series data (one block per curve) plus the summary
 //! statistics that make the figures' qualitative claims checkable without
-//! plotting. (Figs. 1, 2, 5, 6 are illustrative diagrams with no measured
-//! data; Fig. 2's matching example lives in `uts-core` unit tests.)
-
-use std::time::Instant;
+//! plotting; each figure is also written under `results/` as SVG (and its
+//! raw series as CSV). Figs. 1, 2, 5, 6 are illustrative diagrams with no
+//! measured data; Fig. 2's matching example lives in `uts-core` unit tests.
 
 use uts_analysis::table::TextTable;
-use uts_bench::runner::{PAPER_P, QUICK_P};
-use uts_bench::workloads::{run_workload, table5_workload, table_workloads, PaperWorkload};
-use uts_bench::{parse_quick, sweep};
+use uts_bench::runner::machine_p;
+use uts_bench::svg::{Chart, Scale, Series};
+use uts_bench::sweep;
+use uts_bench::workloads::{run_workload, table5_workload, table_workloads};
 use uts_core::Scheme;
 use uts_machine::CostModel;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, quick) = parse_quick(&args);
-    let which = rest.first().map(String::as_str).unwrap_or("all");
-    let t0 = Instant::now();
-    match which {
-        "fig3" => fig3(quick),
-        "fig4" => fig4(quick, &calibration(quick)),
-        "fig7" => fig7(quick, &calibration(quick)),
-        "fig8" => fig8(quick),
-        "all" => {
-            // Figs. 4 and 7 sweep the identical (P, W) grid; calibrate the
-            // synthetic trees (serial-DFS-measured W) once and share.
-            let cal = calibration(quick);
-            fig3(quick);
-            fig4(quick, &cal);
-            fig7(quick, &cal);
-            fig8(quick);
-        }
-        other => {
-            eprintln!("unknown figure `{other}` (expected fig3, fig4, fig7, fig8 or all)");
-            std::process::exit(2);
-        }
-    }
-    eprintln!("[done in {:?}]", t0.elapsed());
-}
+use crate::{calibration, Part};
 
-fn workloads(quick: bool) -> Vec<PaperWorkload> {
-    let mut w = table_workloads().to_vec();
-    if quick {
-        for wl in &mut w {
-            wl.bound -= 4;
-            wl.w = 0;
-        }
-    }
-    w
-}
+pub const PARTS: &[Part] = &[("fig3", fig3), ("fig4", fig4), ("fig7", fig7), ("fig8", fig8)];
 
 /// Fig. 3: difference in the number of balancing phases (nGP − GP) vs the
 /// static threshold x, one series per workload.
 fn fig3(quick: bool) {
     println!("== Fig. 3: N_lb(nGP) - N_lb(GP) vs static threshold x ==\n");
-    let p = if quick { QUICK_P } else { PAPER_P };
+    let p = machine_p(quick);
     let xs = [0.50, 0.60, 0.70, 0.80, 0.90, 0.95];
     let cost = CostModel::cm2();
     let mut header = vec!["W".to_string()];
@@ -68,7 +30,7 @@ fn fig3(quick: bool) {
     let mut t = TextTable::new(header);
     let mut peak_positions = Vec::new();
     let mut all_series: Vec<Vec<(f64, f64)>> = Vec::new();
-    let wls = workloads(quick);
+    let wls = table_workloads().map(|wl| wl.scaled(quick));
     for wl in &wls {
         let mut row = vec![if wl.w > 0 { wl.w.to_string() } else { "quick".into() }];
         let mut diffs = Vec::new();
@@ -101,14 +63,14 @@ fn fig3(quick: bool) {
     );
     println!("\n{t}");
     // Render the figure itself.
-    let mut chart = uts_viz::Chart::new(
+    let mut chart = Chart::new(
         "Fig. 3: N_lb(nGP) - N_lb(GP) vs static threshold x",
         "static threshold x",
         "difference in balancing phases",
     );
     for (series, wl) in all_series.into_iter().zip(&wls) {
         let label = if wl.w > 0 { format!("W = {}", wl.w) } else { "quick".to_string() };
-        chart.add(uts_viz::Series::line(label, series));
+        chart.add(Series::line(label, series));
     }
     write_svg("results/fig3.svg", &chart);
 }
@@ -131,29 +93,14 @@ const FIG7_SCHEMES: [SchemeEntry; 4] = [
     ("nGP-D^P", Scheme::ngp_dp),
 ];
 
-/// A calibrated (P, W) sweep grid: machine-size ladder plus synthetic
-/// trees whose serial W was measured once, up front. Figs. 4 and 7 share
-/// one of these so no tree is ever calibrated (or its serial W
-/// re-measured) twice.
-struct Calibration {
-    grid: sweep::SweepGrid,
-    trees: Vec<uts_synth::SizedTree>,
-}
-
-fn calibration(quick: bool) -> Calibration {
-    let grid = if quick { sweep::SweepGrid::quick() } else { sweep::SweepGrid::full() };
-    let trees = sweep::calibrated_trees(&grid);
-    Calibration { grid, trees }
-}
-
 /// Figs. 4 & 7 share the same machinery: sweep (P, W), extract
 /// equal-efficiency contours, print W against P log2 P plus a power-law
 /// exponent (1.0 = the O(P log P) shape of Fig. 4a).
-fn iso_figure(title: &str, schemes: &[SchemeEntry], quick: bool, cal: &Calibration) {
+fn iso_figure(title: &str, schemes: &[SchemeEntry], quick: bool) {
     println!("== {title} ==\n");
-    let mut chart = uts_viz::Chart::new(title, "P log2 P", "W (equal-efficiency contours)");
-    chart.x_scale(uts_viz::Scale::Log10).y_scale(uts_viz::Scale::Log10);
-    let Calibration { grid, trees } = cal;
+    let mut chart = Chart::new(title, "P log2 P", "W (equal-efficiency contours)");
+    chart.x_scale(Scale::Log10).y_scale(Scale::Log10);
+    let crate::Calibration { grid, trees } = calibration(quick);
     println!(
         "grid: P = {:?}, tree sizes = {:?}\n",
         grid.ps,
@@ -187,7 +134,7 @@ fn iso_figure(title: &str, schemes: &[SchemeEntry], quick: bool, cal: &Calibrati
                 pts.join(" "),
                 c.exponent.unwrap()
             );
-            chart.add(uts_viz::Series::line(
+            chart.add(Series::line(
                 format!("{name} E={:.2}", c.e),
                 c.points.iter().map(|pt| (plogp(pt.p), pt.w)).collect(),
             ));
@@ -203,7 +150,7 @@ fn iso_figure(title: &str, schemes: &[SchemeEntry], quick: bool, cal: &Calibrati
 
 /// Write a chart to disk, reporting the path (errors are non-fatal: the
 /// textual output above is the primary artifact).
-fn write_svg(path: &str, chart: &uts_viz::Chart) {
+fn write_svg(path: &str, chart: &Chart) {
     std::fs::create_dir_all("results").ok();
     match std::fs::write(path, chart.render()) {
         Ok(()) => println!("  [figure written to {path}]"),
@@ -223,21 +170,19 @@ fn yn(ok: bool) -> &'static str {
     }
 }
 
-fn fig4(quick: bool, cal: &Calibration) {
+fn fig4(quick: bool) {
     iso_figure(
         "Fig. 4: experimental isoefficiency curves, static triggering",
         &FIG4_SCHEMES,
         quick,
-        cal,
     );
 }
 
-fn fig7(quick: bool, cal: &Calibration) {
+fn fig7(quick: bool) {
     iso_figure(
         "Fig. 7: experimental isoefficiency curves, dynamic triggering",
         &FIG7_SCHEMES,
         quick,
-        cal,
     );
 }
 
@@ -245,14 +190,10 @@ fn fig7(quick: bool, cal: &Calibration) {
 /// the actual and 16× balancing cost.
 fn fig8(quick: bool) {
     println!("== Fig. 8: A(t) traces, GP-D^P vs GP-D^K, 1x and 16x t_lb ==\n");
-    let p = if quick { QUICK_P } else { PAPER_P };
-    let mut wl = table5_workload();
-    if quick {
-        wl.bound -= 4;
-        wl.w = 0;
-    }
+    let p = machine_p(quick);
+    let wl = table5_workload().scaled(quick);
     for (mult, label) in [(1u32, "actual cost"), (16, "16x cost")] {
-        let mut chart = uts_viz::Chart::new(
+        let mut chart = Chart::new(
             format!("Fig. 8: active processors per cycle ({label})"),
             "node expansion cycle",
             "active processors",
@@ -290,7 +231,7 @@ fn fig8(quick: bool) {
                 pts.push((start as f64, a as f64));
                 pts.push(((start + n - 1) as f64, a as f64));
             }
-            chart.add(uts_viz::Series::line(name, pts));
+            chart.add(Series::line(name, pts));
         }
         write_svg(&format!("results/fig8_{mult}x.svg"), &chart);
         println!();

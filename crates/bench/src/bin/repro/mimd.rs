@@ -1,9 +1,6 @@
 //! SIMD vs MIMD scalability comparison (the paper's Sec. 9 claim: the SIMD
-//! schemes scale no worse than the best MIMD work-stealing schemes).
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin mimd -- [compare|iso] [--quick]
-//! ```
+//! schemes scale no worse than the best MIMD work-stealing schemes):
+//! `repro mimd [compare|iso|all]`.
 //!
 //! * `compare` — efficiency side by side on the same trees and machine
 //!   sizes;
@@ -12,24 +9,14 @@
 
 use uts_analysis::table::{fmt_e, TextTable};
 use uts_analysis::Sample;
-use uts_bench::{parse_quick, sweep};
+use uts_bench::sweep;
 use uts_core::{run, EngineConfig, Scheme};
 use uts_machine::CostModel;
 use uts_mimd::{run_mimd, MimdConfig, StealPolicy};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, quick) = parse_quick(&args);
-    let which = rest.first().map(String::as_str).unwrap_or("compare");
-    match which {
-        "compare" => compare(quick),
-        "iso" => iso(quick),
-        other => {
-            eprintln!("unknown mode `{other}` (expected compare or iso)");
-            std::process::exit(2);
-        }
-    }
-}
+use crate::{calibration, Part};
+
+pub const PARTS: &[Part] = &[("compare", compare), ("iso", iso)];
 
 /// The MIMD policies compared (paper Sec. 9's "best MIMD schemes").
 const POLICIES: [StealPolicy; 3] =
@@ -37,8 +24,7 @@ const POLICIES: [StealPolicy; 3] =
 
 fn compare(quick: bool) {
     println!("== SIMD (GP-D^K, GP-S^0.9) vs MIMD work stealing, same trees ==\n");
-    let grid = if quick { sweep::SweepGrid::quick() } else { sweep::SweepGrid::full() };
-    let trees = sweep::calibrated_trees(&grid);
+    let crate::Calibration { grid, trees } = calibration(quick);
     let cost = CostModel::cm2();
     let mut t = TextTable::new(vec![
         "P".to_string(),
@@ -50,7 +36,7 @@ fn compare(quick: bool) {
         "MIMD RP".to_string(),
     ]);
     for &p in &grid.ps {
-        for st in &trees {
+        for st in trees {
             let dk = run(&st.tree, &EngineConfig::new(p, Scheme::gp_dk(), cost));
             let s9 = run(&st.tree, &EngineConfig::new(p, Scheme::gp_static(0.9), cost));
             let mut row = vec![
@@ -75,8 +61,7 @@ fn compare(quick: bool) {
 
 fn iso(quick: bool) {
     println!("== Isoefficiency exponents: SIMD vs MIMD ==\n");
-    let grid = if quick { sweep::SweepGrid::quick() } else { sweep::SweepGrid::full() };
-    let trees = sweep::calibrated_trees(&grid);
+    let crate::Calibration { grid, trees } = calibration(quick);
     let cost = CostModel::cm2();
     let levels = if quick { vec![0.45, 0.60] } else { vec![0.55, 0.65, 0.75] };
 
@@ -84,14 +69,14 @@ fn iso(quick: bool) {
     for (name, scheme) in
         [("SIMD GP-D^K", Scheme::gp_dk()), ("SIMD GP-S^0.9", Scheme::gp_static(0.9))]
     {
-        let samples = sweep::sweep_scheme(scheme, &grid, &trees, cost);
+        let samples = sweep::sweep_scheme(scheme, grid, trees, cost);
         print_curves(name, &sweep::iso_curves(&samples, &levels));
     }
     // MIMD series.
     for policy in POLICIES {
         let mut samples = Vec::new();
         for &p in &grid.ps {
-            for st in &trees {
+            for st in trees {
                 let m = run_mimd(&st.tree, &MimdConfig::new(p, policy, cost));
                 samples.push(Sample { p, w: st.w, e: m.efficiency });
             }

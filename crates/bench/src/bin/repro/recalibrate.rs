@@ -1,8 +1,9 @@
-//! Regenerate the hard-coded paper workload calibration (see bench lib docs).
+//! Regenerate the hard-coded paper workload calibration
+//! (`uts_bench::workloads`): `repro recalibrate`.
 use std::time::Instant;
 use uts_puzzle15::calibrate::{calibration_pool, find_workload, PAPER_TARGETS};
 
-fn main() {
+pub fn run(_quick: bool) {
     let pool = calibration_pool(24);
     for target in PAPER_TARGETS {
         let t0 = Instant::now();

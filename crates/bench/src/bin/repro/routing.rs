@@ -1,9 +1,5 @@
 //! Validate the Sec. 3.3 interconnect cost models by *routing* the
-//! matching traffic instead of assuming the formulas.
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin routing -- [--quick]
-//! ```
+//! matching traffic instead of assuming the formulas: `repro routing`.
 //!
 //! For each machine size we generate rendezvous matchings (the exact
 //! traffic a balancing phase ships), route them on a simulated hypercube
@@ -12,16 +8,13 @@
 //! `uts-machine`'s cost models (and Table 6) assume.
 
 use uts_analysis::table::TextTable;
-use uts_bench::parse_quick;
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
 use uts_net::{route_with, scan_depth, Links, Message, Router};
 use uts_scan::rendezvous_match_from;
 use uts_synth::splitmix64;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, quick) = parse_quick(&args);
+pub fn run(quick: bool) {
     let dims: Vec<u32> = if quick { vec![6, 8, 10] } else { vec![6, 8, 10, 12, 13] };
     println!(
         "== Routed balancing-phase traffic vs the Sec. 3.3 cost models ==\n\

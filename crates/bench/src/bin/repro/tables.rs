@@ -1,8 +1,4 @@
-//! Regenerate the paper's tables.
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin tables -- [table1|table2|table3|table4|table5|table6|ledger|all] [--quick]
-//! ```
+//! The paper's tables: `repro tables [table1..table6|ledger|all]`.
 //!
 //! Each table prints the measured values in the paper's layout, followed by
 //! a paper-vs-measured efficiency comparison where the paper reports one.
@@ -10,54 +6,40 @@
 //! directly — GP vs nGP donation spread on a Table-2 workload, followed by
 //! the full JSON run-report (`uts_core::run_report_json`) of the GP run.
 
-use std::time::Instant;
-
 use uts_analysis::table::{fmt_e, TextTable};
 use uts_analysis::{isoeff_table, optimal_static_trigger, TriggerParams};
-use uts_bench::runner::{measure, Cell, PAPER_P, QUICK_P, TABLE2_XS};
+use uts_bench::runner::{machine_p, measure, Cell, TABLE2_XS};
+use uts_bench::sweep;
 use uts_bench::workloads::{
-    quick_workloads, run_workload_ledger, table5_workload, table_workloads, PaperWorkload,
+    quick_workloads, run_workload, run_workload_ledger, table5_workload, table_workloads,
+    PaperWorkload,
 };
-use uts_bench::{parse_quick, sweep};
 use uts_core::Scheme;
 use uts_machine::CostModel;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, quick) = parse_quick(&args);
-    let which = rest.first().map(String::as_str).unwrap_or("all");
-    let p = if quick { QUICK_P } else { PAPER_P };
-    let workloads: Vec<PaperWorkload> =
-        if quick { quick_workloads().to_vec() } else { table_workloads().to_vec() };
+use crate::{calibration, Part};
 
-    let t0 = Instant::now();
-    match which {
-        "table1" => table1(),
-        "table2" => table2(&workloads, p),
-        "table3" => table3(&workloads, p),
-        "table4" => table4(&workloads, p),
-        "table5" => table5(p, quick),
-        "table6" => table6(quick),
-        "ledger" => ledger_report(&workloads, p),
-        "all" => {
-            table1();
-            table2(&workloads, p);
-            table3(&workloads, p);
-            table4(&workloads, p);
-            table5(p, quick);
-            table6(quick);
-            ledger_report(&workloads, p);
-        }
-        other => {
-            eprintln!("unknown table `{other}` (expected table1..table6, ledger, or all)");
-            std::process::exit(2);
-        }
+pub const PARTS: &[Part] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("ledger", ledger_report),
+];
+
+/// The four Table 2–4 workloads, or their quick-mode stand-ins.
+fn workloads(quick: bool) -> [PaperWorkload; 4] {
+    if quick {
+        quick_workloads()
+    } else {
+        table_workloads()
     }
-    eprintln!("[done in {:?}]", t0.elapsed());
 }
 
 /// Table 1: the scheme taxonomy.
-fn table1() {
+fn table1(_quick: bool) {
     println!("== Table 1: the studied load-balancing schemes ==\n");
     let mut t = TextTable::new(vec!["Name", "Matching", "Trigger", "Transfers/phase"]);
     for (name, s) in Scheme::table1(0.0) {
@@ -92,7 +74,8 @@ const PAPER_TABLE2_E: [[(f64, f64); 5]; 4] = [
 const PAPER_TABLE2_XO: [f64; 4] = [0.82, 0.89, 0.92, 0.95];
 
 /// Table 2: static triggering, nGP vs GP across x and W.
-fn table2(workloads: &[PaperWorkload], p: usize) {
+fn table2(quick: bool) {
+    let (workloads, p) = (workloads(quick), machine_p(quick));
     println!(
         "== Table 2: static triggering on {p} simulated CM-2 processors ==\n\
          (each W block: Nexpand / Nlb / E for nGP and GP at each x; last col = analytic x_o)\n"
@@ -114,7 +97,7 @@ fn table2(workloads: &[PaperWorkload], p: usize) {
             let gp = measure(wl, Scheme::gp_static(x), p, cost);
             cells.push((ngp, gp));
         }
-        let w_meas = run_w(wl, &cells);
+        let w_meas = known_w(wl);
         let xo = optimal_static_trigger(&TriggerParams::new(w_meas, p, cost.lb_ratio(p)));
         let mut row1 = vec![w_meas.to_string(), "Nexpand".to_string()];
         let mut row2 = vec![String::new(), "Nlb".to_string()];
@@ -146,7 +129,8 @@ fn table2(workloads: &[PaperWorkload], p: usize) {
 }
 
 /// Table 3: efficiencies at x around the analytic optimum.
-fn table3(workloads: &[PaperWorkload], p: usize) {
+fn table3(quick: bool) {
+    let (workloads, p) = (workloads(quick), machine_p(quick));
     println!("== Table 3: GP-S^x efficiency around the analytic optimal trigger ==\n");
     let cost = CostModel::cm2();
     let offsets = [-0.03, -0.02, -0.01, 0.0, 0.01, 0.02, 0.03];
@@ -154,9 +138,8 @@ fn table3(workloads: &[PaperWorkload], p: usize) {
     header.extend(offsets.iter().map(|o| format!("x_o{o:+.2}")));
     header.push("argmax".to_string());
     let mut t = TextTable::new(header);
-    for wl in workloads {
-        // Use the workload's W estimate (measured when known, else probe).
-        let w_est = if wl.w > 0 { wl.w } else { probe_w(wl, p) };
+    for wl in &workloads {
+        let w_est = known_w(wl);
         let xo = optimal_static_trigger(&TriggerParams::new(w_est, p, cost.lb_ratio(p)));
         let mut row = vec![w_est.to_string()];
         let mut best = (0.0f64, 0.0f64);
@@ -188,7 +171,8 @@ const PAPER_TABLE4_E: [[f64; 4]; 4] = [
 ];
 
 /// Table 4: dynamic triggering.
-fn table4(workloads: &[PaperWorkload], p: usize) {
+fn table4(quick: bool) {
+    let (workloads, p) = (workloads(quick), machine_p(quick));
     println!(
         "== Table 4: dynamic triggering on {p} simulated CM-2 processors ==\n\
          (Nexpand / *Nlb (work transfers) / E)\n"
@@ -206,7 +190,7 @@ fn table4(workloads: &[PaperWorkload], p: usize) {
     let mut comparison = Vec::new();
     for (wi, wl) in workloads.iter().enumerate() {
         let cells: Vec<Cell> = schemes.iter().map(|(_, s)| measure(wl, *s, p, cost)).collect();
-        let w_meas = if wl.w > 0 { wl.w } else { probe_w(wl, p) };
+        let w_meas = known_w(wl);
         t.row(
             std::iter::once(w_meas.to_string())
                 .chain(std::iter::once("Nexpand".to_string()))
@@ -245,15 +229,12 @@ fn table4(workloads: &[PaperWorkload], p: usize) {
 const PAPER_TABLE5_E: [[f64; 3]; 3] = [[0.69, 0.71, 0.72], [0.26, 0.32, 0.34], [0.20, 0.28, 0.31]];
 
 /// Table 5: raising the balancing cost (GP matching, W ≈ 2.07M).
-fn table5(p: usize, quick: bool) {
+fn table5(quick: bool) {
     println!("== Table 5: GP matching under higher load-balancing costs (W ≈ 2.07M) ==\n");
-    let mut wl = table5_workload();
-    if quick {
-        wl.bound -= 4;
-        wl.w = 0;
-    }
+    let p = machine_p(quick);
+    let wl = table5_workload().scaled(quick);
     let cost0 = CostModel::cm2();
-    let w_est = if wl.w > 0 { wl.w } else { probe_w(&wl, p) };
+    let w_est = known_w(&wl);
     let mut t = TextTable::new(vec![
         "cost".to_string(),
         "metric".to_string(),
@@ -319,13 +300,12 @@ fn table6(quick: bool) {
 
     // Measured check on the CM-2 rows: exponent of W against P log2 P along
     // an equal-E contour should be ≈ 1 for GP and larger for nGP at x=0.9.
-    let grid = if quick { sweep::SweepGrid::quick() } else { sweep::SweepGrid::full() };
-    let trees = sweep::calibrated_trees(&grid);
+    let cal = calibration(quick);
     let levels = [0.45, 0.55, 0.65];
     for (name, scheme) in
         [("GP-S^0.90", Scheme::gp_static(0.9)), ("nGP-S^0.90", Scheme::ngp_static(0.9))]
     {
-        let samples = sweep::sweep_scheme(scheme, &grid, &trees, CostModel::cm2());
+        let samples = sweep::sweep_scheme(scheme, &cal.grid, &cal.trees, CostModel::cm2());
         let curves = sweep::iso_curves(&samples, &levels);
         for c in curves {
             if let Some(b) = c.exponent {
@@ -344,7 +324,8 @@ fn table6(quick: bool) {
 /// `n` or `n+1` donations (max/mean ≤ 2) where nGP's fixed enumeration
 /// piles the burden onto low-index PEs; the full JSON run-report of the
 /// GP run (per-phase trigger provenance included) follows the table.
-fn ledger_report(workloads: &[PaperWorkload], p: usize) {
+fn ledger_report(quick: bool) {
+    let (workloads, p) = (workloads(quick), machine_p(quick));
     println!("== Ledger: donation spread, GP vs nGP (S^0.90, P={p}) ==\n");
     let wl = &workloads[0];
     let cost = CostModel::cm2();
@@ -401,21 +382,12 @@ fn print_comparison(label: &str, rows: &[(u64, f64, String, f64, f64)]) {
     println!("{t}");
 }
 
-/// Measured W of a run (all cells of a workload expand the same count).
-fn run_w(wl: &PaperWorkload, cells: &[(Cell, Cell)]) -> u64 {
+/// The workload's W: the calibrated count, or for a quick-mode workload
+/// one run on a small machine to learn it.
+fn known_w(wl: &PaperWorkload) -> u64 {
     if wl.w > 0 {
         wl.w
     } else {
-        // Quick mode: recover W from any run (Nexpand cycles ≥ W/P, but we
-        // need the true node count — probe once).
-        let _ = cells;
-        probe_w(wl, 64)
+        run_workload(wl, Scheme::gp_static(0.8), 64, CostModel::cm2(), false).report.nodes_expanded
     }
-}
-
-/// Run once on a small machine purely to learn the workload's node count.
-fn probe_w(wl: &PaperWorkload, _p: usize) -> u64 {
-    uts_bench::workloads::run_workload(wl, Scheme::gp_static(0.8), 64, CostModel::cm2(), false)
-        .report
-        .nodes_expanded
 }

@@ -1,17 +1,18 @@
-//! Benchmark harness shared by the regenerator and benchmark binaries.
+//! Benchmark harness shared by the reproduction and benchmark binaries.
 //!
-//! The paper's tables and figures, and the studies around them:
+//! One binary regenerates the paper's tables and figures and runs the
+//! studies around them; `repro` with an unknown section lists them all:
 //!
 //! ```text
-//! cargo run --release -p uts-bench --bin tables      -- [table1..table6|all] [--quick]
-//! cargo run --release -p uts-bench --bin figures     -- [fig3|fig4|fig7|fig8|all] [--quick]
-//! cargo run --release -p uts-bench --bin repro       -- [--quick]
-//! cargo run --release -p uts-bench --bin recalibrate
-//! cargo run --release -p uts-bench --bin ablation    -- [split|topology|init|transfers|related|fairness|all] [--quick]
-//! cargo run --release -p uts-bench --bin bounds      -- [--quick]
-//! cargo run --release -p uts-bench --bin anomalies   -- [--quick]
-//! cargo run --release -p uts-bench --bin mimd        -- [compare|iso] [--quick]
-//! cargo run --release -p uts-bench --bin routing     -- [--quick]
+//! cargo run --release -p uts-bench --bin repro -- tables    [table1..table6|ledger|all] [--quick]
+//! cargo run --release -p uts-bench --bin repro -- figures   [fig3|fig4|fig7|fig8|all] [--quick]
+//! cargo run --release -p uts-bench --bin repro -- ablation  [split|topology|init|transfers|related|fairness|all] [--quick]
+//! cargo run --release -p uts-bench --bin repro -- bounds    [--quick]
+//! cargo run --release -p uts-bench --bin repro -- anomalies [--quick]
+//! cargo run --release -p uts-bench --bin repro -- mimd      [compare|iso|all] [--quick]
+//! cargo run --release -p uts-bench --bin repro -- routing   [--quick]
+//! cargo run --release -p uts-bench --bin repro -- recalibrate
+//! cargo run --release -p uts-bench --bin repro -- all       [--quick]
 //! ```
 //!
 //! Host-throughput harnesses, each writing a `BENCH_*.json` report and
@@ -29,29 +30,6 @@
 //! W up to 16.1M).
 
 pub mod runner;
+pub mod svg;
 pub mod sweep;
 pub mod workloads;
-
-/// Parse the common `--quick` flag out of `args`, returning (rest, quick).
-pub fn parse_quick(args: &[String]) -> (Vec<String>, bool) {
-    let quick = args.iter().any(|a| a == "--quick");
-    (args.iter().filter(|a| *a != "--quick").cloned().collect(), quick)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn quick_flag_is_extracted() {
-        let args = vec!["table2".to_string(), "--quick".to_string()];
-        let (rest, quick) = super::parse_quick(&args);
-        assert!(quick);
-        assert_eq!(rest, vec!["table2".to_string()]);
-    }
-
-    #[test]
-    fn absent_flag_is_false() {
-        let (rest, quick) = super::parse_quick(&["all".to_string()]);
-        assert!(!quick);
-        assert_eq!(rest.len(), 1);
-    }
-}

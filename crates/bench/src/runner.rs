@@ -1,16 +1,24 @@
-//! Row-level helpers shared by the table binaries.
+//! Row-level helpers shared by the reproduction's sections.
 
-use uts_analysis::table::{fmt_e, TextTable};
 use uts_core::{Outcome, Scheme};
 use uts_machine::CostModel;
 
 use crate::workloads::{run_workload, PaperWorkload};
 
 /// The paper's machine size for Tables 2–5.
-pub const PAPER_P: usize = 8192;
+const PAPER_P: usize = 8192;
 
 /// Quick-mode machine size.
-pub const QUICK_P: usize = 512;
+const QUICK_P: usize = 512;
+
+/// The machine size for Tables 2–5 and the studies that share their setup.
+pub fn machine_p(quick: bool) -> usize {
+    if quick {
+        QUICK_P
+    } else {
+        PAPER_P
+    }
+}
 
 /// The static thresholds of Table 2.
 pub const TABLE2_XS: [f64; 5] = [0.50, 0.60, 0.70, 0.80, 0.90];
@@ -44,39 +52,6 @@ pub fn measure(wl: &PaperWorkload, scheme: Scheme, p: usize, cost: CostModel) ->
     Cell::from(&run_workload(wl, scheme, p, cost, false))
 }
 
-/// Render a Table-2-shaped block: one row group per workload with
-/// `Nexpand`, `Nlb`, `E` for each (x, scheme) pair.
-pub fn table2_block(
-    rows: &[(u64, Vec<(String, Cell)>)], // (measured W, [(col label, cell)])
-) -> TextTable {
-    let mut header = vec!["W".to_string(), "metric".to_string()];
-    if let Some((_, cols)) = rows.first() {
-        header.extend(cols.iter().map(|(l, _)| l.clone()));
-    }
-    let mut t = TextTable::new(header);
-    for (w, cols) in rows {
-        t.row(
-            std::iter::once(w.to_string())
-                .chain(std::iter::once("Nexpand".to_string()))
-                .chain(cols.iter().map(|(_, c)| c.n_expand.to_string()))
-                .collect(),
-        );
-        t.row(
-            std::iter::once(String::new())
-                .chain(std::iter::once("Nlb".to_string()))
-                .chain(cols.iter().map(|(_, c)| c.n_lb.to_string()))
-                .collect(),
-        );
-        t.row(
-            std::iter::once(String::new())
-                .chain(std::iter::once("E".to_string()))
-                .chain(cols.iter().map(|(_, c)| fmt_e(c.e)))
-                .collect(),
-        );
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,16 +65,5 @@ mod tests {
         assert!(cell.n_expand > 0);
         assert!(cell.e > 0.0 && cell.e <= 1.0);
         assert!(cell.n_transfers >= cell.n_lb.min(1));
-    }
-
-    #[test]
-    fn table2_block_renders_row_groups() {
-        let cell = Cell { n_expand: 198, n_lb: 54, n_transfers: 100, e: 0.52 };
-        let rows = vec![(941_852u64, vec![("nGP 0.50".to_string(), cell)])];
-        let t = table2_block(&rows);
-        let s = t.to_string();
-        assert!(s.contains("Nexpand"));
-        assert!(s.contains("198"));
-        assert!(s.contains("0.52"));
     }
 }

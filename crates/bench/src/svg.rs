@@ -1,36 +1,143 @@
-//! The chart builder and SVG renderer.
+//! Dependency-free SVG charts for the reproduction's figures.
+//!
+//! Just enough of a plotting library to render the paper's data figures
+//! (Figs. 3, 4, 7, 8) as standalone `.svg` files: XY line charts with
+//! linear or logarithmic axes, automatic ticks, multiple named series, and
+//! a legend. No external crates; output is plain SVG 1.1.
+//!
+//! ```
+//! use uts_bench::svg::{Chart, Scale, Series};
+//!
+//! let mut chart = Chart::new("Speedup vs P", "processors", "speedup");
+//! chart.x_scale(Scale::Log2).add(
+//!     Series::line("GP-D^K", vec![(64.0, 55.0), (256.0, 180.0), (1024.0, 420.0)]),
+//! );
+//! let svg = chart.render();
+//! assert!(svg.starts_with("<svg"));
+//! assert!(svg.contains("GP-D^K"));
+//! ```
 
-use crate::scale::{tick_label, ticks, Scale};
-
-/// How a series is drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesKind {
-    /// Connected polyline with point markers.
-    Line,
-    /// Point markers only.
-    Scatter,
+/// An axis scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scale {
+    /// Linear mapping.
+    #[default]
+    Linear,
+    /// Base-2 logarithmic (natural for processor counts).
+    Log2,
+    /// Base-10 logarithmic (natural for problem sizes).
+    Log10,
 }
 
-/// A named data series.
+impl Scale {
+    /// Forward transform into "scale space" where the mapping to pixels is
+    /// linear.
+    ///
+    /// # Panics
+    /// Panics on non-positive input to a log scale.
+    pub fn forward(self, v: f64) -> f64 {
+        match self {
+            Scale::Linear => v,
+            Scale::Log2 => {
+                assert!(v > 0.0, "log2 scale needs positive values, got {v}");
+                v.log2()
+            }
+            Scale::Log10 => {
+                assert!(v > 0.0, "log10 scale needs positive values, got {v}");
+                v.log10()
+            }
+        }
+    }
+
+    /// Inverse transform (scale space → data space).
+    pub fn inverse(self, s: f64) -> f64 {
+        match self {
+            Scale::Linear => s,
+            Scale::Log2 => (2.0f64).powf(s),
+            Scale::Log10 => (10.0f64).powf(s),
+        }
+    }
+}
+
+/// Generate "nice" tick positions covering `[min, max]` in data space.
+///
+/// * Linear: 1/2/5×10^k steps targeting ~`want` ticks.
+/// * Log scales: one tick per whole power of the base within range (or
+///   every k-th power when the range spans many decades).
+///
+/// # Panics
+/// Panics if `min > max`, or on non-positive bounds for log scales.
+fn ticks(scale: Scale, min: f64, max: f64, want: usize) -> Vec<f64> {
+    assert!(min <= max, "tick range is inverted: {min} > {max}");
+    if min == max {
+        return vec![min];
+    }
+    match scale {
+        Scale::Linear => linear_ticks(min, max, want.max(2)),
+        Scale::Log2 | Scale::Log10 => {
+            let lo = scale.forward(min).ceil() as i64;
+            let hi = scale.forward(max).floor() as i64;
+            if lo > hi {
+                return vec![min, max];
+            }
+            let span = (hi - lo + 1) as usize;
+            let step = span.div_ceil(want.max(2)).max(1);
+            (lo..=hi).step_by(step).map(|e| scale.inverse(e as f64)).collect()
+        }
+    }
+}
+
+fn linear_ticks(min: f64, max: f64, want: usize) -> Vec<f64> {
+    let raw_step = (max - min) / want as f64;
+    let mag = 10f64.powf(raw_step.log10().floor());
+    let norm = raw_step / mag;
+    let step = if norm <= 1.0 {
+        1.0
+    } else if norm <= 2.0 {
+        2.0
+    } else if norm <= 5.0 {
+        5.0
+    } else {
+        10.0
+    } * mag;
+    let start = (min / step).ceil() * step;
+    let mut out = Vec::new();
+    let mut t = start;
+    while t <= max + step * 1e-9 {
+        // Clean up float noise so labels print nicely.
+        out.push((t / step).round() * step);
+        t += step;
+    }
+    out
+}
+
+/// Format a tick label compactly (k/M suffixes for large values).
+fn tick_label(v: f64) -> String {
+    let a = v.abs();
+    if a >= 1e6 && (v / 1e6).fract().abs() < 1e-9 {
+        format!("{}M", (v / 1e6) as i64)
+    } else if a >= 1e3 && (v / 1e3).fract().abs() < 1e-9 {
+        format!("{}k", (v / 1e3) as i64)
+    } else if v.fract().abs() < 1e-9 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v:.2}")
+    }
+}
+
+/// A named data series, drawn as a polyline with point markers.
 #[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label.
     pub name: String,
     /// `(x, y)` points in data space.
     pub points: Vec<(f64, f64)>,
-    /// Drawing style.
-    pub kind: SeriesKind,
 }
 
 impl Series {
     /// A line series.
     pub fn line(name: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
-        Self { name: name.into(), points, kind: SeriesKind::Line }
-    }
-
-    /// A scatter series.
-    pub fn scatter(name: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
-        Self { name: name.into(), points, kind: SeriesKind::Scatter }
+        Self { name: name.into(), points }
     }
 }
 
@@ -178,7 +285,7 @@ impl Chart {
         // Series.
         for (i, s) in self.series.iter().enumerate() {
             let color = PALETTE[i % PALETTE.len()];
-            if s.kind == SeriesKind::Line && s.points.len() > 1 {
+            if s.points.len() > 1 {
                 let path: Vec<String> =
                     s.points.iter().map(|&(x, y)| format!("{:.1},{:.1}", px(x), py(y))).collect();
                 out.push_str(&format!(
@@ -231,11 +338,12 @@ fn xml_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_chart() -> Chart {
         let mut c = Chart::new("t", "x", "y");
         c.add(Series::line("a", vec![(1.0, 2.0), (2.0, 4.0), (3.0, 8.0)]));
-        c.add(Series::scatter("b", vec![(1.5, 3.0)]));
+        c.add(Series::line("b", vec![(1.5, 3.0)]));
         c
     }
 
@@ -244,7 +352,7 @@ mod tests {
         let svg = sample_chart().render();
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
-        assert_eq!(svg.matches("<polyline").count(), 1, "one line series");
+        assert_eq!(svg.matches("<polyline").count(), 1, "a one-point series has no line");
         assert_eq!(svg.matches("<circle").count(), 4, "all points marked");
         assert!(svg.contains(">a<") && svg.contains(">b<"), "legend entries");
     }
@@ -279,7 +387,7 @@ mod tests {
     #[test]
     fn degenerate_single_point_still_renders() {
         let mut c = Chart::new("p", "x", "y");
-        c.add(Series::scatter("one", vec![(5.0, 5.0)]));
+        c.add(Series::line("one", vec![(5.0, 5.0)]));
         let svg = c.render();
         assert!(svg.contains("circle"));
     }
@@ -288,5 +396,84 @@ mod tests {
     #[should_panic(expected = "no data")]
     fn empty_chart_rejected() {
         Chart::new("e", "x", "y").render();
+    }
+
+    // Axis scales and ticks.
+
+    #[test]
+    fn linear_forward_is_identity() {
+        assert_eq!(Scale::Linear.forward(3.5), 3.5);
+        assert_eq!(Scale::Linear.inverse(3.5), 3.5);
+    }
+
+    #[test]
+    fn log_scales_round_trip() {
+        for v in [1.0, 2.0, 1024.0, 1e6] {
+            assert!((Scale::Log2.inverse(Scale::Log2.forward(v)) - v).abs() / v < 1e-12);
+            assert!((Scale::Log10.inverse(Scale::Log10.forward(v)) - v).abs() / v < 1e-12);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn log_of_zero_rejected() {
+        Scale::Log2.forward(0.0);
+    }
+
+    #[test]
+    fn linear_ticks_are_nice() {
+        let t = ticks(Scale::Linear, 0.0, 1.0, 5);
+        assert!(t.contains(&0.0));
+        assert!(t.contains(&1.0));
+        assert!(t.len() >= 4 && t.len() <= 8, "{t:?}");
+    }
+
+    #[test]
+    fn log2_ticks_hit_powers() {
+        let t = ticks(Scale::Log2, 512.0, 8192.0, 6);
+        assert_eq!(t, vec![512.0, 1024.0, 2048.0, 4096.0, 8192.0]);
+    }
+
+    #[test]
+    fn log10_ticks_decimate_wide_ranges() {
+        let t = ticks(Scale::Log10, 1.0, 1e12, 5);
+        assert!(t.len() <= 8, "{t:?}");
+        assert!(t.iter().all(|&v| (v.log10().fract()).abs() < 1e-9));
+    }
+
+    #[test]
+    fn degenerate_range_yields_single_tick() {
+        assert_eq!(ticks(Scale::Linear, 4.0, 4.0, 5), vec![4.0]);
+    }
+
+    #[test]
+    fn labels_use_suffixes() {
+        assert_eq!(tick_label(1_000_000.0), "1M");
+        assert_eq!(tick_label(16_000.0), "16k");
+        assert_eq!(tick_label(42.0), "42");
+        assert_eq!(tick_label(0.65), "0.65");
+    }
+
+    proptest! {
+        #[test]
+        fn ticks_are_sorted_and_in_range(min in -1e6f64..1e6, span in 1e-3f64..1e6) {
+            let max = min + span;
+            let t = ticks(Scale::Linear, min, max, 6);
+            prop_assert!(t.windows(2).all(|w| w[0] < w[1]));
+            for &v in &t {
+                prop_assert!(v >= min - span * 1e-6 && v <= max + span * 1e-6);
+            }
+        }
+
+        #[test]
+        fn log_ticks_in_range(lo_exp in 0u32..10, span_exp in 1u32..10) {
+            let min = (2.0f64).powi(lo_exp as i32);
+            let max = (2.0f64).powi((lo_exp + span_exp) as i32);
+            let t = ticks(Scale::Log2, min, max, 6);
+            prop_assert!(!t.is_empty());
+            for &v in &t {
+                prop_assert!(v >= min * 0.999 && v <= max * 1.001);
+            }
+        }
     }
 }

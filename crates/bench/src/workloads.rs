@@ -1,11 +1,11 @@
 //! The calibrated 15-puzzle workloads behind Tables 2–5.
 //!
-//! Produced once by `cargo run --release -p uts-bench --bin recalibrate`
+//! Produced once by `cargo run --release -p uts-bench --bin repro -- recalibrate`
 //! (a pool search over Korf instances and seeded scrambles for the IDA\*
-//! iteration closest to each paper target) and hard-coded here so the table
-//! binaries start instantly. Every entry's `w` is the *measured* serial
+//! iteration closest to each paper target) and hard-coded here so the tables
+//! start instantly. Every entry's `w` is the *measured* serial
 //! node count of the exhaustive bounded-DFS iteration; tests re-verify the
-//! small ones (and `--bin recalibrate` re-verifies all).
+//! small ones (and `repro recalibrate` re-verifies all).
 
 use uts_core::{run, EngineConfig, Outcome, Scheme};
 use uts_machine::CostModel;
@@ -30,6 +30,16 @@ impl PaperWorkload {
     /// The puzzle problem for this workload.
     pub fn puzzle(&self) -> Puzzle15 {
         Puzzle15::new(Board::from_tiles(&self.tiles))
+    }
+
+    /// This workload at full scale, or under `--quick` the IDA\* iteration
+    /// four bounds below it (its W unmeasured, so `w = 0`).
+    pub fn scaled(mut self, quick: bool) -> Self {
+        if quick {
+            self.bound -= 4;
+            self.w = 0;
+        }
+        self
     }
 }
 
@@ -140,7 +150,7 @@ mod tests {
     }
 
     /// Verify the hard-coded W of the smallest workload by recounting.
-    /// (The larger ones are verified by `--bin recalibrate`; recounting
+    /// (The larger ones are verified by `repro recalibrate`; recounting
     /// 16M nodes in a debug-mode test is too slow.)
     #[test]
     #[ignore = "recounts ~1M nodes; run with --ignored (or --release)"]

@@ -53,7 +53,6 @@
 //! | [`scan`] | rendezvous matching: the packed form the engines call and its flag-vector oracle (`uts-scan`) |
 //! | [`mimd`] | asynchronous work-stealing baseline (`uts-mimd`) |
 //! | [`analysis`] | isoefficiency analysis, eq. 18, contour fits (`uts-analysis`) |
-//! | [`viz`] | dependency-free SVG chart rendering (`uts-viz`) |
 //! | [`net`] | hypercube/mesh routing simulation validating the t_lb models (`uts-net`) |
 //! | [`ckpt`] | versioned snapshot format, checkpoint policies, fault injection (`uts-ckpt`) |
 //! | [`serve`] | HTTP/JSON job server with preemptive checkpoint scheduling (`uts-serve`) |
@@ -70,7 +69,6 @@ pub use uts_serve as serve;
 pub use uts_synth as synth;
 pub use uts_synthgen as synthgen;
 pub use uts_tree as tree;
-pub use uts_viz as viz;
 
 /// The names almost every user needs.
 pub mod prelude {

@@ -138,7 +138,7 @@ fn analytic_optimal_trigger_is_near_empirical_argmax() {
         .fold(0.0f64, f64::max);
     // At this integration-test scale (W/P ≈ 200, far below the paper's
     // operating point) the approximation is loose; the tight check runs at
-    // paper scale in `uts-bench --bin tables -- table3`.
+    // paper scale in `uts-bench --bin repro -- tables table3`.
     assert!(
         e_at_xo >= best_e - 0.10,
         "E at analytic x_o = {xo:.2} is {e_at_xo:.2}, grid best {best_e:.2}"
