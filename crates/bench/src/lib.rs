@@ -1,4 +1,4 @@
-//! Benchmark harness shared by the reproduction and benchmark binaries.
+//! Runners, workloads and SVG charts shared by the paper reproduction.
 //!
 //! One binary regenerates the paper's tables and figures and runs the
 //! studies around them; `repro` with an unknown section lists them all:
@@ -15,19 +15,10 @@
 //! cargo run --release -p uts-bench --bin repro -- all       [--quick]
 //! ```
 //!
-//! Host-throughput harnesses, each writing a `BENCH_*.json` report and
-//! gating its floors under `--check`:
-//!
-//! ```text
-//! cargo run --release -p uts-bench --bin bench_engine    -- [--quick] [--check] [--out PATH]
-//! cargo run --release -p uts-bench --bin bench_service   -- [--quick] [--check] [--out PATH]
-//! cargo run --release -p uts-bench --bin bench_workloads -- [--quick] [--check] [--out PATH]
-//! cargo run --release -p uts-bench --bin bench_shard     -- [--quick] [--check] [--out PATH]
-//! ```
-//!
 //! `--quick` shrinks problem sizes and processor counts by ~8× for smoke
 //! runs; the full (default) settings reproduce the paper's scales (P = 8192,
-//! W up to 16.1M).
+//! W up to 16.1M). Host performance is measured by the repository
+//! benchmark (`benchmark/`, contract in `BENCHMARK.json`), not here.
 
 pub mod runner;
 pub mod svg;

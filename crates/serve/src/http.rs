@@ -145,9 +145,8 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
     stream.flush()
 }
 
-/// A blocking one-shot client for the job API — shared by the test
-/// harnesses, the stress suite, and `bench_service`. Returns
-/// `(status, body)`.
+/// A blocking one-shot client for the job API — shared by the service
+/// test suites and the repository benchmark. Returns `(status, body)`.
 pub mod client {
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};

@@ -3,6 +3,15 @@
 //! ledger included) at every shard count, and its parked snapshots must
 //! be interchangeable with the in-process checkpoint format.
 //!
+//! It also holds the paper's GP-vs-nGP contrast (Sec. 2.2) at machine
+//! sizes the in-process suites never reach: GP's global pointer spreads
+//! donations more evenly than nGP, at P = 4096 here and at P = 2^20 when
+//! the binary is given `--ignored` or `--include-ignored`:
+//!
+//! ```text
+//! cargo test --release -p uts-shard --test shard_differential -- --ignored
+//! ```
+//!
 //! `harness = false` because this binary is its own worker executable:
 //! `run_sharded` re-executes `current_exe()` with the worker mode switch
 //! set, so `main` must call [`uts_shard::maybe_run_worker`] before
@@ -13,13 +22,13 @@
 use std::path::PathBuf;
 
 use uts_ckpt::spill;
-use uts_core::{resume_from_bytes, run, EngineConfig, Scheme};
+use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme};
 use uts_machine::CostModel;
 use uts_puzzle15::Puzzle15;
 use uts_shard::{
     resume_sharded, run_sharded, ParkPolicy, ShardError, ShardOpts, ShardWorkload, WorkerKill,
 };
-use uts_synthgen::GenTree;
+use uts_synthgen::{find_gen_tree, GenTree};
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
 use uts_tree::SplitPolicy;
@@ -34,6 +43,10 @@ fn main() {
     parked_snapshots_are_interchangeable();
     killed_worker_resumes_from_spill();
     counted_rounds_park_and_resume_across_shards();
+    gp_spreads_donations_more_evenly_than_ngp(4096, [4, 2], 60_000);
+    if std::env::args().any(|a| a == "--ignored" || a == "--include-ignored") {
+        gp_spreads_donations_more_evenly_than_ngp(1 << 20, [8, 4], 4_000_000);
+    }
     println!("shard_differential: all ok");
 }
 
@@ -221,4 +234,28 @@ fn counted_rounds_park_and_resume_across_shards() {
             jobs.len()
         );
     }
+}
+
+/// GP-D^K and nGP-D^K with the ledger on, on a generated tree of about
+/// `target` nodes at `p` PEs: GP finishes with the same outcome at both
+/// shard counts, and its donation Gini is below nGP's.
+fn gp_spreads_donations_more_evenly_than_ngp(p: usize, shards: [usize; 2], target: u64) {
+    let sized = find_gen_tree(target, 0.25, 24);
+    let workload = ShardWorkload::from(sized.tree);
+    let run_at = |scheme, n| {
+        let cfg = EngineConfig::new(p, scheme, CostModel::cm2()).with_ledger();
+        run_sharded(&workload, &cfg, &opts(n)).expect("sharded run").outcome
+    };
+    let gini = |out: &Outcome| out.ledger.as_ref().expect("ledger on").donation_spread().gini;
+    let gp_out = run_at(Scheme::gp_dk(), shards[0]);
+    assert!(
+        run_at(Scheme::gp_dk(), shards[1]) == gp_out,
+        "GP at P={p}: {shards:?} shards diverged"
+    );
+    let (gp, ngp) = (gini(&gp_out), gini(&run_at(Scheme::ngp_dk(), shards[0])));
+    assert!(gp < ngp, "P={p}: GP donation gini {gp:.4} is not below nGP's {ngp:.4}");
+    println!(
+        "W={} at P={p}: GP identical at shards {shards:?}, donation gini GP {gp:.4} < nGP {ngp:.4}",
+        sized.w
+    );
 }

@@ -267,8 +267,9 @@ fn par_handles_the_init_phase_at_large_p() {
 /// and worker counts {1, 2, 8}. The quick-tier fuzz above caps
 /// trees at a few thousand nodes, so this is the only in-repo proof that
 /// the hash-chain generation stays bit-identical deep into the steady
-/// state where balancing horizons span many cycles. (The committed
-/// `BENCH_workloads.json` extends the same identity to >= 10^8 nodes.)
+/// state where balancing horizons span many cycles. (uts-bench's
+/// `utsgen_scale` release test extends the same identity to >= 10^8
+/// nodes.)
 #[test]
 #[ignore = "large-W sweep; run with `cargo test -- --ignored`"]
 fn engines_identical_on_a_multimillion_node_generated_tree() {

@@ -9,7 +9,9 @@
 //! completed result must still be **bit-identical** to a direct
 //! `run_with` oracle of the same config, proven through the HTTP API by
 //! the outcome's FNV digest. Alongside identity the suite pins the
-//! bookkeeping: no job is lost, duplicated, or starved.
+//! bookkeeping: no job is lost, duplicated, or starved. The same batch
+//! also runs with a quantum no job outlives, where identity must hold
+//! with no job ever parked.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -65,12 +67,13 @@ fn field<'a>(doc: &'a str, key: &str) -> &'a str {
         .trim_end_matches(',')
 }
 
-#[test]
-fn slot_starved_churn_keeps_every_job_oracle_identical() {
-    let dir = scratch_dir("churn");
+/// Drain the batch through a 2-slot server with `quantum_ms`, checking
+/// every result against its oracle; returns the total preemption count.
+fn drain_batch(tag: &str, quantum_ms: u64) -> u64 {
+    let dir = scratch_dir(tag);
     let mut cfg = ServeConfig::new(&dir);
     cfg.slots = 2;
-    cfg.quantum_ms = 0;
+    cfg.quantum_ms = quantum_ms;
     cfg.poll_ms = 1;
     let server = simd_tree_search::serve::JobServer::start(cfg).unwrap();
     let addr = server.addr();
@@ -136,7 +139,6 @@ fn slot_starved_churn_keeps_every_job_oracle_identical() {
             .collect();
         handles.into_iter().map(|h| h.join().expect("drain thread")).sum()
     });
-    assert!(preemptions > 0, "32 jobs on 2 zero-quantum slots must force at least one preemption");
 
     // Phase 3: the table agrees — every job present, every job done.
     let (status, body) = client::get(addr, "/jobs");
@@ -145,6 +147,20 @@ fn slot_starved_churn_keeps_every_job_oracle_identical() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    preemptions
+}
+
+#[test]
+fn slot_starved_churn_keeps_every_job_oracle_identical() {
+    let preemptions = drain_batch("churn", 0);
+    assert!(preemptions > 0, "32 jobs on 2 zero-quantum slots must force at least one preemption");
+}
+
+/// Admission, scheduling and transport alone: with an hour-long quantum
+/// the governor never parks a job.
+#[test]
+fn unpreempted_slots_keep_every_job_oracle_identical() {
+    assert_eq!(drain_batch("calm", 3_600_000), 0, "no job outlives an hour-long quantum");
 }
 
 /// The same identity claim, driven through the library API at the three
