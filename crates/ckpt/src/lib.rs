@@ -36,7 +36,7 @@ use uts_machine::{
     ActiveTrace, CostModel, LbCostBreakdown, LbPhaseRecord, Metrics, PhaseEvent, PhaseStats,
     SimTime, SimdMachine, TriggerFiring, TriggerKind,
 };
-use uts_tree::codec::{put_bool, put_u32, put_u64, put_usize};
+use uts_tree::codec::{put_bool, put_slice, put_u32, put_u64, put_usize};
 use uts_tree::{CkptNode, CodecError, Reader, StackArena};
 
 pub mod spill;
@@ -108,15 +108,10 @@ impl From<CodecError> for CkptError {
 
 /// FNV-1a 64-bit hash — the workspace's standing choice for cheap
 /// deterministic hashing (the vendored proptest seeds test RNGs the same
-/// way). Used both for the payload checksum and, by `uts-core`, for the
-/// config fingerprint.
+/// way). Used for the payload checksum and, by `uts-core`, for the outcome
+/// digest.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fingerprint::new().bytes(bytes).finish()
 }
 
 /// Incremental FNV-1a over heterogeneous fields (config fingerprinting).
@@ -132,12 +127,11 @@ impl Fingerprint {
         Self { state: 0xcbf2_9ce4_8422_2325 }
     }
 
-    /// Mix raw bytes.
+    /// Mix raw bytes: the workspace's one FNV-1a step.
     pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.state = bytes
+            .iter()
+            .fold(self.state, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3));
         self
     }
 
@@ -333,7 +327,8 @@ pub struct EngineSnapshot<N> {
     pub stacks: StackArena<N>,
 }
 
-fn encode_trigger_kind(out: &mut Vec<u8>, k: TriggerKind) {
+/// Encode a trigger kind: a tag byte, then a static trigger's threshold.
+pub fn encode_trigger_kind(out: &mut Vec<u8>, k: TriggerKind) {
     match k {
         TriggerKind::Init => out.push(0),
         TriggerKind::Static { threshold } => {
@@ -357,22 +352,24 @@ fn decode_trigger_kind(r: &mut Reader<'_>) -> Result<TriggerKind, CodecError> {
     })
 }
 
-fn encode_phase_record(out: &mut Vec<u8>, ph: &LbPhaseRecord) {
-    put_u64(out, ph.at_cycle);
-    encode_trigger_kind(out, ph.firing.kind);
-    put_u32(out, ph.firing.busy);
-    put_u32(out, ph.firing.idle);
-    put_u64(out, ph.firing.w);
-    put_u64(out, ph.firing.t);
-    put_u64(out, ph.firing.w_idle);
-    put_u64(out, ph.firing.l_estimate);
-    put_u64(out, ph.horizon);
-    put_u32(out, ph.rounds);
-    put_u64(out, ph.transfers);
-    put_u64(out, ph.cost.setup);
-    put_u64(out, ph.cost.transfer);
-    put_u32(out, ph.cost.multiplier);
-    put_u64(out, ph.cost.total);
+/// Encode one ledger phase record, every field in declaration order.
+pub fn encode_phase_record(out: &mut Vec<u8>, ph: &LbPhaseRecord) {
+    let LbPhaseRecord { at_cycle, firing, horizon, rounds, transfers, cost } = *ph;
+    let TriggerFiring { kind, busy, idle, w, t, w_idle, l_estimate } = firing;
+    let LbCostBreakdown { setup, transfer, multiplier, total } = cost;
+    put_u64(out, at_cycle);
+    encode_trigger_kind(out, kind);
+    put_u32(out, busy);
+    put_u32(out, idle);
+    for v in [w, t, w_idle, l_estimate, horizon] {
+        put_u64(out, v);
+    }
+    put_u32(out, rounds);
+    put_u64(out, transfers);
+    put_u64(out, setup);
+    put_u64(out, transfer);
+    put_u32(out, multiplier);
+    put_u64(out, total);
 }
 
 fn decode_phase_record(r: &mut Reader<'_>) -> Result<LbPhaseRecord, CodecError> {
@@ -408,14 +405,25 @@ fn encode_metrics(out: &mut Vec<u8>, m: &Metrics) {
     put_u64(out, m.idle_pe_cycles);
     put_u64(out, m.t_lb_machine);
     put_bool(out, m.trace_enabled);
-    m.active_trace.breakpoints().to_vec().encode_node(out);
-    put_u64(out, m.active_trace.len());
-    put_usize(out, m.phase_log.len());
-    for ev in &m.phase_log {
-        put_u64(out, ev.at_cycle);
-        put_u32(out, ev.rounds);
-        put_u64(out, ev.transfers);
-        put_u64(out, ev.cost);
+    encode_active_trace(out, &m.active_trace);
+    encode_phase_log(out, &m.phase_log);
+}
+
+/// Encode an active trace: its breakpoints, length-prefixed, then its
+/// length in cycles.
+pub fn encode_active_trace(out: &mut Vec<u8>, trace: &ActiveTrace) {
+    put_slice(out, trace.breakpoints());
+    put_u64(out, trace.len());
+}
+
+/// Encode a phase log, length-prefixed.
+pub fn encode_phase_log(out: &mut Vec<u8>, log: &[PhaseEvent]) {
+    put_usize(out, log.len());
+    for &PhaseEvent { at_cycle, rounds, transfers, cost } in log {
+        put_u64(out, at_cycle);
+        put_u32(out, rounds);
+        put_u64(out, transfers);
+        put_u64(out, cost);
     }
 }
 
@@ -530,10 +538,7 @@ impl<N: CkptNode> SnapshotView<'_, N> {
         put_u64(out, self.step);
         put_bool(out, self.in_init);
         put_u64(out, self.goals);
-        put_usize(out, self.donations.len());
-        for &d in self.donations {
-            put_u32(out, d);
-        }
+        put_slice(out, self.donations);
         put_usize(out, self.peak_stack_nodes);
         self.global_pointer.encode_node(out);
         put_u64(out, self.machine.now);
@@ -542,21 +547,13 @@ impl<N: CkptNode> SnapshotView<'_, N> {
         put_u64(out, self.machine.phase.cycles);
         put_u64(out, self.machine.phase.busy_pe_cycles);
         put_u64(out, self.machine.phase.idle_pe_cycles);
-        match self.recorder {
-            None => put_bool(out, false),
-            Some(rec) => {
-                put_bool(out, true);
-                rec.receipts.encode_node(out);
-                put_usize(out, rec.phases.len());
-                for ph in &rec.phases {
-                    encode_phase_record(out, ph);
-                }
-            }
+        put_bool(out, self.recorder.is_some());
+        if let Some(rec) = self.recorder {
+            rec.receipts.encode_node(out);
+            put_usize(out, rec.phases.len());
+            rec.phases.iter().for_each(|ph| encode_phase_record(out, ph));
         }
-        put_usize(out, self.macro_steps.len());
-        for ms in self.macro_steps {
-            ms.encode_node(out);
-        }
+        put_slice(out, self.macro_steps);
         put_usize(out, self.stacks.p());
         match &self.stacks {
             StackSource::Arena(arena) => (0..arena.p()).for_each(|i| arena.encode_pe(i, out)),

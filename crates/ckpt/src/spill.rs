@@ -28,9 +28,10 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The spill file holding `job`'s latest parked snapshot.
-pub fn park_path(dir: &Path, job: u64) -> PathBuf {
-    dir.join(format!("job-{job:08}.park"))
+/// A job's file with extension `ext` (`park`, or a scheduler's own, such
+/// as the job server's `spec`, `done` and `cancelled`).
+pub fn job_path(dir: &Path, job: u64, ext: &str) -> PathBuf {
+    dir.join(format!("job-{job:08}.{ext}"))
 }
 
 /// Write `bytes` to `path` atomically: a `.tmp` sibling is written, then
@@ -50,7 +51,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// final path.
 pub fn park(dir: &Path, job: u64, bytes: &[u8]) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = park_path(dir, job);
+    let path = job_path(dir, job, "park");
     write_atomic(&path, bytes)?;
     Ok(path)
 }
@@ -59,23 +60,24 @@ pub fn park(dir: &Path, job: u64, bytes: &[u8]) -> io::Result<PathBuf> {
 /// the job's fallback state until a newer park replaces it or
 /// [`clear`] removes it on completion.
 pub fn unpark(dir: &Path, job: u64) -> io::Result<Vec<u8>> {
-    std::fs::read(park_path(dir, job))
+    std::fs::read(job_path(dir, job, "park"))
 }
 
 /// Remove `job`'s parked snapshot (job completed or was cancelled).
 /// Missing files are fine — the job may never have been parked.
 pub fn clear(dir: &Path, job: u64) -> io::Result<()> {
-    match std::fs::remove_file(park_path(dir, job)) {
+    match std::fs::remove_file(job_path(dir, job, "park")) {
         Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
         _ => Ok(()),
     }
 }
 
-/// Job ids with a parked snapshot in `dir`, ascending. A missing
-/// directory reads as empty (a fresh server has parked nothing). Files
-/// that do not match the `job-{id:08}.park` pattern are ignored — in
-/// particular the `.tmp` siblings a crash may strand.
-pub fn parked_jobs(dir: &Path) -> io::Result<Vec<u64>> {
+/// Ids of the jobs with a `.{ext}` file in `dir` (`park` for a parked
+/// snapshot), ascending. A missing directory reads as empty (a fresh
+/// server has parked nothing). Files that do not match the
+/// `job-{id:08}.{ext}` pattern are ignored — in particular the `.tmp`
+/// siblings a crash may strand.
+pub fn job_ids(dir: &Path, ext: &str) -> io::Result<Vec<u64>> {
     let entries = match std::fs::read_dir(dir) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         other => other?,
@@ -83,12 +85,8 @@ pub fn parked_jobs(dir: &Path) -> io::Result<Vec<u64>> {
     let mut ids = Vec::new();
     for entry in entries {
         let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(id) = name.strip_prefix("job-").and_then(|s| s.strip_suffix(".park")) {
-            if let Ok(id) = id.parse::<u64>() {
-                ids.push(id);
-            }
-        }
+        let stem = name.to_str().and_then(|n| n.strip_prefix("job-")?.strip_suffix(ext));
+        ids.extend(stem.and_then(|s| s.strip_suffix('.')?.parse::<u64>().ok()));
     }
     ids.sort_unstable();
     Ok(ids)
@@ -108,7 +106,7 @@ mod tests {
     fn park_unpark_round_trips_and_replaces() {
         let dir = tmpdir("roundtrip");
         let path = park(&dir, 3, b"first").unwrap();
-        assert_eq!(path, park_path(&dir, 3));
+        assert_eq!(path, job_path(&dir, 3, "park"));
         assert_eq!(unpark(&dir, 3).unwrap(), b"first");
         // Unpark leaves the file; a second park atomically replaces it.
         park(&dir, 3, b"second").unwrap();
@@ -117,15 +115,15 @@ mod tests {
     }
 
     #[test]
-    fn parked_jobs_lists_ids_sorted_and_skips_strays() {
+    fn job_ids_lists_ids_sorted_and_skips_strays() {
         let dir = tmpdir("list");
-        assert_eq!(parked_jobs(&dir).unwrap(), Vec::<u64>::new(), "missing dir reads empty");
+        assert_eq!(job_ids(&dir, "park").unwrap(), Vec::<u64>::new(), "missing dir reads empty");
         park(&dir, 7, b"x").unwrap();
         park(&dir, 2, b"y").unwrap();
         // Strays a crash could leave behind: a torn tmp and foreign files.
         std::fs::write(dir.join("job-00000009.tmp"), b"torn").unwrap();
         std::fs::write(dir.join("notes.txt"), b"hi").unwrap();
-        assert_eq!(parked_jobs(&dir).unwrap(), vec![2, 7]);
+        assert_eq!(job_ids(&dir, "park").unwrap(), vec![2, 7]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

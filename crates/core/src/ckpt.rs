@@ -158,19 +158,11 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         Matching::Ring => 2,
     });
     match cfg.scheme.trigger {
-        Trigger::Static { x } => {
-            f.u64(0).u64(x.to_bits());
-        }
-        Trigger::Dp => {
-            f.u64(1);
-        }
-        Trigger::Dk => {
-            f.u64(2);
-        }
-        Trigger::AnyIdle => {
-            f.u64(3);
-        }
-    }
+        Trigger::Static { x } => f.u64(0).u64(x.to_bits()),
+        Trigger::Dp => f.u64(1),
+        Trigger::Dk => f.u64(2),
+        Trigger::AnyIdle => f.u64(3),
+    };
     f.u64(match cfg.scheme.transfers {
         TransferMode::Single => 0,
         TransferMode::Multiple => 1,

@@ -67,6 +67,6 @@ pub use engine::{
 pub use local::{run, LocalBackend};
 pub use matcher::MatchState;
 pub use reference::run_reference;
-pub use report_json::run_report_json;
+pub use report_json::{outcome_digest, run_report_fields, run_report_json, DIGEST_VERSION};
 pub use scheme::{Matching, Scheme, TransferMode, Trigger};
 pub use store::{CountedMove, StackStore};

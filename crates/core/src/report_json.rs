@@ -1,5 +1,5 @@
-//! Deterministic JSON run-report for a single engine run.
-//!
+//! What a run reports. [`outcome_digest`] hashes every field of an
+//! [`Outcome`] through the snapshot codec's own field encoders.
 //! [`run_report_json`] renders the schedule-invariant observables of an
 //! [`Outcome`] — the headline counters plus, when the run recorded one,
 //! the load-balance ledger (donation spread and per-phase trigger
@@ -8,6 +8,7 @@
 //! engine, thread count and host, so the quick CI tier can diff the
 //! report against a golden fixture (`tests/fixtures/run_report.json`) and
 //! any schedule or accounting drift shows up as a one-line test failure.
+//! The job server's `/result` document is the same fields behind a header.
 //!
 //! Hand-rolled for the same reason as the bench harness's JSON: the
 //! schema is small, the values are integers and fixed-precision floats,
@@ -16,16 +17,84 @@
 
 use std::fmt::Write as _;
 
-use uts_machine::TriggerKind;
+use uts_ckpt::{encode_active_trace, encode_phase_log, encode_phase_record, fnv1a_64};
+use uts_machine::{Ledger, Report, TriggerKind};
+use uts_tree::codec::{put_bool, put_f64_bits, put_u64, put_usize};
+use uts_tree::CkptNode;
 
-use crate::engine::{EngineConfig, Outcome};
+use crate::engine::{EngineConfig, MacroStep, Outcome};
+
+/// The leading byte of [`outcome_digest`]'s encoding. Version 1 hashed an
+/// `Outcome`'s `Debug` text; bump on any change to what is encoded.
+pub const DIGEST_VERSION: u8 = 2;
+
+/// FNV-1a over a [`DIGEST_VERSION`] byte and then every field of `out`,
+/// little-endian, floats as bits, vectors length-prefixed. Two outcomes
+/// digest equal iff they are the same outcome. Each struct is destructured
+/// without `..`, so a new field does not compile until it is encoded.
+pub fn outcome_digest(out: &Outcome) -> u64 {
+    let Outcome {
+        report,
+        goals,
+        truncated,
+        killed,
+        donations,
+        peak_stack_nodes,
+        macro_steps,
+        ledger,
+    } = out;
+    let Report {
+        p,
+        w,
+        nodes_expanded,
+        n_expand,
+        n_lb,
+        n_transfers,
+        t_par,
+        t_calc,
+        t_idle,
+        t_lb,
+        efficiency,
+        active_trace,
+        phase_log,
+    } = report;
+    let mut b = vec![DIGEST_VERSION];
+    put_usize(&mut b, *p);
+    for v in [w, nodes_expanded, n_expand, n_lb, n_transfers, t_par, t_calc, t_idle, t_lb, goals] {
+        put_u64(&mut b, *v);
+    }
+    put_f64_bits(&mut b, *efficiency);
+    encode_active_trace(&mut b, active_trace);
+    encode_phase_log(&mut b, phase_log);
+    put_bool(&mut b, *truncated);
+    put_bool(&mut b, *killed);
+    donations.encode_node(&mut b);
+    put_usize(&mut b, *peak_stack_nodes);
+    put_usize(&mut b, macro_steps.len());
+    for &MacroStep { start_cycle, horizon, ran } in macro_steps {
+        (start_cycle, horizon, ran).encode_node(&mut b);
+    }
+    put_bool(&mut b, ledger.is_some());
+    if let Some(Ledger { donations, receipts, phases }) = ledger {
+        donations.encode_node(&mut b);
+        receipts.encode_node(&mut b);
+        put_usize(&mut b, phases.len());
+        phases.iter().for_each(|ph| encode_phase_record(&mut b, ph));
+    }
+    fnv1a_64(&b)
+}
 
 /// Render the run-report JSON (trailing newline included). Floats are
 /// fixed at six decimals so the text is reproducible bit-for-bit.
 pub fn run_report_json(cfg: &EngineConfig, out: &Outcome) -> String {
+    format!("{{\n{}}}\n", run_report_fields(cfg, out))
+}
+
+/// The run report's fields without its braces, one `  "name": value` line
+/// each: the body of the job server's `/result` document too.
+pub fn run_report_fields(cfg: &EngineConfig, out: &Outcome) -> String {
     let r = &out.report;
     let mut s = String::new();
-    s.push_str("{\n");
     let _ = writeln!(s, "  \"scheme\": \"{}\",", cfg.scheme.name());
     let _ = writeln!(s, "  \"p\": {},", cfg.p);
     let _ = writeln!(s, "  \"nodes_expanded\": {},", r.nodes_expanded);
@@ -84,7 +153,6 @@ pub fn run_report_json(cfg: &EngineConfig, out: &Outcome) -> String {
             s.push_str("    ]\n  }\n");
         }
     }
-    s.push_str("}\n");
     s
 }
 
@@ -128,6 +196,92 @@ mod tests {
         assert!(json.contains("\"donation_spread\""));
         // The init phase fires under a dynamic trigger at P=32.
         assert!(json.contains("\"trigger\": \"init\""));
+    }
+
+    /// Changing any one field of an outcome moves its digest: every scalar
+    /// of `Outcome` and `Report`, one element of each vector, and every
+    /// field of one ledger phase record.
+    #[test]
+    fn every_field_moves_the_digest() {
+        use uts_machine::{ActiveTrace, LbPhaseRecord};
+        type Mutation = (&'static str, fn(&mut Outcome));
+        fn phase(o: &mut Outcome) -> &mut LbPhaseRecord {
+            &mut o.ledger.as_mut().expect("ledger").phases[0]
+        }
+        fn ledger(o: &mut Outcome) -> &mut Ledger {
+            o.ledger.as_mut().expect("ledger")
+        }
+        let tree = GeometricTree { seed: 3, b_max: 8, depth_limit: 6 };
+        let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2())
+            .with_ledger()
+            .with_trace()
+            .with_horizon_log();
+        let base = run(&tree, &cfg);
+        assert!(!base.macro_steps.is_empty() && !base.report.phase_log.is_empty());
+        assert!(base.report.active_trace.breakpoints().len() > 1);
+        let mutations: &[Mutation] = &[
+            ("report.p", |o| o.report.p += 1),
+            ("report.w", |o| o.report.w += 1),
+            ("report.nodes_expanded", |o| o.report.nodes_expanded += 1),
+            ("report.n_expand", |o| o.report.n_expand += 1),
+            ("report.n_lb", |o| o.report.n_lb += 1),
+            ("report.n_transfers", |o| o.report.n_transfers += 1),
+            ("report.t_par", |o| o.report.t_par += 1),
+            ("report.t_calc", |o| o.report.t_calc += 1),
+            ("report.t_idle", |o| o.report.t_idle += 1),
+            ("report.t_lb", |o| o.report.t_lb += 1),
+            ("report.efficiency", |o| {
+                o.report.efficiency = f64::from_bits(o.report.efficiency.to_bits() ^ 1)
+            }),
+            ("report.active_trace", |o| {
+                let t = &o.report.active_trace;
+                let mut breaks = t.breakpoints().to_vec();
+                breaks.last_mut().expect("breakpoints").1 += 1000;
+                o.report.active_trace = ActiveTrace::from_breakpoints(breaks, t.len());
+            }),
+            ("report.active_trace.len", |o| o.report.active_trace.push_run(u32::MAX, 1)),
+            ("report.phase_log[0].at_cycle", |o| o.report.phase_log[0].at_cycle += 1),
+            ("report.phase_log[0].rounds", |o| o.report.phase_log[0].rounds += 1),
+            ("report.phase_log[0].transfers", |o| o.report.phase_log[0].transfers += 1),
+            ("report.phase_log[0].cost", |o| o.report.phase_log[0].cost += 1),
+            ("goals", |o| o.goals += 1),
+            ("truncated", |o| o.truncated = !o.truncated),
+            ("killed", |o| o.killed = !o.killed),
+            ("donations[0]", |o| o.donations[0] += 1),
+            ("peak_stack_nodes", |o| o.peak_stack_nodes += 1),
+            ("macro_steps[0].start_cycle", |o| o.macro_steps[0].start_cycle += 1),
+            ("macro_steps[0].horizon", |o| o.macro_steps[0].horizon += 1),
+            ("macro_steps[0].ran", |o| o.macro_steps[0].ran += 1),
+            ("ledger", |o| o.ledger = None),
+            ("ledger.donations[0]", |o| ledger(o).donations[0] += 1),
+            ("ledger.receipts[0]", |o| ledger(o).receipts[0] += 1),
+            ("phase.at_cycle", |o| phase(o).at_cycle += 1),
+            ("phase.firing.kind", |o| {
+                let f = &mut phase(o).firing;
+                f.kind = if f.kind == TriggerKind::Dp { TriggerKind::Dk } else { TriggerKind::Dp };
+            }),
+            ("phase.firing.busy", |o| phase(o).firing.busy += 1),
+            ("phase.firing.idle", |o| phase(o).firing.idle += 1),
+            ("phase.firing.w", |o| phase(o).firing.w += 1),
+            ("phase.firing.t", |o| phase(o).firing.t += 1),
+            ("phase.firing.w_idle", |o| phase(o).firing.w_idle += 1),
+            ("phase.firing.l_estimate", |o| phase(o).firing.l_estimate += 1),
+            ("phase.horizon", |o| phase(o).horizon += 1),
+            ("phase.rounds", |o| phase(o).rounds += 1),
+            ("phase.transfers", |o| phase(o).transfers += 1),
+            ("phase.cost.setup", |o| phase(o).cost.setup += 1),
+            ("phase.cost.transfer", |o| phase(o).cost.transfer += 1),
+            ("phase.cost.multiplier", |o| phase(o).cost.multiplier += 1),
+            ("phase.cost.total", |o| phase(o).cost.total += 1),
+        ];
+        let digest = outcome_digest(&base);
+        assert_eq!(outcome_digest(&base.clone()), digest, "the digest is a pure function");
+        for (name, mutate) in mutations {
+            let mut o = base.clone();
+            mutate(&mut o);
+            assert_ne!(o, base, "{name}: the mutation changed nothing");
+            assert_ne!(outcome_digest(&o), digest, "{name} does not move the digest");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! |---|---|---|---|
 //! | `/submit` | POST | job spec JSON | `{"job":id}` |
 //! | `/status/{id}` | GET | — | state, preemptions, config fingerprint |
-//! | `/result/{id}` | GET | — | result document with `outcome_fnv`; waits up to [`RESULT_WAIT`] for the job, then 409 if it is still running |
+//! | `/result/{id}` | GET | — | `outcome_fnv` + `digest_version` header, then the job's run report ([`uts_core::run_report_fields`]); waits up to [`RESULT_WAIT`] for the job, then 409 if it is still running |
 //! | `/cancel/{id}` | POST | — | resulting state |
 //! | `/jobs` | GET | — | every job's id + state |
 //!
@@ -41,4 +41,5 @@ pub use error::ServeError;
 pub use http::client;
 pub use jobs::{JobRecord, JobState, JobTable};
 pub use server::{JobServer, ServeConfig, RESULT_WAIT};
-pub use spec::{outcome_digest, JobSpec, Workload};
+pub use spec::{JobSpec, Workload};
+pub use uts_core::outcome_digest;

@@ -22,19 +22,23 @@
 //! scheduler adds no state of its own to the run — a job parked seven
 //! times produces the same [`Outcome`] bytes as one uninterrupted
 //! `run_with`, which the stress suite asserts through the HTTP API via
-//! [`crate::spec::outcome_digest`].
+//! [`uts_core::outcome_digest`].
 //!
 //! ## Durability
 //!
 //! Every job leaves an atomic-write trail in the spill directory —
 //! `job-{id:08}.spec` (the submitted body, written before the submit
-//! response), `.park` (latest parked snapshot), `.done` (result
-//! document), `.cancelled` (marker) — so [`JobServer::start`] over an
-//! existing directory recovers every job: finished jobs serve their
-//! stored results, parked jobs resume from their snapshots, queued jobs
-//! restart from scratch. [`JobServer::kill`] simulates a crash (threads
-//! abandon without writing); [`JobServer::shutdown`] parks everything
-//! gracefully first.
+//! response), `.park` (latest parked snapshot), `.done` (the `/result`
+//! document: the header fields `job`, `state`, `preemptions`,
+//! `outcome_fnv` and `digest_version`, then the fields of the job's run
+//! report, rendered by [`run_report_fields`]), `.cancelled` (marker) — so
+//! [`JobServer::start`] over an existing directory recovers every job:
+//! finished jobs serve their stored results, parked jobs resume from their
+//! snapshots, queued jobs restart from scratch. A `.done` file that does
+//! not parse, names another job or carries another [`DIGEST_VERSION`]
+//! recovers as a failed job with a `spill` error; the job is not re-run.
+//! [`JobServer::kill`] simulates a crash (threads abandon without
+//! writing); [`JobServer::shutdown`] parks everything gracefully first.
 //!
 //! ## Waiting for a result
 //!
@@ -59,11 +63,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use uts_ckpt::{spill, PreemptSignal};
+use uts_core::{outcome_digest, run_report_fields, DIGEST_VERSION};
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Request, IO_TIMEOUT};
 use crate::jobs::{JobState, JobTable};
-use crate::spec::{outcome_digest, JobSpec};
+use crate::json::Json;
+use crate::spec::JobSpec;
 
 /// How long `GET /result/{id}` waits for an unfinished job before it
 /// answers 409 `not_ready`. Long enough that most jobs finish inside one
@@ -137,18 +143,6 @@ impl Shared {
     fn halted(&self) -> bool {
         self.stop.load(Ordering::Acquire) || self.crash.load(Ordering::Acquire)
     }
-}
-
-fn spec_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("job-{id:08}.spec"))
-}
-
-fn done_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("job-{id:08}.done"))
-}
-
-fn cancelled_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("job-{id:08}.cancelled"))
 }
 
 /// The job server. Dropping it without [`JobServer::shutdown`] behaves
@@ -244,23 +238,8 @@ impl Drop for JobServer {
 
 /// Rebuild the job table from a spill directory's file trail.
 fn recover(dir: &Path, state: &mut ServerState) -> std::io::Result<()> {
-    let entries = match std::fs::read_dir(dir) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        other => other?,
-    };
-    let mut ids = Vec::new();
-    for entry in entries {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(id) = name.strip_prefix("job-").and_then(|s| s.strip_suffix(".spec")) {
-            if let Ok(id) = id.parse::<u64>() {
-                ids.push(id);
-            }
-        }
-    }
-    ids.sort_unstable();
-    for id in ids {
-        let body = std::fs::read_to_string(spec_path(dir, id))?;
+    for id in spill::job_ids(dir, "spec")? {
+        let body = std::fs::read_to_string(spill::job_path(dir, id, "spec"))?;
         let spec = match JobSpec::parse(&body) {
             Ok(spec) => spec,
             Err(err) => {
@@ -271,20 +250,20 @@ fn recover(dir: &Path, state: &mut ServerState) -> std::io::Result<()> {
                 continue;
             }
         };
-        let recovered_state = if done_path(dir, id).exists() {
-            match std::fs::read_to_string(done_path(dir, id)) {
+        let recovered_state = if spill::job_path(dir, id, "done").exists() {
+            match read_result(dir, id) {
                 Ok(doc) => {
                     state.results.insert(id, Arc::new(doc));
                     JobState::Done
                 }
-                Err(e) => {
-                    state.errors.insert(id, ServeError::Spill(format!("unreadable result: {e}")));
+                Err(why) => {
+                    state.errors.insert(id, ServeError::Spill(why));
                     JobState::Failed
                 }
             }
-        } else if cancelled_path(dir, id).exists() {
+        } else if spill::job_path(dir, id, "cancelled").exists() {
             JobState::Cancelled
-        } else if spill::park_path(dir, id).exists() {
+        } else if spill::job_path(dir, id, "park").exists() {
             JobState::Parked
         } else {
             JobState::Queued
@@ -293,6 +272,22 @@ fn recover(dir: &Path, state: &mut ServerState) -> std::io::Result<()> {
         state.specs.insert(id, Arc::new(spec));
     }
     Ok(())
+}
+
+/// A job's stored result document, unless it is unreadable, not JSON,
+/// another job's, or digested under another [`DIGEST_VERSION`] (an
+/// `outcome_fnv` no client can reproduce).
+fn read_result(dir: &Path, id: u64) -> Result<String, String> {
+    let doc = std::fs::read_to_string(spill::job_path(dir, id, "done"))
+        .map_err(|e| format!("unreadable result: {e}"))?;
+    let json = Json::parse(&doc).map_err(|e| format!("result is not JSON: {e}"))?;
+    let field = |key| json.get(key).and_then(Json::as_u64);
+    match (field("job"), field("digest_version")) {
+        (Some(job), Some(v)) if job == id && v == u64::from(DIGEST_VERSION) => Ok(doc),
+        (job, v) => Err(format!(
+            "result names job {job:?} at digest version {v:?}, not job {id} at {DIGEST_VERSION}"
+        )),
+    }
 }
 
 fn runner_loop(shared: &Shared) {
@@ -309,7 +304,7 @@ fn runner_loop(shared: &Shared) {
                     // Whether to resume comes from the spill file, not the
                     // in-memory preemption count — recovery resets the
                     // counters but keeps park files.
-                    let parked = spill::park_path(&dir, id).exists();
+                    let parked = spill::job_path(&dir, id, "park").exists();
                     let spec = Arc::clone(st.specs.get(&id).expect("claimed jobs have specs"));
                     let signal = PreemptSignal::new();
                     let started = Instant::now();
@@ -328,24 +323,16 @@ fn runner_loop(shared: &Shared) {
 
         // Long part, outside the lock: read the snapshot and run the
         // slice until completion or the next boundary after a preempt.
-        let parked_bytes = if was_parked {
-            match spill::unpark(&dir, id) {
-                Ok(bytes) => Some(bytes),
-                Err(e) => {
-                    let mut st = shared.lock();
-                    st.table.fail(id);
-                    st.errors.insert(id, ServeError::Spill(format!("unpark: {e}")));
-                    st.running.remove(&id);
-                    drop(st);
-                    shared.work.notify_all();
-                    shared.settled.notify_all();
-                    continue;
-                }
-            }
-        } else {
-            None
+        let slice = match was_parked.then(|| spill::unpark(&dir, id)).transpose() {
+            Err(e) => Err(ServeError::Spill(format!("unpark: {e}"))),
+            Ok(parked) => spec.run_slice(parked.as_deref(), &signal).map_err(ServeError::from_ckpt),
         };
-        let slice = spec.run_slice(parked_bytes.as_deref(), &signal);
+        // A finished outcome's digest and report are the costly part of
+        // its result document: build them before taking the lock too.
+        let report = match &slice {
+            Ok((out, None)) => Some((outcome_digest(out), run_report_fields(&spec.config, out))),
+            _ => None,
+        };
 
         // Publish the slice's result. Disk writes happen under the lock,
         // after the crash check: a killed server writes nothing more.
@@ -356,12 +343,15 @@ fn runner_loop(shared: &Shared) {
         match slice {
             Err(err) => {
                 st.table.fail(id);
-                st.errors.insert(id, ServeError::from_ckpt(err));
+                st.errors.insert(id, err);
             }
             Ok((_out, Some(bytes))) => {
                 if st.table.get(id).expect("running").cancel_requested {
                     st.table.finish_cancelled(id);
-                    let _ = spill::write_atomic(&cancelled_path(&dir, id), b"cancelled\n");
+                    let _ = spill::write_atomic(
+                        &spill::job_path(&dir, id, "cancelled"),
+                        b"cancelled\n",
+                    );
                     let _ = spill::clear(&dir, id);
                 } else {
                     match spill::park(&dir, id, &bytes) {
@@ -375,10 +365,13 @@ fn runner_loop(shared: &Shared) {
                     }
                 }
             }
-            Ok((out, None)) => {
+            Ok((_, None)) => {
+                let (fnv, fields) = report.expect("a finished slice has a report");
                 let preemptions = st.table.get(id).expect("running").preemptions;
-                let doc = Arc::new(result_doc(id, preemptions, &out));
-                match spill::write_atomic(&done_path(&dir, id), doc.as_bytes()) {
+                let doc = Arc::new(format!(
+                    "{{\n  \"job\": {id},\n  \"state\": \"done\",\n  \"preemptions\": {preemptions},\n  \"outcome_fnv\": \"{fnv:#018x}\",\n  \"digest_version\": {DIGEST_VERSION},\n{fields}}}\n"
+                ));
+                match spill::write_atomic(&spill::job_path(&dir, id, "done"), doc.as_bytes()) {
                     Ok(()) => {
                         st.results.insert(id, Arc::clone(&doc));
                         st.table.complete(id);
@@ -465,7 +458,7 @@ fn submit(shared: &Shared, body: &str) -> Result<String, ServeError> {
     let id = st.table.submit();
     // Durable before acknowledged: the spec hits disk before the client
     // learns the id, so an acked job survives any crash.
-    spill::write_atomic(&spec_path(&shared.cfg.spill_dir, id), body.as_bytes())
+    spill::write_atomic(&spill::job_path(&shared.cfg.spill_dir, id, "spec"), body.as_bytes())
         .map_err(|e| ServeError::Spill(format!("store spec: {e}")))?;
     st.specs.insert(id, Arc::new(spec));
     drop(st);
@@ -522,7 +515,7 @@ fn cancel(shared: &Shared, id: u64) -> Result<String, ServeError> {
             // Left the queue just now (or was already cancelled): make it
             // durable so a restart does not resurrect the job.
             let dir = &shared.cfg.spill_dir;
-            let _ = spill::write_atomic(&cancelled_path(dir, id), b"cancelled\n");
+            let _ = spill::write_atomic(&spill::job_path(dir, id, "cancelled"), b"cancelled\n");
             let _ = spill::clear(dir, id);
             shared.settled.notify_all();
         }
@@ -544,23 +537,4 @@ fn jobs(shared: &Shared) -> Result<String, ServeError> {
         .map(|j| format!(r#"{{"job":{},"state":"{}"}}"#, j.id, j.state.name()))
         .collect();
     Ok(format!(r#"{{"jobs":[{}]}}"#, items.join(",")))
-}
-
-/// The `/result` document, also the `.done` spill file: identity,
-/// preemption count, and the outcome's headline counters plus its full
-/// FNV digest for bit-identity checks.
-fn result_doc(id: u64, preemptions: u32, out: &uts_core::Outcome) -> String {
-    format!(
-        "{{\n  \"job\": {id},\n  \"state\": \"done\",\n  \"preemptions\": {preemptions},\n  \"outcome_fnv\": \"{:#018x}\",\n  \"goals\": {},\n  \"nodes_expanded\": {},\n  \"n_expand\": {},\n  \"n_lb\": {},\n  \"n_transfers\": {},\n  \"t_par_us\": {},\n  \"efficiency\": {:.6},\n  \"peak_stack_nodes\": {},\n  \"truncated\": {}\n}}\n",
-        outcome_digest(out),
-        out.goals,
-        out.report.nodes_expanded,
-        out.report.n_expand,
-        out.report.n_lb,
-        out.report.n_transfers,
-        out.report.t_par,
-        out.report.efficiency,
-        out.peak_stack_nodes,
-        out.truncated,
-    )
 }

@@ -26,6 +26,7 @@ use uts_synth::GeometricTree;
 use uts_synthgen::GenTree;
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
+use uts_tree::TreeProblem;
 
 use crate::error::ServeError;
 use crate::json::Json;
@@ -286,44 +287,29 @@ impl JobSpec {
     }
 
     fn dispatch(&self, cfg: &EngineConfig, parked: Option<&[u8]>) -> Result<Outcome, CkptError> {
+        fn run_or_resume<P: TreeProblem>(
+            problem: &P,
+            cfg: &EngineConfig,
+            parked: Option<&[u8]>,
+        ) -> Result<Outcome, CkptError> {
+            parked
+                .map_or_else(|| Ok(run_with(problem, cfg)), |b| resume_from_bytes(problem, cfg, b))
+        }
         match &self.workload {
-            Workload::Synth(tree) => match parked {
-                None => Ok(run_with(tree, cfg)),
-                Some(bytes) => resume_from_bytes(tree, cfg, bytes),
-            },
-            Workload::UtsGen(tree) => match parked {
-                None => Ok(run_with(tree, cfg)),
-                Some(bytes) => resume_from_bytes(tree, cfg, bytes),
-            },
+            Workload::Synth(tree) => run_or_resume(tree, cfg, parked),
+            Workload::UtsGen(tree) => run_or_resume(tree, cfg, parked),
             Workload::Scramble { seed, walk, bound } => {
                 let puzzle = Puzzle15::new(uts_puzzle15::scrambled(*seed, *walk).board());
-                let bp = BoundedProblem::new(&puzzle, *bound);
-                match parked {
-                    None => Ok(run_with(&bp, cfg)),
-                    Some(bytes) => resume_from_bytes(&bp, cfg, bytes),
-                }
+                run_or_resume(&BoundedProblem::new(&puzzle, *bound), cfg, parked)
             }
         }
     }
 }
 
-/// FNV-1a digest of an [`Outcome`]'s complete debug rendering — every
-/// counter, float bit pattern (Rust renders floats round-trippably),
-/// donation vector, and ledger phase. Two outcomes digest equal iff they
-/// are the same outcome, so a client can assert bit-identity through the
-/// HTTP API without shipping the whole structure.
-pub fn outcome_digest(out: &Outcome) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{out:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uts_core::outcome_digest;
 
     #[test]
     fn parses_a_minimal_synth_spec_with_cli_defaults() {

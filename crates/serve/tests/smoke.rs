@@ -34,15 +34,21 @@ fn submit_run_fetch_round_trip() {
     let server = JobServer::start(ServeConfig::new(&dir)).unwrap();
     let addr = server.addr();
 
-    let spec = r#"{"workload":{"kind":"synth","seed":5,"b_max":8,"depth_limit":6},"p":64}"#;
+    let spec =
+        r#"{"workload":{"kind":"synth","seed":5,"b_max":8,"depth_limit":6},"p":64,"ledger":true}"#;
     let (status, body) = client::post(addr, "/submit", spec);
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, r#"{"job":1}"#);
 
     let doc = wait_done(addr, 1);
-    let oracle = JobSpec::parse(spec).unwrap().oracle();
+    let spec = JobSpec::parse(spec).unwrap();
+    let oracle = spec.oracle();
     let want = format!("\"outcome_fnv\": \"{:#018x}\"", outcome_digest(&oracle));
     assert!(doc.contains(&want), "served result differs from the oracle:\n{doc}");
+    // After its header the result is the run report, ledger included.
+    let report = uts_core::run_report_json(&spec.config, &oracle);
+    assert!(report.contains("\"phases\""), "{report}");
+    assert!(doc.ends_with(&report["{\n".len()..]), "{doc}");
 
     let (status, body) = client::get(addr, "/status/1");
     assert_eq!(status, 200);

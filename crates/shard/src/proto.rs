@@ -35,7 +35,7 @@
 //! round's header ([`Give`]), and only counted entries carry a `max_nodes`.
 
 use uts_synthgen::{GenFamily, GenTree};
-use uts_tree::codec::{put_bool, put_u32, put_u64, put_usize};
+use uts_tree::codec::{put_bool, put_slice, put_u32, put_u64, put_usize};
 use uts_tree::{CodecError, Reader, SplitPolicy};
 
 /// Frame tags. Replies reuse the request tag.
@@ -274,15 +274,8 @@ impl BurstReply {
         put_u64(out, self.started);
         put_u64(out, self.goals);
         put_u64(out, self.peak);
-        put_usize(out, self.deaths.len());
-        for &d in &self.deaths {
-            put_u64(out, d);
-        }
-        put_usize(out, self.changed.len());
-        for &(pe, len) in &self.changed {
-            put_u32(out, pe);
-            put_u32(out, len);
-        }
+        put_slice(out, &self.deaths);
+        put_slice(out, &self.changed);
     }
 
     /// Decode the reply of a worker that owns `local_p` PEs; a `changed`
@@ -477,10 +470,7 @@ pub fn decode_extract_reply(bytes: &[u8]) -> Result<Vec<ExtractReply<'_>>, Codec
 
 /// Encode an `INSTALL` reply: each entry's post-install length.
 pub fn encode_install_reply(out: &mut Vec<u8>, lens: &[u32]) {
-    put_usize(out, lens.len());
-    for &len in lens {
-        put_u32(out, len);
-    }
+    put_slice(out, lens);
 }
 
 /// Decode an `INSTALL` reply.

@@ -162,7 +162,7 @@ fn parked_snapshots_are_interchangeable() {
     let got = run_sharded(&workload, &cfg, &with_park).expect("parking run");
     assert_eq!(got.outcome, want, "parking must not perturb the run");
 
-    let jobs = spill::parked_jobs(&tmp.0).expect("list spill dir");
+    let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
     assert!(!jobs.is_empty(), "boundary parks were written");
     let mid = jobs[jobs.len() / 2];
     let bytes = spill::unpark(&tmp.0, mid).expect("read parked snapshot");
@@ -195,7 +195,7 @@ fn killed_worker_resumes_from_spill() {
         other => panic!("expected WorkerLost, got {other:?}"),
     }
 
-    let jobs = spill::parked_jobs(&tmp.0).expect("list spill dir");
+    let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
     let last = *jobs.last().expect("at least one boundary parked before the kill");
     let bytes = spill::unpark(&tmp.0, last).expect("read parked snapshot");
     let recovered = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("recovery resume");
@@ -222,7 +222,7 @@ fn counted_rounds_park_and_resume_across_shards() {
         assert_eq!(got.outcome, want, "FEGS at P={p} on 3 parking shards diverged");
         assert!(got.stats.route_total.steps > 0, "equalization moved work between PEs");
 
-        let jobs = spill::parked_jobs(&tmp.0).expect("list spill dir");
+        let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
         let mid = jobs[jobs.len() / 2];
         let bytes = spill::unpark(&tmp.0, mid).expect("read parked snapshot");
         let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("in-process resume");

@@ -116,12 +116,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Consume an `f64` stored as its raw IEEE-754 bits (bit-exact, no
-    /// text round-trip loss).
-    pub fn f64_bits(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Consume a collection length stored as `u64`. Guards against
     /// adversarial/corrupt lengths: each element occupies at least
     /// `min_elem_bytes` bytes, so a length the remaining buffer cannot
@@ -241,12 +235,15 @@ impl<A: CkptNode, B: CkptNode, C: CkptNode> CkptNode for (A, B, C) {
     }
 }
 
+/// Append a slice, length-prefixed: the encoding of the equal `Vec`.
+pub fn put_slice<T: CkptNode>(out: &mut Vec<u8>, items: &[T]) {
+    put_usize(out, items.len());
+    items.iter().for_each(|item| item.encode_node(out));
+}
+
 impl<T: CkptNode> CkptNode for Vec<T> {
     fn encode_node(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.len());
-        for item in self {
-            item.encode_node(out);
-        }
+        put_slice(out, self);
     }
     fn decode_node(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.len(1)?;
@@ -292,10 +289,7 @@ impl<S: CkptNode> CkptNode for crate::problem::BoundedNode<S> {
 /// with a cold pool.
 impl<N: CkptNode> CkptNode for SearchStack<N> {
     fn encode_node(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.frames().len());
-        for frame in self.frames() {
-            frame.encode_node(out);
-        }
+        put_slice(out, self.frames());
     }
     fn decode_node(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let depth = r.len(8)?;

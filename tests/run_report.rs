@@ -12,6 +12,9 @@
 //! ```
 //!
 //! and review the diff like any other code change.
+//!
+//! The same case's [`outcome_digest`] is pinned as a literal: it moves
+//! only with the schedule or with a deliberate `DIGEST_VERSION` change.
 
 use simd_tree_search::prelude::*;
 use simd_tree_search::synth::GeometricTree;
@@ -50,4 +53,11 @@ fn golden_fixture_is_engine_invariant() {
         let c = cfg.clone().with_engine(kind);
         assert_eq!(run_report_json(&c, &run_with(&tree, &c)), baseline, "{}", kind.name());
     }
+}
+
+#[test]
+fn golden_case_digest_is_pinned() {
+    let (tree, cfg) = golden_case();
+    let digest = format!("{:#018x}", outcome_digest(&run(&tree, &cfg)));
+    assert_eq!(digest, "0xab56a76d68c2e404", "the golden case's digest moved");
 }

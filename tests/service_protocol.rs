@@ -20,9 +20,10 @@
 //! and that `/status`, `/jobs`, `/cancel`, `shutdown` and `kill` are
 //! never held up by it and end it promptly.
 //!
-//! The golden half freezes the `status` response schema in
-//! `tests/fixtures/service_status.json`; regenerate intentional changes
-//! with `UPDATE_GOLDEN=1 cargo test --test service_protocol`.
+//! The golden half freezes the `status` and `/result` responses in
+//! `tests/fixtures/service_status.json` and `service_result.json`;
+//! regenerate intentional changes with
+//! `UPDATE_GOLDEN=1 cargo test --test service_protocol`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -30,6 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simd_tree_search::ckpt::spill;
+use simd_tree_search::core::{run_report_json, DIGEST_VERSION};
 use simd_tree_search::prelude::PreemptSignal;
 use simd_tree_search::serve::http::IO_TIMEOUT;
 use simd_tree_search::serve::{
@@ -457,46 +459,61 @@ fn a_fingerprint_mismatched_spill_file_fails_the_job_as_spill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Compare `got` with a golden fixture, or rewrite it under `UPDATE_GOLDEN`.
+fn assert_golden(got: &str, fixture: &str) {
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden fixture exists");
+    assert_eq!(
+        got, golden,
+        "response drifted from tests/fixtures/{fixture}; if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 and review"
+    );
+}
+
 #[test]
 fn status_response_matches_the_golden_fixture() {
     // A deterministic scenario: fresh server, one small job, run to
     // completion with no preemption pressure (2 slots, 1 job), then ask
-    // for its status. Everything in the response — schema, state name,
-    // preemption count, config fingerprint — must be byte-stable.
+    // for its result and status. Everything in both responses — schema,
+    // state name, preemption count, config fingerprint, outcome digest,
+    // run report — must be byte-stable.
+    const SPEC: &str = r#"{"workload":{"kind":"synth","seed":11,"b_max":8,"depth_limit":6},"p":64,"scheme":"gp-dk"}"#;
     let dir = scratch_dir("golden");
     let mut cfg = ServeConfig::new(&dir);
     cfg.slots = 2;
     cfg.quantum_ms = 60_000;
     let server = JobServer::start(cfg).unwrap();
     let addr = server.addr();
-    let (status, body) = client::post(
-        addr,
-        "/submit",
-        r#"{"workload":{"kind":"synth","seed":11,"b_max":8,"depth_limit":6},"p":64,"scheme":"gp-dk"}"#,
-    );
+    let (status, body) = client::post(addr, "/submit", SPEC);
     assert_eq!(status, 200, "{body}");
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (status, _) = client::get(addr, "/result/1");
+    let result = loop {
+        let (status, body) = client::get(addr, "/result/1");
         if status == 200 {
-            break;
+            break body;
         }
         assert!(Instant::now() < deadline, "golden job never finished");
-    }
+    };
     let (status, got) = client::get(addr, "/status/1");
     assert_eq!(status, 200);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/service_status.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden fixture exists");
-    assert_eq!(
-        got, golden,
-        "status response drifted from tests/fixtures/service_status.json; if \
-         the change is intentional, regenerate with UPDATE_GOLDEN=1 and review"
+    // The result is a five-field header, then the spec's run report.
+    let spec = JobSpec::parse(SPEC).unwrap();
+    let oracle = spec.oracle();
+    let header = format!(
+        "{{\n  \"job\": 1,\n  \"state\": \"done\",\n  \"preemptions\": 0,\n  \
+         \"outcome_fnv\": \"{:#018x}\",\n  \"digest_version\": {DIGEST_VERSION},\n",
+        outcome_digest(&oracle)
     );
+    let report = run_report_json(&spec.config, &oracle);
+    assert_eq!(result.strip_prefix(&header), report.strip_prefix("{\n"), "{result}");
+
+    assert_golden(&got, "service_status.json");
+    assert_golden(&result, "service_result.json");
 }

@@ -8,7 +8,9 @@
 //! job from its durable trail — finished jobs serve their stored
 //! results, parked jobs resume from their snapshot, queued and
 //! interrupted jobs restart from scratch — and every final result must
-//! be bit-identical to an uninterrupted `run_with` oracle.
+//! be bit-identical to an uninterrupted `run_with` oracle. A stored
+//! result the new server cannot vouch for — garbage, another job's, or
+//! written under an older digest version — fails its job instead.
 
 use std::time::{Duration, Instant};
 
@@ -193,4 +195,53 @@ fn graceful_shutdown_parks_in_flight_work_for_the_next_life() {
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `.done` file a server wrote before the digest moved off `Debug`
+/// text: no `digest_version`, and an `outcome_fnv` no client can
+/// reproduce any more.
+const PRE_VERSION_DONE: &str = r#"{
+  "job": 1,
+  "state": "done",
+  "preemptions": 0,
+  "outcome_fnv": "0x7b7154057f0904f7",
+  "goals": 3,
+  "nodes_expanded": 157,
+  "n_expand": 20,
+  "n_lb": 14,
+  "n_transfers": 48,
+  "t_par_us": 782000,
+  "efficiency": 0.376439,
+  "peak_stack_nodes": 11,
+  "truncated": false
+}
+"#;
+
+/// A `.done` file recovery cannot vouch for fails its job with a typed
+/// `spill` error naming the reason, and the job is not run again.
+#[test]
+fn an_unverifiable_stored_result_recovers_as_a_spill_failure() {
+    let spec = r#"{"workload":{"kind":"synth","seed":32,"b_max":6,"depth_limit":4},"p":16}"#;
+    let cases = [
+        ("garbage", "garbage\n".to_string(), "not JSON"),
+        ("pre-version", PRE_VERSION_DONE.to_string(), "digest version None"),
+        ("other-job", PRE_VERSION_DONE.replace("\"job\": 1", "\"job\": 2"), "job Some(2)"),
+    ];
+    for (tag, done, reason) in cases {
+        let dir = scratch_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("job-00000001.spec"), spec).unwrap();
+        std::fs::write(dir.join("job-00000001.done"), &done).unwrap();
+
+        let server = simd_tree_search::serve::JobServer::start(ServeConfig::new(&dir)).unwrap();
+        let (status, body) = client::get(server.addr(), "/result/1");
+        assert_eq!(status, 500, "{tag}: {body}");
+        assert!(body.contains(r#""kind":"spill""#) && body.contains(reason), "{tag}: {body}");
+        let (_, state) = client::get(server.addr(), "/status/1");
+        assert!(state.contains(r#""state": "failed""#), "{tag}: {state}");
+        server.shutdown();
+        let left = std::fs::read_to_string(dir.join("job-00000001.done")).unwrap();
+        assert_eq!(left, done, "{tag}: the job ran again and replaced its result");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
