@@ -146,35 +146,13 @@ fn simd_setup(flags: &Flags) -> Result<SimdSetup, String> {
     Ok(SimdSetup { workload, cfg })
 }
 
-fn print_outcome(cfg: &EngineConfig, workload: &str, out: &Outcome) {
-    let p = cfg.p;
-    println!("scheme        : {}", cfg.scheme.name());
-    println!("P             : {p}");
-    println!("workload      : {workload}");
-    println!("W (nodes)     : {}", out.report.nodes_expanded);
-    println!("goals         : {}", out.goals);
-    println!("Nexpand cycles: {}", out.report.n_expand);
-    println!("Nlb phases    : {}", out.report.n_lb);
-    println!("work transfers: {}", out.report.n_transfers);
-    println!("peak PE stack : {}", out.peak_stack_nodes);
-    println!("T_par (virt s): {:.2}", out.report.t_par as f64 / 1e6);
-    println!("speedup       : {:.1}", out.report.speedup());
-    println!("efficiency    : {:.3}", out.report.efficiency);
+/// The run report on stdout; the workload echo and kill hint on stderr.
+fn print_report(setup: &SimdSetup, out: &Outcome) {
+    eprintln!("workload: {}", setup.workload.describe());
     if out.killed {
-        println!("killed        : yes (fault injected; resume with `sts resume --snapshot ...`)");
+        eprintln!("killed: fault injected; resume with `sts resume --snapshot ...`");
     }
-    if let Some(ledger) = &out.ledger {
-        let s = ledger.donation_spread();
-        println!("-- ledger ({} balancing phases) --", ledger.phases.len());
-        println!("donors        : {} of {p} PEs (max {} donations)", s.donors, s.max);
-        println!("spread        : max/mean {:.2}, gini {:.3}", s.max_over_mean, s.gini);
-        let lb_cost: u64 = ledger.phases.iter().map(|ph| ph.cost.total).sum();
-        let setup: u64 = ledger.phases.iter().map(|ph| ph.cost.setup).sum();
-        let transfer: u64 = ledger.phases.iter().map(|ph| ph.cost.transfer).sum();
-        println!(
-            "phase cost    : {lb_cost} us total (pre-mult: setup {setup}, transfer {transfer})"
-        );
-    }
+    print!("{}", uts_core::run_report_json(&setup.cfg, out));
 }
 
 /// `sts run`: parallel SIMD search of one bounded iteration or one
@@ -188,7 +166,7 @@ pub fn run_simd(flags: &Flags) -> Result<(), String> {
         }
         SimdWorkload::UtsGen(tree) => run_with(tree, &setup.cfg),
     };
-    print_outcome(&setup.cfg, &setup.workload.describe(), &out);
+    print_report(&setup, &out);
     Ok(())
 }
 
@@ -210,7 +188,7 @@ pub fn resume(flags: &Flags) -> Result<(), String> {
         SimdWorkload::UtsGen(tree) => resume_from_bytes(tree, &setup.cfg, &bytes),
     }
     .map_err(|e| format!("{path}: {e}"))?;
-    print_outcome(&setup.cfg, &setup.workload.describe(), &out);
+    print_report(&setup, &out);
     Ok(())
 }
 
@@ -266,26 +244,27 @@ pub fn shard(flags: &Flags) -> Result<(), String> {
         }
         other => other.to_string(),
     })?;
-    print_outcome(&setup.cfg, &setup.workload.describe(), &sharded.outcome);
+    print_report(&setup, &sharded.outcome);
     print_shard_stats(&sharded.stats);
     Ok(())
 }
 
+/// The transport summary, on stderr: stdout is the run report alone.
 fn print_shard_stats(stats: &uts_shard::ShardStats) {
-    println!("-- sharded machine ({} worker processes) --", stats.shards);
+    eprintln!("-- sharded machine ({} worker processes) --", stats.shards);
     let messages: u64 = stats.phases.iter().map(|ph| ph.messages).sum();
-    println!(
+    eprintln!(
         "routed phases : {} ({} transfers routed through the interconnect)",
         stats.phases.len(),
         messages
     );
-    println!(
+    eprintln!(
         "route (meas.) : {} router steps, max hops {}, waits {}",
         stats.route_total.steps, stats.route_total.max_hops, stats.route_total.waits
     );
     let closed: u64 = stats.phases.iter().map(|ph| ph.closed_form.total).sum();
     let measured: u64 = stats.phases.iter().map(|ph| ph.measured.total).sum();
-    println!("lb cost       : closed-form {closed} us vs route-measured {measured} us");
+    eprintln!("lb cost       : closed-form {closed} us vs route-measured {measured} us");
 }
 
 /// `sts mimd`: asynchronous work stealing on the same workload.

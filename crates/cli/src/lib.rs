@@ -35,6 +35,9 @@ USAGE:
 
 A command rejects any flag it does not list here.
 
+Output: `run`, `resume` and `shard` print the JSON run report on stdout
+(the same bytes for `run X` and `shard X`) and everything else on stderr.
+
 SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs  ring-nn
 COSTS:   cm2  hypercube  mesh
 ENGINES: macro (default)  par  reference   (`fused` is read as macro)

@@ -48,6 +48,7 @@ pub mod census;
 pub mod ckpt;
 pub mod driver;
 pub mod engine;
+pub mod json;
 pub mod local;
 pub mod matcher;
 pub mod reference;
@@ -67,6 +68,6 @@ pub use engine::{
 pub use local::{run, LocalBackend};
 pub use matcher::MatchState;
 pub use reference::run_reference;
-pub use report_json::{outcome_digest, run_report_fields, run_report_json, DIGEST_VERSION};
+pub use report_json::{outcome_digest, run_report, run_report_json, DIGEST_VERSION};
 pub use scheme::{Matching, Scheme, TransferMode, Trigger};
 pub use store::{CountedMove, StackStore};

@@ -1,21 +1,16 @@
 //! What a run reports. [`outcome_digest`] hashes every field of an
 //! [`Outcome`] through the snapshot codec's own field encoders.
-//! [`run_report_json`] renders the schedule-invariant observables of an
+//! [`run_report`] builds the schedule-invariant observables of an
 //! [`Outcome`] — the headline counters plus, when the run recorded one,
 //! the load-balance ledger (donation spread and per-phase trigger
-//! provenance) — as a stable, hand-rolled JSON document. Stability is the
-//! point: the same `(problem, config)` yields byte-identical text on every
-//! engine, thread count and host, so the quick CI tier can diff the
-//! report against a golden fixture (`tests/fixtures/run_report.json`) and
-//! any schedule or accounting drift shows up as a one-line test failure.
-//! The job server's `/result` document is the same fields behind a header.
-//!
-//! Hand-rolled for the same reason as the bench harness's JSON: the
-//! schema is small, the values are integers and fixed-precision floats,
-//! and a serializer dependency would add nothing but formatting
-//! ambiguity.
-
-use std::fmt::Write as _;
+//! provenance) — as a [`Json`] object, and [`run_report_json`] renders it
+//! with the crate's one JSON writer. Stability is the point: the same
+//! `(problem, config)` yields byte-identical text on every engine, thread
+//! count and host, so the quick CI tier can diff the report against a
+//! golden fixture (`tests/fixtures/run_report.json`) and any schedule or
+//! accounting drift shows up as a one-line test failure. The job server's
+//! `/result` document is the same pairs behind a header, and `sts run`,
+//! `sts resume` and `sts shard` print the report as their stdout.
 
 use uts_ckpt::{encode_active_trace, encode_phase_log, encode_phase_record, fnv1a_64};
 use uts_machine::{Ledger, Report, TriggerKind};
@@ -23,6 +18,7 @@ use uts_tree::codec::{put_bool, put_f64_bits, put_u64, put_usize};
 use uts_tree::CkptNode;
 
 use crate::engine::{EngineConfig, MacroStep, Outcome};
+use crate::json::Json;
 
 /// The leading byte of [`outcome_digest`]'s encoding. Version 1 hashed an
 /// `Outcome`'s `Debug` text; bump on any change to what is encoded.
@@ -84,76 +80,66 @@ pub fn outcome_digest(out: &Outcome) -> u64 {
     fnv1a_64(&b)
 }
 
-/// Render the run-report JSON (trailing newline included). Floats are
-/// fixed at six decimals so the text is reproducible bit-for-bit.
+/// Render the run report as its JSON document (trailing newline included).
 pub fn run_report_json(cfg: &EngineConfig, out: &Outcome) -> String {
-    format!("{{\n{}}}\n", run_report_fields(cfg, out))
+    run_report(cfg, out).to_string()
 }
 
-/// The run report's fields without its braces, one `  "name": value` line
-/// each: the body of the job server's `/result` document too.
-pub fn run_report_fields(cfg: &EngineConfig, out: &Outcome) -> String {
+/// The run report of `out` under `cfg`: the headline counters, then the
+/// ledger or `null`. Floats are fixed at six decimals so the text is
+/// reproducible bit-for-bit.
+pub fn run_report(cfg: &EngineConfig, out: &Outcome) -> Json {
     let r = &out.report;
-    let mut s = String::new();
-    let _ = writeln!(s, "  \"scheme\": \"{}\",", cfg.scheme.name());
-    let _ = writeln!(s, "  \"p\": {},", cfg.p);
-    let _ = writeln!(s, "  \"nodes_expanded\": {},", r.nodes_expanded);
-    let _ = writeln!(s, "  \"n_expand\": {},", r.n_expand);
-    let _ = writeln!(s, "  \"n_lb\": {},", r.n_lb);
-    let _ = writeln!(s, "  \"n_transfers\": {},", r.n_transfers);
-    let _ = writeln!(s, "  \"t_par_us\": {},", r.t_par);
-    let _ = writeln!(s, "  \"t_calc_us\": {},", r.t_calc);
-    let _ = writeln!(s, "  \"t_idle_us\": {},", r.t_idle);
-    let _ = writeln!(s, "  \"t_lb_us\": {},", r.t_lb);
-    let _ = writeln!(s, "  \"efficiency\": {:.6},", r.efficiency);
-    let _ = writeln!(s, "  \"goals\": {},", out.goals);
-    let _ = writeln!(s, "  \"truncated\": {},", out.truncated);
-    let _ = writeln!(s, "  \"peak_stack_nodes\": {},", out.peak_stack_nodes);
-    match &out.ledger {
-        None => s.push_str("  \"ledger\": null\n"),
-        Some(ledger) => {
-            let spread = ledger.donation_spread();
-            s.push_str("  \"ledger\": {\n");
-            s.push_str("    \"donation_spread\": {\n");
-            let _ = writeln!(s, "      \"total\": {},", spread.total);
-            let _ = writeln!(s, "      \"donors\": {},", spread.donors);
-            let _ = writeln!(s, "      \"max\": {},", spread.max);
-            let _ = writeln!(s, "      \"mean\": {:.6},", spread.mean);
-            let _ = writeln!(s, "      \"max_over_mean\": {:.6},", spread.max_over_mean);
-            let _ = writeln!(s, "      \"gini\": {:.6}", spread.gini);
-            s.push_str("    },\n");
-            s.push_str("    \"phases\": [\n");
-            for (i, ph) in ledger.phases.iter().enumerate() {
-                let comma = if i + 1 < ledger.phases.len() { "," } else { "" };
-                let f = &ph.firing;
-                let _ = writeln!(
-                    s,
-                    "      {{\"at_cycle\": {}, \"trigger\": \"{}\", \"busy\": {}, \
-                     \"idle\": {}, \"w_us\": {}, \"t_us\": {}, \"w_idle_us\": {}, \
-                     \"l_estimate_us\": {}, \"horizon\": {}, \"rounds\": {}, \
-                     \"transfers\": {}, \"cost_setup_us\": {}, \"cost_transfer_us\": {}, \
-                     \"cost_multiplier\": {}, \"cost_total_us\": {}}}{comma}",
-                    ph.at_cycle,
-                    trigger_label(f.kind),
-                    f.busy,
-                    f.idle,
-                    f.w,
-                    f.t,
-                    f.w_idle,
-                    f.l_estimate,
-                    ph.horizon,
-                    ph.rounds,
-                    ph.transfers,
-                    ph.cost.setup,
-                    ph.cost.transfer,
-                    ph.cost.multiplier,
-                    ph.cost.total,
-                );
-            }
-            s.push_str("    ]\n  }\n");
-        }
-    }
-    s
+    let fixed = |x: f64| Json::num(format_args!("{x:.6}"));
+    let ledger = out.ledger.as_ref().map_or(Json::Null, |ledger| {
+        let spread = ledger.donation_spread();
+        let phases = ledger.phases.iter().map(|ph| {
+            let f = &ph.firing;
+            Json::obj([
+                ("at_cycle", Json::num(ph.at_cycle)),
+                ("trigger", Json::Str(trigger_label(f.kind))),
+                ("busy", Json::num(f.busy)),
+                ("idle", Json::num(f.idle)),
+                ("w_us", Json::num(f.w)),
+                ("t_us", Json::num(f.t)),
+                ("w_idle_us", Json::num(f.w_idle)),
+                ("l_estimate_us", Json::num(f.l_estimate)),
+                ("horizon", Json::num(ph.horizon)),
+                ("rounds", Json::num(ph.rounds)),
+                ("transfers", Json::num(ph.transfers)),
+                ("cost_setup_us", Json::num(ph.cost.setup)),
+                ("cost_transfer_us", Json::num(ph.cost.transfer)),
+                ("cost_multiplier", Json::num(ph.cost.multiplier)),
+                ("cost_total_us", Json::num(ph.cost.total)),
+            ])
+        });
+        let spread = Json::obj([
+            ("total", Json::num(spread.total)),
+            ("donors", Json::num(spread.donors)),
+            ("max", Json::num(spread.max)),
+            ("mean", fixed(spread.mean)),
+            ("max_over_mean", fixed(spread.max_over_mean)),
+            ("gini", fixed(spread.gini)),
+        ]);
+        Json::obj([("donation_spread", spread), ("phases", Json::Arr(phases.collect()))])
+    });
+    Json::obj([
+        ("scheme", Json::Str(cfg.scheme.name())),
+        ("p", Json::num(cfg.p)),
+        ("nodes_expanded", Json::num(r.nodes_expanded)),
+        ("n_expand", Json::num(r.n_expand)),
+        ("n_lb", Json::num(r.n_lb)),
+        ("n_transfers", Json::num(r.n_transfers)),
+        ("t_par_us", Json::num(r.t_par)),
+        ("t_calc_us", Json::num(r.t_calc)),
+        ("t_idle_us", Json::num(r.t_idle)),
+        ("t_lb_us", Json::num(r.t_lb)),
+        ("efficiency", fixed(r.efficiency)),
+        ("goals", Json::num(out.goals)),
+        ("truncated", Json::Bool(out.truncated)),
+        ("peak_stack_nodes", Json::num(out.peak_stack_nodes)),
+        ("ledger", ledger),
+    ])
 }
 
 /// Stable JSON label for a trigger kind; static triggers carry their

@@ -12,6 +12,8 @@ use std::fmt;
 
 use uts_ckpt::CkptError;
 
+use crate::json::Json;
+
 /// Everything the server can refuse a request with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -68,13 +70,10 @@ impl ServeError {
         }
     }
 
-    /// Render as the JSON error body: `{"error": …, "kind": …}`.
+    /// Render as the JSON error body: `error` (the message), then `kind`.
     pub fn body(&self) -> String {
-        format!(
-            r#"{{"error":"{}","kind":"{}"}}"#,
-            crate::json::escape(&self.to_string()),
-            self.kind()
-        )
+        Json::obj([("error", Json::Str(self.to_string())), ("kind", Json::Str(self.kind().into()))])
+            .to_string()
     }
 
     /// Wrap a snapshot-codec rejection (fingerprint mismatch, torn file,

@@ -15,17 +15,19 @@
 //!
 //! | endpoint | method | body | reply |
 //! |---|---|---|---|
-//! | `/submit` | POST | job spec JSON | `{"job":id}` |
-//! | `/status/{id}` | GET | — | state, preemptions, config fingerprint |
-//! | `/result/{id}` | GET | — | `outcome_fnv` + `digest_version` header, then the job's run report ([`uts_core::run_report_fields`]); waits up to [`RESULT_WAIT`] for the job, then 409 if it is still running |
-//! | `/cancel/{id}` | POST | — | resulting state |
-//! | `/jobs` | GET | — | every job's id + state |
+//! | `/submit` | POST | job spec JSON | `job` |
+//! | `/status/{id}` | GET | — | `job`, `state`, `preemptions`, `cancel_requested`, `config_fnv` |
+//! | `/result/{id}` | GET | — | `job`, `state`, `preemptions`, `outcome_fnv`, `digest_version`, then the pairs of the job's run report ([`uts_core::run_report`]); waits up to [`RESULT_WAIT`] for the job, then 409 if it is still running |
+//! | `/cancel/{id}` | POST | — | `job`, `state` (the resulting state) |
+//! | `/jobs` | GET | — | `jobs`: every job's `job` and `state` |
+//! | any refusal | — | — | `error`, `kind` ([`ServeError`]) |
 //!
+//! Every reply is one JSON object in [`uts_core::json`]'s one layout.
 //! `/status` and `/jobs` answer at once; they are the endpoints to probe
 //! with. `/result` of a cancelled job answers 409 `cancelled` at once.
 //!
-//! Module map: [`json`] (minimal JSON reader), [`spec`] (job spec +
-//! slice runner), [`jobs`] (pure lifecycle state machine), [`http`]
+//! Module map: [`json`] (`uts_core::json`, re-exported), [`spec`] (job
+//! spec + slice runner), [`jobs`] (pure lifecycle state machine), [`http`]
 //! (frame reader/writer + blocking test client), [`server`] (scheduler,
 //! recovery, routing, the result wait), [`error`] (the six-way typed
 //! rejection taxonomy).
@@ -33,7 +35,6 @@
 pub mod error;
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod server;
 pub mod spec;
 
@@ -42,4 +43,4 @@ pub use http::client;
 pub use jobs::{JobRecord, JobState, JobTable};
 pub use server::{JobServer, ServeConfig, RESULT_WAIT};
 pub use spec::{JobSpec, Workload};
-pub use uts_core::outcome_digest;
+pub use uts_core::{json, outcome_digest};

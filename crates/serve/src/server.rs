@@ -30,8 +30,8 @@
 //! `job-{id:08}.spec` (the submitted body, written before the submit
 //! response), `.park` (latest parked snapshot), `.done` (the `/result`
 //! document: the header fields `job`, `state`, `preemptions`,
-//! `outcome_fnv` and `digest_version`, then the fields of the job's run
-//! report, rendered by [`run_report_fields`]), `.cancelled` (marker) — so
+//! `outcome_fnv` and `digest_version`, then the pairs of the job's
+//! [`run_report`]), `.cancelled` (marker) — so
 //! [`JobServer::start`] over an existing directory recovers every job:
 //! finished jobs serve their stored results, parked jobs resume from their
 //! snapshots, queued jobs restart from scratch. A `.done` file that does
@@ -63,7 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use uts_ckpt::{spill, PreemptSignal};
-use uts_core::{outcome_digest, run_report_fields, DIGEST_VERSION};
+use uts_core::{outcome_digest, run_report, Outcome, DIGEST_VERSION};
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Request, IO_TIMEOUT};
@@ -294,7 +294,7 @@ fn runner_loop(shared: &Shared) {
     let dir = shared.cfg.spill_dir.clone();
     loop {
         // Claim the next job (or halt).
-        let (id, spec, signal, was_parked) = {
+        let (id, spec, signal, was_parked, preemptions) = {
             let mut st = shared.lock();
             loop {
                 if shared.halted() {
@@ -311,11 +311,13 @@ fn runner_loop(shared: &Shared) {
                     st.running.insert(id, RunningJob { signal: signal.clone(), started });
                     // A cancel that arrived while the job was queued past
                     // its claim would be lost; re-raise for ones flagged
-                    // mid-claim.
-                    if st.table.get(id).expect("claimed").cancel_requested {
+                    // mid-claim. Only this runner parks the job, so its
+                    // preemption count holds until the slice ends.
+                    let job = st.table.get(id).expect("claimed");
+                    if job.cancel_requested {
                         signal.raise();
                     }
-                    break (id, spec, signal, parked);
+                    break (id, spec, signal, parked, job.preemptions);
                 }
                 st = shared.work.wait(st).expect("server state poisoned");
             }
@@ -327,10 +329,10 @@ fn runner_loop(shared: &Shared) {
             Err(e) => Err(ServeError::Spill(format!("unpark: {e}"))),
             Ok(parked) => spec.run_slice(parked.as_deref(), &signal).map_err(ServeError::from_ckpt),
         };
-        // A finished outcome's digest and report are the costly part of
-        // its result document: build them before taking the lock too.
-        let report = match &slice {
-            Ok((out, None)) => Some((outcome_digest(out), run_report_fields(&spec.config, out))),
+        // A finished outcome's result document is digested and rendered
+        // before taking the lock too.
+        let doc = match &slice {
+            Ok((out, None)) => Some(Arc::new(result_doc(id, preemptions, &spec, out))),
             _ => None,
         };
 
@@ -366,11 +368,7 @@ fn runner_loop(shared: &Shared) {
                 }
             }
             Ok((_, None)) => {
-                let (fnv, fields) = report.expect("a finished slice has a report");
-                let preemptions = st.table.get(id).expect("running").preemptions;
-                let doc = Arc::new(format!(
-                    "{{\n  \"job\": {id},\n  \"state\": \"done\",\n  \"preemptions\": {preemptions},\n  \"outcome_fnv\": \"{fnv:#018x}\",\n  \"digest_version\": {DIGEST_VERSION},\n{fields}}}\n"
-                ));
+                let doc = doc.expect("a finished slice has a result document");
                 match spill::write_atomic(&spill::job_path(&dir, id, "done"), doc.as_bytes()) {
                     Ok(()) => {
                         st.results.insert(id, Arc::clone(&doc));
@@ -392,6 +390,20 @@ fn runner_loop(shared: &Shared) {
             shared.settled.notify_all();
         }
     }
+}
+
+/// The `/result` document: the five header pairs, then the pairs of the
+/// job's run report.
+fn result_doc(id: u64, preemptions: u32, spec: &JobSpec, out: &Outcome) -> String {
+    let Json::Obj(report) = run_report(&spec.config, out) else { unreachable!("an object") };
+    let header = [
+        ("job".into(), Json::num(id)),
+        ("state".into(), Json::Str("done".into())),
+        ("preemptions".into(), Json::num(preemptions)),
+        ("outcome_fnv".into(), Json::Str(format!("{:#018x}", outcome_digest(out)))),
+        ("digest_version".into(), Json::num(DIGEST_VERSION)),
+    ];
+    Json::Obj(header.into_iter().chain(report).collect()).to_string()
 }
 
 fn governor_loop(shared: &Shared) {
@@ -423,12 +435,9 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
         std::thread::spawn(move || {
             let mut stream = stream;
             let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-            let (status, body) = match read_request(&mut stream) {
+            let (status, body) = match read_request(&mut stream).and_then(|req| route(&sh, &req)) {
+                Ok(body) => (200, body),
                 Err(e) => (e.status(), e.body()),
-                Ok(req) => match route(&sh, &req) {
-                    Ok(body) => (200, body),
-                    Err(e) => (e.status(), e.body()),
-                },
             };
             let _ = write_response(&mut stream, status, &body);
         });
@@ -463,21 +472,22 @@ fn submit(shared: &Shared, body: &str) -> Result<String, ServeError> {
     st.specs.insert(id, Arc::new(spec));
     drop(st);
     shared.work.notify_all();
-    Ok(format!(r#"{{"job":{id}}}"#))
+    Ok(Json::obj([("job", Json::num(id))]).to_string())
 }
 
 fn status(shared: &Shared, id: u64) -> Result<String, ServeError> {
     let st = shared.lock();
     let job = st.table.get(id).ok_or(ServeError::UnknownJob(id))?;
     let spec = st.specs.get(&id);
-    Ok(format!(
-        "{{\n  \"job\": {},\n  \"state\": \"{}\",\n  \"preemptions\": {},\n  \"cancel_requested\": {},\n  \"config_fnv\": \"{}\"\n}}\n",
-        job.id,
-        job.state.name(),
-        job.preemptions,
-        job.cancel_requested,
-        spec.map_or_else(|| "unknown".to_string(), |s| format!("{:#018x}", s.fingerprint())),
-    ))
+    let config_fnv = spec.map_or("unknown".into(), |s| format!("{:#018x}", s.fingerprint()));
+    Ok(Json::obj([
+        ("job", Json::num(job.id)),
+        ("state", Json::Str(job.state.name().into())),
+        ("preemptions", Json::num(job.preemptions)),
+        ("cancel_requested", Json::Bool(job.cancel_requested)),
+        ("config_fnv", Json::Str(config_fnv)),
+    ])
+    .to_string())
 }
 
 /// Answer once the job is terminal, the server halts, or [`RESULT_WAIT`]
@@ -526,15 +536,13 @@ fn cancel(shared: &Shared, id: u64) -> Result<String, ServeError> {
         }
         _ => {}
     }
-    Ok(format!(r#"{{"job":{id},"state":"{}"}}"#, state.name()))
+    Ok(Json::obj([("job", Json::num(id)), ("state", Json::Str(state.name().into()))]).to_string())
 }
 
 fn jobs(shared: &Shared) -> Result<String, ServeError> {
     let st = shared.lock();
-    let items: Vec<String> = st
-        .table
-        .iter()
-        .map(|j| format!(r#"{{"job":{},"state":"{}"}}"#, j.id, j.state.name()))
-        .collect();
-    Ok(format!(r#"{{"jobs":[{}]}}"#, items.join(",")))
+    let items = st.table.iter().map(|j| {
+        Json::obj([("job", Json::num(j.id)), ("state", Json::Str(j.state.name().into()))])
+    });
+    Ok(Json::obj([("jobs", Json::Arr(items.collect()))]).to_string())
 }

@@ -75,49 +75,37 @@ const MAX_P: u64 = 1 << 22;
 /// many OS threads (less its own) for every burst it fans out.
 const MAX_THREADS: u64 = 256;
 
+/// `obj`'s `key` read through `as_t`: `None` when absent, a `proto` error
+/// naming `what` it must be when present but of another type.
+fn field<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    what: &str,
+    as_t: fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ServeError> {
+    let wrong = || ServeError::Proto(format!("`{key}` must be {what}"));
+    obj.get(key).map(|v| as_t(v).ok_or_else(wrong)).transpose()
+}
+
 fn field_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ServeError::Proto(format!("`{key}` must be an unsigned integer"))),
-    }
+    field(obj, key, "an unsigned integer", Json::as_u64)
 }
 
 fn field_f64(obj: &Json, key: &str) -> Result<Option<f64>, ServeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ServeError::Proto(format!("`{key}` must be a number"))),
-    }
+    field(obj, key, "a number", Json::as_f64)
 }
 
 fn field_bool(obj: &Json, key: &str) -> Result<Option<bool>, ServeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| ServeError::Proto(format!("`{key}` must be a boolean"))),
-    }
+    field(obj, key, "a boolean", Json::as_bool)
 }
 
 fn field_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, ServeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| ServeError::Proto(format!("`{key}` must be a string"))),
-    }
+    field(obj, key, "a string", Json::as_str)
 }
 
 fn check_known_keys(obj: &Json, known: &[&str], ctx: &str) -> Result<(), ServeError> {
-    if let Json::Obj(map) = obj {
-        for key in map.keys() {
+    if let Json::Obj(pairs) = obj {
+        for (key, _) in pairs {
             if !known.contains(&key.as_str()) {
                 return Err(ServeError::Proto(format!("unknown {ctx} field `{key}`")));
             }

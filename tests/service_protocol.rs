@@ -20,8 +20,10 @@
 //! and that `/status`, `/jobs`, `/cancel`, `shutdown` and `kill` are
 //! never held up by it and end it promptly.
 //!
-//! The golden half freezes the `status` and `/result` responses in
-//! `tests/fixtures/service_status.json` and `service_result.json`;
+//! The golden half freezes the `/status` and `/result` responses in
+//! `tests/fixtures/service_status.json` and `service_result.json`, and the
+//! `/submit`, `/cancel`, `/jobs` and error bodies in `service_submit.json`,
+//! `service_cancel.json`, `service_jobs.json` and `service_error.json`;
 //! regenerate intentional changes with
 //! `UPDATE_GOLDEN=1 cargo test --test service_protocol`.
 
@@ -31,6 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simd_tree_search::ckpt::spill;
+use simd_tree_search::core::json::Json;
 use simd_tree_search::core::{run_report_json, DIGEST_VERSION};
 use simd_tree_search::prelude::PreemptSignal;
 use simd_tree_search::serve::http::IO_TIMEOUT;
@@ -59,10 +62,8 @@ fn start(tag: &str) -> (JobServer, std::path::PathBuf) {
 
 fn assert_rejection(status: u16, body: &str, want_status: u16, want_kind: &str) {
     assert_eq!(status, want_status, "{body}");
-    assert!(
-        body.contains(&format!("\"kind\":\"{want_kind}\"")),
-        "expected kind `{want_kind}` in: {body}"
-    );
+    let doc = Json::parse(body).unwrap_or_else(|e| panic!("error body is not JSON ({e}): {body}"));
+    assert_eq!(doc.get("kind").and_then(Json::as_str), Some(want_kind), "{body}");
 }
 
 /// One runner slot and no preemption: the first job keeps the slot until
@@ -130,6 +131,8 @@ fn malformed_json_and_bad_specs_are_proto_rejections() {
         r#"{"workload":{"kind":"synth"},"engine":"gpu"}"#,
         r#"{"p":16}"#,
         r#"[1,2,3]"#,
+        // A duplicate key is malformed JSON, not "the last one wins".
+        r#"{"workload":{"kind":"synth"},"p":64,"p":4}"#,
     ] {
         let (status, body) = client::post(addr, "/submit", bad);
         assert_rejection(status, &body, 400, "proto");
@@ -488,8 +491,8 @@ fn status_response_matches_the_golden_fixture() {
     cfg.quantum_ms = 60_000;
     let server = JobServer::start(cfg).unwrap();
     let addr = server.addr();
-    let (status, body) = client::post(addr, "/submit", SPEC);
-    assert_eq!(status, 200, "{body}");
+    let (status, submitted) = client::post(addr, "/submit", SPEC);
+    assert_eq!(status, 200, "{submitted}");
     let deadline = Instant::now() + Duration::from_secs(60);
     let result = loop {
         let (status, body) = client::get(addr, "/result/1");
@@ -500,6 +503,12 @@ fn status_response_matches_the_golden_fixture() {
     };
     let (status, got) = client::get(addr, "/status/1");
     assert_eq!(status, 200);
+    let (status, cancelled) = client::post(addr, "/cancel/1", "");
+    assert_eq!(status, 200);
+    let (status, jobs) = client::get(addr, "/jobs");
+    assert_eq!(status, 200);
+    let (status, refused) = client::get(addr, "/status/2");
+    assert_eq!(status, 404);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -516,4 +525,8 @@ fn status_response_matches_the_golden_fixture() {
 
     assert_golden(&got, "service_status.json");
     assert_golden(&result, "service_result.json");
+    assert_golden(&submitted, "service_submit.json");
+    assert_golden(&cancelled, "service_cancel.json");
+    assert_golden(&jobs, "service_jobs.json");
+    assert_golden(&refused, "service_error.json");
 }

@@ -15,6 +15,7 @@
 use std::time::{Duration, Instant};
 
 use simd_tree_search::prelude::*;
+use simd_tree_search::serve::json::Json;
 use simd_tree_search::serve::{client, JobSpec, ServeConfig};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -77,11 +78,15 @@ fn kill_mid_churn_then_restart_recovers_every_job_oracle_identical() {
     let mut first_life_docs: Vec<(u64, String)> = Vec::new();
     loop {
         let (_, body) = client::get(addr, "/jobs");
-        // `{"jobs":[{"job":1,"state":"done"},…]}`: the ids of done jobs.
-        let done: Vec<u64> = body
-            .split(r#"{"job":"#)
-            .filter(|item| item.contains(r#""state":"done""#))
-            .filter_map(|item| item.split(',').next()?.parse().ok())
+        // The ids of the done jobs among `/jobs`' `{"job": id, "state": …}` items.
+        let Some(Json::Arr(jobs)) = Json::parse(&body).ok().and_then(|d| d.get("jobs").cloned())
+        else {
+            panic!("/jobs lacks its `jobs` array: {body}");
+        };
+        let done: Vec<u64> = jobs
+            .iter()
+            .filter(|job| job.get("state").and_then(Json::as_str) == Some("done"))
+            .map(|job| job.get("job").and_then(Json::as_u64).expect("every item names its job"))
             .collect();
         if done.len() >= 2 {
             // Capture what the first life already answered, then die. Only
@@ -130,7 +135,8 @@ fn kill_mid_churn_then_restart_recovers_every_job_oracle_identical() {
     // New submissions keep working after recovery, with fresh ids.
     let (status, body) = client::post(addr, "/submit", &spec_text(0));
     assert_eq!(status, 200);
-    assert_eq!(body, format!(r#"{{"job":{}}}"#, JOBS + 1), "ids continue past recovered jobs");
+    let id = Json::parse(&body).ok().and_then(|d| d.get("job")?.as_u64());
+    assert_eq!(id, Some(JOBS as u64 + 1), "ids continue past recovered jobs: {body}");
     wait_result(addr, (JOBS + 1) as u64);
 
     server.shutdown();
@@ -236,7 +242,10 @@ fn an_unverifiable_stored_result_recovers_as_a_spill_failure() {
         let server = simd_tree_search::serve::JobServer::start(ServeConfig::new(&dir)).unwrap();
         let (status, body) = client::get(server.addr(), "/result/1");
         assert_eq!(status, 500, "{tag}: {body}");
-        assert!(body.contains(r#""kind":"spill""#) && body.contains(reason), "{tag}: {body}");
+        let doc = Json::parse(&body).unwrap_or_else(|e| panic!("{tag}: {e}: {body}"));
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("spill"), "{tag}: {body}");
+        let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains(reason), "{tag}: {body}");
         let (_, state) = client::get(server.addr(), "/status/1");
         assert!(state.contains(r#""state": "failed""#), "{tag}: {state}");
         server.shutdown();

@@ -17,6 +17,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use simd_tree_search::prelude::*;
+use simd_tree_search::serve::json::Json;
 use simd_tree_search::serve::{client, JobSpec, ServeConfig};
 
 const JOBS: usize = 32;
@@ -88,10 +89,9 @@ fn drain_batch(tag: &str, quantum_ms: u64) -> u64 {
                     for i in (c..JOBS).step_by(CLIENTS) {
                         let (status, body) = client::post(addr, "/submit", &spec_text(i));
                         assert_eq!(status, 200, "submit {i}: {body}");
-                        let id: u64 = body
-                            .trim_start_matches(r#"{"job":"#)
-                            .trim_end_matches('}')
-                            .parse()
+                        let id = Json::parse(&body)
+                            .ok()
+                            .and_then(|d| d.get("job")?.as_u64())
                             .expect("submit returns an id");
                         mine.push((i, id));
                     }
@@ -143,7 +143,11 @@ fn drain_batch(tag: &str, quantum_ms: u64) -> u64 {
     // Phase 3: the table agrees — every job present, every job done.
     let (status, body) = client::get(addr, "/jobs");
     assert_eq!(status, 200);
-    assert_eq!(body.matches("\"state\":\"done\"").count(), JOBS, "{body}");
+    let Some(Json::Arr(jobs)) = Json::parse(&body).ok().and_then(|d| d.get("jobs").cloned()) else {
+        panic!("/jobs lacks its `jobs` array: {body}");
+    };
+    let done = jobs.iter().filter(|j| j.get("state").and_then(Json::as_str) == Some("done"));
+    assert_eq!(done.count(), JOBS, "{body}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
