@@ -3,27 +3,20 @@
 
 use uts_analysis::{optimal_static_trigger, TriggerParams};
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
-use uts_core::{resume_from_bytes, run_with, CheckpointCfg, EngineConfig, Outcome, Scheme};
+use uts_core::{CheckpointCfg, EngineConfig, EngineKind, Outcome, Scheme, Search, Workload};
 use uts_machine::CostModel;
-use uts_mimd::{run_mimd, MimdConfig, StealPolicy};
-use uts_puzzle15::Puzzle15;
-use uts_shard::{resume_sharded, run_sharded, ParkPolicy, ShardOpts, ShardWorkload, WorkerKill};
+use uts_mimd::{run_mimd, MimdConfig, MimdReport, StealPolicy};
+use uts_puzzle15::{Board, Puzzle15};
+use uts_shard::{resume_sharded, run_sharded, ParkPolicy, ShardOpts, WorkerKill};
 use uts_tree::ida::ida_star;
-use uts_tree::problem::BoundedProblem;
+use uts_tree::TreeProblem;
 
-use uts_synthgen::{GenFamily, GenTree};
-
-use crate::args::{
-    parse_cost, parse_engine, parse_scheme, parse_simd_workload, parse_workload, Flags,
-    SimdWorkloadSpec, SIMD_WORKLOAD_FLAGS, WORKLOAD_FLAGS,
-};
+use crate::args::{parse_board, parse_workload, Flags, BOARD_FLAGS, WORKLOAD_FLAGS};
 
 /// `sts solve`: serial IDA\* on a 15-puzzle.
 pub fn solve(flags: &Flags) -> Result<(), String> {
-    flags.reject_unknown(&[WORKLOAD_FLAGS, &["max-bound"]])?;
-    let spec = parse_workload(flags)?;
-    let inst = spec.instance();
-    let puzzle = Puzzle15::new(inst.board());
+    flags.reject_unknown(&[BOARD_FLAGS, &["max-bound"]])?;
+    let puzzle = Puzzle15::new(Board(parse_board(flags)?));
     println!("{}", puzzle.start());
     let r = ida_star(&puzzle, flags.get_parsed("max-bound", 80u32)?);
     for it in &r.iterations {
@@ -36,37 +29,13 @@ pub fn solve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The materialized problem a SIMD run searches: a bounded 15-puzzle
-/// iteration (the default), or a generated tree (`--workload utsgen`).
-enum SimdWorkload {
-    Puzzle { puzzle: Puzzle15, bound: u32 },
-    UtsGen(GenTree),
-}
-
-impl SimdWorkload {
-    fn describe(&self) -> String {
-        match self {
-            SimdWorkload::Puzzle { bound, .. } => format!("15-puzzle, bound {bound}"),
-            SimdWorkload::UtsGen(t) => match t.family {
-                GenFamily::Geometric { b_max, depth_limit } => format!(
-                    "utsgen geometric (seed {}, b_max {b_max}, depth {depth_limit})",
-                    t.seed
-                ),
-                GenFamily::Binomial { b0, m, .. } => {
-                    format!("utsgen binomial (seed {}, b0 {b0}, m {m})", t.seed)
-                }
-            },
-        }
-    }
-}
-
 /// Everything `sts run` and `sts resume` share: the workload instance and
 /// the fully-built engine config. `sts resume` must rebuild the *same*
 /// config the checkpointing run used (the snapshot only carries a
 /// fingerprint of it, not the config itself), so both commands funnel
 /// through here and accept the same flags.
 struct SimdSetup {
-    workload: SimdWorkload,
+    workload: Workload,
     cfg: EngineConfig,
 }
 
@@ -76,7 +45,6 @@ const SIMD_FLAGS: &[&str] = &[
     "scheme",
     "cost",
     "lb-mult",
-    "bound",
     "ledger",
     "engine",
     "checkpoint-every",
@@ -87,42 +55,18 @@ const SIMD_FLAGS: &[&str] = &[
 /// Reject any flag outside what [`simd_setup`] reads and the command's
 /// `own`: the one accepted set of `run`, `resume` and `shard`.
 fn reject_non_simd_flags(flags: &Flags, own: &[&str]) -> Result<(), String> {
-    flags.reject_unknown(&[WORKLOAD_FLAGS, SIMD_WORKLOAD_FLAGS, SIMD_FLAGS, own])
+    flags.reject_unknown(&[BOARD_FLAGS, WORKLOAD_FLAGS, SIMD_FLAGS, own])
 }
 
 fn simd_setup(flags: &Flags) -> Result<SimdSetup, String> {
-    let spec = parse_simd_workload(flags)?;
     let p = flags.get_parsed("p", 1024usize)?;
-    let scheme = match flags.get("scheme") {
-        Some(s) => parse_scheme(s)?,
-        None => Scheme::gp_dk(),
-    };
-    let cost = match flags.get("cost") {
-        Some(c) => parse_cost(c)?,
-        None => CostModel::cm2(),
-    };
+    let scheme = flags.get("scheme").map_or(Ok(Scheme::gp_dk()), Scheme::parse)?;
+    let cost = flags.get("cost").map_or(Ok(CostModel::cm2()), CostModel::parse)?;
     let cost = cost.with_lb_multiplier(flags.get_parsed("lb-mult", 1u32)?);
 
-    let workload = match spec {
-        SimdWorkloadSpec::Puzzle(pz) => {
-            let inst = pz.instance();
-            let puzzle = Puzzle15::new(inst.board());
-            // Bound: explicit flag, else the final IDA* bound.
-            let bound = match flags.get("bound") {
-                Some(b) => b.parse().map_err(|_| format!("--bound: bad value `{b}`"))?,
-                None => ida_star(&puzzle, 80)
-                    .solution_cost
-                    .ok_or("instance not solvable within bound 80")?,
-            };
-            SimdWorkload::Puzzle { puzzle, bound }
-        }
-        SimdWorkloadSpec::UtsGen(tree) => SimdWorkload::UtsGen(tree),
-    };
     let mut cfg = EngineConfig::new(p, scheme, cost);
     cfg.record_ledger = flags.get_parsed("ledger", false)?;
-    if let Some(e) = flags.get("engine") {
-        cfg.engine = parse_engine(e)?;
-    }
+    cfg.engine = flags.get("engine").map_or(Ok(cfg.engine), EngineKind::parse)?;
 
     // Checkpointing: `--checkpoint-every N` snapshots every Nth macro-step
     // boundary into `--checkpoint-dir DIR`; `--kill-at K` injects a fault at
@@ -143,12 +87,13 @@ fn simd_setup(flags: &Flags) -> Result<SimdSetup, String> {
         }
         cfg.checkpoint = Some(ck);
     }
-    Ok(SimdSetup { workload, cfg })
+    // Last: resolving a puzzle's bound runs serial IDA*.
+    Ok(SimdSetup { workload: parse_workload(flags)?, cfg })
 }
 
 /// The run report on stdout; the workload echo and kill hint on stderr.
 fn print_report(setup: &SimdSetup, out: &Outcome) {
-    eprintln!("workload: {}", setup.workload.describe());
+    eprintln!("workload: {}", setup.workload);
     if out.killed {
         eprintln!("killed: fault injected; resume with `sts resume --snapshot ...`");
     }
@@ -160,12 +105,7 @@ fn print_report(setup: &SimdSetup, out: &Outcome) {
 pub fn run_simd(flags: &Flags) -> Result<(), String> {
     reject_non_simd_flags(flags, &[])?;
     let setup = simd_setup(flags)?;
-    let out = match &setup.workload {
-        SimdWorkload::Puzzle { puzzle, bound } => {
-            run_with(&BoundedProblem::new(puzzle, *bound), &setup.cfg)
-        }
-        SimdWorkload::UtsGen(tree) => run_with(tree, &setup.cfg),
-    };
+    let out = setup.workload.run(&setup.cfg, None).map_err(|e| e.to_string())?;
     print_report(&setup, &out);
     Ok(())
 }
@@ -181,13 +121,7 @@ pub fn resume(flags: &Flags) -> Result<(), String> {
     let path = flags.get("snapshot").ok_or("--snapshot PATH is required")?;
     let bytes = std::fs::read(path).map_err(|e| format!("--snapshot {path}: {e}"))?;
     let setup = simd_setup(flags)?;
-    let out = match &setup.workload {
-        SimdWorkload::Puzzle { puzzle, bound } => {
-            resume_from_bytes(&BoundedProblem::new(puzzle, *bound), &setup.cfg, &bytes)
-        }
-        SimdWorkload::UtsGen(tree) => resume_from_bytes(tree, &setup.cfg, &bytes),
-    }
-    .map_err(|e| format!("{path}: {e}"))?;
+    let out = setup.workload.run(&setup.cfg, Some(&bytes)).map_err(|e| format!("{path}: {e}"))?;
     print_report(&setup, &out);
     Ok(())
 }
@@ -224,19 +158,13 @@ pub fn shard(flags: &Flags) -> Result<(), String> {
             at_burst: kill_at,
         });
     }
-    let workload = match &setup.workload {
-        SimdWorkload::Puzzle { puzzle, bound } => {
-            ShardWorkload::Puzzle { board: puzzle.start().0, bound: *bound }
-        }
-        SimdWorkload::UtsGen(tree) => ShardWorkload::UtsGen(*tree),
-    };
     let snapshot = match flags.get("snapshot") {
         Some(path) => Some(std::fs::read(path).map_err(|e| format!("--snapshot {path}: {e}"))?),
         None => None,
     };
     let sharded = match &snapshot {
-        Some(bytes) => resume_sharded(&workload, &setup.cfg, &opts, bytes),
-        None => run_sharded(&workload, &setup.cfg, &opts),
+        Some(bytes) => resume_sharded(&setup.workload, &setup.cfg, &opts, bytes),
+        None => run_sharded(&setup.workload, &setup.cfg, &opts),
     }
     .map_err(|e| match e {
         uts_shard::ShardError::WorkerLost { .. } if opts.park.is_some() => {
@@ -269,8 +197,7 @@ fn print_shard_stats(stats: &uts_shard::ShardStats) {
 
 /// `sts mimd`: asynchronous work stealing on the same workload.
 pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
-    flags.reject_unknown(&[WORKLOAD_FLAGS, &["p", "policy"]])?;
-    let spec = parse_workload(flags)?;
+    flags.reject_unknown(&[BOARD_FLAGS, &["p", "policy"]])?;
     let p = flags.get_parsed("p", 1024usize)?;
     let policy = match flags.get("policy").unwrap_or("rp") {
         "grr" => StealPolicy::GlobalRoundRobin,
@@ -279,11 +206,15 @@ pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
         "nn" => StealPolicy::NeighborPolling,
         other => return Err(format!("unknown policy `{other}` (grr|arr|rp|nn)")),
     };
-    let inst = spec.instance();
-    let puzzle = Puzzle15::new(inst.board());
-    let bound = ida_star(&puzzle, 80).solution_cost.ok_or("unsolvable within bound 80")?;
-    let bp = BoundedProblem::new(&puzzle, bound);
-    let m = run_mimd(&bp, &MimdConfig::new(p, policy, CostModel::cm2()));
+    struct Mimd(MimdConfig);
+    impl Search for Mimd {
+        type Out = MimdReport;
+        fn search<P: TreeProblem>(self, problem: &P) -> MimdReport {
+            run_mimd(problem, &self.0)
+        }
+    }
+    let workload = Workload::puzzle(parse_board(flags)?, None)?;
+    let m = workload.search(Mimd(MimdConfig::new(p, policy, CostModel::cm2())));
     println!("policy     : {}", policy.name());
     println!("W (nodes)  : {}", m.nodes_expanded);
     println!("requests   : {}", m.requests);

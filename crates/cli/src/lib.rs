@@ -6,10 +6,7 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{
-    parse_cost, parse_engine, parse_scheme, parse_simd_workload, parse_workload, Flags,
-    SimdWorkloadSpec, WorkloadSpec,
-};
+pub use args::{parse_board, parse_workload, Flags};
 
 /// Exit with a usage message.
 pub const USAGE: &str = "\
@@ -35,6 +32,9 @@ USAGE:
 
 A command rejects any flag it does not list here.
 
+Puzzle workloads: `--korf K`, or a scramble `--seed S` (42) `--walk N` (40,
+at most 1000); `--bound B` is at most 80 and defaults to the optimal cost.
+
 Output: `run`, `resume` and `shard` print the JSON run report on stdout
 (the same bytes for `run X` and `shard X`) and everything else on stderr.
 
@@ -52,9 +52,9 @@ produced it (enforced by a config fingerprint in the header).
 Generated trees: `sts run --workload utsgen` searches an on-the-fly
 Galton–Watson tree instead of a 15-puzzle iteration. `--family geometric`
 (default) takes `--seed S --b-max B --depth D`; `--family binomial` takes
-`--seed S --b0 B --m M --q Q` with q*m < 1 (subcritical). Nodes are derived
-from a hash-chained RNG state, so memory stays O(live stacks) no matter
-how large the tree is.
+`--seed S --b0 B --m M --q Q` with q*m < 1 (subcritical); --depth is at
+most 64. Nodes are derived from a hash-chained RNG state, so memory stays
+O(live stacks) no matter how large the tree is.
 
 Sharding: `sts shard --shards N` runs the identical search across N worker
 processes, each owning a contiguous slab of PEs, with the coordinator
@@ -81,10 +81,12 @@ job table survives a server restart over the same spill directory.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uts_core::{Matching, Trigger};
+    use uts_core::{EngineKind, Matching, Scheme, Trigger};
+    use uts_machine::CostModel;
 
     #[test]
     fn scheme_grammar_round_trips() {
+        let parse_scheme = Scheme::parse;
         let s = parse_scheme("gp-s:0.85").unwrap();
         assert_eq!(s.matching, Matching::Gp);
         assert!(matches!(s.trigger, Trigger::Static { x } if (x - 0.85).abs() < 1e-12));
@@ -100,7 +102,7 @@ mod tests {
 
     #[test]
     fn engine_grammar() {
-        use uts_core::EngineKind;
+        let parse_engine = EngineKind::parse;
         assert_eq!(parse_engine("macro").unwrap(), EngineKind::Macro);
         assert_eq!(parse_engine("par").unwrap(), EngineKind::Par);
         assert_eq!(parse_engine("reference").unwrap(), EngineKind::Reference);
@@ -115,6 +117,7 @@ mod tests {
 
     #[test]
     fn cost_grammar() {
+        let parse_cost = CostModel::parse;
         assert!(parse_cost("cm2").is_ok());
         assert!(parse_cost("hypercube").is_ok());
         assert!(parse_cost("mesh").is_ok());
@@ -144,29 +147,25 @@ mod tests {
 
     #[test]
     fn workload_spec_korf_and_scramble() {
+        use uts_puzzle15::{korf_instances, scrambled};
+
         let f = Flags::parse(&["--korf", "3"]).unwrap();
-        assert!(matches!(parse_workload(&f).unwrap(), WorkloadSpec::Korf(3)));
+        assert_eq!(parse_board(&f).unwrap(), korf_instances()[2].board().0);
         let f = Flags::parse(&["--seed", "9", "--walk", "40"]).unwrap();
-        match parse_workload(&f).unwrap() {
-            WorkloadSpec::Scramble { seed: 9, walk: 40 } => {}
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(parse_board(&f).unwrap(), scrambled(9, 40).board().0);
         let f = Flags::parse(&["--korf", "99"]).unwrap();
-        assert!(parse_workload(&f).is_err(), "only the embedded Korf ids exist");
+        assert!(parse_board(&f).is_err(), "only the embedded Korf ids exist");
+        let f = Flags::parse(&["--seed", "1", "--walk", "1001"]).unwrap();
+        assert!(parse_board(&f).is_err(), "a walk is replayed before the search starts");
     }
 
     #[test]
     fn simd_workload_grammar_covers_utsgen() {
-        use uts_synthgen::GenFamily;
+        use uts_core::Workload;
+        use uts_synthgen::GenTree;
 
         let f = Flags::parse(&["--workload", "utsgen", "--seed", "7", "--depth", "5"]).unwrap();
-        match parse_simd_workload(&f).unwrap() {
-            SimdWorkloadSpec::UtsGen(t) => {
-                assert_eq!(t.seed, 7);
-                assert!(matches!(t.family, GenFamily::Geometric { b_max: 8, depth_limit: 5 }));
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(parse_workload(&f).unwrap(), Workload::UtsGen(GenTree::geometric(7, 8, 5)));
         let f = Flags::parse(&[
             "--workload",
             "utsgen",
@@ -180,27 +179,24 @@ mod tests {
             "0.2",
         ])
         .unwrap();
-        match parse_simd_workload(&f).unwrap() {
-            SimdWorkloadSpec::UtsGen(t) => {
-                assert!(matches!(t.family, GenFamily::Binomial { b0: 32, m: 4, .. }));
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(parse_workload(&f).unwrap(), Workload::UtsGen(GenTree::binomial(1, 32, 4, 0.2)));
         // Default (no --workload) stays the 15-puzzle grammar.
-        let f = Flags::parse(&["--korf", "3"]).unwrap();
-        assert!(matches!(
-            parse_simd_workload(&f).unwrap(),
-            SimdWorkloadSpec::Puzzle(WorkloadSpec::Korf(3))
-        ));
-        // Supercritical binomial, depth > 64, unknown family/workload: refused.
+        let f = Flags::parse(&["--korf", "3", "--bound", "30"]).unwrap();
+        let board = parse_board(&f).unwrap();
+        assert_eq!(parse_workload(&f).unwrap(), Workload::Puzzle { board, bound: 30 });
+        // Supercritical binomial, depth > 64, a bound past 80, unknown
+        // family/workload: refused.
         let f =
             Flags::parse(&["--workload", "utsgen", "--family", "binomial", "--q", "0.3"]).unwrap();
-        assert!(parse_simd_workload(&f).is_err(), "q*m = 1.2 is supercritical");
+        assert!(parse_workload(&f).is_err(), "q*m = 1.2 is supercritical");
         let f = Flags::parse(&["--workload", "utsgen", "--depth", "65"]).unwrap();
-        assert!(parse_simd_workload(&f).is_err());
+        assert!(parse_workload(&f).is_err());
+        let f = Flags::parse(&["--seed", "7", "--walk", "20", "--bound", "4000000000"]).unwrap();
+        let err = parse_workload(&f).unwrap_err();
+        assert_eq!(err, "15-puzzle, bound 4000000000: bound above 80");
         let f = Flags::parse(&["--workload", "utsgen", "--family", "fibonacci"]).unwrap();
-        assert!(parse_simd_workload(&f).is_err());
+        assert!(parse_workload(&f).is_err());
         let f = Flags::parse(&["--workload", "hanoi"]).unwrap();
-        assert!(parse_simd_workload(&f).is_err());
+        assert!(parse_workload(&f).is_err());
     }
 }

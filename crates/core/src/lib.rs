@@ -56,6 +56,7 @@ pub mod report_json;
 pub mod scheme;
 pub mod store;
 pub mod trigger;
+pub mod workload;
 
 pub use ckpt::{
     config_fingerprint, resume_from_bytes, resume_with, CheckpointCfg, CheckpointSink, Snapshot,
@@ -71,3 +72,4 @@ pub use reference::run_reference;
 pub use report_json::{outcome_digest, run_report, run_report_json, DIGEST_VERSION};
 pub use scheme::{Matching, Scheme, TransferMode, Trigger};
 pub use store::{CountedMove, StackStore};
+pub use workload::{Search, Workload};

@@ -42,5 +42,5 @@ pub use error::ServeError;
 pub use http::client;
 pub use jobs::{JobRecord, JobState, JobTable};
 pub use server::{JobServer, ServeConfig, RESULT_WAIT};
-pub use spec::{JobSpec, Workload};
-pub use uts_core::{json, outcome_digest};
+pub use spec::JobSpec;
+pub use uts_core::{json, outcome_digest, Workload};

@@ -1,58 +1,38 @@
 //! Job specifications: what a client submits, and how it runs.
 //!
-//! A spec is the JSON body of `POST /submit`: a workload (a seeded
-//! [`GeometricTree`], an on-the-fly [`GenTree`] generator, or a 15-puzzle
-//! scramble) plus the engine knobs the
-//! CLI exposes (`p`, `scheme`, `cost`, `engine`, `threads`, `ledger`).
-//! Parsing is strict — unknown fields and wrong types are [`ServeError::Proto`]
-//! rejections, mirroring the CLI's flag grammar via the shared
-//! [`Scheme::parse`] / [`EngineKind::parse`] / [`CostModel::parse`]
+//! A spec is the JSON body of `POST /submit`: a workload plus the engine
+//! knobs the CLI exposes (`p`, `scheme`, `cost`, `engine`, `threads`,
+//! `ledger`). The workload object names its kind and that kind's keys:
+//!
+//! | `kind` | keys (default) |
+//! |---|---|
+//! | `synth` | `seed` (1), `b_max` (8), `depth_limit` (6) |
+//! | `utsgen` | `family`: `geometric` with `seed` (1), `b_max` (8), `depth` (6); or `binomial` with `seed` (1), `b0` (16), `m` (4), `q` (0.2) |
+//! | `scramble` | `seed` (42), `walk` (40), `bound` (the optimal cost) |
+//!
+//! The reader only maps these keys onto the [`Workload`] constructors,
+//! which hold the defaults and every check the CLI and the shard `HELLO`
+//! share (`walk ≤ 1000`, `bound ≤ 80`, `depth ≤ 64`, `q·m < 1`). A
+//! scramble becomes its board here, once, so no slice replays the walk.
+//! Parsing is strict — unknown fields, wrong types and refused values are
+//! [`ServeError::Proto`] rejections; the engine knobs go through the
+//! shared [`Scheme::parse`] / [`EngineKind::parse`] / [`CostModel::parse`]
 //! entry points.
 //!
 //! The parsed [`JobSpec`] owns the run entry points the scheduler uses:
 //! [`JobSpec::run_slice`] executes the job from scratch or from parked
 //! snapshot bytes, with a [`PreemptSignal`] armed so the scheduler can
 //! park it at the next macro-step boundary, and [`JobSpec::oracle`] is
-//! the uninterrupted [`run_with`] the differential tests compare against.
+//! the uninterrupted [`uts_core::run_with`] the differential tests compare
+//! against.
 
 use uts_ckpt::{CheckpointPolicy, CkptError, PreemptSignal};
 use uts_core::ckpt::CheckpointCfg;
-use uts_core::{
-    config_fingerprint, resume_from_bytes, run_with, EngineConfig, EngineKind, Outcome, Scheme,
-};
+use uts_core::{config_fingerprint, EngineConfig, EngineKind, Outcome, Scheme, Workload};
 use uts_machine::CostModel;
-use uts_puzzle15::Puzzle15;
-use uts_synth::GeometricTree;
-use uts_synthgen::GenTree;
-use uts_tree::ida::ida_star;
-use uts_tree::problem::BoundedProblem;
-use uts_tree::TreeProblem;
 
 use crate::error::ServeError;
 use crate::json::Json;
-
-/// The search problem a job runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Workload {
-    /// A seeded synthetic geometric tree (`uts-synth`).
-    Synth(GeometricTree),
-    /// An on-the-fly hash-chained generator tree (`uts-synthgen`):
-    /// `{"kind":"utsgen","family":"geometric"|"binomial", "seed":…,
-    /// "b_max":…, "depth":…}` or `{"…","b0":…, "m":…, "q":…}`.
-    UtsGen(GenTree),
-    /// One bounded IDA\* iteration of a seeded 15-puzzle scramble. The
-    /// bound is resolved at parse time (explicit field, else the optimal
-    /// cost from a serial IDA\* probe) so every slice of the job searches
-    /// the same iteration.
-    Scramble {
-        /// Scramble seed.
-        seed: u64,
-        /// Random-walk length.
-        walk: usize,
-        /// The resolved iteration bound.
-        bound: u32,
-    },
-}
 
 /// A fully validated job: workload + engine configuration.
 #[derive(Debug, Clone)]
@@ -136,23 +116,17 @@ impl JobSpec {
             return Err(ServeError::Proto(format!("`p` must be in 1..={MAX_P}, got {p}")));
         }
         let p = p as usize;
-        let scheme = match field_str(&root, "scheme")? {
-            Some(s) => Scheme::parse(s).map_err(ServeError::Proto)?,
-            None => Scheme::gp_dk(),
-        };
-        let cost = match field_str(&root, "cost")? {
-            Some(c) => CostModel::parse(c).map_err(ServeError::Proto)?,
-            None => CostModel::cm2(),
-        };
+        let scheme = field_str(&root, "scheme")?.map_or(Ok(Scheme::gp_dk()), Scheme::parse);
+        let cost = field_str(&root, "cost")?.map_or(Ok(CostModel::cm2()), CostModel::parse);
+        let (scheme, cost) = (scheme.map_err(ServeError::Proto)?, cost.map_err(ServeError::Proto)?);
         let cost = match field_u64(&root, "lb_mult")? {
             Some(k) if k > 0 && k <= u32::MAX as u64 => cost.with_lb_multiplier(k as u32),
             Some(k) => return Err(ServeError::Proto(format!("bad `lb_mult` {k}"))),
             None => cost,
         };
         let mut config = EngineConfig::new(p, scheme, cost);
-        if let Some(e) = field_str(&root, "engine")? {
-            config.engine = EngineKind::parse(e).map_err(ServeError::Proto)?;
-        }
+        let engine = field_str(&root, "engine")?.map_or(Ok(config.engine), EngineKind::parse);
+        config.engine = engine.map_err(ServeError::Proto)?;
         if let Some(t) = field_u64(&root, "threads")? {
             if t == 0 || t > MAX_THREADS {
                 return Err(ServeError::Proto(format!(
@@ -167,80 +141,41 @@ impl JobSpec {
         Ok(JobSpec { workload, config })
     }
 
+    /// Map a spec's `workload` object onto the [`Workload`] constructors,
+    /// which hold every default and check.
     fn parse_workload(w: &Json) -> Result<Workload, ServeError> {
+        let seed = field_u64(w, "seed")?;
+        let known = |keys: &[&str], ctx| check_known_keys(w, keys, ctx);
         match field_str(w, "kind")?
             .ok_or_else(|| ServeError::Proto("missing `workload.kind`".into()))?
         {
             "synth" => {
-                check_known_keys(w, &["kind", "seed", "b_max", "depth_limit"], "synth workload")?;
-                let b_max = field_u64(w, "b_max")?.unwrap_or(8);
-                let depth_limit = field_u64(w, "depth_limit")?.unwrap_or(6);
-                if b_max > u32::MAX as u64 || depth_limit > 64 {
-                    return Err(ServeError::Proto("synth workload out of range".into()));
-                }
-                Ok(Workload::Synth(GeometricTree {
-                    seed: field_u64(w, "seed")?.unwrap_or(1),
-                    b_max: b_max as u32,
-                    depth_limit: depth_limit as u32,
-                }))
+                known(&["kind", "seed", "b_max", "depth_limit"], "synth workload")?;
+                Workload::synth(seed, field_u64(w, "b_max")?, field_u64(w, "depth_limit")?)
             }
-            "utsgen" => {
-                let family = field_str(w, "family")?.unwrap_or("geometric");
-                let seed = field_u64(w, "seed")?.unwrap_or(1);
-                match family {
-                    "geometric" => {
-                        check_known_keys(
-                            w,
-                            &["kind", "family", "seed", "b_max", "depth"],
-                            "utsgen geometric workload",
-                        )?;
-                        let b_max = field_u64(w, "b_max")?.unwrap_or(8);
-                        let depth = field_u64(w, "depth")?.unwrap_or(6);
-                        if b_max > u32::MAX as u64 || depth > 64 {
-                            return Err(ServeError::Proto("utsgen workload out of range".into()));
-                        }
-                        Ok(Workload::UtsGen(GenTree::geometric(seed, b_max as u32, depth as u32)))
-                    }
-                    "binomial" => {
-                        check_known_keys(
-                            w,
-                            &["kind", "family", "seed", "b0", "m", "q"],
-                            "utsgen binomial workload",
-                        )?;
-                        let b0 = field_u64(w, "b0")?.unwrap_or(16);
-                        let m = field_u64(w, "m")?.unwrap_or(4);
-                        let q = field_f64(w, "q")?.unwrap_or(0.2);
-                        if b0 > u32::MAX as u64 || m > u32::MAX as u64 {
-                            return Err(ServeError::Proto("utsgen workload out of range".into()));
-                        }
-                        if !(0.0..1.0).contains(&q) || q * m as f64 >= 1.0 {
-                            return Err(ServeError::Proto(format!(
-                                "utsgen binomial must be subcritical: q·m < 1, got q={q} m={m}"
-                            )));
-                        }
-                        Ok(Workload::UtsGen(GenTree::binomial(seed, b0 as u32, m as u32, q)))
-                    }
-                    other => Err(ServeError::Proto(format!("unknown utsgen family `{other}`"))),
+            "utsgen" => match field_str(w, "family")?.unwrap_or("geometric") {
+                "geometric" => {
+                    let keys = ["kind", "family", "seed", "b_max", "depth"];
+                    known(&keys, "utsgen geometric workload")?;
+                    Workload::geometric(seed, field_u64(w, "b_max")?, field_u64(w, "depth")?)
                 }
-            }
+                "binomial" => {
+                    let keys = ["kind", "family", "seed", "b0", "m", "q"];
+                    known(&keys, "utsgen binomial workload")?;
+                    let (b0, m) = (field_u64(w, "b0")?, field_u64(w, "m")?);
+                    Workload::binomial(seed, b0, m, field_f64(w, "q")?)
+                }
+                other => Err(format!("unknown utsgen family `{other}`")),
+            },
             "scramble" => {
-                check_known_keys(w, &["kind", "seed", "walk", "bound"], "scramble workload")?;
-                let seed = field_u64(w, "seed")?.unwrap_or(42);
-                let walk = field_u64(w, "walk")?.unwrap_or(40) as usize;
-                let bound = match field_u64(w, "bound")? {
-                    Some(b) if b <= 80 => b as u32,
-                    Some(b) => return Err(ServeError::Proto(format!("bad `bound` {b}"))),
-                    None => {
-                        let puzzle = Puzzle15::new(uts_puzzle15::scrambled(seed, walk).board());
-                        ida_star(&puzzle, 80).solution_cost.ok_or_else(|| {
-                            ServeError::Proto("scramble not solvable within bound 80".into())
-                        })?
-                    }
-                };
-                Ok(Workload::Scramble { seed, walk, bound })
+                known(&["kind", "seed", "walk", "bound"], "scramble workload")?;
+                let bound = field_u64(w, "bound")?;
+                Workload::scramble_board(seed, field_u64(w, "walk")?)
+                    .and_then(|board| Workload::puzzle(board, bound))
             }
-            other => Err(ServeError::Proto(format!("unknown workload kind `{other}`"))),
+            other => Err(format!("unknown workload kind `{other}`")),
         }
+        .map_err(ServeError::Proto)
     }
 
     /// The config fingerprint every snapshot of this job carries.
@@ -250,7 +185,7 @@ impl JobSpec {
 
     /// The uninterrupted run — the differential oracle.
     pub fn oracle(&self) -> Outcome {
-        self.dispatch(&self.config, None).expect("no snapshot bytes to reject")
+        self.workload.run(&self.config, None).expect("no snapshot bytes to reject")
     }
 
     /// Run one scheduling slice: from scratch, or resumed from `parked`
@@ -265,7 +200,7 @@ impl JobSpec {
         let ck = CheckpointCfg::new(CheckpointPolicy::default()).with_preempt(signal.clone());
         let sink = ck.sink.clone();
         let cfg = self.config.clone().with_checkpoint_cfg(ck);
-        let out = self.dispatch(&cfg, parked)?;
+        let out = self.workload.run(&cfg, parked)?;
         let park = if out.killed {
             Some(sink.taken().pop().expect("a parked slice forces a boundary snapshot").bytes)
         } else {
@@ -273,31 +208,14 @@ impl JobSpec {
         };
         Ok((out, park))
     }
-
-    fn dispatch(&self, cfg: &EngineConfig, parked: Option<&[u8]>) -> Result<Outcome, CkptError> {
-        fn run_or_resume<P: TreeProblem>(
-            problem: &P,
-            cfg: &EngineConfig,
-            parked: Option<&[u8]>,
-        ) -> Result<Outcome, CkptError> {
-            parked
-                .map_or_else(|| Ok(run_with(problem, cfg)), |b| resume_from_bytes(problem, cfg, b))
-        }
-        match &self.workload {
-            Workload::Synth(tree) => run_or_resume(tree, cfg, parked),
-            Workload::UtsGen(tree) => run_or_resume(tree, cfg, parked),
-            Workload::Scramble { seed, walk, bound } => {
-                let puzzle = Puzzle15::new(uts_puzzle15::scrambled(*seed, *walk).board());
-                run_or_resume(&BoundedProblem::new(&puzzle, *bound), cfg, parked)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uts_core::outcome_digest;
+    use uts_core::{outcome_digest, run_with};
+    use uts_synth::GeometricTree;
+    use uts_synthgen::GenTree;
 
     #[test]
     fn parses_a_minimal_synth_spec_with_cli_defaults() {
@@ -334,6 +252,10 @@ mod tests {
             r#"{"workload":{"kind":"synth"},"engine":"quantum"}"#,
             r#"{"p":4}"#,
             r#"not json"#,
+            // A walk is replayed move by move before the search starts.
+            r#"{"workload":{"kind":"scramble","seed":1,"walk":18446744073709551615,"bound":40},"p":4}"#,
+            r#"{"workload":{"kind":"scramble","seed":1,"walk":18446744073709551615},"p":4}"#,
+            r#"{"workload":{"kind":"scramble","seed":1,"walk":14,"bound":81}}"#,
         ] {
             let err = JobSpec::parse(bad).unwrap_err();
             assert_eq!(err.kind(), "proto", "`{bad}` → {err}");

@@ -28,20 +28,16 @@ use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
 use uts_ckpt::{spill, CkptError, EngineSnapshot, StackSource};
 use uts_core::{
     config_fingerprint, recount_active, BurstBackend, CountedMove, EngineConfig, LockstepDriver,
-    MergedBurst, Outcome, StackStore,
+    MergedBurst, Outcome, Search, StackStore, Workload,
 };
 use uts_machine::{CostModel, LbCostBreakdown, Topology};
 use uts_net::hypercube::Hypercube;
 use uts_net::mesh::Mesh;
 use uts_net::{route_with, Links, Message, RouteStats};
-use uts_puzzle15::PuzzleState;
 use uts_scan::Pair;
-use uts_synthgen::GenNode;
-use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena};
+use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena, TreeProblem};
 
-use crate::proto::{
-    self, encode_burst, put_install, tag, BurstReply, Give, Hello, ShardWorkload, Transfer,
-};
+use crate::proto::{self, encode_burst, put_install, tag, BurstReply, Give, Hello, Transfer};
 use crate::worker::WORKER_ENV;
 
 /// How the coordinator runs the shards.
@@ -177,35 +173,38 @@ pub struct ShardRun {
 /// Run `workload` under `cfg` across `opts.shards` worker processes.
 /// The outcome is bit-identical to the single-process macro engine.
 pub fn run_sharded(
-    workload: &ShardWorkload,
+    workload: &Workload,
     cfg: &EngineConfig,
     opts: &ShardOpts,
 ) -> Result<ShardRun, ShardError> {
-    dispatch(workload, cfg, opts, None)
+    workload.search(Coordinate { workload, cfg, opts, snapshot: None })
 }
 
 /// Resume a sharded (or single-process — the formats are interchangeable)
 /// snapshot across `opts.shards` worker processes.
 pub fn resume_sharded(
-    workload: &ShardWorkload,
+    workload: &Workload,
     cfg: &EngineConfig,
     opts: &ShardOpts,
     snapshot: &[u8],
 ) -> Result<ShardRun, ShardError> {
-    dispatch(workload, cfg, opts, Some(snapshot))
+    workload.search(Coordinate { workload, cfg, opts, snapshot: Some(snapshot) })
 }
 
-fn dispatch(
-    workload: &ShardWorkload,
-    cfg: &EngineConfig,
-    opts: &ShardOpts,
-    snapshot: Option<&[u8]>,
-) -> Result<ShardRun, ShardError> {
-    match workload {
-        ShardWorkload::Puzzle { .. } => {
-            run_generic::<uts_tree::BoundedNode<PuzzleState>>(workload, cfg, opts, snapshot)
-        }
-        ShardWorkload::UtsGen(_) => run_generic::<GenNode>(workload, cfg, opts, snapshot),
+/// One sharded run. The coordinator needs only the node type of the
+/// problem a workload names: each worker builds the problem from its HELLO.
+struct Coordinate<'a> {
+    workload: &'a Workload,
+    cfg: &'a EngineConfig,
+    opts: &'a ShardOpts,
+    snapshot: Option<&'a [u8]>,
+}
+
+impl Search for Coordinate<'_> {
+    type Out = Result<ShardRun, ShardError>;
+
+    fn search<P: TreeProblem>(self, _: &P) -> Self::Out {
+        run_generic::<P::Node>(self)
     }
 }
 
@@ -300,7 +299,7 @@ fn empty_frame<'a>(_shard: usize) -> Option<&'a [u8]> {
 fn spawn_workers(
     bounds: &[usize],
     opts: &ShardOpts,
-    workload: &ShardWorkload,
+    workload: &Workload,
     seed_root: bool,
 ) -> Result<Vec<Worker>, ShardError> {
     let exe = std::env::current_exe().map_err(ShardError::Spawn)?;
@@ -680,12 +679,8 @@ impl<N> StackStore for RemoteBackend<N> {
     }
 }
 
-fn run_generic<N: Clone + CkptNode>(
-    workload: &ShardWorkload,
-    cfg: &EngineConfig,
-    opts: &ShardOpts,
-    snapshot: Option<&[u8]>,
-) -> Result<ShardRun, ShardError> {
+fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, ShardError> {
+    let Coordinate { workload, cfg, opts, snapshot } = run;
     if cfg.p == 0 {
         return Err(ShardError::Config("need at least one processor".into()));
     }

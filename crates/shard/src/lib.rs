@@ -24,5 +24,5 @@ pub use coord::{
     resume_sharded, run_sharded, ParkPolicy, RoutedPhase, ShardError, ShardOpts, ShardRun,
     ShardStats, WorkerKill,
 };
-pub use proto::ShardWorkload;
+pub use uts_core::Workload as ShardWorkload;
 pub use worker::{maybe_run_worker, serve, WorkerError, WORKER_ENV};

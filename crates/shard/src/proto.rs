@@ -33,8 +33,12 @@
 //! A balancing round is homogeneous — every donor splits under the run's
 //! policy, or every donor gives a counted prefix — so what is given is the
 //! round's header ([`Give`]), and only counted entries carry a `max_nodes`.
+//!
+//! `HELLO`'s workload is [`Workload`]'s codec, whose decode runs the
+//! workload constructors' checks: a hostile `HELLO` is
+//! [`CodecError::Malformed`] before the worker builds anything.
 
-use uts_synthgen::{GenFamily, GenTree};
+use uts_core::Workload;
 use uts_tree::codec::{put_bool, put_slice, put_u32, put_u64, put_usize};
 use uts_tree::{CodecError, Reader, SplitPolicy};
 
@@ -56,76 +60,6 @@ pub mod tag {
     pub const SHUTDOWN: u8 = 7;
 }
 
-/// The workload a worker monomorphizes its engine over — the wire-portable
-/// subset of the CLI's workload grammar (a 15-puzzle is fully determined
-/// by its packed board and cost bound; a generated tree by its seed and
-/// family parameters).
-#[derive(Debug, Clone, Copy)]
-pub enum ShardWorkload {
-    /// Bounded 15-puzzle iteration: packed board + IDA* cost bound.
-    Puzzle {
-        /// The packed start board ([`uts_puzzle15::Board`] representation).
-        board: u64,
-        /// Cost bound of the iteration.
-        bound: u32,
-    },
-    /// On-the-fly generated Galton–Watson tree.
-    UtsGen(GenTree),
-}
-
-impl ShardWorkload {
-    /// Append the canonical encoding.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            ShardWorkload::Puzzle { board, bound } => {
-                out.push(0);
-                put_u64(out, board);
-                put_u32(out, bound);
-            }
-            ShardWorkload::UtsGen(tree) => {
-                out.push(1);
-                put_u64(out, tree.seed);
-                match tree.family {
-                    GenFamily::Geometric { b_max, depth_limit } => {
-                        out.push(0);
-                        put_u32(out, b_max);
-                        put_u32(out, depth_limit);
-                    }
-                    GenFamily::Binomial { b0, m, q_threshold } => {
-                        out.push(1);
-                        put_u32(out, b0);
-                        put_u32(out, m);
-                        put_u64(out, q_threshold);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decode one workload from the front of `r`.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => ShardWorkload::Puzzle { board: r.u64()?, bound: r.u32()? },
-            1 => {
-                let seed = r.u64()?;
-                let family = match r.u8()? {
-                    0 => GenFamily::Geometric { b_max: r.u32()?, depth_limit: r.u32()? },
-                    1 => GenFamily::Binomial { b0: r.u32()?, m: r.u32()?, q_threshold: r.u64()? },
-                    _ => return Err(CodecError::Malformed("unknown generated-tree family")),
-                };
-                GenTree { seed, family }.into()
-            }
-            _ => return Err(CodecError::Malformed("unknown shard workload")),
-        })
-    }
-}
-
-impl From<GenTree> for ShardWorkload {
-    fn from(tree: GenTree) -> Self {
-        ShardWorkload::UtsGen(tree)
-    }
-}
-
 /// The coordinator's opening message: everything a worker needs to build
 /// its slab and monomorphize its engine loop.
 #[derive(Debug, Clone)]
@@ -141,7 +75,7 @@ pub struct Hello {
     /// [`tag::BURST`] (1-based), for the kill→resume suites.
     pub kill_at_burst: Option<u64>,
     /// The search problem.
-    pub workload: ShardWorkload,
+    pub workload: Workload,
 }
 
 impl Hello {
@@ -169,7 +103,7 @@ impl Hello {
             hi: r.u64()?,
             seed_root: r.bool()?,
             kill_at_burst: if r.bool()? { Some(r.u64()?) } else { None },
-            workload: ShardWorkload::decode(&mut r)?,
+            workload: Workload::decode(&mut r)?,
         };
         expect_done(&r)?;
         if hello.hi.checked_sub(hello.lo).is_none_or(|local_p| local_p > u64::from(u32::MAX)) {
@@ -481,11 +415,13 @@ pub fn decode_install_reply(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardWorkload;
+    use uts_synthgen::GenTree;
 
     #[test]
     fn workload_round_trips() {
         let cases = [
-            ShardWorkload::Puzzle { board: 0x1234_5678_9abc_def0, bound: 52 },
+            ShardWorkload::Puzzle { board: 0x1234_5678_9abc_dfe0, bound: 52 },
             ShardWorkload::UtsGen(GenTree::geometric(7, 8, 11)),
             ShardWorkload::UtsGen(GenTree::binomial(3, 32, 4, 0.2)),
         ];

@@ -18,15 +18,13 @@
 use std::io::{Read, Write};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_core::{expansion_burst, merge_active};
-use uts_puzzle15::{Board, Puzzle15};
+use uts_core::{expansion_burst, merge_active, Search};
 use uts_tree::codec::put_usize;
-use uts_tree::problem::BoundedProblem;
-use uts_tree::{CkptNode, CodecError, Donation, StackArena, TreeProblem};
+use uts_tree::{CodecError, Donation, StackArena, TreeProblem};
 
 use crate::proto::{
     decode_burst, decode_install, decode_transfers, encode_install_reply, tag, BurstReply,
-    ExtractReply, Give, Hello, MoveReply, ShardWorkload,
+    ExtractReply, Give, Hello, MoveReply,
 };
 
 /// Mode-switch environment variable: when set, the process is a shard
@@ -106,29 +104,31 @@ pub fn serve<R: Read, W: Write>(reader: R, writer: W) -> Result<(), WorkerError>
     }
     let hello = Hello::decode(&buf)?;
     writer.send(tag::HELLO, &[])?;
-    match hello.workload {
-        ShardWorkload::Puzzle { board, bound } => {
-            let puzzle = Puzzle15::new(Board(board));
-            let problem = BoundedProblem::new(&puzzle, bound);
-            serve_problem(&problem, &hello, &mut reader, &mut writer)
-        }
-        ShardWorkload::UtsGen(tree) => serve_problem(&tree, &hello, &mut reader, &mut writer),
+    hello.workload.search(Session { hello: &hello, reader: &mut reader, writer: &mut writer })
+}
+
+/// The request loop of one session, over the problem its `HELLO` names.
+struct Session<'a, R: Read, W: Write> {
+    hello: &'a Hello,
+    reader: &'a mut FrameReader<R>,
+    writer: &'a mut FrameWriter<W>,
+}
+
+impl<R: Read, W: Write> Search for Session<'_, R, W> {
+    type Out = Result<(), WorkerError>;
+
+    fn search<P: TreeProblem>(self, problem: &P) -> Self::Out {
+        serve_problem(problem, self.hello, self.reader, self.writer)
     }
 }
 
 /// The monomorphized request loop over one slab.
-fn serve_problem<P, R, W>(
+fn serve_problem<P: TreeProblem, R: Read, W: Write>(
     problem: &P,
     hello: &Hello,
     reader: &mut FrameReader<R>,
     writer: &mut FrameWriter<W>,
-) -> Result<(), WorkerError>
-where
-    P: TreeProblem,
-    P::Node: CkptNode,
-    R: Read,
-    W: Write,
-{
+) -> Result<(), WorkerError> {
     let local_p = (hello.hi - hello.lo) as usize;
     let mut arena = StackArena::new(local_p);
     // The local PEs holding work, ascending, are `active` merged with `fed`:

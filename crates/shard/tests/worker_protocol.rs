@@ -11,12 +11,14 @@
 use proptest::prelude::*;
 use uts_ckpt::fnv1a_64;
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
+use uts_puzzle15::scrambled;
 use uts_shard::proto::{
     begin_request, decode_extract_reply, decode_install, decode_install_reply, decode_move_reply,
     decode_transfers, encode_install_reply, put_install, set_count, tag, BurstReply, ExtractReply,
-    Give, Hello, MoveReply, ShardWorkload, Transfer,
+    Give, Hello, MoveReply, Transfer,
 };
-use uts_shard::{serve, WorkerError};
+use uts_shard::{serve, ShardWorkload, WorkerError};
+use uts_synth::GeometricTree;
 use uts_synthgen::{GenFamily, GenNode, GenTree};
 use uts_tree::codec::put_usize;
 use uts_tree::{CkptNode, CodecError, SearchStack, SplitPolicy, StackArena};
@@ -115,18 +117,23 @@ fn arb_give() -> impl Strategy<Value = Give> {
     ]
 }
 
+/// A `HELLO` over any workload the constructors accept: a scrambled board
+/// at a bound up to 80, a generated tree at most 64 deep or subcritical, a
+/// synthetic tree at most 64 deep.
 fn arb_hello() -> impl Strategy<Value = Hello> {
     let workload = prop_oneof![
-        (any::<u64>(), any::<u32>())
-            .prop_map(|(board, bound)| ShardWorkload::Puzzle { board, bound }),
-        (any::<u64>(), any::<u32>(), any::<u32>()).prop_map(|(seed, b_max, depth_limit)| {
+        (any::<u64>(), 0usize..60, 0u32..=80).prop_map(|(seed, walk, bound)| {
+            ShardWorkload::Puzzle { board: scrambled(seed, walk).board().0, bound }
+        }),
+        (any::<u64>(), any::<u32>(), 0u32..=64).prop_map(|(seed, b_max, depth_limit)| {
             GenTree { seed, family: GenFamily::Geometric { b_max, depth_limit } }.into()
         }),
-        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>()).prop_map(
-            |(seed, b0, m, q_threshold)| {
-                GenTree { seed, family: GenFamily::Binomial { b0, m, q_threshold } }.into()
-            }
-        ),
+        (any::<u64>(), any::<u32>(), 1u32..64, 0.0f64..0.99).prop_map(|(seed, b0, m, qm)| {
+            GenTree::binomial(seed, b0, m, qm / f64::from(m)).into()
+        }),
+        (any::<u64>(), any::<u32>(), 0u32..=64).prop_map(|(seed, b_max, depth_limit)| {
+            ShardWorkload::Synth(GeometricTree { seed, b_max, depth_limit })
+        }),
     ];
     (any::<u32>(), any::<u32>(), any::<bool>(), (any::<bool>(), any::<u64>()), workload).prop_map(
         |(lo, local_p, seed_root, (kill, at), workload)| Hello {
@@ -402,4 +409,35 @@ fn malformed_requests_are_typed_errors() {
         "HELLO under the old frame sum: {result:?}"
     );
     assert!(output.is_empty(), "nothing is acknowledged");
+}
+
+/// A `HELLO` naming a workload no constructor accepts is refused before
+/// anything is acknowledged: a board that is not a permutation (which
+/// panicked building the puzzle), a geometric tree deeper than 64 and a
+/// supercritical binomial tree (each a search that does not end).
+#[test]
+fn hostile_hello_workloads_are_typed_errors() {
+    let supercritical = GenFamily::Binomial { b0: 4, m: 4, q_threshold: u64::MAX / 2 };
+    let cases: [(&str, ShardWorkload); 3] = [
+        ("board", ShardWorkload::Puzzle { board: u64::MAX, bound: 40 }),
+        ("depth", GenTree::geometric(1, 8, 65).into()),
+        ("binomial", GenTree { seed: 1, family: supercritical }.into()),
+    ];
+    for (what, workload) in cases {
+        let hello = Hello { lo: 0, hi: 4, seed_root: true, kill_at_burst: None, workload };
+        let mut payload = Vec::new();
+        hello.encode(&mut payload);
+        let mut input = Vec::new();
+        let mut writer = FrameWriter::new(&mut input);
+        writer.send(tag::HELLO, &payload).expect("write to a Vec");
+        writer.send(tag::BURST, &1u64.to_le_bytes()).expect("write to a Vec");
+        writer.send(tag::SHUTDOWN, &[]).expect("write to a Vec");
+        let mut output = Vec::new();
+        let result = serve(&input[..], &mut output);
+        assert!(
+            matches!(result, Err(WorkerError::Codec(CodecError::Malformed(_)))),
+            "{what}: {result:?}"
+        );
+        assert!(output.is_empty(), "{what}: nothing is acknowledged");
+    }
 }

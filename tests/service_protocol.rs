@@ -154,12 +154,16 @@ fn oversized_p_and_threads_are_refused_before_anything_is_durable() {
     // A spec is made durable before it runs, and the run's first act is
     // several p-sized allocations (resp. `threads` OS threads) in a runner
     // thread: an absurd size must be refused at the door, or it takes the
-    // server down on this start and, via recovery, on every later one.
+    // server down on this start and, via recovery, on every later one. A
+    // scramble's walk is replayed move by move before its search starts,
+    // so a huge one would wedge a slot (or, without `bound`, the handler).
     let (server, dir) = start("oversized-spec");
     let addr = server.addr();
     for bad in [
         r#"{"workload":{"kind":"synth"},"p":1099511627776}"#,
         r#"{"workload":{"kind":"synth"},"engine":"par","threads":1000000}"#,
+        r#"{"workload":{"kind":"scramble","seed":1,"walk":18446744073709551615,"bound":40},"p":4}"#,
+        r#"{"workload":{"kind":"scramble","seed":1,"walk":18446744073709551615},"p":4}"#,
     ] {
         let (status, body) = client::post(addr, "/submit", bad);
         assert_rejection(status, &body, 400, "proto");
