@@ -883,27 +883,36 @@ pub fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
 /// frame structure ([`StackArena::split_count_into`] reproduces
 /// `split_count` + `merge_from` over the chunk chains); see DESIGN.md.
 ///
-/// A round costs O(A + stacks moved) plus the census up to its last matched
-/// receiver, `A = active.len()`, where the oracle's form pays two filters
-/// over all `P` lengths. The target is at least 1 whenever anyone holds
-/// work, so a donor (`len > target`) holds at least two nodes — it is
-/// splittable and on the sorted `active` list, which is all the donor
-/// enumeration reads. Only the matched prefix of the receiver enumeration
-/// (`len < target`, ascending) is ever zipped, so one walk over the census
-/// stops at the `donors.len()`-th receiver (the idle-prefix walk of
-/// [`MatchState::match_census`], over lengths because a receiver may hold
-/// work). A donor keeps at least `target` nodes and a receiver ends at
-/// most at `target`, so the list only grows: receivers that were empty
-/// and now hold work are merged in each round. A remote store that
-/// latched a transport error reports `moved = 0` whatever happened, hence
-/// the merge reads the post-batch census.
+/// A round pairs the k-th donor (`len > target`, ascending) with the k-th
+/// receiver (`len < target`, ascending) until either enumeration runs out,
+/// and moves `min(excess, want)` nodes per pair. It costs O(A + stacks
+/// moved) plus the census up to its last matched receiver,
+/// `A = active.len()`. The target is at least 1 whenever anyone holds
+/// work, so a donor holds at least two nodes — it is splittable and on the
+/// sorted `active` list, which is all the donor cursor reads. The receiver
+/// cursor walks the census and stops at the last matched receiver (the
+/// idle-prefix walk of [`MatchState::match_census`], over lengths because
+/// a receiver may hold work).
 ///
-/// Each round is applied as one [`StackStore::split_counts`] batch: a
-/// round's donors (`len > target`) and receivers (`len < target`) are
-/// disjoint and each appears at most once, so the per-request
-/// `excess`/`want` operands computed from the pre-round census equal the
-/// sequential interleaving's, and the batch is bit-identical to it (the
-/// same argument as [`apply_pairs`]).
+/// **Windows.** A round is applied in windows of at most
+/// [`StackStore::max_batch`] requests, one [`StackStore::split_counts`]
+/// batch each, so no buffer grows with the round. The two cursors only move
+/// forward, and a window never changes what a later window reads: a donor
+/// keeps at least `target` nodes (it gives at most `excess`) and a receiver
+/// ends at or below `target` (it gets at most `want`), so no PE a window
+/// touched changes class — it can neither become a later donor nor a later
+/// receiver — and every PE a later window reads still has its pre-round
+/// length. Every window therefore selects the same pairs with the same
+/// `excess`/`want` operands as a census of the whole round taken before it
+/// started, and within a window the donors and receivers are disjoint and
+/// distinct, so the batch equals the sequential interleaving (the argument
+/// of [`apply_pairs`]). A receiver's length is final once its window is
+/// applied, so the `peak` it reads then is the round's. The round is
+/// counted once, and the receivers that were empty before it are merged
+/// into `active` after its last window (a donor keeps work and a receiver
+/// only gains, so the list only grows). A remote store that latched a
+/// transport error reports `moved = 0` whatever happened, hence the merge
+/// reads the post-batch census.
 pub(crate) fn equalize<S: StackStore>(
     store: &mut S,
     active: &mut Vec<usize>,
@@ -917,58 +926,62 @@ pub(crate) fn equalize<S: StackStore>(
     let lens = store.lens();
     let total: usize = active.iter().map(|&i| lens[i] as usize).sum();
     let target = total.div_ceil(p);
+    let window = store.max_batch();
     let mut rounds = 0u32;
     // Bound the rounds: each round matches donors to receivers 1-1, so
     // log-ish rounds suffice; 2·log2(P)+4 is a generous cap.
     let cap = 2 * (usize::BITS - p.leading_zeros()) + 4;
     while rounds < cap {
-        // Donors hold > target; receivers hold < target (poorest first ==
-        // index order is fine; rendezvous semantics).
-        let lens = store.lens();
-        let donors = &mut lb.scratch.packed_busy;
-        donors.clear();
-        donors.extend(active.iter().copied().filter(|&i| lens[i] as usize > target));
-        if donors.is_empty() {
-            break;
-        }
-        let receivers = &mut lb.scratch.packed_idle;
-        receivers.clear();
-        for (i, &len) in lens.iter().enumerate() {
-            if (len as usize) < target {
-                receivers.push(i);
-                if receivers.len() == donors.len() {
-                    break;
-                }
-            }
-        }
-        if receivers.is_empty() {
-            break;
-        }
-        lb.reqs.clear();
         debug_assert!(lb.incoming.is_empty());
-        for (&d, &r) in donors.iter().zip(receivers.iter()) {
-            let excess = lens[d] as usize - target;
-            let want = target - lens[r] as usize;
-            lb.reqs.push(CountedMove { donor: d, receiver: r, max_nodes: excess.min(want) });
-            if lens[r] == 0 {
-                lb.incoming.push(r);
-            }
-        }
-        store.split_counts(&lb.reqs, &mut lb.moved);
-        debug_assert_eq!(lb.moved.len(), lb.reqs.len());
-        let lens = store.lens();
-        let mut moved_any = false;
-        for (req, &n) in lb.reqs.iter().zip(lb.moved.iter()) {
-            if n > 0 {
-                donations[req.donor] += 1;
-                if let Some(rc) = receipts.as_deref_mut() {
-                    rc[req.receiver] += 1;
+        // Donor cursor: an index into `active`; receiver cursor: a PE.
+        let (mut next_donor, mut next_receiver) = (0usize, 0usize);
+        let (mut pairs, mut moved_any, mut exhausted) = (0usize, false, false);
+        while !exhausted {
+            let lens = store.lens();
+            lb.reqs.clear();
+            while lb.reqs.len() < window {
+                let donor = active[next_donor..].iter().position(|&i| lens[i] as usize > target);
+                let Some(d) = donor.map(|k| next_donor + k) else {
+                    exhausted = true;
+                    break;
+                };
+                let receiver = lens[next_receiver..].iter().position(|&l| (l as usize) < target);
+                let Some(r) = receiver.map(|k| next_receiver + k) else {
+                    exhausted = true;
+                    break;
+                };
+                (next_donor, next_receiver) = (d + 1, r + 1);
+                let d = active[d];
+                let excess = lens[d] as usize - target;
+                let want = target - lens[r] as usize;
+                lb.reqs.push(CountedMove { donor: d, receiver: r, max_nodes: excess.min(want) });
+                if lens[r] == 0 {
+                    lb.incoming.push(r);
                 }
-                *transfers += 1;
-                *peak = (*peak).max(lens[req.receiver] as usize);
-                moved_any = true;
+            }
+            if lb.reqs.is_empty() {
+                break;
+            }
+            pairs += lb.reqs.len();
+            store.split_counts(&lb.reqs, &mut lb.moved);
+            debug_assert_eq!(lb.moved.len(), lb.reqs.len());
+            let lens = store.lens();
+            for (req, &n) in lb.reqs.iter().zip(lb.moved.iter()) {
+                if n > 0 {
+                    donations[req.donor] += 1;
+                    if let Some(rc) = receipts.as_deref_mut() {
+                        rc[req.receiver] += 1;
+                    }
+                    *transfers += 1;
+                    *peak = (*peak).max(lens[req.receiver] as usize);
+                    moved_any = true;
+                }
             }
         }
+        if pairs == 0 {
+            break;
+        }
+        let lens = store.lens();
         lb.incoming.retain(|&r| lens[r] > 0);
         merge_active(active, &mut lb.incoming);
         rounds += 1;

@@ -6,12 +6,16 @@
 //! the in-process engines that view is [`uts_tree::StackArena`] itself;
 //! the sharded multi-process machine (`uts-shard`) implements the same
 //! trait over a coordinator-side length mirror plus wire messages to the
-//! worker processes that own the stacks. Because the trait's primitives
-//! are whole *rounds* — and within one rendezvous or equalization round
-//! every donor and every receiver is a distinct PE touched exactly once —
-//! batching the splits and reading the census afterwards is observationally
-//! identical to the in-process engines' split-by-split interleaving, which
-//! is the determinism argument for the sharded machine (DESIGN.md §13).
+//! worker processes that own the stacks. The trait's primitives are
+//! *batches*: a rendezvous round is one batch, and an equalization round is
+//! one batch or several windows of at most [`StackStore::max_batch`]
+//! requests. Within one round every donor and every receiver is a distinct
+//! PE touched exactly once, so batching the splits and reading the census
+//! afterwards is observationally identical to the split-by-split
+//! interleaving, which is the determinism argument for the sharded machine
+//! (DESIGN.md §13). The in-process arena takes an equalization round in
+//! windows so its buffers stay bounded; the remote store takes each round
+//! whole, so a round stays one message exchange.
 
 use uts_scan::Pair;
 use uts_tree::{SplitPolicy, StackArena};
@@ -41,7 +45,9 @@ pub struct CountedMove {
 /// equalizer both guarantee this), so implementations may apply the
 /// batch's splits in any order — or concurrently across shards — and the
 /// post-batch census is well-defined. `lens()` must reflect every
-/// completed batch before the next call reads it.
+/// completed batch before the next call reads it. A
+/// [`StackStore::split_counts`] batch holds at most
+/// [`StackStore::max_batch`] requests.
 pub trait StackStore {
     /// Ensemble size `P`.
     fn p(&self) -> usize;
@@ -66,12 +72,30 @@ pub trait StackStore {
     /// (false iff the donor could not split). `ok` is cleared first.
     fn split_pairs(&mut self, pairs: &[Pair], policy: SplitPolicy, ok: &mut Vec<bool>);
 
-    /// Apply one equalization round of counted splits: for each request,
-    /// move up to `max_nodes` bottom nodes donor → receiver, preserving
-    /// frame structure. `moved[k]` reports the node count request `k`
-    /// actually moved (0 = nothing). `moved` is cleared first.
+    /// Apply one batch of counted splits of an equalization round: for
+    /// each request, move up to `max_nodes` bottom nodes donor → receiver,
+    /// preserving frame structure. `moved[k]` reports the node count
+    /// request `k` actually moved (0 = nothing). `moved` is cleared first.
     fn split_counts(&mut self, reqs: &[CountedMove], moved: &mut Vec<usize>);
+
+    /// The most requests one [`StackStore::split_counts`] batch carries:
+    /// the equalizer applies a round in windows of at most this many, so
+    /// its request and verdict buffers stay this small at any `P`. The
+    /// default suits a store in memory, where a batch is only a loop. A
+    /// store whose batch is a message exchange returns `usize::MAX` to
+    /// receive each round whole.
+    fn max_batch(&self) -> usize {
+        MAX_BATCH
+    }
 }
+
+/// The default [`StackStore::max_batch`], measured on the benchmark's
+/// `balance-wide` (P = 2^20, FEGS, `GenTree::geometric(1, 8, 11)`, 12-byte
+/// nodes, two runs each): windows of 2^12, 2^14 and 2^16 requests peaked at
+/// 89.9, 90.1 and 90.9 MB resident with equal wall time (0.18–0.20 s),
+/// against 98.3 MB for whole rounds, whose request list passes 262 k
+/// entries. 2^16 keeps a million-PE round to a handful of windows.
+const MAX_BATCH: usize = 1 << 16;
 
 impl<N: Clone> StackStore for StackArena<N> {
     fn p(&self) -> usize {

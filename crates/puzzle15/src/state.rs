@@ -12,14 +12,22 @@ use crate::board::{manhattan_tile, Board, Move};
 
 /// A search state: board, cached blank cell, cached heuristic, and the move
 /// that produced it (for inverse pruning).
+///
+/// Stored at its payload size: the fields are ordered widest first and the
+/// struct is packed to alignment 4, so a state is 12 bytes and its
+/// `BoundedNode` 16 (instead of 16 and 24). Packing only moves the bytes in
+/// memory; the codec writes field by field, so snapshot bytes do not
+/// depend on it. Read fields by value — the compiler refuses a reference to
+/// a packed field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct PuzzleState {
     /// Current board.
     pub board: Board,
-    /// Cell of the blank (cached).
-    pub blank: u8,
     /// Manhattan distance to the goal (cached, maintained incrementally).
     pub h: u16,
+    /// Cell of the blank (cached).
+    pub blank: u8,
     /// Move that created this state, `None` at the root.
     pub last: Option<Move>,
 }
@@ -128,6 +136,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use uts_tree::ida::ida_star;
+
+    /// A state is its 12 payload bytes, and an IDA* node (state + `g`) 16.
+    #[test]
+    fn a_node_is_its_payload() {
+        assert_eq!(std::mem::size_of::<PuzzleState>(), 12);
+        assert_eq!(std::mem::size_of::<uts_tree::BoundedNode<PuzzleState>>(), 16);
+    }
 
     fn scramble(moves: &[Move]) -> PuzzleState {
         let mut s = PuzzleState::new(GOAL);

@@ -677,6 +677,12 @@ impl<N> StackStore for RemoteBackend<N> {
         self.transfer_round(Give::Counted, reqs, |req| *req);
         moved.clone_from(&self.moved);
     }
+
+    /// Whole rounds: a batch is one `MOVE`/`EXTRACT`/`INSTALL` exchange and
+    /// one routed permutation, so an equalization round stays one of each.
+    fn max_batch(&self) -> usize {
+        usize::MAX
+    }
 }
 
 fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, ShardError> {

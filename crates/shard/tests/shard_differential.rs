@@ -22,16 +22,16 @@
 use std::path::PathBuf;
 
 use uts_ckpt::spill;
-use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme};
+use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme, StackStore};
 use uts_machine::CostModel;
 use uts_puzzle15::Puzzle15;
 use uts_shard::{
     resume_sharded, run_sharded, ParkPolicy, ShardError, ShardOpts, ShardWorkload, WorkerKill,
 };
-use uts_synthgen::{find_gen_tree, GenTree};
+use uts_synthgen::{find_gen_tree, GenNode, GenTree};
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
-use uts_tree::SplitPolicy;
+use uts_tree::{SplitPolicy, StackArena};
 
 fn main() {
     uts_shard::maybe_run_worker();
@@ -44,8 +44,10 @@ fn main() {
     killed_worker_resumes_from_spill();
     counted_rounds_park_and_resume_across_shards();
     gp_spreads_donations_more_evenly_than_ngp(4096, [4, 2], 60_000);
+    fegs_rounds_are_one_exchange_each(4096, GenTree::geometric(1, 8, 8));
     if std::env::args().any(|a| a == "--ignored" || a == "--include-ignored") {
         gp_spreads_donations_more_evenly_than_ngp(1 << 20, [8, 4], 4_000_000);
+        fegs_rounds_are_one_exchange_each(1 << 20, GenTree::geometric(1, 8, 11));
     }
     println!("shard_differential: all ok");
 }
@@ -258,4 +260,34 @@ fn gp_spreads_donations_more_evenly_than_ngp(p: usize, shards: [usize; 2], targe
         "W={} at P={p}: GP identical at shards {shards:?}, donation gini GP {gp:.4} < nGP {ngp:.4}",
         sized.w
     );
+}
+
+/// The in-process equalizer applies a FEGS round in windows of at most
+/// `StackStore::max_batch` requests; the remote store takes every round
+/// whole, so a round stays one `MOVE`/`EXTRACT`/`INSTALL` exchange and one
+/// routed permutation. Each routed phase must count exactly the rounds the
+/// ledger charged for it. At P = 2^20 (with `--ignored`) some round is
+/// larger than the in-process window, which is where a windowed remote
+/// store would count more.
+fn fegs_rounds_are_one_exchange_each(p: usize, tree: GenTree) {
+    let cfg = EngineConfig::new(p, Scheme::fegs(), CostModel::cm2()).with_ledger();
+    let want = run(&tree, &cfg);
+    let got = run_sharded(&ShardWorkload::from(tree), &cfg, &opts(2)).expect("sharded run");
+    assert_eq!(got.outcome, want, "FEGS at P={p} on 2 shards diverged");
+    let charged = &want.ledger.as_ref().expect("ledger on").phases;
+    assert_eq!(got.stats.phases.len(), charged.len(), "FEGS at P={p}: routed phases");
+    for (routed, ph) in got.stats.phases.iter().zip(charged) {
+        assert_eq!(routed.rounds, ph.rounds, "FEGS at P={p}, phase at cycle {}", ph.at_cycle);
+    }
+    let window = StackStore::max_batch(&StackArena::<GenNode>::new(1)) as u64;
+    let widest = got.stats.phases.iter().map(|ph| ph.messages / u64::from(ph.rounds)).max();
+    println!(
+        "FEGS P={p} x 2 shards: {} phases, one exchange per round (widest mean round {} \
+         transfers, window {window})",
+        charged.len(),
+        widest.unwrap_or(0)
+    );
+    if p >= 1 << 20 {
+        assert!(widest > Some(window), "FEGS at P={p}: no round wider than one window");
+    }
 }

@@ -57,7 +57,13 @@ pub fn legacy_child_id(parent: u64, c: u32, key: u64) -> u64 {
 }
 
 /// A node of a synthetic tree: its hash identity and depth.
+///
+/// Packed to alignment 4, a node is stored in its 12 payload bytes rather
+/// than 16. The codec writes field by field, so snapshot bytes do not
+/// depend on the layout. Read fields by value — the compiler refuses a
+/// reference to a packed field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct SynthNode {
     /// Hash identity (determines this node's subtree).
     pub id: u64,
@@ -220,6 +226,13 @@ pub fn find_tree(target: u64, rel_tol: f64, max_seeds: u64) -> SizedTree {
 mod tests {
     use super::*;
     use uts_tree::serial_dfs;
+
+    /// A node is stored in its 12 payload bytes.
+    #[test]
+    fn a_node_is_its_payload() {
+        assert_eq!(std::mem::size_of::<SynthNode>(), 12);
+        assert_eq!(std::mem::align_of::<SynthNode>(), 4);
+    }
 
     #[test]
     fn binomial_is_deterministic() {

@@ -78,7 +78,13 @@ fn draw(state: u64) -> u64 {
 /// entire subtree below a node is a pure function of this 12-byte value —
 /// donating a node donates its whole subtree, and a receiver regenerates
 /// it without any communication.
+///
+/// Packed to alignment 4, a node is stored in its 12 payload bytes rather
+/// than 16, and an arena chunk of four nodes in 48 bytes. The codec writes
+/// field by field, so snapshot bytes do not depend on the layout. Read
+/// fields by value — the compiler refuses a reference to a packed field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct GenNode {
     /// Chained RNG state (determines the subtree).
     pub state: u64,
@@ -287,6 +293,14 @@ pub fn find_gen_tree(target: u64, rel_tol: f64, max_seeds: u64) -> SizedGenTree 
 mod tests {
     use super::*;
     use uts_tree::{serial_dfs, CkptNode, Reader};
+
+    /// A node is stored in its 12 payload bytes, so an arena chunk of
+    /// four is 48 bytes.
+    #[test]
+    fn a_node_is_its_payload() {
+        assert_eq!(std::mem::size_of::<GenNode>(), 12);
+        assert_eq!(std::mem::align_of::<GenNode>(), 4);
+    }
 
     #[test]
     fn siblings_never_collide() {

@@ -34,7 +34,11 @@
 //! 4-byte chain head per PE and 9 bytes of links and frame bits per
 //! chunk. A single slab for the whole ensemble is not an option either:
 //! PEs grow at wildly different rates within one macro step. Chunks give
-//! each PE room to grow without moving anyone else's nodes.
+//! each PE room to grow without moving anyone else's nodes. The pool
+//! stores a node at its own size, so node types keep their padding out:
+//! the generated-tree, synthetic-tree and 15-puzzle nodes are packed to
+//! alignment 4, and a chunk of four 12-byte generated-tree nodes is 48
+//! bytes where it used to be 64.
 //!
 //! The blocks exist for the fanned-out burst: it hands each job a
 //! run of whole blocks ([`BlockRun`]), so concurrent bursts own disjoint
@@ -58,12 +62,14 @@ use crate::stack::{Burst, SearchStack, SplitPolicy};
 
 /// Nodes per chunk, chosen by measurement. On the benchmark's million-PE
 /// instance (`balance-wide`: P = 2^20, FEGS, 2.1 M nodes on 716 k PEs at
-/// the peak boundary, no stack longer than seven) a whole run peaks at
-/// 116 / 107 / 132 MB resident and takes 0.21 / 0.19 / 0.23 s with
-/// 2 / 4 / 8 nodes per chunk: four 16-byte nodes make a 64-byte chunk that
-/// holds most of those stacks whole. On the deep-stack instance
-/// (`burst-deep`) 8 is 1 % faster than 4, and 2 is 6 % slower. Frame bits
-/// are a `u8` per chunk, so this is at most 8.
+/// the peak boundary, no stack longer than seven) with 16-byte nodes a
+/// whole run peaked at 116 / 107 / 132 MB resident and took
+/// 0.21 / 0.19 / 0.23 s with 2 / 4 / 8 nodes per chunk. With 12-byte nodes
+/// 4 against 8 reads 91.0 against 99.1 MB and 0.19 against 0.22 s there:
+/// four nodes make a 48-byte chunk that holds most of those stacks whole.
+/// On the deep-stack instance (`burst-deep`) 8 is about 10 % faster than 4
+/// (0.67 against 0.75 s), so neither wins both and 4 stays. Frame bits are
+/// a `u8` per chunk, so this is at most 8.
 pub const CHUNK_NODES: usize = 4;
 
 /// A machine is cut into this many blocks, or more when the block size cap

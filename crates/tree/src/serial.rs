@@ -2,9 +2,13 @@
 //! `W` ("the number of tree nodes searched by the serial algorithm",
 //! Sec. 3.1) and the reference the parallel engine's node counts are
 //! checked against.
+//!
+//! The stack is one `Vec` of nodes: `expand` appends a node's children to
+//! its end and the next node is popped from it, which is the order of a
+//! stack of frames flattened (the top frame's last child first), with no
+//! allocation per frame.
 
 use crate::problem::TreeProblem;
-use crate::stack::SearchStack;
 
 /// Outcome of a serial depth-first traversal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,18 +36,15 @@ pub fn serial_dfs_collect<P: TreeProblem>(
     problem: &P,
     mut on_goal: impl FnMut(&P::Node),
 ) -> SerialStats {
-    let mut stack = SearchStack::from_root(problem.root());
+    let mut stack = vec![problem.root()];
     let mut stats = SerialStats { expanded: 0, goals: 0, peak_stack: 1 };
-    let mut children = Vec::new();
-    while let Some(node) = stack.pop_next() {
+    while let Some(node) = stack.pop() {
         stats.expanded += 1;
         if problem.is_goal(&node) {
             stats.goals += 1;
             on_goal(&node);
         }
-        children.clear();
-        problem.expand(&node, &mut children);
-        stack.push_frame(std::mem::take(&mut children));
+        problem.expand(&node, &mut stack);
         stats.peak_stack = stats.peak_stack.max(stack.len());
     }
     stats
@@ -55,18 +56,15 @@ pub fn serial_dfs_collect<P: TreeProblem>(
 /// (Rao & Kumar; paper Sec. 3) live: a parallel search may find a goal
 /// after expanding far fewer — or far more — nodes than this.
 pub fn serial_dfs_first_goal<P: TreeProblem>(problem: &P) -> SerialStats {
-    let mut stack = SearchStack::from_root(problem.root());
+    let mut stack = vec![problem.root()];
     let mut stats = SerialStats { expanded: 0, goals: 0, peak_stack: 1 };
-    let mut children = Vec::new();
-    while let Some(node) = stack.pop_next() {
+    while let Some(node) = stack.pop() {
         stats.expanded += 1;
         if problem.is_goal(&node) {
             stats.goals = 1;
             return stats;
         }
-        children.clear();
-        problem.expand(&node, &mut children);
-        stack.push_frame(std::mem::take(&mut children));
+        problem.expand(&node, &mut stack);
         stats.peak_stack = stats.peak_stack.max(stack.len());
     }
     stats
