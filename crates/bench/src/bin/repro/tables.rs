@@ -15,7 +15,7 @@ use uts_bench::workloads::{
     PaperWorkload,
 };
 use uts_core::Scheme;
-use uts_machine::CostModel;
+use uts_machine::{CostModel, DonationSpread};
 
 use crate::{calibration, Part};
 
@@ -342,8 +342,7 @@ fn ledger_report(quick: bool) {
         [("nGP-S^0.90", Scheme::ngp_static(0.9)), ("GP-S^0.90", Scheme::gp_static(0.9))]
     {
         let (cfg, out) = run_workload_ledger(wl, scheme, p, cost);
-        let ledger = out.ledger.as_ref().expect("ledger was requested");
-        let s = ledger.donation_spread();
+        let s = DonationSpread::of(&out.donations);
         t.row(vec![
             label.to_string(),
             s.total.to_string(),

@@ -19,7 +19,7 @@
 //!   macro-step boundary — every PE's DFS stack, decoded straight into a
 //!   [`StackArena`] (the machine's one stack form), the trigger/init
 //!   accumulators, the GP pointer, the machine clock and [`Metrics`]
-//!   (active trace included), the in-progress ledger, and the horizon log;
+//!   (active trace included), and the in-progress ledger;
 //! * the **harness** types ([`CheckpointPolicy`], [`FaultPlan`]): when to
 //!   snapshot, and — for tests — when to kill.
 //!
@@ -33,8 +33,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use uts_machine::{
-    ActiveTrace, CostModel, LbCostBreakdown, LbPhaseRecord, Metrics, PhaseEvent, PhaseStats,
-    SimTime, SimdMachine, TriggerFiring, TriggerKind,
+    ActiveTrace, CostModel, LbCostBreakdown, LbPhaseRecord, Metrics, PhaseStats, SimTime,
+    SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_tree::codec::{put_bool, put_slice, put_u32, put_u64, put_usize};
 use uts_tree::{CkptNode, CodecError, Reader, StackArena};
@@ -46,8 +46,10 @@ pub mod wire;
 pub const MAGIC: [u8; 8] = *b"UTSCKPT\0";
 
 /// Current snapshot format version. Bump on any layout change; decoders
-/// reject other versions rather than misread them.
-pub const FORMAT_VERSION: u32 = 1;
+/// reject other versions rather than misread them. Version 1 also carried
+/// the machine's phase log and the loop's horizon log; version 2 holds
+/// only engine state.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to load. Each corruption mode gets its own
 /// variant so callers (and the round-trip property suite) can tell a
@@ -146,16 +148,13 @@ impl Fingerprint {
     }
 }
 
-/// When a run writes snapshots. Both conditions may be armed at once; a
-/// boundary satisfying either produces one snapshot.
+/// When a run writes snapshots: every `n`-th macro-step boundary, or
+/// never (the default, for runs armed only to be killed or preempted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointPolicy {
     /// Snapshot at every `n`-th macro-step boundary (1-based: `Some(3)`
     /// snapshots after steps 3, 6, 9, …).
     pub every_steps: Option<u64>,
-    /// Snapshot at every boundary whose step ended in a balancing phase —
-    /// the moments load just moved, which long-run operators care about.
-    pub on_trigger: bool,
 }
 
 impl CheckpointPolicy {
@@ -165,24 +164,12 @@ impl CheckpointPolicy {
     /// Panics if `n == 0`.
     pub fn every(n: u64) -> Self {
         assert!(n > 0, "checkpoint interval must be positive");
-        Self { every_steps: Some(n), on_trigger: false }
+        Self { every_steps: Some(n) }
     }
 
-    /// Snapshot after every balancing phase.
-    pub fn on_trigger() -> Self {
-        Self { every_steps: None, on_trigger: true }
-    }
-
-    /// Also snapshot after every balancing phase.
-    pub fn and_on_trigger(mut self) -> Self {
-        self.on_trigger = true;
-        self
-    }
-
-    /// Whether a boundary with 1-based index `step`, where `fired` says a
-    /// balancing phase just ran, should snapshot.
-    pub fn wants(&self, step: u64, fired: bool) -> bool {
-        self.every_steps.is_some_and(|n| step.is_multiple_of(n)) || (self.on_trigger && fired)
+    /// Whether the boundary with 1-based index `step` should snapshot.
+    pub fn wants(&self, step: u64) -> bool {
+        self.every_steps.is_some_and(|n| step.is_multiple_of(n))
     }
 }
 
@@ -262,7 +249,7 @@ pub struct MachineState {
     pub now: SimTime,
     /// The `L` estimate (cost of the most recent balancing phase).
     pub last_lb_cost: SimTime,
-    /// Run-long counters, active trace and phase log.
+    /// Run-long counters and active trace.
     pub metrics: Metrics,
     /// Search-phase counters the dynamic triggers read.
     pub phase: PhaseStats,
@@ -320,9 +307,6 @@ pub struct EngineSnapshot<N> {
     pub machine: MachineState,
     /// In-progress ledger, if the run records one.
     pub recorder: Option<RecorderState>,
-    /// The horizon log so far, as `(start_cycle, horizon, ran)` triples
-    /// (only non-empty when the run records horizons).
-    pub macro_steps: Vec<(u64, u64, u64)>,
     /// Every PE's DFS stack, index = PE id.
     pub stacks: StackArena<N>,
 }
@@ -406,7 +390,6 @@ fn encode_metrics(out: &mut Vec<u8>, m: &Metrics) {
     put_u64(out, m.t_lb_machine);
     put_bool(out, m.trace_enabled);
     encode_active_trace(out, &m.active_trace);
-    encode_phase_log(out, &m.phase_log);
 }
 
 /// Encode an active trace: its breakpoints, length-prefixed, then its
@@ -414,17 +397,6 @@ fn encode_metrics(out: &mut Vec<u8>, m: &Metrics) {
 pub fn encode_active_trace(out: &mut Vec<u8>, trace: &ActiveTrace) {
     put_slice(out, trace.breakpoints());
     put_u64(out, trace.len());
-}
-
-/// Encode a phase log, length-prefixed.
-pub fn encode_phase_log(out: &mut Vec<u8>, log: &[PhaseEvent]) {
-    put_usize(out, log.len());
-    for &PhaseEvent { at_cycle, rounds, transfers, cost } in log {
-        put_u64(out, at_cycle);
-        put_u32(out, rounds);
-        put_u64(out, transfers);
-        put_u64(out, cost);
-    }
 }
 
 fn decode_metrics(r: &mut Reader<'_>) -> Result<Metrics, CodecError> {
@@ -448,16 +420,6 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<Metrics, CodecError> {
         return Err(CodecError::Malformed("active trace breakpoints not canonical"));
     }
     let active_trace = ActiveTrace::from_breakpoints(breaks, trace_len);
-    let n_events = r.len(28)?;
-    let mut phase_log = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        phase_log.push(PhaseEvent {
-            at_cycle: r.u64()?,
-            rounds: r.u32()?,
-            transfers: r.u64()?,
-            cost: r.u64()?,
-        });
-    }
     Ok(Metrics {
         n_expand,
         n_lb,
@@ -468,7 +430,6 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<Metrics, CodecError> {
         t_lb_machine,
         trace_enabled,
         active_trace,
-        phase_log,
     })
 }
 
@@ -527,8 +488,6 @@ pub struct SnapshotView<'a, N> {
     pub machine: &'a MachineState,
     /// In-progress ledger, if the run records one.
     pub recorder: Option<&'a RecorderState>,
-    /// The horizon log so far, as `(start_cycle, horizon, ran)` triples.
-    pub macro_steps: &'a [(u64, u64, u64)],
     /// Every PE's DFS stack, index = PE id.
     pub stacks: StackSource<'a, N>,
 }
@@ -553,7 +512,6 @@ impl<N: CkptNode> SnapshotView<'_, N> {
             put_usize(out, rec.phases.len());
             rec.phases.iter().for_each(|ph| encode_phase_record(out, ph));
         }
-        put_slice(out, self.macro_steps);
         put_usize(out, self.stacks.p());
         match &self.stacks {
             StackSource::Arena(arena) => (0..arena.p()).for_each(|i| arena.encode_pe(i, out)),
@@ -594,7 +552,6 @@ impl<N: CkptNode> EngineSnapshot<N> {
             global_pointer: self.global_pointer,
             machine: &self.machine,
             recorder: self.recorder.as_ref(),
-            macro_steps: &self.macro_steps,
             stacks: StackSource::Arena(&self.stacks),
         }
         .encode(config_fingerprint)
@@ -625,7 +582,6 @@ impl<N: Clone + CkptNode> EngineSnapshot<N> {
         } else {
             None
         };
-        let macro_steps: Vec<(u64, u64, u64)> = Vec::decode_node(r)?;
         // Every stack encoding is at least its 8-byte frame count, so `P` is
         // bounded by the bytes left before the arena is sized by it.
         let p = r.len(8)?;
@@ -648,7 +604,6 @@ impl<N: Clone + CkptNode> EngineSnapshot<N> {
             global_pointer,
             machine: MachineState { now, last_lb_cost, metrics, phase },
             recorder,
-            macro_steps,
             stacks,
         })
     }
@@ -708,7 +663,6 @@ mod tests {
             t_lb_machine: 13_000,
             trace_enabled: true,
             active_trace: trace,
-            phase_log: vec![PhaseEvent { at_cycle: 5, rounds: 1, transfers: 2, cost: 13_000 }],
         };
         let firing = TriggerFiring {
             kind: TriggerKind::Static { threshold: 3 },
@@ -751,7 +705,6 @@ mod tests {
                     },
                 }],
             }),
-            macro_steps: vec![(0, 3, 3), (3, 4, 2)],
             stacks,
         }
     }
@@ -791,7 +744,6 @@ mod tests {
             global_pointer: snap.global_pointer,
             machine: &snap.machine,
             recorder: snap.recorder.as_ref(),
-            macro_steps: &snap.macro_steps,
             stacks: StackSource::Encoded { p: snap.stacks.p(), bytes: &bytes },
         }
         .encode(0xFEED);
@@ -804,9 +756,7 @@ mod tests {
         snap.recorder = None;
         snap.machine.metrics.trace_enabled = false;
         snap.machine.metrics.active_trace = ActiveTrace::new();
-        snap.machine.metrics.phase_log.clear();
         snap.global_pointer = None;
-        snap.macro_steps.clear();
         let bytes = snap.encode(1);
         let back = EngineSnapshot::<(usize, u64)>::decode(&bytes, 1).unwrap();
         assert!(back.recorder.is_none());
@@ -871,18 +821,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_every_and_on_trigger_compose() {
+    fn policy_snapshots_every_nth_boundary() {
         let every3 = CheckpointPolicy::every(3);
-        assert!(!every3.wants(1, true));
-        assert!(every3.wants(3, false));
-        assert!(every3.wants(6, true));
-        let both = CheckpointPolicy::every(4).and_on_trigger();
-        assert!(both.wants(2, true));
-        assert!(both.wants(4, false));
-        assert!(!both.wants(5, false));
-        let trig = CheckpointPolicy::on_trigger();
-        assert!(trig.wants(1, true));
-        assert!(!trig.wants(100, false));
+        assert!(!every3.wants(1));
+        assert!(every3.wants(3));
+        assert!(every3.wants(6));
+        assert!(!every3.wants(7));
+        assert!((1..100).all(|step| !CheckpointPolicy::default().wants(step)));
     }
 
     #[test]

@@ -29,9 +29,7 @@ use uts_ckpt::{
 use uts_tree::{CkptNode, SplitPolicy, TreeProblem};
 
 use crate::driver::LockstepDriver;
-use crate::engine::{
-    EngineConfig, EngineKind, EngineState, LedgerRecorder, MacroStep, Outcome, Resume,
-};
+use crate::engine::{EngineConfig, EngineKind, EngineState, LedgerRecorder, Outcome, Resume};
 use crate::matcher::MatchState;
 use crate::scheme::{Matching, TransferMode, Trigger};
 
@@ -183,7 +181,6 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     f.u64(cfg.stop_on_goal as u64);
     f.u64(cfg.max_cycles.is_some() as u64).u64(cfg.max_cycles.unwrap_or(0));
     f.u64(cfg.record_trace as u64);
-    f.u64(cfg.record_horizons as u64);
     f.u64(cfg.record_ledger as u64);
     f.finish()
 }
@@ -202,8 +199,6 @@ impl EngineState {
             receipts: r.receipts_so_far().to_vec(),
             phases: r.phases_so_far().to_vec(),
         });
-        let macro_steps: Vec<(u64, u64, u64)> =
-            self.macro_steps.iter().map(|m| (m.start_cycle, m.horizon, m.ran)).collect();
         SnapshotView {
             step: self.step,
             in_init: self.in_init,
@@ -213,7 +208,6 @@ impl EngineState {
             global_pointer: self.matcher.global_pointer(),
             machine: &machine,
             recorder: recorder.as_ref(),
-            macro_steps: &macro_steps,
             stacks,
         }
         .encode(fingerprint)
@@ -248,11 +242,6 @@ impl EngineState {
             goals: snapshot.goals,
             peak_stack_nodes: snapshot.peak_stack_nodes,
             in_init: snapshot.in_init,
-            macro_steps: snapshot
-                .macro_steps
-                .iter()
-                .map(|&(start_cycle, horizon, ran)| MacroStep { start_cycle, horizon, ran })
-                .collect(),
             step: snapshot.step,
         };
         (state, snapshot.stacks)
@@ -260,22 +249,20 @@ impl EngineState {
 }
 
 impl CheckpointCfg {
-    /// Process macro-step boundary `step` (1-based; `fired` says the step
-    /// ended in a balancing phase): snapshot if the policy wants it
-    /// (`encode` runs lazily, only then), and report whether the run stops
-    /// here. Two stop causes share the `true` return: the injected fault
-    /// (power-loss semantics — only policy snapshots survive) and a raised
-    /// [`PreemptSignal`] (park semantics — a snapshot of *this* boundary
-    /// is forced into the sink so the run can always be resumed from
-    /// exactly where it stopped).
+    /// Process macro-step boundary `step` (1-based): snapshot if the policy
+    /// wants it (`encode` runs lazily, only then), and report whether the
+    /// run stops here. Two stop causes share the `true` return: the
+    /// injected fault (power-loss semantics — only policy snapshots
+    /// survive) and a raised [`PreemptSignal`] (park semantics — a snapshot
+    /// of *this* boundary is forced into the sink so the run can always be
+    /// resumed from exactly where it stopped).
     pub(crate) fn boundary<E>(
         &self,
         step: u64,
-        fired: bool,
         encode: impl FnOnce() -> Result<Vec<u8>, E>,
     ) -> Result<bool, E> {
         let preempted = self.preempt.as_ref().is_some_and(PreemptSignal::is_raised);
-        if preempted || self.policy.wants(step, fired) {
+        if preempted || self.policy.wants(step) {
             self.sink.store(step, encode()?);
         }
         Ok(preempted || self.fault.is_some_and(|f| f.kill_at_step == step))
@@ -350,7 +337,6 @@ mod tests {
             EngineConfig::new(16, Scheme::gp_dk(), CostModel::hypercube()),
             base().with_split(SplitPolicy::Half),
             base().with_trace(),
-            base().with_horizon_log(),
             base().with_ledger(),
         ];
         let mut stop = base();
@@ -448,10 +434,8 @@ mod tests {
         let tree = uts_synth::GeometricTree { seed: 6, b_max: 8, depth_limit: 6 };
         let cfg = base();
         let plain = crate::run_with(&tree, &cfg);
-        let with_ckpt = crate::run_with(
-            &tree,
-            &cfg.clone().with_checkpoint(CheckpointPolicy::every(1).and_on_trigger()),
-        );
+        let with_ckpt =
+            crate::run_with(&tree, &cfg.clone().with_checkpoint(CheckpointPolicy::every(1)));
         assert_eq!(with_ckpt, plain);
     }
 

@@ -51,7 +51,7 @@ use uts_tree::{CkptNode, StackArena, TreeProblem};
 use crate::census::{build_count_ge, build_hist};
 use crate::ckpt::config_fingerprint;
 use crate::engine::{
-    balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, MacroStep, Outcome,
+    balancing_phase, checkpoint_trigger, EngineConfig, EngineState, LbBuffers, Outcome,
 };
 use crate::store::StackStore;
 use crate::trigger::{horizon_exceeds_one, safe_horizon, HorizonCtx};
@@ -298,7 +298,7 @@ impl LockstepDriver {
             backend.end_step(&self, fired)?;
             if let Some(ck) = &self.cfg.checkpoint {
                 let snapshot = || Ok(self.snapshot_of(backend.stack_source()?));
-                if ck.boundary(step, fired, snapshot)? {
+                if ck.boundary(step, snapshot)? {
                     break true;
                 }
             }
@@ -336,15 +336,12 @@ impl LockstepDriver {
     /// and `busy` of its PEs are known splittable.
     fn absorb(&mut self, h: u64, busy: usize, burst: &mut MergedBurst) -> StepStatus {
         let st = &mut self.state;
-        let start_cycle = st.machine.metrics().n_expand;
         self.busy_count = busy;
         st.goals += burst.goals;
         st.peak_stack_nodes = st.peak_stack_nodes.max(burst.peak_stack_nodes);
-        let ran;
         if h == 1 {
             debug_assert!(burst.deaths.is_empty(), "single cycles report no deaths");
             st.machine.expansion_cycle(burst.started);
-            ran = 1;
         } else {
             // Reconstruct the lockstep schedule from the deaths: a PE that
             // drained after `e` expansions worked cycles `1..=e` of the
@@ -352,15 +349,12 @@ impl LockstepDriver {
             // function dropping at each distinct death time, and the batch
             // ends at `h` if anyone survived, else at the last death.
             burst.deaths.sort_unstable();
-            ran = if self.active.is_empty() {
+            let ran = if self.active.is_empty() {
                 *burst.deaths.last().expect("had active PEs")
             } else {
                 h
             };
             st.machine.expansion_cycles_with_deaths(burst.started, ran, &burst.deaths);
-        }
-        if self.cfg.record_horizons {
-            st.macro_steps.push(MacroStep { start_cycle, horizon: h, ran });
         }
 
         // Stop checks, in the reference loop's order.
@@ -512,10 +506,7 @@ mod tests {
             Scheme::fess(),
             Scheme::fegs(),
         ] {
-            let cfg = EngineConfig::new(64, scheme, CostModel::cm2())
-                .with_ledger()
-                .with_horizon_log()
-                .with_trace();
+            let cfg = EngineConfig::new(64, scheme, CostModel::cm2()).with_ledger().with_trace();
             let want = crate::local::run(&tree, &cfg);
             let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
             assert!(step_by_hand(&tree, &mut driver, &mut arena, u64::MAX));

@@ -103,13 +103,8 @@ pub struct EngineConfig {
     pub stop_on_goal: bool,
     /// Safety valve for tests: abort after this many expansion cycles.
     pub max_cycles: Option<u64>,
-    /// Record every macro step the loop takes ([`Outcome::macro_steps`]).
-    /// Every driver-backed executor (macro, par, sharded) records
-    /// the identical log; the reference oracle steps cycle by cycle and
-    /// ignores the flag. For horizon-soundness diagnostics and tests.
-    pub record_horizons: bool,
     /// Record the load-balance ledger ([`Outcome::ledger`]): per-PE
-    /// donation/receipt counts and per-phase trigger provenance + cost
+    /// receipt counts and per-phase trigger provenance + cost
     /// attribution. Off by default — the engines skip all ledger work
     /// (including the oracle's horizon replay) when unset, so the hot
     /// path pays nothing. The ledger is part of the bit-identical
@@ -149,7 +144,6 @@ impl EngineConfig {
             record_trace: false,
             stop_on_goal: false,
             max_cycles: None,
-            record_horizons: false,
             record_ledger: false,
             engine: EngineKind::Macro,
             threads: None,
@@ -160,12 +154,6 @@ impl EngineConfig {
     /// Builder: enable the Fig. 8 active trace.
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
-        self
-    }
-
-    /// Builder: record the loop's event-horizon steps.
-    pub fn with_horizon_log(mut self) -> Self {
-        self.record_horizons = true;
         self
     }
 
@@ -257,38 +245,20 @@ pub struct Outcome {
     pub killed: bool,
     /// How many times each processor donated work — the burden GP exists
     /// to spread evenly ("to try to evenly distribute the burden of
-    /// sharing work among the processors", Sec. 2.2). Analyze with
-    /// `uts_analysis::stats` (e.g. the Gini coefficient).
+    /// sharing work among the processors", Sec. 2.2). Summarise with
+    /// [`uts_machine::DonationSpread::of`] (spread and Gini coefficient).
     pub donations: Vec<u32>,
     /// High-water mark of untried alternatives on any single processor's
     /// stack — the per-PE memory requirement. (Sec. 8 criticizes a
     /// Frye–Myczkowski variant precisely because its memory requirements
     /// "become unbounded"; this makes the quantity observable.)
     pub peak_stack_nodes: usize,
-    /// The event-horizon steps the macro-step loop took, recorded only
-    /// when [`EngineConfig::record_horizons`] is set (empty otherwise, and
-    /// always empty for the reference oracle, which has no macro steps).
-    pub macro_steps: Vec<MacroStep>,
     /// The load-balance ledger, recorded only when
-    /// [`EngineConfig::record_ledger`] is set. Unlike `macro_steps` it is
-    /// engine-invariant: every engine produces the identical ledger
+    /// [`EngineConfig::record_ledger`] is set. Like every other field it
+    /// is engine-invariant: every engine produces the identical ledger
     /// (the oracle replays the horizon schedule for the provenance
     /// records).
     pub ledger: Option<Ledger>,
-}
-
-/// One event-horizon macro-step taken by the loop in [`crate::driver`]: at
-/// `start_cycle` the engine proved the trigger cannot (effectively) fire
-/// for `horizon` cycles and ran `ran` consecutive expansion cycles without
-/// a checkpoint (`ran < horizon` only when the whole ensemble drained).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MacroStep {
-    /// `N_expand` when the step began.
-    pub start_cycle: u64,
-    /// The proved lower bound on cycles until the trigger could fire.
-    pub horizon: u64,
-    /// Expansion cycles actually executed in the step.
-    pub ran: u64,
 }
 
 impl Outcome {
@@ -314,7 +284,6 @@ pub(crate) struct EngineState {
     pub goals: u64,
     pub peak_stack_nodes: usize,
     pub in_init: bool,
-    pub macro_steps: Vec<MacroStep>,
     /// Macro-step boundaries completed (1-based snapshot numbering, the
     /// `ckpt-{step:08}.bin` names); a resumed run continues from here.
     pub step: u64,
@@ -339,7 +308,6 @@ impl EngineState {
             // The init phase (dynamic triggers): alternate cycle / balance
             // until `init_fraction` of the PEs have work.
             in_init: cfg.init_fraction.is_some(),
-            macro_steps: Vec::new(),
             step: 0,
         }
     }
@@ -348,7 +316,7 @@ impl EngineState {
     pub(crate) fn finish(self, truncated: bool, killed: bool) -> Outcome {
         let w = self.machine.metrics().nodes_expanded;
         let report = self.machine.finish(w);
-        let ledger = self.recorder.map(|r| r.finish(&self.donations));
+        let ledger = self.recorder.map(LedgerRecorder::finish);
         Outcome {
             report,
             goals: self.goals,
@@ -356,7 +324,6 @@ impl EngineState {
             killed,
             donations: self.donations,
             peak_stack_nodes: self.peak_stack_nodes,
-            macro_steps: self.macro_steps,
             ledger,
         }
     }
@@ -560,8 +527,8 @@ impl LedgerRecorder {
     }
 
     /// Close out the armed firing after its balancing phase ran. A phase
-    /// that performed no rounds charged the machine nothing and left no
-    /// `PhaseEvent`, so the ledger drops it too (the fire is abandoned).
+    /// that performed no rounds charged the machine nothing, so the ledger
+    /// drops it (the fire is abandoned).
     pub(crate) fn settle(
         &mut self,
         cfg: &EngineConfig,
@@ -582,9 +549,9 @@ impl LedgerRecorder {
         }
     }
 
-    pub(crate) fn finish(self, donations: &[u32]) -> Ledger {
+    pub(crate) fn finish(self) -> Ledger {
         debug_assert!(self.pending.is_none(), "run ended with an unsettled firing");
-        Ledger { donations: donations.to_vec(), receipts: self.receipts, phases: self.phases }
+        Ledger { receipts: self.receipts, phases: self.phases }
     }
 }
 

@@ -63,8 +63,7 @@ pub use ckpt::{
 };
 pub use driver::{recount_active, BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, merge_active, run_with, CycleStats, EngineConfig, EngineKind, MacroStep,
-    Outcome,
+    expansion_burst, merge_active, run_with, CycleStats, EngineConfig, EngineKind, Outcome,
 };
 pub use local::{run, LocalBackend};
 pub use matcher::MatchState;

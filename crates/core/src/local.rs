@@ -22,7 +22,7 @@
 //! after `e` cycles worked cycles `1..=e` of the batch, so sorting the
 //! (few) death events yields the per-cycle worked counts as a handful of
 //! constant runs. `N_expand`, `N_lb`, `T_idle`, the active trace, goal
-//! counts, donation counts and the phase log all stay bit-identical to
+//! counts, donation counts and the ledger all stay bit-identical to
 //! [`crate::reference::run_reference`] (enforced by the equivalence and
 //! horizon-soundness suites under `tests/`). A one-cycle horizon runs the
 //! fused single-cycle pass (`engine::fused_expansion_cycle`), so
@@ -322,6 +322,11 @@ impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
     fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
         Ok(StackSource::Arena(&self.arena))
     }
+
+    fn end_step(&mut self, _driver: &LockstepDriver, _fired: bool) -> Result<(), Infallible> {
+        debug_assert!(self.arena.store_ok(), "node store out of step with the length census");
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -345,20 +350,43 @@ mod tests {
         driver.run_to_end(LocalBackend::new(tree, arena, threads, min_work))
     }
 
+    /// `cfg`'s run, and `N_expand` at each of its macro-step boundaries as
+    /// the snapshots of an every-boundary memory sink record it.
+    fn boundary_cycles(tree: &GeometricTree, cfg: &EngineConfig) -> (Outcome, Vec<u64>) {
+        let armed = cfg.clone().with_checkpoint(uts_ckpt::CheckpointPolicy::every(1));
+        let out = run(tree, &armed);
+        let fingerprint = crate::ckpt::config_fingerprint(cfg);
+        let snapshots = armed.checkpoint.as_ref().expect("armed").sink.taken();
+        let cycles = snapshots
+            .iter()
+            .map(|s| {
+                let snap = uts_ckpt::EngineSnapshot::<<GeometricTree as TreeProblem>::Node>::decode(
+                    &s.bytes,
+                    fingerprint,
+                );
+                snap.expect("own snapshot decodes").machine.metrics.n_expand
+            })
+            .collect();
+        (out, cycles)
+    }
+
     #[test]
-    fn macro_steps_partition_the_run() {
+    fn boundaries_partition_the_run() {
         let tree = GeometricTree { seed: 9, b_max: 8, depth_limit: 6 };
         for scheme in [Scheme::gp_dk(), Scheme::gp_static(0.75), Scheme::fegs()] {
-            let cfg = EngineConfig::new(64, scheme, CostModel::cm2()).with_horizon_log();
-            let out = run(&tree, &cfg);
-            assert!(!out.macro_steps.is_empty());
-            let mut cursor = 0u64;
-            for step in &out.macro_steps {
-                assert_eq!(step.start_cycle, cursor, "{}", scheme.name());
-                assert!(step.ran >= 1 && step.ran <= step.horizon);
-                cursor += step.ran;
-            }
-            assert_eq!(cursor, out.report.n_expand, "{}", scheme.name());
+            let cfg = EngineConfig::new(64, scheme, CostModel::cm2());
+            let (out, cycles) = boundary_cycles(&tree, &cfg);
+            assert_eq!(out, run(&tree, &cfg), "{}", scheme.name());
+            // Every step runs at least one cycle: the boundaries strictly
+            // increase, and the final step (which ends the run, so writes
+            // no boundary) ends after the last of them.
+            assert!(!cycles.is_empty(), "{}", scheme.name());
+            assert!(
+                [0].iter().chain(&cycles).zip(&cycles).all(|(a, b)| a < b),
+                "{}: {cycles:?}",
+                scheme.name()
+            );
+            assert!(cycles.last() < Some(&out.report.n_expand), "{}", scheme.name());
         }
     }
 
@@ -369,15 +397,11 @@ mod tests {
         // than cycles.
         let tree = GeometricTree { seed: 2, b_max: 8, depth_limit: 6 };
         let w = serial_dfs(&tree).expanded;
-        let cfg = EngineConfig::new(1, Scheme::gp_dk(), CostModel::cm2()).with_horizon_log();
-        let out = run(&tree, &cfg);
+        let cfg = EngineConfig::new(1, Scheme::gp_dk(), CostModel::cm2());
+        let (out, cycles) = boundary_cycles(&tree, &cfg);
         assert_eq!(out.report.n_expand, w);
-        assert!(
-            (out.macro_steps.len() as u64) * 2 < w,
-            "{} steps for {} cycles",
-            out.macro_steps.len(),
-            w
-        );
+        let steps = cycles.len() as u64 + 1;
+        assert!(steps * 2 < w, "{steps} steps for {w} cycles");
     }
 
     #[test]

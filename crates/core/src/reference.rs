@@ -238,7 +238,7 @@ fn run_stacks<P: TreeProblem>(
         // ---- macro-step boundary (checkpoint + fault injection) ----
         if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| h_remaining == 0) {
             st.step += 1;
-            let Ok(dies) = ck.boundary(st.step, fired, || {
+            let Ok(dies) = ck.boundary(st.step, || {
                 let mut bytes = Vec::new();
                 pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
                 let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };

@@ -12,33 +12,26 @@
 //! `/result` document is the same pairs behind a header, and `sts run`,
 //! `sts resume` and `sts shard` print the report as their stdout.
 
-use uts_ckpt::{encode_active_trace, encode_phase_log, encode_phase_record, fnv1a_64};
-use uts_machine::{Ledger, Report, TriggerKind};
+use uts_ckpt::{encode_active_trace, encode_phase_record, fnv1a_64};
+use uts_machine::{DonationSpread, Ledger, Report, TriggerKind};
 use uts_tree::codec::{put_bool, put_f64_bits, put_u64, put_usize};
 use uts_tree::CkptNode;
 
-use crate::engine::{EngineConfig, MacroStep, Outcome};
+use crate::engine::{EngineConfig, Outcome};
 use crate::json::Json;
 
 /// The leading byte of [`outcome_digest`]'s encoding. Version 1 hashed an
-/// `Outcome`'s `Debug` text; bump on any change to what is encoded.
-pub const DIGEST_VERSION: u8 = 2;
+/// `Outcome`'s `Debug` text; version 2 also encoded the machine's phase
+/// log, the loop's horizon log and the ledger's copy of the donations.
+/// Bump on any change to what is encoded.
+pub const DIGEST_VERSION: u8 = 3;
 
 /// FNV-1a over a [`DIGEST_VERSION`] byte and then every field of `out`,
 /// little-endian, floats as bits, vectors length-prefixed. Two outcomes
 /// digest equal iff they are the same outcome. Each struct is destructured
 /// without `..`, so a new field does not compile until it is encoded.
 pub fn outcome_digest(out: &Outcome) -> u64 {
-    let Outcome {
-        report,
-        goals,
-        truncated,
-        killed,
-        donations,
-        peak_stack_nodes,
-        macro_steps,
-        ledger,
-    } = out;
+    let Outcome { report, goals, truncated, killed, donations, peak_stack_nodes, ledger } = out;
     let Report {
         p,
         w,
@@ -52,7 +45,6 @@ pub fn outcome_digest(out: &Outcome) -> u64 {
         t_lb,
         efficiency,
         active_trace,
-        phase_log,
     } = report;
     let mut b = vec![DIGEST_VERSION];
     put_usize(&mut b, *p);
@@ -61,18 +53,12 @@ pub fn outcome_digest(out: &Outcome) -> u64 {
     }
     put_f64_bits(&mut b, *efficiency);
     encode_active_trace(&mut b, active_trace);
-    encode_phase_log(&mut b, phase_log);
     put_bool(&mut b, *truncated);
     put_bool(&mut b, *killed);
     donations.encode_node(&mut b);
     put_usize(&mut b, *peak_stack_nodes);
-    put_usize(&mut b, macro_steps.len());
-    for &MacroStep { start_cycle, horizon, ran } in macro_steps {
-        (start_cycle, horizon, ran).encode_node(&mut b);
-    }
     put_bool(&mut b, ledger.is_some());
-    if let Some(Ledger { donations, receipts, phases }) = ledger {
-        donations.encode_node(&mut b);
+    if let Some(Ledger { receipts, phases }) = ledger {
         receipts.encode_node(&mut b);
         put_usize(&mut b, phases.len());
         phases.iter().for_each(|ph| encode_phase_record(&mut b, ph));
@@ -92,7 +78,7 @@ pub fn run_report(cfg: &EngineConfig, out: &Outcome) -> Json {
     let r = &out.report;
     let fixed = |x: f64| Json::num(format_args!("{x:.6}"));
     let ledger = out.ledger.as_ref().map_or(Json::Null, |ledger| {
-        let spread = ledger.donation_spread();
+        let spread = DonationSpread::of(&out.donations);
         let phases = ledger.phases.iter().map(|ph| {
             let f = &ph.firing;
             Json::obj([
@@ -198,12 +184,9 @@ mod tests {
             o.ledger.as_mut().expect("ledger")
         }
         let tree = GeometricTree { seed: 3, b_max: 8, depth_limit: 6 };
-        let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2())
-            .with_ledger()
-            .with_trace()
-            .with_horizon_log();
+        let cfg =
+            EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger().with_trace();
         let base = run(&tree, &cfg);
-        assert!(!base.macro_steps.is_empty() && !base.report.phase_log.is_empty());
         assert!(base.report.active_trace.breakpoints().len() > 1);
         let mutations: &[Mutation] = &[
             ("report.p", |o| o.report.p += 1),
@@ -226,20 +209,12 @@ mod tests {
                 o.report.active_trace = ActiveTrace::from_breakpoints(breaks, t.len());
             }),
             ("report.active_trace.len", |o| o.report.active_trace.push_run(u32::MAX, 1)),
-            ("report.phase_log[0].at_cycle", |o| o.report.phase_log[0].at_cycle += 1),
-            ("report.phase_log[0].rounds", |o| o.report.phase_log[0].rounds += 1),
-            ("report.phase_log[0].transfers", |o| o.report.phase_log[0].transfers += 1),
-            ("report.phase_log[0].cost", |o| o.report.phase_log[0].cost += 1),
             ("goals", |o| o.goals += 1),
             ("truncated", |o| o.truncated = !o.truncated),
             ("killed", |o| o.killed = !o.killed),
             ("donations[0]", |o| o.donations[0] += 1),
             ("peak_stack_nodes", |o| o.peak_stack_nodes += 1),
-            ("macro_steps[0].start_cycle", |o| o.macro_steps[0].start_cycle += 1),
-            ("macro_steps[0].horizon", |o| o.macro_steps[0].horizon += 1),
-            ("macro_steps[0].ran", |o| o.macro_steps[0].ran += 1),
             ("ledger", |o| o.ledger = None),
-            ("ledger.donations[0]", |o| ledger(o).donations[0] += 1),
             ("ledger.receipts[0]", |o| ledger(o).receipts[0] += 1),
             ("phase.at_cycle", |o| phase(o).at_cycle += 1),
             ("phase.firing.kind", |o| {

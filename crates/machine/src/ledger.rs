@@ -6,11 +6,12 @@
 //! trigger analysis (Powley–Ferguson–Korf's eq. 2 vs the paper's eq. 4)
 //! are claims about *per-PE* and *per-phase* behaviour that the aggregate
 //! [`crate::Report`] cannot verify at machine scale. The [`Ledger`] is the
-//! opt-in measurement layer for those claims: per-PE donation and receipt
-//! counts, one [`LbPhaseRecord`] per balancing phase capturing the trigger
-//! operands at the firing cycle plus the event horizon covering that
-//! checkpoint, and an exact setup/transfer/multiplier attribution of the
-//! phase cost.
+//! opt-in measurement layer for those claims: per-PE receipt counts (the
+//! donation counts are the run's own), one [`LbPhaseRecord`] per balancing
+//! phase capturing the trigger operands at the firing cycle plus the event
+//! horizon covering that checkpoint, and an exact setup/transfer/multiplier
+//! attribution of the phase cost. [`DonationSpread::of`] summarises the
+//! donation counts.
 //!
 //! The data types live here (not in `uts-core`) so analysis and export
 //! code can consume a ledger without depending on the engine; `uts-core`
@@ -126,41 +127,30 @@ pub struct DonationSpread {
     pub gini: f64,
 }
 
-/// The opt-in load-balance ledger of one run: per-PE donation and receipt
-/// counts plus one [`LbPhaseRecord`] per balancing phase. Derived
-/// `PartialEq` compares every field — the differential suites assert
-/// whole-ledger equality across engines and thread counts.
+impl DonationSpread {
+    /// The spread of per-PE donation counts (indexed by PE; an
+    /// `Outcome`'s `donations`).
+    pub fn of(donations: &[u32]) -> Self {
+        let total: u64 = donations.iter().map(|&d| d as u64).sum();
+        let donors = donations.iter().filter(|&&d| d > 0).count();
+        let max = donations.iter().copied().max().unwrap_or(0);
+        let mean = if donors == 0 { 0.0 } else { total as f64 / donors as f64 };
+        let max_over_mean = if donors == 0 { 0.0 } else { max as f64 / mean };
+        Self { total, donors, max, mean, max_over_mean, gini: gini(donations) }
+    }
+}
+
+/// The opt-in load-balance ledger of one run: per-PE receipt counts plus
+/// one [`LbPhaseRecord`] per balancing phase. (Per-PE donation counts are
+/// the run's own `donations`, recorded whether or not a ledger is.)
+/// Derived `PartialEq` compares every field — the differential suites
+/// assert whole-ledger equality across engines and thread counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
-    /// Donations made by each PE (indexed by PE; length `P`).
-    pub donations: Vec<u32>,
     /// Work transfers received by each PE (indexed by PE; length `P`).
     pub receipts: Vec<u32>,
     /// One record per balancing phase, in schedule order.
     pub phases: Vec<LbPhaseRecord>,
-}
-
-impl Ledger {
-    /// An empty ledger for a `p`-processor machine.
-    pub fn new(p: usize) -> Self {
-        Self { donations: vec![0; p], receipts: vec![0; p], phases: Vec::new() }
-    }
-
-    /// Total work transfers recorded (donations and receipts agree on it
-    /// by construction — every transfer has one donor and one receiver).
-    pub fn total_transfers(&self) -> u64 {
-        self.donations.iter().map(|&d| d as u64).sum()
-    }
-
-    /// The donation-spread summary (see [`DonationSpread`]).
-    pub fn donation_spread(&self) -> DonationSpread {
-        let total = self.total_transfers();
-        let donors = self.donations.iter().filter(|&&d| d > 0).count();
-        let max = self.donations.iter().copied().max().unwrap_or(0);
-        let mean = if donors == 0 { 0.0 } else { total as f64 / donors as f64 };
-        let max_over_mean = if donors == 0 { 0.0 } else { max as f64 / mean };
-        DonationSpread { total, donors, max, mean, max_over_mean, gini: gini(&self.donations) }
-    }
 }
 
 /// Gini coefficient of a non-negative counter vector (0 for empty or
@@ -187,17 +177,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_ledger_is_empty() {
-        let l = Ledger::new(4);
-        assert_eq!(l.donations, vec![0; 4]);
-        assert_eq!(l.receipts, vec![0; 4]);
-        assert!(l.phases.is_empty());
-        assert_eq!(l.total_transfers(), 0);
-    }
-
-    #[test]
     fn spread_of_no_donations_is_all_zero() {
-        let s = Ledger::new(8).donation_spread();
+        let s = DonationSpread::of(&[0; 8]);
         assert_eq!(s.total, 0);
         assert_eq!(s.donors, 0);
         assert_eq!(s.max, 0);
@@ -208,9 +189,7 @@ mod tests {
 
     #[test]
     fn even_rotation_has_unit_max_over_mean() {
-        let mut l = Ledger::new(6);
-        l.donations = vec![4, 4, 4, 4, 0, 0];
-        let s = l.donation_spread();
+        let s = DonationSpread::of(&[4, 4, 4, 4, 0, 0]);
         assert_eq!(s.total, 16);
         assert_eq!(s.donors, 4);
         assert_eq!(s.max, 4);
@@ -220,11 +199,8 @@ mod tests {
 
     #[test]
     fn concentration_inflates_max_over_mean_and_gini() {
-        let mut even = Ledger::new(8);
-        even.donations = vec![3, 3, 3, 3, 3, 3, 0, 0];
-        let mut skew = Ledger::new(8);
-        skew.donations = vec![15, 1, 1, 1, 0, 0, 0, 0];
-        let (se, ss) = (even.donation_spread(), skew.donation_spread());
+        let se = DonationSpread::of(&[3, 3, 3, 3, 3, 3, 0, 0]);
+        let ss = DonationSpread::of(&[15, 1, 1, 1, 0, 0, 0, 0]);
         assert_eq!(se.total, ss.total, "same burden, different spread");
         assert!(ss.max_over_mean > 3.0, "{}", ss.max_over_mean);
         assert!(se.max_over_mean < 1.5, "{}", se.max_over_mean);

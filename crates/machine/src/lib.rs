@@ -26,7 +26,7 @@ pub use cost::{CostModel, Topology};
 pub use ledger::{
     DonationSpread, LbCostBreakdown, LbPhaseRecord, Ledger, TriggerFiring, TriggerKind,
 };
-pub use metrics::{ActiveTrace, Metrics, PhaseEvent, PhaseStats};
+pub use metrics::{ActiveTrace, Metrics, PhaseStats};
 
 /// Virtual time, in integer microseconds (avoids float drift across millions
 /// of cycles). One paper second = 1_000_000 `SimTime` units.
@@ -229,14 +229,6 @@ impl SimdMachine {
         self.metrics.n_transfers += transfers;
         self.metrics.t_lb_machine += cost;
         self.last_lb_cost = cost;
-        if self.metrics.trace_enabled {
-            self.metrics.phase_log.push(metrics::PhaseEvent {
-                at_cycle: self.metrics.n_expand,
-                rounds,
-                transfers,
-                cost,
-            });
-        }
         self.phase = PhaseStats::default();
     }
 
@@ -271,7 +263,6 @@ impl SimdMachine {
             t_lb,
             efficiency,
             active_trace: self.metrics.active_trace,
-            phase_log: self.metrics.phase_log,
         }
     }
 }
@@ -310,8 +301,6 @@ pub struct Report {
     /// `A(t)` per expansion cycle if tracing was enabled (Fig. 8),
     /// run-length encoded as `(cycle, A)` breakpoints.
     pub active_trace: metrics::ActiveTrace,
-    /// Per-balancing-phase events if tracing was enabled.
-    pub phase_log: Vec<metrics::PhaseEvent>,
 }
 
 impl Report {
@@ -472,32 +461,6 @@ mod tests {
         m.expansion_cycles_run(3, 0);
         assert_eq!(m.now(), 0);
         assert_eq!(m.metrics().n_expand, 0);
-    }
-
-    #[test]
-    fn phase_log_records_each_phase_when_tracing() {
-        let mut m = cm2(8);
-        m.record_active_trace(true);
-        m.expansion_cycle(8);
-        m.lb_phase(2, 5);
-        m.expansion_cycle(6);
-        m.lb_phase(1, 3);
-        let r = m.finish(14);
-        assert_eq!(r.phase_log.len(), 2);
-        assert_eq!(r.phase_log[0].at_cycle, 1);
-        assert_eq!(r.phase_log[0].rounds, 2);
-        assert_eq!(r.phase_log[0].transfers, 5);
-        assert_eq!(r.phase_log[0].cost, CostModel::cm2().lb_phase_cost(8, 2));
-        assert_eq!(r.phase_log[1].at_cycle, 2);
-    }
-
-    #[test]
-    fn phase_log_empty_without_tracing() {
-        let mut m = cm2(4);
-        m.expansion_cycle(4);
-        m.lb_phase(1, 1);
-        let r = m.finish(4);
-        assert!(r.phase_log.is_empty());
     }
 
     #[test]

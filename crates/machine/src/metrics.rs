@@ -118,20 +118,6 @@ impl FromIterator<u32> for ActiveTrace {
     }
 }
 
-/// One load-balancing phase, as recorded in the phase log (when tracing
-/// is enabled): when it happened, what it moved, what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseEvent {
-    /// Expansion-cycle index after which the phase ran.
-    pub at_cycle: u64,
-    /// Match+transfer rounds in the phase.
-    pub rounds: u32,
-    /// Work transfers performed.
-    pub transfers: u64,
-    /// Machine-time cost of the phase.
-    pub cost: SimTime,
-}
-
 /// Counters accumulated over the whole run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -150,13 +136,11 @@ pub struct Metrics {
     pub idle_pe_cycles: u64,
     /// Machine-time (not PE-time) spent in balancing phases.
     pub t_lb_machine: SimTime,
-    /// Whether to record `active_trace` and `phase_log`.
+    /// Whether to record `active_trace`.
     pub trace_enabled: bool,
     /// Busy-PE count per expansion cycle (Fig. 8), if enabled; run-length
     /// encoded.
     pub active_trace: ActiveTrace,
-    /// One entry per balancing phase, if enabled.
-    pub phase_log: Vec<PhaseEvent>,
 }
 
 /// Counters since the start of the current search phase, from which the

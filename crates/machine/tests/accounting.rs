@@ -138,11 +138,7 @@ proptest! {
         prop_assert_eq!(batched.phase().idle_pe_cycles, singles.phase().idle_pe_cycles);
         let w = batched.metrics().nodes_expanded;
         let (rb, rs) = (batched.finish(w), singles.finish(w));
-        prop_assert_eq!(rb.n_expand, rs.n_expand);
-        prop_assert_eq!(rb.t_idle, rs.t_idle);
-        prop_assert_eq!(rb.t_par, rs.t_par);
-        prop_assert_eq!(rb.active_trace, rs.active_trace);
-        prop_assert_eq!(rb.phase_log, rs.phase_log);
+        prop_assert_eq!(rb, rs);
     }
 
     /// Topology sanity across sizes: mesh phases dominate hypercube

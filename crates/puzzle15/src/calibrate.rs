@@ -9,8 +9,8 @@
 //! closest size. All tables report the *measured* `W` of the calibrated
 //! workload next to the paper's.
 
-use uts_tree::problem::{BoundedProblem, TreeProblem};
-use uts_tree::stack::SearchStack;
+use uts_tree::ida::bounded_dfs;
+use uts_tree::problem::BoundedProblem;
 use uts_tree::HeuristicProblem;
 
 use crate::instances::{korf_instances, scrambled, Instance};
@@ -35,27 +35,13 @@ impl Workload {
 }
 
 /// Count one bounded iteration, aborting once `cap` expansions are
-/// exceeded. Returns `None` when the iteration is larger than `cap`,
-/// otherwise `Some((expanded, next_bound))` where `next_bound` is the
-/// minimum pruned `f` (the next IDA\* bound), `None` when nothing was
-/// pruned.
+/// exceeded ([`bounded_dfs`] with a cap). Returns `None` when the iteration
+/// is larger than `cap`, otherwise `Some((expanded, next_bound))` where
+/// `next_bound` is the minimum pruned `f` (the next IDA\* bound), `None`
+/// when nothing was pruned.
 pub fn bounded_count_capped(puzzle: &Puzzle15, bound: u32, cap: u64) -> Option<(u64, Option<u32>)> {
-    let bp = BoundedProblem::new(puzzle, bound);
-    let mut stack = SearchStack::from_root(bp.root());
-    let mut expanded = 0u64;
-    let mut next_bound: Option<u32> = None;
-    let mut children = Vec::new();
-    while let Some(node) = stack.pop_next() {
-        expanded += 1;
-        if expanded > cap {
-            return None;
-        }
-        children.clear();
-        if let Some(pruned) = bp.expand_tracking_pruned(&node, &mut children) {
-            next_bound = Some(next_bound.map_or(pruned, |b| b.min(pruned)));
-        }
-        stack.push_frame(std::mem::take(&mut children));
-    }
+    let (expanded, _, next_bound) =
+        bounded_dfs(&BoundedProblem::new(puzzle, bound), Some(cap), |_| {})?;
     Some((expanded, next_bound))
 }
 

@@ -177,6 +177,7 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                     &mut peak,
                     &mut deaths,
                 );
+                debug_assert!(arena.store_ok(), "node store out of step with the length census");
                 let lens = arena.lens();
                 let reply = BurstReply {
                     started: started.len() as u64,

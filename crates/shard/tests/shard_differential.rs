@@ -1,7 +1,8 @@
 //! Cross-process differential suite: the sharded machine must reproduce
 //! the single-process macro engine **bit-identically** (full [`Outcome`],
-//! ledger included) at every shard count, and its parked snapshots must
-//! be interchangeable with the in-process checkpoint format.
+//! ledger included, and the snapshot of every macro-step boundary) at
+//! every shard count, and its parked snapshots must be interchangeable
+//! with the in-process checkpoint format.
 //!
 //! It also holds the paper's GP-vs-nGP contrast (Sec. 2.2) at machine
 //! sizes the in-process suites never reach: GP's global pointer spreads
@@ -21,17 +22,18 @@
 
 use std::path::PathBuf;
 
-use uts_ckpt::spill;
+use uts_ckpt::{spill, CheckpointPolicy};
 use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme, StackStore};
-use uts_machine::CostModel;
+use uts_machine::{CostModel, DonationSpread};
 use uts_puzzle15::Puzzle15;
 use uts_shard::{
-    resume_sharded, run_sharded, ParkPolicy, ShardError, ShardOpts, ShardWorkload, WorkerKill,
+    resume_sharded, run_sharded, ParkPolicy, ShardError, ShardOpts, ShardRun, ShardWorkload,
+    WorkerKill,
 };
 use uts_synthgen::{find_gen_tree, GenNode, GenTree};
 use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
-use uts_tree::{SplitPolicy, StackArena};
+use uts_tree::{SplitPolicy, StackArena, TreeProblem};
 
 fn main() {
     uts_shard::maybe_run_worker();
@@ -74,10 +76,47 @@ fn opts(shards: usize) -> ShardOpts {
     ShardOpts { shards, park: None, kill: None }
 }
 
-/// Fully-instrumented config: ledger, horizon log and trace all feed the
-/// `Outcome` equality, so any scheduling divergence shows up.
+/// Fully-instrumented config: ledger and trace both feed the `Outcome`
+/// equality, so any scheduling divergence shows up.
 fn instrumented(p: usize, scheme: Scheme, cost: CostModel) -> EngineConfig {
-    EngineConfig::new(p, scheme, cost).with_ledger().with_horizon_log().with_trace()
+    EngineConfig::new(p, scheme, cost).with_ledger().with_trace()
+}
+
+/// The snapshot of every macro-step boundary a run writes: `cfg` armed
+/// with `CheckpointPolicy::every(1)` into a fresh memory sink, and what
+/// the sink held once `go` ran it. A stream pins where each step ended
+/// and the whole engine state there, not just the final `Outcome`.
+fn streamed<T>(cfg: &EngineConfig, go: impl FnOnce(&EngineConfig) -> T) -> (T, Vec<Vec<u8>>) {
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
+    let got = go(&armed);
+    let sink = &armed.checkpoint.as_ref().expect("armed").sink;
+    (got, sink.taken().into_iter().map(|s| s.bytes).collect())
+}
+
+/// The in-process run of `cfg` and its boundary stream.
+fn run_streamed<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> (Outcome, Vec<Vec<u8>>) {
+    let (want, stream) = streamed(cfg, |armed| run(problem, armed));
+    assert!(!stream.is_empty(), "{}: the run has boundaries", cfg.scheme.name());
+    (want, stream)
+}
+
+/// The sharded run of `cfg` and its boundary stream, which must equal the
+/// in-process `want` byte for byte.
+fn sharded_streamed(
+    workload: &ShardWorkload,
+    cfg: &EngineConfig,
+    opts: &ShardOpts,
+    want: &[Vec<u8>],
+) -> ShardRun {
+    let (got, stream) = streamed(cfg, |armed| run_sharded(workload, armed, opts));
+    let got = got.expect("sharded run");
+    let name = cfg.scheme.name();
+    let shards = opts.shards;
+    assert_eq!(stream.len(), want.len(), "{name} on {shards} shard(s): boundary count");
+    if let Some(step) = stream.iter().zip(want).position(|(a, b)| a != b) {
+        panic!("{name} on {shards} shard(s): snapshot of boundary {} differs", step + 1);
+    }
+    got
 }
 
 fn utsgen_matches_macro_engine() {
@@ -88,10 +127,10 @@ fn utsgen_matches_macro_engine() {
         [Scheme::gp_dk(), Scheme::ngp_dk(), Scheme::gp_dp(), Scheme::fegs(), Scheme::ring_nn()]
     {
         let cfg = instrumented(64, scheme, CostModel::cm2());
-        let want = run(&tree, &cfg);
+        let (want, stream) = run_streamed(&tree, &cfg);
         let charged = &want.ledger.as_ref().expect("instrumented").phases;
         for shards in [1usize, 2, 4] {
-            let got = run_sharded(&workload, &cfg, &opts(shards)).expect("sharded run");
+            let got = sharded_streamed(&workload, &cfg, &opts(shards), &stream);
             assert_eq!(
                 got.outcome,
                 want,
@@ -106,7 +145,11 @@ fn utsgen_matches_macro_engine() {
                 assert_eq!(routed.closed_form, ph.cost, "{}", cfg.scheme.name());
             }
         }
-        println!("utsgen {} x shards {{1,2,4}}: bit-identical", cfg.scheme.name());
+        println!(
+            "utsgen {} x shards {{1,2,4}}: bit-identical, {} boundary snapshots",
+            cfg.scheme.name(),
+            stream.len()
+        );
     }
 }
 
@@ -115,9 +158,9 @@ fn split_policies_match() {
     let workload = ShardWorkload::from(tree);
     for split in [SplitPolicy::Bottom, SplitPolicy::Half, SplitPolicy::Top] {
         let cfg = instrumented(48, Scheme::gp_dk(), CostModel::cm2()).with_split(split);
-        let want = run(&tree, &cfg);
+        let (want, stream) = run_streamed(&tree, &cfg);
         // 3 shards over 48 PEs also exercises uneven slab arithmetic.
-        let got = run_sharded(&workload, &cfg, &opts(3)).expect("sharded run");
+        let got = sharded_streamed(&workload, &cfg, &opts(3), &stream);
         assert_eq!(got.outcome, want, "split {split:?} diverged");
     }
     println!("split policies x 3 shards: bit-identical");
@@ -127,8 +170,8 @@ fn mesh_topology_matches() {
     let tree = GenTree::geometric(7, 8, 7);
     let workload = ShardWorkload::from(tree);
     let cfg = instrumented(64, Scheme::ngp_dk(), CostModel::mesh());
-    let want = run(&tree, &cfg);
-    let got = run_sharded(&workload, &cfg, &opts(2)).expect("sharded run");
+    let (want, stream) = run_streamed(&tree, &cfg);
+    let got = sharded_streamed(&workload, &cfg, &opts(2), &stream);
     assert_eq!(got.outcome, want, "mesh run diverged");
     // Every balancing phase must carry measured routing provenance.
     assert_eq!(got.stats.phases.len() as u64, want.report.n_lb, "one RoutedPhase per lb phase");
@@ -143,10 +186,10 @@ fn puzzle_matches_macro_engine() {
     let puzzle = Puzzle15::new(inst.board());
     let bound = ida_star(&puzzle, 80).solution_cost.expect("solvable");
     let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
-    let want = run(&BoundedProblem::new(&puzzle, bound), &cfg);
+    let (want, stream) = run_streamed(&BoundedProblem::new(&puzzle, bound), &cfg);
     let workload = ShardWorkload::Puzzle { board: inst.board().0, bound };
     for shards in [1usize, 4] {
-        let got = run_sharded(&workload, &cfg, &opts(shards)).expect("sharded run");
+        let got = sharded_streamed(&workload, &cfg, &opts(shards), &stream);
         assert_eq!(got.outcome, want, "puzzle with {shards} shard(s) diverged");
     }
     println!("15-puzzle (bound {bound}) x shards {{1,4}}: bit-identical");
@@ -157,11 +200,11 @@ fn parked_snapshots_are_interchangeable() {
     let tree = GenTree::geometric(5, 8, 7);
     let workload = ShardWorkload::from(tree);
     let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
-    let want = run(&tree, &cfg);
+    let (want, stream) = run_streamed(&tree, &cfg);
 
     let mut with_park = opts(2);
     with_park.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 2 });
-    let got = run_sharded(&workload, &cfg, &with_park).expect("parking run");
+    let got = sharded_streamed(&workload, &cfg, &with_park, &stream);
     assert_eq!(got.outcome, want, "parking must not perturb the run");
 
     let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
@@ -186,8 +229,8 @@ fn killed_worker_resumes_from_spill() {
     let tree = GenTree::geometric(5, 8, 7);
     let workload = ShardWorkload::from(tree);
     let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
-    let want = run(&tree, &cfg);
-    assert!(want.macro_steps.len() > 5, "workload long enough to kill mid-run");
+    let (want, stream) = run_streamed(&tree, &cfg);
+    assert!(stream.len() > 5, "workload long enough to kill mid-run");
 
     let mut doomed = opts(2);
     doomed.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 1 });
@@ -216,11 +259,11 @@ fn counted_rounds_park_and_resume_across_shards() {
     for p in [48usize, 50] {
         let tmp = TempDir::new(&format!("fegs{p}"));
         let cfg = instrumented(p, Scheme::fegs(), CostModel::cm2());
-        let want = run(&tree, &cfg);
+        let (want, stream) = run_streamed(&tree, &cfg);
 
         let mut parking = opts(3);
         parking.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 1 });
-        let got = run_sharded(&workload, &cfg, &parking).expect("parking run");
+        let got = sharded_streamed(&workload, &cfg, &parking, &stream);
         assert_eq!(got.outcome, want, "FEGS at P={p} on 3 parking shards diverged");
         assert!(got.stats.route_total.steps > 0, "equalization moved work between PEs");
 
@@ -248,7 +291,7 @@ fn gp_spreads_donations_more_evenly_than_ngp(p: usize, shards: [usize; 2], targe
         let cfg = EngineConfig::new(p, scheme, CostModel::cm2()).with_ledger();
         run_sharded(&workload, &cfg, &opts(n)).expect("sharded run").outcome
     };
-    let gini = |out: &Outcome| out.ledger.as_ref().expect("ledger on").donation_spread().gini;
+    let gini = |out: &Outcome| DonationSpread::of(&out.donations).gini;
     let gp_out = run_at(Scheme::gp_dk(), shards[0]);
     assert!(
         run_at(Scheme::gp_dk(), shards[1]) == gp_out,

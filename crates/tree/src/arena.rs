@@ -484,7 +484,6 @@ impl<N> StackArena<N> {
     /// The dense stack-length array the census sweeps read. Index = PE id;
     /// `lens()[i] > 0` is the activity bit, `lens()[i] >= 2` the busy bit.
     pub fn lens(&self) -> &[u32] {
-        debug_assert!(self.store_ok(), "node store out of step with the length census");
         &self.lens
     }
 
@@ -523,7 +522,10 @@ impl<N> StackArena<N> {
         self.lens[i] = keep as u32;
     }
 
-    fn store_ok(&self) -> bool {
+    /// Whether every block's node store agrees with the length census: an
+    /// O(P) consistency check. The loops that drive an arena run it under
+    /// `debug_assert!` once per macro step, not per census read.
+    pub fn store_ok(&self) -> bool {
         self.blocks.iter().zip(self.lens.chunks(1 << self.shift)).all(|(b, lens)| b.holds(lens))
     }
 }
@@ -853,6 +855,7 @@ mod tests {
 
     fn assert_matches(arena: &StackArena<u32>, i: usize, stack: &SearchStack<u32>) {
         assert_eq!(arena.len_of(i), stack.len(), "lengths diverge");
+        assert!(arena.store_ok(), "node store out of step with the length census");
         assert_eq!(arena.frames_of(i), stack.frames(), "frame structures diverge");
         let (mut via_arena, mut via_stack) = (Vec::new(), Vec::new());
         arena.encode_pe(i, &mut via_arena);

@@ -9,7 +9,6 @@
 //! is well-defined and identical for serial and parallel execution.
 
 use crate::problem::{BoundedNode, BoundedProblem, HeuristicProblem, TreeProblem};
-use crate::stack::SearchStack;
 
 /// Summary of one IDA\* iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,32 +43,37 @@ impl IdaResult {
     }
 }
 
-/// One cost-bounded DFS iteration, tracking the minimum pruned `f`.
+/// One cost-bounded DFS iteration, tracking the minimum pruned `f`, over a
+/// plain `Vec` stack in [`crate::serial_dfs`]'s order (children appended,
+/// the last one expanded next).
 ///
-/// Returns `(expanded, goals, next_bound)`; `next_bound` is `None` when the
-/// bounded tree is the whole (finite) space.
+/// Returns `None` once more than `cap` nodes were expanded (never without
+/// a cap), otherwise `Some((expanded, goals, next_bound))`; `next_bound` is
+/// `None` when the bounded tree is the whole (finite) space.
 pub fn bounded_dfs<H: HeuristicProblem>(
     problem: &BoundedProblem<'_, H>,
+    cap: Option<u64>,
     mut on_goal: impl FnMut(&BoundedNode<H::State>),
-) -> (u64, u64, Option<u32>) {
-    let mut stack = SearchStack::from_root(problem.root());
+) -> Option<(u64, u64, Option<u32>)> {
+    let cap = cap.unwrap_or(u64::MAX);
+    let mut stack = vec![problem.root()];
     let mut expanded = 0u64;
     let mut goals = 0u64;
     let mut next_bound: Option<u32> = None;
-    let mut children = Vec::new();
-    while let Some(node) = stack.pop_next() {
+    while let Some(node) = stack.pop() {
         expanded += 1;
+        if expanded > cap {
+            return None;
+        }
         if problem.is_goal(&node) {
             goals += 1;
             on_goal(&node);
         }
-        children.clear();
-        if let Some(pruned) = problem.expand_tracking_pruned(&node, &mut children) {
+        if let Some(pruned) = problem.expand_tracking_pruned(&node, &mut stack) {
             next_bound = Some(next_bound.map_or(pruned, |b| b.min(pruned)));
         }
-        stack.push_frame(std::mem::take(&mut children));
     }
-    (expanded, goals, next_bound)
+    Some((expanded, goals, next_bound))
 }
 
 /// Run IDA\* to the first goal-containing iteration (searched in full).
@@ -81,7 +85,7 @@ pub fn ida_star<H: HeuristicProblem>(problem: &H, max_bound: u32) -> IdaResult {
     let mut iterations = Vec::new();
     loop {
         let bp = BoundedProblem::new(problem, bound);
-        let (expanded, goals, next) = bounded_dfs(&bp, |_| {});
+        let (expanded, goals, next) = bounded_dfs(&bp, None, |_| {}).expect("no cap");
         iterations.push(Iteration { bound, expanded, goals });
         if goals > 0 {
             return IdaResult { iterations, solution_cost: Some(bound) };

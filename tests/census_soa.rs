@@ -145,6 +145,7 @@ proptest! {
             prop_assert_eq!(encoded_pe(&arena, r), encoded(&stacks[r]), "receiver, {:?}", what);
             prop_assert_eq!(arena.lens()[d] as usize, stacks[d].len());
             prop_assert_eq!(arena.lens()[r] as usize, stacks[r].len());
+            prop_assert!(arena.store_ok(), "node store out of step, {:?}", what);
         }
     }
 }

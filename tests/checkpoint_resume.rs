@@ -177,7 +177,7 @@ proptest! {
     ) {
         let tree = GeometricTree { seed, b_max: 6, depth_limit: 5 };
         let cfg = EngineConfig::new(1usize << p_log, scheme, CostModel::cm2()).with_ledger();
-        let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1).and_on_trigger());
+        let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
         let out = run_with(&tree, &armed);
         prop_assert!(!out.killed);
         let fp = config_fingerprint(&cfg);
@@ -200,7 +200,7 @@ fn generated_tree_snapshots_round_trip_bit_exactly() {
     type Node = <GenTree as TreeProblem>::Node;
     let tree = GenTree::binomial(7, 24, 4, 0.2);
     let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger();
-    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1).and_on_trigger());
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
     let out = run_with(&tree, &armed);
     assert!(!out.killed);
     let fp = config_fingerprint(&cfg);
@@ -320,7 +320,7 @@ fn soa_frames_soa_encode_is_bit_exact_through_the_codec() {
     type Node = <GeometricTree as TreeProblem>::Node;
     let tree = GeometricTree { seed: 17, b_max: 8, depth_limit: 6 };
     let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger();
-    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1).and_on_trigger());
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
     let out = run_with(&tree, &armed);
     assert!(!out.killed);
     let fp = config_fingerprint(&cfg);

@@ -5,10 +5,13 @@
 //! count and peak, compared with `==`, not just the headline numbers) on
 //! random scheme × trigger × split-policy × tree-shape configurations.
 //! Every config records the load-balance ledger, so the `==` also asserts
-//! bit-identical per-PE donation/receipt counts and per-phase trigger
-//! provenance (operands, horizon, cost attribution) across engines.
-//! The par engine must additionally be invariant in the worker count: threads
-//! are a host-side latency knob, never a schedule input.
+//! bit-identical per-PE receipt counts and per-phase trigger provenance
+//! (operands, horizon, cost attribution) across engines. Every engine also
+//! snapshots each macro-step boundary into a memory sink, and the snapshot
+//! streams must be byte-identical: the same steps, ending on the same
+//! cycles, in the same state. The par engine must additionally be
+//! invariant in the worker count: threads are a host-side latency knob,
+//! never a schedule input.
 //!
 //! Seeded counterexamples persist under `proptest-regressions/` (see the
 //! vendored proptest's `persistence` module) and replay before the random
@@ -59,37 +62,61 @@ fn par_at<P: TreeProblem>(tree: &P, cfg: &EngineConfig, threads: usize, min_work
     out
 }
 
-/// Run every non-reference engine through the [`run_with`] dispatcher and
-/// require whole-`Outcome` equality against the reference oracle. The par
-/// engine runs twice at awkward worker counts (3 does not divide most
-/// active lists evenly; 8 exceeds the shard work threshold's comfort) so
-/// shard-boundary bugs cannot hide behind round numbers.
+/// A run's `Outcome` and the snapshot bytes of every macro-step boundary
+/// it crossed, in order.
+type Streamed = (Outcome, Vec<Vec<u8>>);
+
+/// `go` under `cfg` armed with `CheckpointPolicy::every(1)` into a fresh
+/// memory sink.
+fn streamed(cfg: &EngineConfig, go: impl FnOnce(&EngineConfig) -> Outcome) -> Streamed {
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
+    let out = go(&armed);
+    let sink = &armed.checkpoint.as_ref().expect("armed").sink;
+    (out, sink.taken().into_iter().map(|s| s.bytes).collect())
+}
+
+/// Whole-`Outcome` equality plus byte equality of the boundary streams,
+/// naming the first boundary whose snapshot differs.
+fn assert_same_run(label: &str, (got, got_stream): &Streamed, (want, want_stream): &Streamed) {
+    assert_eq!(got, want, "{label}: outcome diverged");
+    assert_eq!(got_stream.len(), want_stream.len(), "{label}: boundary count diverged");
+    if let Some(at) = got_stream.iter().zip(want_stream).position(|(a, b)| a != b) {
+        panic!("{label}: snapshot of boundary {} diverged", at + 1);
+    }
+}
+
+/// Run every engine of [`EngineKind::ALL`] through the [`run_with`]
+/// dispatcher and require whole-`Outcome` and boundary-stream equality
+/// against the reference oracle. The par engine runs twice more at awkward
+/// worker counts (3 does not divide most active lists evenly; 8 exceeds
+/// the shard work threshold's comfort) so shard-boundary bugs cannot hide
+/// behind round numbers.
 fn assert_all_engines_identical<P: simd_tree_search::tree::TreeProblem>(
     tree: &P,
     cfg: &EngineConfig,
 ) {
-    let reference = run_reference(tree, cfg);
-    for kind in [EngineKind::Macro, EngineKind::Par] {
-        let got = run_with(tree, &cfg.clone().with_engine(kind));
-        assert_eq!(got, reference, "{} diverged from reference", kind.name());
+    let reference = streamed(cfg, |c| run_reference(tree, c));
+    for kind in EngineKind::ALL {
+        let got = streamed(cfg, |c| run_with(tree, &c.clone().with_engine(kind)));
+        assert_same_run(kind.name(), &got, &reference);
     }
     for threads in [3usize, 8] {
-        let got = par_at(tree, cfg, threads, 0);
-        assert_eq!(got, reference, "par({threads} threads) diverged from reference");
+        let got = streamed(cfg, |c| par_at(tree, c, threads, 0));
+        assert_same_run(&format!("par({threads} threads)"), &got, &reference);
     }
 }
 
 /// The ledger is internally consistent with the schedule it annotates:
-/// its donation vector is the outcome's, receipts balance donations, the
-/// phase log's transfer totals match the machine's counter, every phase's
-/// cost attribution reassembles exactly, the phase costs times `P` sum to
-/// `T_lb`, and the phase count equals `N_lb`.
+/// receipts balance the outcome's donations, the phases' transfer totals
+/// match the machine's counter, every phase's cost attribution reassembles
+/// exactly, the phase costs times `P` sum to `T_lb`, and the phase count
+/// equals `N_lb`.
 fn assert_ledger_reconciles(name: &str, cfg: &EngineConfig, out: &Outcome) {
     let ledger = out.ledger.as_ref().expect("ledger was requested");
-    assert_eq!(ledger.donations, out.donations, "{name}");
+    let donated: u64 = out.donations.iter().map(|&d| d as u64).sum();
     let received: u64 = ledger.receipts.iter().map(|&r| r as u64).sum();
-    assert_eq!(ledger.total_transfers(), received, "{name}: every transfer has a receiver");
-    assert_eq!(ledger.total_transfers(), out.report.n_transfers, "{name}");
+    assert_eq!(received, donated, "{name}: every transfer has a receiver");
+    assert_eq!(donated, out.report.n_transfers, "{name}");
     assert_eq!(ledger.phases.len() as u64, out.report.n_lb, "{name}");
     let phase_transfers: u64 = ledger.phases.iter().map(|ph| ph.transfers).sum();
     assert_eq!(phase_transfers, out.report.n_transfers, "{name}");
@@ -179,8 +206,8 @@ proptest! {
     }
 
     /// Thread-count determinism: the par engine's `Outcome` (metrics
-    /// included) is identical under 1, 2 and 8 workers — and identical to
-    /// the serial macro engine, macro-step log included. The fan-out
+    /// included) and boundary stream are identical under 1, 2 and 8
+    /// workers — and identical to the serial macro engine's. The fan-out
     /// threshold is fuzzed alongside the worker count: forced fan-out
     /// (0), the engine's bar, and never (`u64::MAX`, every burst inline)
     /// are all latency choices, never schedule inputs.
@@ -200,12 +227,12 @@ proptest! {
         let base = EngineConfig::new(1usize << p_log, scheme, CostModel::cm2())
             .with_split(split)
             .with_trace()
-            .with_horizon_log()
             .with_ledger();
-        let serial = run(&tree, &base);
+        let serial = streamed(&base, |c| run(&tree, c));
         for threads in [1usize, 2, 8] {
-            let par = par_at(&tree, &base, threads, min_work);
-            assert_eq!(par, serial, "{} threads={threads} min_work={min_work}", scheme.name());
+            let par = streamed(&base, |c| par_at(&tree, c, threads, min_work));
+            let label = format!("{} threads={threads} min_work={min_work}", scheme.name());
+            assert_same_run(&label, &par, &serial);
         }
     }
 

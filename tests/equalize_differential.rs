@@ -163,7 +163,6 @@ fn snapshot_over(cfg: &EngineConfig, stacks: Vec<SearchStack<u64>>) -> EngineSna
         recorder: cfg
             .record_ledger
             .then(|| RecorderState { receipts: vec![0; cfg.p], phases: Vec::new() }),
-        macro_steps: Vec::new(),
         stacks: StackArena::from_stacks(stacks),
     }
 }
@@ -333,13 +332,12 @@ fn every_shape_moves_work_at_every_size() {
 /// stacks and outcome when its rounds are applied in windows of 1, 2, 3 or
 /// 7 requests. Whole rounds make one batch each, so a phase handed more
 /// batches in windows than whole had a round that spanned several windows;
-/// the test asserts that this happened. P = 4096 is left out: a debug
-/// build checks the whole arena at every census read, twice per window.
+/// the test asserts that this happened.
 #[test]
 fn windowed_rounds_match_the_oracle() {
     let windows = [usize::MAX, 1, 2, 3, 7].map(Some);
     let mut spanning = 0;
-    for p in SIZES.into_iter().filter(|&p| (2..=1000).contains(&p)) {
+    for p in SIZES.into_iter().filter(|&p| p >= 2) {
         for shape in 0..SHAPES {
             for seed in 0..4 {
                 let (_, batches) = assert_phase_identical(seed, p, shape, seed % 2 == 0, &windows);
@@ -354,7 +352,9 @@ fn windowed_rounds_match_the_oracle() {
 /// phase moves about 96 k stacks. The whole `Outcome` of the windowed
 /// equalizer, ledger and trace included, must equal the oracle's, and
 /// some round must have been larger than one window. The digest pins the
-/// outcome to the one whole-round equalization produced.
+/// outcome to the one whole-round equalization produced (re-pinned at
+/// `DIGEST_VERSION` 3; the version-2 encoding of this outcome is still the
+/// old pin, `0x84e5291137f3a340`).
 #[test]
 #[ignore = "P = 2^20; run with `cargo test --release -- --ignored`"]
 fn windowed_fegs_matches_the_oracle_at_a_million_pes() {
@@ -363,7 +363,7 @@ fn windowed_fegs_matches_the_oracle_at_a_million_pes() {
         EngineConfig::new(1 << 20, Scheme::fegs(), CostModel::cm2()).with_ledger().with_trace();
     let got = run(&tree, &cfg);
     assert_eq!(got, run_reference(&tree, &cfg), "windowed equalization left the oracle");
-    assert_eq!(outcome_digest(&got), 0x84e5_2911_37f3_a340);
+    assert_eq!(outcome_digest(&got), 0x47ee_8b58_4314_b43e);
     let window = StackStore::max_batch(&StackArena::<GenNode>::new(1)) as u64;
     let phases = &got.ledger.as_ref().expect("ledger on").phases;
     assert!(

@@ -4,6 +4,10 @@
 //! reference engine: every balancing phase the reference performs lands
 //! exactly on a macro-step boundary — never strictly inside a batch — and
 //! the macro-steps partition the cycle count exactly.
+//!
+//! The macro engine's boundaries are read from its every-boundary snapshot
+//! stream (`N_expand` of each decoded snapshot); the reference's balancing
+//! cycles from its ledger's phase records.
 
 use proptest::prelude::*;
 use simd_tree_search::prelude::*;
@@ -22,6 +26,31 @@ fn arb_scheme() -> impl Strategy<Value = Scheme> {
     ]
 }
 
+/// The macro engine's run of `problem` under `cfg`, and the cycle count
+/// `N_expand` at the end of each of its steps: every boundary snapshot of
+/// a `CheckpointPolicy::every(1)` memory sink, then the run's total (the
+/// final step ends the run, so it writes no boundary).
+fn step_ends<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> (Outcome, Vec<u64>) {
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
+    let out = run(problem, &armed);
+    let fingerprint = config_fingerprint(cfg);
+    let snapshots = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    let mut ends: Vec<u64> = snapshots
+        .iter()
+        .map(|s| {
+            let snap = EngineSnapshot::<P::Node>::decode(&s.bytes, fingerprint);
+            snap.expect("own snapshot decodes").machine.metrics.n_expand
+        })
+        .collect();
+    ends.push(out.report.n_expand);
+    (out, ends)
+}
+
+/// Cycles each step ran, given the cycle counts at the steps' ends.
+fn step_lengths(ends: &[u64]) -> Vec<u64> {
+    [0].iter().chain(ends).zip(ends).map(|(a, b)| b - a).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -36,34 +65,35 @@ proptest! {
         let tree = GeometricTree { seed, b_max: 6, depth_limit: 5 };
         let cfg = EngineConfig::new(1usize << p_log, scheme, CostModel::cm2())
             .with_trace()
-            .with_horizon_log();
-        let out = run(&tree, &cfg);
+            .with_ledger();
+        let (out, ends) = step_ends(&tree, &cfg);
         let reference = run_reference(&tree, &cfg);
 
-        // The steps partition [0, N_expand) and honor their horizons.
-        let mut checkpoints = Vec::with_capacity(out.macro_steps.len());
-        let mut cursor = 0u64;
-        for step in &out.macro_steps {
-            prop_assert_eq!(step.start_cycle, cursor);
-            prop_assert!(step.horizon >= 1, "horizon must be a positive bound");
-            prop_assert!(step.ran >= 1 && step.ran <= step.horizon);
-            cursor += step.ran;
-            checkpoints.push(cursor);
+        // The steps partition [0, N_expand): each runs at least one cycle.
+        prop_assert!(step_lengths(&ends).iter().all(|&ran| ran >= 1), "steps end at {:?}", ends);
+
+        // A step that ends in a balancing phase ran exactly the horizon the
+        // engine proved for it.
+        let ledger = out.ledger.as_ref().expect("ledger on");
+        for ph in &ledger.phases {
+            let at = ends.binary_search(&ph.at_cycle);
+            prop_assert!(at.is_ok(), "phase at cycle {} is no step end", ph.at_cycle);
+            let ran = step_lengths(&ends)[at.unwrap_or(0)];
+            prop_assert_eq!(ran, ph.horizon, "step ending at cycle {}", ph.at_cycle);
         }
-        prop_assert_eq!(cursor, out.report.n_expand, "steps must cover the run");
-        prop_assert_eq!(out.report.n_expand, reference.report.n_expand);
 
         // Every balancing phase the per-cycle oracle performs sits on a
-        // checkpoint (phase events are stamped with the cycle count at the
+        // boundary (phase records are stamped with the cycle count at the
         // moment the machine leaves the search phase).
-        for event in &reference.report.phase_log {
+        for ph in &reference.ledger.as_ref().expect("ledger on").phases {
             prop_assert!(
-                checkpoints.binary_search(&event.at_cycle).is_ok(),
-                "reference balanced at cycle {} but the macro engine's checkpoints are {:?}",
-                event.at_cycle,
-                checkpoints
+                ends.binary_search(&ph.at_cycle).is_ok(),
+                "reference balanced at cycle {} but the macro engine's steps end at {:?}",
+                ph.at_cycle,
+                ends
             );
         }
+        prop_assert_eq!(out.report.n_expand, reference.report.n_expand);
     }
 }
 
@@ -75,22 +105,21 @@ fn init_phase_runs_single_cycle_steps() {
     // Deep enough that the run has a real steady state after the init
     // ramp (at depth 6 the whole search fits inside the ramp at P=128).
     let tree = GeometricTree { seed: 5, b_max: 8, depth_limit: 7 };
-    let cfg =
-        EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2()).with_trace().with_horizon_log();
+    let cfg = EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2()).with_trace().with_ledger();
     assert_eq!(cfg.init_fraction, Some(0.85), "dynamic scheme gets the init phase");
-    let out = run(&tree, &cfg);
+    let (out, ends) = step_ends(&tree, &cfg);
     let reference = run_reference(&tree, &cfg);
-    assert_eq!(out.report.phase_log, reference.report.phase_log);
+    assert_eq!(out.ledger, reference.ledger);
 
     // While fewer than 85% of PEs hold work the engine steps one cycle at
     // a time; the first macro-step must therefore be a single cycle.
-    let first = out.macro_steps.first().expect("non-empty run");
-    assert_eq!((first.horizon, first.ran), (1, 1));
+    let ran = step_lengths(&ends);
+    assert_eq!(ran[0], 1);
     // And once the init phase hands over, real horizons appear.
     assert!(
-        out.macro_steps.iter().any(|s| s.ran > 1),
+        ran.iter().any(|&r| r > 1),
         "no batching happened at all: {:?}",
-        &out.macro_steps[..out.macro_steps.len().min(16)]
+        &ran[..ran.len().min(16)]
     );
 }
 
@@ -99,10 +128,9 @@ fn init_phase_runs_single_cycle_steps() {
 #[test]
 fn stop_on_goal_forces_single_cycle_steps() {
     let tree = simd_tree_search::synth::BinomialTree::with_q(9, 64, 4, 0.22);
-    let mut cfg = EngineConfig::new(16, Scheme::gp_static(0.8), CostModel::cm2())
-        .with_trace()
-        .with_horizon_log();
+    let mut cfg = EngineConfig::new(16, Scheme::gp_static(0.8), CostModel::cm2()).with_trace();
     cfg.stop_on_goal = true;
-    let out = run(&tree, &cfg);
-    assert!(out.macro_steps.iter().all(|s| s.horizon == 1 && s.ran == 1));
+    let (out, ends) = step_ends(&tree, &cfg);
+    assert!(out.goals > 0, "the tree holds a goal");
+    assert!(step_lengths(&ends).iter().all(|&ran| ran == 1), "steps end at {ends:?}");
 }

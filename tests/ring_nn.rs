@@ -178,7 +178,6 @@ fn pins() -> Vec<Pin> {
                     t_lb: n(12),
                     efficiency: f[13].parse().unwrap(),
                     active_trace: Default::default(),
-                    phase_log: Vec::new(),
                 },
                 goals: n(14),
                 truncated: f[15].parse().unwrap(),

@@ -231,6 +231,12 @@ fn an_unverifiable_stored_result_recovers_as_a_spill_failure() {
     let cases = [
         ("garbage", "garbage\n".to_string(), "not JSON"),
         ("pre-version", PRE_VERSION_DONE.to_string(), "digest version None"),
+        (
+            // Version 2 also digested the phase and horizon logs.
+            "version-2",
+            PRE_VERSION_DONE.replace("\"goals\"", "\"digest_version\": 2,\n  \"goals\""),
+            "digest version Some(2)",
+        ),
         ("other-job", PRE_VERSION_DONE.replace("\"job\": 1", "\"job\": 2"), "job Some(2)"),
     ];
     for (tag, done, reason) in cases {
