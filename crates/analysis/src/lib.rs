@@ -10,15 +10,13 @@ pub mod contour;
 pub mod csv;
 pub mod fit;
 pub mod models;
-pub mod speedup;
 pub mod stats;
 pub mod table;
 pub mod trigger;
 
 pub use bounds::{total_transfer_bound, v_gp, v_ngp};
 pub use contour::{extract_contour, ContourPoint, Sample};
-pub use fit::{fit_power_law, fit_through_origin, PowerLawFit};
+pub use fit::{fit_power_law, PowerLawFit};
 pub use models::{gp_efficiency, isoeff_table, ngp_efficiency, IsoeffRow};
-pub use speedup::{fixed_size_speedups, knee, scaled_speedups, SpeedupPoint};
 pub use stats::{counter_stats, gini, CounterStats};
 pub use trigger::{optimal_static_trigger, TriggerParams, DEFAULT_ALPHA};

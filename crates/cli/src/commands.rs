@@ -1,5 +1,7 @@
-//! Command implementations. Each returns `Result<(), String>`; `main`
-//! prints the error + usage on failure.
+//! Command implementations. Each returns `Result<(), CliError>`: a
+//! malformed command line is a [`CliError::Usage`] (every `String` error of
+//! flag parsing converts to one), a failure while running a
+//! [`CliError::Failed`].
 
 use uts_analysis::{optimal_static_trigger, TriggerParams};
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
@@ -12,9 +14,10 @@ use uts_tree::ida::ida_star;
 use uts_tree::TreeProblem;
 
 use crate::args::{parse_board, parse_workload, Flags, BOARD_FLAGS, WORKLOAD_FLAGS};
+use crate::CliError;
 
 /// `sts solve`: serial IDA\* on a 15-puzzle.
-pub fn solve(flags: &Flags) -> Result<(), String> {
+pub fn solve(flags: &Flags) -> Result<(), CliError> {
     flags.reject_unknown(&[BOARD_FLAGS, &["max-bound"]])?;
     let puzzle = Puzzle15::new(Board(parse_board(flags)?));
     println!("{}", puzzle.start());
@@ -58,7 +61,7 @@ fn reject_non_simd_flags(flags: &Flags, own: &[&str]) -> Result<(), String> {
     flags.reject_unknown(&[BOARD_FLAGS, WORKLOAD_FLAGS, SIMD_FLAGS, own])
 }
 
-fn simd_setup(flags: &Flags) -> Result<SimdSetup, String> {
+fn simd_setup(flags: &Flags) -> Result<SimdSetup, CliError> {
     let p = flags.get_parsed("p", 1024usize)?;
     let scheme = flags.get("scheme").map_or(Ok(Scheme::gp_dk()), Scheme::parse)?;
     let cost = flags.get("cost").map_or(Ok(CostModel::cm2()), CostModel::parse)?;
@@ -102,10 +105,10 @@ fn print_report(setup: &SimdSetup, out: &Outcome) {
 
 /// `sts run`: parallel SIMD search of one bounded iteration or one
 /// generated tree.
-pub fn run_simd(flags: &Flags) -> Result<(), String> {
+pub fn run_simd(flags: &Flags) -> Result<(), CliError> {
     reject_non_simd_flags(flags, &[])?;
     let setup = simd_setup(flags)?;
-    let out = setup.workload.run(&setup.cfg, None).map_err(|e| e.to_string())?;
+    let out = setup.workload.run(&setup.cfg, None).map_err(CliError::failed)?;
     print_report(&setup, &out);
     Ok(())
 }
@@ -116,14 +119,22 @@ pub fn run_simd(flags: &Flags) -> Result<(), String> {
 /// fingerprint is checked against the rebuilt config, so resuming under
 /// different `--p`/`--scheme`/`--cost` flags is rejected rather than
 /// silently diverging.
-pub fn resume(flags: &Flags) -> Result<(), String> {
+pub fn resume(flags: &Flags) -> Result<(), CliError> {
     reject_non_simd_flags(flags, &["snapshot"])?;
     let path = flags.get("snapshot").ok_or("--snapshot PATH is required")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("--snapshot {path}: {e}"))?;
+    let bytes = read_snapshot(path)?;
     let setup = simd_setup(flags)?;
-    let out = setup.workload.run(&setup.cfg, Some(&bytes)).map_err(|e| format!("{path}: {e}"))?;
+    let out = setup
+        .workload
+        .run(&setup.cfg, Some(&bytes))
+        .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
     print_report(&setup, &out);
     Ok(())
+}
+
+/// The bytes of `--snapshot PATH`; an unreadable file is a run failure.
+fn read_snapshot(path: &str) -> Result<Vec<u8>, CliError> {
+    std::fs::read(path).map_err(|e| CliError::Failed(format!("--snapshot {path}: {e}")))
 }
 
 /// `sts shard`: the same search as `sts run`, executed by the
@@ -133,7 +144,7 @@ pub fn resume(flags: &Flags) -> Result<(), String> {
 /// macro engine. `--spill-dir DIR --park-every N` parks whole-machine
 /// snapshots at boundaries (the recovery path after a worker dies);
 /// `--snapshot PATH` resumes one, at any shard count.
-pub fn shard(flags: &Flags) -> Result<(), String> {
+pub fn shard(flags: &Flags) -> Result<(), CliError> {
     reject_non_simd_flags(
         flags,
         &["shards", "spill-dir", "park-every", "worker-kill-at", "worker-kill-shard", "snapshot"],
@@ -158,19 +169,16 @@ pub fn shard(flags: &Flags) -> Result<(), String> {
             at_burst: kill_at,
         });
     }
-    let snapshot = match flags.get("snapshot") {
-        Some(path) => Some(std::fs::read(path).map_err(|e| format!("--snapshot {path}: {e}"))?),
-        None => None,
-    };
+    let snapshot = flags.get("snapshot").map(read_snapshot).transpose()?;
     let sharded = match &snapshot {
         Some(bytes) => resume_sharded(&setup.workload, &setup.cfg, &opts, bytes),
         None => run_sharded(&setup.workload, &setup.cfg, &opts),
     }
     .map_err(|e| match e {
-        uts_shard::ShardError::WorkerLost { .. } if opts.park.is_some() => {
-            format!("{e}\nresume from the newest .park in the spill dir with --snapshot")
-        }
-        other => other.to_string(),
+        uts_shard::ShardError::WorkerLost { .. } if opts.park.is_some() => CliError::Failed(
+            format!("{e}\nresume from the newest .park in the spill dir with --snapshot"),
+        ),
+        other => CliError::failed(other),
     })?;
     print_report(&setup, &sharded.outcome);
     print_shard_stats(&sharded.stats);
@@ -196,7 +204,7 @@ fn print_shard_stats(stats: &uts_shard::ShardStats) {
 }
 
 /// `sts mimd`: asynchronous work stealing on the same workload.
-pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
+pub fn run_mimd_cmd(flags: &Flags) -> Result<(), CliError> {
     flags.reject_unknown(&[BOARD_FLAGS, &["p", "policy"]])?;
     let p = flags.get_parsed("p", 1024usize)?;
     let policy = match flags.get("policy").unwrap_or("rp") {
@@ -204,7 +212,7 @@ pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
         "arr" => StealPolicy::AsyncRoundRobin,
         "rp" => StealPolicy::RandomPolling,
         "nn" => StealPolicy::NeighborPolling,
-        other => return Err(format!("unknown policy `{other}` (grr|arr|rp|nn)")),
+        other => return Err(format!("unknown policy `{other}` (grr|arr|rp|nn)").into()),
     };
     struct Mimd(MimdConfig);
     impl Search for Mimd {
@@ -226,7 +234,7 @@ pub fn run_mimd_cmd(flags: &Flags) -> Result<(), String> {
 /// `sts serve`: the long-running job server. Blocks until killed; jobs
 /// and results are durable in `--spill-dir`, so a restarted server picks
 /// up where the last one stopped.
-pub fn serve(flags: &Flags) -> Result<(), String> {
+pub fn serve(flags: &Flags) -> Result<(), CliError> {
     flags.reject_unknown(&[&["addr", "slots", "spill-dir", "quantum-ms", "poll-ms"]])?;
     let cfg = uts_serve::ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7117").to_string(),
@@ -236,7 +244,8 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
         poll_ms: flags.get_parsed("poll-ms", 5u64)?,
     };
     let spill = cfg.spill_dir.clone();
-    let server = uts_serve::JobServer::start(cfg).map_err(|e| format!("serve: {e}"))?;
+    let server =
+        uts_serve::JobServer::start(cfg).map_err(|e| CliError::Failed(format!("serve: {e}")))?;
     println!("sts serve: listening on http://{}", server.addr());
     println!("sts serve: spilling to {}", spill.display());
     println!("  POST /submit  GET /status/<id>  GET /result/<id>  POST /cancel/<id>  GET /jobs");
@@ -248,7 +257,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
 }
 
 /// `sts xo`: the optimal static trigger of eq. 18.
-pub fn xo(flags: &Flags) -> Result<(), String> {
+pub fn xo(flags: &Flags) -> Result<(), CliError> {
     flags.reject_unknown(&[&["w", "p", "ratio"]])?;
     let w: u64 = flags
         .get("w")

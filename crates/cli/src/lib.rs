@@ -8,6 +8,44 @@ pub mod commands;
 
 pub use args::{parse_board, parse_workload, Flags};
 
+/// Why a command failed, which decides how `sts` exits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// The command line is wrong: an unknown command or flag, a malformed
+    /// value, a missing required flag. `sts` prints the usage and exits 2.
+    Usage(String),
+    /// The command line was fine but the command failed while running (a
+    /// refused snapshot, a lost shard worker, an unreadable file). `sts`
+    /// prints the error alone and exits 1.
+    Failed(String),
+}
+
+impl CliError {
+    /// A failure while running, from any displayable error.
+    pub fn failed(e: impl std::fmt::Display) -> Self {
+        CliError::Failed(e.to_string())
+    }
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Usage(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Usage(e.to_string())
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (CliError::Usage(e) | CliError::Failed(e)) = self;
+        f.write_str(e)
+    }
+}
+
 /// Exit with a usage message.
 pub const USAGE: &str = "\
 sts — unstructured tree search on (simulated) SIMD parallel computers

@@ -1,6 +1,6 @@
 //! `sts` — the command-line front end. See [`uts_cli::USAGE`].
 
-use uts_cli::{commands, Flags, USAGE};
+use uts_cli::{commands, CliError, Flags, USAGE};
 
 fn main() {
     // `sts shard` spawns workers by re-executing this binary; if this
@@ -12,7 +12,7 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    let result = Flags::parse(rest).and_then(|flags| match cmd.as_str() {
+    let result = Flags::parse(rest).map_err(CliError::Usage).and_then(|flags| match cmd.as_str() {
         "solve" => commands::solve(&flags),
         "run" => commands::run_simd(&flags),
         "resume" => commands::resume(&flags),
@@ -24,11 +24,18 @@ fn main() {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     });
-    if let Err(e) = result {
-        eprintln!("error: {e}\n");
-        eprint!("{USAGE}");
-        std::process::exit(2);
+    match result {
+        Ok(()) => {}
+        Err(CliError::Usage(e)) => {
+            eprintln!("error: {e}\n");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Smoke tests of the CLI command implementations (called directly — the
 //! binary shim adds nothing but dispatch).
 
-use uts_cli::{commands, Flags};
+use uts_cli::{commands, CliError, Flags};
 
 fn flags(pairs: &[&str]) -> Flags {
     Flags::parse(pairs).expect("test flags parse")
@@ -23,7 +23,7 @@ fn run_small_simd() {
 #[test]
 fn run_rejects_bad_scheme() {
     let err = commands::run_simd(&flags(&["--scheme", "wat"])).unwrap_err();
-    assert!(err.contains("unknown scheme"));
+    assert!(matches!(&err, CliError::Usage(e) if e.contains("unknown scheme")), "{err:?}");
 }
 
 #[test]
@@ -58,7 +58,10 @@ fn run_kill_then_resume_round_trips() {
     let wrong_p =
         ["--seed", "7", "--walk", "20", "--p", "64", "--scheme", "gp-dk", "--snapshot", &snap_s];
     let err = commands::resume(&flags(&wrong_p)).unwrap_err();
-    assert!(err.contains("different configuration"), "{err}");
+    assert!(
+        matches!(&err, CliError::Failed(e) if e.contains("different configuration")),
+        "{err:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -76,13 +79,13 @@ fn run_checkpoint_every_requires_a_dir() {
         "2",
     ]))
     .unwrap_err();
-    assert!(err.contains("--checkpoint-dir"), "{err}");
+    assert!(matches!(&err, CliError::Usage(e) if e.contains("--checkpoint-dir")), "{err:?}");
 }
 
 #[test]
 fn resume_requires_a_snapshot_path() {
     let err = commands::resume(&flags(&[])).unwrap_err();
-    assert!(err.contains("--snapshot"), "{err}");
+    assert!(matches!(&err, CliError::Usage(e) if e.contains("--snapshot")), "{err:?}");
 }
 
 #[test]
@@ -93,7 +96,7 @@ fn mimd_small() {
 #[test]
 fn mimd_rejects_bad_policy() {
     let err = commands::run_mimd_cmd(&flags(&["--policy", "psychic"])).unwrap_err();
-    assert!(err.contains("unknown policy"));
+    assert!(matches!(&err, CliError::Usage(e) if e.contains("unknown policy")), "{err:?}");
 }
 
 #[test]
@@ -107,7 +110,7 @@ fn xo_requires_w() {
 /// `serve` would never return and `shard` would start worker processes.
 #[test]
 fn every_command_rejects_a_misspelt_flag() {
-    type Command = fn(&Flags) -> Result<(), String>;
+    type Command = fn(&Flags) -> Result<(), CliError>;
     let cases: [(Command, &[&str], &str); 7] = [
         (commands::solve, &["--seed", "7", "--wlak", "14"], "--wlak"),
         (commands::run_simd, &["--sheme", "fegs", "--threads", "2", "--p", "64"], "--sheme"),
@@ -119,6 +122,6 @@ fn every_command_rejects_a_misspelt_flag() {
     ];
     for (command, args, misspelt) in cases {
         let err = command(&flags(args)).expect_err(misspelt);
-        assert_eq!(err, format!("unknown flag {misspelt}"), "{args:?}");
+        assert_eq!(err, CliError::Usage(format!("unknown flag {misspelt}")), "{args:?}");
     }
 }

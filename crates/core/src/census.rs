@@ -2,24 +2,20 @@
 //!
 //! The engines keep every PE's stack length mirrored into one contiguous
 //! `u32` array ([`uts_tree::StackArena::lens`], index = PE id). The
-//! ensemble census — how many PEs are active, how many are busy
-//! (splittable), and the stack-size distribution `count_ge` the
-//! event-horizon bound reads — then becomes a handful of flat reductions
-//! over that array instead of a pointer-chase through one heap-allocated
-//! stack per PE.
+//! stack-size distribution `count_ge` the event-horizon bound reads then
+//! comes from flat passes over that array instead of a pointer-chase
+//! through one heap-allocated stack per PE.
 //!
-//! Every reduction here is written as a chunked loop over fixed-width
-//! blocks with a branch-free body, the shape LLVM autovectorizes on stable
-//! Rust (`std::simd` is still nightly-only; when it stabilizes these
-//! bodies map 1:1 onto explicit `u32xN` lanes — see DESIGN.md §6.3). The
-//! results are specified *exactly* against the per-stack recomputation the
-//! engines used before (`tests/census_soa.rs` drives both on random stack
+//! The extent pass is a chunked loop over fixed-width blocks with a
+//! branch-free body, the shape LLVM autovectorizes on stable Rust
+//! (`std::simd` is still nightly-only; when it stabilizes the body maps
+//! 1:1 onto explicit `u32xN` lanes — see DESIGN.md §6.3). The result is
+//! specified *exactly* against the per-stack recomputation the engines
+//! used before (`tests/census_soa.rs` drives both on random stack
 //! populations):
 //!
-//! * [`active_count`] = #{i : lens[i] > 0} — the paper's `A`;
-//! * [`busy_count`]   = #{i : lens[i] >= 2} — PEs that can donate;
 //! * [`build_hist`] + [`build_count_ge`] — the suffix-sum distribution
-//!   `count_ge[t]` = #{active i : lens[i] >= t}, with `count_ge[0] = A`
+//!   `count_ge[t] = #{active i : lens[i] >= t}`, with `count_ge[0] = A`
 //!   (idle PEs contribute `lens[i] == 0` and are skipped, exactly as the
 //!   old active-list sweep never visited them; `hist[0] == 0` either way).
 //!
@@ -31,35 +27,8 @@
 /// accumulator block, wide enough for any SIMD unit the compiler targets.
 const CHUNK: usize = 64;
 
-/// Number of PEs holding work: `#{i : lens[i] > 0}`.
-pub fn active_count(lens: &[u32]) -> usize {
-    let mut total = 0usize;
-    for chunk in lens.chunks(CHUNK) {
-        let mut c = 0u32;
-        for &l in chunk {
-            c += (l > 0) as u32;
-        }
-        total += c as usize;
-    }
-    total
-}
-
-/// Number of PEs that can donate (the paper's busy predicate):
-/// `#{i : lens[i] >= 2}`.
-pub fn busy_count(lens: &[u32]) -> usize {
-    let mut total = 0usize;
-    for chunk in lens.chunks(CHUNK) {
-        let mut c = 0u32;
-        for &l in chunk {
-            c += (l >= 2) as u32;
-        }
-        total += c as usize;
-    }
-    total
-}
-
 /// Largest stack length in the ensemble (the histogram's extent).
-pub fn max_len(lens: &[u32]) -> u32 {
+fn max_len(lens: &[u32]) -> u32 {
     let mut total = 0u32;
     for chunk in lens.chunks(CHUNK) {
         let mut m = 0u32;
@@ -105,16 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_match_the_scalar_definitions() {
+    fn max_len_matches_the_scalar_definition() {
         // Exercise lengths around the chunk boundary so partial blocks run.
         for n in [0usize, 1, 63, 64, 65, 130, 1024] {
             let lens: Vec<u32> = (0..n).map(|i| ((i * 7 + 3) % 5) as u32).collect();
-            let a = lens.iter().filter(|&&l| l > 0).count();
-            let b = lens.iter().filter(|&&l| l >= 2).count();
-            let m = lens.iter().copied().max().unwrap_or(0);
-            assert_eq!(active_count(&lens), a, "n={n}");
-            assert_eq!(busy_count(&lens), b, "n={n}");
-            assert_eq!(max_len(&lens), m, "n={n}");
+            assert_eq!(max_len(&lens), lens.iter().copied().max().unwrap_or(0), "n={n}");
         }
     }
 
@@ -126,7 +90,7 @@ mod tests {
         assert_eq!(hist, vec![0, 2, 0, 2, 0, 0, 0, 1]);
         let mut cg = Vec::new();
         build_count_ge(&hist, &mut cg);
-        assert_eq!(cg[0] as usize, active_count(&lens), "count_ge[0] is A");
+        assert_eq!(cg[0], 5, "count_ge[0] is A");
         for (t, &got) in cg.iter().enumerate() {
             let expect = lens.iter().filter(|&&l| l > 0 && l as usize >= t).count();
             assert_eq!(got as usize, expect, "t={t}");

@@ -179,7 +179,6 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     });
     f.u64(cfg.init_fraction.is_some() as u64).u64(cfg.init_fraction.unwrap_or(0.0).to_bits());
     f.u64(cfg.stop_on_goal as u64);
-    f.u64(cfg.max_cycles.is_some() as u64).u64(cfg.max_cycles.unwrap_or(0));
     f.u64(cfg.record_trace as u64);
     f.u64(cfg.record_ledger as u64);
     f.finish()
@@ -342,9 +341,6 @@ mod tests {
         let mut stop = base();
         stop.stop_on_goal = true;
         variants.push(stop);
-        let mut budget = base();
-        budget.max_cycles = Some(100);
-        variants.push(budget);
         let mut init = base();
         init.init_fraction = Some(0.5);
         variants.push(init);

@@ -127,10 +127,10 @@ pub trait BurstBackend {
 /// Compute the next event horizon: a sound lower bound on the cycles
 /// before the trigger could fire effectively
 /// ([`crate::trigger::safe_horizon`]; a fire with no splittable or no idle
-/// PE transfers no work and leaves no trace in the schedule), clamped to
-/// the `max_cycles` budget. `stop_on_goal` must observe goals
-/// cycle-by-cycle, and the init phase balances after every cycle by
-/// construction; both degrade gracefully to single-cycle steps.
+/// PE transfers no work and leaves no trace in the schedule).
+/// `stop_on_goal` must observe goals cycle-by-cycle, and the init phase
+/// balances after every cycle by construction; both degrade gracefully to
+/// single-cycle steps.
 /// `size_hist`/`count_ge` are caller-owned scratch, rebuilt only when a
 /// multi-cycle horizon is actually reachable: the stack-size histogram
 /// over the PEs holding work (`hist[s]` = PEs whose stack holds `s` nodes)
@@ -145,7 +145,7 @@ pub(crate) fn compute_horizon(
     size_hist: &mut Vec<u32>,
     count_ge: &mut Vec<u32>,
 ) -> u64 {
-    let mut h = if in_init
+    if in_init
         || cfg.stop_on_goal
         || !horizon_exceeds_one(
             cfg.scheme.trigger,
@@ -154,7 +154,8 @@ pub(crate) fn compute_horizon(
             machine.phase(),
             cfg.cost.u_calc,
             machine.estimated_lb_cost(),
-        ) {
+        )
+    {
         1
     } else {
         build_hist(lens, size_hist);
@@ -168,14 +169,7 @@ pub(crate) fn compute_horizon(
             l_estimate: machine.estimated_lb_cost(),
         };
         safe_horizon(cfg.scheme.trigger, &hctx)
-    };
-    if let Some(m) = cfg.max_cycles {
-        // Stop exactly at the budget (the reference overshoots a
-        // zero/exceeded budget by the one cycle it always runs; so do we,
-        // via the `.max(1)`).
-        h = h.min(m.saturating_sub(machine.metrics().n_expand)).max(1);
     }
-    h
 }
 
 /// Compact the sorted `active` list to the PEs whose fresh length is
@@ -189,7 +183,7 @@ pub fn recount_active(active: &mut Vec<usize>, lens: &[u32]) -> usize {
 /// What the driver decided at the end of [`LockstepDriver::absorb_burst`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStatus {
-    /// The run is over (goal stop, budget, or space exhausted); call
+    /// The run is over (goal stop or space exhausted); call
     /// [`LockstepDriver::finish`].
     Done,
     /// The run continues. When `fired`, the trigger fired effectively and
@@ -221,7 +215,6 @@ pub struct LockstepDriver {
     size_hist: Vec<u32>,
     count_ge: Vec<u32>,
     lb: LbBuffers,
-    truncated: bool,
 }
 
 impl LockstepDriver {
@@ -235,7 +228,6 @@ impl LockstepDriver {
             size_hist: Vec::new(),
             count_ge: Vec::new(),
             lb: LbBuffers::default(),
-            truncated: false,
         }
     }
 
@@ -361,10 +353,6 @@ impl LockstepDriver {
         if self.cfg.stop_on_goal && st.goals > 0 {
             return StepStatus::Done;
         }
-        if self.cfg.max_cycles.is_some_and(|m| st.machine.metrics().n_expand >= m) {
-            self.truncated = true;
-            return StepStatus::Done;
-        }
         if self.active.is_empty() {
             return StepStatus::Done; // space exhausted
         }
@@ -444,7 +432,7 @@ impl LockstepDriver {
     /// boundary to be resumed (fault, preempt) from a completed one, with
     /// the semantics of [`Outcome::killed`].
     pub fn finish(self, killed: bool) -> Outcome {
-        self.state.finish(self.truncated, killed)
+        self.state.finish(killed)
     }
 }
 

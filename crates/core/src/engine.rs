@@ -12,8 +12,8 @@
 //! with a non-empty stack pops and expands exactly one node.
 //!
 //! This module holds what every executor shares: the configuration, the
-//! [`Outcome`], the boundary state a snapshot captures ([`EngineState`]),
-//! the search-phase kernels ([`fused_expansion_cycle`],
+//! [`Outcome`], the boundary state a snapshot captures (`EngineState`),
+//! the search-phase kernels (`fused_expansion_cycle`,
 //! [`expansion_burst`]) and the trigger checkpoint and balancing phase.
 //! The macro-step loop that sequences them lives once, in
 //! [`crate::driver`], and runs over the in-process backend
@@ -101,8 +101,6 @@ pub struct EngineConfig {
     /// Stop at the end of the cycle in which the first goal is found
     /// (`false` = exhaustive search, the paper's anomaly-free setting).
     pub stop_on_goal: bool,
-    /// Safety valve for tests: abort after this many expansion cycles.
-    pub max_cycles: Option<u64>,
     /// Record the load-balance ledger ([`Outcome::ledger`]): per-PE
     /// receipt counts and per-phase trigger provenance + cost
     /// attribution. Off by default — the engines skip all ledger work
@@ -143,7 +141,6 @@ impl EngineConfig {
             init_fraction: scheme.is_dynamic().then_some(0.85),
             record_trace: false,
             stop_on_goal: false,
-            max_cycles: None,
             record_ledger: false,
             engine: EngineKind::Macro,
             threads: None,
@@ -228,15 +225,9 @@ pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Machine accounting (efficiency, `N_expand`, `N_lb`, traces, …).
-    /// `report.w` is set to the *measured* parallel node count; callers
-    /// holding an independently measured serial `W` can re-derive
-    /// efficiency via [`Outcome::efficiency_vs_serial`] (the two coincide
-    /// in the paper's exhaustive, anomaly-free setting).
     pub report: Report,
     /// Goal nodes found.
     pub goals: u64,
-    /// True if `max_cycles` aborted the run before exhaustion.
-    pub truncated: bool,
     /// True if an injected [`uts_ckpt::FaultPlan`] killed the run at a
     /// macro-step boundary (the counters then cover only the completed
     /// prefix). Always false for straight runs and for resumed runs that
@@ -259,15 +250,6 @@ pub struct Outcome {
     /// (the oracle replays the horizon schedule for the provenance
     /// records).
     pub ledger: Option<Ledger>,
-}
-
-impl Outcome {
-    /// Efficiency computed against an externally measured serial node
-    /// count (eq. 9's definition with `T_calc = W_serial · U_calc`).
-    pub fn efficiency_vs_serial(&self, w_serial: u64, cost: &CostModel) -> f64 {
-        let t_calc = w_serial as f64 * cost.u_calc as f64;
-        t_calc / (t_calc + self.report.t_idle as f64 + self.report.t_lb as f64)
-    }
 }
 
 /// The engine state of a macro-step boundary: what a snapshot captures,
@@ -313,18 +295,14 @@ impl EngineState {
     }
 
     /// Close out the run.
-    pub(crate) fn finish(self, truncated: bool, killed: bool) -> Outcome {
-        let w = self.machine.metrics().nodes_expanded;
-        let report = self.machine.finish(w);
-        let ledger = self.recorder.map(LedgerRecorder::finish);
+    pub(crate) fn finish(self, killed: bool) -> Outcome {
         Outcome {
-            report,
+            report: self.machine.finish(),
             goals: self.goals,
-            truncated,
             killed,
             donations: self.donations,
             peak_stack_nodes: self.peak_stack_nodes,
-            ledger,
+            ledger: self.recorder.map(LedgerRecorder::finish),
         }
     }
 }
@@ -387,8 +365,8 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
 /// One macro-step's worth of expansion over the dense active list: `h`
 /// consecutive lockstep cycles (or until a PE drains), exactly the search
 /// phase of [`crate::local::run`] between two checkpoints. `h == 1`
-/// runs [`fused_expansion_cycle`]'s single-cycle pass; `h > 1` runs one
-/// tight cache-hot DFS burst per active PE ([`burst_slice`]) and records
+/// runs `fused_expansion_cycle`'s single-cycle pass; `h > 1` runs one
+/// tight cache-hot DFS burst per active PE (`burst_slice`) and records
 /// each drained PE's burst length in `death_cycles` (cleared first,
 /// **unsorted**) so the caller can reconstruct the lockstep schedule via
 /// [`uts_machine::SimdMachine::expansion_cycles_with_deaths`]. Public
@@ -998,7 +976,6 @@ mod tests {
             for p in [1usize, 4, 32, 128] {
                 let cfg = EngineConfig::new(p, scheme, CostModel::cm2());
                 let out = run(&tree, &cfg);
-                assert!(!out.truncated);
                 assert_eq!(
                     out.report.nodes_expanded,
                     w,
@@ -1091,16 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn max_cycles_truncates() {
-        let tree = geo(5);
-        let mut cfg = EngineConfig::new(8, Scheme::gp_static(0.8), CostModel::cm2());
-        cfg.max_cycles = Some(3);
-        let out = run(&tree, &cfg);
-        assert!(out.truncated);
-        assert_eq!(out.report.n_expand, 3);
-    }
-
-    #[test]
     fn dynamic_schemes_use_init_phase() {
         let cfg = EngineConfig::new(128, Scheme::gp_dk(), CostModel::cm2());
         assert_eq!(cfg.init_fraction, Some(0.85));
@@ -1178,15 +1145,5 @@ mod tests {
             let total: u64 = out.donations.iter().map(|&d| d as u64).sum();
             assert_eq!(total, out.report.n_transfers, "{}", scheme.name());
         }
-    }
-
-    #[test]
-    fn efficiency_vs_serial_matches_internal_when_anomaly_free() {
-        let tree = geo(8);
-        let w = serial_dfs(&tree).expanded;
-        let cfg = EngineConfig::new(32, Scheme::gp_static(0.8), CostModel::cm2());
-        let out = run(&tree, &cfg);
-        let e = out.efficiency_vs_serial(w, &cfg.cost);
-        assert!((e - out.report.efficiency).abs() < 1e-12);
     }
 }

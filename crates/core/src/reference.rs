@@ -69,7 +69,6 @@ fn run_stacks<P: TreeProblem>(
 ) -> Outcome {
     let mut pes: Vec<Pe<P::Node>> =
         stacks.into_iter().map(|stack| Pe { stack, children: Vec::new() }).collect();
-    let mut truncated = false;
     let mut killed = false;
 
     let mut busy_flags = vec![false; cfg.p];
@@ -142,10 +141,6 @@ fn run_stacks<P: TreeProblem>(
         }
 
         if cfg.stop_on_goal && st.goals > 0 {
-            break;
-        }
-        if cfg.max_cycles.is_some_and(|m| st.machine.metrics().n_expand >= m) {
-            truncated = true;
             break;
         }
         if has_work == 0 {
@@ -251,7 +246,7 @@ fn run_stacks<P: TreeProblem>(
         }
     }
 
-    st.finish(truncated, killed)
+    st.finish(killed)
 }
 
 fn step_pe<P: TreeProblem>(problem: &P, pe: &mut Pe<P::Node>) -> CycleResult {

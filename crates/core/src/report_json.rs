@@ -22,19 +22,19 @@ use crate::json::Json;
 
 /// The leading byte of [`outcome_digest`]'s encoding. Version 1 hashed an
 /// `Outcome`'s `Debug` text; version 2 also encoded the machine's phase
-/// log, the loop's horizon log and the ledger's copy of the donations.
-/// Bump on any change to what is encoded.
-pub const DIGEST_VERSION: u8 = 3;
+/// log, the loop's horizon log and the ledger's copy of the donations;
+/// version 3 also encoded the report's serial `W` and the outcome's
+/// cycle-budget `truncated` bit. Bump on any change to what is encoded.
+pub const DIGEST_VERSION: u8 = 4;
 
 /// FNV-1a over a [`DIGEST_VERSION`] byte and then every field of `out`,
 /// little-endian, floats as bits, vectors length-prefixed. Two outcomes
 /// digest equal iff they are the same outcome. Each struct is destructured
 /// without `..`, so a new field does not compile until it is encoded.
 pub fn outcome_digest(out: &Outcome) -> u64 {
-    let Outcome { report, goals, truncated, killed, donations, peak_stack_nodes, ledger } = out;
+    let Outcome { report, goals, killed, donations, peak_stack_nodes, ledger } = out;
     let Report {
         p,
-        w,
         nodes_expanded,
         n_expand,
         n_lb,
@@ -48,12 +48,11 @@ pub fn outcome_digest(out: &Outcome) -> u64 {
     } = report;
     let mut b = vec![DIGEST_VERSION];
     put_usize(&mut b, *p);
-    for v in [w, nodes_expanded, n_expand, n_lb, n_transfers, t_par, t_calc, t_idle, t_lb, goals] {
+    for v in [nodes_expanded, n_expand, n_lb, n_transfers, t_par, t_calc, t_idle, t_lb, goals] {
         put_u64(&mut b, *v);
     }
     put_f64_bits(&mut b, *efficiency);
     encode_active_trace(&mut b, active_trace);
-    put_bool(&mut b, *truncated);
     put_bool(&mut b, *killed);
     donations.encode_node(&mut b);
     put_usize(&mut b, *peak_stack_nodes);
@@ -122,7 +121,6 @@ pub fn run_report(cfg: &EngineConfig, out: &Outcome) -> Json {
         ("t_lb_us", Json::num(r.t_lb)),
         ("efficiency", fixed(r.efficiency)),
         ("goals", Json::num(out.goals)),
-        ("truncated", Json::Bool(out.truncated)),
         ("peak_stack_nodes", Json::num(out.peak_stack_nodes)),
         ("ledger", ledger),
     ])
@@ -190,7 +188,6 @@ mod tests {
         assert!(base.report.active_trace.breakpoints().len() > 1);
         let mutations: &[Mutation] = &[
             ("report.p", |o| o.report.p += 1),
-            ("report.w", |o| o.report.w += 1),
             ("report.nodes_expanded", |o| o.report.nodes_expanded += 1),
             ("report.n_expand", |o| o.report.n_expand += 1),
             ("report.n_lb", |o| o.report.n_lb += 1),
@@ -210,7 +207,6 @@ mod tests {
             }),
             ("report.active_trace.len", |o| o.report.active_trace.push_run(u32::MAX, 1)),
             ("goals", |o| o.goals += 1),
-            ("truncated", |o| o.truncated = !o.truncated),
             ("killed", |o| o.killed = !o.killed),
             ("donations[0]", |o| o.donations[0] += 1),
             ("peak_stack_nodes", |o| o.peak_stack_nodes += 1),

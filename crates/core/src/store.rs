@@ -1,6 +1,6 @@
 //! The balancing phase's view of the per-PE stacks.
 //!
-//! [`crate::engine::balancing_phase`] needs exactly four things from the
+//! The engine's balancing phase needs exactly four things from the
 //! ensemble: the machine size, the dense stack-length census, and two
 //! *batched* transfer primitives (matched splits and counted splits). For
 //! the in-process engines that view is [`uts_tree::StackArena`] itself;

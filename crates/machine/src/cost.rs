@@ -101,12 +101,6 @@ impl CostModel {
         self
     }
 
-    /// Return a copy with a different expansion-cycle cost.
-    pub fn with_u_calc(mut self, u_calc: SimTime) -> Self {
-        self.u_calc = u_calc;
-        self
-    }
-
     /// Per-round (setup, transfer) cost parts for a phase on `p`
     /// processors, before rounds and the Table 5 multiplier are applied.
     ///
@@ -133,7 +127,7 @@ impl CostModel {
     /// Cost of one balancing phase on `p` processors containing `rounds`
     /// match+transfer rounds (each round is one setup scan set plus one
     /// routed transfer; single-transfer schemes have `rounds == 1`).
-    /// Sizes below 2 clamp (see [`CostModel::lb_round_parts`]).
+    /// Sizes below 2 clamp to 2: a phase needs a donor and a receiver.
     ///
     /// # Panics
     /// Panics if `rounds == 0` — a phase with no rounds is an engine bug.

@@ -237,22 +237,17 @@ impl SimdMachine {
         self.now
     }
 
-    /// Finish the run and return the final report.
-    ///
-    /// `w_serial` is the problem size `W` — the node count of the serial
-    /// algorithm. In the paper's anomaly-free setting it equals the parallel
-    /// node count, which [`Metrics::nodes_expanded`] records; callers pass
-    /// the serial count explicitly so the identity can be *checked* rather
-    /// than assumed.
-    pub fn finish(self, w_serial: u64) -> Report {
-        let t_calc = w_serial * self.cost.u_calc;
+    /// Finish the run and return the final report. `T_calc` counts the
+    /// nodes the machine expanded ([`Metrics::nodes_expanded`]); in the
+    /// paper's exhaustive, anomaly-free setting that is the serial `W`.
+    pub fn finish(self) -> Report {
+        let t_calc = self.metrics.nodes_expanded * self.cost.u_calc;
         let t_idle = self.metrics.idle_pe_cycles * self.cost.u_calc;
         let t_lb = self.metrics.t_lb_machine * self.p as u64;
         let denom = t_calc + t_idle + t_lb;
         let efficiency = if denom == 0 { 1.0 } else { t_calc as f64 / denom as f64 };
         Report {
             p: self.p,
-            w: w_serial,
             nodes_expanded: self.metrics.nodes_expanded,
             n_expand: self.metrics.n_expand,
             n_lb: self.metrics.n_lb,
@@ -278,9 +273,8 @@ impl SimdMachine {
 pub struct Report {
     /// Number of processors.
     pub p: usize,
-    /// Problem size `W` (serial node count).
-    pub w: u64,
-    /// Nodes expanded by the parallel search (equals `w` when anomaly-free).
+    /// Nodes expanded by the parallel search (the serial `W` when
+    /// anomaly-free).
     pub nodes_expanded: u64,
     /// Number of node-expansion cycles (`N_expand` in Tables 2 & 4).
     pub n_expand: u64,
@@ -290,7 +284,7 @@ pub struct Report {
     pub n_transfers: u64,
     /// Parallel running time (virtual wall clock).
     pub t_par: SimTime,
-    /// `T_calc = W * U_calc` (PE-time in useful computation).
+    /// `T_calc = nodes_expanded * U_calc` (PE-time in useful computation).
     pub t_calc: u64,
     /// `T_idle` — PE-time idled during search phases.
     pub t_idle: u64,
@@ -314,12 +308,9 @@ impl Report {
     }
 
     /// Check the accounting identity `P * T_par = T_calc + T_idle + T_lb`
-    /// that the paper's Sec. 3.1 defines, using the *measured* parallel node
-    /// count (the identity holds exactly when `nodes_expanded == w`).
+    /// that the paper's Sec. 3.1 defines.
     pub fn accounting_identity_holds(&self) -> bool {
-        let lhs = self.p as u64 * self.t_par;
-        let t_calc_measured = self.t_calc / self.w.max(1) * self.nodes_expanded;
-        lhs == t_calc_measured + self.t_idle + self.t_lb
+        self.p as u64 * self.t_par == self.t_calc + self.t_idle + self.t_lb
     }
 }
 
@@ -362,7 +353,7 @@ mod tests {
         for _ in 0..10 {
             m.expansion_cycle(4);
         }
-        let r = m.finish(40);
+        let r = m.finish();
         assert_eq!(r.t_idle, 0);
         assert_eq!(r.t_lb, 0);
         assert!((r.efficiency - 1.0).abs() < 1e-12);
@@ -375,7 +366,7 @@ mod tests {
         for _ in 0..10 {
             m.expansion_cycle(2); // half the machine idles
         }
-        let r = m.finish(20);
+        let r = m.finish();
         assert!((r.efficiency - 0.5).abs() < 1e-12, "E = {}", r.efficiency);
         assert!(r.accounting_identity_holds());
     }
@@ -385,7 +376,7 @@ mod tests {
         let mut m = cm2(4);
         m.expansion_cycle(4);
         m.lb_phase(1, 2);
-        let r = m.finish(4);
+        let r = m.finish();
         let expect = r.t_calc as f64 / (r.t_calc + 4 * CostModel::cm2().lb_phase_cost(4, 1)) as f64;
         assert!((r.efficiency - expect).abs() < 1e-12);
         assert!(r.accounting_identity_holds());
@@ -399,7 +390,7 @@ mod tests {
         m.record_active_trace(true);
         m.expansion_cycle(3);
         m.expansion_cycle(1);
-        let r = m.finish(8);
+        let r = m.finish();
         assert_eq!(r.active_trace.to_vec(), vec![3, 1]);
     }
 
@@ -419,7 +410,7 @@ mod tests {
         singles.lb_phase(1, 2);
         assert_eq!(batched.now(), singles.now());
         assert_eq!(batched.phase().cycles, singles.phase().cycles);
-        let (rb, rs) = (batched.finish(33), singles.finish(33));
+        let (rb, rs) = (batched.finish(), singles.finish());
         assert_eq!(rb.n_expand, rs.n_expand);
         assert_eq!(rb.nodes_expanded, rs.nodes_expanded);
         assert_eq!(rb.t_idle, rs.t_idle);
@@ -450,7 +441,7 @@ mod tests {
             assert_eq!(batched.phase().cycles, singles.phase().cycles);
             assert_eq!(batched.phase().busy_pe_cycles, singles.phase().busy_pe_cycles);
             assert_eq!(batched.phase().idle_pe_cycles, singles.phase().idle_pe_cycles);
-            let (rb, rs) = (batched.finish(99), singles.finish(99));
+            let (rb, rs) = (batched.finish(), singles.finish());
             assert_eq!(rb, rs, "{started}/{ran}/{deaths:?}");
         }
     }
@@ -469,7 +460,7 @@ mod tests {
         for _ in 0..5 {
             m.expansion_cycle(16);
         }
-        let r = m.finish(80);
+        let r = m.finish();
         assert!((r.speedup() - 16.0).abs() < 1e-9);
     }
 

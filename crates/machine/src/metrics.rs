@@ -158,19 +158,6 @@ pub struct PhaseStats {
     pub idle_pe_cycles: u64,
 }
 
-impl PhaseStats {
-    /// The paper's `w`: work done this search phase, in PE-time units
-    /// (multiply by `U_calc`).
-    pub fn work_pe_cycles(&self) -> u64 {
-        self.busy_pe_cycles
-    }
-
-    /// The paper's `w_idle` in PE-cycles (multiply by `U_calc` for PE-time).
-    pub fn idle_pe_cycles(&self) -> u64 {
-        self.idle_pe_cycles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,8 +169,7 @@ mod tests {
         assert_eq!(m.n_lb, 0);
         assert!(m.active_trace.is_empty());
         let p = PhaseStats::default();
-        assert_eq!(p.work_pe_cycles(), 0);
-        assert_eq!(p.idle_pe_cycles(), 0);
+        assert_eq!((p.cycles, p.busy_pe_cycles, p.idle_pe_cycles), (0, 0, 0));
     }
 
     #[test]

@@ -63,8 +63,7 @@ proptest! {
                 }
             }
         }
-        let nodes = m.metrics().nodes_expanded;
-        let r = m.finish(nodes);
+        let r = m.finish();
         prop_assert_eq!(r.n_expand, expect_cycles);
         prop_assert_eq!(r.n_lb, expect_phases);
         prop_assert!(r.accounting_identity_holds());
@@ -136,8 +135,7 @@ proptest! {
         prop_assert_eq!(batched.phase().cycles, singles.phase().cycles);
         prop_assert_eq!(batched.phase().busy_pe_cycles, singles.phase().busy_pe_cycles);
         prop_assert_eq!(batched.phase().idle_pe_cycles, singles.phase().idle_pe_cycles);
-        let w = batched.metrics().nodes_expanded;
-        let (rb, rs) = (batched.finish(w), singles.finish(w));
+        let (rb, rs) = (batched.finish(), singles.finish());
         prop_assert_eq!(rb, rs);
     }
 

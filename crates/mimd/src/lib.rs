@@ -67,22 +67,12 @@ pub struct MimdConfig {
     pub split: SplitPolicy,
     /// RNG seed (random polling).
     pub seed: u64,
-    /// Safety valve for tests.
-    pub max_cycles: Option<u64>,
 }
 
 impl MimdConfig {
     /// Defaults: latency 1 cycle, bottom split, seed 0.
     pub fn new(p: usize, policy: StealPolicy, cost: CostModel) -> Self {
-        Self {
-            p,
-            policy,
-            cost,
-            latency_cycles: 1,
-            split: SplitPolicy::Bottom,
-            seed: 0,
-            max_cycles: None,
-        }
+        Self { p, policy, cost, latency_cycles: 1, split: SplitPolicy::Bottom, seed: 0 }
     }
 }
 
@@ -107,8 +97,6 @@ pub struct MimdReport {
     pub efficiency: f64,
     /// Goals found.
     pub goals: u64,
-    /// True if the cycle cap fired.
-    pub truncated: bool,
 }
 
 /// Per-processor asynchronous state.
@@ -140,17 +128,9 @@ pub fn run_mimd<P: TreeProblem>(problem: &P, cfg: &MimdConfig) -> MimdReport {
     let mut requests = 0u64;
     let mut transfers = 0u64;
     let mut idle_pe_cycles = 0u64;
-    let mut truncated = false;
     let mut children: Vec<P::Node> = Vec::new();
 
-    loop {
-        if stacks.iter().all(|s| s.is_empty()) {
-            break;
-        }
-        if cfg.max_cycles.is_some_and(|m| cycles >= m) {
-            truncated = true;
-            break;
-        }
+    while !stacks.iter().all(|s| s.is_empty()) {
         cycles += 1;
         for i in 0..p {
             if !stacks[i].is_empty() {
@@ -234,7 +214,6 @@ pub fn run_mimd<P: TreeProblem>(problem: &P, cfg: &MimdConfig) -> MimdReport {
         t_par,
         efficiency,
         goals,
-        truncated,
     }
 }
 
@@ -302,7 +281,6 @@ mod tests {
             for p in [1usize, 2, 16, 64] {
                 let out = run_mimd(&tree, &MimdConfig::new(p, policy, CostModel::cm2()));
                 assert_eq!(out.nodes_expanded, w, "{} P={p}", policy.name());
-                assert!(!out.truncated);
             }
         }
     }
@@ -371,15 +349,5 @@ mod tests {
         cfg.latency_cycles = 16;
         let slow = run_mimd(&tree, &cfg);
         assert!(slow.efficiency <= fast.efficiency + 1e-9);
-    }
-
-    #[test]
-    fn max_cycles_truncates() {
-        let tree = geo(9);
-        let mut cfg = MimdConfig::new(4, StealPolicy::GlobalRoundRobin, CostModel::cm2());
-        cfg.max_cycles = Some(2);
-        let out = run_mimd(&tree, &cfg);
-        assert!(out.truncated);
-        assert_eq!(out.cycles, 2);
     }
 }

@@ -4,7 +4,7 @@
 //! spawns one worker process per range (re-executing the current binary
 //! with [`crate::worker::WORKER_ENV`] set), and runs the macro-step loop
 //! ([`uts_core::LockstepDriver::drive`]) over them through
-//! [`RemoteBackend`] — the remote [`uts_core::BurstBackend`]: a burst is a
+//! `RemoteBackend` — the remote [`uts_core::BurstBackend`]: a burst is a
 //! BURST broadcast whose merged census feeds the horizon, the trigger and
 //! matcher run coordinator-side, and the balancing phase's splits execute
 //! remotely (it is also the [`uts_core::StackStore`], over a dense length

@@ -36,11 +36,6 @@ impl IdaResult {
     pub fn final_iteration(&self) -> &Iteration {
         self.iterations.last().expect("IDA* always runs at least one iteration")
     }
-
-    /// Total nodes expanded across all iterations.
-    pub fn total_expanded(&self) -> u64 {
-        self.iterations.iter().map(|i| i.expanded).sum()
-    }
 }
 
 /// One cost-bounded DFS iteration, tracking the minimum pruned `f`, over a
@@ -177,12 +172,5 @@ mod tests {
         let r = ida_star(&DeadEnd, 10);
         assert_eq!(r.solution_cost, None);
         assert!(r.iterations.last().unwrap().bound <= 10);
-    }
-
-    #[test]
-    fn total_expanded_sums_iterations() {
-        let p = WeakLine { n: 6 };
-        let r = ida_star(&p, 100);
-        assert_eq!(r.total_expanded(), r.iterations.iter().map(|i| i.expanded).sum::<u64>());
     }
 }

@@ -353,8 +353,8 @@ fn windowed_rounds_match_the_oracle() {
 /// equalizer, ledger and trace included, must equal the oracle's, and
 /// some round must have been larger than one window. The digest pins the
 /// outcome to the one whole-round equalization produced (re-pinned at
-/// `DIGEST_VERSION` 3; the version-2 encoding of this outcome is still the
-/// old pin, `0x84e5291137f3a340`).
+/// `DIGEST_VERSION` 4; the version-3 encoding of this outcome is still the
+/// old pin, `0x47ee8b584314b43e`).
 #[test]
 #[ignore = "P = 2^20; run with `cargo test --release -- --ignored`"]
 fn windowed_fegs_matches_the_oracle_at_a_million_pes() {
@@ -363,7 +363,7 @@ fn windowed_fegs_matches_the_oracle_at_a_million_pes() {
         EngineConfig::new(1 << 20, Scheme::fegs(), CostModel::cm2()).with_ledger().with_trace();
     let got = run(&tree, &cfg);
     assert_eq!(got, run_reference(&tree, &cfg), "windowed equalization left the oracle");
-    assert_eq!(outcome_digest(&got), 0x47ee_8b58_4314_b43e);
+    assert_eq!(outcome_digest(&got), 0x63c3_cd69_9cdb_4432);
     let window = StackStore::max_batch(&StackArena::<GenNode>::new(1)) as u64;
     let phases = &got.ledger.as_ref().expect("ledger on").phases;
     assert!(

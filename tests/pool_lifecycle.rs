@@ -1,8 +1,8 @@
 //! Fan-out lifecycle: the parallel engine spawns scoped threads per burst
 //! and must leave none behind on *any* exit path — normal exhaustion,
-//! goal-stop early exit, `max_cycles` truncation, and checkpoint-kill
-//! fault injection. The scope joins every thread before a burst returns,
-//! so this holds by construction; these tests observe it anyway, by
+//! goal-stop early exit, and checkpoint-kill fault injection. The scope
+//! joins every thread before a burst returns, so this holds by
+//! construction; these tests observe it anyway, by
 //! counting the process's live fan-out threads (named `uts-fan-*` under
 //! `/proc/self/task`) before and after runs (Linux-only observation; the
 //! suite is a no-op elsewhere). Every run fans each burst out (a bar of
@@ -100,7 +100,7 @@ fn pool_joins_on_normal_outcome_return() {
     for threads in [1usize, 4] {
         assert_no_leaked_threads(&format!("normal exit, {threads} threads"), || {
             let out = forced_par(&geo(3), &config(64, Scheme::gp_dk()), threads, None);
-            assert!(!out.truncated && !out.killed);
+            assert!(!out.killed);
         });
     }
 }
@@ -133,17 +133,6 @@ fn pool_joins_on_checkpoint_kill() {
             assert!(out.killed, "fault plan must fire");
         });
     }
-}
-
-#[test]
-fn pool_joins_on_truncation() {
-    let _serial = serial();
-    assert_no_leaked_threads("max_cycles truncation", || {
-        let mut cfg = config(64, Scheme::gp_dk());
-        cfg.max_cycles = Some(5);
-        let out = forced_par(&geo(5), &cfg, 4, None);
-        assert!(out.truncated);
-    });
 }
 
 #[test]

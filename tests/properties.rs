@@ -38,10 +38,8 @@ proptest! {
         let tree = GeometricTree { seed, b_max: 6, depth_limit: 5 };
         let serial = serial_dfs(&tree);
         let p = 1usize << p_log;
-        let mut cfg = EngineConfig::new(p, scheme, CostModel::cm2()).with_split(split);
-        cfg.max_cycles = Some(4_000_000); // safety valve, never expected
+        let cfg = EngineConfig::new(p, scheme, CostModel::cm2()).with_split(split);
         let out = run(&tree, &cfg);
-        prop_assert!(!out.truncated);
         prop_assert_eq!(out.report.nodes_expanded, serial.expanded);
         prop_assert_eq!(out.goals, serial.goals);
     }

@@ -59,5 +59,5 @@ fn golden_fixture_is_engine_invariant() {
 fn golden_case_digest_is_pinned() {
     let (tree, cfg) = golden_case();
     let digest = format!("{:#018x}", outcome_digest(&run(&tree, &cfg)));
-    assert_eq!(digest, "0x53df52cb9bd64a5f", "the golden case's digest moved");
+    assert_eq!(digest, "0xd6b2f4c2e8fa1763", "the golden case's digest moved");
 }

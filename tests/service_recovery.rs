@@ -237,6 +237,13 @@ fn an_unverifiable_stored_result_recovers_as_a_spill_failure() {
             PRE_VERSION_DONE.replace("\"goals\"", "\"digest_version\": 2,\n  \"goals\""),
             "digest version Some(2)",
         ),
+        (
+            // Version 3 also digested the report's `W` and the cycle-budget
+            // `truncated` bit.
+            "version-3",
+            PRE_VERSION_DONE.replace("\"goals\"", "\"digest_version\": 3,\n  \"goals\""),
+            "digest version Some(3)",
+        ),
         ("other-job", PRE_VERSION_DONE.replace("\"job\": 1", "\"job\": 2"), "job Some(2)"),
     ];
     for (tag, done, reason) in cases {
