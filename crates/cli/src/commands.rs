@@ -201,6 +201,19 @@ fn print_shard_stats(stats: &uts_shard::ShardStats) {
     let closed: u64 = stats.phases.iter().map(|ph| ph.closed_form.total).sum();
     let measured: u64 = stats.phases.iter().map(|ph| ph.measured.total).sum();
     eprintln!("lb cost       : closed-form {closed} us vs route-measured {measured} us");
+    eprintln!("wire payload  : tag: requests (frames, bytes) -> replies (frames, bytes)");
+    for t in uts_shard::proto::tag::ALL {
+        let traffic = stats.traffic(t);
+        let (req, rep) = (traffic.requests, traffic.replies);
+        eprintln!(
+            "  {:<11} : {} frames, {} B -> {} frames, {} B",
+            uts_shard::proto::tag::name(t),
+            req.frames,
+            req.bytes,
+            rep.frames,
+            rep.bytes
+        );
+    }
 }
 
 /// `sts mimd`: asynchronous work stealing on the same workload.

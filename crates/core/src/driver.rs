@@ -174,8 +174,8 @@ pub(crate) fn compute_horizon(
 
 /// Compact the sorted `active` list to the PEs whose fresh length is
 /// non-zero and count the splittable ones — the post-burst census of a
-/// backend that learns lengths instead of compacting as it sweeps.
-pub fn recount_active(active: &mut Vec<usize>, lens: &[u32]) -> usize {
+/// caller that ran the burst itself ([`LockstepDriver::absorb_burst`]).
+fn recount_active(active: &mut Vec<usize>, lens: &[u32]) -> usize {
     active.retain(|&i| lens[i] > 0);
     active.iter().filter(|&&i| lens[i] >= 2).count()
 }

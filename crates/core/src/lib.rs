@@ -61,7 +61,7 @@ pub mod workload;
 pub use ckpt::{
     config_fingerprint, resume_from_bytes, resume_with, CheckpointCfg, CheckpointSink, Snapshot,
 };
-pub use driver::{recount_active, BurstBackend, LockstepDriver, MergedBurst, StepStatus};
+pub use driver::{BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
     expansion_burst, merge_active, run_with, CycleStats, EngineConfig, EngineKind, Outcome,
 };

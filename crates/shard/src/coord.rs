@@ -27,8 +27,8 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
 use uts_ckpt::{spill, CkptError, EngineSnapshot, StackSource};
 use uts_core::{
-    config_fingerprint, recount_active, BurstBackend, CountedMove, EngineConfig, LockstepDriver,
-    MergedBurst, Outcome, Search, StackStore, Workload,
+    config_fingerprint, BurstBackend, CountedMove, EngineConfig, LockstepDriver, MergedBurst,
+    Outcome, Search, StackStore, Workload,
 };
 use uts_machine::{CostModel, LbCostBreakdown, Topology};
 use uts_net::hypercube::Hypercube;
@@ -37,7 +37,7 @@ use uts_net::{route_with, Links, Message, RouteStats};
 use uts_scan::Pair;
 use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena, TreeProblem};
 
-use crate::proto::{self, encode_burst, put_install, tag, BurstReply, Give, Hello, Transfer};
+use crate::proto::{self, encode_burst, put_install, tag, Give, Hello, Transfer};
 use crate::worker::WORKER_ENV;
 
 /// How the coordinator runs the shards.
@@ -149,6 +149,32 @@ pub struct RoutedPhase {
     pub measured: LbCostBreakdown,
 }
 
+/// Frames, and the payload bytes they carried, that crossed the
+/// coordinator's pipes in one direction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameTally {
+    /// Frames.
+    pub frames: u64,
+    /// Payload bytes (frame headers and checksums excluded).
+    pub bytes: u64,
+}
+
+impl FrameTally {
+    fn add(&mut self, payload: &[u8]) {
+        self.frames += 1;
+        self.bytes += payload.len() as u64;
+    }
+}
+
+/// One tag's traffic over a run, summed over the workers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagTraffic {
+    /// Requests the coordinator sent.
+    pub requests: FrameTally,
+    /// Replies it read.
+    pub replies: FrameTally,
+}
+
 /// Aggregated provenance of a sharded run.
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
@@ -158,6 +184,16 @@ pub struct ShardStats {
     pub phases: Vec<RoutedPhase>,
     /// All phases' routes folded together.
     pub route_total: RouteStats,
+    /// Pipe traffic per tag, `traffic[t - 1]` for tag `t`.
+    traffic: [TagTraffic; tag::ALL.len()],
+}
+
+impl ShardStats {
+    /// The frames and payload bytes exchanged under tag `t` (one of
+    /// [`tag::ALL`]) over the whole run, `HELLO` to `SHUTDOWN`.
+    pub fn traffic(&self, t: u8) -> TagTraffic {
+        self.traffic[usize::from(t) - 1]
+    }
 }
 
 /// A completed sharded run: the (engine-bit-identical) outcome plus the
@@ -255,39 +291,51 @@ impl Drop for Worker {
     }
 }
 
-/// One sub-phase of the protocol across the fleet, and the only place a
-/// frame is sent or a reply read: send a `t` request to every worker
-/// `frame` has a payload for, *then* read each one's reply into `buf` and
-/// hand it to `on_reply` (whose decode failure is that shard's
-/// [`ShardError::Reply`]).
-///
-/// All sends before any read, and so at most one outstanding request per
-/// worker, is what makes the pipes deadlock-free at any frame size: a
-/// worker waiting in its request loop drains a frame as it arrives, so a
-/// send can never block on a worker that is itself blocked writing a
-/// reply. (Sending a second batch while the first reply was still unread
-/// froze the machine at P ~ 1M, where both outgrow the pipe buffer —
-/// DESIGN.md §13.)
-fn exchange<'a>(
-    workers: &mut [Worker],
-    t: u8,
-    frame: impl Fn(usize) -> Option<&'a [u8]>,
-    buf: &mut Vec<u8>,
-    mut on_reply: impl FnMut(usize, &[u8]) -> Result<(), CodecError>,
-) -> Result<(), ShardError> {
-    for w in workers.iter_mut() {
-        if let Some(payload) = frame(w.shard) {
-            w.send(t, payload)?;
+/// The worker processes, in shard order, and the traffic on their pipes.
+struct Fleet {
+    workers: Vec<Worker>,
+    traffic: [TagTraffic; tag::ALL.len()],
+}
+
+impl Fleet {
+    /// One sub-phase of the protocol across the fleet, and the only place
+    /// a frame is sent or a reply read (and so where traffic is counted):
+    /// send a `t` request to every worker `frame` has a payload for,
+    /// *then* read each one's reply into `buf`, in shard order, and hand it
+    /// to `on_reply` (whose decode failure is that shard's
+    /// [`ShardError::Reply`]).
+    ///
+    /// All sends before any read, and so at most one outstanding request
+    /// per worker, is what makes the pipes deadlock-free at any frame
+    /// size: a worker waiting in its request loop drains a frame as it
+    /// arrives, so a send can never block on a worker that is itself
+    /// blocked writing a reply. (Sending a second batch while the first
+    /// reply was still unread froze the machine at P ~ 1M, where both
+    /// outgrow the pipe buffer — DESIGN.md §13.)
+    fn exchange<'a>(
+        &mut self,
+        t: u8,
+        frame: impl Fn(usize) -> Option<&'a [u8]>,
+        buf: &mut Vec<u8>,
+        mut on_reply: impl FnMut(usize, &[u8]) -> Result<(), CodecError>,
+    ) -> Result<(), ShardError> {
+        let traffic = &mut self.traffic[usize::from(t) - 1];
+        for w in self.workers.iter_mut() {
+            if let Some(payload) = frame(w.shard) {
+                w.send(t, payload)?;
+                traffic.requests.add(payload);
+            }
         }
-    }
-    for w in workers.iter_mut() {
-        if frame(w.shard).is_some() {
-            w.recv(t, buf)?;
-            on_reply(w.shard, buf)
-                .map_err(|source| ShardError::Reply { shard: w.shard, source })?;
+        for w in self.workers.iter_mut() {
+            if frame(w.shard).is_some() {
+                w.recv(t, buf)?;
+                traffic.replies.add(buf);
+                on_reply(w.shard, buf)
+                    .map_err(|source| ShardError::Reply { shard: w.shard, source })?;
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// A request with no payload (`ENCODE`, `SHUTDOWN`) for every worker.
@@ -301,7 +349,7 @@ fn spawn_workers(
     opts: &ShardOpts,
     workload: &Workload,
     seed_root: bool,
-) -> Result<Vec<Worker>, ShardError> {
+) -> Result<Fleet, ShardError> {
     let exe = std::env::current_exe().map_err(ShardError::Spawn)?;
     let mut workers = Vec::with_capacity(opts.shards);
     let mut hellos = Vec::with_capacity(opts.shards);
@@ -332,8 +380,9 @@ fn spawn_workers(
         hello.encode(&mut payload);
         hellos.push(payload);
     }
-    exchange(&mut workers, tag::HELLO, |s| Some(&hellos[s]), &mut Vec::new(), |_, _| Ok(()))?;
-    Ok(workers)
+    let mut fleet = Fleet { workers, traffic: Default::default() };
+    fleet.exchange(tag::HELLO, |s| Some(&hellos[s]), &mut Vec::new(), |_, _| Ok(()))?;
+    Ok(fleet)
 }
 
 /// The simulated interconnect transfers route through.
@@ -421,7 +470,7 @@ fn locate(bounds: &[usize], pe: usize) -> (usize, u32) {
 /// phase returns.
 struct RemoteBackend<N> {
     lens: Vec<u32>,
-    workers: Vec<Worker>,
+    fleet: Fleet,
     /// Shard `s` owns global PEs `bounds[s]..bounds[s + 1]`.
     bounds: Vec<usize>,
     router: RouterKind,
@@ -459,7 +508,7 @@ impl<N: CkptNode> RemoteBackend<N> {
     /// `INSTALL` of every non-empty stack, whose returned lengths must be
     /// the snapshot's (already in the mirror).
     fn load(&mut self, arena: &StackArena<N>) -> Result<(), ShardError> {
-        let Self { lens, workers, bounds, installs, buf, payload: encoded, .. } = self;
+        let Self { lens, fleet, bounds, installs, buf, payload: encoded, .. } = self;
         installs.iter_mut().for_each(Lane::begin);
         for pe in (0..arena.p()).filter(|&pe| arena.len_of(pe) > 0) {
             let (shard, local) = locate(bounds, pe);
@@ -468,7 +517,7 @@ impl<N: CkptNode> RemoteBackend<N> {
             put_install(installs[shard].push(pe), local, encoded);
         }
         let staged = |s: usize| installs[s].frame();
-        exchange(workers, tag::INSTALL, staged, buf, |s, reply| {
+        fleet.exchange(tag::INSTALL, staged, buf, |s, reply| {
             let mut loaded = installs[s].answered(proto::decode_install_reply(reply)?)?;
             if loaded.any(|(pe, len)| len != lens[pe]) {
                 return Err(CodecError::Malformed("installed length differs from the snapshot's"));
@@ -505,8 +554,8 @@ impl<N> RemoteBackend<N> {
     }
 
     /// Partition the round by donor shard, then three sub-phases, each one
-    /// [`exchange`]: `MOVE` applies same-shard transfers where they live;
-    /// `EXTRACT` takes the donation out of every donor whose receiver is
+    /// [`Fleet::exchange`]: `MOVE` applies same-shard transfers where they
+    /// live; `EXTRACT` takes the donation out of every donor whose receiver is
     /// elsewhere; `INSTALL` lands those stacks — relayed as the bytes the
     /// donor encoded — on their receivers. Then the round's successful
     /// transfers are routed through the interconnect, in request order.
@@ -516,7 +565,7 @@ impl<N> RemoteBackend<N> {
         reqs: &[T],
         req: impl Fn(&T) -> CountedMove,
     ) -> Result<(), ShardError> {
-        let Self { lens, workers, bounds, moves, extracts, installs, moved, buf, .. } = self;
+        let Self { lens, fleet, bounds, moves, extracts, installs, moved, buf, .. } = self;
         for lane in moves.iter_mut().chain(extracts.iter_mut()) {
             lane.begin();
             give.put(&mut lane.payload);
@@ -530,7 +579,7 @@ impl<N> RemoteBackend<N> {
             Transfer { donor, receiver, max_nodes: r.max_nodes }.put(give, lane.push(idx));
         }
         let staged = |s: usize| moves[s].frame();
-        exchange(workers, tag::MOVE, staged, buf, |s, reply| {
+        fleet.exchange(tag::MOVE, staged, buf, |s, reply| {
             for (idx, e) in moves[s].answered(proto::decode_move_reply(reply)?)? {
                 let r = req(&reqs[idx]);
                 moved[idx] = e.moved as usize;
@@ -540,7 +589,7 @@ impl<N> RemoteBackend<N> {
             Ok(())
         })?;
         let staged = |s: usize| extracts[s].frame();
-        exchange(workers, tag::EXTRACT, staged, buf, |s, reply| {
+        fleet.exchange(tag::EXTRACT, staged, buf, |s, reply| {
             for (idx, e) in extracts[s].answered(proto::decode_extract_reply(reply)?)? {
                 let r = req(&reqs[idx]);
                 moved[idx] = e.moved as usize;
@@ -553,7 +602,7 @@ impl<N> RemoteBackend<N> {
             Ok(())
         })?;
         let staged = |s: usize| installs[s].frame();
-        exchange(workers, tag::INSTALL, staged, buf, |s, reply| {
+        fleet.exchange(tag::INSTALL, staged, buf, |s, reply| {
             for (idx, len) in installs[s].answered(proto::decode_install_reply(reply)?)? {
                 lens[req(&reqs[idx]).receiver] = len;
             }
@@ -580,7 +629,11 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
         self
     }
 
-    /// Broadcast the burst, merge the per-worker census.
+    /// Broadcast the burst and merge the per-worker census. Shard `s`'s
+    /// reply carries the new lengths of its run of the sorted `active`
+    /// list, in order, and replies arrive in shard order: so one pass over
+    /// the replies writes the mirror, compacts `active` in place to the PEs
+    /// still holding work, and counts the splittable ones.
     fn burst(
         &mut self,
         h: u64,
@@ -588,32 +641,35 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
         out: &mut MergedBurst,
     ) -> Result<usize, ShardError> {
         out.reset(0);
-        let Self { lens, workers, bounds, payload, buf, .. } = self;
+        let Self { lens, fleet, bounds, payload, buf, .. } = self;
         payload.clear();
         encode_burst(payload, h);
+        let (mut read, mut kept, mut busy) = (0, 0, 0);
         let broadcast = |_| Some(&payload[..]);
-        exchange(workers, tag::BURST, broadcast, buf, |s, reply| {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
-            let reply = BurstReply::decode(reply, hi - lo)?;
-            out.started += reply.started as usize;
-            out.goals += reply.goals;
-            out.peak_stack_nodes = out.peak_stack_nodes.max(reply.peak as usize);
-            out.deaths.extend_from_slice(&reply.deaths);
-            for (pe, len) in reply.changed {
-                lens[lo + pe as usize] = len;
+        fleet.exchange(tag::BURST, broadcast, buf, |s, reply| {
+            let run = active[read..].partition_point(|&pe| pe < bounds[s + 1]);
+            let new_lens = proto::decode_burst_reply(reply, run, out)?;
+            for (i, len) in (read..read + run).zip(new_lens) {
+                let pe = active[i];
+                lens[pe] = len;
+                active[kept] = pe;
+                kept += usize::from(len > 0);
+                busy += usize::from(len >= 2);
             }
+            read += run;
             Ok(())
         })?;
-        debug_assert_eq!(out.started, active.len(), "every active PE runs the burst");
-        Ok(recount_active(active, &self.lens))
+        debug_assert_eq!(read, active.len(), "every active PE runs the burst");
+        active.truncate(kept);
+        Ok(busy)
     }
 
     /// Collect every shard's stack encodings (in PE order — byte-identical
     /// to the in-process capture).
     fn stack_source(&mut self) -> Result<StackSource<'_, N>, ShardError> {
-        let Self { workers, buf, stack_bytes, .. } = self;
+        let Self { fleet, buf, stack_bytes, .. } = self;
         stack_bytes.clear();
-        exchange(workers, tag::ENCODE, empty_frame, buf, |_, reply| {
+        fleet.exchange(tag::ENCODE, empty_frame, buf, |_, reply| {
             stack_bytes.extend_from_slice(reply);
             Ok(())
         })?;
@@ -716,7 +772,7 @@ fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, Sha
     let lanes = vec![Lane::default(); opts.shards];
     let mut backend = RemoteBackend::<N> {
         lens,
-        workers: spawn_workers(&bounds, opts, workload, resume.is_none())?,
+        fleet: spawn_workers(&bounds, opts, workload, resume.is_none())?,
         bounds,
         router: RouterKind::for_cost(cfg.cost.topology, cfg.p),
         links: Links::default(),
@@ -748,11 +804,12 @@ fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, Sha
     let outcome = driver.drive(&mut backend)?;
 
     // ---- graceful shutdown ----
-    let RemoteBackend { mut workers, mut buf, stats, .. } = backend;
-    exchange(&mut workers, tag::SHUTDOWN, empty_frame, &mut buf, |_, _| Ok(()))?;
-    for w in &mut workers {
+    let RemoteBackend { mut fleet, mut buf, mut stats, .. } = backend;
+    fleet.exchange(tag::SHUTDOWN, empty_frame, &mut buf, |_, _| Ok(()))?;
+    for w in &mut fleet.workers {
         let _ = w.child.wait();
     }
+    stats.traffic = fleet.traffic;
     Ok(ShardRun { outcome, stats })
 }
 

@@ -21,8 +21,8 @@ pub mod proto;
 pub mod worker;
 
 pub use coord::{
-    resume_sharded, run_sharded, ParkPolicy, RoutedPhase, ShardError, ShardOpts, ShardRun,
-    ShardStats, WorkerKill,
+    resume_sharded, run_sharded, FrameTally, ParkPolicy, RoutedPhase, ShardError, ShardOpts,
+    ShardRun, ShardStats, TagTraffic, WorkerKill,
 };
 pub use uts_core::Workload as ShardWorkload;
 pub use worker::{maybe_run_worker, serve, WorkerError, WORKER_ENV};

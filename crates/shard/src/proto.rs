@@ -18,17 +18,23 @@
 //! and range-checked where a request is decoded. Every list is prefixed by
 //! its `u64` count; a request's count is its first eight bytes
 //! ([`begin_request`]). Stacks are u32 byte-length-prefixed blobs, so the
-//! coordinator relays them between shards without decoding nodes.
+//! coordinator relays them between shards without decoding nodes. Every
+//! stack length and node count in a reply is one byte when it is below
+//! 255, otherwise the byte 255 and the `u32` ([`put_len`]).
 //!
 //! | tag | request | reply |
 //! |-----|---------|-------|
 //! | [`tag::HELLO`]    | local range + root seeding + fault knob + workload | ack |
-//! | [`tag::BURST`]    | horizon `h` | census delta: started/goals/peak/deaths + changed lens |
+//! | [`tag::BURST`]    | horizon `h` | census: started/goals/peak/deaths, then one new len per started PE, in PE order, no PE index |
 //! | [`tag::MOVE`]     | [`Give`] + same-shard transfers `(donor, receiver[, max_nodes])` | per transfer: nodes moved + both new lens |
 //! | [`tag::EXTRACT`]  | [`Give`] + donors feeding another shard `(donor[, max_nodes])` | per donor: nodes moved + new len + donated stack |
 //! | [`tag::INSTALL`]  | `(receiver, stack)`: frames to append — a round's donations, or a resumed snapshot's stacks | per entry: new len |
 //! | [`tag::ENCODE`]   | (empty) | concatenated per-PE stack encodings for the range |
 //! | [`tag::SHUTDOWN`] | (empty) | ack, then the worker exits |
+//!
+//! A `BURST` reply names no PE: the PEs that started are the coordinator's
+//! sorted active list restricted to the worker's range, so the lengths
+//! follow that order ([`decode_burst_reply`]).
 //!
 //! A balancing round is homogeneous — every donor splits under the run's
 //! policy, or every donor gives a counted prefix — so what is given is the
@@ -38,7 +44,7 @@
 //! workload constructors' checks: a hostile `HELLO` is
 //! [`CodecError::Malformed`] before the worker builds anything.
 
-use uts_core::Workload;
+use uts_core::{MergedBurst, Workload};
 use uts_tree::codec::{put_bool, put_slice, put_u32, put_u64, put_usize};
 use uts_tree::{CodecError, Reader, SplitPolicy};
 
@@ -58,6 +64,23 @@ pub mod tag {
     pub const ENCODE: u8 = 6;
     /// Clean worker exit.
     pub const SHUTDOWN: u8 = 7;
+
+    /// Every tag, in numeric order.
+    pub const ALL: [u8; 7] = [HELLO, BURST, MOVE, EXTRACT, INSTALL, ENCODE, SHUTDOWN];
+
+    /// The tag's name, as the protocol documentation writes it.
+    pub fn name(t: u8) -> &'static str {
+        match t {
+            HELLO => "HELLO",
+            BURST => "BURST",
+            MOVE => "MOVE",
+            EXTRACT => "EXTRACT",
+            INSTALL => "INSTALL",
+            ENCODE => "ENCODE",
+            SHUTDOWN => "SHUTDOWN",
+            _ => "unknown",
+        }
+    }
 }
 
 /// The coordinator's opening message: everything a worker needs to build
@@ -184,46 +207,113 @@ pub fn decode_burst(bytes: &[u8]) -> Result<u64, CodecError> {
     Ok(h)
 }
 
-/// A worker's census delta for one burst: the per-shard half of
-/// [`uts_core::MergedBurst`], plus the sparse length updates that feed the
-/// coordinator's dense mirror (only PEs that entered the burst can have
-/// changed).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BurstReply {
-    /// Local PEs that entered the burst.
-    pub started: u64,
-    /// Goals found during the burst.
-    pub goals: u64,
-    /// Largest local stack observed during the burst (nodes).
-    pub peak: u64,
-    /// Burst lengths of local PEs that drained mid-burst (unsorted).
-    pub deaths: Vec<u64>,
-    /// `(local_pe, new_len)` for every PE that entered the burst.
-    pub changed: Vec<(u32, u32)>,
+/// The byte that announces a `u32` length in [`put_len`]'s encoding.
+pub const LEN_ESCAPE: u8 = 255;
+
+/// Append a stack length or node count: one byte when it is below
+/// [`LEN_ESCAPE`], otherwise that byte followed by the `u32`. Every length
+/// and node count in a worker reply travels this way.
+pub fn put_len(out: &mut Vec<u8>, len: u32) {
+    match u8::try_from(len) {
+        Ok(byte) if byte < LEN_ESCAPE => out.push(byte),
+        _ => {
+            out.push(LEN_ESCAPE);
+            put_u32(out, len);
+        }
+    }
 }
 
-impl BurstReply {
-    /// Encode into a frame payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.started);
-        put_u64(out, self.goals);
-        put_u64(out, self.peak);
-        put_slice(out, &self.deaths);
-        put_slice(out, &self.changed);
+/// Take a length written by [`put_len`]. The encoding is canonical: an
+/// escaped value below [`LEN_ESCAPE`] is malformed.
+pub fn take_len(r: &mut Reader<'_>) -> Result<u32, CodecError> {
+    match r.u8()? {
+        LEN_ESCAPE => match r.u32()? {
+            len if len < u32::from(LEN_ESCAPE) => {
+                Err(CodecError::Malformed("escaped length below the escape byte"))
+            }
+            len => Ok(len),
+        },
+        byte => Ok(u32::from(byte)),
     }
+}
 
-    /// Decode the reply of a worker that owns `local_p` PEs; a `changed`
-    /// entry naming any other PE is malformed (the coordinator indexes its
-    /// length mirror with it).
-    pub fn decode(bytes: &[u8], local_p: usize) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let started = r.u64()?;
-        let goals = r.u64()?;
-        let peak = r.u64()?;
-        let deaths = take_list(&mut r, 8, |r| r.u64())?;
-        let changed = take_list(&mut r, 8, |r| Ok((take_pe(r, local_p)?, r.u32()?)))?;
+/// Encode a worker's `BURST` reply: the per-shard half of a
+/// [`MergedBurst`] (`burst.started` is the number of local PEs that entered
+/// the burst), then the new length of each of them, in ascending PE order.
+/// Those PEs are exactly the coordinator's sorted active list restricted to
+/// this worker's range, so the reply names none of them.
+pub fn encode_burst_reply(
+    out: &mut Vec<u8>,
+    burst: &MergedBurst,
+    lens: impl ExactSizeIterator<Item = u32> + Clone,
+) {
+    debug_assert_eq!(lens.len(), burst.started, "one length per started PE");
+    put_usize(out, burst.started);
+    put_u64(out, burst.goals);
+    put_usize(out, burst.peak_stack_nodes);
+    put_slice(out, &burst.deaths);
+    // Stacks of 255 nodes or more are rare: write every length as one byte,
+    // and take the escape only when some length did not fit.
+    let at = out.len();
+    out.extend(lens.clone().map(|len| len.min(u32::from(LEN_ESCAPE)) as u8));
+    if out[at..].contains(&LEN_ESCAPE) {
+        out.truncate(at);
+        lens.for_each(|len| put_len(out, len));
+    }
+}
+
+/// Decode the `BURST` reply of a worker `started` of whose PEs entered the
+/// burst: fold its census into `out` and return the new lengths, one per
+/// started PE, in order. The whole reply is checked first — a `started`
+/// that differs, fewer or more lengths, or a non-canonical escape is an
+/// error before any length is handed out.
+pub fn decode_burst_reply<'a>(
+    bytes: &'a [u8],
+    started: usize,
+    out: &mut MergedBurst,
+) -> Result<BurstLens<'a>, CodecError> {
+    let mut r = Reader::new(bytes);
+    if r.u64()? != started as u64 {
+        return Err(CodecError::Malformed("started count differs from the worker's active PEs"));
+    }
+    let goals = r.u64()?;
+    let peak = r.usize()?;
+    let deaths = r.len(8)?;
+    let deaths = r.bytes(deaths * 8)?;
+    let lens = &bytes[bytes.len() - r.remaining()..];
+    // One byte per length, none escaped, is the common case and needs no
+    // walk; anything else must be exactly `started` canonical lengths.
+    if lens.len() != started || lens.contains(&LEN_ESCAPE) {
+        for _ in 0..started {
+            take_len(&mut r)?;
+        }
         expect_done(&r)?;
-        Ok(BurstReply { started, goals, peak, deaths, changed })
+    }
+    out.started += started;
+    out.goals += goals;
+    out.peak_stack_nodes = out.peak_stack_nodes.max(peak);
+    let death = |d: &[u8]| u64::from_le_bytes(d.try_into().expect("8 bytes"));
+    out.deaths.extend(deaths.chunks_exact(8).map(death));
+    Ok(BurstLens(lens))
+}
+
+/// The new lengths of a `BURST` reply that [`decode_burst_reply`] checked:
+/// exactly one per started PE, in order.
+#[derive(Debug, Clone)]
+pub struct BurstLens<'a>(&'a [u8]);
+
+impl Iterator for BurstLens<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let (&byte, rest) = self.0.split_first()?;
+        if byte < LEN_ESCAPE {
+            self.0 = rest;
+            return Some(u32::from(byte));
+        }
+        let (word, rest) = rest.split_first_chunk::<4>()?;
+        self.0 = rest;
+        Some(u32::from_le_bytes(*word))
     }
 }
 
@@ -350,7 +440,7 @@ pub fn decode_install(bytes: &[u8], local_p: usize) -> Result<Vec<(u32, &[u8])>,
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveReply {
     /// Nodes moved from donor to receiver.
-    pub moved: u64,
+    pub moved: u32,
     /// Donor's post-transfer stack length.
     pub donor_len: u32,
     /// Receiver's post-transfer stack length.
@@ -360,16 +450,16 @@ pub struct MoveReply {
 impl MoveReply {
     /// Append the wire form (the reply is a count-prefixed list of these).
     pub fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.moved);
-        put_u32(out, self.donor_len);
-        put_u32(out, self.receiver_len);
+        put_len(out, self.moved);
+        put_len(out, self.donor_len);
+        put_len(out, self.receiver_len);
     }
 }
 
 /// Decode a `MOVE` reply.
 pub fn decode_move_reply(bytes: &[u8]) -> Result<Vec<MoveReply>, CodecError> {
-    decode_list(bytes, 16, |r| {
-        Ok(MoveReply { moved: r.u64()?, donor_len: r.u32()?, receiver_len: r.u32()? })
+    decode_list(bytes, 3, |r| {
+        Ok(MoveReply { moved: take_len(r)?, donor_len: take_len(r)?, receiver_len: take_len(r)? })
     })
 }
 
@@ -378,7 +468,7 @@ pub fn decode_move_reply(bytes: &[u8]) -> Result<Vec<MoveReply>, CodecError> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractReply<'a> {
     /// Nodes moved out of the donor (0 = the donor could not give).
-    pub moved: u64,
+    pub moved: u32,
     /// Donor's post-transfer stack length.
     pub donor_len: u32,
     /// The donated stack's `SearchStack` codec bytes (empty iff
@@ -389,27 +479,32 @@ pub struct ExtractReply<'a> {
 impl ExtractReply<'_> {
     /// Append the wire form (the reply is a count-prefixed list of these).
     pub fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.moved);
-        put_u32(out, self.donor_len);
+        put_len(out, self.moved);
+        put_len(out, self.donor_len);
         put_stack_bytes(out, self.stack);
     }
 }
 
 /// Decode an `EXTRACT` reply; the stacks borrow from `bytes`.
 pub fn decode_extract_reply(bytes: &[u8]) -> Result<Vec<ExtractReply<'_>>, CodecError> {
-    decode_list(bytes, 16, |r| {
-        Ok(ExtractReply { moved: r.u64()?, donor_len: r.u32()?, stack: take_stack_bytes(r)? })
+    decode_list(bytes, 6, |r| {
+        Ok(ExtractReply {
+            moved: take_len(r)?,
+            donor_len: take_len(r)?,
+            stack: take_stack_bytes(r)?,
+        })
     })
 }
 
 /// Encode an `INSTALL` reply: each entry's post-install length.
 pub fn encode_install_reply(out: &mut Vec<u8>, lens: &[u32]) {
-    put_slice(out, lens);
+    put_usize(out, lens.len());
+    lens.iter().for_each(|&len| put_len(out, len));
 }
 
 /// Decode an `INSTALL` reply.
 pub fn decode_install_reply(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    decode_list(bytes, 4, |r| r.u32())
+    decode_list(bytes, 1, take_len)
 }
 
 #[cfg(test)]
@@ -459,20 +554,17 @@ mod tests {
 
     #[test]
     fn burst_reply_round_trips() {
-        let reply = BurstReply {
-            started: 5,
-            goals: 2,
-            peak: 91,
-            deaths: vec![3, 1, 7],
-            changed: vec![(0, 4), (2, 0), (9, 12)],
-        };
+        let burst =
+            MergedBurst { started: 3, goals: 2, peak_stack_nodes: 91, deaths: vec![3, 1, 7] };
         let mut bytes = Vec::new();
-        reply.encode(&mut bytes);
-        assert_eq!(BurstReply::decode(&bytes, 10).expect("round trip"), reply);
+        encode_burst_reply(&mut bytes, &burst, [4, 0, 300].into_iter());
+        let mut back = MergedBurst::default();
+        let lens: Vec<u32> = decode_burst_reply(&bytes, 3, &mut back).expect("decodes").collect();
+        assert_eq!(back, burst);
+        assert_eq!(lens, [4, 0, 300]);
         assert_eq!(
-            BurstReply::decode(&bytes, 9),
-            Err(CodecError::Malformed("PE index outside the worker's range")),
-            "PE 9 is not one of a 9-PE worker's"
+            decode_burst_reply(&bytes, 2, &mut MergedBurst::default()).err(),
+            Some(CodecError::Malformed("started count differs from the worker's active PEs")),
         );
     }
 

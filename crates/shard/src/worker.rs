@@ -18,12 +18,12 @@
 use std::io::{Read, Write};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_core::{expansion_burst, merge_active, Search};
+use uts_core::{expansion_burst, merge_active, MergedBurst, Search};
 use uts_tree::codec::put_usize;
 use uts_tree::{CodecError, Donation, StackArena, TreeProblem};
 
 use crate::proto::{
-    decode_burst, decode_install, decode_transfers, encode_install_reply, tag, BurstReply,
+    decode_burst, decode_install, decode_transfers, encode_burst_reply, encode_install_reply, tag,
     ExtractReply, Give, Hello, MoveReply,
 };
 
@@ -145,7 +145,7 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
     let mut buf = Vec::new();
     let mut payload = Vec::new();
     let mut started: Vec<usize> = Vec::new();
-    let mut deaths: Vec<u64> = Vec::new();
+    let mut burst = MergedBurst::default();
     let mut stack: Vec<u8> = Vec::new();
     let mut bursts_seen = 0u64;
 
@@ -166,28 +166,19 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                 );
                 started.clear();
                 started.extend_from_slice(&active);
-                let mut goals = 0u64;
-                let mut peak = 0usize;
+                burst.reset(started.len());
                 expansion_burst(
                     problem,
                     &mut arena,
                     &mut active,
                     h,
-                    &mut goals,
-                    &mut peak,
-                    &mut deaths,
+                    &mut burst.goals,
+                    &mut burst.peak_stack_nodes,
+                    &mut burst.deaths,
                 );
                 debug_assert!(arena.store_ok(), "node store out of step with the length census");
                 let lens = arena.lens();
-                let reply = BurstReply {
-                    started: started.len() as u64,
-                    goals,
-                    peak: peak as u64,
-                    deaths: std::mem::take(&mut deaths),
-                    changed: started.iter().map(|&i| (i as u32, lens[i])).collect(),
-                };
-                reply.encode(&mut payload);
-                deaths = reply.deaths;
+                encode_burst_reply(&mut payload, &burst, started.iter().map(|&i| lens[i]));
                 writer.send(tag::BURST, &payload)?;
             }
             tag::MOVE | tag::EXTRACT => {
@@ -201,7 +192,7 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                         Some(r) => {
                             let r = r as usize;
                             let was_idle = arena.len_of(r) == 0;
-                            let moved = arena.donate(d, r, what) as u64;
+                            let moved = arena.donate(d, r, what) as u32;
                             if was_idle && moved > 0 {
                                 fed.push(r);
                             }
@@ -212,7 +203,7 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                         // EXTRACT: ship the donation's encoding.
                         None => {
                             stack.clear();
-                            let moved = arena.donate_encoded(d, what, &mut stack) as u64;
+                            let moved = arena.donate_encoded(d, what, &mut stack) as u32;
                             let donor_len = arena.len_of(d) as u32;
                             ExtractReply { moved, donor_len, stack: &stack }.put(&mut payload);
                         }

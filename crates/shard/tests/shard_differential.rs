@@ -26,9 +26,10 @@ use uts_ckpt::{spill, CheckpointPolicy};
 use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme, StackStore};
 use uts_machine::{CostModel, DonationSpread};
 use uts_puzzle15::Puzzle15;
+use uts_shard::proto::tag;
 use uts_shard::{
-    resume_sharded, run_sharded, ParkPolicy, ShardError, ShardOpts, ShardRun, ShardWorkload,
-    WorkerKill,
+    resume_sharded, run_sharded, FrameTally, ParkPolicy, ShardError, ShardOpts, ShardRun,
+    ShardWorkload, WorkerKill,
 };
 use uts_synthgen::{find_gen_tree, GenNode, GenTree};
 use uts_tree::ida::ida_star;
@@ -42,6 +43,7 @@ fn main() {
     split_policies_match();
     mesh_topology_matches();
     puzzle_matches_macro_engine();
+    escaped_lengths_match_macro_engine();
     parked_snapshots_are_interchangeable();
     killed_worker_resumes_from_spill();
     counted_rounds_park_and_resume_across_shards();
@@ -144,6 +146,18 @@ fn utsgen_matches_macro_engine() {
             for (routed, ph) in got.stats.phases.iter().zip(charged) {
                 assert_eq!(routed.closed_form, ph.cost, "{}", cfg.scheme.name());
             }
+            // Every worker is greeted, sent every burst (one per boundary
+            // and the last), and shut down; a `BURST` request is `h`.
+            let fleet = shards as u64;
+            let bursts = fleet * (stream.len() as u64 + 1);
+            let (hello, burst, shutdown) = (
+                got.stats.traffic(tag::HELLO),
+                got.stats.traffic(tag::BURST),
+                got.stats.traffic(tag::SHUTDOWN),
+            );
+            assert_eq!((hello.requests.frames, shutdown.replies.frames), (fleet, fleet));
+            assert_eq!(burst.requests, FrameTally { frames: bursts, bytes: 8 * bursts });
+            assert_eq!(burst.replies.frames, bursts);
         }
         println!(
             "utsgen {} x shards {{1,2,4}}: bit-identical, {} boundary snapshots",
@@ -193,6 +207,22 @@ fn puzzle_matches_macro_engine() {
         assert_eq!(got.outcome, want, "puzzle with {shards} shard(s) diverged");
     }
     println!("15-puzzle (bound {bound}) x shards {{1,4}}: bit-identical");
+}
+
+/// A binomial tree whose root has 300 children, so a stack outgrows one
+/// length byte and the replies carry escaped lengths (the byte 255 and a
+/// `u32`): at P = 4 its peak stack is 314 nodes.
+fn escaped_lengths_match_macro_engine() {
+    let tree = GenTree::binomial(9, 300, 4, 0.21);
+    let workload = ShardWorkload::from(tree);
+    let cfg = instrumented(4, Scheme::gp_dk(), CostModel::cm2());
+    let (want, stream) = run_streamed(&tree, &cfg);
+    assert_eq!(want.peak_stack_nodes, 314, "the stacks outgrow one length byte");
+    for shards in [1usize, 2] {
+        let got = sharded_streamed(&workload, &cfg, &opts(shards), &stream);
+        assert_eq!(got.outcome, want, "binomial with {shards} shard(s) diverged");
+    }
+    println!("binomial (peak stack 314) x shards {{1,2}}: bit-identical");
 }
 
 fn parked_snapshots_are_interchangeable() {

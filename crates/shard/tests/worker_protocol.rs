@@ -5,28 +5,41 @@
 //! What only this suite sees: that a same-shard transfer (`MOVE`) and a
 //! cross-shard one (`EXTRACT` on the donor, `INSTALL` on the receiver) are
 //! the same operation — the coordinator picks between them per transfer,
-//! and no end-to-end digest says which it picked — and that no request,
-//! however wrong its contents, makes the loop index out of bounds.
+//! and no end-to-end digest says which it picked — that no request,
+//! however wrong its contents, makes the loop index out of bounds, and what
+//! a `BURST` reply costs on the wire: one byte per started PE while its
+//! stack holds fewer than 255 nodes.
 
 use proptest::prelude::*;
 use uts_ckpt::fnv1a_64;
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
+use uts_core::{expansion_burst, MergedBurst};
 use uts_puzzle15::scrambled;
 use uts_shard::proto::{
-    begin_request, decode_extract_reply, decode_install, decode_install_reply, decode_move_reply,
-    decode_transfers, encode_install_reply, put_install, set_count, tag, BurstReply, ExtractReply,
-    Give, Hello, MoveReply, Transfer,
+    begin_request, decode_burst_reply, decode_extract_reply, decode_install, decode_install_reply,
+    decode_move_reply, decode_transfers, encode_burst, encode_burst_reply, encode_install_reply,
+    put_install, put_len, set_count, tag, take_len, ExtractReply, Give, Hello, MoveReply, Transfer,
+    LEN_ESCAPE,
 };
 use uts_shard::{serve, ShardWorkload, WorkerError};
 use uts_synth::GeometricTree;
 use uts_synthgen::{GenFamily, GenNode, GenTree};
 use uts_tree::codec::put_usize;
-use uts_tree::{CkptNode, CodecError, SearchStack, SplitPolicy, StackArena};
+use uts_tree::{CkptNode, CodecError, Reader, SearchStack, SplitPolicy, StackArena};
 
 /// PEs of the worker under test.
 const LOCAL_P: u32 = 4;
 
+/// A `BURST` reply's fixed header: `started`, goals, peak and the death
+/// count, eight bytes each.
+const BURST_HEADER: usize = 32;
+
 type Stack = SearchStack<GenNode>;
+
+/// The tree every session searches.
+fn session_tree() -> GenTree {
+    GenTree::geometric(1, 4, 4)
+}
 
 /// The `HELLO` of a fresh, unseeded worker of [`LOCAL_P`] PEs.
 fn hello_payload() -> Vec<u8> {
@@ -35,7 +48,7 @@ fn hello_payload() -> Vec<u8> {
         hi: u64::from(LOCAL_P),
         seed_root: false,
         kill_at_burst: None,
-        workload: GenTree::geometric(1, 4, 4).into(),
+        workload: session_tree().into(),
     };
     let mut payload = Vec::new();
     hello.encode(&mut payload);
@@ -108,6 +121,19 @@ fn arb_stack() -> impl Strategy<Value = Stack> {
     collection::vec(collection::vec(node, 1..5), 0..5).prop_map(SearchStack::from_frames)
 }
 
+/// A stack length or node count: often one byte on the wire, often five.
+fn arb_len() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..300, Just(u32::MAX), any::<u32>()]
+}
+
+/// The lengths `BURST` reports for the stacks that started, and the census
+/// it merges, decoded from a reply of a worker `started` of whose PEs ran.
+fn decoded_burst(reply: &[u8], started: usize) -> Result<(MergedBurst, Vec<u32>), CodecError> {
+    let mut burst = MergedBurst::default();
+    let lens = decode_burst_reply(reply, started, &mut burst)?.collect();
+    Ok((burst, lens))
+}
+
 fn arb_give() -> impl Strategy<Value = Give> {
     prop_oneof![
         Just(Give::Split(SplitPolicy::Bottom)),
@@ -146,6 +172,34 @@ fn arb_hello() -> impl Strategy<Value = Hello> {
     )
 }
 
+/// The `BURST h` reply of a worker loaded with `stacks`, and what the
+/// same burst does in process: its census and the new length of each PE
+/// that started, in PE order.
+fn burst_session(stacks: &[Stack], h: u64) -> (Vec<u8>, MergedBurst, Vec<u32>) {
+    let mut request = Vec::new();
+    encode_burst(&mut request, h);
+    let requests = [install_all(stacks), (tag::BURST, request), (tag::SHUTDOWN, Vec::new())];
+    let (mut replies, result) = session(&requests);
+    assert!(result.is_ok(), "{result:?}");
+
+    let mut arena = StackArena::from_stacks(stacks.to_vec());
+    let mut active: Vec<usize> = (0..stacks.len()).filter(|&pe| arena.len_of(pe) > 0).collect();
+    let started = active.clone();
+    let mut burst = MergedBurst::default();
+    burst.reset(started.len());
+    expansion_burst(
+        &session_tree(),
+        &mut arena,
+        &mut active,
+        h,
+        &mut burst.goals,
+        &mut burst.peak_stack_nodes,
+        &mut burst.deaths,
+    );
+    let lens = started.iter().map(|&pe| arena.len_of(pe) as u32).collect();
+    (replies.swap_remove(1), burst, lens)
+}
+
 /// Assert that a decoder takes `bytes` and nothing near it: no strict prefix,
 /// and not `bytes` with one more byte.
 fn assert_only_whole(bytes: &[u8], accepts: impl Fn(&[u8]) -> bool) {
@@ -155,6 +209,23 @@ fn assert_only_whole(bytes: &[u8], accepts: impl Fn(&[u8]) -> bool) {
 }
 
 proptest! {
+    /// A `BURST` reply from a real session is the burst the in-process
+    /// kernel runs, and while every stack holds fewer than 255 nodes it is
+    /// exactly the fixed header, eight bytes per death and one byte per
+    /// started PE: no PE index, no count.
+    #[test]
+    fn burst_reply_is_one_byte_per_started_pe(
+        stacks in collection::vec(arb_stack(), LOCAL_P as usize),
+        h in 1u64..6,
+    ) {
+        let (reply, want, want_lens) = burst_session(&stacks, h);
+        prop_assert!(want_lens.iter().all(|&len| len < u32::from(LEN_ESCAPE)));
+        let (got, lens) = decoded_burst(&reply, want.started).expect("BURST reply");
+        prop_assert_eq!(reply.len(), BURST_HEADER + 8 * want.deaths.len() + want.started);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(lens, want_lens);
+    }
+
     /// The fork the coordinator takes per transfer is invisible: PE 0 gives
     /// to PE 1 by `MOVE`, by `EXTRACT` + `INSTALL`, and in an in-process
     /// [`StackArena`]; all three leave the same stacks and report the same
@@ -182,7 +253,7 @@ proptest! {
                 arena.split_count_into(0, 1, max_nodes);
             }
         }
-        let want_moved = (before - arena.len_of(0)) as u64;
+        let want_moved = (before - arena.len_of(0)) as u32;
         let want_lens = (arena.lens()[0], arena.lens()[1]);
         let mut want_bytes = Vec::new();
         (0..LOCAL_P as usize).for_each(|pe| arena.encode_pe(pe, &mut want_bytes));
@@ -268,25 +339,25 @@ proptest! {
     #[test]
     fn reply_codecs_and_hello_round_trip_and_reject_every_prefix(
         burst in (
-            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<usize>()),
             collection::vec(any::<u64>(), 0..6),
-            collection::vec((0..LOCAL_P, any::<u32>()), 0..6),
+            collection::vec(arb_len(), 0..6),
         ),
-        moves in collection::vec((any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
+        moves in collection::vec((arb_len(), arb_len(), arb_len()), 0..6),
         extracts in collection::vec(
-            (any::<u64>(), any::<u32>(), collection::vec(any::<u8>(), 0..9)),
+            (arb_len(), arb_len(), collection::vec(any::<u8>(), 0..9)),
             0..6,
         ),
-        installs in collection::vec(any::<u32>(), 0..6),
+        installs in collection::vec(arb_len(), 0..6),
         hello in arb_hello(),
     ) {
-        let local_p = LOCAL_P as usize;
-        let ((started, goals, peak), deaths, changed) = burst;
-        let reply = BurstReply { started, goals, peak, deaths, changed };
+        let ((goals, peak_stack_nodes), deaths, lens) = burst;
+        let started = lens.len();
+        let census = MergedBurst { started, goals, peak_stack_nodes, deaths };
         let mut bytes = Vec::new();
-        reply.encode(&mut bytes);
-        prop_assert_eq!(BurstReply::decode(&bytes, local_p), Ok(reply));
-        assert_only_whole(&bytes, |b| BurstReply::decode(b, local_p).is_ok());
+        encode_burst_reply(&mut bytes, &census, lens.iter().copied());
+        prop_assert_eq!(decoded_burst(&bytes, started), Ok((census, lens)));
+        assert_only_whole(&bytes, |b| decoded_burst(b, started).is_ok());
 
         let moves: Vec<MoveReply> = moves
             .iter()
@@ -326,6 +397,72 @@ proptest! {
         prop_assert_eq!(&again, &bytes);
         assert_only_whole(&bytes, |b| Hello::decode(b).is_ok());
     }
+}
+
+/// The length codec: one byte below [`LEN_ESCAPE`], the escape byte and
+/// the `u32` from there up, canonical, and no strict prefix decodes.
+#[test]
+fn lengths_take_one_byte_below_the_escape() {
+    let whole = |b: &[u8]| {
+        let mut r = Reader::new(b);
+        take_len(&mut r).is_ok() && r.is_done()
+    };
+    for (len, size) in [(0u32, 1usize), (254, 1), (255, 5), (256, 5), (u32::MAX, 5)] {
+        let mut bytes = Vec::new();
+        put_len(&mut bytes, len);
+        assert_eq!(bytes.len(), size, "{len}");
+        assert_eq!(take_len(&mut Reader::new(&bytes)), Ok(len));
+        assert_only_whole(&bytes, whole);
+    }
+    let malformed = Some(CodecError::Malformed("escaped length below the escape byte"));
+    for len in [0u32, 7, 254] {
+        let escaped = [&[LEN_ESCAPE][..], &len.to_le_bytes()].concat();
+        assert_eq!(take_len(&mut Reader::new(&escaped)).err(), malformed, "escaped {len}");
+    }
+
+    // In a reply: an escaped small length, a count the lengths do not
+    // match, either way round, are malformed.
+    let census = MergedBurst { started: 2, goals: 1, peak_stack_nodes: 300, deaths: vec![4] };
+    let mut reply = Vec::new();
+    encode_burst_reply(&mut reply, &census, [3, 300].into_iter());
+    assert_eq!(reply.len(), BURST_HEADER + 8 + 1 + 5);
+    let mut escaped = reply[..reply.len() - 6].to_vec();
+    escaped.push(LEN_ESCAPE);
+    escaped.extend_from_slice(&3u32.to_le_bytes());
+    put_len(&mut escaped, 300);
+    assert_eq!(decoded_burst(&escaped, 2).err(), malformed);
+    let started_differs =
+        Some(CodecError::Malformed("started count differs from the worker's active PEs"));
+    assert_eq!(decoded_burst(&reply, 1).err(), started_differs);
+    assert_eq!(decoded_burst(&reply, 3).err(), started_differs);
+    let one_more = [&reply[..], &[0]].concat();
+    assert_eq!(
+        decoded_burst(&one_more, 2).err(),
+        Some(CodecError::Malformed("trailing bytes after shard message"))
+    );
+    let mut moves = Vec::new();
+    put_usize(&mut moves, 1);
+    MoveReply { moved: 1, donor_len: 2, receiver_len: 1 }.put(&mut moves);
+    let escaped = [&moves[..moves.len() - 1], &[LEN_ESCAPE, 1, 0, 0, 0]].concat();
+    assert_eq!(decode_move_reply(&escaped).err(), malformed);
+}
+
+/// A stack of 255 nodes or more costs five bytes in a real `BURST` reply,
+/// and the reply still decodes to the in-process burst.
+#[test]
+fn a_long_stack_escapes_its_length_in_a_real_burst() {
+    let node = GenNode { state: 3, depth: 1 };
+    let idle = Stack::from_frames(Vec::new());
+    let stacks = [
+        Stack::from_frames(vec![vec![node; 300]]),
+        idle.clone(),
+        Stack::from_frames(vec![vec![node; 2]]),
+        idle,
+    ];
+    let (reply, want, want_lens) = burst_session(&stacks, 1);
+    assert!(want_lens[0] >= u32::from(LEN_ESCAPE) && want_lens[1] < u32::from(LEN_ESCAPE));
+    assert_eq!(reply.len(), BURST_HEADER + 5 + 1);
+    assert_eq!(decoded_burst(&reply, 2), Ok((want, want_lens)));
 }
 
 /// A well-formed frame that is not a well-formed request for this worker
