@@ -453,6 +453,9 @@ pub(crate) struct LbBuffers {
     /// Per-request moved counts of the last [`StackStore::split_counts`]
     /// round.
     pub moved: Vec<usize>,
+    /// The donors left in the current equalization phase, one bit per PE:
+    /// bit `i % 64` of word `i / 64` (see [`equalize`]).
+    pub donors: Vec<u64>,
 }
 
 /// In-flight ledger state while a run executes: receipts accumulate
@@ -830,34 +833,38 @@ pub fn merge_active(active: &mut Vec<usize>, incoming: &mut Vec<usize>) {
 ///
 /// A round pairs the k-th donor (`len > target`, ascending) with the k-th
 /// receiver (`len < target`, ascending) until either enumeration runs out,
-/// and moves `min(excess, want)` nodes per pair. It costs O(A + stacks
-/// moved) plus the census up to its last matched receiver,
-/// `A = active.len()`. The target is at least 1 whenever anyone holds
-/// work, so a donor holds at least two nodes — it is splittable and on the
-/// sorted `active` list, which is all the donor cursor reads. The receiver
-/// cursor walks the census and stops at the last matched receiver (the
+/// and moves `min(excess, want)` nodes per pair. The target is at least 1
+/// whenever anyone holds work, so a donor holds at least two nodes and is
+/// on the sorted `active` list. A donor keeps at least `target` nodes (it
+/// gives at most `excess`) and a receiver ends at or below `target` (it
+/// gets at most `want`), so each round's donors are among the last
+/// round's: the phase collects them from `active` once, into a P-bit set,
+/// and a round clears the bit of every donor its transfers left at or
+/// below the target. The donor cursor walks that set; the receiver cursor
+/// walks the census and stops at the last matched receiver (the
 /// idle-prefix walk of [`MatchState::match_census`], over lengths because
-/// a receiver may hold work).
+/// a receiver may hold work). The phase costs O(A) once,
+/// `A = active.len()`, and each round O(P / 64 + donors left + stacks
+/// moved) plus the census up to its last matched receiver; it ends when
+/// no donor is left or a round finds no pair.
 ///
 /// **Windows.** A round is applied in windows of at most
 /// [`StackStore::max_batch`] requests, one [`StackStore::split_counts`]
 /// batch each, so no buffer grows with the round. The two cursors only move
-/// forward, and a window never changes what a later window reads: a donor
-/// keeps at least `target` nodes (it gives at most `excess`) and a receiver
-/// ends at or below `target` (it gets at most `want`), so no PE a window
-/// touched changes class — it can neither become a later donor nor a later
-/// receiver — and every PE a later window reads still has its pre-round
-/// length. Every window therefore selects the same pairs with the same
-/// `excess`/`want` operands as a census of the whole round taken before it
-/// started, and within a window the donors and receivers are disjoint and
-/// distinct, so the batch equals the sequential interleaving (the argument
-/// of [`apply_pairs`]). A receiver's length is final once its window is
-/// applied, so the `peak` it reads then is the round's. The round is
-/// counted once, and the receivers that were empty before it are merged
-/// into `active` after its last window (a donor keeps work and a receiver
-/// only gains, so the list only grows). A remote store that latched a
-/// transport error reports `moved = 0` whatever happened, hence the merge
-/// reads the post-batch census.
+/// forward, and a window never changes what a later window reads: by the
+/// argument above no PE a window touched changes class — it can neither
+/// become a later donor nor a later receiver — and every PE a later window
+/// reads still has its pre-round length. Every window therefore selects
+/// the same pairs with the same `excess`/`want` operands as a census of
+/// the whole round taken before it started, and within a window the
+/// donors and receivers are disjoint and distinct, so the batch equals the
+/// sequential interleaving (the argument of [`apply_pairs`]). A receiver's
+/// length is final once its window is applied, so the `peak` it reads then
+/// is the round's. The round is counted once, and the receivers that were
+/// empty before it are merged into `active` after its last window (a donor
+/// keeps work and a receiver only gains, so the list only grows). A remote
+/// store that latched a transport error reports `moved = 0` whatever
+/// happened, hence the merge reads the post-batch census.
 pub(crate) fn equalize<S: StackStore>(
     store: &mut S,
     active: &mut Vec<usize>,
@@ -871,22 +878,38 @@ pub(crate) fn equalize<S: StackStore>(
     let lens = store.lens();
     let total: usize = active.iter().map(|&i| lens[i] as usize).sum();
     let target = total.div_ceil(p);
+    lb.donors.clear();
+    lb.donors.resize(p.div_ceil(64), 0);
+    let mut donors_left = 0usize;
+    for &i in active.iter().filter(|&&i| lens[i] as usize > target) {
+        lb.donors[i / 64] |= 1 << (i % 64);
+        donors_left += 1;
+    }
     let window = store.max_batch();
     let mut rounds = 0u32;
     // Bound the rounds: each round matches donors to receivers 1-1, so
     // log-ish rounds suffice; 2·log2(P)+4 is a generous cap.
     let cap = 2 * (usize::BITS - p.leading_zeros()) + 4;
-    while rounds < cap {
+    while rounds < cap && donors_left > 0 {
         debug_assert!(lb.incoming.is_empty());
-        // Donor cursor: an index into `active`; receiver cursor: a PE.
+        debug_assert!(
+            {
+                let lens = store.lens();
+                let set = (0..p).filter(|&i| lb.donors[i / 64] >> (i % 64) & 1 == 1);
+                set.eq(active.iter().copied().filter(|&i| lens[i] as usize > target))
+                    && lb.donors.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+                        == donors_left
+            },
+            "the carried donor set is not the PEs above the target"
+        );
+        // Donor cursor and receiver cursor: PEs.
         let (mut next_donor, mut next_receiver) = (0usize, 0usize);
         let (mut pairs, mut moved_any, mut exhausted) = (0usize, false, false);
         while !exhausted {
             let lens = store.lens();
             lb.reqs.clear();
             while lb.reqs.len() < window {
-                let donor = active[next_donor..].iter().position(|&i| lens[i] as usize > target);
-                let Some(d) = donor.map(|k| next_donor + k) else {
+                let Some(d) = next_set(&lb.donors, next_donor) else {
                     exhausted = true;
                     break;
                 };
@@ -896,7 +919,6 @@ pub(crate) fn equalize<S: StackStore>(
                     break;
                 };
                 (next_donor, next_receiver) = (d + 1, r + 1);
-                let d = active[d];
                 let excess = lens[d] as usize - target;
                 let want = target - lens[r] as usize;
                 lb.reqs.push(CountedMove { donor: d, receiver: r, max_nodes: excess.min(want) });
@@ -912,6 +934,10 @@ pub(crate) fn equalize<S: StackStore>(
             debug_assert_eq!(lb.moved.len(), lb.reqs.len());
             let lens = store.lens();
             for (req, &n) in lb.reqs.iter().zip(lb.moved.iter()) {
+                if lens[req.donor] as usize <= target {
+                    lb.donors[req.donor / 64] &= !(1 << (req.donor % 64));
+                    donors_left -= 1;
+                }
                 if n > 0 {
                     donations[req.donor] += 1;
                     if let Some(rc) = receipts.as_deref_mut() {
@@ -935,6 +961,18 @@ pub(crate) fn equalize<S: StackStore>(
         }
     }
     rounds
+}
+
+/// The first PE at or after `from` whose bit is set in `set` (bit `i % 64`
+/// of word `i / 64` stands for PE `i`).
+fn next_set(set: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = set.get(w)? & u64::MAX << (from % 64);
+    while word == 0 {
+        w += 1;
+        word = *set.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
 }
 
 /// Whether `active` is exactly the PEs holding work (ascending) and `busy`

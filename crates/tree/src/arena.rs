@@ -13,8 +13,12 @@
 //!   nodes from one pooled array and a free list. A PE's stack is a chain
 //!   of chunk ids, bottom chunk first, in which every chunk but the top one
 //!   is full, so node `k` of a stack sits in chunk `k / CHUNK_NODES` of its
-//!   chain. Frame boundaries are one bit per slot of each chunk: the bit of
-//!   the first node of every frame is set.
+//!   chain. Each chunk carries one `u32` link word: the id of the chunk
+//!   below it in the high bits, and in the low [`CHUNK_NODES`] bits one
+//!   bit per slot, set at the first node of every frame. There is no link
+//!   upward: a walk from the bottom (encoding, frame lists, a bottom
+//!   transfer's shift) first walks down once from the top to list the
+//!   chain's chunk ids.
 //!
 //! The DFS works at the top of a chain: a pop reads the top slot, and
 //! [`TreeProblem::expand`] writes each child straight into its final slot
@@ -31,8 +35,11 @@
 //! to seven nodes, and there the per-PE `Vec`s cost more than the nodes:
 //! a 48-byte header pair per PE and a heap allocation per non-empty
 //! vector, grown 4 → 8 → 16 by reallocation. Pooled chunks cost a
-//! 4-byte chain head per PE and 9 bytes of links and frame bits per
-//! chunk. A single slab for the whole ensemble is not an option either:
+//! 4-byte chain head per PE and one 4-byte link word per chunk. A link
+//! upward and a separate byte of frame bits would add 5 bytes to each of
+//! the 950 k chunks `balance-wide` holds at its peak, for walks from the
+//! bottom that run once per encoded stack or donation, not once per node
+//! expanded. A single slab for the whole ensemble is not an option either:
 //! PEs grow at wildly different rates within one macro step. Chunks give
 //! each PE room to grow without moving anyone else's nodes. The pool
 //! stores a node at its own size, so node types keep their padding out:
@@ -68,8 +75,10 @@ use crate::stack::{Burst, SearchStack, SplitPolicy};
 /// 4 against 8 reads 91.0 against 99.1 MB and 0.19 against 0.22 s there:
 /// four nodes make a 48-byte chunk that holds most of those stacks whole.
 /// On the deep-stack instance (`burst-deep`) 8 is about 10 % faster than 4
-/// (0.67 against 0.75 s), so neither wins both and 4 stays. Frame bits are
-/// a `u8` per chunk, so this is at most 8.
+/// (0.67 against 0.75 s), so neither wins both and 4 stays. A chunk's frame
+/// bits share its `u32` link word with the id of the chunk below, so this
+/// is at most 8, and each bit it grows by halves the chunks a block may
+/// hold (both asserted at compile time).
 pub const CHUNK_NODES: usize = 4;
 
 /// A machine is cut into this many blocks, or more when the block size cap
@@ -86,8 +95,23 @@ const MAX_BLOCK_SHIFT: u32 = 12;
 /// materialised tree.
 const POOL_BYTES_PER_PE: usize = 64 * 1024;
 
-/// No chunk: the end of a chain, or the chain of an idle PE.
-const NIL: u32 = u32::MAX;
+/// No chunk: the end of a chain, or the chain of an idle PE. It is the
+/// largest id the high `32 - CHUNK_NODES` bits of a link word hold, so a
+/// block has fewer chunks than this.
+const NIL: u32 = u32::MAX >> CHUNK_NODES;
+
+/// The frame bits of a link word: bit `s` stands for slot `s`.
+const SLOTS: u32 = (1 << CHUNK_NODES) - 1;
+
+const _: () = assert!(CHUNK_NODES <= 8, "frame bits and a chunk id share one u32");
+// Even one-byte nodes cannot fill a 4096-PE block's pool past the chunk
+// ids a link word holds before the pool ceiling stops it.
+const _: () = assert!((POOL_BYTES_PER_PE << MAX_BLOCK_SHIFT) / CHUNK_NODES < NIL as usize);
+
+/// Chains of up to this many chunks are walked bottom to top from `&self`
+/// (encoding, frame lists) through an on-stack list of their ids; longer
+/// ones put the list in a `Vec`.
+const INLINE_CHUNKS: usize = 32;
 
 /// What a donor hands over in one transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,27 +131,40 @@ struct Block<N> {
     /// The pool: chunk `c` is `nodes[c * CHUNK_NODES..][..CHUNK_NODES]`.
     /// Slots past a chain's end hold stale nodes that are never read.
     nodes: Vec<N>,
-    /// Per chunk: the chunk below it in its chain (`NIL` at the bottom).
-    down: Vec<u32>,
-    /// Per chunk: the chunk above it (meaningless at the top).
-    up: Vec<u32>,
-    /// Per chunk: bit `s` is set iff slot `s` starts a frame. The bits of
-    /// slots past a chain's end are meaningless; a free chunk's are clear.
-    starts: Vec<u8>,
+    /// Per chunk, its link word: the chunk below it in its chain (`NIL` at
+    /// the bottom) shifted up by [`CHUNK_NODES`], and below that bit `s`
+    /// set iff slot `s` starts a frame. The bits of slots past a chain's
+    /// end are meaningless, and so is a free chunk's whole word.
+    links: Vec<u32>,
     /// Chunks in no chain.
     free: Vec<u32>,
 }
 
+/// The chunk ids of one chain, bottom first: on the stack up to
+/// [`INLINE_CHUNKS`] chunks, in a `Vec` past that.
+enum ChainIds {
+    Inline([u32; INLINE_CHUNKS], usize),
+    Heap(Vec<u32>),
+}
+
+impl ChainIds {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            ChainIds::Inline(ids, n) => &ids[..*n],
+            ChainIds::Heap(ids) => ids,
+        }
+    }
+}
+
 impl<N> Block<N> {
     fn new(pes: usize) -> Self {
-        Self {
-            tops: vec![NIL; pes],
-            nodes: Vec::new(),
-            down: Vec::new(),
-            up: Vec::new(),
-            starts: Vec::new(),
-            free: Vec::new(),
-        }
+        Self { tops: vec![NIL; pes], nodes: Vec::new(), links: Vec::new(), free: Vec::new() }
+    }
+
+    /// The chunk below `chunk` in its chain (`NIL` at the bottom).
+    #[inline]
+    fn down(&self, chunk: u32) -> u32 {
+        self.links[chunk as usize] >> CHUNK_NODES
     }
 
     /// The chunk holding node `k` of a chain of `len > k` nodes topped by
@@ -135,46 +172,57 @@ impl<N> Block<N> {
     fn chunk_of(&self, top: u32, len: usize, k: usize) -> u32 {
         let mut chunk = top;
         for _ in k / CHUNK_NODES..(len - 1) / CHUNK_NODES {
-            chunk = self.down[chunk as usize];
+            chunk = self.down(chunk);
         }
         chunk
     }
 
-    /// The slot after `(chunk, slot)` along a chain.
-    fn step(&self, (chunk, slot): (u32, usize)) -> (u32, usize) {
-        if slot + 1 < CHUNK_NODES {
-            (chunk, slot + 1)
+    /// Fill `ids` with the chunks of the chain topped by `top`, which has
+    /// exactly `ids.len()` of them, bottom first.
+    fn chain_into(&self, top: u32, ids: &mut [u32]) {
+        let mut chunk = top;
+        for id in ids.iter_mut().rev() {
+            *id = chunk;
+            chunk = self.down(chunk);
+        }
+    }
+
+    /// The chunks of a chain of `len` nodes topped by `top`, bottom first.
+    fn chain_ids(&self, top: u32, len: usize) -> ChainIds {
+        let chunks = len.div_ceil(CHUNK_NODES);
+        if chunks <= INLINE_CHUNKS {
+            let mut ids = [NIL; INLINE_CHUNKS];
+            self.chain_into(top, &mut ids[..chunks]);
+            ChainIds::Inline(ids, chunks)
         } else {
-            (self.up[chunk as usize], 0)
+            let mut ids = vec![NIL; chunks];
+            self.chain_into(top, &mut ids);
+            ChainIds::Heap(ids)
         }
     }
 
     /// The node in a slot, and whether it starts a frame.
     fn get(&self, (chunk, slot): (u32, usize)) -> (&N, bool) {
         let c = chunk as usize;
-        (&self.nodes[c * CHUNK_NODES + slot], self.starts[c] >> slot & 1 == 1)
+        (&self.nodes[c * CHUNK_NODES + slot], self.links[c] >> slot & 1 == 1)
     }
 
     /// Start a frame at node `k`, the bottom of the top frame, of a chain
     /// of `len > k` nodes topped by `top`: set its bit and clear those of
-    /// the frame's other slots in its chunk (any later chunk was free).
+    /// the frame's other slots in its chunk (any later chunk was linked
+    /// with clear bits).
     #[inline]
     fn start_frame(&mut self, top: u32, len: usize, k: usize) {
         let chunk = self.chunk_of(top, len, k) as usize;
         let bit = 1 << (k % CHUNK_NODES);
-        self.starts[chunk] = self.starts[chunk] & (bit - 1) | bit;
+        self.links[chunk] = self.links[chunk] & (!SLOTS | (bit - 1)) | bit;
     }
 
     /// PE `pe`'s `len` nodes bottom to top, each with whether it starts a
     /// frame.
     fn items(&self, pe: usize, len: usize) -> impl Iterator<Item = (&N, bool)> + '_ {
-        let mut at = (if len == 0 { NIL } else { self.chunk_of(self.tops[pe], len, 0) }, 0);
-        (0..len).map(move |k| {
-            if k > 0 {
-                at = self.step(at);
-            }
-            self.get(at)
-        })
+        let ids = self.chain_ids(self.tops[pe], len);
+        (0..len).map(move |k| self.get((ids.as_slice()[k / CHUNK_NODES], k % CHUNK_NODES)))
     }
 
     /// Cut a chain of `from` nodes topped by `top` to its bottom `to`,
@@ -182,22 +230,24 @@ impl<N> Block<N> {
     /// when `to == 0`).
     fn release(&mut self, mut top: u32, from: usize, to: usize) -> u32 {
         for _ in to.div_ceil(CHUNK_NODES)..from.div_ceil(CHUNK_NODES) {
-            self.starts[top as usize] = 0;
             self.free.push(top);
-            top = self.down[top as usize];
+            top = self.down(top);
         }
         top
     }
 
     /// Put `chunk` on top of the chain topped by `below` (`NIL`: make it
-    /// the bottom of a new chain).
+    /// the bottom of a new chain), its frame bits clear.
     #[inline]
     fn link(&mut self, below: u32, chunk: u32) -> u32 {
-        self.down[chunk as usize] = below;
-        if below != NIL {
-            self.up[below as usize] = chunk;
-        }
+        self.links[chunk as usize] = below << CHUNK_NODES;
         chunk
+    }
+
+    /// Heap bytes of the pool's per-chunk arrays: the nodes and the link
+    /// words.
+    fn pool_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.nodes[..]) + std::mem::size_of_val(&self.links[..])
     }
 
     /// The store invariants, given the block's stretch of the length
@@ -206,7 +256,7 @@ impl<N> Block<N> {
     /// list, never both and never twice; and the pool stays under its
     /// resident ceiling.
     fn holds(&self, lens: &[u32]) -> bool {
-        let mut seen = vec![false; self.down.len()];
+        let mut seen = vec![false; self.links.len()];
         let mut mark = |chunk: u32| match seen.get_mut(chunk as usize) {
             Some(s) if !*s => {
                 *s = true;
@@ -220,7 +270,7 @@ impl<N> Block<N> {
                 if !mark(chunk) {
                     return false;
                 }
-                chunk = self.down[chunk as usize];
+                chunk = self.down(chunk);
             }
             if chunk != NIL {
                 return false;
@@ -228,7 +278,7 @@ impl<N> Block<N> {
         }
         self.free.iter().all(|&chunk| mark(chunk))
             && seen.iter().all(|&s| s)
-            && std::mem::size_of_val(&self.nodes[..]) <= POOL_BYTES_PER_PE * self.tops.len()
+            && self.pool_bytes() <= POOL_BYTES_PER_PE * self.tops.len()
     }
 }
 
@@ -237,14 +287,12 @@ impl<N: Clone> Block<N> {
     /// put it on top of the chain topped by `below`.
     #[cold]
     fn new_chunk(&mut self, below: u32, fill: N) -> u32 {
-        let chunk = u32::try_from(self.down.len())
-            .ok()
-            .filter(|&c| c != NIL)
-            .expect("a block has fewer than 2^32 - 1 chunks");
+        let chunk =
+            u32::try_from(self.links.len()).ok().filter(|&c| c < NIL).unwrap_or_else(|| {
+                panic!("a block has fewer than {NIL} chunks: the ids of a link word's high bits")
+            });
         self.nodes.extend(std::iter::repeat_n(fill, CHUNK_NODES));
-        self.down.push(NIL);
-        self.up.push(NIL);
-        self.starts.push(0);
+        self.links.push(0);
         self.link(below, chunk)
     }
 
@@ -271,9 +319,8 @@ impl<N: Clone> Block<N> {
         let (chunk, slot) = (*top as usize, *len % CHUNK_NODES);
         let node = self.nodes[chunk * CHUNK_NODES + slot].clone();
         if slot == 0 {
-            self.starts[chunk] = 0;
             self.free.push(*top);
-            *top = self.down[chunk];
+            *top = self.down(*top);
         }
         node
     }
@@ -318,15 +365,21 @@ impl<N: Clone> Block<N> {
     /// Move the bottom `m` of PE `pe`'s `len` nodes (`0 < m < len`) to `out`
     /// with their frame starts, and shift the rest down. The frame the cut
     /// runs through keeps its upper part, which now starts the stack.
-    fn take_bottom(&mut self, pe: usize, len: usize, m: usize, out: &mut Vec<(N, bool)>) {
+    /// `ids` is scratch: it ends up holding the old chain, bottom first.
+    fn take_bottom(
+        &mut self,
+        pe: usize,
+        len: usize,
+        m: usize,
+        out: &mut Vec<(N, bool)>,
+        ids: &mut Vec<u32>,
+    ) {
         let top = self.tops[pe];
-        let bottom = self.chunk_of(top, len, 0);
-        let mut at = (bottom, 0);
+        ids.clear();
+        ids.resize(len.div_ceil(CHUNK_NODES), NIL);
+        self.chain_into(top, ids);
         for k in 0..m {
-            if k > 0 {
-                at = self.step(at);
-            }
-            let (node, start) = self.get(at);
+            let (node, start) = self.get((ids[k / CHUNK_NODES], k % CHUNK_NODES));
             out.push((node.clone(), start));
         }
         // Chunk `j` of the kept stack takes slots `r..` of chunk `j + q` of
@@ -334,26 +387,24 @@ impl<N: Clone> Block<N> {
         // slot is read before the shift overwrites it.
         let (q, r) = (m / CHUNK_NODES, m % CHUNK_NODES);
         let kept = len - m;
-        let (mut dst, mut src) = (bottom, bottom);
-        for _ in 0..q {
-            src = self.up[src as usize];
-        }
         for j in 0..kept.div_ceil(CHUNK_NODES) {
-            let has_next = (j + q + 1) * CHUNK_NODES < len;
-            let next = if has_next { self.up[src as usize] } else { NIL };
+            let (dst, src) = (ids[j] as usize, ids[j + q] as usize);
+            let next = ids.get(j + q + 1).copied().unwrap_or(NIL) as usize;
             for s in 0..CHUNK_NODES.min(kept - j * CHUNK_NODES) {
                 let (c, t) =
                     if s + r < CHUNK_NODES { (src, s + r) } else { (next, s + r - CHUNK_NODES) };
-                let node = self.nodes[c as usize * CHUNK_NODES + t].clone();
-                self.nodes[dst as usize * CHUNK_NODES + s] = node;
+                let node = self.nodes[c * CHUNK_NODES + t].clone();
+                self.nodes[dst * CHUNK_NODES + s] = node;
             }
-            let carried =
-                if r > 0 && has_next { self.starts[next as usize] << (CHUNK_NODES - r) } else { 0 };
-            let slots = u8::MAX >> (8 - CHUNK_NODES);
-            self.starts[dst as usize] = (self.starts[src as usize] >> r | carried) & slots;
-            (dst, src) = (self.up[dst as usize], next);
+            let carried = if r > 0 && next != NIL as usize {
+                (self.links[next] & SLOTS) << (CHUNK_NODES - r)
+            } else {
+                0
+            };
+            let bits = ((self.links[src] & SLOTS) >> r | carried) & SLOTS;
+            self.links[dst] = self.links[dst] & !SLOTS | bits;
         }
-        self.starts[bottom as usize] |= 1;
+        self.links[ids[0] as usize] |= 1;
         self.tops[pe] = self.release(top, len, kept);
     }
 }
@@ -463,6 +514,9 @@ pub struct StackArena<N> {
     /// The donation in flight, bottom to top, each node with whether it
     /// starts a frame; empty between calls.
     donated: Vec<(N, bool)>,
+    /// Scratch for a bottom donation: the donor's chain, bottom chunk
+    /// first.
+    chain: Vec<u32>,
 }
 
 impl<N> StackArena<N> {
@@ -473,7 +527,7 @@ impl<N> StackArena<N> {
         let blocks = (0..p.div_ceil(per_block))
             .map(|b| Block::new(per_block.min(p - b * per_block)))
             .collect();
-        Self { lens: vec![0; p], blocks, shift, donated: Vec::new() }
+        Self { lens: vec![0; p], blocks, shift, donated: Vec::new(), chain: Vec::new() }
     }
 
     /// Ensemble size `P`.
@@ -676,7 +730,7 @@ impl<N: Clone> StackArena<N> {
         };
         if m > 0 {
             let (b, pe) = self.locate(donor);
-            self.blocks[b].take_bottom(pe, len, m, &mut self.donated);
+            self.blocks[b].take_bottom(pe, len, m, &mut self.donated, &mut self.chain);
             self.lens[donor] -= m as u32;
         }
         m
@@ -850,7 +904,7 @@ mod tests {
 
     /// Every block's chunks are all on its free list.
     fn all_chunks_free<N>(arena: &StackArena<N>) -> bool {
-        arena.blocks.iter().all(|b| b.free.len() == b.down.len())
+        arena.blocks.iter().all(|b| b.free.len() == b.links.len())
     }
 
     fn assert_matches(arena: &StackArena<u32>, i: usize, stack: &SearchStack<u32>) {
@@ -1029,6 +1083,66 @@ mod tests {
                 assert_matches(&arena, 0, &donor);
             }
         }
+    }
+
+    #[test]
+    fn chains_longer_than_the_inline_id_list_match_search_stack() {
+        // Walks from `&self` list a chain's ids on the stack up to
+        // INLINE_CHUNKS chunks and in a Vec past that; stacks one short of,
+        // at and past that edge, and three times past it, take both paths
+        // through encoding, frame lists, counted and policy donations.
+        let edge = INLINE_CHUNKS * CHUNK_NODES;
+        for total in [edge - 1, edge, edge + 1, 3 * edge + 2] {
+            let widths: Vec<u32> = (1..=5)
+                .cycle()
+                .scan(0, |sum, w| {
+                    let w = w.min(total as u32 - *sum);
+                    *sum += w;
+                    (w > 0).then_some(w)
+                })
+                .collect();
+            let frames = shape(10, &widths);
+            let arena = StackArena::from_stacks(vec![stack_of(frames.clone())]);
+            let block = &arena.blocks[0];
+            let ids = block.chain_ids(block.tops[0], total);
+            assert_eq!(matches!(ids, ChainIds::Heap(_)), total > edge, "{total} nodes");
+            assert_eq!(ids.as_slice().len(), total.div_ceil(CHUNK_NODES));
+            assert_matches(&arena, 0, &stack_of(frames.clone()));
+
+            let mut donations: Vec<Donation> =
+                [SplitPolicy::Bottom, SplitPolicy::Half, SplitPolicy::Top]
+                    .map(Donation::Split)
+                    .to_vec();
+            donations.extend([1, 3, 4, 5, edge - 1, edge, total - 1].map(Donation::Bottom));
+            for what in donations {
+                let mut donor_s = stack_of(frames.clone());
+                let mut recv_s = stack_of(shape(900, &[2, 3]));
+                let mut arena = pair(&frames, &shape(900, &[2, 3]));
+                let moved = arena.donate(0, 1, what);
+                assert_eq!(moved, donate_ref(&mut donor_s, what, &mut recv_s), "{what:?}");
+                assert_matches(&arena, 0, &donor_s);
+                assert_matches(&arena, 1, &recv_s);
+                assert_eq!(arena.pop_next(0), donor_s.pop_next());
+                assert_matches(&arena, 0, &donor_s);
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_costs_its_nodes_and_one_link_word() {
+        fn per_chunk<N: Clone>(stacks: Vec<SearchStack<N>>) -> usize {
+            let arena = StackArena::from_stacks(stacks);
+            let chunks: usize = arena.blocks.iter().map(|b| b.links.len()).sum();
+            assert!(chunks > 0);
+            arena.blocks.iter().map(Block::pool_bytes).sum::<usize>() / chunks
+        }
+        let lens = [1usize, 4, 5, 9, 40];
+        let words: Vec<SearchStack<u32>> =
+            lens.iter().map(|&n| stack_of(vec![(0..n as u32).collect()])).collect();
+        assert_eq!(per_chunk(words), CHUNK_NODES * 4 + 4);
+        let wide: Vec<SearchStack<[u32; 3]>> =
+            lens.iter().map(|&n| SearchStack::from_frames(vec![vec![[7; 3]; n]])).collect();
+        assert_eq!(per_chunk(wide), CHUNK_NODES * std::mem::size_of::<[u32; 3]>() + 4);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! ever see the ensembles a tree search produces from one root. Here the
 //! ensemble is the input: totals below, at and far above `P` (target 1,
 //! where only idle PEs receive, through targets where receivers already
-//! hold work), donors exactly one node over target, crowds of single-node
-//! PEs, all work on the last PE — the cases that decide whether the
-//! driver's incremental active list and busy count stay equal to a recount
-//! (which `balancing_phase` also asserts in debug builds).
+//! hold work), donors exactly one node over target, donors that stay
+//! donors for many rounds, crowds of single-node PEs, all work on the last
+//! PE — the cases that decide whether the driver's incremental active
+//! list, busy count and carried donor set stay equal to a recount (which
+//! `balancing_phase` and `equalize` also assert in debug builds).
 //!
 //! Both sides start from one hand-built [`EngineSnapshot`] over a problem
 //! whose every node is a leaf, so the expansion cycle that precedes the
@@ -53,7 +54,10 @@ impl TreeProblem for Leaves {
 }
 
 const SIZES: [usize; 6] = [1, 2, 3, 64, 1000, 4096];
-const SHAPES: u8 = 6;
+const SHAPES: u8 = 7;
+
+/// The shape whose donors stay donors for several rounds.
+const LASTING_DONORS: u8 = 6;
 
 /// SplitMix64, so an ensemble is a pure function of its seed.
 struct Mix(u64);
@@ -124,6 +128,23 @@ fn phase_lens(rng: &mut Mix, p: usize, shape: u8) -> Vec<usize> {
             for _ in 0..p / 16 + 1 {
                 lens[rng.within(0, p - 1)] = rng.within(2, 40);
             }
+        }
+        // Most PEs one node short of a target t of 2–4, a few idle (so the
+        // trigger fires), the rest of t·P nodes piled on about P / 8
+        // donors: each donor feeds a receiver one or t nodes a round and
+        // outlasts several rounds.
+        LASTING_DONORS => {
+            let t = rng.within(2, 4);
+            lens.fill(t - 1);
+            for _ in 0..rng.within(1, p / 16 + 1) {
+                lens[rng.within(0, p - 1)] = 0;
+            }
+            let donors = (p / 8).max(1);
+            let room = t * p - lens.iter().sum::<usize>();
+            for _ in 0..donors {
+                lens[rng.within(0, p - 1)] += room / donors;
+            }
+            assert_eq!(lens.iter().sum::<usize>().div_ceil(p), t, "P={p}: the target is t");
         }
         // All work on the last PE.
         _ => lens[p - 1] = rng.within(2, 3 * p + 5),
@@ -265,15 +286,15 @@ fn step_by_reference(cfg: &EngineConfig, snapshot: EngineSnapshot<u64>) -> After
 /// Build the ensemble for `(seed, p, shape)`, run the step through the
 /// oracle once and through the driver once per entry of `windows` (in
 /// windows of that many requests when one is given), and compare; returns
-/// the transfers the phase made and, per entry, the counted-split batches
-/// the driver's side was handed (0 without a window).
+/// the oracle's outcome and, per entry, the counted-split batches the
+/// driver's side was handed (0 without a window).
 fn assert_phase_identical(
     seed: u64,
     p: usize,
     shape: u8,
     ledger: bool,
     windows: &[Option<usize>],
-) -> (u64, Vec<usize>) {
+) -> (Outcome, Vec<usize>) {
     let mut rng = Mix(seed);
     let lens = phase_lens(&mut rng, p, shape);
     let stacks: Vec<SearchStack<u64>> =
@@ -296,7 +317,7 @@ fn assert_phase_identical(
         let held: usize = want_frames.iter().flatten().map(Vec::len).sum();
         assert_eq!(held, lens.iter().sum::<usize>(), "P={p} shape={shape}: nodes lost or made");
     }
-    (want.report.n_transfers, batches)
+    (want, batches)
 }
 
 proptest! {
@@ -321,9 +342,31 @@ fn every_shape_moves_work_at_every_size() {
     for p in SIZES.into_iter().filter(|&p| p >= 2) {
         for shape in 0..SHAPES {
             let moved: u64 = (0..8)
-                .map(|seed| assert_phase_identical(seed, p, shape, seed % 2 == 0, &[None]).0)
+                .map(|seed| {
+                    assert_phase_identical(seed, p, shape, seed % 2 == 0, &[None])
+                        .0
+                        .report
+                        .n_transfers
+                })
                 .sum();
             assert!(moved > 0, "P={p} shape={shape}: no ensemble of 8 moved any work");
+        }
+    }
+}
+
+/// The lasting-donors shape does what it is for: from 64 PEs up, every
+/// phase of 8 keeps donors above its target of 2–4 for at least three
+/// rounds, so the equalizer carries donors from round to round (and drops
+/// them as they reach the target) instead of meeting each only once.
+/// Windows of 3 requests cut those rounds too.
+#[test]
+fn lasting_donors_outlast_three_rounds() {
+    for p in SIZES.into_iter().filter(|&p| p >= 64) {
+        for seed in 0..8 {
+            let (want, _) = assert_phase_identical(seed, p, LASTING_DONORS, true, &[None, Some(3)]);
+            let phases = want.ledger.expect("ledger on").phases;
+            let rounds = phases.iter().map(|ph| ph.rounds).max();
+            assert!(rounds >= Some(3), "P={p} seed={seed}: the phase ran {rounds:?} rounds");
         }
     }
 }
