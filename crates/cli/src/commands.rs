@@ -214,6 +214,10 @@ fn print_shard_stats(stats: &uts_shard::ShardStats) {
             rep.bytes
         );
     }
+    eprintln!("worker memory : shard: peak RSS (VmHWM), minor page faults; 0 = unreadable");
+    for (shard, memory) in stats.workers.iter().enumerate() {
+        eprintln!("  {shard:<11} : {} kB, {} faults", memory.peak_rss_kb, memory.minor_faults);
+    }
 }
 
 /// `sts mimd`: asynchronous work stealing on the same workload.

@@ -333,6 +333,9 @@ pub struct CycleStats {
 /// worse on the `balance-wide` benchmark workload on a 2-vCPU host:
 /// `peak_rss_mb` 130.5 against 118.7 and median `wall_s` 0.208 against
 /// 0.197 s over 5 alternated 6-s pairs.
+///
+/// `on_len` hears each listed PE's new length, in list order (see
+/// [`expansion_burst_reporting`]).
 #[inline]
 pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
     problem: &P,
@@ -340,6 +343,7 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
     active: &mut Vec<usize>,
     goals: &mut u64,
     peak_stack_nodes: &mut usize,
+    on_len: &mut impl FnMut(u32),
 ) -> CycleStats {
     let mut run = arena.blocks_mut();
     let started = active.len();
@@ -349,6 +353,7 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
         let i = active[scan];
         *goals += run.expand_burst(i, problem, 1).goals;
         let len = run.len_of(i);
+        on_len(len as u32);
         // A PE that empties leaves the active list (rejoining the idle set
         // implicitly); otherwise its fresh length is this cycle's census.
         if len > 0 {
@@ -371,10 +376,11 @@ pub(crate) fn fused_expansion_cycle<P: TreeProblem>(
 /// **unsorted**) so the caller can reconstruct the lockstep schedule via
 /// [`uts_machine::SimdMachine::expansion_cycles_with_deaths`]. Public
 /// because the sharded machine's workers (`uts-shard`) run the identical
-/// helper over their arena — the bit-identity of the sharded schedule
-/// reduces to this function being the single implementation of the search
-/// phase. Machine accounting is the caller's job: it needs the *merged*
-/// death list when the active list spans several workers.
+/// helper over their arena ([`expansion_burst_reporting`], this function
+/// with a length hook) — the bit-identity of the sharded schedule reduces
+/// to this function being the single implementation of the search phase.
+/// Machine accounting is the caller's job: it needs the *merged* death
+/// list when the active list spans several workers.
 pub fn expansion_burst<P: TreeProblem>(
     problem: &P,
     arena: &mut StackArena<P::Node>,
@@ -384,12 +390,41 @@ pub fn expansion_burst<P: TreeProblem>(
     peak_stack_nodes: &mut usize,
     death_cycles: &mut Vec<u64>,
 ) -> CycleStats {
+    expansion_burst_reporting(
+        problem,
+        arena,
+        active,
+        h,
+        goals,
+        peak_stack_nodes,
+        death_cycles,
+        |_| {},
+    )
+}
+
+/// [`expansion_burst`], telling `on_len` the new length of every PE that
+/// entered the burst, in the order of `active` on entry — drained PEs'
+/// zeros included. A shard worker writes its `BURST` reply through it
+/// while the burst runs, instead of copying `active` to learn afterwards
+/// which PEs started; the in-process engines call [`expansion_burst`],
+/// whose empty hook compiles away.
+#[allow(clippy::too_many_arguments)]
+pub fn expansion_burst_reporting<P: TreeProblem>(
+    problem: &P,
+    arena: &mut StackArena<P::Node>,
+    active: &mut Vec<usize>,
+    h: u64,
+    goals: &mut u64,
+    peak_stack_nodes: &mut usize,
+    death_cycles: &mut Vec<u64>,
+    mut on_len: impl FnMut(u32),
+) -> CycleStats {
     death_cycles.clear();
     if h == 1 {
-        return fused_expansion_cycle(problem, arena, active, goals, peak_stack_nodes);
+        return fused_expansion_cycle(problem, arena, active, goals, peak_stack_nodes, &mut on_len);
     }
     let started = active.len();
-    let cut = burst_slice(problem, h, active, &mut arena.blocks_mut(), death_cycles);
+    let cut = burst_slice(problem, h, active, &mut arena.blocks_mut(), death_cycles, &mut on_len);
     active.truncate(cut.kept);
     *goals += cut.totals.goals;
     *peak_stack_nodes = (*peak_stack_nodes).max(cut.totals.peak);
@@ -413,13 +448,15 @@ pub(crate) struct SliceBurst {
 /// of each PE that drained onto `deaths`, and compact `pes` in place to
 /// the survivors. `run` holds (at least) the blocks of the slice's PEs —
 /// the whole arena for a burst on the calling thread, one job's disjoint
-/// run of blocks for a fanned-out one.
+/// run of blocks for a fanned-out one. `on_len` hears each listed PE's new
+/// length, in list order (see [`expansion_burst_reporting`]).
 pub(crate) fn burst_slice<P: TreeProblem>(
     problem: &P,
     h: u64,
     pes: &mut [usize],
     run: &mut BlockRun<'_, P::Node>,
     deaths: &mut Vec<u64>,
+    on_len: &mut impl FnMut(u32),
 ) -> SliceBurst {
     let mut cut = SliceBurst::default();
     for scan in 0..pes.len() {
@@ -427,6 +464,7 @@ pub(crate) fn burst_slice<P: TreeProblem>(
         let burst = run.expand_burst(i, problem, h);
         cut.totals.absorb(burst);
         let s1 = run.len_of(i);
+        on_len(s1 as u32);
         if s1 == 0 {
             deaths.push(burst.expanded);
         } else {

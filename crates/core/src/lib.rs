@@ -63,7 +63,8 @@ pub use ckpt::{
 };
 pub use driver::{BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, merge_active, run_with, CycleStats, EngineConfig, EngineKind, Outcome,
+    expansion_burst, expansion_burst_reporting, merge_active, run_with, CycleStats, EngineConfig,
+    EngineKind, Outcome,
 };
 pub use local::{run, LocalBackend};
 pub use matcher::MatchState;

@@ -287,7 +287,7 @@ impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
             let (slice, mut blocks, scr) =
                 queue[k].lock().expect("job lock").take().expect("job claimed once");
             scr.deaths.clear();
-            scr.cut = burst_slice(problem, h, slice, &mut blocks, &mut scr.deaths);
+            scr.cut = burst_slice(problem, h, slice, &mut blocks, &mut scr.deaths, &mut |_| {});
         };
         std::thread::scope(|s| {
             for i in 1..workers {

@@ -22,6 +22,8 @@
 //! [`route_with`] never clears the table and only touches the slots of
 //! nodes its traffic visits.
 
+use std::borrow::Borrow;
+
 pub mod hypercube;
 pub mod mesh;
 
@@ -184,28 +186,35 @@ pub fn route<R: Router>(router: &R, messages: &[Message]) -> RouteStats {
 
 /// Synchronously route `messages` to completion under link contention,
 /// claiming links in `links`. The result does not depend on what `links`
-/// routed before.
+/// routed before. `messages` is read once, in order, so a caller can route
+/// a set it never stores (a slice of [`Message`]s, or an iterator that
+/// makes them).
 ///
 /// # Panics
 /// Panics if any endpoint is out of range, if the network has more than
 /// 2^32 nodes (positions are kept as `u32`), or if the router has more
 /// than 32 ports.
-pub fn route_with<R: Router>(links: &mut Links, router: &R, messages: &[Message]) -> RouteStats {
+pub fn route_with<R: Router>(
+    links: &mut Links,
+    router: &R,
+    messages: impl IntoIterator<Item: Borrow<Message>>,
+) -> RouteStats {
     let n = router.size();
     assert!(n as u64 <= 1 << 32, "node indices must fit 32 bits");
     assert!(router.ports() <= 32, "a slot holds at most 32 ports");
-    for m in messages {
-        assert!(m.src < n && m.dst < n, "message endpoint out of range");
-    }
     let mut max_hops = 0;
-    for m in messages {
-        max_hops = max_hops.max(router.hops(m.src, m.dst));
-    }
-    links.fit(n, router.ports());
     // `(position, destination)` of every message still travelling, in
     // message order.
-    let in_flight: Vec<(u32, u32)> =
-        messages.iter().filter(|m| m.src != m.dst).map(|m| (m.src as u32, m.dst as u32)).collect();
+    let mut in_flight: Vec<(u32, u32)> = Vec::new();
+    for m in messages {
+        let &Message { src, dst } = m.borrow();
+        assert!(src < n && dst < n, "message endpoint out of range");
+        max_hops = max_hops.max(router.hops(src, dst));
+        if src != dst {
+            in_flight.push((src as u32, dst as u32));
+        }
+    }
+    links.fit(n, router.ports());
     let Links { table, ports, stamp } = links;
     let (steps, waits) = match table {
         Table::Narrow(t) => claim_steps(t, *ports, stamp, router, in_flight),

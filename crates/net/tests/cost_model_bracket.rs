@@ -37,7 +37,7 @@ fn permutation_traffic(seed: u64, p: usize) -> Vec<Message> {
 /// Route one permutation per seed through one link table.
 fn route_permutations<R: Router>(router: &R, p: usize, seeds: &[u64]) -> Vec<RouteStats> {
     let mut links = Links::default();
-    seeds.iter().map(|&s| route_with(&mut links, router, &permutation_traffic(s, p))).collect()
+    seeds.iter().map(|&s| route_with(&mut links, router, permutation_traffic(s, p))).collect()
 }
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];

@@ -37,7 +37,7 @@ use uts_net::{route_with, Links, Message, RouteStats};
 use uts_scan::Pair;
 use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena, TreeProblem};
 
-use crate::proto::{self, encode_burst, put_install, tag, Give, Hello, Transfer};
+use crate::proto::{self, encode_burst, put_install, tag, Give, Hello, Transfer, WorkerMemory};
 use crate::worker::WORKER_ENV;
 
 /// How the coordinator runs the shards.
@@ -184,6 +184,9 @@ pub struct ShardStats {
     pub phases: Vec<RoutedPhase>,
     /// All phases' routes folded together.
     pub route_total: RouteStats,
+    /// Each worker's peak resident set and minor faults, in shard order,
+    /// from its `SHUTDOWN` reply.
+    pub workers: Vec<WorkerMemory>,
     /// Pipe traffic per tag, `traffic[t - 1]` for tag `t`.
     traffic: [TagTraffic; tag::ALL.len()],
 }
@@ -401,7 +404,7 @@ impl RouterKind {
         }
     }
 
-    fn route(&self, links: &mut Links, messages: &[Message]) -> RouteStats {
+    fn route(&self, links: &mut Links, messages: impl IntoIterator<Item = Message>) -> RouteStats {
         match self {
             RouterKind::Hypercube(h) => route_with(links, h, messages),
             RouterKind::Mesh(m) => route_with(links, m, messages),
@@ -410,12 +413,20 @@ impl RouterKind {
 }
 
 /// One worker's staged request for one sub-phase of a transfer round: the
-/// frame being assembled, and which of the round's requests each of its
-/// entries stands for (replies answer entries in order).
-#[derive(Clone, Default)]
+/// frame being assembled, which of the round's requests each of its
+/// entries stands for (replies answer entries in order), and the last
+/// transfer entry, which the next one is written relative to.
+#[derive(Clone)]
 struct Lane {
     slots: Vec<usize>,
     payload: Vec<u8>,
+    last: Transfer,
+}
+
+impl Default for Lane {
+    fn default() -> Self {
+        Self { slots: Vec::new(), payload: Vec::new(), last: Transfer::START }
+    }
 }
 
 impl Lane {
@@ -423,7 +434,8 @@ impl Lane {
     /// one, goes on `payload` next).
     fn begin(&mut self) {
         self.slots.clear();
-        proto::begin_request(&mut self.payload);
+        self.last = Transfer::START;
+        proto::begin_list(&mut self.payload);
     }
 
     /// Claim the next entry for request `idx`; the caller appends its wire
@@ -434,20 +446,15 @@ impl Lane {
         &mut self.payload
     }
 
+    /// Stage transfer `tr` of a `give` round for request `idx`.
+    fn push_transfer(&mut self, idx: usize, give: Give, tr: Transfer) {
+        let last = std::mem::replace(&mut self.last, tr);
+        tr.put(give, &last, self.push(idx));
+    }
+
     /// The frame to send: none when no entry was staged.
     fn frame(&self) -> Option<&[u8]> {
         (!self.slots.is_empty()).then_some(&self.payload)
-    }
-
-    /// Pair a reply's entries with the requests they answer.
-    fn answered<'a, T: 'a>(
-        &'a self,
-        entries: Vec<T>,
-    ) -> Result<impl Iterator<Item = (usize, T)> + 'a, CodecError> {
-        if entries.len() != self.slots.len() {
-            return Err(CodecError::Malformed("reply does not answer every entry of its request"));
-        }
-        Ok(self.slots.iter().copied().zip(entries))
     }
 }
 
@@ -494,7 +501,6 @@ struct RemoteBackend<N> {
     extracts: Vec<Lane>,
     installs: Vec<Lane>,
     moved: Vec<usize>,
-    msgs: Vec<Message>,
     payload: Vec<u8>,
     buf: Vec<u8>,
     /// Every PE's stack encoding in PE order, as of the last
@@ -518,8 +524,12 @@ impl<N: CkptNode> RemoteBackend<N> {
         }
         let staged = |s: usize| installs[s].frame();
         fleet.exchange(tag::INSTALL, staged, buf, |s, reply| {
-            let mut loaded = installs[s].answered(proto::decode_install_reply(reply)?)?;
-            if loaded.any(|(pe, len)| len != lens[pe]) {
+            let slots = &installs[s].slots;
+            let mut differs = false;
+            proto::decode_install_reply(reply, slots.len(), |k, len| {
+                differs |= len != lens[slots[k]];
+            })?;
+            if differs {
                 return Err(CodecError::Malformed("installed length differs from the snapshot's"));
             }
             Ok(())
@@ -528,16 +538,6 @@ impl<N: CkptNode> RemoteBackend<N> {
 }
 
 impl<N> RemoteBackend<N> {
-    fn route_round(&mut self) {
-        if self.msgs.is_empty() {
-            return;
-        }
-        self.messages += self.msgs.len() as u64;
-        let stats = self.router.route(&mut self.links, &self.msgs);
-        self.route_stats.absorb(stats);
-        self.msgs.clear();
-    }
-
     /// One balancing round over the wire: every donor gives `give` to its
     /// receiver, and `self.moved[k]` is left holding the nodes request `k`
     /// moved. `req` reads a request of either [`StackStore`] batch shape.
@@ -557,8 +557,9 @@ impl<N> RemoteBackend<N> {
     /// [`Fleet::exchange`]: `MOVE` applies same-shard transfers where they
     /// live; `EXTRACT` takes the donation out of every donor whose receiver is
     /// elsewhere; `INSTALL` lands those stacks — relayed as the bytes the
-    /// donor encoded — on their receivers. Then the round's successful
-    /// transfers are routed through the interconnect, in request order.
+    /// donor encoded — on their receivers. Each reply is applied as it is
+    /// read. Then the round's successful transfers are routed through the
+    /// interconnect, in request order, straight from the requests.
     fn try_transfer_round<T>(
         &mut self,
         give: Give,
@@ -576,42 +577,49 @@ impl<N> RemoteBackend<N> {
                 (locate(bounds, r.donor), locate(bounds, r.receiver));
             let (lane, receiver) =
                 if ds == rs { (&mut moves[ds], Some(receiver)) } else { (&mut extracts[ds], None) };
-            Transfer { donor, receiver, max_nodes: r.max_nodes }.put(give, lane.push(idx));
+            // No stack holds `u32::MAX` nodes, so a larger bound is no bound.
+            let max_nodes = u32::try_from(r.max_nodes).unwrap_or(u32::MAX);
+            lane.push_transfer(idx, give, Transfer { donor, receiver, max_nodes });
         }
         let staged = |s: usize| moves[s].frame();
         fleet.exchange(tag::MOVE, staged, buf, |s, reply| {
-            for (idx, e) in moves[s].answered(proto::decode_move_reply(reply)?)? {
-                let r = req(&reqs[idx]);
-                moved[idx] = e.moved as usize;
+            let slots = &moves[s].slots;
+            proto::decode_move_reply(reply, slots.len(), |k, e| {
+                let r = req(&reqs[slots[k]]);
+                moved[slots[k]] = e.moved as usize;
                 lens[r.donor] = e.donor_len;
                 lens[r.receiver] = e.receiver_len;
-            }
-            Ok(())
+            })
         })?;
         let staged = |s: usize| extracts[s].frame();
         fleet.exchange(tag::EXTRACT, staged, buf, |s, reply| {
-            for (idx, e) in extracts[s].answered(proto::decode_extract_reply(reply)?)? {
-                let r = req(&reqs[idx]);
-                moved[idx] = e.moved as usize;
+            let slots = &extracts[s].slots;
+            proto::decode_extract_reply(reply, slots.len(), |k, e| {
+                let r = req(&reqs[slots[k]]);
+                moved[slots[k]] = e.moved as usize;
                 lens[r.donor] = e.donor_len;
                 if e.moved > 0 {
                     let (rs, receiver) = locate(bounds, r.receiver);
-                    put_install(installs[rs].push(idx), receiver, e.stack);
+                    put_install(installs[rs].push(slots[k]), receiver, e.stack);
                 }
-            }
-            Ok(())
+            })
         })?;
         let staged = |s: usize| installs[s].frame();
         fleet.exchange(tag::INSTALL, staged, buf, |s, reply| {
-            for (idx, len) in installs[s].answered(proto::decode_install_reply(reply)?)? {
-                lens[req(&reqs[idx]).receiver] = len;
-            }
-            Ok(())
+            let slots = &installs[s].slots;
+            proto::decode_install_reply(reply, slots.len(), |k, len| {
+                lens[req(&reqs[slots[k]]).receiver] = len;
+            })
         })?;
-        let sent = reqs.iter().zip(&self.moved).filter(|(_, &moved)| moved > 0);
-        self.msgs
-            .extend(sent.map(|(r, _)| req(r)).map(|r| Message { src: r.donor, dst: r.receiver }));
-        self.route_round();
+        // A round in which nothing moved routes nothing.
+        let sent = self.moved.iter().filter(|&&moved| moved > 0).count();
+        if sent > 0 {
+            self.messages += sent as u64;
+            let sent = reqs.iter().map(&req).zip(&self.moved).filter(|&(_, &moved)| moved > 0);
+            let messages = sent.map(|(r, _)| Message { src: r.donor, dst: r.receiver });
+            let stats = self.router.route(&mut self.links, messages);
+            self.route_stats.absorb(stats);
+        }
         Ok(())
     }
 }
@@ -788,7 +796,6 @@ fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, Sha
         extracts: lanes.clone(),
         installs: lanes,
         moved: Vec::new(),
-        msgs: Vec::new(),
         payload: Vec::new(),
         buf: Vec::new(),
         stack_bytes: Vec::new(),
@@ -805,7 +812,11 @@ fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, Sha
 
     // ---- graceful shutdown ----
     let RemoteBackend { mut fleet, mut buf, mut stats, .. } = backend;
-    fleet.exchange(tag::SHUTDOWN, empty_frame, &mut buf, |_, _| Ok(()))?;
+    stats.workers = vec![WorkerMemory::default(); opts.shards];
+    fleet.exchange(tag::SHUTDOWN, empty_frame, &mut buf, |s, reply| {
+        stats.workers[s] = WorkerMemory::decode(reply)?;
+        Ok(())
+    })?;
     for w in &mut fleet.workers {
         let _ = w.child.wait();
     }

@@ -11,7 +11,8 @@
 //!
 //! Because the coordinator runs the *identical* horizon/trigger/matcher
 //! code ([`uts_core::LockstepDriver`]) and workers run the *identical*
-//! expansion code ([`uts_core::expansion_burst`]), the sharded
+//! expansion code ([`uts_core::expansion_burst_reporting`], the body of
+//! [`uts_core::expansion_burst`]), the sharded
 //! [`uts_core::Outcome`] is bit-identical to the macro engine at any
 //! shard count. See DESIGN.md §13 for the protocol grammar and the
 //! determinism argument.

@@ -17,24 +17,35 @@
 //! error, not a mis-parse). PE indices are local to the addressed worker
 //! and range-checked where a request is decoded. Every list is prefixed by
 //! its `u64` count; a request's count is its first eight bytes
-//! ([`begin_request`]). Stacks are u32 byte-length-prefixed blobs, so the
+//! ([`begin_list`]). Stacks are u32 byte-length-prefixed blobs, so the
 //! coordinator relays them between shards without decoding nodes. Every
-//! stack length and node count in a reply is one byte when it is below
-//! 255, otherwise the byte 255 and the `u32` ([`put_len`]).
+//! stack length and node count — in a reply, and a counted transfer's
+//! `max_nodes` — is one byte when it is below 255, otherwise the byte 255
+//! and the `u32` ([`put_len`]). A `MOVE` or `EXTRACT` entry's PE indices
+//! are zigzag deltas from the previous entry's, in the same encoding
+//! ([`Transfer::put`]): a round's donors and receivers rise nearly one by
+//! one, so a matched `MOVE` entry is mostly two bytes.
 //!
 //! | tag | request | reply |
 //! |-----|---------|-------|
 //! | [`tag::HELLO`]    | local range + root seeding + fault knob + workload | ack |
 //! | [`tag::BURST`]    | horizon `h` | census: started/goals/peak/deaths, then one new len per started PE, in PE order, no PE index |
-//! | [`tag::MOVE`]     | [`Give`] + same-shard transfers `(donor, receiver[, max_nodes])` | per transfer: nodes moved + both new lens |
-//! | [`tag::EXTRACT`]  | [`Give`] + donors feeding another shard `(donor[, max_nodes])` | per donor: nodes moved + new len + donated stack |
+//! | [`tag::MOVE`]     | [`Give`] + same-shard transfers `(Δdonor, Δreceiver[, max_nodes])` | per transfer: nodes moved + both new lens |
+//! | [`tag::EXTRACT`]  | [`Give`] + donors feeding another shard `(Δdonor[, max_nodes])` | per donor: nodes moved + new len + donated stack |
 //! | [`tag::INSTALL`]  | `(receiver, stack)`: frames to append — a round's donations, or a resumed snapshot's stacks | per entry: new len |
 //! | [`tag::ENCODE`]   | (empty) | concatenated per-PE stack encodings for the range |
-//! | [`tag::SHUTDOWN`] | (empty) | ack, then the worker exits |
+//! | [`tag::SHUTDOWN`] | (empty) | the worker's peak RSS and minor faults ([`WorkerMemory`]), then it exits |
+//!
+//! Every list decoder reads its frame once, handing each entry to the
+//! caller as it is read: no decoder builds a list. A malformed frame is
+//! still a typed error and no index goes out of range, but entries before
+//! the bad one may have been applied — which is harmless, because the
+//! error ends the worker's session or the coordinator's run.
 //!
 //! A `BURST` reply names no PE: the PEs that started are the coordinator's
 //! sorted active list restricted to the worker's range, so the lengths
-//! follow that order ([`decode_burst_reply`]).
+//! follow that order ([`decode_burst_reply`]). The worker writes them while
+//! the burst runs ([`finish_burst_reply`]).
 //!
 //! A balancing round is homogeneous — every donor splits under the run's
 //! policy, or every donor gives a counted prefix — so what is given is the
@@ -144,40 +155,48 @@ fn expect_done(r: &Reader<'_>) -> Result<(), CodecError> {
     }
 }
 
-/// Take a count-prefixed list; an entry occupies at least `min_bytes` (the
-/// pre-allocation guard of [`Reader::len`]).
-fn take_list<'a, T>(
-    r: &mut Reader<'a>,
-    min_bytes: usize,
-    mut entry: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = r.len(min_bytes)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(entry(r)?);
-    }
-    Ok(out)
-}
-
-/// Decode a payload that is exactly one count-prefixed list.
-fn decode_list<'a, T>(
+/// Read a reply to a request of `n` entries: its count, which must be `n`,
+/// then each entry, handed to `entry` with its position as it is read, then
+/// nothing. An error may come after earlier entries were applied; it ends
+/// the run, so nothing reads what they changed.
+fn read_reply<'a>(
     bytes: &'a [u8],
-    min_bytes: usize,
-    entry: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
+    n: usize,
+    mut entry: impl FnMut(&mut Reader<'a>, usize) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
     let mut r = Reader::new(bytes);
-    let out = take_list(&mut r, min_bytes, entry)?;
-    expect_done(&r)?;
-    Ok(out)
+    if r.u64()? != n as u64 {
+        return Err(CodecError::Malformed("reply does not answer every entry of its request"));
+    }
+    for k in 0..n {
+        entry(&mut r, k)?;
+    }
+    expect_done(&r)
 }
 
 /// A local PE index, which must lie below the worker's `local_p`.
-fn take_pe(r: &mut Reader<'_>, local_p: usize) -> Result<u32, CodecError> {
-    let pe = r.u32()?;
+fn check_pe(pe: u32, local_p: usize) -> Result<u32, CodecError> {
     if pe as usize >= local_p {
         return Err(CodecError::Malformed("PE index outside the worker's range"));
     }
     Ok(pe)
+}
+
+/// Append PE index `pe` of a transfer entry as the zigzag delta from
+/// `prev`, the same end's index in the entry before (0 before the first),
+/// in [`put_len`]'s encoding. Differences wrap modulo 2^32, so every index
+/// has exactly one encoding.
+fn put_pe_delta(out: &mut Vec<u8>, prev: u32, pe: u32) {
+    let delta = pe.wrapping_sub(prev) as i32;
+    put_len(out, ((delta << 1) ^ (delta >> 31)) as u32);
+}
+
+/// Take a PE index written by [`put_pe_delta`] after `prev`; it must lie
+/// below the worker's `local_p`.
+fn take_pe_delta(r: &mut Reader<'_>, prev: u32, local_p: usize) -> Result<u32, CodecError> {
+    let zigzag = take_len(r)?;
+    let delta = (zigzag >> 1) as i32 ^ -((zigzag & 1) as i32);
+    check_pe(prev.wrapping_add(delta as u32), local_p)
 }
 
 /// A length-prefixed opaque stack blob (exact `SearchStack` codec bytes).
@@ -212,7 +231,8 @@ pub const LEN_ESCAPE: u8 = 255;
 
 /// Append a stack length or node count: one byte when it is below
 /// [`LEN_ESCAPE`], otherwise that byte followed by the `u32`. Every length
-/// and node count in a worker reply travels this way.
+/// and node count on the wire travels this way, and so does every PE delta
+/// of a transfer entry ([`Transfer::put`]).
 pub fn put_len(out: &mut Vec<u8>, len: u32) {
     match u8::try_from(len) {
         Ok(byte) if byte < LEN_ESCAPE => out.push(byte),
@@ -237,29 +257,20 @@ pub fn take_len(r: &mut Reader<'_>) -> Result<u32, CodecError> {
     }
 }
 
-/// Encode a worker's `BURST` reply: the per-shard half of a
-/// [`MergedBurst`] (`burst.started` is the number of local PEs that entered
-/// the burst), then the new length of each of them, in ascending PE order.
-/// Those PEs are exactly the coordinator's sorted active list restricted to
-/// this worker's range, so the reply names none of them.
-pub fn encode_burst_reply(
-    out: &mut Vec<u8>,
-    burst: &MergedBurst,
-    lens: impl ExactSizeIterator<Item = u32> + Clone,
-) {
-    debug_assert_eq!(lens.len(), burst.started, "one length per started PE");
+/// Finish a worker's `BURST` reply in `out`, which holds the new length of
+/// each PE that entered the burst, in ascending PE order, each written by
+/// [`put_len`] while the burst ran: put the per-shard half of a
+/// [`MergedBurst`] (`burst.started` is the number of those PEs) in front of
+/// them. Those PEs are exactly the coordinator's sorted active list
+/// restricted to this worker's range, so the reply names none of them.
+pub fn finish_burst_reply(out: &mut Vec<u8>, burst: &MergedBurst) {
+    let lens = out.len();
     put_usize(out, burst.started);
     put_u64(out, burst.goals);
     put_usize(out, burst.peak_stack_nodes);
     put_slice(out, &burst.deaths);
-    // Stacks of 255 nodes or more are rare: write every length as one byte,
-    // and take the escape only when some length did not fit.
-    let at = out.len();
-    out.extend(lens.clone().map(|len| len.min(u32::from(LEN_ESCAPE)) as u8));
-    if out[at..].contains(&LEN_ESCAPE) {
-        out.truncate(at);
-        lens.for_each(|len| put_len(out, len));
-    }
+    let census = out.len() - lens;
+    out.rotate_right(census);
 }
 
 /// Decode the `BURST` reply of a worker `started` of whose PEs entered the
@@ -317,19 +328,21 @@ impl Iterator for BurstLens<'_> {
     }
 }
 
-/// Start a list-shaped request (`MOVE`, `EXTRACT`, `INSTALL`) in `out`:
-/// the count, zero until [`set_count`] says otherwise. The coordinator
-/// learns a sub-phase's entries one at a time — partitioning a round,
-/// reading `EXTRACT` replies — and appends each straight to the frame that
-/// will carry it, so the count is written after the entries.
-pub fn begin_request(out: &mut Vec<u8>) {
+/// Start a list-shaped frame in `out` — a `MOVE`, `EXTRACT` or `INSTALL`
+/// request, or a worker's reply to one: the count, zero until
+/// [`set_count`] says otherwise. The coordinator learns a sub-phase's
+/// entries one at a time — partitioning a round, reading `EXTRACT`
+/// replies — and a worker answers each entry as it reads it, so both
+/// append each entry straight to the frame that will carry it and write
+/// the count after the entries.
+pub fn begin_list(out: &mut Vec<u8>) {
     out.clear();
     put_usize(out, 0);
 }
 
-/// Record that the request begun with [`begin_request`] holds `n` entries.
-pub fn set_count(request: &mut [u8], n: usize) {
-    request[..8].copy_from_slice(&(n as u64).to_le_bytes());
+/// Record that the frame begun with [`begin_list`] holds `n` entries.
+pub fn set_count(frame: &mut [u8], n: usize) {
+    frame[..8].copy_from_slice(&(n as u64).to_le_bytes());
 }
 
 /// What every donor of one transfer round gives: the header, after the
@@ -375,51 +388,70 @@ pub struct Transfer {
     pub receiver: Option<u32>,
     /// Upper bound on the nodes given; on the wire only under
     /// [`Give::Counted`] (0 otherwise).
-    pub max_nodes: usize,
+    pub max_nodes: u32,
 }
 
 impl Transfer {
-    /// Append the wire form of an entry of a `give` round: 8 bytes for a
-    /// matched `MOVE`, 4 for a matched `EXTRACT`, 8 more when counted.
-    pub fn put(&self, give: Give, out: &mut Vec<u8>) {
-        put_u32(out, self.donor);
+    /// What a request's first entry follows: its PE indices are deltas
+    /// from 0.
+    pub const START: Transfer = Transfer { donor: 0, receiver: None, max_nodes: 0 };
+
+    /// Append the wire form of an entry of a `give` round that follows
+    /// `prev` in its request ([`Transfer::START`] for the first): the
+    /// donor, then in a `MOVE` the receiver, each as the zigzag delta from
+    /// `prev`'s index at the same end, in [`put_len`]'s encoding; then,
+    /// under [`Give::Counted`], `max_nodes` in that encoding too. A round
+    /// pairs the k-th donor with the k-th receiver, so both ends rise
+    /// nearly one by one: a matched `MOVE` entry is mostly 2 bytes and a
+    /// matched `EXTRACT` 1; an index more than 127 away from the previous
+    /// one takes the escape (5 bytes).
+    pub fn put(&self, give: Give, prev: &Transfer, out: &mut Vec<u8>) {
+        put_pe_delta(out, prev.donor, self.donor);
         if let Some(receiver) = self.receiver {
-            put_u32(out, receiver);
+            put_pe_delta(out, prev.receiver.unwrap_or(0), receiver);
         }
         if give == Give::Counted {
-            put_usize(out, self.max_nodes);
+            put_len(out, self.max_nodes);
         }
     }
 }
 
-/// Decode the `MOVE` (`t == tag::MOVE`) or `EXTRACT` request of a worker
-/// that owns `local_p` PEs. This is where a transfer's indices are checked:
-/// a donor or receiver `>= local_p`, or a transfer onto its own donor, is
-/// malformed, so the worker's slab accesses cannot go out of bounds.
+/// Read the `MOVE` (`t == tag::MOVE`) or `EXTRACT` request of a worker
+/// that owns `local_p` PEs in one pass, handing `apply` the round's
+/// [`Give`] and each entry as it is read; returns the entry count. This is
+/// where a transfer's indices are checked: an index that lands at or past
+/// `local_p`, or a transfer onto its own donor, is malformed before it
+/// reaches `apply`, so the worker's slab accesses cannot go out of bounds.
+/// The entries before a malformed one, a missing one or trailing bytes
+/// have been applied when the error returns; it ends the session.
 pub fn decode_transfers(
     t: u8,
     bytes: &[u8],
     local_p: usize,
-) -> Result<(Give, Vec<Transfer>), CodecError> {
+    mut apply: impl FnMut(Give, Transfer),
+) -> Result<usize, CodecError> {
     let mut r = Reader::new(bytes);
-    let n = r.usize()?;
+    let local = t == tag::MOVE;
+    // An entry is at least a byte per index on the wire, plus one counted.
+    let n = r.len(1 + usize::from(local))?;
     let give = Give::take(&mut r)?;
-    let (local, counted) = (t == tag::MOVE, give == Give::Counted);
-    let entry_bytes = 4 + if local { 4 } else { 0 } + if counted { 8 } else { 0 };
-    if n.checked_mul(entry_bytes) != Some(r.remaining()) {
-        return Err(CodecError::Malformed("transfer count does not match the payload length"));
-    }
-    let mut entries = Vec::with_capacity(n);
+    let mut prev = Transfer::START;
     for _ in 0..n {
-        let donor = take_pe(&mut r, local_p)?;
-        let receiver = if local { Some(take_pe(&mut r, local_p)?) } else { None };
+        let donor = take_pe_delta(&mut r, prev.donor, local_p)?;
+        let receiver = if local {
+            Some(take_pe_delta(&mut r, prev.receiver.unwrap_or(0), local_p)?)
+        } else {
+            None
+        };
         if receiver == Some(donor) {
             return Err(CodecError::Malformed("transfer from a PE to itself"));
         }
-        let max_nodes = if counted { r.usize()? } else { 0 };
-        entries.push(Transfer { donor, receiver, max_nodes });
+        let max_nodes = if give == Give::Counted { take_len(&mut r)? } else { 0 };
+        prev = Transfer { donor, receiver, max_nodes };
+        apply(give, prev);
     }
-    Ok((give, entries))
+    expect_done(&r)?;
+    Ok(n)
 }
 
 /// Append one `INSTALL` entry: the stack whose frames go on top of local
@@ -429,10 +461,24 @@ pub fn put_install(out: &mut Vec<u8>, pe: u32, stack: &[u8]) {
     put_stack_bytes(out, stack);
 }
 
-/// Decode the `INSTALL` request of a worker that owns `local_p` PEs into
-/// range-checked `(local_pe, stack bytes)` entries.
-pub fn decode_install(bytes: &[u8], local_p: usize) -> Result<Vec<(u32, &[u8])>, CodecError> {
-    decode_list(bytes, 8, |r| Ok((take_pe(r, local_p)?, take_stack_bytes(r)?)))
+/// Read the `INSTALL` request of a worker that owns `local_p` PEs in one
+/// pass, handing `apply` each range-checked `(local_pe, stack bytes)`
+/// entry as it is read; returns the entry count. An error — from the
+/// request or from `apply` — may come after earlier entries were applied;
+/// it ends the session.
+pub fn decode_install<'a>(
+    bytes: &'a [u8],
+    local_p: usize,
+    mut apply: impl FnMut(u32, &'a [u8]) -> Result<(), CodecError>,
+) -> Result<usize, CodecError> {
+    let mut r = Reader::new(bytes);
+    let n = r.len(8)?;
+    for _ in 0..n {
+        let pe = check_pe(r.u32()?, local_p)?;
+        apply(pe, take_stack_bytes(&mut r)?)?;
+    }
+    expect_done(&r)?;
+    Ok(n)
 }
 
 /// `MOVE` reply entry: how many nodes moved (0 = the donor could not give)
@@ -456,10 +502,19 @@ impl MoveReply {
     }
 }
 
-/// Decode a `MOVE` reply.
-pub fn decode_move_reply(bytes: &[u8]) -> Result<Vec<MoveReply>, CodecError> {
-    decode_list(bytes, 3, |r| {
-        Ok(MoveReply { moved: take_len(r)?, donor_len: take_len(r)?, receiver_len: take_len(r)? })
+/// Read the reply to a `MOVE` request of `n` entries, handing `apply` each
+/// entry and its position as it is read. A count other than `n`, an entry
+/// cut short or trailing bytes are malformed, possibly after earlier
+/// entries were applied.
+pub fn decode_move_reply(
+    bytes: &[u8],
+    n: usize,
+    mut apply: impl FnMut(usize, MoveReply),
+) -> Result<(), CodecError> {
+    read_reply(bytes, n, |r, k| {
+        let (moved, donor_len, receiver_len) = (take_len(r)?, take_len(r)?, take_len(r)?);
+        apply(k, MoveReply { moved, donor_len, receiver_len });
+        Ok(())
     })
 }
 
@@ -485,26 +540,60 @@ impl ExtractReply<'_> {
     }
 }
 
-/// Decode an `EXTRACT` reply; the stacks borrow from `bytes`.
-pub fn decode_extract_reply(bytes: &[u8]) -> Result<Vec<ExtractReply<'_>>, CodecError> {
-    decode_list(bytes, 6, |r| {
-        Ok(ExtractReply {
-            moved: take_len(r)?,
-            donor_len: take_len(r)?,
-            stack: take_stack_bytes(r)?,
-        })
+/// Read the reply to an `EXTRACT` request of `n` entries, as
+/// [`decode_move_reply`] does; the stacks borrow from `bytes`.
+pub fn decode_extract_reply<'a>(
+    bytes: &'a [u8],
+    n: usize,
+    mut apply: impl FnMut(usize, ExtractReply<'a>),
+) -> Result<(), CodecError> {
+    read_reply(bytes, n, |r, k| {
+        let (moved, donor_len, stack) = (take_len(r)?, take_len(r)?, take_stack_bytes(r)?);
+        apply(k, ExtractReply { moved, donor_len, stack });
+        Ok(())
     })
 }
 
-/// Encode an `INSTALL` reply: each entry's post-install length.
-pub fn encode_install_reply(out: &mut Vec<u8>, lens: &[u32]) {
-    put_usize(out, lens.len());
-    lens.iter().for_each(|&len| put_len(out, len));
+/// Read the reply to an `INSTALL` request of `n` entries — each entry's
+/// post-install length, in [`put_len`]'s encoding — as
+/// [`decode_move_reply`] does.
+pub fn decode_install_reply(
+    bytes: &[u8],
+    n: usize,
+    mut apply: impl FnMut(usize, u32),
+) -> Result<(), CodecError> {
+    read_reply(bytes, n, |r, k| {
+        apply(k, take_len(r)?);
+        Ok(())
+    })
 }
 
-/// Decode an `INSTALL` reply.
-pub fn decode_install_reply(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    decode_list(bytes, 1, take_len)
+/// A worker's memory use over its session, carried by its `SHUTDOWN`
+/// reply: the peak resident set (`VmHWM`) and the minor page faults, as
+/// `/proc/self` reads when the session ends, each zero where it cannot be
+/// read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerMemory {
+    /// Peak resident set, KiB.
+    pub peak_rss_kb: u64,
+    /// Minor page faults.
+    pub minor_faults: u64,
+}
+
+impl WorkerMemory {
+    /// Append the `SHUTDOWN` reply.
+    pub fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.peak_rss_kb);
+        put_u64(out, self.minor_faults);
+    }
+
+    /// Decode a `SHUTDOWN` reply.
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let memory = WorkerMemory { peak_rss_kb: r.u64()?, minor_faults: r.u64()? };
+        expect_done(&r)?;
+        Ok(memory)
+    }
 }
 
 #[cfg(test)]
@@ -557,7 +646,8 @@ mod tests {
         let burst =
             MergedBurst { started: 3, goals: 2, peak_stack_nodes: 91, deaths: vec![3, 1, 7] };
         let mut bytes = Vec::new();
-        encode_burst_reply(&mut bytes, &burst, [4, 0, 300].into_iter());
+        [4, 0, 300].into_iter().for_each(|len| put_len(&mut bytes, len));
+        finish_burst_reply(&mut bytes, &burst);
         let mut back = MergedBurst::default();
         let lens: Vec<u32> = decode_burst_reply(&bytes, 3, &mut back).expect("decodes").collect();
         assert_eq!(back, burst);
@@ -577,6 +667,25 @@ mod tests {
     }
 
     #[test]
+    fn pe_deltas_wrap_and_escape() {
+        // (previous index, index, bytes on the wire)
+        let cases = [(0, 0, 1), (5, 6, 1), (6, 5, 1), (0, 127, 1), (127, 0, 1), (0, 128, 5)];
+        let wrapping = [(u32::MAX - 1, 0, 1), (0, u32::MAX - 1, 1), (3, 1 << 31, 5)];
+        for (prev, pe, size) in cases.into_iter().chain(wrapping) {
+            let mut bytes = Vec::new();
+            put_pe_delta(&mut bytes, prev, pe);
+            assert_eq!(bytes.len(), size, "{prev} -> {pe}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(take_pe_delta(&mut r, prev, u32::MAX as usize), Ok(pe));
+            assert!(r.is_done());
+            assert_eq!(
+                take_pe_delta(&mut Reader::new(&bytes), prev, pe as usize),
+                Err(CodecError::Malformed("PE index outside the worker's range")),
+            );
+        }
+    }
+
+    #[test]
     fn replies_round_trip() {
         let entries = [
             MoveReply { moved: 1, donor_len: 4, receiver_len: 1 },
@@ -585,7 +694,10 @@ mod tests {
         let mut bytes = Vec::new();
         put_usize(&mut bytes, entries.len());
         entries.iter().for_each(|e| e.put(&mut bytes));
-        assert_eq!(decode_move_reply(&bytes).expect("round trip"), entries.to_vec());
+        let mut back = Vec::new();
+        decode_move_reply(&bytes, 2, |k, e| back.push((k, e))).expect("round trip");
+        assert_eq!(back, [(0, entries[0]), (1, entries[1])]);
+        assert!(decode_move_reply(&bytes, 3, |_, _| ()).is_err(), "a reply answers every entry");
 
         let extracts = [
             ExtractReply { moved: 3, donor_len: 5, stack: &[1, 2, 3] },
@@ -594,10 +706,20 @@ mod tests {
         let mut bytes = Vec::new();
         put_usize(&mut bytes, extracts.len());
         extracts.iter().for_each(|e| e.put(&mut bytes));
-        assert_eq!(decode_extract_reply(&bytes).expect("round trip"), extracts.to_vec());
+        let mut back = Vec::new();
+        decode_extract_reply(&bytes, 2, |_, e| back.push(e)).expect("round trip");
+        assert_eq!(back, extracts);
 
         let mut bytes = Vec::new();
-        encode_install_reply(&mut bytes, &[7, 0, 2]);
-        assert_eq!(decode_install_reply(&bytes).expect("round trip"), vec![7, 0, 2]);
+        put_usize(&mut bytes, 3);
+        [7, 0, 2].into_iter().for_each(|len| put_len(&mut bytes, len));
+        let mut back = Vec::new();
+        decode_install_reply(&bytes, 3, |_, len| back.push(len)).expect("round trip");
+        assert_eq!(back, [7, 0, 2]);
+
+        let memory = WorkerMemory { peak_rss_kb: 30_600, minor_faults: 11_652 };
+        let mut bytes = Vec::new();
+        memory.put(&mut bytes);
+        assert_eq!(WorkerMemory::decode(&bytes), Ok(memory));
     }
 }

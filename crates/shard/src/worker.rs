@@ -2,12 +2,12 @@
 //! contiguous slab of PEs.
 //!
 //! A worker is the *search phase* of the engine and nothing else: it holds
-//! a [`StackArena`] over its `[lo, hi)` range, runs
-//! [`uts_core::expansion_burst`] when told to, and applies the splits the
-//! coordinator's balancing phase decided. It makes **no** scheduling
-//! decisions — the horizon, the trigger, the matching and the transfer
-//! counts all arrive over the wire, which is what keeps the lockstep
-//! schedule deterministic at any shard count (DESIGN.md §13).
+//! a [`StackArena`] over its `[lo, hi)` range, runs the in-process burst
+//! kernel ([`uts_core::expansion_burst_reporting`]) when told to, and
+//! applies the splits the coordinator's balancing phase decided. It makes
+//! **no** scheduling decisions — the horizon, the trigger, the matching
+//! and the transfer counts all arrive over the wire, which is what keeps
+//! the lockstep schedule deterministic at any shard count (DESIGN.md §13).
 //!
 //! Workers are spawned by re-executing the host binary
 //! (`std::env::current_exe()`) with [`WORKER_ENV`] set; any binary that
@@ -18,13 +18,12 @@
 use std::io::{Read, Write};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_core::{expansion_burst, merge_active, MergedBurst, Search};
-use uts_tree::codec::put_usize;
+use uts_core::{expansion_burst_reporting, merge_active, MergedBurst, Search};
 use uts_tree::{CodecError, Donation, StackArena, TreeProblem};
 
 use crate::proto::{
-    decode_burst, decode_install, decode_transfers, encode_burst_reply, encode_install_reply, tag,
-    ExtractReply, Give, Hello, MoveReply,
+    begin_list, decode_burst, decode_install, decode_transfers, finish_burst_reply, put_len,
+    set_count, tag, ExtractReply, Give, Hello, MoveReply, WorkerMemory,
 };
 
 /// Mode-switch environment variable: when set, the process is a shard
@@ -144,7 +143,6 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
 
     let mut buf = Vec::new();
     let mut payload = Vec::new();
-    let mut started: Vec<usize> = Vec::new();
     let mut burst = MergedBurst::default();
     let mut stack: Vec<u8> = Vec::new();
     let mut bursts_seen = 0u64;
@@ -164,10 +162,11 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                     active.iter().copied().eq((0..local_p).filter(|&i| arena.len_of(i) > 0)),
                     "the kept active list is the PEs holding work"
                 );
-                started.clear();
-                started.extend_from_slice(&active);
-                burst.reset(started.len());
-                expansion_burst(
+                // The reply's lengths are written as the kernel reports
+                // them, in `active`'s order, so the PEs that started need
+                // not be remembered; the census goes in front afterwards.
+                burst.reset(active.len());
+                expansion_burst_reporting(
                     problem,
                     &mut arena,
                     &mut active,
@@ -175,16 +174,16 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                     &mut burst.goals,
                     &mut burst.peak_stack_nodes,
                     &mut burst.deaths,
+                    |len| put_len(&mut payload, len),
                 );
                 debug_assert!(arena.store_ok(), "node store out of step with the length census");
-                let lens = arena.lens();
-                encode_burst_reply(&mut payload, &burst, started.iter().map(|&i| lens[i]));
+                finish_burst_reply(&mut payload, &burst);
                 writer.send(tag::BURST, &payload)?;
             }
             tag::MOVE | tag::EXTRACT => {
-                let (what, transfers) = decode_transfers(t, &buf, local_p)?;
-                put_usize(&mut payload, transfers.len());
-                for tr in &transfers {
+                // Each entry is applied and answered as it is read.
+                begin_list(&mut payload);
+                let n = decode_transfers(t, &buf, local_p, |what, tr| {
                     let d = tr.donor as usize;
                     let what = donation(what, tr.max_nodes);
                     match tr.receiver {
@@ -208,13 +207,13 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                             ExtractReply { moved, donor_len, stack: &stack }.put(&mut payload);
                         }
                     }
-                }
+                })?;
+                set_count(&mut payload, n);
                 writer.send(t, &payload)?;
             }
             tag::INSTALL => {
-                let entries = decode_install(&buf, local_p)?;
-                let mut lens_out = Vec::with_capacity(entries.len());
-                for &(pe, stack_bytes) in &entries {
+                begin_list(&mut payload);
+                let n = decode_install(&buf, local_p, |pe, stack_bytes| {
                     let pe = pe as usize;
                     // The frames land on top of the PE in encoded
                     // (bottom-first) order, which reproduces the in-process
@@ -225,9 +224,10 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                     if arena.push_encoded(pe, stack_bytes)? > 0 && was_idle {
                         fed.push(pe);
                     }
-                    lens_out.push(arena.len_of(pe) as u32);
-                }
-                encode_install_reply(&mut payload, &lens_out);
+                    put_len(&mut payload, arena.len_of(pe) as u32);
+                    Ok(())
+                })?;
+                set_count(&mut payload, n);
                 writer.send(tag::INSTALL, &payload)?;
             }
             tag::ENCODE => {
@@ -237,7 +237,8 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
                 writer.send(tag::ENCODE, &payload)?;
             }
             tag::SHUTDOWN => {
-                writer.send(tag::SHUTDOWN, &[])?;
+                own_memory().put(&mut payload);
+                writer.send(tag::SHUTDOWN, &payload)?;
                 return Ok(());
             }
             other => return Err(WorkerError::UnexpectedTag(other)),
@@ -245,12 +246,27 @@ fn serve_problem<P: TreeProblem, R: Read, W: Write>(
     }
 }
 
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`) and
+/// minor page faults (the tenth field of `/proc/self/stat`); each zero
+/// where it cannot be read.
+fn own_memory() -> WorkerMemory {
+    let read = |file| std::fs::read_to_string(file).unwrap_or_default();
+    let status = read("/proc/self/status");
+    let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
+    let peak_rss_kb = hwm.and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok());
+    // The command name (field 2) is parenthesised and may hold spaces.
+    let stat = read("/proc/self/stat");
+    let after_name = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let minor_faults = after_name.split_whitespace().nth(7).and_then(|v| v.parse().ok());
+    WorkerMemory { peak_rss_kb: peak_rss_kb.unwrap_or(0), minor_faults: minor_faults.unwrap_or(0) }
+}
+
 /// What every donor of a round gives, in the arena's terms: a split under
 /// the round's policy, or up to the entry's `max_nodes` bottom nodes.
-fn donation(what: Give, max_nodes: usize) -> Donation {
+fn donation(what: Give, max_nodes: u32) -> Donation {
     match what {
         Give::Split(policy) => Donation::Split(policy),
-        Give::Counted => Donation::Bottom(max_nodes),
+        Give::Counted => Donation::Bottom(max_nodes as usize),
     }
 }
 

@@ -1,37 +1,96 @@
 //! A worker that lies. Its frames are intact — checksum, sequence and tag
-//! all good — but its first `BURST` reply disagrees with the PEs the
-//! coordinator knows entered the burst. The reply names no PE: the
-//! coordinator applies its lengths, in order, to its own sorted active list
-//! restricted to the replying worker's range. Two lies:
+//! all good — but the first reply it sends under one tag says something its
+//! request cannot have produced. The coordinator reads each reply once,
+//! applying entries as it goes, so a lie may be found after earlier entries
+//! were applied; it must still end the run as [`ShardError::Reply`] from
+//! the lying shard, and never panic or index out of range. Five lies:
 //!
-//! - one length more than the PEs that started;
-//! - a `started` one higher than the worker's active PEs (with as many
-//!   lengths).
+//! - a `BURST` reply with one length more than the PEs that started;
+//! - a `BURST` reply whose `started` is one higher than the worker's active
+//!   PEs (with as many lengths);
+//! - a `MOVE` reply whose count is right but which ends early;
+//! - a `MOVE` reply with trailing bytes;
+//! - an `EXTRACT` reply whose first stack claims more bytes than the frame
+//!   holds.
 //!
-//! Trusted, either would hand shard 0's extra length to the next active PE
-//! in the list, which belongs to shard 1. The run resumes a snapshot in
-//! which both shards hold work, so that PE exists. The coordinator must
-//! refuse each lie as [`ShardError::Reply`] from shard 0, never panic.
+//! A `BURST` reply names no PE: the coordinator applies its lengths, in
+//! order, to its own sorted active list restricted to the replying worker's
+//! range. Trusted, either `BURST` lie would hand shard 0's extra length to
+//! the next active PE in the list, which belongs to shard 1. The run
+//! resumes a snapshot in which both shards hold work, so that PE exists.
 //!
 //! `harness = false` because this binary is its own (dishonest) worker
-//! executable: `resume_sharded` re-executes `current_exe()`. The worker
-//! reads which lie to tell from the seed of the tree its `HELLO` names.
+//! executable: `resume_sharded` re-executes `current_exe()`. The worker is
+//! the real request loop ([`uts_shard::serve`]) writing through a filter
+//! that rewrites one reply frame. Only shard 0 lies, and it reads which lie
+//! to tell from the seed of the tree its `HELLO` names.
 
-use std::io::{stdin, stdout};
+use std::io::{stdin, stdout, Cursor, Read, Write};
 
-use uts_ckpt::wire::{FrameReader, FrameWriter};
+use uts_ckpt::wire::{decode_frame, encode_frame, FrameReader, WireError};
 use uts_ckpt::{CheckpointPolicy, EngineSnapshot};
-use uts_core::{config_fingerprint, run, EngineConfig, MergedBurst, Scheme};
+use uts_core::{config_fingerprint, run, EngineConfig, Scheme};
 use uts_machine::CostModel;
-use uts_shard::proto::{decode_install, encode_burst_reply, encode_install_reply, tag, Hello};
-use uts_shard::{resume_sharded, ShardError, ShardOpts, ShardWorkload, WORKER_ENV};
+use uts_shard::proto::{tag, take_len, Hello};
+use uts_shard::{resume_sharded, serve, ShardError, ShardOpts, ShardWorkload, WORKER_ENV};
 use uts_synthgen::{GenNode, GenTree};
-use uts_tree::StackArena;
+use uts_tree::Reader;
 
-/// Tree seed → the lie the workers of that run tell.
-const LIES: [(u64, &str); 2] = [
-    (1, "one length more than the PEs that started"),
-    (2, "a started count one higher than the worker's active PEs"),
+/// One lie: the tree seed that selects it, what it says, the tag of the
+/// reply it rewrites, and the rewrite.
+struct Lie {
+    seed: u64,
+    what: &'static str,
+    tag: u8,
+    tell: fn(&mut Vec<u8>),
+}
+
+const LIES: [Lie; 5] = [
+    Lie {
+        seed: 1,
+        what: "one length more than the PEs that started",
+        tag: tag::BURST,
+        tell: |reply| reply.push(1),
+    },
+    Lie {
+        seed: 2,
+        what: "a started count one higher than the worker's active PEs",
+        tag: tag::BURST,
+        tell: |reply| {
+            let started = u64::from_le_bytes(reply[..8].try_into().expect("8 bytes"));
+            reply[..8].copy_from_slice(&(started + 1).to_le_bytes());
+            reply.push(1);
+        },
+    },
+    Lie {
+        seed: 3,
+        what: "a MOVE reply whose count is right but which ends early",
+        tag: tag::MOVE,
+        tell: |reply| {
+            reply.pop();
+        },
+    },
+    Lie {
+        seed: 5,
+        what: "a MOVE reply with trailing bytes",
+        tag: tag::MOVE,
+        tell: |reply| reply.push(0),
+    },
+    Lie {
+        seed: 7,
+        what: "an EXTRACT reply whose stack length overruns the frame",
+        tag: tag::EXTRACT,
+        tell: |reply| {
+            // Past the count, the first entry's moved count and donor length.
+            let mut r = Reader::new(reply);
+            r.u64().expect("count");
+            take_len(&mut r).expect("moved");
+            take_len(&mut r).expect("donor length");
+            let at = reply.len() - r.remaining();
+            let overrun = (r.remaining() - 4 + 1) as u32;
+            reply[at..at + 4].copy_from_slice(&overrun.to_le_bytes());
+        },
+    },
 ];
 
 const P: usize = 8;
@@ -41,7 +100,7 @@ fn main() {
         return lie();
     }
     let cfg = EngineConfig::new(P, Scheme::gp_dk(), CostModel::cm2());
-    for (seed, what) in LIES {
+    for Lie { seed, what, .. } in LIES {
         let tree = GenTree::geometric(seed, 8, 7);
         let snapshot = both_shards_busy(&tree, &cfg);
         let opts = ShardOpts { shards: 2, park: None, kill: None };
@@ -71,45 +130,56 @@ fn both_shards_busy(tree: &GenTree, cfg: &EngineConfig) -> Vec<u8> {
     found.expect("a boundary at which both shards hold work").bytes
 }
 
-/// Ack `HELLO`, load the resumed range honestly (the coordinator checks
-/// the lengths), answer the first `BURST` with the lie the tree's seed
-/// names, then wait to be reaped.
+/// Serve the session honestly through [`Liar`], which shard 0 arms with the
+/// lie its tree's seed names. The `HELLO` is read here to learn both, then
+/// replayed to the request loop ahead of the rest of stdin.
 fn lie() {
-    let mut reader = FrameReader::new(stdin().lock());
-    let mut writer = FrameWriter::new(stdout().lock());
-    let mut buf = Vec::new();
-    assert_eq!(reader.recv(&mut buf).expect("first frame"), tag::HELLO);
-    let hello = Hello::decode(&buf).expect("HELLO payload");
-    writer.send(tag::HELLO, &[]).expect("ack");
-    let ShardWorkload::UtsGen(tree) = hello.workload else { panic!("a generated tree") };
+    let mut input = stdin().lock();
+    let mut hello = Vec::new();
+    assert_eq!(FrameReader::new(&mut input).recv(&mut hello).expect("HELLO"), tag::HELLO);
+    let decoded = Hello::decode(&hello).expect("HELLO payload");
+    let ShardWorkload::UtsGen(tree) = decoded.workload else { panic!("a generated tree") };
+    let lie = LIES.iter().find(|lie| lie.seed == tree.seed).filter(|_| decoded.lo == 0);
+    let mut replay = Vec::new();
+    encode_frame(&mut replay, tag::HELLO, 0, &hello);
+    let out = Liar { inner: stdout().lock(), lie, pending: Vec::new() };
+    // The coordinator refuses the lie and kills this process.
+    let _ = serve(Cursor::new(replay).chain(input), out);
+}
 
-    let mut arena = StackArena::<GenNode>::new((hello.hi - hello.lo) as usize);
-    assert_eq!(reader.recv(&mut buf).expect("second frame"), tag::INSTALL);
-    let lens: Vec<u32> = decode_install(&buf, arena.p())
-        .expect("INSTALL payload")
-        .into_iter()
-        .map(|(pe, stack)| {
-            arena.push_encoded(pe as usize, stack).expect("stack");
-            arena.len_of(pe as usize) as u32
-        })
-        .collect();
-    let mut payload = Vec::new();
-    encode_install_reply(&mut payload, &lens);
-    writer.send(tag::INSTALL, &payload).expect("INSTALL reply");
+/// A byte sink that passes every frame through but the first one under the
+/// lie's tag, which it re-encodes with the lie told.
+struct Liar<W> {
+    inner: W,
+    lie: Option<&'static Lie>,
+    pending: Vec<u8>,
+}
 
-    // Every installed PE holds work, so these are the PEs that start; the
-    // lie reports each unchanged, plus one more length.
-    assert_eq!(reader.recv(&mut buf).expect("third frame"), tag::BURST);
-    let mut payload = Vec::new();
-    if tree.seed == LIES[0].0 {
-        let honest = MergedBurst { started: lens.len(), ..MergedBurst::default() };
-        encode_burst_reply(&mut payload, &honest, lens.iter().copied());
-        payload.push(1);
-    } else {
-        let inflated = MergedBurst { started: lens.len() + 1, ..MergedBurst::default() };
-        let more: Vec<u32> = lens.iter().copied().chain([1]).collect();
-        encode_burst_reply(&mut payload, &inflated, more.into_iter());
+impl<W: Write> Write for Liar<W> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.pending.extend_from_slice(bytes);
+        loop {
+            let (frame, used) = match decode_frame(&self.pending) {
+                Ok(decoded) => decoded,
+                Err(WireError::Truncated) => return Ok(bytes.len()),
+                Err(e) => panic!("the request loop wrote a bad frame: {e}"),
+            };
+            match self.lie.filter(|lie| lie.tag == frame.tag) {
+                Some(lie) => {
+                    let mut payload = frame.payload.to_vec();
+                    (lie.tell)(&mut payload);
+                    let mut told = Vec::new();
+                    encode_frame(&mut told, frame.tag, frame.seq, &payload);
+                    self.inner.write_all(&told)?;
+                    self.lie = None;
+                }
+                None => self.inner.write_all(&self.pending[..used])?,
+            }
+            self.pending.drain(..used);
+        }
     }
-    writer.send(tag::BURST, &payload).expect("reply");
-    let _ = reader.recv(&mut buf);
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }

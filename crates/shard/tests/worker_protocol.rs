@@ -7,18 +7,24 @@
 //! the same operation — the coordinator picks between them per transfer,
 //! and no end-to-end digest says which it picked — that no request,
 //! however wrong its contents, makes the loop index out of bounds, and what
-//! a `BURST` reply costs on the wire: one byte per started PE while its
-//! stack holds fewer than 255 nodes.
+//! the wire costs: one byte per started PE in a `BURST` reply while its
+//! stack holds fewer than 255 nodes, and at most three per entry in a GP
+//! round's `MOVE` request.
 
 use proptest::prelude::*;
-use uts_ckpt::fnv1a_64;
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_core::{expansion_burst, MergedBurst};
+use uts_ckpt::{fnv1a_64, CheckpointPolicy, EngineSnapshot};
+use uts_core::{
+    config_fingerprint, expansion_burst, run, EngineConfig, MatchState, Matching, MergedBurst,
+    Scheme,
+};
+use uts_machine::CostModel;
 use uts_puzzle15::scrambled;
+use uts_scan::Pair;
 use uts_shard::proto::{
-    begin_request, decode_burst_reply, decode_extract_reply, decode_install, decode_install_reply,
-    decode_move_reply, decode_transfers, encode_burst, encode_burst_reply, encode_install_reply,
-    put_install, put_len, set_count, tag, take_len, ExtractReply, Give, Hello, MoveReply, Transfer,
+    begin_list, decode_burst_reply, decode_extract_reply, decode_install, decode_install_reply,
+    decode_move_reply, decode_transfers, encode_burst, finish_burst_reply, put_install, put_len,
+    set_count, tag, take_len, ExtractReply, Give, Hello, MoveReply, Transfer, WorkerMemory,
     LEN_ESCAPE,
 };
 use uts_shard::{serve, ShardWorkload, WorkerError};
@@ -41,11 +47,11 @@ fn session_tree() -> GenTree {
     GenTree::geometric(1, 4, 4)
 }
 
-/// The `HELLO` of a fresh, unseeded worker of [`LOCAL_P`] PEs.
-fn hello_payload() -> Vec<u8> {
+/// The `HELLO` of a fresh, unseeded worker of `local_p` PEs.
+fn hello_payload(local_p: u32) -> Vec<u8> {
     let hello = Hello {
         lo: 0,
-        hi: u64::from(LOCAL_P),
+        hi: u64::from(local_p),
         seed_root: false,
         kill_at_burst: None,
         workload: session_tree().into(),
@@ -59,9 +65,14 @@ fn hello_payload() -> Vec<u8> {
 /// Returns the reply payloads (the `HELLO` ack excluded) and how the
 /// session ended.
 fn session(requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>) {
+    session_of(LOCAL_P, requests)
+}
+
+/// [`session`] with a worker of `local_p` PEs.
+fn session_of(local_p: u32, requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>) {
     let mut input = Vec::new();
     let mut writer = FrameWriter::new(&mut input);
-    writer.send(tag::HELLO, &hello_payload()).expect("write to a Vec");
+    writer.send(tag::HELLO, &hello_payload(local_p)).expect("write to a Vec");
     for (t, payload) in requests {
         writer.send(*t, payload).expect("write to a Vec");
     }
@@ -83,19 +94,75 @@ fn session(requests: &[(u8, Vec<u8>)]) -> (Vec<Vec<u8>>, Result<(), WorkerError>
 
 fn transfer_request(give: Give, entries: &[Transfer]) -> Vec<u8> {
     let mut out = Vec::new();
-    begin_request(&mut out);
+    begin_list(&mut out);
     give.put(&mut out);
-    entries.iter().for_each(|entry| entry.put(give, &mut out));
+    let prevs = std::iter::once(&Transfer::START).chain(entries);
+    entries.iter().zip(prevs).for_each(|(entry, prev)| entry.put(give, prev, &mut out));
     set_count(&mut out, entries.len());
     out
 }
 
+/// The entries of a `MOVE` (`t == tag::MOVE`) or `EXTRACT` request, each
+/// with the round's [`Give`], as a worker of `local_p` PEs reads them.
+fn transfers_of(t: u8, bytes: &[u8], local_p: usize) -> Result<Vec<(Give, Transfer)>, CodecError> {
+    let mut entries = Vec::new();
+    let n = decode_transfers(t, bytes, local_p, |give, entry| entries.push((give, entry)))?;
+    assert_eq!(n, entries.len(), "the count returned is the entries read");
+    Ok(entries)
+}
+
 fn install_request(entries: &[(u32, &[u8])]) -> Vec<u8> {
     let mut out = Vec::new();
-    begin_request(&mut out);
+    begin_list(&mut out);
     entries.iter().for_each(|&(pe, stack)| put_install(&mut out, pe, stack));
     set_count(&mut out, entries.len());
     out
+}
+
+/// The entries of an `INSTALL` request, as a worker of `local_p` PEs reads
+/// them.
+fn installs_of(bytes: &[u8], local_p: usize) -> Result<Vec<(u32, &[u8])>, CodecError> {
+    let mut entries = Vec::new();
+    decode_install(bytes, local_p, |pe, stack| {
+        entries.push((pe, stack));
+        Ok(())
+    })?;
+    Ok(entries)
+}
+
+/// A `BURST` reply, written as a worker writes it: the lengths, then the
+/// census put in front.
+fn burst_reply(census: &MergedBurst, lens: impl IntoIterator<Item = u32>) -> Vec<u8> {
+    let mut out = Vec::new();
+    lens.into_iter().for_each(|len| put_len(&mut out, len));
+    finish_burst_reply(&mut out, census);
+    out
+}
+
+/// The entries of a reply to a request of `n` entries, read by `decode`.
+fn reply_entries<'a, T>(
+    bytes: &'a [u8],
+    n: usize,
+    decode: impl FnOnce(&'a [u8], usize, &mut dyn FnMut(usize, T)) -> Result<(), CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut entries = Vec::new();
+    decode(bytes, n, &mut |k, entry| {
+        assert_eq!(k, entries.len(), "entries arrive in order");
+        entries.push(entry);
+    })?;
+    Ok(entries)
+}
+
+fn move_replies(bytes: &[u8], n: usize) -> Result<Vec<MoveReply>, CodecError> {
+    reply_entries(bytes, n, |b, n, apply| decode_move_reply(b, n, apply))
+}
+
+fn extract_replies(bytes: &[u8], n: usize) -> Result<Vec<ExtractReply<'_>>, CodecError> {
+    reply_entries(bytes, n, |b, n, apply| decode_extract_reply(b, n, apply))
+}
+
+fn install_replies(bytes: &[u8], n: usize) -> Result<Vec<u32>, CodecError> {
+    reply_entries(bytes, n, |b, n, apply| decode_install_reply(b, n, apply))
 }
 
 fn encoded(stack: &Stack) -> Vec<u8> {
@@ -235,7 +302,7 @@ proptest! {
         donor in arb_stack(),
         receiver in arb_stack(),
         give in arb_give(),
-        max_nodes in 0usize..12,
+        max_nodes in 0u32..12,
     ) {
         let max_nodes = if give == Give::Counted { max_nodes } else { 0 };
         let idle = Stack::from_frames(Vec::new());
@@ -250,7 +317,7 @@ proptest! {
                 arena.split_into(0, 1, policy);
             }
             Give::Counted => {
-                arena.split_count_into(0, 1, max_nodes);
+                arena.split_count_into(0, 1, max_nodes as usize);
             }
         }
         let want_moved = (before - arena.len_of(0)) as u32;
@@ -263,7 +330,7 @@ proptest! {
         moving.extend_from_slice(&end);
         let (replies, result) = session(&moving);
         prop_assert!(result.is_ok(), "{result:?}");
-        let moved = decode_move_reply(&replies[1]).expect("MOVE reply")[0];
+        let moved = move_replies(&replies[1], 1).expect("MOVE reply")[0];
         prop_assert_eq!(moved.moved, want_moved);
         prop_assert_eq!((moved.donor_len, moved.receiver_len), want_lens);
         prop_assert_eq!(&replies[2], &want_bytes, "MOVE differs from the in-process transfer");
@@ -271,7 +338,7 @@ proptest! {
         let request = transfer_request(give, &[entry(None)]);
         let extracting = [install_all(&stacks), (tag::EXTRACT, request)];
         let (replies, _) = session(&extracting);
-        let extracted = decode_extract_reply(&replies[1]).expect("EXTRACT reply")[0];
+        let extracted = extract_replies(&replies[1], 1).expect("EXTRACT reply")[0];
         prop_assert_eq!((extracted.moved, extracted.donor_len), (want_moved, want_lens.0));
         prop_assert_eq!(extracted.stack.is_empty(), want_moved == 0);
 
@@ -283,7 +350,7 @@ proptest! {
         let (replies, result) = session(&relaying);
         prop_assert!(result.is_ok(), "{result:?}");
         if want_moved > 0 {
-            let installed = decode_install_reply(&replies[2]).expect("INSTALL reply");
+            let installed = install_replies(&replies[2], 1).expect("INSTALL reply");
             prop_assert_eq!(installed, vec![want_lens.1]);
         }
         prop_assert_eq!(&replies[replies.len() - 2], &want_bytes, "EXTRACT + INSTALL differs");
@@ -301,7 +368,7 @@ proptest! {
         prop_assert!(result.is_ok(), "{result:?}");
         let lens: Vec<u32> =
             stacks.iter().map(|stack| stack.len() as u32).filter(|&len| len > 0).collect();
-        prop_assert_eq!(decode_install_reply(&replies[0]).expect("INSTALL reply"), lens);
+        prop_assert_eq!(install_replies(&replies[0], lens.len()).expect("INSTALL reply"), lens);
         prop_assert_eq!(&replies[1], &stacks.iter().flat_map(encoded).collect::<Vec<u8>>());
     }
 
@@ -311,7 +378,7 @@ proptest! {
     fn request_codec_round_trips_and_rejects_every_prefix(
         give in arb_give(),
         local in any::<bool>(),
-        raw in collection::vec((0..LOCAL_P, 1..LOCAL_P, 0usize..1000), 0..6),
+        raw in collection::vec((0..LOCAL_P, 1..LOCAL_P, 0u32..1000), 0..6),
         blobs in collection::vec((0..LOCAL_P, collection::vec(any::<u8>(), 0..9)), 0..6),
     ) {
         let t = if local { tag::MOVE } else { tag::EXTRACT };
@@ -325,16 +392,17 @@ proptest! {
             .collect();
         let bytes = transfer_request(give, &entries);
         let local_p = LOCAL_P as usize;
-        prop_assert_eq!(decode_transfers(t, &bytes, local_p), Ok((give, entries)));
-        assert_only_whole(&bytes, |b| decode_transfers(t, b, local_p).is_ok());
+        let given: Vec<(Give, Transfer)> = entries.iter().map(|&entry| (give, entry)).collect();
+        prop_assert_eq!(transfers_of(t, &bytes, local_p), Ok(given));
+        assert_only_whole(&bytes, |b| transfers_of(t, b, local_p).is_ok());
 
         let entries: Vec<(u32, &[u8])> = blobs.iter().map(|(pe, blob)| (*pe, &blob[..])).collect();
         let bytes = install_request(&entries);
-        prop_assert_eq!(decode_install(&bytes, local_p), Ok(entries));
-        assert_only_whole(&bytes, |b| decode_install(b, local_p).is_ok());
+        prop_assert_eq!(installs_of(&bytes, local_p), Ok(entries));
+        assert_only_whole(&bytes, |b| installs_of(b, local_p).is_ok());
     }
 
-    /// The same for what the coordinator decodes — the four reply codecs —
+    /// The same for what the coordinator decodes — the five reply codecs —
     /// and for `HELLO`, the one request the property above leaves out.
     #[test]
     fn reply_codecs_and_hello_round_trip_and_reject_every_prefix(
@@ -354,8 +422,7 @@ proptest! {
         let ((goals, peak_stack_nodes), deaths, lens) = burst;
         let started = lens.len();
         let census = MergedBurst { started, goals, peak_stack_nodes, deaths };
-        let mut bytes = Vec::new();
-        encode_burst_reply(&mut bytes, &census, lens.iter().copied());
+        let bytes = burst_reply(&census, lens.iter().copied());
         prop_assert_eq!(decoded_burst(&bytes, started), Ok((census, lens)));
         assert_only_whole(&bytes, |b| decoded_burst(b, started).is_ok());
 
@@ -363,11 +430,12 @@ proptest! {
             .iter()
             .map(|&(moved, donor_len, receiver_len)| MoveReply { moved, donor_len, receiver_len })
             .collect();
-        let mut bytes = Vec::new();
-        put_usize(&mut bytes, moves.len());
+        let (n, mut bytes) = (moves.len(), Vec::new());
+        put_usize(&mut bytes, n);
         moves.iter().for_each(|entry| entry.put(&mut bytes));
-        prop_assert_eq!(decode_move_reply(&bytes), Ok(moves));
-        assert_only_whole(&bytes, |b| decode_move_reply(b).is_ok());
+        prop_assert_eq!(move_replies(&bytes, n), Ok(moves));
+        assert_only_whole(&bytes, |b| move_replies(b, n).is_ok());
+        prop_assert!(move_replies(&bytes, n + 1).is_err(), "a reply answers every entry");
 
         let extracts: Vec<ExtractReply<'_>> = extracts
             .iter()
@@ -377,16 +445,23 @@ proptest! {
                 stack,
             })
             .collect();
-        let mut bytes = Vec::new();
-        put_usize(&mut bytes, extracts.len());
+        let (n, mut bytes) = (extracts.len(), Vec::new());
+        put_usize(&mut bytes, n);
         extracts.iter().for_each(|entry| entry.put(&mut bytes));
-        prop_assert_eq!(decode_extract_reply(&bytes), Ok(extracts));
-        assert_only_whole(&bytes, |b| decode_extract_reply(b).is_ok());
+        prop_assert_eq!(extract_replies(&bytes, n), Ok(extracts));
+        assert_only_whole(&bytes, |b| extract_replies(b, n).is_ok());
 
+        let (n, mut bytes) = (installs.len(), Vec::new());
+        put_usize(&mut bytes, n);
+        installs.iter().for_each(|&len| put_len(&mut bytes, len));
+        prop_assert_eq!(install_replies(&bytes, n), Ok(installs));
+        assert_only_whole(&bytes, |b| install_replies(b, n).is_ok());
+
+        let memory = WorkerMemory { peak_rss_kb: goals, minor_faults: peak_stack_nodes as u64 };
         let mut bytes = Vec::new();
-        encode_install_reply(&mut bytes, &installs);
-        prop_assert_eq!(decode_install_reply(&bytes), Ok(installs));
-        assert_only_whole(&bytes, |b| decode_install_reply(b).is_ok());
+        memory.put(&mut bytes);
+        prop_assert_eq!(WorkerMemory::decode(&bytes), Ok(memory));
+        assert_only_whole(&bytes, |b| WorkerMemory::decode(b).is_ok());
 
         // `Hello` has no `PartialEq`; its encoding is canonical, so a
         // round trip is the bytes coming back.
@@ -423,8 +498,7 @@ fn lengths_take_one_byte_below_the_escape() {
     // In a reply: an escaped small length, a count the lengths do not
     // match, either way round, are malformed.
     let census = MergedBurst { started: 2, goals: 1, peak_stack_nodes: 300, deaths: vec![4] };
-    let mut reply = Vec::new();
-    encode_burst_reply(&mut reply, &census, [3, 300].into_iter());
+    let reply = burst_reply(&census, [3, 300]);
     assert_eq!(reply.len(), BURST_HEADER + 8 + 1 + 5);
     let mut escaped = reply[..reply.len() - 6].to_vec();
     escaped.push(LEN_ESCAPE);
@@ -444,7 +518,7 @@ fn lengths_take_one_byte_below_the_escape() {
     put_usize(&mut moves, 1);
     MoveReply { moved: 1, donor_len: 2, receiver_len: 1 }.put(&mut moves);
     let escaped = [&moves[..moves.len() - 1], &[LEN_ESCAPE, 1, 0, 0, 0]].concat();
-    assert_eq!(decode_move_reply(&escaped).err(), malformed);
+    assert_eq!(move_replies(&escaped, 1).err(), malformed);
 }
 
 /// A stack of 255 nodes or more costs five bytes in a real `BURST` reply,
@@ -533,7 +607,7 @@ fn malformed_requests_are_typed_errors() {
     // the same frame layout, summed with byte-serial FNV-1a. The worker and
     // its coordinator are one executable, so there is no version to
     // negotiate — the first frame fails its checksum and nothing is served.
-    let payload = hello_payload();
+    let payload = hello_payload(LOCAL_P);
     let mut frame = vec![tag::HELLO];
     frame.extend_from_slice(&0u64.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -576,5 +650,249 @@ fn hostile_hello_workloads_are_typed_errors() {
             "{what}: {result:?}"
         );
         assert!(output.is_empty(), "{what}: nothing is acknowledged");
+    }
+}
+
+/// How far a transfer entry's PE index moves from the previous one's:
+/// a step, forward or back, a gap that needs the escape, or anything.
+fn arb_step() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..=3,
+        1i64..=127,
+        -127i64..=-1,
+        128i64..70_000,
+        -70_000i64..-128,
+        any::<i32>().prop_map(i64::from),
+    ]
+}
+
+/// The zigzag code of PE index `pe` after `prev` on the wire.
+fn zigzag(prev: u32, pe: u32) -> u32 {
+    let delta = pe.wrapping_sub(prev) as i32;
+    ((delta << 1) ^ (delta >> 31)) as u32
+}
+
+/// The numbers a `give` round's request carries per entry, in wire order:
+/// each PE index's zigzag code, then a counted entry's `max_nodes`.
+fn entry_fields(give: Give, entries: &[Transfer]) -> Vec<u32> {
+    let prevs = std::iter::once(&Transfer::START).chain(entries);
+    let mut fields = Vec::new();
+    for (entry, prev) in entries.iter().zip(prevs) {
+        fields.push(zigzag(prev.donor, entry.donor));
+        if let Some(receiver) = entry.receiver {
+            fields.push(zigzag(prev.receiver.unwrap_or(0), receiver));
+        }
+        if give == Give::Counted {
+            fields.push(entry.max_nodes);
+        }
+    }
+    fields
+}
+
+/// A transfer request written field by field, field `escaped` (if any)
+/// in the non-canonical escaped form.
+fn request_from_fields(give: Give, n: usize, fields: &[u32], escaped: Option<usize>) -> Vec<u8> {
+    let mut out = Vec::new();
+    begin_list(&mut out);
+    give.put(&mut out);
+    for (j, &field) in fields.iter().enumerate() {
+        if escaped == Some(j) {
+            out.push(LEN_ESCAPE);
+            out.extend_from_slice(&field.to_le_bytes());
+        } else {
+            put_len(&mut out, field);
+        }
+    }
+    set_count(&mut out, n);
+    out
+}
+
+proptest! {
+    /// `MOVE` and `EXTRACT` requests over any index sequence — rising,
+    /// falling, wrapping past the top of the range as the GP pointer does,
+    /// with gaps that need the escape — round-trip, cost one byte per
+    /// field below the escape and five from there up, and stop reading at
+    /// the first index that lands outside the worker's range.
+    #[test]
+    fn transfer_requests_round_trip_any_index_sequence(
+        local_p in prop_oneof![2u32..300, 300u32..1 << 20, Just(u32::MAX)],
+        start in (any::<u32>(), any::<u32>()),
+        steps in collection::vec((arb_step(), arb_step(), 0u32..600), 0..40),
+        give in arb_give(),
+        local in any::<bool>(),
+    ) {
+        let t = if local { tag::MOVE } else { tag::EXTRACT };
+        let modulo = i64::from(local_p);
+        let (mut donor, mut receiver) = (i64::from(start.0) % modulo, i64::from(start.1) % modulo);
+        let mut entries = Vec::new();
+        for &(donor_step, receiver_step, max_nodes) in &steps {
+            donor = (donor + donor_step).rem_euclid(modulo);
+            receiver = (receiver + receiver_step).rem_euclid(modulo);
+            if receiver == donor {
+                receiver = (donor + 1) % modulo;
+            }
+            entries.push(Transfer {
+                donor: donor as u32,
+                receiver: local.then_some(receiver as u32),
+                max_nodes: if give == Give::Counted { max_nodes } else { 0 },
+            });
+        }
+        let bytes = transfer_request(give, &entries);
+        let fields = entry_fields(give, &entries);
+        let cost: usize = fields.iter().map(|&f| if f < u32::from(LEN_ESCAPE) { 1 } else { 5 }).sum();
+        prop_assert_eq!(bytes.len(), 9 + cost);
+        prop_assert_eq!(&bytes, &request_from_fields(give, entries.len(), &fields, None));
+        let given: Vec<(Give, Transfer)> = entries.iter().map(|&entry| (give, entry)).collect();
+        prop_assert_eq!(transfers_of(t, &bytes, local_p as usize), Ok(given));
+        assert_only_whole(&bytes, |b| transfers_of(t, b, local_p as usize).is_ok());
+
+        let top = entries.iter().flat_map(|e| [Some(e.donor), e.receiver]).flatten().max();
+        if let Some(top) = top {
+            prop_assert_eq!(
+                transfers_of(t, &bytes, top as usize),
+                Err(CodecError::Malformed("PE index outside the worker's range"))
+            );
+        }
+    }
+}
+
+/// Every way a `MOVE` or `EXTRACT` request can go wrong in one pass —
+/// cut short at any byte, one byte too long, an index that lands outside
+/// the worker (past its top, or below 0 by wrapping), a field escaped
+/// though it fits one byte — ends the session with a typed error, after
+/// the request before it was answered and before anything after it is.
+#[test]
+fn malformed_transfer_requests_end_the_session() {
+    const WIDE: u32 = 300;
+    let stack = encoded(&Stack::from_frames(vec![vec![GenNode { state: 7, depth: 1 }; 5]]));
+    let install = (tag::INSTALL, install_request(&[(0, &stack), (5, &stack), (299, &stack)]));
+    let ends_typed = |t: u8, payload: Vec<u8>, what: &str| {
+        let requests = [install.clone(), (t, payload), (tag::SHUTDOWN, Vec::new())];
+        let (replies, result) = session_of(WIDE, &requests);
+        assert_eq!(replies.len(), 1, "{what}: INSTALL answered, nothing after");
+        assert!(matches!(result, Err(WorkerError::Codec(_))), "{what}: {result:?}");
+    };
+    // Rising, falling, and gaps that take the escape at both ends.
+    let pairs = [(0u32, 1u32), (299, 2), (5, 298), (6, 4)];
+    for (t, give) in [
+        (tag::MOVE, Give::Split(SplitPolicy::Bottom)),
+        (tag::MOVE, Give::Counted),
+        (tag::EXTRACT, Give::Counted),
+    ] {
+        let entry = |(donor, receiver): (u32, u32)| Transfer {
+            donor,
+            receiver: (t == tag::MOVE).then_some(receiver),
+            max_nodes: if give == Give::Counted { 2 } else { 0 },
+        };
+        let entries: Vec<Transfer> = pairs.into_iter().map(entry).collect();
+        let request = transfer_request(give, &entries);
+        let whole = [install.clone(), (t, request.clone()), (tag::SHUTDOWN, Vec::new())];
+        let (replies, result) = session_of(WIDE, &whole);
+        assert!(result.is_ok(), "{result:?}");
+        assert_eq!(replies.len(), 3);
+
+        for n in 0..request.len() {
+            ends_typed(t, request[..n].to_vec(), &format!("{n}-byte prefix"));
+        }
+        ends_typed(t, [&request[..], &[0]].concat(), "one byte more");
+        for k in 0..entries.len() {
+            for outside in [WIDE, u32::MAX] {
+                let mut bad = entries.clone();
+                bad[k].donor = outside;
+                ends_typed(t, transfer_request(give, &bad), &format!("donor {k} at {outside}"));
+                if t == tag::MOVE {
+                    let mut bad = entries.clone();
+                    bad[k].receiver = Some(outside);
+                    let what = format!("receiver {k} at {outside}");
+                    ends_typed(t, transfer_request(give, &bad), &what);
+                }
+            }
+        }
+        let fields = entry_fields(give, &entries);
+        assert!(fields.iter().any(|&f| f >= u32::from(LEN_ESCAPE)), "some field escapes");
+        for (j, _) in fields.iter().enumerate().filter(|(_, &f)| f < u32::from(LEN_ESCAPE)) {
+            let escaped = request_from_fields(give, entries.len(), &fields, Some(j));
+            ends_typed(t, escaped, &format!("field {j} escaped"));
+        }
+    }
+}
+
+/// A GP round of a real run — the stacks of a boundary snapshot, paired by
+/// the engine's own GP matcher from the snapshot's global pointer — sent
+/// as one `MOVE` to a worker owning every PE costs at most three bytes per
+/// entry, and every transfer in it moves work.
+#[test]
+fn a_gp_round_costs_at_most_three_bytes_per_entry() {
+    const P: usize = 1024;
+    let tree = GenTree::geometric(1, 8, 8);
+    let cfg = EngineConfig::new(P, Scheme::gp_dk(), CostModel::cm2());
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
+    run(&tree, &armed);
+    let fingerprint = config_fingerprint(&cfg);
+    let snapshots = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    // Of the boundaries whose round wraps past the top of the machine, as
+    // the GP pointer makes it, the one whose round pairs the most PEs.
+    let wraps = |pairs: &[Pair]| pairs.windows(2).any(|w| w[1].donor < w[0].donor);
+    let (pairs, snapshot) = snapshots
+        .iter()
+        .map(|s| EngineSnapshot::<GenNode>::decode(&s.bytes, fingerprint).expect("snapshot"))
+        .map(|snapshot| {
+            let lens = snapshot.stacks.lens();
+            let busy: Vec<bool> = lens.iter().map(|&len| len >= 2).collect();
+            let idle: Vec<bool> = lens.iter().map(|&len| len == 0).collect();
+            let mut matcher = MatchState::restore(Matching::Gp, snapshot.global_pointer);
+            (matcher.match_round(&busy, &idle), snapshot)
+        })
+        .filter(|(pairs, _)| wraps(pairs))
+        .max_by_key(|(pairs, _)| pairs.len())
+        .expect("a boundary whose round wraps");
+    assert!(pairs.len() >= 100, "a round of {} pairs", pairs.len());
+
+    let give = Give::Split(SplitPolicy::Bottom);
+    let entries: Vec<Transfer> = pairs
+        .iter()
+        .map(|pair| Transfer {
+            donor: pair.donor as u32,
+            receiver: Some(pair.receiver as u32),
+            max_nodes: 0,
+        })
+        .collect();
+    let request = transfer_request(give, &entries);
+    let per_entry = (request.len() - 9) as f64 / entries.len() as f64;
+    assert!(per_entry <= 3.0, "{per_entry:.2} bytes per MOVE entry");
+
+    let blobs: Vec<(u32, Vec<u8>)> = (0..P)
+        .filter(|&pe| snapshot.stacks.len_of(pe) > 0)
+        .map(|pe| {
+            let mut blob = Vec::new();
+            snapshot.stacks.encode_pe(pe, &mut blob);
+            (pe as u32, blob)
+        })
+        .collect();
+    let installs: Vec<(u32, &[u8])> = blobs.iter().map(|(pe, blob)| (*pe, &blob[..])).collect();
+    let requests = [
+        (tag::INSTALL, install_request(&installs)),
+        (tag::MOVE, request),
+        (tag::SHUTDOWN, Vec::new()),
+    ];
+    let (replies, result) = session_of(P as u32, &requests);
+    assert!(result.is_ok(), "{result:?}");
+    let moved = move_replies(&replies[1], entries.len()).expect("MOVE reply");
+    assert!(moved.iter().all(|e| e.moved > 0), "every GP donor can give");
+}
+
+/// A session's `SHUTDOWN` reply is the worker's memory use: this process's
+/// peak resident set and minor faults, both non-zero where `/proc` is
+/// readable and both zero where it is not.
+#[test]
+fn shutdown_reports_the_workers_memory() {
+    let (replies, result) = session(&[(tag::SHUTDOWN, Vec::new())]);
+    assert!(result.is_ok(), "{result:?}");
+    let memory = WorkerMemory::decode(&replies[0]).expect("SHUTDOWN reply");
+    let readable = std::fs::metadata("/proc/self/status").is_ok();
+    assert_eq!(memory.peak_rss_kb > 0, readable, "{memory:?}");
+    assert_eq!(memory.minor_faults > 0, readable, "{memory:?}");
+    for cut in [&replies[0][..15], &[replies[0].as_slice(), &[0]].concat()] {
+        assert!(WorkerMemory::decode(cut).is_err());
     }
 }
