@@ -1,4 +1,5 @@
-//! Spill-directory entry points for parked runs.
+//! Spill-directory entry points for parked runs, and the one atomic file
+//! write every snapshot on disk goes through.
 //!
 //! A preemptive scheduler (the `uts-serve` job server) parks long-running
 //! jobs by writing their boundary snapshot to disk and resumes them when
@@ -23,7 +24,10 @@
 //! The same atomic-write primitive ([`write_atomic`]) is exported for the
 //! scheduler's sibling files (job specs, results): the server's recovery
 //! contract is that *every* file in a spill directory is either absent or
-//! complete.
+//! complete. It is also how a run's checkpoint directory is written
+//! (`uts_core::CheckpointSink::Dir`, one `ckpt-{step:08}.bin` per
+//! snapshot boundary), whichever executor runs it — in process or sharded
+//! — so a run killed mid-write leaves no torn snapshot either.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,14 +40,18 @@ pub fn job_path(dir: &Path, job: u64, ext: &str) -> PathBuf {
 
 /// Write `bytes` to `path` atomically: a `.tmp` sibling is written, then
 /// renamed over `path`, so readers and a restarted process never observe a
-/// torn file. Nothing is `fsync`ed: the guarantee is atomic visibility of
-/// complete contents, not that the newest write outlives a power failure.
+/// torn file. A write that fails removes its `.tmp`. Nothing is `fsync`ed:
+/// the guarantee is atomic visibility of complete contents, not that the
+/// newest write outlives a power failure.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
     // Durability of the rename itself is the filesystem's business; what
     // this guarantees is atomic visibility of complete contents.
-    std::fs::rename(&tmp, path)
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Park `job`'s snapshot container bytes into `dir` (created on first
@@ -124,6 +132,16 @@ mod tests {
         std::fs::write(dir.join("job-00000009.tmp"), b"torn").unwrap();
         std::fs::write(dir.join("notes.txt"), b"hi").unwrap();
         assert_eq!(job_ids(&dir, "park").unwrap(), vec![2, 7]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_tmp() {
+        let dir = tmpdir("failed");
+        // A directory where the file should go: the rename fails.
+        std::fs::create_dir_all(dir.join("x.bin")).unwrap();
+        assert!(write_atomic(&dir.join("x.bin"), b"z").is_err());
+        assert!(!dir.join("x.tmp").exists(), "the .tmp of a failed write is removed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -191,14 +191,23 @@ fn frame_checksum(header: &[u8; HEADER_LEN], payload: &[u8]) -> u64 {
 /// Panics if `payload.len()` exceeds [`MAX_PAYLOAD`] — the sender is in
 /// the same process; an oversized message is a bug, not a wire fault.
 pub fn encode_frame(out: &mut Vec<u8>, tag: u8, seq: u64, payload: &[u8]) {
+    let header = frame_header(tag, seq, payload);
+    out.extend_from_slice(&header);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&frame_checksum(&header, payload).to_le_bytes());
+}
+
+/// The header of a frame carrying `payload`.
+///
+/// # Panics
+/// Panics if `payload.len()` exceeds [`MAX_PAYLOAD`].
+fn frame_header(tag: u8, seq: u64, payload: &[u8]) -> [u8; HEADER_LEN] {
     assert!(payload.len() <= MAX_PAYLOAD as usize, "frame payload over MAX_PAYLOAD");
     let mut header = [0u8; HEADER_LEN];
     header[0] = tag;
     header[1..9].copy_from_slice(&seq.to_le_bytes());
     header[9..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(&header, payload).to_le_bytes());
+    header
 }
 
 /// Decode one frame from the front of `bytes`. On success returns the
@@ -231,25 +240,32 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
 
 /// Frame sender over a byte sink. Stamps consecutive sequence numbers
 /// and flushes after every frame (a worker blocked on an unflushed pipe
-/// would deadlock the lockstep barrier).
+/// would deadlock the lockstep barrier). A frame's header, payload and
+/// checksum go straight to the sink, with no copy of the payload kept, so
+/// give it a buffered sink (a `BufWriter` over a pipe) or each frame costs
+/// three writes.
 #[derive(Debug)]
 pub struct FrameWriter<W: Write> {
     inner: W,
     seq: u64,
-    buf: Vec<u8>,
 }
 
 impl<W: Write> FrameWriter<W> {
     /// A writer starting at sequence number 0.
     pub fn new(inner: W) -> Self {
-        Self { inner, seq: 0, buf: Vec::new() }
+        Self { inner, seq: 0 }
     }
 
     /// Send one frame; returns the sequence number it carried.
+    ///
+    /// # Panics
+    /// Panics if `payload.len()` exceeds [`MAX_PAYLOAD`], as
+    /// [`encode_frame`] does.
     pub fn send(&mut self, tag: u8, payload: &[u8]) -> Result<u64, WireError> {
-        self.buf.clear();
-        encode_frame(&mut self.buf, tag, self.seq, payload);
-        self.inner.write_all(&self.buf)?;
+        let header = frame_header(tag, self.seq, payload);
+        self.inner.write_all(&header)?;
+        self.inner.write_all(payload)?;
+        self.inner.write_all(&frame_checksum(&header, payload).to_le_bytes())?;
         self.inner.flush()?;
         let seq = self.seq;
         self.seq += 1;

@@ -73,7 +73,6 @@ proptest! {
         for (i, (tag, payload)) in frames.iter().enumerate() {
             prop_assert_eq!(writer.send(*tag, payload).unwrap(), i as u64);
         }
-        drop(writer);
         let (got, err) = read_all(&bytes, frames.len() + 1);
         prop_assert_eq!(&got, &frames);
         prop_assert_eq!(err, Some(WireError::Truncated), "EOF after the last frame");

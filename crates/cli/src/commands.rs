@@ -5,11 +5,13 @@
 
 use uts_analysis::{optimal_static_trigger, TriggerParams};
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
-use uts_core::{CheckpointCfg, EngineConfig, EngineKind, Outcome, Scheme, Search, Workload};
+use uts_core::{
+    CheckpointCfg, CheckpointSink, EngineConfig, EngineKind, Outcome, Scheme, Search, Workload,
+};
 use uts_machine::CostModel;
 use uts_mimd::{run_mimd, MimdConfig, MimdReport, StealPolicy};
 use uts_puzzle15::{Board, Puzzle15};
-use uts_shard::{resume_sharded, run_sharded, ParkPolicy, ShardOpts, WorkerKill};
+use uts_shard::{resume_sharded, run_sharded, ShardError, ShardOpts, WorkerKill};
 use uts_tree::ida::ida_star;
 use uts_tree::TreeProblem;
 
@@ -32,10 +34,10 @@ pub fn solve(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Everything `sts run` and `sts resume` share: the workload instance and
-/// the fully-built engine config. `sts resume` must rebuild the *same*
-/// config the checkpointing run used (the snapshot only carries a
-/// fingerprint of it, not the config itself), so both commands funnel
+/// Everything `sts run`, `sts resume` and `sts shard` share: the workload
+/// instance and the fully-built engine config. A resume must rebuild the
+/// *same* config the checkpointing run used (the snapshot only carries a
+/// fingerprint of it, not the config itself), so all three commands funnel
 /// through here and accept the same flags.
 struct SimdSetup {
     workload: Workload,
@@ -73,7 +75,9 @@ fn simd_setup(flags: &Flags) -> Result<SimdSetup, CliError> {
 
     // Checkpointing: `--checkpoint-every N` snapshots every Nth macro-step
     // boundary into `--checkpoint-dir DIR`; `--kill-at K` injects a fault at
-    // boundary K (with or without snapshots, for overhead experiments).
+    // boundary K (with or without snapshots, for overhead experiments). The
+    // directory is created here, once the rest of the line has parsed, so
+    // that one the run could not write to fails before anything runs.
     let every = flags.get_parsed("checkpoint-every", 0u64)?;
     let kill_at = flags.get_parsed("kill-at", 0u64)?;
     if every > 0 || kill_at > 0 {
@@ -90,8 +94,13 @@ fn simd_setup(flags: &Flags) -> Result<SimdSetup, CliError> {
         }
         cfg.checkpoint = Some(ck);
     }
-    // Last: resolving a puzzle's bound runs serial IDA*.
-    Ok(SimdSetup { workload: parse_workload(flags)?, cfg })
+    // Resolving a puzzle's bound runs serial IDA*.
+    let workload = parse_workload(flags)?;
+    if let Some(CheckpointSink::Dir(dir)) = cfg.checkpoint.as_ref().map(|ck| &ck.sink) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| CliError::Failed(format!("--checkpoint-dir {}: {e}", dir.display())))?;
+    }
+    Ok(SimdSetup { workload, cfg })
 }
 
 /// The run report on stdout; the workload echo and kill hint on stderr.
@@ -141,27 +150,13 @@ fn read_snapshot(path: &str) -> Result<Vec<u8>, CliError> {
 /// multi-process sharded machine — `--shards N` worker processes each own
 /// a contiguous slab of PEs and the coordinator serializes every
 /// balancing phase, so the outcome is bit-identical to `sts run` with the
-/// macro engine. `--spill-dir DIR --park-every N` parks whole-machine
-/// snapshots at boundaries (the recovery path after a worker dies);
-/// `--snapshot PATH` resumes one, at any shard count.
+/// macro engine. It checkpoints under the same flags as `sts run` (the
+/// recovery path after a worker dies), and `--snapshot PATH` resumes any
+/// run's snapshot, at any shard count.
 pub fn shard(flags: &Flags) -> Result<(), CliError> {
-    reject_non_simd_flags(
-        flags,
-        &["shards", "spill-dir", "park-every", "worker-kill-at", "worker-kill-shard", "snapshot"],
-    )?;
-    let setup = simd_setup(flags)?;
-    if setup.cfg.checkpoint.is_some() {
-        return Err("sts shard parks at the coordinator: use --spill-dir DIR --park-every N \
-             instead of --checkpoint-*"
-            .into());
-    }
+    reject_non_simd_flags(flags, &["shards", "worker-kill-at", "worker-kill-shard", "snapshot"])?;
     let shards = flags.get_parsed("shards", 4usize)?;
     let mut opts = ShardOpts { shards, park: None, kill: None };
-    let every = flags.get_parsed("park-every", 0u64)?;
-    if every > 0 {
-        let dir = flags.get("spill-dir").ok_or("--park-every needs --spill-dir DIR")?;
-        opts.park = Some(ParkPolicy { dir: dir.into(), every });
-    }
     let kill_at = flags.get_parsed("worker-kill-at", 0u64)?;
     if kill_at > 0 {
         opts.kill = Some(WorkerKill {
@@ -169,16 +164,17 @@ pub fn shard(flags: &Flags) -> Result<(), CliError> {
             at_burst: kill_at,
         });
     }
+    let setup = simd_setup(flags)?;
     let snapshot = flags.get("snapshot").map(read_snapshot).transpose()?;
     let sharded = match &snapshot {
         Some(bytes) => resume_sharded(&setup.workload, &setup.cfg, &opts, bytes),
         None => run_sharded(&setup.workload, &setup.cfg, &opts),
     }
-    .map_err(|e| match e {
-        uts_shard::ShardError::WorkerLost { .. } if opts.park.is_some() => CliError::Failed(
-            format!("{e}\nresume from the newest .park in the spill dir with --snapshot"),
+    .map_err(|e| match (&e, setup.cfg.checkpoint.as_ref().map(|ck| &ck.sink)) {
+        (ShardError::WorkerLost { .. }, Some(CheckpointSink::Dir(dir))) => CliError::Failed(
+            format!("{e}\nresume from the newest ckpt-*.bin in {} with --snapshot", dir.display()),
         ),
-        other => CliError::failed(other),
+        _ => CliError::failed(e),
     })?;
     print_report(&setup, &sharded.outcome);
     print_shard_stats(&sharded.stats);

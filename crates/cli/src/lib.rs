@@ -58,9 +58,8 @@ USAGE:
               [--engine E] [--checkpoint-dir DIR] [--checkpoint-every N]
               [--kill-at K] [--workload puzzle15|utsgen]  parallel SIMD search
   sts resume  --snapshot PATH [same flags as run]        resume from a checkpoint
-  sts shard   [--shards N] [--spill-dir DIR] [--park-every N]
-              [--worker-kill-at K [--worker-kill-shard S]]
-              [--snapshot PATH] [workload/config flags as run]
+  sts shard   [--shards N] [--worker-kill-at K [--worker-kill-shard S]]
+              [--snapshot PATH] [same flags as run]
                                                          multi-process sharded machine
   sts mimd    [--p P] [--policy grr|arr|rp|nn] [--seed S] [--walk N | --korf K]
                                                          MIMD work stealing
@@ -80,12 +79,15 @@ SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs  ring-nn
 COSTS:   cm2  hypercube  mesh
 ENGINES: macro (default)  par  reference   (`fused` is read as macro)
 
-Checkpointing: `sts run --checkpoint-dir DIR --checkpoint-every N` writes a
-snapshot `ckpt-<step>.bin` into DIR every Nth macro-step boundary;
-`--kill-at K` injects a fault (clean stop) at boundary K. `sts resume
---snapshot DIR/ckpt-....bin` continues the run — pass the *same* workload
-and config flags: a snapshot is only valid against the configuration that
-produced it (enforced by a config fingerprint in the header).
+Checkpointing: `sts run|resume|shard --checkpoint-dir DIR --checkpoint-every
+N` writes a snapshot `ckpt-<step>.bin` into DIR every Nth macro-step
+boundary (DIR is created first; one that cannot be is an error before the
+run starts); `--kill-at K` injects a fault (clean stop) at boundary K.
+`sts resume --snapshot DIR/ckpt-....bin` or `sts shard --snapshot ...`
+continues the run — pass the *same* workload and config flags: a snapshot
+is only valid against the configuration that produced it (enforced by a
+config fingerprint in the header), whichever of the three commands wrote
+it.
 
 Generated trees: `sts run --workload utsgen` searches an on-the-fly
 Galton–Watson tree instead of a 15-puzzle iteration. `--family geometric`
@@ -99,11 +101,10 @@ processes, each owning a contiguous slab of PEs, with the coordinator
 serializing every balancing phase over the checkpoint wire format — the
 outcome is bit-identical to `sts run` at any N, and every balancing phase
 additionally carries *measured* interconnect routing next to the cost
-model's closed form. `--spill-dir DIR --park-every N` parks whole-machine
-snapshots at macro-step boundaries; after a crash (or `--worker-kill-at K`,
-which SIGKILLs one worker mid-run for drills), `sts shard --snapshot
-DIR/job-....park` resumes bit-identically — the parked format is the
-ordinary checkpoint format, so `sts resume` accepts it too. Example:
+model's closed form. It checkpoints under the flags above; after a crash
+(or `--worker-kill-at K`, which SIGKILLs one worker mid-run for drills),
+`sts shard --snapshot DIR/ckpt-....bin` resumes bit-identically at any
+shard count, and so does `sts resume`. Example:
 
   sts shard --shards 8 --p 1048576 --workload utsgen --b-max 8 --depth 12 \\
             --scheme gp-dk --ledger true

@@ -19,11 +19,12 @@
 //! and the busy count are all pure functions of the per-PE stacks and are
 //! rebuilt on resume.
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use uts_ckpt::{
-    CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, Fingerprint, MachineState,
+    spill, CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, Fingerprint, MachineState,
     PreemptSignal, RecorderState, SnapshotView, StackSource,
 };
 use uts_tree::{CkptNode, SplitPolicy, TreeProblem};
@@ -52,8 +53,12 @@ pub enum CheckpointSink {
     /// run — the fault-injection tests and the overhead benchmark do.
     Memory(Arc<Mutex<Vec<Snapshot>>>),
     /// Write each snapshot to `dir/ckpt-{step:08}.bin`, creating the
-    /// directory on first write. An I/O failure panics: a run asked to
-    /// checkpoint but unable to is better dead than silently unprotected.
+    /// directory on first write. Each file is written atomically
+    /// ([`uts_ckpt::spill::write_atomic`]), so a run killed mid-write never
+    /// leaves a torn snapshot. A failed write ends the run with the
+    /// backend's error ([`crate::BurstBackend::Error`]): a run asked to
+    /// checkpoint but unable to is better stopped than silently
+    /// unprotected.
     Dir(PathBuf),
 }
 
@@ -78,16 +83,19 @@ impl CheckpointSink {
         }
     }
 
-    fn store(&self, step: u64, bytes: Vec<u8>) {
+    /// Keep boundary `step`'s snapshot. A directory sink's error names the
+    /// path it could not write.
+    fn store(&self, step: u64, bytes: Vec<u8>) -> io::Result<()> {
         match self {
             CheckpointSink::Memory(store) => {
                 store.lock().expect("sink poisoned").push(Snapshot { step, bytes });
+                Ok(())
             }
             CheckpointSink::Dir(dir) => {
-                std::fs::create_dir_all(dir).expect("create checkpoint directory");
                 let path = dir.join(format!("ckpt-{step:08}.bin"));
-                std::fs::write(&path, bytes)
-                    .unwrap_or_else(|e| panic!("write snapshot {}: {e}", path.display()));
+                std::fs::create_dir_all(dir)
+                    .and_then(|()| spill::write_atomic(&path, &bytes))
+                    .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
             }
         }
     }
@@ -254,15 +262,16 @@ impl CheckpointCfg {
     /// injected fault (power-loss semantics — only policy snapshots
     /// survive) and a raised [`PreemptSignal`] (park semantics — a snapshot
     /// of *this* boundary is forced into the sink so the run can always be
-    /// resumed from exactly where it stopped).
-    pub(crate) fn boundary<E>(
+    /// resumed from exactly where it stopped). A failed sink write is the
+    /// caller's error `E`.
+    pub(crate) fn boundary<E: From<io::Error>>(
         &self,
         step: u64,
         encode: impl FnOnce() -> Result<Vec<u8>, E>,
     ) -> Result<bool, E> {
         let preempted = self.preempt.as_ref().is_some_and(PreemptSignal::is_raised);
         if preempted || self.policy.wants(step) {
-            self.sink.store(step, encode()?);
+            self.sink.store(step, encode()?)?;
         }
         Ok(preempted || self.fault.is_some_and(|f| f.kill_at_step == step))
     }
@@ -278,7 +287,8 @@ impl CheckpointCfg {
 /// # Panics
 /// Panics if the snapshot's machine size or ledger presence contradicts
 /// `cfg` (impossible for snapshots decoded against this config's
-/// fingerprint, which [`resume_from_bytes`] enforces).
+/// fingerprint, which [`resume_from_bytes`] enforces), and, naming the
+/// file, if a [`CheckpointSink::Dir`] cannot write a snapshot.
 pub fn resume_with<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
@@ -439,7 +449,7 @@ mod tests {
     fn memory_sink_is_shared_across_clones() {
         let sink = CheckpointSink::memory();
         let clone = sink.clone();
-        sink.store(1, vec![1, 2, 3]);
+        sink.store(1, vec![1, 2, 3]).expect("memory sinks do not fail");
         let got = clone.taken();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].step, 1);

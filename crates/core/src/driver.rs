@@ -42,7 +42,7 @@
 //! On [`StepStatus::Done`], call [`LockstepDriver::finish`] for the
 //! [`Outcome`].
 
-use std::convert::Infallible;
+use std::io;
 
 use uts_ckpt::StackSource;
 use uts_machine::SimdMachine;
@@ -88,9 +88,11 @@ impl MergedBurst {
 pub trait BurstBackend {
     /// Node type of the stacks (what a snapshot encodes).
     type Node: CkptNode;
-    /// What running a stage can fail with: [`Infallible`] in process, a
-    /// lost worker for a remote backend.
-    type Error;
+    /// What running a stage can fail with: a failed checkpoint write in
+    /// process ([`io::Error`]), and also a lost worker for a remote
+    /// backend. [`LockstepDriver::drive`] hands it the sink's write errors
+    /// through the `From`.
+    type Error: From<io::Error>;
     /// The stacks as the balancing phase splits through them.
     type Store: StackStore;
 
@@ -263,10 +265,14 @@ impl LockstepDriver {
         (driver, arena)
     }
 
-    /// [`LockstepDriver::drive`] over a backend that cannot fail.
-    pub(crate) fn run_to_end<B: BurstBackend<Error = Infallible>>(self, mut backend: B) -> Outcome {
-        let Ok(outcome) = self.drive(&mut backend);
-        outcome
+    /// [`LockstepDriver::drive`] over a backend that fails only on a
+    /// checkpoint write.
+    ///
+    /// # Panics
+    /// Panics on that failure, naming the path: the entry points built on
+    /// this return a bare [`Outcome`].
+    pub(crate) fn run_to_end<B: BurstBackend<Error = io::Error>>(self, mut backend: B) -> Outcome {
+        self.drive(&mut backend).unwrap_or_else(|e| panic!("checkpoint: {e}"))
     }
 
     /// Run the macro-step loop to the end over `backend`.
@@ -274,7 +280,8 @@ impl LockstepDriver {
     /// A run whose config carries a [`crate::ckpt::CheckpointCfg`]
     /// evaluates it at every boundary: snapshots go to its sink, and an
     /// injected fault or a raised preempt signal ends the loop with
-    /// [`Outcome::killed`] set.
+    /// [`Outcome::killed`] set. A snapshot the sink could not write ends it
+    /// with the backend's error.
     pub fn drive<B: BurstBackend>(mut self, backend: &mut B) -> Result<Outcome, B::Error> {
         let mut burst = MergedBurst::default();
         let killed = loop {
@@ -289,7 +296,7 @@ impl LockstepDriver {
             let step = self.finish_boundary();
             backend.end_step(&self, fired)?;
             if let Some(ck) = &self.cfg.checkpoint {
-                let snapshot = || Ok(self.snapshot_of(backend.stack_source()?));
+                let snapshot = || Ok::<_, B::Error>(self.snapshot_of(backend.stack_source()?));
                 if ck.boundary(step, snapshot)? {
                     break true;
                 }
@@ -391,8 +398,7 @@ impl LockstepDriver {
     }
 
     /// Count a completed macro-step boundary; returns its 1-based number
-    /// (the `ckpt-{step:08}.bin` / `.park` numbering, continued across
-    /// resumes).
+    /// (the `ckpt-{step:08}.bin` numbering, continued across resumes).
     pub fn finish_boundary(&mut self) -> u64 {
         self.state.step += 1;
         self.state.step

@@ -208,6 +208,10 @@ impl EngineConfig {
 
 /// Run `problem` under the executor named by [`EngineConfig::engine`].
 /// Both arms produce the same `Outcome` bit-for-bit.
+///
+/// # Panics
+/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
+/// write a snapshot.
 pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     match cfg.engine {
         EngineKind::Reference => crate::reference::run_reference(problem, cfg),

@@ -83,7 +83,7 @@
 //! bursts below [`FAN_OUT_MIN_WORK`] — or whose active PEs all sit in one
 //! block — run inline (DESIGN.md §6.4 gives the bar's derivation).
 
-use std::convert::Infallible;
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -136,6 +136,10 @@ pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
 /// macro-step loop over a one-thread [`LocalBackend`] — the default
 /// engine ([`EngineKind::Macro`]), whatever `cfg.engine` says. Its
 /// schedule is bit-identical to [`crate::reference::run_reference`].
+///
+/// # Panics
+/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
+/// write a snapshot.
 pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     run_local(problem, 1, LockstepDriver::at_root(problem, cfg))
 }
@@ -224,7 +228,7 @@ impl<'a, P: TreeProblem> LocalBackend<'a, P> {
 
 impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
     type Node = P::Node;
-    type Error = Infallible;
+    type Error = io::Error;
     type Store = StackArena<P::Node>;
 
     fn lens(&self) -> &[u32] {
@@ -240,7 +244,7 @@ impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
         h: u64,
         active: &mut Vec<usize>,
         out: &mut MergedBurst,
-    ) -> Result<usize, Infallible> {
+    ) -> Result<usize, io::Error> {
         let started = active.len();
         if self.threads < 2 || started < 2 || (started as u64) * h < self.min_work {
             return Ok(self.burst_inline(h, active, out));
@@ -319,11 +323,11 @@ impl<P: TreeProblem> BurstBackend for LocalBackend<'_, P> {
         Ok(busy)
     }
 
-    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, Infallible> {
+    fn stack_source(&mut self) -> Result<StackSource<'_, P::Node>, io::Error> {
         Ok(StackSource::Arena(&self.arena))
     }
 
-    fn end_step(&mut self, _driver: &LockstepDriver, _fired: bool) -> Result<(), Infallible> {
+    fn end_step(&mut self, _driver: &LockstepDriver, _fired: bool) -> Result<(), io::Error> {
         debug_assert!(self.arena.store_ok(), "node store out of step with the length census");
         Ok(())
     }

@@ -17,7 +17,7 @@
 //! structure instead of flattening it into one frame (the old behaviour
 //! lost the level boundaries that split policies and `depth()` rely on).
 
-use std::convert::Infallible;
+use std::io;
 
 use uts_ckpt::StackSource;
 use uts_tree::{CkptNode, SearchStack, SplitPolicy, TreeProblem};
@@ -44,6 +44,10 @@ struct CycleResult {
 
 /// Run `problem` under `cfg` with the reference (two-sweep, allocating)
 /// loop. Produces the same [`Outcome`] as [`crate::local::run`].
+///
+/// # Panics
+/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
+/// write a snapshot.
 pub fn run_reference<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
     let st = EngineState::fresh(cfg);
     let mut stacks: Vec<_> = (0..cfg.p).map(|_| SearchStack::new()).collect();
@@ -233,12 +237,14 @@ fn run_stacks<P: TreeProblem>(
         // ---- macro-step boundary (checkpoint + fault injection) ----
         if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| h_remaining == 0) {
             st.step += 1;
-            let Ok(dies) = ck.boundary(st.step, || {
-                let mut bytes = Vec::new();
-                pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
-                let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };
-                Ok::<_, Infallible>(st.capture::<P::Node>(config_fingerprint(cfg), stacks))
-            });
+            let dies = ck
+                .boundary(st.step, || {
+                    let mut bytes = Vec::new();
+                    pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
+                    let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };
+                    Ok::<_, io::Error>(st.capture::<P::Node>(config_fingerprint(cfg), stacks))
+                })
+                .unwrap_or_else(|e| panic!("checkpoint: {e}"));
             if dies {
                 killed = true;
                 break;

@@ -20,12 +20,12 @@
 //! [`RouteStats`] provenance next to the cost model's closed-form guess
 //! ([`RoutedPhase`]).
 
-use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::convert::Infallible;
+use std::io::{self, BufReader, BufWriter};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
 use uts_ckpt::wire::{FrameReader, FrameWriter, WireError};
-use uts_ckpt::{spill, CkptError, EngineSnapshot, StackSource};
+use uts_ckpt::{CkptError, EngineSnapshot, StackSource};
 use uts_core::{
     config_fingerprint, BurstBackend, CountedMove, EngineConfig, LockstepDriver, MergedBurst,
     Outcome, Search, StackStore, Workload,
@@ -40,25 +40,17 @@ use uts_tree::{CkptNode, CodecError, SplitPolicy, StackArena, TreeProblem};
 use crate::proto::{self, encode_burst, put_install, tag, Give, Hello, Transfer, WorkerMemory};
 use crate::worker::WORKER_ENV;
 
-/// How the coordinator runs the shards.
+/// How the coordinator runs the shards. A sharded run snapshots only
+/// through its config's [`uts_core::CheckpointCfg`], like every executor.
 #[derive(Debug, Clone, Default)]
 pub struct ShardOpts {
     /// Number of worker processes (`1..=P`; each owns a contiguous range).
     pub shards: usize,
-    /// Park the whole run into a spill directory every Nth macro-step
-    /// boundary (the crash-recovery snapshots the kill→resume path reads).
-    pub park: Option<ParkPolicy>,
+    /// Always `None`: a placeholder kept so that existing struct literals
+    /// compile. The fleet has no snapshot path of its own.
+    pub park: Option<Infallible>,
     /// Fault-injection knob: one worker SIGKILLs itself mid-run.
     pub kill: Option<WorkerKill>,
-}
-
-/// Spill-parking policy: where and how often.
-#[derive(Debug, Clone)]
-pub struct ParkPolicy {
-    /// Spill directory (created on demand).
-    pub dir: PathBuf,
-    /// Park every Nth macro-step boundary (0 disables).
-    pub every: u64,
 }
 
 /// Self-SIGKILL instruction for one worker, for the kill→resume suites.
@@ -78,7 +70,7 @@ pub enum ShardError {
     /// Spawning a worker process failed.
     Spawn(std::io::Error),
     /// A worker's transport failed — it died (or its frames were
-    /// corrupted). If the run was parking, the latest spill snapshot
+    /// corrupted). If the run was checkpointing, its newest snapshot
     /// resumes it.
     WorkerLost {
         /// Which shard.
@@ -104,8 +96,8 @@ pub enum ShardError {
     },
     /// The resume snapshot failed to decode.
     Snapshot(CkptError),
-    /// Writing a spill snapshot failed.
-    Park(std::io::Error),
+    /// The checkpoint sink could not write a boundary snapshot.
+    Checkpoint(io::Error),
 }
 
 impl std::fmt::Display for ShardError {
@@ -123,12 +115,18 @@ impl std::fmt::Display for ShardError {
                 write!(f, "shard {shard} replied tag {found} to request tag {expected}")
             }
             ShardError::Snapshot(e) => write!(f, "resume snapshot: {e}"),
-            ShardError::Park(e) => write!(f, "parking the run: {e}"),
+            ShardError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }
 }
 
 impl std::error::Error for ShardError {}
+
+impl From<io::Error> for ShardError {
+    fn from(e: io::Error) -> Self {
+        ShardError::Checkpoint(e)
+    }
+}
 
 /// One balancing phase's measured routing provenance, recorded next to
 /// the closed-form cost the ledger charged.
@@ -210,7 +208,9 @@ pub struct ShardRun {
 }
 
 /// Run `workload` under `cfg` across `opts.shards` worker processes.
-/// The outcome is bit-identical to the single-process macro engine.
+/// The outcome is bit-identical to the single-process macro engine, and so
+/// are the snapshots `cfg.checkpoint` takes: a snapshot its sink cannot
+/// write ends the run as [`ShardError::Checkpoint`], its workers reaped.
 pub fn run_sharded(
     workload: &Workload,
     cfg: &EngineConfig,
@@ -488,7 +488,6 @@ struct RemoteBackend<N> {
     /// What the machine charged each phase
     /// ([`uts_core::Scheme::phase_cost_model`]).
     charged: CostModel,
-    park: Option<ParkPolicy>,
     stats: ShardStats,
     /// The current balancing phase's rounds, messages and routes.
     rounds: u32,
@@ -684,10 +683,8 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
         Ok(StackSource::Encoded { p: self.lens.len(), bytes: &self.stack_bytes })
     }
 
-    /// Surface a transport failure the balancing phase latched, record the
-    /// phase's routing provenance, and park the whole machine into the
-    /// spill directory (under the boundary number as job id) when the
-    /// policy wants this boundary.
+    /// Surface a transport failure the balancing phase latched and record
+    /// the phase's routing provenance.
     fn end_step(&mut self, driver: &LockstepDriver, fired: bool) -> Result<(), ShardError> {
         if let Some(e) = self.err.take() {
             return Err(e);
@@ -706,14 +703,6 @@ impl<N: CkptNode> BurstBackend for RemoteBackend<N> {
             });
         }
         (self.rounds, self.messages, self.route_stats) = (0, 0, RouteStats::default());
-        let step = driver.step();
-        if let Some(park) =
-            self.park.as_ref().filter(|p| p.every > 0 && step.is_multiple_of(p.every))
-        {
-            let dir = park.dir.clone();
-            let snapshot = driver.snapshot_of(self.stack_source()?);
-            spill::park(&dir, step, &snapshot).map_err(ShardError::Park)?;
-        }
         Ok(())
     }
 }
@@ -786,7 +775,6 @@ fn run_generic<N: Clone + CkptNode>(run: Coordinate<'_>) -> Result<ShardRun, Sha
         links: Links::default(),
         cost: cfg.cost,
         charged: cfg.scheme.phase_cost_model(cfg.cost),
-        park: opts.park.clone(),
         stats: ShardStats { shards: opts.shards, ..ShardStats::default() },
         rounds: 0,
         messages: 0,

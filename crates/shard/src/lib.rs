@@ -6,8 +6,8 @@
 //! with one coordinator serializing every balancing phase at macro-step
 //! boundaries. The wire format is the `uts-ckpt` frame codec (length-
 //! prefixed, checksummed, sequence-numbered) over the workers' pipes, and
-//! the stack payloads are the checkpoint stack codec — so a parked shard
-//! run resumes under the single-process engine and vice versa.
+//! the stack payloads are the checkpoint stack codec — so a sharded run's
+//! checkpoint resumes under the single-process engine and vice versa.
 //!
 //! Because the coordinator runs the *identical* horizon/trigger/matcher
 //! code ([`uts_core::LockstepDriver`]) and workers run the *identical*
@@ -22,8 +22,8 @@ pub mod proto;
 pub mod worker;
 
 pub use coord::{
-    resume_sharded, run_sharded, FrameTally, ParkPolicy, RoutedPhase, ShardError, ShardOpts,
-    ShardRun, ShardStats, TagTraffic, WorkerKill,
+    resume_sharded, run_sharded, FrameTally, RoutedPhase, ShardError, ShardOpts, ShardRun,
+    ShardStats, TagTraffic, WorkerKill,
 };
 pub use uts_core::Workload as ShardWorkload;
 pub use worker::{maybe_run_worker, serve, WorkerError, WORKER_ENV};

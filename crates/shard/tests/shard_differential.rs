@@ -1,8 +1,8 @@
 //! Cross-process differential suite: the sharded machine must reproduce
 //! the single-process macro engine **bit-identically** (full [`Outcome`],
 //! ledger included, and the snapshot of every macro-step boundary) at
-//! every shard count, and its parked snapshots must be interchangeable
-//! with the in-process checkpoint format.
+//! every shard count, and the snapshots its checkpoint sink takes must be
+//! interchangeable with the in-process ones.
 //!
 //! It also holds the paper's GP-vs-nGP contrast (Sec. 2.2) at machine
 //! sizes the in-process suites never reach: GP's global pointer spreads
@@ -20,16 +20,16 @@
 //!
 //! [`Outcome`]: uts_core::Outcome
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use uts_ckpt::{spill, CheckpointPolicy};
-use uts_core::{resume_from_bytes, run, EngineConfig, Outcome, Scheme, StackStore};
+use uts_ckpt::CheckpointPolicy;
+use uts_core::{resume_from_bytes, run, CheckpointCfg, EngineConfig, Outcome, Scheme, StackStore};
 use uts_machine::{CostModel, DonationSpread};
 use uts_puzzle15::Puzzle15;
 use uts_shard::proto::tag;
 use uts_shard::{
-    resume_sharded, run_sharded, FrameTally, ParkPolicy, ShardError, ShardOpts, ShardRun,
-    ShardWorkload, WorkerKill,
+    resume_sharded, run_sharded, FrameTally, ShardError, ShardOpts, ShardRun, ShardWorkload,
+    WorkerKill,
 };
 use uts_synthgen::{find_gen_tree, GenNode, GenTree};
 use uts_tree::ida::ida_star;
@@ -44,9 +44,10 @@ fn main() {
     mesh_topology_matches();
     puzzle_matches_macro_engine();
     escaped_lengths_match_macro_engine();
-    parked_snapshots_are_interchangeable();
-    killed_worker_resumes_from_spill();
-    counted_rounds_park_and_resume_across_shards();
+    sharded_snapshots_are_interchangeable();
+    killed_worker_resumes_from_its_last_snapshot();
+    counted_rounds_checkpoint_and_resume_across_shards();
+    directory_sink_resumes_on_two_shards();
     gp_spreads_donations_more_evenly_than_ngp(4096, [4, 2], 60_000);
     fegs_rounds_are_one_exchange_each(4096, GenTree::geometric(1, 8, 8));
     if std::env::args().any(|a| a == "--ignored" || a == "--include-ignored") {
@@ -56,7 +57,7 @@ fn main() {
     println!("shard_differential: all ok");
 }
 
-/// A self-cleaning scratch directory for spill parking.
+/// A self-cleaning scratch directory for a directory sink.
 struct TempDir(PathBuf);
 
 impl TempDir {
@@ -225,57 +226,62 @@ fn escaped_lengths_match_macro_engine() {
     println!("binomial (peak stack 314) x shards {{1,2}}: bit-identical");
 }
 
-fn parked_snapshots_are_interchangeable() {
-    let tmp = TempDir::new("park");
+/// A sharded run snapshots through its config's checkpoint sink, at the
+/// policy's boundaries only, and its snapshots resume under the
+/// single-process engine and under the sharded machine at another shard
+/// count.
+fn sharded_snapshots_are_interchangeable() {
     let tree = GenTree::geometric(5, 8, 7);
     let workload = ShardWorkload::from(tree);
     let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
     let (want, stream) = run_streamed(&tree, &cfg);
 
-    let mut with_park = opts(2);
-    with_park.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 2 });
-    let got = sharded_streamed(&workload, &cfg, &with_park, &stream);
-    assert_eq!(got.outcome, want, "parking must not perturb the run");
-
-    let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
-    assert!(!jobs.is_empty(), "boundary parks were written");
-    let mid = jobs[jobs.len() / 2];
-    let bytes = spill::unpark(&tmp.0, mid).expect("read parked snapshot");
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(2));
+    let got = run_sharded(&workload, &armed, &opts(2)).expect("sharded run");
+    assert_eq!(got.outcome, want, "checkpointing must not perturb the run");
+    let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    let steps: Vec<u64> = snaps.iter().map(|s| s.step).collect();
+    let even: Vec<u64> = (1..=stream.len() as u64).filter(|s| s % 2 == 0).collect();
+    assert_eq!(steps, even, "snapshots at exactly the policy's boundaries");
+    let mid = &snaps[snaps.len() / 2];
+    let bytes = &mid.bytes;
 
     // The same bytes resume under the single-process engine...
-    let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("in-process resume");
-    assert_eq!(resumed, want, "in-process resume of a sharded park diverged");
+    let resumed = resume_from_bytes(&tree, &cfg, bytes).expect("in-process resume");
+    assert_eq!(resumed, want, "in-process resume of a sharded snapshot diverged");
     // ...and under the sharded machine at a different shard count.
-    let resharded = resume_sharded(&workload, &cfg, &opts(3), &bytes).expect("sharded resume");
+    let resharded = resume_sharded(&workload, &cfg, &opts(3), bytes).expect("sharded resume");
     assert_eq!(resharded.outcome, want, "re-sharded resume diverged");
     println!(
-        "park interchange (boundary {mid} of {} parks): single-process and 3-shard resumes identical",
-        jobs.len()
+        "snapshot interchange (boundary {}, one of {} at every 2nd boundary): single-process and 3-shard resumes identical",
+        mid.step,
+        snaps.len()
     );
 }
 
-fn killed_worker_resumes_from_spill() {
-    let tmp = TempDir::new("kill");
+/// The memory sink lives in the coordinator, so it outlasts a worker that
+/// dies: the last boundary snapshot before the SIGKILL resumes the run.
+fn killed_worker_resumes_from_its_last_snapshot() {
     let tree = GenTree::geometric(5, 8, 7);
     let workload = ShardWorkload::from(tree);
     let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
     let (want, stream) = run_streamed(&tree, &cfg);
     assert!(stream.len() > 5, "workload long enough to kill mid-run");
 
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
     let mut doomed = opts(2);
-    doomed.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 1 });
     doomed.kill = Some(WorkerKill { shard: 1, at_burst: 4 });
-    match run_sharded(&workload, &cfg, &doomed) {
+    match run_sharded(&workload, &armed, &doomed) {
         Err(ShardError::WorkerLost { shard, .. }) => assert_eq!(shard, 1),
         other => panic!("expected WorkerLost, got {other:?}"),
     }
 
-    let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
-    let last = *jobs.last().expect("at least one boundary parked before the kill");
-    let bytes = spill::unpark(&tmp.0, last).expect("read parked snapshot");
-    let recovered = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("recovery resume");
-    assert_eq!(recovered.outcome, want, "recovery from the spill diverged");
-    println!("SIGKILL at burst 4, recovered from boundary {last}: bit-identical");
+    let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    let last = snaps.last().expect("at least one boundary snapshot before the kill");
+    let recovered =
+        resume_sharded(&workload, &cfg, &opts(2), &last.bytes).expect("recovery resume");
+    assert_eq!(recovered.outcome, want, "recovery from the last snapshot diverged");
+    println!("SIGKILL at burst 4, recovered from boundary {}: bit-identical", last.step);
 }
 
 /// FEGS equalizes by counted transfers, many of them across a shard cut
@@ -283,32 +289,84 @@ fn killed_worker_resumes_from_spill() {
 /// `INSTALL`, and the `INSTALL` that loads a resumed range, meet stacks
 /// that are non-empty and multi-frame. 48 PEs cut 16/16/16 over three
 /// shards, 50 cut 17/17/16.
-fn counted_rounds_park_and_resume_across_shards() {
+fn counted_rounds_checkpoint_and_resume_across_shards() {
     let tree = GenTree::geometric(13, 8, 7);
     let workload = ShardWorkload::from(tree);
     for p in [48usize, 50] {
-        let tmp = TempDir::new(&format!("fegs{p}"));
         let cfg = instrumented(p, Scheme::fegs(), CostModel::cm2());
         let (want, stream) = run_streamed(&tree, &cfg);
 
-        let mut parking = opts(3);
-        parking.park = Some(ParkPolicy { dir: tmp.0.clone(), every: 1 });
-        let got = sharded_streamed(&workload, &cfg, &parking, &stream);
-        assert_eq!(got.outcome, want, "FEGS at P={p} on 3 parking shards diverged");
+        let (got, snaps) = streamed(&cfg, |armed| run_sharded(&workload, armed, &opts(3)));
+        let got = got.expect("sharded run");
+        assert_eq!(got.outcome, want, "FEGS at P={p} on 3 checkpointing shards diverged");
+        assert!(
+            snaps == stream,
+            "FEGS at P={p}: the 3-shard snapshots differ from the in-process ones"
+        );
         assert!(got.stats.route_total.steps > 0, "equalization moved work between PEs");
 
-        let jobs = spill::job_ids(&tmp.0, "park").expect("list spill dir");
-        let mid = jobs[jobs.len() / 2];
-        let bytes = spill::unpark(&tmp.0, mid).expect("read parked snapshot");
-        let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("in-process resume");
-        assert_eq!(resumed, want, "in-process resume of a FEGS park at P={p} diverged");
-        let resharded = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("sharded resume");
-        assert_eq!(resharded.outcome, want, "2-shard resume of a FEGS park at P={p} diverged");
+        let mid = snaps.len() / 2;
+        let bytes = &snaps[mid];
+        let resumed = resume_from_bytes(&tree, &cfg, bytes).expect("in-process resume");
+        assert_eq!(resumed, want, "in-process resume of a FEGS snapshot at P={p} diverged");
+        let resharded = resume_sharded(&workload, &cfg, &opts(2), bytes).expect("sharded resume");
+        assert_eq!(resharded.outcome, want, "2-shard resume of a FEGS snapshot at P={p} diverged");
         println!(
-            "FEGS P={p} x 3 shards, parked at all {} boundaries, boundary {mid} resumed in process and on 2 shards: bit-identical",
-            jobs.len()
+            "FEGS P={p} x 3 shards, snapshots at all {} boundaries, boundary {} resumed in process and on 2 shards: bit-identical",
+            snaps.len(),
+            mid + 1
         );
     }
+}
+
+/// The directory sink under the sharded machine: one `ckpt-{step:08}.bin`
+/// per policy boundary and nothing else, each file the in-process snapshot
+/// of its boundary and resumable on two shards; a directory it cannot
+/// write ends the run as `ShardError::Checkpoint`. (The in-process half is
+/// in the root package's `tests/checkpoint_resume.rs`, whose test binary
+/// cannot serve as a shard worker.)
+fn directory_sink_resumes_on_two_shards() {
+    let tmp = TempDir::new("dir");
+    let tree = GenTree::geometric(5, 8, 7);
+    let workload = ShardWorkload::from(tree);
+    let cfg = instrumented(32, Scheme::gp_dk(), CostModel::cm2());
+    let (want, stream) = run_streamed(&tree, &cfg);
+
+    let into_dir = |dir: &Path, every| {
+        cfg.clone()
+            .with_checkpoint_cfg(CheckpointCfg::new(CheckpointPolicy::every(every)).into_dir(dir))
+    };
+    let ckpt = tmp.0.join("ckpt");
+    let got = run_sharded(&workload, &into_dir(&ckpt, 25), &opts(2)).expect("sharded run");
+    assert_eq!(got.outcome, want, "a directory sink must not perturb the run");
+    let mut names: Vec<String> = std::fs::read_dir(&ckpt)
+        .expect("the sink created its directory")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    names.sort();
+    let steps: Vec<usize> = (1..=stream.len()).filter(|s| s % 25 == 0).collect();
+    let expected: Vec<String> = steps.iter().map(|s| format!("ckpt-{s:08}.bin")).collect();
+    assert_eq!(names, expected, "one file per policy boundary, no .tmp left");
+    for (step, name) in steps.iter().zip(&names) {
+        let bytes = std::fs::read(ckpt.join(name)).expect("read snapshot");
+        assert!(bytes == stream[step - 1], "{name} differs from the in-process snapshot");
+        let resharded = resume_sharded(&workload, &cfg, &opts(2), &bytes).expect("sharded resume");
+        assert_eq!(resharded.outcome, want, "2-shard resume of {name} diverged");
+    }
+
+    // A regular file where the directory should be: the first write fails.
+    let blocker = tmp.0.join("file");
+    std::fs::write(&blocker, b"").expect("write blocker");
+    match run_sharded(&workload, &into_dir(&blocker.join("x"), 1), &opts(2)) {
+        Err(ShardError::Checkpoint(e)) => {
+            assert!(e.to_string().contains("ckpt-00000001.bin"), "error names the file: {e}");
+        }
+        other => panic!("expected ShardError::Checkpoint, got {other:?}"),
+    }
+    println!(
+        "directory sink x 2 shards: {} files at every 25th boundary, each resumed bit-identically",
+        names.len()
+    );
 }
 
 /// GP-D^K and nGP-D^K with the ledger on, on a generated tree of about

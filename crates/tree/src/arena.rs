@@ -634,8 +634,8 @@ impl<N: Clone> StackArena<N> {
 
     /// Build PE `i`'s new top frame in place: `fill` pushes the children
     /// straight into their slots at the top of the chain, and a frame
-    /// starts iff anything was pushed. The zero-copy twin of
-    /// [`SearchStack::push_frame_with`]. Returns the child count.
+    /// starts iff anything was pushed: [`SearchStack::push_frame`] without
+    /// the frame vector. Returns the child count.
     pub fn push_frame_with(
         &mut self,
         i: usize,
@@ -996,10 +996,12 @@ mod tests {
             let mut stack = stack_of(frames.clone());
             let mut arena = StackArena::from_stacks(vec![stack_of(frames)]);
             for n in [0u32, 1, 3, 4, 5] {
+                let frame: Vec<u32> = (0..n).collect();
                 assert_eq!(
                     arena.push_frame_with(0, |out| (0..n).for_each(|k| out.push(k))),
-                    stack.push_frame_with(|out| out.extend(0..n)),
+                    frame.len()
                 );
+                stack.push_frame(frame);
                 assert_matches(&arena, 0, &stack);
             }
         }
@@ -1078,7 +1080,7 @@ mod tests {
                 assert_matches(&arena, 0, &donor);
                 let fresh = 100 * step as u32..100 * step as u32 + k as u32;
                 arena.push_frame_with(0, |out| fresh.clone().for_each(|n| out.push(n)));
-                donor.push_frame_with(|out| out.extend(fresh));
+                donor.push_frame(fresh.collect());
                 assert_eq!(arena.pop_next(0), donor.pop_next());
                 assert_matches(&arena, 0, &donor);
             }

@@ -75,21 +75,7 @@ pub struct SearchStack<N> {
     frames: Vec<Vec<N>>,
     /// Total alternatives across frames (the paper's "nodes on its stack").
     len: usize,
-    /// Recycled frame vectors: emptied frames land here instead of being
-    /// freed, and [`SearchStack::push_frame_with`] reuses their capacity.
-    /// In steady state a DFS therefore pushes and pops frames without
-    /// touching the allocator. Never observable through the public API.
-    /// Capped at [`SPARE_POOL_CAP`]: callers that push owned frames (e.g.
-    /// `push_frame(mem::take(..))` walkers) retire one vector per expanded
-    /// interior node without ever reusing one, and an uncapped pool turns
-    /// that into O(tree) resident memory on billion-node walks.
-    spare: Vec<Vec<N>>,
 }
-
-/// Upper bound on retained spare frames. Recycling consumes at most one
-/// spare per expansion, so a pool deeper than a handful of frames is dead
-/// weight; anything past the cap is freed immediately.
-const SPARE_POOL_CAP: usize = 32;
 
 impl<N> Default for SearchStack<N> {
     fn default() -> Self {
@@ -100,12 +86,12 @@ impl<N> Default for SearchStack<N> {
 impl<N> SearchStack<N> {
     /// An empty stack (an idle processor).
     pub fn new() -> Self {
-        Self { frames: Vec::new(), len: 0, spare: Vec::new() }
+        Self { frames: Vec::new(), len: 0 }
     }
 
     /// A stack holding a single root alternative.
     pub fn from_root(root: N) -> Self {
-        Self { frames: vec![vec![root]], len: 1, spare: Vec::new() }
+        Self { frames: vec![vec![root]], len: 1 }
     }
 
     /// Total untried alternatives on the stack.
@@ -124,14 +110,6 @@ impl<N> SearchStack<N> {
         self.len >= 2
     }
 
-    /// Retire an emptied frame into the spare pool, or free it if the pool
-    /// is already at [`SPARE_POOL_CAP`].
-    fn recycle(&mut self, frame: Vec<N>) {
-        if self.spare.len() < SPARE_POOL_CAP {
-            self.spare.push(frame);
-        }
-    }
-
     /// Pop the next alternative in DFS order (back of the top frame).
     pub fn pop_next(&mut self) -> Option<N> {
         let node = loop {
@@ -139,18 +117,15 @@ impl<N> SearchStack<N> {
             match top.pop() {
                 Some(n) => break n,
                 None => {
-                    let empty = self.frames.pop().expect("last_mut saw a frame");
-                    self.recycle(empty);
+                    self.frames.pop();
                 }
             }
         };
         self.len -= 1;
-        // Recycle any frames emptied by this pop: the frame list never holds
-        // an empty frame, and their capacity feeds future `push_frame_with`
-        // calls.
+        // Drop any frames emptied by this pop: the frame list never holds an
+        // empty frame.
         while self.frames.last().is_some_and(Vec::is_empty) {
-            let empty = self.frames.pop().expect("just observed");
-            self.recycle(empty);
+            self.frames.pop();
         }
         Some(node)
     }
@@ -162,26 +137,6 @@ impl<N> SearchStack<N> {
             self.len += children.len();
             self.frames.push(children);
         }
-    }
-
-    /// Build the new top frame *in place*: `fill` writes the children into
-    /// a frame vector recycled from the spare pool (or a fresh one the
-    /// first time), which then becomes the top frame, so an expansion step
-    /// writes each child exactly once and, once warm, does not allocate.
-    /// Returns the number of children pushed; an empty fill leaves the
-    /// stack untouched (the frame returns to the pool).
-    pub fn push_frame_with(&mut self, fill: impl FnOnce(&mut Vec<N>)) -> usize {
-        let mut frame = self.spare.pop().unwrap_or_default();
-        debug_assert!(frame.is_empty(), "spare pool holds only emptied frames");
-        fill(&mut frame);
-        let n = frame.len();
-        if n == 0 {
-            self.spare.push(frame);
-        } else {
-            self.len += n;
-            self.frames.push(frame);
-        }
-        n
     }
 
     /// Merge a donated stack on top of `self`, preserving the donation's
@@ -266,7 +221,7 @@ impl<N> SearchStack<N> {
                     moved = 1;
                 }
                 self.len -= moved;
-                SearchStack { frames: out_frames, len: moved, spare: Vec::new() }
+                SearchStack { frames: out_frames, len: moved }
             }
         };
         // Purge frames emptied by the donation.
@@ -303,7 +258,7 @@ impl<N> SearchStack<N> {
         self.len -= moved;
         self.frames.retain(|f| !f.is_empty());
         debug_assert!(!self.is_empty());
-        Some(SearchStack { frames: out_frames, len: moved, spare: Vec::new() })
+        Some(SearchStack { frames: out_frames, len: moved })
     }
 
     /// Run this processor's DFS for up to `budget` consecutive expansion
@@ -323,7 +278,9 @@ impl<N> SearchStack<N> {
             if problem.is_goal(&node) {
                 burst.goals += 1;
             }
-            self.push_frame_with(|frame| problem.expand(&node, frame));
+            let mut children = Vec::new();
+            problem.expand(&node, &mut children);
+            self.push_frame(children);
             burst.expanded += 1;
             burst.peak = burst.peak.max(self.len);
         }
@@ -335,16 +292,14 @@ impl<N> SearchStack<N> {
         self.frames.iter().flatten()
     }
 
-    /// The frame list, bottom to top — the stack's complete observable
-    /// state (the spare pool is allocator warm-up only). This is what the
-    /// checkpoint codec serializes.
+    /// The frame list, bottom to top — the stack's complete state. This is
+    /// what the checkpoint codec serializes.
     pub fn frames(&self) -> &[Vec<N>] {
         &self.frames
     }
 
     /// Rebuild a stack from an explicit frame list (checkpoint resume).
-    /// `len` is recomputed; the spare pool starts cold, which is
-    /// unobservable through the public API.
+    /// `len` is recomputed.
     ///
     /// # Panics
     /// Panics if any frame is empty — stacks never store empty frames, and
@@ -352,12 +307,11 @@ impl<N> SearchStack<N> {
     pub fn from_frames(frames: Vec<Vec<N>>) -> Self {
         assert!(frames.iter().all(|f| !f.is_empty()), "stacks never store empty frames");
         let len = frames.iter().map(Vec::len).sum();
-        Self { frames, len, spare: Vec::new() }
+        Self { frames, len }
     }
 
     /// Consume the stack, yielding its frame list bottom-to-top — the
     /// inverse of [`SearchStack::from_frames`] without requiring `N: Clone`.
-    /// The spare pool (allocator warm-up only) is dropped.
     pub fn into_frames(self) -> Vec<Vec<N>> {
         self.frames
     }
@@ -370,7 +324,7 @@ mod tests {
 
     fn stack_of(frames: Vec<Vec<u32>>) -> SearchStack<u32> {
         let len = frames.iter().map(Vec::len).sum();
-        SearchStack { frames, len, spare: Vec::new() }
+        SearchStack { frames, len }
     }
 
     #[test]
@@ -498,26 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_pool_recycles_capacity() {
-        let mut s = SearchStack::from_root(0);
-        s.pop_next();
-        s.push_frame_with(|f| {
-            f.reserve(8);
-            f.extend([1u32, 2, 3]);
-        });
-        // Drain the frame: its (capacity >= 8) vector moves to the pool.
-        while s.pop_next().is_some() {}
-        assert!(s.is_empty());
-        s.push_frame_with(|f| f.extend([4, 5]));
-        // The recycled frame already had room for 2 nodes, so the stack
-        // performed no allocation; observable via its existing capacity.
-        assert_eq!(s.len(), 2);
-        assert!(s.frames[0].capacity() >= 8);
-        assert_eq!(s.pop_next(), Some(5));
-        assert_eq!(s.pop_next(), Some(4));
-    }
-
-    #[test]
     fn merge_from_preserves_frame_structure() {
         let mut receiver = stack_of(vec![vec![1, 2]]);
         let donated = stack_of(vec![vec![10], vec![20, 21]]);
@@ -538,43 +472,6 @@ mod tests {
         receiver.merge_from(stack_of(vec![vec![7, 8], vec![9]]));
         assert_eq!(receiver.len(), 3);
         assert_eq!(receiver.frames().len(), 2);
-    }
-
-    #[test]
-    fn spare_pool_stays_capped_under_owned_frame_churn() {
-        // A walker that pushes owned frames (`push_frame`, never the
-        // recycling `push_frame_with`) retires one vector per expansion;
-        // the pool must cap out instead of growing O(walk length).
-        let mut s: SearchStack<u32> = SearchStack::new();
-        for round in 0..10 * SPARE_POOL_CAP as u32 {
-            s.push_frame(vec![round]);
-            assert_eq!(s.pop_next(), Some(round));
-        }
-        assert!(s.spare.len() <= SPARE_POOL_CAP, "spare grew to {}", s.spare.len());
-    }
-
-    #[test]
-    fn push_frame_with_matches_push_frame() {
-        let mut a = SearchStack::from_root(0);
-        let mut b = SearchStack::from_root(0);
-        a.pop_next();
-        b.pop_next();
-        let n = a.push_frame_with(|f| f.extend([1, 2, 3]));
-        assert_eq!(n, 3);
-        b.push_frame(vec![1, 2, 3]);
-        assert_eq!(a.iter().copied().collect::<Vec<_>>(), b.iter().copied().collect::<Vec<_>>());
-        assert_eq!(a.frames().len(), b.frames().len());
-    }
-
-    #[test]
-    fn push_frame_with_empty_fill_is_noop_and_recycles() {
-        let mut s = SearchStack::from_root(1);
-        let n = s.push_frame_with(|_| {});
-        assert_eq!(n, 0);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.frames().len(), 1);
-        // The untouched frame went back to the pool, not to the allocator.
-        assert_eq!(s.spare.len(), 1);
     }
 
     /// Tiny deterministic problem for burst tests: node `n > 0` has two
@@ -608,7 +505,9 @@ mod tests {
                 if Halving.is_goal(&node) {
                     goals += 1;
                 }
-                slow.push_frame_with(|f| Halving.expand(&node, f));
+                let mut children = Vec::new();
+                Halving.expand(&node, &mut children);
+                slow.push_frame(children);
                 expanded += 1;
                 peak = peak.max(slow.len());
             }

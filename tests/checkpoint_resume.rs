@@ -27,6 +27,8 @@
 //! Seeded counterexamples persist under `proptest-regressions/` and
 //! replay before the random cases.
 
+use std::path::Path;
+
 use proptest::prelude::*;
 use simd_tree_search::ckpt::fnv1a_64;
 use simd_tree_search::core::{LocalBackend, LockstepDriver};
@@ -250,8 +252,7 @@ fn forced_par<P: TreeProblem>(
     arena: StackArena<P::Node>,
     threads: usize,
 ) -> Outcome {
-    let Ok(out) = driver.drive(&mut LocalBackend::new(tree, arena, threads, 0));
-    out
+    driver.drive(&mut LocalBackend::new(tree, arena, threads, 0)).expect("in-process run")
 }
 
 /// Resuming the par engine is worker-count invariant: threads are a host
@@ -308,6 +309,66 @@ fn chain_of_kills_composes_to_the_straight_run() {
     let final_out = resume_from_bytes(&tree, &cfg, bytes.as_ref().expect("chain left a snapshot"))
         .expect("final resume");
     assert_eq!(final_out, straight, "three kills and three resumes must change nothing");
+}
+
+/// The directory sink writes `ckpt-{step:08}.bin` at exactly the policy's
+/// boundaries, on every engine, each file byte-identical to a memory sink's
+/// snapshot of that boundary and renamed into place whole (no `.tmp` is left
+/// behind); every file resumes the run bit-identically. A directory the sink
+/// cannot write ends the in-process loop with an `io::Error` naming the
+/// file. A sharded run's directory writes, and each of its files resumed
+/// on two shards, are checked in `uts-shard`'s `shard_differential`: a
+/// libtest binary like this one cannot serve as a shard worker.
+#[test]
+fn directory_sink_writes_each_policy_boundary_once() {
+    let tree = GeometricTree { seed: 42, b_max: 8, depth_limit: 7 };
+    let cfg = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2()).with_ledger();
+    let armed = cfg.clone().with_checkpoint(CheckpointPolicy::every(1));
+    let straight = run_with(&tree, &armed);
+    let stream = armed.checkpoint.as_ref().expect("armed").sink.taken();
+    let due: Vec<_> = stream.iter().filter(|s| s.step % 4 == 0).collect();
+    assert!(due.len() >= 3, "run long enough for several policy boundaries");
+    let file_of = |step: u64| format!("ckpt-{step:08}.bin");
+    let into_dir = |dir: &Path, every| {
+        cfg.clone()
+            .with_checkpoint_cfg(CheckpointCfg::new(CheckpointPolicy::every(every)).into_dir(dir))
+    };
+
+    let root = std::env::temp_dir().join(format!("uts-ckpt-dir-sink-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for engine in EngineKind::ALL {
+        let dir = root.join(format!("{engine:?}"));
+        let out = run_with(&tree, &into_dir(&dir, 4).with_engine(engine));
+        assert_eq!(out, straight, "{engine:?}: a directory sink must not perturb the run");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("the sink created its directory")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        names.sort();
+        let expected: Vec<String> = due.iter().map(|s| file_of(s.step)).collect();
+        assert_eq!(names, expected, "{engine:?}: one file per policy boundary, no .tmp left");
+        for snap in &due {
+            let bytes = std::fs::read(dir.join(file_of(snap.step))).expect("read snapshot");
+            assert!(bytes == snap.bytes, "{engine:?}: boundary {} differs on disk", snap.step);
+        }
+    }
+    for snap in &due {
+        let bytes = std::fs::read(root.join("Macro").join(file_of(snap.step))).expect("read");
+        let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("own snapshot decodes");
+        assert_eq!(resumed, straight, "resume from boundary {} diverged", snap.step);
+    }
+
+    // A regular file where the directory should be: the first write fails.
+    let blocker = root.join("file");
+    std::fs::write(&blocker, b"").expect("write blocker");
+    let bad = into_dir(&blocker.join("x"), 1);
+    let mut arena = StackArena::new(bad.p);
+    arena.push_frame_with(0, |frame| frame.push(tree.root()));
+    let err = LockstepDriver::fresh(&bad)
+        .drive(&mut LocalBackend::new(&tree, arena, 1, 0))
+        .expect_err("an unwritable directory stops the run");
+    assert!(err.to_string().contains(&file_of(1)), "the error names the file: {err}");
+    std::fs::remove_dir_all(&root).expect("clean up");
 }
 
 /// The SoA engines serialize a snapshot straight off the arena, and a

@@ -61,9 +61,9 @@ fn arb_gen_tree() -> impl Strategy<Value = GenTree> {
 fn par_at<P: TreeProblem>(tree: &P, cfg: &EngineConfig, threads: usize, min_work: u64) -> Outcome {
     let mut arena = StackArena::new(cfg.p);
     arena.push_frame_with(0, |frame| frame.push(tree.root()));
-    let Ok(out) =
-        LockstepDriver::fresh(cfg).drive(&mut LocalBackend::new(tree, arena, threads, min_work));
-    out
+    LockstepDriver::fresh(cfg)
+        .drive(&mut LocalBackend::new(tree, arena, threads, min_work))
+        .expect("in-process run")
 }
 
 /// A run's `Outcome` and the snapshot bytes of every macro-step boundary

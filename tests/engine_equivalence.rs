@@ -39,8 +39,9 @@ fn arb_split() -> impl Strategy<Value = SplitPolicy> {
 fn forced_par<P: TreeProblem>(tree: &P, cfg: &EngineConfig) -> Outcome {
     let mut arena = StackArena::new(cfg.p);
     arena.push_frame_with(0, |frame| frame.push(tree.root()));
-    let Ok(out) = LockstepDriver::fresh(cfg).drive(&mut LocalBackend::new(tree, arena, 2, 0));
-    out
+    LockstepDriver::fresh(cfg)
+        .drive(&mut LocalBackend::new(tree, arena, 2, 0))
+        .expect("in-process run")
 }
 
 /// Run every engine on the same configuration and require the whole

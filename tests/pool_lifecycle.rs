@@ -90,8 +90,7 @@ fn forced_par<P: TreeProblem>(
             LockstepDriver::restore(cfg, decoded)
         }
     };
-    let Ok(out) = driver.drive(&mut LocalBackend::new(tree, arena, threads, 0));
-    out
+    driver.drive(&mut LocalBackend::new(tree, arena, threads, 0)).expect("in-process run")
 }
 
 #[test]

@@ -193,8 +193,9 @@ fn ring(p: usize) -> EngineConfig {
 fn fanned_out(tree: &GeometricTree, cfg: &EngineConfig) -> Outcome {
     let mut arena = StackArena::new(cfg.p);
     arena.push_frame_with(0, |frame| frame.push(tree.root()));
-    let Ok(out) = LockstepDriver::fresh(cfg).drive(&mut LocalBackend::new(tree, arena, 2, 0));
-    out
+    LockstepDriver::fresh(cfg)
+        .drive(&mut LocalBackend::new(tree, arena, 2, 0))
+        .expect("in-process run")
 }
 
 #[test]
