@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use uts_ckpt::{CheckpointPolicy, FaultPlan};
-use uts_core::{resume_from_bytes, run, run_with, EngineConfig, EngineKind, Outcome, Scheme};
+use uts_core::{run, run_from, run_with, EngineConfig, EngineKind, Outcome, Scheme};
 use uts_machine::CostModel;
 use uts_synthgen::{find_gen_tree, GenNode, GenTree};
 use uts_tree::serial_dfs;
@@ -94,7 +94,7 @@ fn every_engine_and_a_resume_agree_on_a_1e8_node_tree() {
         let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
         let last = snaps.last().expect("the periodic policy snapshots before the kill");
         leg(label, "resume", w, &mut first, || {
-            resume_from_bytes(&tree, &cfg, &last.bytes).expect("own snapshot resumes")
+            run_from(&tree, &cfg, Some(&last.bytes)).expect("own snapshot resumes")
         });
     }
 }

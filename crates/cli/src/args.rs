@@ -76,7 +76,7 @@ pub fn parse_board(flags: &Flags) -> Result<u64, String> {
     }
 }
 
-/// The workload of `sts run`, `resume` and `shard`: by default one IDA\*
+/// The workload of `sts run` and `sts shard`: by default one IDA\*
 /// iteration of [`parse_board`]'s board at `--bound`; with `--workload
 /// utsgen` a generated tree, `--family geometric` (`--seed --b-max
 /// --depth`) or `binomial` (`--seed --b0 --m --q`). The flags map onto the

@@ -34,14 +34,15 @@ pub fn solve(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Everything `sts run`, `sts resume` and `sts shard` share: the workload
-/// instance and the fully-built engine config. A resume must rebuild the
-/// *same* config the checkpointing run used (the snapshot only carries a
-/// fingerprint of it, not the config itself), so all three commands funnel
-/// through here and accept the same flags.
+/// Everything `sts run` and `sts shard` share: the workload instance, the
+/// fully-built engine config and the `--snapshot` bytes to resume from. A
+/// resume must rebuild the *same* config the checkpointing run used (the
+/// snapshot only carries a fingerprint of it, not the config itself), so
+/// both commands funnel through here and accept the same flags.
 struct SimdSetup {
     workload: Workload,
     cfg: EngineConfig,
+    snapshot: Option<Vec<u8>>,
 }
 
 /// The flags [`simd_setup`] reads besides the workload's.
@@ -55,16 +56,20 @@ const SIMD_FLAGS: &[&str] = &[
     "checkpoint-every",
     "checkpoint-dir",
     "kill-at",
+    "snapshot",
 ];
 
 /// Reject any flag outside what [`simd_setup`] reads and the command's
-/// `own`: the one accepted set of `run`, `resume` and `shard`.
+/// `own`: the one accepted set of `run` and `shard`.
 fn reject_non_simd_flags(flags: &Flags, own: &[&str]) -> Result<(), String> {
     flags.reject_unknown(&[BOARD_FLAGS, WORKLOAD_FLAGS, SIMD_FLAGS, own])
 }
 
 fn simd_setup(flags: &Flags) -> Result<SimdSetup, CliError> {
     let p = flags.get_parsed("p", 1024usize)?;
+    if p == 0 {
+        return Err("--p 0: the machine needs at least one processor".into());
+    }
     let scheme = flags.get("scheme").map_or(Ok(Scheme::gp_dk()), Scheme::parse)?;
     let cost = flags.get("cost").map_or(Ok(CostModel::cm2()), CostModel::parse)?;
     let cost = cost.with_lb_multiplier(flags.get_parsed("lb-mult", 1u32)?);
@@ -100,43 +105,30 @@ fn simd_setup(flags: &Flags) -> Result<SimdSetup, CliError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Failed(format!("--checkpoint-dir {}: {e}", dir.display())))?;
     }
-    Ok(SimdSetup { workload, cfg })
+    let snapshot = flags.get("snapshot").map(read_snapshot).transpose()?;
+    Ok(SimdSetup { workload, cfg, snapshot })
 }
 
 /// The run report on stdout; the workload echo and kill hint on stderr.
 fn print_report(setup: &SimdSetup, out: &Outcome) {
     eprintln!("workload: {}", setup.workload);
     if out.killed {
-        eprintln!("killed: fault injected; resume with `sts resume --snapshot ...`");
+        eprintln!("killed: fault injected; resume with `sts run --snapshot ...`");
     }
     print!("{}", uts_core::run_report_json(&setup.cfg, out));
 }
 
 /// `sts run`: parallel SIMD search of one bounded iteration or one
-/// generated tree.
+/// generated tree, from the root or resumed from `--snapshot PATH` — a
+/// snapshot any command wrote under the same workload and config flags
+/// (the snapshot's config fingerprint is checked against the rebuilt
+/// config, so different `--p`/`--scheme`/`--cost` flags are refused
+/// rather than silently diverging).
 pub fn run_simd(flags: &Flags) -> Result<(), CliError> {
     reject_non_simd_flags(flags, &[])?;
     let setup = simd_setup(flags)?;
-    let out = setup.workload.run(&setup.cfg, None).map_err(CliError::failed)?;
-    print_report(&setup, &out);
-    Ok(())
-}
-
-/// `sts resume`: continue a checkpointed `sts run` from a snapshot file.
-///
-/// Takes the same workload/config flags as `run` — the snapshot's config
-/// fingerprint is checked against the rebuilt config, so resuming under
-/// different `--p`/`--scheme`/`--cost` flags is rejected rather than
-/// silently diverging.
-pub fn resume(flags: &Flags) -> Result<(), CliError> {
-    reject_non_simd_flags(flags, &["snapshot"])?;
-    let path = flags.get("snapshot").ok_or("--snapshot PATH is required")?;
-    let bytes = read_snapshot(path)?;
-    let setup = simd_setup(flags)?;
-    let out = setup
-        .workload
-        .run(&setup.cfg, Some(&bytes))
-        .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
+    let out =
+        setup.workload.run(&setup.cfg, setup.snapshot.as_deref()).map_err(CliError::failed)?;
     print_report(&setup, &out);
     Ok(())
 }
@@ -154,7 +146,7 @@ fn read_snapshot(path: &str) -> Result<Vec<u8>, CliError> {
 /// recovery path after a worker dies), and `--snapshot PATH` resumes any
 /// run's snapshot, at any shard count.
 pub fn shard(flags: &Flags) -> Result<(), CliError> {
-    reject_non_simd_flags(flags, &["shards", "worker-kill-at", "worker-kill-shard", "snapshot"])?;
+    reject_non_simd_flags(flags, &["shards", "worker-kill-at", "worker-kill-shard"])?;
     let shards = flags.get_parsed("shards", 4usize)?;
     let mut opts = ShardOpts { shards, park: None, kill: None };
     let kill_at = flags.get_parsed("worker-kill-at", 0u64)?;
@@ -165,8 +157,7 @@ pub fn shard(flags: &Flags) -> Result<(), CliError> {
         });
     }
     let setup = simd_setup(flags)?;
-    let snapshot = flags.get("snapshot").map(read_snapshot).transpose()?;
-    let sharded = match &snapshot {
+    let sharded = match &setup.snapshot {
         Some(bytes) => resume_sharded(&setup.workload, &setup.cfg, &opts, bytes),
         None => run_sharded(&setup.workload, &setup.cfg, &opts),
     }

@@ -56,11 +56,10 @@ USAGE:
   sts run     [--p P] [--scheme SCHEME] [--cost MODEL] [--lb-mult M]
               [--seed S] [--walk N | --korf K] [--bound B] [--ledger true]
               [--engine E] [--checkpoint-dir DIR] [--checkpoint-every N]
-              [--kill-at K] [--workload puzzle15|utsgen]  parallel SIMD search
-  sts resume  --snapshot PATH [same flags as run]        resume from a checkpoint
+              [--kill-at K] [--snapshot PATH] [--workload puzzle15|utsgen]
+                                                         parallel SIMD search
   sts shard   [--shards N] [--worker-kill-at K [--worker-kill-shard S]]
-              [--snapshot PATH] [same flags as run]
-                                                         multi-process sharded machine
+              [same flags as run]                        multi-process sharded machine
   sts mimd    [--p P] [--policy grr|arr|rp|nn] [--seed S] [--walk N | --korf K]
                                                          MIMD work stealing
   sts xo      --w W [--p P] [--ratio R]                  optimal static trigger
@@ -72,22 +71,21 @@ A command rejects any flag it does not list here.
 Puzzle workloads: `--korf K`, or a scramble `--seed S` (42) `--walk N` (40,
 at most 1000); `--bound B` is at most 80 and defaults to the optimal cost.
 
-Output: `run`, `resume` and `shard` print the JSON run report on stdout
+Output: `run` and `shard` print the JSON run report on stdout
 (the same bytes for `run X` and `shard X`) and everything else on stderr.
 
 SCHEMES: gp-s:<x>  ngp-s:<x>  gp-dk  ngp-dk  gp-dp  ngp-dp  fess  fegs  ring-nn
 COSTS:   cm2  hypercube  mesh
 ENGINES: macro (default)  par  reference   (`fused` is read as macro)
 
-Checkpointing: `sts run|resume|shard --checkpoint-dir DIR --checkpoint-every
-N` writes a snapshot `ckpt-<step>.bin` into DIR every Nth macro-step
+Checkpointing: `sts run|shard --checkpoint-dir DIR --checkpoint-every N`
+writes a snapshot `ckpt-<step>.bin` into DIR every Nth macro-step
 boundary (DIR is created first; one that cannot be is an error before the
 run starts); `--kill-at K` injects a fault (clean stop) at boundary K.
-`sts resume --snapshot DIR/ckpt-....bin` or `sts shard --snapshot ...`
+`sts run --snapshot DIR/ckpt-....bin` or `sts shard --snapshot ...`
 continues the run — pass the *same* workload and config flags: a snapshot
 is only valid against the configuration that produced it (enforced by a
-config fingerprint in the header), whichever of the three commands wrote
-it.
+config fingerprint in the header), whichever command wrote it.
 
 Generated trees: `sts run --workload utsgen` searches an on-the-fly
 Galton–Watson tree instead of a 15-puzzle iteration. `--family geometric`
@@ -104,7 +102,7 @@ additionally carries *measured* interconnect routing next to the cost
 model's closed form. It checkpoints under the flags above; after a crash
 (or `--worker-kill-at K`, which SIGKILLs one worker mid-run for drills),
 `sts shard --snapshot DIR/ckpt-....bin` resumes bit-identically at any
-shard count, and so does `sts resume`. Example:
+shard count, and so does `sts run --snapshot`. Example:
 
   sts shard --shards 8 --p 1048576 --workload utsgen --b-max 8 --depth 12 \\
             --scheme gp-dk --ledger true

@@ -15,7 +15,6 @@ fn main() {
     let result = Flags::parse(rest).map_err(CliError::Usage).and_then(|flags| match cmd.as_str() {
         "solve" => commands::solve(&flags),
         "run" => commands::run_simd(&flags),
-        "resume" => commands::resume(&flags),
         "shard" => commands::shard(&flags),
         "mimd" => commands::run_mimd_cmd(&flags),
         "xo" => commands::xo(&flags),

@@ -52,12 +52,12 @@ fn run_kill_then_resume_round_trips() {
     // Resume under the same flags completes the search.
     let mut resumed: Vec<&str> = base.to_vec();
     resumed.extend_from_slice(&["--snapshot", &snap_s]);
-    commands::resume(&flags(&resumed)).expect("resume");
+    commands::run_simd(&flags(&resumed)).expect("resume");
 
     // Resume under a different config is rejected by the fingerprint.
     let wrong_p =
         ["--seed", "7", "--walk", "20", "--p", "64", "--scheme", "gp-dk", "--snapshot", &snap_s];
-    let err = commands::resume(&flags(&wrong_p)).unwrap_err();
+    let err = commands::run_simd(&flags(&wrong_p)).unwrap_err();
     assert!(
         matches!(&err, CliError::Failed(e) if e.contains("different configuration")),
         "{err:?}"
@@ -80,12 +80,6 @@ fn run_checkpoint_every_requires_a_dir() {
     ]))
     .unwrap_err();
     assert!(matches!(&err, CliError::Usage(e) if e.contains("--checkpoint-dir")), "{err:?}");
-}
-
-#[test]
-fn resume_requires_a_snapshot_path() {
-    let err = commands::resume(&flags(&[])).unwrap_err();
-    assert!(matches!(&err, CliError::Usage(e) if e.contains("--snapshot")), "{err:?}");
 }
 
 #[test]
@@ -114,7 +108,7 @@ fn every_command_rejects_a_misspelt_flag() {
     let cases: [(Command, &[&str], &str); 7] = [
         (commands::solve, &["--seed", "7", "--wlak", "14"], "--wlak"),
         (commands::run_simd, &["--sheme", "fegs", "--threads", "2", "--p", "64"], "--sheme"),
-        (commands::resume, &["--snapshto", "ckpt.bin"], "--snapshto"),
+        (commands::run_simd, &["--snapshto", "ckpt.bin"], "--snapshto"),
         (commands::shard, &["--p", "32", "--shard", "2"], "--shard"),
         (commands::run_mimd_cmd, &["--p", "16", "--polcy", "rp"], "--polcy"),
         (commands::xo, &["--w", "941852", "--rato", "0.5"], "--rato"),

@@ -1,5 +1,5 @@
-//! Engine-side checkpoint/resume wiring: sinks, config fingerprinting,
-//! capture, and the resume entry points.
+//! Engine-side checkpoint wiring: sinks, config fingerprinting, capture
+//! and restore.
 //!
 //! The snapshot *format* lives in `uts-ckpt` (container, payload codec,
 //! [`CheckpointPolicy`], [`FaultPlan`]); this module binds it to the
@@ -7,11 +7,11 @@
 //! evaluates its policy at every **macro-step boundary** — the same
 //! engine-invariant schedule the ledger replays, so every engine
 //! snapshot at identical points in the lockstep schedule and a snapshot
-//! taken by one engine resumes under any other. [`resume_with`] rebuilds
-//! the complete engine state from a snapshot and hands it to the
-//! configured engine; the resumed run finishes with an [`Outcome`]
-//! bit-identical to the uninterrupted run (enforced by the kill→resume
-//! differential suite in `tests/checkpoint_resume.rs`).
+//! taken by one engine resumes under any other. [`crate::run_from`]
+//! given snapshot bytes rebuilds the complete engine state from them and
+//! hands it to the configured engine; the resumed run finishes with an
+//! [`crate::Outcome`] bit-identical to the uninterrupted run (enforced by
+//! the kill→resume differential suite in `tests/checkpoint_resume.rs`).
 //!
 //! What is *not* captured: the problem itself (a resume call re-supplies
 //! it; the config fingerprint rejects snapshots from a different setup),
@@ -24,13 +24,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use uts_ckpt::{
-    spill, CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, Fingerprint, MachineState,
-    PreemptSignal, RecorderState, SnapshotView, StackSource,
+    spill, CheckpointPolicy, EngineSnapshot, FaultPlan, Fingerprint, MachineState, PreemptSignal,
+    RecorderState, SnapshotView, StackSource,
 };
-use uts_tree::{CkptNode, SplitPolicy, TreeProblem};
+use uts_tree::{CkptNode, SplitPolicy};
 
-use crate::driver::LockstepDriver;
-use crate::engine::{EngineConfig, EngineKind, EngineState, LedgerRecorder, Outcome, Resume};
+use crate::engine::{EngineConfig, EngineState, LedgerRecorder, Resume};
 use crate::matcher::MatchState;
 use crate::scheme::{Matching, TransferMode, Trigger};
 
@@ -111,12 +110,12 @@ pub struct CheckpointCfg {
     pub sink: CheckpointSink,
     /// Fault injection: kill the run at this boundary (after its snapshot,
     /// power-loss-between-steps semantics). The killed run returns its
-    /// partial [`Outcome`] with [`Outcome::killed`] set.
+    /// partial [`crate::Outcome`] with [`crate::Outcome::killed`] set.
     pub fault: Option<FaultPlan>,
     /// Cooperative preemption: when the shared signal is raised, the run
     /// parks at its next macro-step boundary — one snapshot of that
     /// boundary is **forced** into the sink (whatever the policy says)
-    /// and the run returns with [`Outcome::killed`] set. Unlike a fault,
+    /// and the run returns with [`crate::Outcome::killed`] set. Unlike a fault,
     /// the parked state is guaranteed captured: resuming the forced
     /// snapshot continues the schedule bit-identically, which is what a
     /// preemptive job scheduler relies on.
@@ -226,7 +225,7 @@ impl EngineState {
     /// # Panics
     /// Panics if the snapshot's machine size or ledger presence
     /// contradicts `cfg` (impossible for snapshots decoded against this
-    /// config's fingerprint, which [`resume_from_bytes`] enforces).
+    /// config's fingerprint, which [`crate::run_from`] enforces).
     pub(crate) fn restore<N: CkptNode>(
         cfg: &EngineConfig,
         snapshot: EngineSnapshot<N>,
@@ -277,48 +276,10 @@ impl CheckpointCfg {
     }
 }
 
-/// Resume a run from a decoded snapshot under the engine named by
-/// [`EngineConfig::engine`]. The configuration must be the one the
-/// snapshot was taken under ([`config_fingerprint`]-equal; engine kind,
-/// threads and checkpoint settings may differ freely) and the problem must
-/// be the same — neither is captured in the snapshot. The returned
-/// [`Outcome`] is bit-identical to the uninterrupted run's.
-///
-/// # Panics
-/// Panics if the snapshot's machine size or ledger presence contradicts
-/// `cfg` (impossible for snapshots decoded against this config's
-/// fingerprint, which [`resume_from_bytes`] enforces), and, naming the
-/// file, if a [`CheckpointSink::Dir`] cannot write a snapshot.
-pub fn resume_with<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    snapshot: EngineSnapshot<P::Node>,
-) -> Outcome {
-    match cfg.engine {
-        EngineKind::Reference => {
-            crate::reference::run_reference_from(problem, cfg, EngineState::restore(cfg, snapshot))
-        }
-        EngineKind::Macro | EngineKind::Par => {
-            let threads = crate::local::resolve_threads(cfg);
-            crate::local::run_local(problem, threads, LockstepDriver::restore(cfg, snapshot))
-        }
-    }
-}
-
-/// Decode an encoded snapshot against `cfg`'s fingerprint and resume it.
-/// The one-call path the CLI's `sts resume` uses.
-pub fn resume_from_bytes<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    bytes: &[u8],
-) -> Result<Outcome, CkptError> {
-    let snapshot = EngineSnapshot::decode(bytes, config_fingerprint(cfg))?;
-    Ok(resume_with(problem, cfg, snapshot))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
 
@@ -384,7 +345,7 @@ mod tests {
             let snaps = armed.checkpoint.as_ref().unwrap().sink.taken();
             assert!(!snaps.is_empty(), "{engine:?}");
             assert!(snaps.last().unwrap().step <= 5);
-            let out = resume_from_bytes(&tree, &cfg, &snaps.last().unwrap().bytes)
+            let out = crate::run_from(&tree, &cfg, Some(&snaps.last().unwrap().bytes))
                 .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             assert_eq!(out, straight, "{engine:?} resume must be bit-identical");
         }
@@ -415,7 +376,7 @@ mod tests {
             // Park → resume, possibly through further preemptions, must
             // reproduce the uninterrupted run bit-for-bit.
             signal.clear();
-            let out = resume_from_bytes(&tree, &cfg, &snaps[0].bytes)
+            let out = crate::run_from(&tree, &cfg, Some(&snaps[0].bytes))
                 .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             assert_eq!(out, straight, "{engine:?}: resume after park must be bit-identical");
         }

@@ -46,7 +46,7 @@ use std::io;
 
 use uts_ckpt::StackSource;
 use uts_machine::SimdMachine;
-use uts_tree::{CkptNode, StackArena, TreeProblem};
+use uts_tree::{CkptNode, StackArena};
 
 use crate::census::{build_count_ge, build_hist};
 use crate::ckpt::config_fingerprint;
@@ -197,10 +197,6 @@ pub enum StepStatus {
     },
 }
 
-/// What an in-process executor runs from: the driver at a boundary and the
-/// arena holding every PE's stack.
-pub(crate) type InProcess<N> = (LockstepDriver, StackArena<N>);
-
 /// The macro-step engine minus the stacks. See the module docs.
 pub struct LockstepDriver {
     cfg: EngineConfig,
@@ -219,8 +215,14 @@ pub struct LockstepDriver {
     lb: LbBuffers,
 }
 
+/// The sorted list of `arena`'s PEs holding work.
+pub(crate) fn holding_work<N>(arena: &StackArena<N>) -> Vec<usize> {
+    (0..arena.p()).filter(|&i| arena.len_of(i) > 0).collect()
+}
+
 impl LockstepDriver {
-    fn with_state(cfg: &EngineConfig, state: EngineState, active: Vec<usize>) -> Self {
+    /// Driver at boundary `state`, whose PEs holding work are `active`.
+    pub(crate) fn with_state(cfg: &EngineConfig, state: EngineState, active: Vec<usize>) -> Self {
         Self {
             cfg: cfg.clone(),
             state,
@@ -251,28 +253,7 @@ impl LockstepDriver {
         snapshot: uts_ckpt::EngineSnapshot<N>,
     ) -> (Self, StackArena<N>) {
         let (state, arena) = EngineState::restore(cfg, snapshot);
-        let active = (0..cfg.p).filter(|&i| arena.len_of(i) > 0).collect();
-        (Self::with_state(cfg, state, active), arena)
-    }
-
-    /// The start of a fresh in-process run: PE 0 of an otherwise idle
-    /// arena holds the root. Nothing here is per-PE work beyond the arena's
-    /// length array and (empty) chain heads.
-    pub(crate) fn at_root<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> InProcess<P::Node> {
-        let driver = Self::fresh(cfg);
-        let mut arena = StackArena::new(cfg.p);
-        arena.push_frame_with(0, |frame| frame.push(problem.root()));
-        (driver, arena)
-    }
-
-    /// [`LockstepDriver::drive`] over a backend that fails only on a
-    /// checkpoint write.
-    ///
-    /// # Panics
-    /// Panics on that failure, naming the path: the entry points built on
-    /// this return a bare [`Outcome`].
-    pub(crate) fn run_to_end<B: BurstBackend<Error = io::Error>>(self, mut backend: B) -> Outcome {
-        self.drive(&mut backend).unwrap_or_else(|e| panic!("checkpoint: {e}"))
+        (Self::with_state(cfg, state, holding_work(&arena)), arena)
     }
 
     /// Run the macro-step loop to the end over `backend`.
@@ -450,10 +431,11 @@ mod tests {
     //! [`LockstepDriver::drive`] over the in-process backend at one thread
     //! (which is [`crate::local::run`]).
     use super::*;
-    use crate::engine::expansion_burst;
+    use crate::engine::{expansion_burst, root_arena};
     use crate::scheme::Scheme;
     use uts_machine::CostModel;
     use uts_synth::GeometricTree;
+    use uts_tree::TreeProblem;
 
     /// Hand-step `driver` over `arena` for at most `max_steps` boundaries;
     /// true once the run is done.
@@ -502,7 +484,7 @@ mod tests {
         ] {
             let cfg = EngineConfig::new(64, scheme, CostModel::cm2()).with_ledger().with_trace();
             let want = crate::local::run(&tree, &cfg);
-            let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
+            let (mut driver, mut arena) = (LockstepDriver::fresh(&cfg), root_arena(&tree, cfg.p));
             assert!(step_by_hand(&tree, &mut driver, &mut arena, u64::MAX));
             assert_eq!(driver.finish(false), want, "{}", scheme.name());
         }
@@ -516,14 +498,14 @@ mod tests {
 
         // Drive three steps, snapshot, then hand the snapshot to the
         // ordinary in-process resume path.
-        let (mut driver, mut arena) = LockstepDriver::at_root(&tree, &cfg);
+        let (mut driver, mut arena) = (LockstepDriver::fresh(&cfg), root_arena(&tree, cfg.p));
         assert!(!step_by_hand(&tree, &mut driver, &mut arena, 3), "run too short for the test");
         let mut stack_bytes = Vec::new();
         for i in 0..cfg.p {
             arena.encode_pe(i, &mut stack_bytes);
         }
         let bytes = driver.snapshot(&stack_bytes);
-        let resumed = crate::ckpt::resume_from_bytes(&tree, &cfg, &bytes).expect("decode");
+        let resumed = crate::run_from(&tree, &cfg, Some(&bytes)).expect("decode");
         assert_eq!(resumed, want, "driver snapshot must resume bit-identically");
     }
 }

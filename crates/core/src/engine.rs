@@ -11,9 +11,10 @@
 //! The engine is cycle-quantized: one expansion cycle = every processor
 //! with a non-empty stack pops and expands exactly one node.
 //!
-//! This module holds what every executor shares: the configuration, the
-//! [`Outcome`], the boundary state a snapshot captures (`EngineState`),
-//! the search-phase kernels (`fused_expansion_cycle`,
+//! This module holds what every executor shares: the configuration,
+//! [`run_from`] (where every in-process run starts, from the root or a
+//! snapshot), the [`Outcome`], the boundary state a snapshot captures
+//! (`EngineState`), the search-phase kernels (`fused_expansion_cycle`,
 //! [`expansion_burst`]) and the trigger checkpoint and balancing phase.
 //! The macro-step loop that sequences them lives once, in
 //! [`crate::driver`], and runs over the in-process backend
@@ -22,19 +23,24 @@
 //! [`crate::reference`] (enforced by property tests). See DESIGN.md §6,
 //! "Engine hot path".
 
+use std::{fmt, io};
+
+use uts_ckpt::{CkptError, EngineSnapshot};
 use uts_machine::{
     CostModel, LbPhaseRecord, Ledger, Report, SimdMachine, TriggerFiring, TriggerKind,
 };
 use uts_scan::{MatchScratch, Pair};
 use uts_tree::{BlockRun, Burst, SplitPolicy, StackArena, TreeProblem};
 
-use crate::driver::LockstepDriver;
+use crate::ckpt::config_fingerprint;
+use crate::driver::{holding_work, LockstepDriver};
+use crate::local::{LocalBackend, FAN_OUT_MIN_WORK};
 use crate::matcher::MatchState;
 use crate::scheme::{Scheme, TransferMode, Trigger};
 use crate::store::{CountedMove, StackStore};
 use crate::trigger::{should_balance, static_threshold, TriggerCtx};
 
-/// Which executor [`run_with`] dispatches to: the independent oracle, or
+/// Which executor [`run_from`] dispatches to: the independent oracle, or
 /// the one macro-step loop ([`crate::driver`]) over the in-process backend
 /// ([`crate::local::LocalBackend`]) at one thread or several. All produce
 /// bit-identical lockstep schedules (the contract enforced by
@@ -109,8 +115,8 @@ pub struct EngineConfig {
     /// cross-engine contract: every engine and any thread count produces
     /// the same one.
     pub record_ledger: bool,
-    /// Which executor [`run_with`] dispatches to (the direct entry points
-    /// `run` and `run_reference` ignore it).
+    /// Which executor [`run_from`] dispatches to ([`crate::run`] and
+    /// [`crate::run_reference`] name their own).
     pub engine: EngineKind,
     /// Host threads [`EngineKind::Par`] bursts on, the caller's included:
     /// each burst that fans out (see [`crate::local::FAN_OUT_MIN_WORK`])
@@ -166,7 +172,7 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: pick the executor [`run_with`] dispatches to.
+    /// Builder: pick the executor [`run_from`] dispatches to.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -206,20 +212,82 @@ impl EngineConfig {
     }
 }
 
-/// Run `problem` under the executor named by [`EngineConfig::engine`].
-/// Both arms produce the same `Outcome` bit-for-bit.
-///
-/// # Panics
-/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
-/// write a snapshot.
-pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    match cfg.engine {
-        EngineKind::Reference => crate::reference::run_reference(problem, cfg),
-        EngineKind::Macro | EngineKind::Par => {
-            let start = LockstepDriver::at_root(problem, cfg);
-            crate::local::run_local(problem, crate::local::resolve_threads(cfg), start)
+/// Why [`run_from`] could not finish a run.
+#[derive(Debug)]
+pub enum RunError {
+    /// The snapshot to resume from does not decode against the config's
+    /// [`crate::config_fingerprint`]: a foreign, torn or corrupted file, or
+    /// one taken under another configuration.
+    Snapshot(CkptError),
+    /// A [`crate::CheckpointSink::Dir`] could not write a boundary
+    /// snapshot; the message names the file.
+    Checkpoint(io::Error),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Snapshot(e) => write!(f, "resume snapshot: {e}"),
+            RunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<CkptError> for RunError {
+    fn from(e: CkptError) -> Self {
+        RunError::Snapshot(e)
+    }
+}
+
+/// Run `problem` under `cfg` to the end: from the root on PE 0, or from
+/// the macro-step boundary `snapshot` holds, decoded against
+/// [`crate::config_fingerprint`]`(cfg)`. The configuration must be the one
+/// the snapshot was taken under (engine kind, threads and checkpoint
+/// settings may differ freely) and the problem the same; neither is
+/// captured in the snapshot. The executor is [`EngineConfig::engine`];
+/// every one finishes with the same `Outcome` bit for bit, and a resumed
+/// run with the uninterrupted run's.
+pub fn run_from<P: TreeProblem>(
+    problem: &P,
+    cfg: &EngineConfig,
+    snapshot: Option<&[u8]>,
+) -> Result<Outcome, RunError> {
+    let (state, arena) = match snapshot {
+        None => (EngineState::fresh(cfg), root_arena(problem, cfg.p)),
+        Some(bytes) => {
+            EngineState::restore(cfg, EngineSnapshot::decode(bytes, config_fingerprint(cfg))?)
+        }
+    };
+    match cfg.engine {
+        EngineKind::Reference => {
+            crate::reference::run_stacks(problem, cfg, state, arena.into_stacks())
+        }
+        EngineKind::Macro | EngineKind::Par => {
+            // At a fresh start only the root's PE holds work: no O(P) scan.
+            let active = if snapshot.is_none() { vec![0] } else { holding_work(&arena) };
+            let driver = LockstepDriver::with_state(cfg, state, active);
+            let threads = crate::local::resolve_threads(cfg);
+            driver.drive(&mut LocalBackend::new(problem, arena, threads, FAN_OUT_MIN_WORK))
+        }
+    }
+    .map_err(RunError::Checkpoint)
+}
+
+/// [`run_from`] the root under the executor [`EngineConfig::engine`]
+/// names, panicking on its error.
+pub fn run_with<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
+    run_from(problem, cfg, None).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// An arena of `p` PEs whose PE 0 holds the root: the start of a fresh
+/// run. Nothing here is per-PE work beyond the length array and the
+/// (empty) chain heads.
+pub(crate) fn root_arena<P: TreeProblem>(problem: &P, p: usize) -> StackArena<P::Node> {
+    let mut arena = StackArena::new(p);
+    arena.push_frame_with(0, |frame| frame.push(problem.root()));
+    arena
 }
 
 /// Result of a parallel run. `PartialEq` compares every observable —

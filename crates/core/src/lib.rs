@@ -58,13 +58,11 @@ pub mod store;
 pub mod trigger;
 pub mod workload;
 
-pub use ckpt::{
-    config_fingerprint, resume_from_bytes, resume_with, CheckpointCfg, CheckpointSink, Snapshot,
-};
+pub use ckpt::{config_fingerprint, CheckpointCfg, CheckpointSink, Snapshot};
 pub use driver::{BurstBackend, LockstepDriver, MergedBurst, StepStatus};
 pub use engine::{
-    expansion_burst, expansion_burst_reporting, merge_active, run_with, CycleStats, EngineConfig,
-    EngineKind, Outcome,
+    expansion_burst, expansion_burst_reporting, merge_active, run_from, run_with, CycleStats,
+    EngineConfig, EngineKind, Outcome, RunError,
 };
 pub use local::{run, LocalBackend};
 pub use matcher::MatchState;

@@ -90,8 +90,10 @@ use std::sync::Mutex;
 use uts_ckpt::StackSource;
 use uts_tree::{BlockRun, StackArena, TreeProblem};
 
-use crate::driver::{BurstBackend, InProcess, LockstepDriver, MergedBurst};
-use crate::engine::{burst_slice, expansion_burst, EngineConfig, EngineKind, Outcome, SliceBurst};
+use crate::driver::{BurstBackend, LockstepDriver, MergedBurst};
+use crate::engine::{
+    burst_slice, expansion_burst, run_from, EngineConfig, EngineKind, Outcome, SliceBurst,
+};
 
 /// The smallest `started_PEs × horizon` product a [`LocalBackend`] of two
 /// or more threads fans a burst out for. Below it the burst runs inline on
@@ -123,35 +125,22 @@ const JOBS_PER_WORKER: usize = 4;
 /// [`EngineKind::Macro`]; for [`EngineKind::Par`] the config knob, else one
 /// per available core (which `taskset` and cgroup quotas narrow).
 pub(crate) fn resolve_threads(cfg: &EngineConfig) -> usize {
-    match cfg.engine {
-        EngineKind::Par => cfg
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1),
-        _ => 1,
+    if cfg.engine != EngineKind::Par {
+        return 1;
     }
+    cfg.threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
 /// Run `problem` to exhaustion (or first goal) under `cfg` with the
 /// macro-step loop over a one-thread [`LocalBackend`] — the default
 /// engine ([`EngineKind::Macro`]), whatever `cfg.engine` says. Its
-/// schedule is bit-identical to [`crate::reference::run_reference`].
-///
-/// # Panics
-/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
-/// write a snapshot.
+/// schedule is bit-identical to [`crate::reference::run_reference`]. It
+/// is [`run_from`] the root, panicking on its error.
 pub fn run<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    run_local(problem, 1, LockstepDriver::at_root(problem, cfg))
-}
-
-/// The macro-step loop over a [`LocalBackend`] of `threads`, from the root
-/// or from a restored boundary.
-pub(crate) fn run_local<P: TreeProblem>(
-    problem: &P,
-    threads: usize,
-    (driver, arena): InProcess<P::Node>,
-) -> Outcome {
-    driver.run_to_end(LocalBackend::new(problem, arena, threads, FAN_OUT_MIN_WORK))
+    run_from(problem, &cfg.clone().with_engine(EngineKind::Macro), None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Job-local results of one job's burst pass, merged on the calling thread
@@ -350,8 +339,10 @@ mod tests {
         threads: usize,
         min_work: u64,
     ) -> Outcome {
-        let (driver, arena) = LockstepDriver::at_root(tree, cfg);
-        driver.run_to_end(LocalBackend::new(tree, arena, threads, min_work))
+        let arena = crate::engine::root_arena(tree, cfg.p);
+        LockstepDriver::fresh(cfg)
+            .drive(&mut LocalBackend::new(tree, arena, threads, min_work))
+            .expect("in-process run")
     }
 
     /// `cfg`'s run, and `N_expand` at each of its macro-step boundaries as

@@ -25,7 +25,7 @@ use uts_tree::{CkptNode, SearchStack, SplitPolicy, TreeProblem};
 use crate::ckpt::config_fingerprint;
 use crate::driver::compute_horizon;
 use crate::engine::{
-    checkpoint_trigger, EngineConfig, EngineState, LedgerRecorder, Outcome, Resume,
+    checkpoint_trigger, EngineConfig, EngineKind, EngineState, LedgerRecorder, Outcome,
 };
 use crate::scheme::TransferMode;
 
@@ -43,34 +43,21 @@ struct CycleResult {
 }
 
 /// Run `problem` under `cfg` with the reference (two-sweep, allocating)
-/// loop. Produces the same [`Outcome`] as [`crate::local::run`].
-///
-/// # Panics
-/// Panics, naming the file, if a [`crate::CheckpointSink::Dir`] cannot
-/// write a snapshot.
+/// loop. Produces the same [`Outcome`] as [`crate::local::run`]. It is
+/// [`crate::run_from`] the root, panicking on its error.
 pub fn run_reference<P: TreeProblem>(problem: &P, cfg: &EngineConfig) -> Outcome {
-    let st = EngineState::fresh(cfg);
-    let mut stacks: Vec<_> = (0..cfg.p).map(|_| SearchStack::new()).collect();
-    stacks[0] = SearchStack::from_root(problem.root());
-    run_stacks(problem, cfg, st, stacks)
+    crate::run_from(problem, &cfg.clone().with_engine(EngineKind::Reference), None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_reference`] from a restored boundary: the one place the oracle
-/// converts the machine's arena into its own frame-list stacks.
-pub(crate) fn run_reference_from<P: TreeProblem>(
-    problem: &P,
-    cfg: &EngineConfig,
-    (st, arena): Resume<P::Node>,
-) -> Outcome {
-    run_stacks(problem, cfg, st, arena.into_stacks())
-}
-
-fn run_stacks<P: TreeProblem>(
+/// The oracle loop from boundary state `st` over `stacks`, to the end. A
+/// snapshot the sink could not write ends it with that write's error.
+pub(crate) fn run_stacks<P: TreeProblem>(
     problem: &P,
     cfg: &EngineConfig,
     mut st: EngineState,
     stacks: Vec<SearchStack<P::Node>>,
-) -> Outcome {
+) -> io::Result<Outcome> {
     let mut pes: Vec<Pe<P::Node>> =
         stacks.into_iter().map(|stack| Pe { stack, children: Vec::new() }).collect();
     let mut killed = false;
@@ -237,14 +224,12 @@ fn run_stacks<P: TreeProblem>(
         // ---- macro-step boundary (checkpoint + fault injection) ----
         if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| h_remaining == 0) {
             st.step += 1;
-            let dies = ck
-                .boundary(st.step, || {
-                    let mut bytes = Vec::new();
-                    pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
-                    let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };
-                    Ok::<_, io::Error>(st.capture::<P::Node>(config_fingerprint(cfg), stacks))
-                })
-                .unwrap_or_else(|e| panic!("checkpoint: {e}"));
+            let dies = ck.boundary(st.step, || {
+                let mut bytes = Vec::new();
+                pes.iter().for_each(|pe| pe.stack.encode_node(&mut bytes));
+                let stacks = StackSource::Encoded { p: cfg.p, bytes: &bytes };
+                Ok::<_, io::Error>(st.capture::<P::Node>(config_fingerprint(cfg), stacks))
+            })?;
             if dies {
                 killed = true;
                 break;
@@ -252,7 +237,7 @@ fn run_stacks<P: TreeProblem>(
         }
     }
 
-    st.finish(killed)
+    Ok(st.finish(killed))
 }
 
 fn step_pe<P: TreeProblem>(problem: &P, pe: &mut Pe<P::Node>) -> CycleResult {

@@ -9,8 +9,8 @@
 //! count and host, so the quick CI tier can diff the report against a
 //! golden fixture (`tests/fixtures/run_report.json`) and any schedule or
 //! accounting drift shows up as a one-line test failure. The job server's
-//! `/result` document is the same pairs behind a header, and `sts run`,
-//! `sts resume` and `sts shard` print the report as their stdout.
+//! `/result` document is the same pairs behind a header, and `sts run`
+//! and `sts shard` print the report as their stdout, straight or resumed.
 
 use uts_ckpt::{encode_active_trace, encode_phase_record, fnv1a_64};
 use uts_machine::{DonationSpread, Ledger, Report, TriggerKind};

@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use uts_ckpt::CkptError;
 use uts_puzzle15::{korf_instances, scrambled, Board, Puzzle15};
 use uts_synth::GeometricTree;
 use uts_synthgen::{GenFamily, GenTree};
@@ -18,7 +17,7 @@ use uts_tree::ida::ida_star;
 use uts_tree::problem::BoundedProblem;
 use uts_tree::{CodecError, Reader, TreeProblem};
 
-use crate::{resume_from_bytes, run_with, EngineConfig, Outcome};
+use crate::{run_from, EngineConfig, Outcome, RunError};
 
 /// Largest IDA\* bound, and the deepest serial IDA\* resolves one to.
 const MAX_BOUND: u32 = 80;
@@ -178,19 +177,17 @@ impl Workload {
         }
     }
 
-    /// Run under `cfg` from the root, or resume from `snapshot` bytes.
-    pub fn run(&self, cfg: &EngineConfig, snapshot: Option<&[u8]>) -> Result<Outcome, CkptError> {
-        struct RunOrResume<'a>(&'a EngineConfig, Option<&'a [u8]>);
-        impl Search for RunOrResume<'_> {
-            type Out = Result<Outcome, CkptError>;
+    /// [`run_from`] this workload's problem: under `cfg` from the root, or
+    /// resumed from `snapshot` bytes.
+    pub fn run(&self, cfg: &EngineConfig, snapshot: Option<&[u8]>) -> Result<Outcome, RunError> {
+        struct RunFrom<'a>(&'a EngineConfig, Option<&'a [u8]>);
+        impl Search for RunFrom<'_> {
+            type Out = Result<Outcome, RunError>;
             fn search<P: TreeProblem>(self, problem: &P) -> Self::Out {
-                match self.1 {
-                    None => Ok(run_with(problem, self.0)),
-                    Some(bytes) => resume_from_bytes(problem, self.0, bytes),
-                }
+                run_from(problem, self.0, self.1)
             }
         }
-        self.search(RunOrResume(cfg, snapshot))
+        self.search(RunFrom(cfg, snapshot))
     }
 
     /// Append the wire encoding: a tag byte (0 puzzle, 1 generated tree,

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use uts_ckpt::CkptError;
+use uts_core::RunError;
 
 use crate::json::Json;
 
@@ -41,7 +41,7 @@ pub enum ServeError {
     },
     /// A spill-file operation failed: a parked snapshot that does not
     /// decode against the job's config fingerprint, or spill-directory
-    /// I/O. The job is marked failed; the decode error is preserved
+    /// I/O. The job is marked failed; the run's error is preserved
     /// verbatim. → 500.
     Spill(String),
 }
@@ -76,9 +76,9 @@ impl ServeError {
             .to_string()
     }
 
-    /// Wrap a snapshot-codec rejection (fingerprint mismatch, torn file,
-    /// foreign magic) as a spill error.
-    pub fn from_ckpt(err: CkptError) -> Self {
+    /// Wrap a slice's run error — a parked snapshot the codec refuses
+    /// (fingerprint mismatch, torn file, foreign magic) — as a spill error.
+    pub fn from_run(err: RunError) -> Self {
         ServeError::Spill(err.to_string())
     }
 }

@@ -327,7 +327,7 @@ fn runner_loop(shared: &Shared) {
         // slice until completion or the next boundary after a preempt.
         let slice = match was_parked.then(|| spill::unpark(&dir, id)).transpose() {
             Err(e) => Err(ServeError::Spill(format!("unpark: {e}"))),
-            Ok(parked) => spec.run_slice(parked.as_deref(), &signal).map_err(ServeError::from_ckpt),
+            Ok(parked) => spec.run_slice(parked.as_deref(), &signal).map_err(ServeError::from_run),
         };
         // A finished outcome's result document is digested and rendered
         // before taking the lock too.

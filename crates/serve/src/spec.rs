@@ -26,9 +26,9 @@
 //! the uninterrupted [`uts_core::run_with`] the differential tests compare
 //! against.
 
-use uts_ckpt::{CheckpointPolicy, CkptError, PreemptSignal};
+use uts_ckpt::{CheckpointPolicy, PreemptSignal};
 use uts_core::ckpt::CheckpointCfg;
-use uts_core::{config_fingerprint, EngineConfig, EngineKind, Outcome, Scheme, Workload};
+use uts_core::{config_fingerprint, EngineConfig, EngineKind, Outcome, RunError, Scheme, Workload};
 use uts_machine::CostModel;
 
 use crate::error::ServeError;
@@ -185,7 +185,7 @@ impl JobSpec {
 
     /// The uninterrupted run — the differential oracle.
     pub fn oracle(&self) -> Outcome {
-        self.workload.run(&self.config, None).expect("no snapshot bytes to reject")
+        self.workload.run(&self.config, None).expect("a spec neither resumes nor checkpoints")
     }
 
     /// Run one scheduling slice: from scratch, or resumed from `parked`
@@ -196,7 +196,7 @@ impl JobSpec {
         &self,
         parked: Option<&[u8]>,
         signal: &PreemptSignal,
-    ) -> Result<(Outcome, Option<Vec<u8>>), CkptError> {
+    ) -> Result<(Outcome, Option<Vec<u8>>), RunError> {
         let ck = CheckpointCfg::new(CheckpointPolicy::default()).with_preempt(signal.clone());
         let sink = ck.sink.clone();
         let cfg = self.config.clone().with_checkpoint_cfg(ck);

@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 
 use uts_ckpt::CheckpointPolicy;
-use uts_core::{resume_from_bytes, run, CheckpointCfg, EngineConfig, Outcome, Scheme, StackStore};
+use uts_core::{run, run_from, CheckpointCfg, EngineConfig, Outcome, Scheme, StackStore};
 use uts_machine::{CostModel, DonationSpread};
 use uts_puzzle15::Puzzle15;
 use uts_shard::proto::tag;
@@ -247,7 +247,7 @@ fn sharded_snapshots_are_interchangeable() {
     let bytes = &mid.bytes;
 
     // The same bytes resume under the single-process engine...
-    let resumed = resume_from_bytes(&tree, &cfg, bytes).expect("in-process resume");
+    let resumed = run_from(&tree, &cfg, Some(bytes)).expect("in-process resume");
     assert_eq!(resumed, want, "in-process resume of a sharded snapshot diverged");
     // ...and under the sharded machine at a different shard count.
     let resharded = resume_sharded(&workload, &cfg, &opts(3), bytes).expect("sharded resume");
@@ -307,7 +307,7 @@ fn counted_rounds_checkpoint_and_resume_across_shards() {
 
         let mid = snaps.len() / 2;
         let bytes = &snaps[mid];
-        let resumed = resume_from_bytes(&tree, &cfg, bytes).expect("in-process resume");
+        let resumed = run_from(&tree, &cfg, Some(bytes)).expect("in-process resume");
         assert_eq!(resumed, want, "in-process resume of a FEGS snapshot at P={p} diverged");
         let resharded = resume_sharded(&workload, &cfg, &opts(2), bytes).expect("sharded resume");
         assert_eq!(resharded.outcome, want, "2-shard resume of a FEGS snapshot at P={p} diverged");

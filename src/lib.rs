@@ -74,9 +74,9 @@ pub use uts_tree as tree;
 pub mod prelude {
     pub use uts_ckpt::{CheckpointPolicy, CkptError, EngineSnapshot, FaultPlan, PreemptSignal};
     pub use uts_core::{
-        config_fingerprint, outcome_digest, resume_from_bytes, resume_with, run, run_reference,
-        run_report_json, run_with, CheckpointCfg, CheckpointSink, EngineConfig, EngineKind,
-        Matching, Outcome, Scheme, TransferMode, Trigger,
+        config_fingerprint, outcome_digest, run, run_from, run_reference, run_report_json,
+        run_with, CheckpointCfg, CheckpointSink, EngineConfig, EngineKind, Matching, Outcome,
+        RunError, Scheme, TransferMode, Trigger,
     };
     pub use uts_machine::{
         CostModel, DonationSpread, LbCostBreakdown, LbPhaseRecord, Ledger, Report, SimdMachine,

@@ -83,7 +83,7 @@ fn assert_kill_resume_identical<P: TreeProblem>(tree: &P, cfg: &EngineConfig, ki
         assert_eq!(dead, straight, "checkpointing must not perturb a finishing run");
         return;
     };
-    let resumed = resume_from_bytes(tree, cfg, &bytes).expect("snapshot decodes under its config");
+    let resumed = run_from(tree, cfg, Some(&bytes)).expect("snapshot decodes under its config");
     assert_eq!(resumed, straight, "resume must be bit-identical to the uninterrupted run");
 }
 
@@ -163,7 +163,7 @@ proptest! {
             None => dead,
             Some(bytes) => {
                 let resume_cfg = cfg.clone().with_engine(EngineKind::ALL[resume_engine]);
-                resume_from_bytes(&tree, &resume_cfg, &bytes).expect("snapshot decodes")
+                run_from(&tree, &resume_cfg, Some(&bytes)).expect("snapshot decodes")
             }
         };
         prop_assert_eq!(outcome_digest(&finished), outcome_digest(&straight));
@@ -233,7 +233,7 @@ fn snapshots_are_engine_invariant_across_all_pairs() {
         let (_, bytes) = kill_run(&tree, &base.clone().with_engine(donor), 4);
         let bytes = bytes.expect("deep enough run to reach boundary 4");
         for (ri, &resumer) in EngineKind::ALL.iter().enumerate() {
-            let resumed = resume_from_bytes(&tree, &base.clone().with_engine(resumer), &bytes)
+            let resumed = run_from(&tree, &base.clone().with_engine(resumer), Some(&bytes))
                 .expect("engine-invariant snapshot");
             assert_eq!(
                 resumed, straight[ri],
@@ -300,13 +300,13 @@ fn chain_of_kills_composes_to_the_straight_run() {
             .with_fault(FaultPlan::kill_at(kill_at));
         let out = match &bytes {
             None => run_with(&tree, &armed),
-            Some(b) => resume_from_bytes(&tree, &armed, b).expect("chain snapshot decodes"),
+            Some(b) => run_from(&tree, &armed, Some(b)).expect("chain snapshot decodes"),
         };
         assert!(out.killed, "expected to die at boundary {kill_at}");
         let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
         bytes = Some(snaps.last().expect("snapshots taken").bytes.clone());
     }
-    let final_out = resume_from_bytes(&tree, &cfg, bytes.as_ref().expect("chain left a snapshot"))
+    let final_out = run_from(&tree, &cfg, Some(bytes.as_ref().expect("chain left a snapshot")))
         .expect("final resume");
     assert_eq!(final_out, straight, "three kills and three resumes must change nothing");
 }
@@ -316,9 +316,11 @@ fn chain_of_kills_composes_to_the_straight_run() {
 /// snapshot of that boundary and renamed into place whole (no `.tmp` is left
 /// behind); every file resumes the run bit-identically. A directory the sink
 /// cannot write ends the in-process loop with an `io::Error` naming the
-/// file. A sharded run's directory writes, and each of its files resumed
-/// on two shards, are checked in `uts-shard`'s `shard_differential`: a
-/// libtest binary like this one cannot serve as a shard worker.
+/// file, and `run_from` on every engine with that error as
+/// `RunError::Checkpoint`. A sharded run's directory writes, and each of
+/// its files resumed on two shards, are checked in `uts-shard`'s
+/// `shard_differential`: a libtest binary like this one cannot serve as a
+/// shard worker.
 #[test]
 fn directory_sink_writes_each_policy_boundary_once() {
     let tree = GeometricTree { seed: 42, b_max: 8, depth_limit: 7 };
@@ -354,7 +356,7 @@ fn directory_sink_writes_each_policy_boundary_once() {
     }
     for snap in &due {
         let bytes = std::fs::read(root.join("Macro").join(file_of(snap.step))).expect("read");
-        let resumed = resume_from_bytes(&tree, &cfg, &bytes).expect("own snapshot decodes");
+        let resumed = run_from(&tree, &cfg, Some(&bytes)).expect("own snapshot decodes");
         assert_eq!(resumed, straight, "resume from boundary {} diverged", snap.step);
     }
 
@@ -368,6 +370,14 @@ fn directory_sink_writes_each_policy_boundary_once() {
         .drive(&mut LocalBackend::new(&tree, arena, 1, 0))
         .expect_err("an unwritable directory stops the run");
     assert!(err.to_string().contains(&file_of(1)), "the error names the file: {err}");
+    for engine in EngineKind::ALL {
+        match run_from(&tree, &bad.clone().with_engine(engine), None) {
+            Err(RunError::Checkpoint(err)) => {
+                assert!(err.to_string().contains(&file_of(1)), "{engine:?} names the file: {err}");
+            }
+            other => panic!("{engine:?}: expected RunError::Checkpoint, got {other:?}"),
+        }
+    }
     std::fs::remove_dir_all(&root).expect("clean up");
 }
 
@@ -427,7 +437,7 @@ fn snapshot_bytes_match_the_golden_fixture() {
         let snaps = armed.checkpoint.as_ref().expect("armed").sink.taken();
         assert_eq!(snaps.len(), 1, "{engine:?}");
         assert_eq!(snaps[0].bytes, golden, "{engine:?} must write the fixture's bytes");
-        let resumed = resume_from_bytes(&tree, &cfg, golden).expect("the fixture resumes");
+        let resumed = run_from(&tree, &cfg, Some(golden)).expect("the fixture resumes");
         assert_eq!(resumed, run_with(&tree, &cfg), "{engine:?} resume of the fixture diverged");
     }
 }
@@ -535,7 +545,7 @@ fn snapshot_rejections_are_distinct() {
     // And the end-to-end path surfaces the same rejection.
     let wrong = EngineConfig::new(32, Scheme::gp_dk(), CostModel::cm2());
     assert!(matches!(
-        resume_from_bytes(&tree, &wrong, &bytes),
-        Err(CkptError::ConfigMismatch { .. })
+        run_from(&tree, &wrong, Some(&bytes)),
+        Err(RunError::Snapshot(CkptError::ConfigMismatch { .. }))
     ));
 }

@@ -263,15 +263,16 @@ fn step_by_driver(
     ((driver.finish(reached_boundary), frames_of(&arena.into_stacks())), batches)
 }
 
-/// The same macro step through the reference oracle: resume, die at the
-/// first boundary, read that boundary's snapshot.
-fn step_by_reference(cfg: &EngineConfig, snapshot: EngineSnapshot<u64>) -> AfterPhase {
+/// The same macro step through the reference oracle: resume the encoded
+/// snapshot, die at the first boundary, read that boundary's snapshot.
+fn step_by_reference(cfg: &EngineConfig, snapshot: &EngineSnapshot<u64>) -> AfterPhase {
     let armed = cfg
         .clone()
         .with_engine(EngineKind::Reference)
         .with_checkpoint(CheckpointPolicy::every(1))
         .with_fault(FaultPlan::kill_at(1));
-    let outcome = resume_with(&Leaves, &armed, snapshot);
+    let bytes = snapshot.encode(config_fingerprint(cfg));
+    let outcome = run_from(&Leaves, &armed, Some(&bytes)).expect("the encoded ensemble resumes");
     if !outcome.killed {
         // The search drained inside the step: no boundary, no stacks left.
         return (outcome, vec![Vec::new(); cfg.p]);
@@ -303,7 +304,7 @@ fn assert_phase_identical(
     cfg.record_ledger = ledger;
     let snapshot = snapshot_over(&cfg, stacks);
 
-    let (want, want_frames) = step_by_reference(&cfg, snapshot.clone());
+    let (want, want_frames) = step_by_reference(&cfg, &snapshot);
     let mut batches = Vec::new();
     for &window in windows {
         let ((got, got_frames), handed) = step_by_driver(&cfg, snapshot.clone(), window);
